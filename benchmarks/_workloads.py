@@ -6,15 +6,52 @@ package; pytest puts it on ``sys.path``).
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import Pattern, PatternConstraints
 from repro.datagen.motifs import Motif
 from repro.datagen.synthetic import generate_database, protein_like_database
+
+#: The repository root: committed full-mode ``BENCH_*.json`` artifacts
+#: live here, and ``tests.oracles`` imports from here.
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+
+def add_output_argument(parser: argparse.ArgumentParser) -> None:
+    """The ``--out PATH`` option every per-layer benchmark takes."""
+    parser.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="write the JSON report here; without it a full run "
+             "refreshes the committed artifact in the repo root and a "
+             "--smoke run writes nothing",
+    )
+
+
+def write_report(report: Dict, artifact: str, out: Optional[str],
+                 smoke: bool) -> Optional[Path]:
+    """Write *report* to *out*, or to the committed *artifact* in the
+    repo root for a full-mode run; a smoke run without *out* writes
+    nothing, so it can never overwrite a committed measurement."""
+    if out is not None:
+        path = Path(out)
+    elif smoke:
+        return None
+    else:
+        path = ROOT / artifact
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {path}")
+    return path
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import tempfile
@@ -43,7 +42,13 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _workloads import BenchScale, build_standard_database, current_scale
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    current_scale,
+    write_report,
+)
 
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.lattice import PatternConstraints
@@ -51,7 +56,6 @@ from repro.core.sequence import SequenceDatabase
 from repro.io import SegmentedSequenceStore
 from repro.mining import LevelwiseMiner, create_checkpoint, delta_remine
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_delta.json"
 
 ROUNDS = 3
 SMOKE_ROUNDS = 2
@@ -258,9 +262,10 @@ def main(argv=None) -> int:
         help="tiny workload, two rounds, border-identity gate only "
              "(CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_delta.json", args.out, args.smoke)
     for name, payload in report["workloads"].items():
         verify = payload["verify"]
         print(
@@ -270,7 +275,6 @@ def main(argv=None) -> int:
             f"scratch {payload['tasks']['scratch_seconds'] * 1e3:.1f} "
             f"ms -> {payload['speedup_scratch_over_refresh']:.1f}x"
         )
-    print(f"report written to {OUTPUT}")
     return 0
 
 

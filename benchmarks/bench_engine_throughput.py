@@ -1,8 +1,9 @@
 """Match-engine throughput on the Figure 14 counting workload.
 
 Times :func:`repro.mining.counting.count_matches_batched` — the single
-dispatch point every miner funnels through — for each registered
-backend on the same workload ``bench_fig14_performance.py`` mines: the
+dispatch point every miner funnels through — for each production
+engine, against the per-sequence oracle of ``tests/oracles.py``, on
+the same workload ``bench_fig14_performance.py`` mines: the
 protein-composition standard database, uniform noise ``alpha = 0.1``,
 and a memory capacity of 64 counters per scan.  The pattern set is a
 fixed sample of weight-2..8 patterns, the shape of a Phase-2/Phase-3
@@ -15,13 +16,14 @@ standard way to measure capability rather than contention.  The
 vectorized engine is additionally timed with a cleared factor cache
 every round (``cold``) to separate kernel speed from cache reuse.
 
-Run as a script to write ``BENCH_engine.json`` next to the repo root::
+Run as a script to write ``BENCH_engine.json`` next to the repo root
+(or to ``--out PATH``)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
 ``--smoke`` runs two quick rounds and skips the 5x speedup gate — a
 correctness-only pass for CI, where shared runners make timing
-assertions meaningless.  Through pytest-benchmark, like the figure
+assertions meaningless; it writes only to ``--out``.  Through pytest-benchmark, like the figure
 benchmarks::
 
     pytest benchmarks/bench_engine_throughput.py --benchmark-only
@@ -30,19 +32,28 @@ benchmarks::
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
 from repro import CompatibilityMatrix, Pattern
 from repro.datagen.noise import corrupt_uniform
-from repro.engine import available_engines, get_engine
+from repro.engine import (
+    NativeEngine,
+    ParallelEngine,
+    VectorizedBatchEngine,
+    native_available,
+)
 from repro.mining.counting import count_matches_batched
 
-from _workloads import build_standard_database, current_scale, run_once
+from _workloads import (
+    add_output_argument,
+    build_standard_database,
+    current_scale,
+    run_once,
+    write_report,
+)
 
 ALPHA = 0.1
 MEMORY_CAPACITY = 64
@@ -52,7 +63,6 @@ MAX_WEIGHT = 8
 PARENTS_PER_LEVEL = 6
 FREQUENT_SYMBOLS = 12
 PATTERN_SEED = 99
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
 def candidate_patterns(m: int) -> List[Pattern]:
@@ -110,8 +120,16 @@ def build_workload(scale):
 
 
 def measure(scale, rounds: int = ROUNDS) -> Dict:
+    from tests.oracles import ReferenceEngine
+
     test, matrix, patterns = build_workload(scale)
-    engines = {name: get_engine(name) for name in available_engines()}
+    engines = {
+        "reference": ReferenceEngine(),
+        "vectorized": VectorizedBatchEngine(),
+        "parallel": ParallelEngine(n_workers=2),
+    }
+    if native_available:
+        engines["native"] = NativeEngine()
 
     def count(engine):
         test.reset_scan_count()
@@ -119,7 +137,7 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             patterns, test, matrix, MEMORY_CAPACITY, engine=engine
         )
 
-    # Correctness gate before timing: all backends must agree.
+    # Correctness gate before timing: all engines must agree.
     results = {name: count(engine) for name, engine in engines.items()}
     reference_result = results["reference"]
     for name, result in results.items():
@@ -146,6 +164,7 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             timings["vectorized-cold"].append(
                 time.perf_counter() - started
             )
+    engines["parallel"].close()
 
     best_reference = min(timings["reference"])
     report = {
@@ -178,18 +197,18 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="two quick rounds, no speedup gate (CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     rounds = 2 if args.smoke else ROUNDS
     report = measure(current_scale(), rounds=rounds)
     report["workload"]["smoke"] = args.smoke
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_engine.json", args.out, args.smoke)
     for name, row in report["engines"].items():
         print(
             f"{name:16s} best {row['best_seconds'] * 1000:7.1f} ms   "
             f"{row['patterns_per_sec']:8.0f} patterns/s   "
             f"{row['speedup_vs_reference']:.2f}x vs reference"
         )
-    print(f"wrote {OUTPUT}")
     speedup = report["engines"]["vectorized"]["speedup_vs_reference"]
     if args.smoke:
         # The correctness gate inside measure() already ran; timing

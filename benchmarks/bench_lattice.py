@@ -1,4 +1,4 @@
-"""Lattice kernels: packed batch paths vs the pure-Python reference.
+"""Lattice kernels: packed batch paths vs the pure-Python oracles.
 
 With the match engines (PR 1) and Phase-2 evaluation (PR 3)
 vectorized, the lattice layer dominated what was left of the
@@ -10,30 +10,30 @@ benchmark times both against the packed kernels of
 
 * **candidate generation** — the per-level survivor sets of one real
   ``classify_on_sample`` run (frequent-or-ambiguous patterns grouped
-  by weight) are replayed through ``reference_generate_candidates``
-  and ``kernel_generate_candidates``;
+  by weight) are replayed through the oracle
+  ``reference_generate_candidates`` of ``tests/oracles.py`` and
+  ``kernel_generate_candidates``;
 * **propagation** — the ambiguous band of the same run is collapsed in
   simulated probe rounds (batches drawn by the production
   ``select_probe_batch``, decisions taken from the recorded sample
-  matches), and each round's sweep is replayed through the reference
-  pairwise ``is_subpattern_of`` comprehension and through
-  ``filter_undecided`` (signature-prefiltered batch containment).
+  matches), and each round's sweep is replayed through the oracle
+  pairwise ``is_subpattern_of`` sweep and through ``filter_undecided``
+  (signature-prefiltered batch containment).
 
 The recorded figure is the best of interleaved rounds; the gated
 number is the **combined** speedup (reference candidate-gen +
 propagation time over kernel time), which must hold 3x on the fig14
 workload.  Before timing, bit-identity gates check the kernel outputs
-per level and per round, and all six miners are run end to end in both
-lattice modes and compared (frequent sets with match values, borders,
-scan counts).
+per level and per round (whole miners on the kernels vs the oracle
+lattice are pinned by ``tests/test_differential.py``).
 
 Run as a script to write ``BENCH_lattice.json`` next to the repo
-root::
+root (or to ``--out PATH``)::
 
     PYTHONPATH=src python benchmarks/bench_lattice.py
 
 ``--smoke`` runs a tiny workload for two rounds and skips the speedup
-gate — a correctness-only pass for CI.  Through pytest-benchmark::
+gate — a correctness-only pass for CI; it writes only to ``--out``.  Through pytest-benchmark::
 
     pytest benchmarks/bench_lattice.py --benchmark-only
 """
@@ -41,22 +41,12 @@ gate — a correctness-only pass for CI.  Through pytest-benchmark::
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro import (
-    BorderCollapsingMiner,
-    CompatibilityMatrix,
-    LevelwiseMiner,
-    MaxMiner,
-    Pattern,
-    PatternConstraints,
-)
-from repro.core.lattice import reference_generate_candidates
+from repro import CompatibilityMatrix, Pattern, PatternConstraints
 from repro.core.latticekernels import (
     filter_undecided,
     kernel_generate_candidates,
@@ -66,20 +56,25 @@ from repro.datagen.noise import corrupt_uniform
 from repro.engine import VectorizedBatchEngine
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.collapsing import select_probe_batch
-from repro.mining.depthfirst import DepthFirstMiner
-from repro.mining.pincer import PincerMiner
-from repro.mining.toivonen import ToivonenMiner
 
-from _workloads import BenchScale, build_standard_database, run_once
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    run_once,
+    write_report,
+)
+# Importing _workloads first puts the repo root on sys.path.
+from tests.oracles import (
+    reference_filter_undecided,
+    reference_generate_candidates,
+)
 
 ALPHA = 0.2
 DELTA = 1e-4
 ROUNDS = 5
 SMOKE_ROUNDS = 2
 SAMPLE_SEED = 23
-MINER_GATE_SEQUENCES = 100
-MINER_GATE_MIN_MATCH = 0.3
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_lattice.json"
 
 #: name -> (scale, min_match, combined speedup gate).  fig14 is the
 #: performance-comparison shape of Figure 14 (mean length 30); its BFS
@@ -94,17 +89,13 @@ SMOKE_WORKLOADS: Dict[str, Tuple[BenchScale, float, float]] = {
     "smoke": (BenchScale(60, 40, 12, (1,)), 0.30, 0.0),
 }
 CONSTRAINTS = PatternConstraints(max_weight=10, max_span=10, max_gap=0)
-MINER_GATE_CONSTRAINTS = PatternConstraints(
-    max_weight=4, max_span=6, max_gap=1
-)
 
 
 def build_workload(scale: BenchScale, min_match: float):
     """Realistic lattice inputs from one Phase-2 run.
 
     Returns the per-level generator inputs (survivor sets), the
-    frequent symbols, the recorded propagation rounds and the noisy
-    database (reused by the miner identity gates).
+    frequent symbols, the recorded propagation rounds and the matrix.
     """
     std, _motifs, m = build_standard_database(scale, protein=True)
     rng = np.random.default_rng(scale.noise_seeds[0])
@@ -119,7 +110,7 @@ def build_workload(scale: BenchScale, min_match: float):
     symbol_match = VectorizedBatchEngine().symbol_matches(noisy, matrix)
     classification = classify_on_sample(
         sample, matrix, min_match, DELTA, symbol_match, CONSTRAINTS,
-        engine=VectorizedBatchEngine(), lattice="reference",
+        engine=VectorizedBatchEngine(),
     )
     frequent_symbols = [
         d for d in range(m) if symbol_match[d] >= min_match
@@ -140,25 +131,7 @@ def build_workload(scale: BenchScale, min_match: float):
     ]
 
     rounds = record_propagation_rounds(classification, min_match)
-    return levels, frequent_symbols, rounds, noisy, matrix
-
-
-def reference_sweep(
-    undecided: Set[Pattern],
-    newly_frequent: Sequence[Pattern],
-    newly_infrequent: Sequence[Pattern],
-) -> Set[Pattern]:
-    """The original pairwise propagation sweep of ``collapse_borders``."""
-    return {
-        pattern
-        for pattern in undecided
-        if not any(
-            pattern.is_subpattern_of(fresh) for fresh in newly_frequent
-        )
-        and not any(
-            killer.is_subpattern_of(pattern) for killer in newly_infrequent
-        )
-    }
+    return levels, frequent_symbols, rounds, matrix
 
 
 def record_propagation_rounds(classification, min_match):
@@ -188,7 +161,7 @@ def record_propagation_rounds(classification, min_match):
         )
         undecided = undecided - set(batch)
         rounds.append((set(undecided), newly_frequent, newly_infrequent))
-        undecided = reference_sweep(
+        undecided = reference_filter_undecided(
             undecided, newly_frequent, newly_infrequent
         )
     return rounds
@@ -212,7 +185,7 @@ def verify_kernels(levels, frequent_symbols, rounds) -> Dict:
             )
         candidate_counts.append(len(expected))
     for undecided, newly_frequent, newly_infrequent in rounds:
-        expected = reference_sweep(
+        expected = reference_filter_undecided(
             undecided, newly_frequent, newly_infrequent
         )
         got = filter_undecided(undecided, newly_frequent, newly_infrequent)
@@ -228,76 +201,13 @@ def verify_kernels(levels, frequent_symbols, rounds) -> Dict:
     }
 
 
-def verify_miners(noisy, matrix) -> Dict:
-    """All six miners, both lattice modes, identical results."""
-    rows = [seq for _sid, seq in noisy.scan()]
-    database_rows = rows[:MINER_GATE_SEQUENCES]
-    min_match = MINER_GATE_MIN_MATCH
-    sample_size = max(2, len(database_rows) // 2)
-    factories = {
-        "levelwise": lambda lattice: LevelwiseMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine="vectorized", lattice=lattice,
-        ),
-        "maxminer": lambda lattice: MaxMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine="vectorized", lattice=lattice,
-        ),
-        "pincer": lambda lattice: PincerMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine="vectorized", lattice=lattice,
-        ),
-        "depthfirst": lambda lattice: DepthFirstMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine="vectorized", lattice=lattice,
-        ),
-        "border-collapsing": lambda lattice: BorderCollapsingMiner(
-            matrix, min_match, sample_size=sample_size,
-            constraints=MINER_GATE_CONSTRAINTS, engine="vectorized",
-            rng=np.random.default_rng(11), lattice=lattice,
-        ),
-        "toivonen": lambda lattice: ToivonenMiner(
-            matrix, min_match, sample_size=sample_size,
-            constraints=MINER_GATE_CONSTRAINTS, engine="vectorized",
-            rng=np.random.default_rng(11), lattice=lattice,
-        ),
-    }
-    report = {}
-    for name, factory in factories.items():
-        results = {}
-        for lattice in ("reference", "kernel"):
-            database = SequenceDatabase(list(database_rows))
-            results[lattice] = factory(lattice).mine(database)
-        reference, kernel = results["reference"], results["kernel"]
-        if kernel.frequent != reference.frequent:
-            raise AssertionError(
-                f"{name}: kernel frequent set deviates from reference"
-            )
-        if kernel.border != reference.border:
-            raise AssertionError(
-                f"{name}: kernel border deviates from reference"
-            )
-        if kernel.scans != reference.scans:
-            raise AssertionError(
-                f"{name}: kernel scan count {kernel.scans} != "
-                f"reference {reference.scans}"
-            )
-        report[name] = {
-            "frequent": len(kernel.frequent),
-            "scans": kernel.scans,
-            "identical": True,
-        }
-    return report
-
-
 def measure_workload(
     name: str, scale: BenchScale, min_match: float, rounds: int,
 ) -> Dict:
-    levels, frequent_symbols, prop_rounds, noisy, matrix = build_workload(
+    levels, frequent_symbols, prop_rounds, matrix = build_workload(
         scale, min_match
     )
     equivalence = verify_kernels(levels, frequent_symbols, prop_rounds)
-    equivalence["miners"] = verify_miners(noisy, matrix)
 
     timings: Dict[str, List[float]] = {
         "reference_candidates": [], "kernel_candidates": [],
@@ -308,7 +218,7 @@ def measure_workload(
         "kernel_candidates": kernel_generate_candidates,
     }
     sweeps = {
-        "reference_propagation": reference_sweep,
+        "reference_propagation": reference_filter_undecided,
         "kernel_propagation": filter_undecided,
     }
     for _ in range(rounds):
@@ -397,9 +307,10 @@ def main(argv=None) -> int:
         help="tiny workload, two rounds, no speedup gate "
              "(CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_lattice.json", args.out, args.smoke)
     failed = False
     for name, row in report["workloads"].items():
         kernel = row["lattice"]["kernel"]
@@ -421,7 +332,6 @@ def main(argv=None) -> int:
                 f"is below {gate}x"
             )
             failed = True
-    print(f"wrote {OUTPUT}")
     return 1 if failed else 0
 
 

@@ -36,9 +36,7 @@ correctness-only pass for CI.  Through pytest-benchmark::
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,7 +63,13 @@ from repro.mining.depthfirst import DepthFirstMiner
 from repro.mining.pincer import PincerMiner
 from repro.mining.toivonen import ToivonenMiner
 
-from _workloads import BenchScale, build_standard_database, run_once
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    run_once,
+    write_report,
+)
 
 ALPHA = 0.2
 ROUNDS = 5
@@ -94,7 +98,6 @@ MINER_GATE_CONSTRAINTS = PatternConstraints(
 )
 CONSTRAINTS = PatternConstraints(max_weight=4, max_span=6, max_gap=1)
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_native.json"
 
 #: name -> (scale, window-speedup gate, combined lattice-speedup gate).
 #: fig14 is the performance-comparison shape of Figure 14 (mean length
@@ -415,9 +418,10 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="tiny workload, no speedup gates (CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_native.json", args.out, args.smoke)
     failed = False
     for name, row in report["workloads"].items():
         window = row["window"]
@@ -451,7 +455,6 @@ def main(argv=None) -> int:
                 f"below {gates['lattice']}x"
             )
             failed = True
-    print(f"wrote {OUTPUT}")
     return 1 if failed else 0
 
 

@@ -35,18 +35,17 @@ figure is the best round.  Before timing, a correctness gate checks
   bit-identically on a spot-check subset, with
   ``resident_native_calls`` actually ticking;
 * the float32 leg stays within ``1e-5`` of float64 everywhere;
-* a reference-engine spot check to 1e-12;
-* all six miners produce identical frequent sets, borders and scan
-  counts when every counting pass runs through the resident evaluator
-  (compiled where numba imports, interpreted twins otherwise).
+* a spot check against the per-sequence oracle of ``tests/oracles.py``
+  to 1e-12.
 
-Run as a script to write ``BENCH_phase2.json`` next to the repo root::
+Run as a script to write ``BENCH_phase2.json`` next to the repo root
+(or to ``--out PATH``)::
 
     PYTHONPATH=src python benchmarks/bench_phase2_sample.py
 
 ``--smoke`` runs a tiny workload for two rounds with every correctness
 gate active but no speedup gates — CI's pass, where shared runners
-make timing assertions meaningless.  Through pytest-benchmark::
+make timing assertions meaningless; it writes only to ``--out``.  Through pytest-benchmark::
 
     pytest benchmarks/bench_phase2_sample.py --benchmark-only
 """
@@ -54,9 +53,7 @@ make timing assertions meaningless.  Through pytest-benchmark::
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -65,21 +62,19 @@ from repro import CompatibilityMatrix, Pattern, PatternConstraints
 from repro.core import _nativekernels as nk
 from repro.core.sequence import SequenceDatabase
 from repro.datagen.noise import corrupt_uniform
-from repro.engine import (
-    ReferenceEngine,
-    ResidentSampleEvaluator,
-    VectorizedBatchEngine,
-)
+from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.counting import count_matches_batched
-from repro.mining.depthfirst import DepthFirstMiner
-from repro.mining.levelwise import LevelwiseMiner
-from repro.mining.maxminer import MaxMiner
-from repro.mining.miner import BorderCollapsingMiner
-from repro.mining.pincer import PincerMiner
-from repro.mining.toivonen import ToivonenMiner
 
-from _workloads import BenchScale, build_standard_database, run_once
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    run_once,
+    write_report,
+)
+# Importing _workloads first puts the repo root on sys.path.
+from tests.oracles import ReferenceEngine
 
 ALPHA = 0.2
 DELTA = 1e-4
@@ -89,7 +84,6 @@ SAMPLE_SEED = 23
 REFERENCE_SPOT_CHECK = 150
 PURE_SPOT_CHECK = 150
 FLOAT32_BOUND = 1e-5
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_phase2.json"
 
 #: name -> (scale, min_match, resident-vs-vectorized gate, compiled
 #: native-vs-numpy-resident gate).  The vectorized-relative thresholds
@@ -106,19 +100,6 @@ SMOKE_WORKLOADS: Dict[str, Tuple[BenchScale, float, float, float]] = {
     "smoke": (BenchScale(60, 40, 12, (1,)), 0.30, 0.0, 0.0),
 }
 CONSTRAINTS = PatternConstraints(max_weight=10, max_span=10, max_gap=0)
-
-#: The six-miner gate reuses bench_native's small-alphabet workload
-#: shape: end-to-end interchangeability, fast enough for the
-#: interpreted twins on numba-free legs.
-MINER_GATE_SEQUENCES = 40
-MINER_GATE_ALPHABET = 6
-MINER_GATE_ALPHA = 0.15
-MINER_GATE_LENGTH = 12
-MINER_GATE_MIN_MATCH = 0.3
-MINER_GATE_CONSTRAINTS = PatternConstraints(
-    max_weight=4, max_span=6, max_gap=1
-)
-
 
 def speedup_skip_reason() -> "str | None":
     if nk.native_available:
@@ -307,93 +288,6 @@ def measure_workload(
     }
 
 
-def verify_miners() -> Dict:
-    """Six miners end to end: every counting pass through the resident
-    evaluator (compiled where numba imports, interpreted twins
-    otherwise) vs vectorized — frequent sets, borders and scan counts
-    must be identical."""
-    rng = np.random.default_rng(7)
-    rows = [
-        rng.integers(0, MINER_GATE_ALPHABET, size=MINER_GATE_LENGTH).tolist()
-        for _ in range(MINER_GATE_SEQUENCES)
-    ]
-    matrix = CompatibilityMatrix.uniform_noise(
-        MINER_GATE_ALPHABET, MINER_GATE_ALPHA
-    )
-    min_match = MINER_GATE_MIN_MATCH
-    sample_size = max(2, len(rows) // 2)
-
-    def engines():
-        kernels = "auto" if nk.native_available else "pure"
-        return {
-            "vectorized": VectorizedBatchEngine(),
-            "resident": ResidentSampleEvaluator(kernels=kernels),
-        }
-
-    factories = {
-        "levelwise": lambda engine: LevelwiseMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine=engine,
-        ),
-        "maxminer": lambda engine: MaxMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine=engine,
-        ),
-        "pincer": lambda engine: PincerMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine=engine,
-        ),
-        "depthfirst": lambda engine: DepthFirstMiner(
-            matrix, min_match, constraints=MINER_GATE_CONSTRAINTS,
-            engine=engine,
-        ),
-        "border-collapsing": lambda engine: BorderCollapsingMiner(
-            matrix, min_match, sample_size=sample_size,
-            constraints=MINER_GATE_CONSTRAINTS,
-            rng=np.random.default_rng(11), engine=engine,
-        ),
-        "toivonen": lambda engine: ToivonenMiner(
-            matrix, min_match, sample_size=sample_size,
-            constraints=MINER_GATE_CONSTRAINTS,
-            rng=np.random.default_rng(11), engine=engine,
-        ),
-    }
-    report = {}
-    kernel_calls = 0
-    for name, factory in factories.items():
-        results = {}
-        for engine_name, engine in engines().items():
-            database = SequenceDatabase(list(rows))
-            results[engine_name] = factory(engine).mine(database)
-            if engine_name == "resident":
-                kernel_calls += engine.native_calls
-        vec, res = results["vectorized"], results["resident"]
-        if res.frequent != vec.frequent:  # dict ==: bit-identical
-            raise AssertionError(
-                f"{name}: resident frequent set deviates from vectorized"
-            )
-        if res.border != vec.border:
-            raise AssertionError(
-                f"{name}: resident border deviates from vectorized"
-            )
-        if res.scans != vec.scans:
-            raise AssertionError(
-                f"{name}: resident scan count {res.scans} != "
-                f"vectorized {vec.scans}"
-            )
-        report[name] = {
-            "frequent": len(res.frequent),
-            "scans": res.scans,
-            "identical": True,
-        }
-    if kernel_calls <= 0:
-        raise AssertionError(
-            "resident miner gate recorded no kernel calls"
-        )
-    report["resident_native_calls"] = kernel_calls
-    return report
-
-
 def measure(smoke: bool = False) -> Dict:
     workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
     rounds = SMOKE_ROUNDS if smoke else ROUNDS
@@ -412,7 +306,6 @@ def measure(smoke: bool = False) -> Dict:
             for name, (_scale, _mm, _gate, native_gate)
             in workloads.items()
         },
-        "miners": verify_miners(),
         "workloads": {
             name: measure_workload(name, scale, min_match, rounds)
             for name, (scale, min_match, _gate, _ng) in workloads.items()
@@ -427,9 +320,10 @@ def main(argv=None) -> int:
         help="tiny workload, two rounds, correctness gates only "
              "(CI pass; no speedup gates)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_phase2.json", args.out, args.smoke)
     failed = False
     for name, row in report["workloads"].items():
         engines = row["engines"]
@@ -466,7 +360,6 @@ def main(argv=None) -> int:
             failed = True
     if report["speedup_skip_reason"]:
         print(f"native gates skipped: {report['speedup_skip_reason']}")
-    print(f"wrote {OUTPUT}")
     return 1 if failed else 0
 
 

@@ -43,12 +43,11 @@ runners make timing assertions meaningless.  Through pytest::
 from __future__ import annotations
 
 import argparse
-import json
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -64,7 +63,13 @@ from repro.datagen.noise import corrupt_uniform
 from repro.engine import VectorizedBatchEngine
 from repro.mining.counting import count_matches_batched
 
-from _workloads import BenchScale, build_standard_database, run_once
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    run_once,
+    write_report,
+)
 
 ALPHA = 0.2
 ROUNDS = 5
@@ -76,7 +81,6 @@ EPS_SECONDS = 1e-4
 #: Sequences used for the six-miner bit-identity gate (full workloads
 #: would take minutes per miner on the level-wise algorithms).
 MINER_GATE_ROWS = 60
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_io.json"
 
 MINER_GATE_ALGORITHMS = (
     "border-collapsing", "levelwise", "maxminer",
@@ -216,7 +220,8 @@ def verify_miners(reps, matrix, min_match: float) -> Dict:
 
         def mine(algorithm, database):
             kwargs = dict(
-                constraints=MINER_GATE_CONSTRAINTS, engine="reference"
+                constraints=MINER_GATE_CONSTRAINTS,
+                engine=VectorizedBatchEngine(),
             )
             if algorithm in ("border-collapsing", "toivonen"):
                 cls = {"border-collapsing": BorderCollapsingMiner,
@@ -355,9 +360,10 @@ def main(argv=None) -> int:
         help="tiny workload, two rounds, no throughput gate "
              "(CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_io.json", args.out, args.smoke)
     failed = False
     for name, row in report["workloads"].items():
         layer = row["scan_layer"]
@@ -375,7 +381,6 @@ def main(argv=None) -> int:
                 f"below the {gate}x gate"
             )
             failed = True
-    print(f"wrote {OUTPUT}")
     return 1 if failed else 0
 
 

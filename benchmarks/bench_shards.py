@@ -32,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -44,20 +43,21 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _workloads import BenchScale, build_standard_database, current_scale
+from _workloads import (
+    BenchScale,
+    add_output_argument,
+    build_standard_database,
+    current_scale,
+    write_report,
+)
 
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.pattern import Pattern
 from repro.core.sequence import SequenceDatabase
-from repro.engine import (
-    InlineShardExecutor,
-    ParallelEngine,
-    ShuffledExecutor,
-    VectorizedBatchEngine,
-)
+from repro.engine import ParallelEngine, VectorizedBatchEngine
+from repro.engine.shards import InlineShardExecutor, ShuffledExecutor
 from repro.io import PackedSequenceStore, SegmentedSequenceStore
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_shards.json"
 
 ALPHA = 0.1
 CHUNK_ROWS = 64
@@ -296,9 +296,10 @@ def main(argv=None) -> int:
         help="tiny workload, identity and dispatch gates only "
              "(CI correctness pass)",
     )
+    add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, "BENCH_shards.json", args.out, args.smoke)
     identity = report["bit_identity"]
     dispatch = report["segmented_dispatch"]
     print(
@@ -318,7 +319,6 @@ def main(argv=None) -> int:
                 f"scaling: {scaling['speedup']:.2f}x at "
                 f"{scaling['workers']} workers"
             )
-    print(f"report written to {OUTPUT}")
     return 0
 
 

@@ -158,12 +158,10 @@ def main(argv=None) -> int:
 
         # Warm resident evaluator: the second sampling job on the same
         # store must reuse the pinned sample (pin count unchanged).
-        # min_match differs from the parity runs above — their results
-        # are memoized across execution knobs (resident_sample
-        # included), and a memo hit would skip Phase 2 entirely.
+        # min_match differs from the parity runs above — a memo hit
+        # would skip Phase 2 entirely.
         resident_config = dict(
-            CONFIG, algorithm="border-collapsing", resident_sample=True,
-            min_match=0.58,
+            CONFIG, algorithm="border-collapsing", min_match=0.58,
         )
         client.wait(client.submit(resident_config,
                                   store=str(store_path))["id"])

@@ -23,10 +23,7 @@ reproduction of every figure of the paper's evaluation.
 
 from .core import (
     AMINO_ACIDS,
-    DEFAULT_LATTICE_MODE,
     DEFAULT_SCAN_CHUNK_ROWS,
-    LATTICE_ENV_VAR,
-    LATTICE_MODES,
     calibrated_min_match,
     clean_occurrence_match,
     Alphabet,
@@ -39,9 +36,6 @@ from .core import (
     SequenceDatabase,
     SparseMatchEngine,
     WILDCARD,
-    lattice_from_env,
-    resolve_lattice,
-    use_kernels,
     compatibility_from_channel,
     database_match,
     database_matches,
@@ -67,14 +61,11 @@ from .datagen import (
 )
 from .engine import (
     MatchEngine,
+    NativeEngine,
     ParallelEngine,
-    ReferenceEngine,
     ResidentSampleEvaluator,
     VectorizedBatchEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-    resident_from_env,
+    select_engine,
 )
 from .errors import (
     AlphabetError,
@@ -128,10 +119,7 @@ __all__ = [
     "Alphabet",
     "Border",
     "CompatibilityMatrix",
-    "DEFAULT_LATTICE_MODE",
     "DEFAULT_SCAN_CHUNK_ROWS",
-    "LATTICE_ENV_VAR",
-    "LATTICE_MODES",
     "FileSequenceDatabase",
     "PackedSequenceStore",
     "Pattern",
@@ -147,9 +135,6 @@ __all__ = [
     "database_matches",
     "is_packed_store",
     "iter_chunks",
-    "lattice_from_env",
-    "resolve_lattice",
-    "use_kernels",
     "segment_match",
     "sequence_match",
     "symbol_matches",
@@ -167,14 +152,11 @@ __all__ = [
     "uniform_channel",
     "uniform_noise_setup",
     "MatchEngine",
+    "NativeEngine",
     "ParallelEngine",
-    "ReferenceEngine",
     "ResidentSampleEvaluator",
     "VectorizedBatchEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "resident_from_env",
+    "select_engine",
     "AlphabetError",
     "CompatibilityMatrixError",
     "MiningError",

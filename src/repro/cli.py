@@ -42,12 +42,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .config import MiningConfig, json_payload, open_database
-from .core.latticekernels import LATTICE_MODES
+from .config import ALGORITHMS, MiningConfig, json_payload, open_database
 from .core.pattern import Pattern
 from .core.sequence import FileSequenceDatabase
 from .datagen.motifs import Motif, random_motif
-from .engine import RESIDENT_KERNEL_MODES, SCORE_DTYPES, available_engines
+from .engine import SCORE_DTYPES, select_engine
 from .datagen.noise import corrupt_uniform
 from .datagen.synthetic import generate_database
 from .errors import NoisyMineError
@@ -73,12 +72,7 @@ def _add_mining_options(parser: argparse.ArgumentParser) -> None:
                              "(required for text format)")
     parser.add_argument("--min-match", type=float, required=True)
     parser.add_argument(
-        "--algorithm",
-        choices=[
-            "border-collapsing", "levelwise", "maxminer", "toivonen",
-            "pincer", "depthfirst",
-        ],
-        default="border-collapsing",
+        "--algorithm", choices=list(ALGORITHMS), default="border-collapsing",
     )
     parser.add_argument(
         "--noise", type=float, default=0.0,
@@ -92,61 +86,15 @@ def _add_mining_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-gap", type=int, default=0)
     parser.add_argument("--memory-capacity", type=int, default=None)
     parser.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="match-execution backend: 'reference' (per-sequence loops), "
-             "'vectorized' (batched numpy kernels + factor cache), "
-             "'parallel' (multiprocessing shards), or 'native' (numba "
-             "JIT-compiled fused kernels; needs the noisymine[native] "
-             "extra, fails loudly without it unless "
-             "$NOISYMINE_NATIVE_FALLBACK=1); results and scan counts "
-             "are identical across backends "
-             "(default: $NOISYMINE_ENGINE, else 'reference')",
-    )
-    parser.add_argument(
         "--score-dtype",
         choices=list(SCORE_DTYPES),
         default=None,
-        help="scoring precision: 'float64' (default, bit-identical to "
-             "every backend) or 'float32' (halved scoring-pass memory "
-             "traffic, match values within the documented error bound; "
-             "requires --engine native or --resident-sample) "
+        help="scoring precision: 'float64' (default, exact) or "
+             "'float32' (halved scoring-pass memory traffic, match values "
+             "within the documented error bound; the sampling miners "
+             "always accept it, the others need the compiled kernels of "
+             "noisymine[native]) "
              "(default: $NOISYMINE_SCORE_DTYPE, else 'float64')",
-    )
-    parser.add_argument(
-        "--lattice",
-        choices=list(LATTICE_MODES),
-        default=None,
-        help="lattice execution mode: 'kernel' (packed numpy batch "
-             "kernels for candidate generation, signature-indexed "
-             "border/subsumption checks) or 'reference' (the original "
-             "pure-Python lattice paths); borders, labels and scan "
-             "counts are identical in both modes "
-             "(default: $NOISYMINE_LATTICE, else 'kernel')",
-    )
-    parser.add_argument(
-        "--resident-sample",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="run Phase 2 (sample classification) with the resident "
-             "evaluator, which pins the sample once and extends candidate "
-             "score planes incrementally; results and scan counts are "
-             "identical, only Phase-2 wall-clock changes; applies to the "
-             "sampling algorithms (border-collapsing, toivonen) "
-             "(default: $NOISYMINE_RESIDENT, else off)",
-    )
-    parser.add_argument(
-        "--resident-kernels",
-        choices=list(RESIDENT_KERNEL_MODES),
-        default=None,
-        help="kernel dispatch of the resident Phase-2 evaluator: 'auto' "
-             "(compiled incremental-plane kernels when numba is "
-             "available, numpy otherwise), 'numpy' (force the numpy "
-             "plane path), or 'pure' (interpreted kernel twins, for "
-             "differential testing); all dispatches are bit-identical "
-             "at equal --score-dtype "
-             "(default: $NOISYMINE_RESIDENT_KERNELS, else 'auto')",
     )
     parser.add_argument("--seed", type=int, default=None)
 
@@ -166,10 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> MiningConfig:
         max_gap=args.max_gap,
         memory_capacity=args.memory_capacity,
         seed=args.seed,
-        engine=args.engine,
-        lattice=args.lattice,
-        resident_sample=args.resident_sample,
-        resident_kernels=args.resident_kernels,
         store=getattr(args, "store", None),
         score_dtype=args.score_dtype,
     )
@@ -233,16 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mining_options(mine)
     mine.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the parallel engine's scatter-gather "
-             "counting tier; only meaningful with --engine parallel "
-             "(default: $NOISYMINE_WORKERS, else the CPU affinity mask)",
-    )
-    mine.add_argument(
-        "--oversplit", type=int, default=None, metavar="K",
-        help="work-stealing depth for the parallel engine: the store is "
-             "cut into ~K shard tasks per worker so idle workers steal "
-             "from the shared queue; merged totals are bit-identical for "
-             "any K (default: $NOISYMINE_OVERSPLIT, else 3)",
+        help="counting processes: more than 1 scatters every "
+             "full-database pass over a worker pool; results are "
+             "bit-identical for any N "
+             "(default: $NOISYMINE_WORKERS, else 1)",
     )
     mine.add_argument(
         "--json", action="store_true",
@@ -418,31 +356,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_engine_override(config, args):
-    """A :class:`~repro.engine.ParallelEngine` instance honouring
-    ``--workers`` / ``--oversplit``, or ``None`` when the registry
-    default serves.
-
-    The flags are execution knobs of the parallel backend only —
-    naming them with any other engine is a loud error, not a silent
-    no-op.
-    """
-    workers = getattr(args, "workers", None)
-    oversplit = getattr(args, "oversplit", None)
-    if config.engine != "parallel":
-        if workers is not None or oversplit is not None:
-            raise NoisyMineError(
-                "--workers/--oversplit configure the parallel engine; "
-                f"pass --engine parallel (got {config.engine!r})"
-            )
-        return None
-    if workers is None and oversplit is None:
-        return None
-    from .engine import ParallelEngine
-
-    return ParallelEngine(n_workers=workers, oversplit=oversplit)
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
     # All flag/env resolution happens here, in one shot: a bad
     # NOISYMINE_* value fails loudly before any file is opened.
@@ -467,33 +380,29 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     # A live tracer costs a few dict updates per scan; only pay for it
     # when some output will actually carry the metrics.
     tracer = Tracer() if (args.json or args.metrics_json) else None
-    engine_override = _parallel_engine_override(config, args)
-    miner = config.build_miner(
-        len(database), engine=engine_override, tracer=tracer
-    )
-    try:
+    engine = select_engine(args.workers)
+    with engine:
+        miner = config.build_miner(len(database), engine=engine,
+                                   tracer=tracer)
         result = miner.mine(database)
-    finally:
-        if engine_override is not None:
-            engine_override.close()
-    if args.checkpoint:
-        from .io import SegmentedSequenceStore
-        from .mining.delta import create_checkpoint
+        if args.checkpoint:
+            from .io import SegmentedSequenceStore
+            from .mining.delta import create_checkpoint
 
-        if not isinstance(database, SegmentedSequenceStore):
-            raise NoisyMineError(
-                "--checkpoint requires a segmented store input "
-                "(see 'noisymine convert --to segmented'): checkpoints "
-                "track segment lineage so 'remine' can refresh them "
-                "after appends"
+            if not isinstance(database, SegmentedSequenceStore):
+                raise NoisyMineError(
+                    "--checkpoint requires a segmented store input "
+                    "(see 'noisymine convert --to segmented'): "
+                    "checkpoints track segment lineage so 'remine' can "
+                    "refresh them after appends"
+                )
+            checkpoint = create_checkpoint(
+                result, database, config.build_matrix(), config.min_match,
+                config_key=config.to_key(),
+                memory_capacity=config.memory_capacity,
+                engine=engine,
             )
-        checkpoint = create_checkpoint(
-            result, database, config.build_matrix(), config.min_match,
-            config_key=config.to_key(),
-            memory_capacity=config.memory_capacity,
-            engine=config.engine,
-        )
-        checkpoint.save(args.checkpoint)
+            checkpoint.save(args.checkpoint)
     if args.metrics_json:
         if result.report is None:  # pragma: no cover - defensive
             raise NoisyMineError(
@@ -504,7 +413,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             json.dump(result.report.to_dict(), handle, indent=2)
             handle.write("\n")
     if args.json:
-        print(json.dumps(json_payload(config, result), indent=2))
+        print(json.dumps(json_payload(config, result, engine.name),
+                         indent=2))
     else:
         print(result.summary())
         for pattern in sorted(result.frequent):
@@ -524,16 +434,16 @@ def _cmd_remine(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     checkpoint = MiningCheckpoint.load(args.checkpoint)
     tracer = Tracer() if (args.json or args.metrics_json) else None
-    with SegmentedSequenceStore.open(args.input) as store:
+    engine = select_engine()
+    with SegmentedSequenceStore.open(args.input) as store, engine:
         outcome = delta_remine(
             store,
             config.build_matrix(),
             checkpoint,
             constraints=config.constraints(),
             memory_capacity=config.memory_capacity,
-            engine=config.engine,
+            engine=engine,
             tracer=tracer,
-            lattice=config.lattice,
             config_key=config.to_key(),
         )
     out_path = args.checkpoint_out or args.checkpoint
@@ -549,7 +459,7 @@ def _cmd_remine(args: argparse.Namespace) -> int:
             json.dump(result.report.to_dict(), handle, indent=2)
             handle.write("\n")
     if args.json:
-        payload = json_payload(config, result)
+        payload = json_payload(config, result, engine.name)
         payload["delta"] = {
             "delta_sequences": outcome.delta_sequences,
             "full_scans": outcome.full_scans,

@@ -1,25 +1,22 @@
 """Canonical mining-run configuration shared by CLI, daemon and harness.
 
-Before the service existed, flag/env resolution lived inline in the
-CLI: ``_cmd_mine`` resolved ``--engine`` against ``NOISYMINE_ENGINE``,
-``--lattice`` against ``NOISYMINE_LATTICE``, ``--resident-sample``
-against ``NOISYMINE_RESIDENT`` and ``--store`` against
-``NOISYMINE_STORE``, each with its own precedence code.  A long-lived
-daemon needs the same resolution for jobs that arrive over HTTP — and a
-*canonical* serialised form, because result memoization keys on "the
-same configuration".  :class:`MiningConfig` is that single source of
-truth:
+A long-lived daemon needs the same flag/environment resolution as the
+CLI for jobs that arrive over HTTP — and a *canonical* serialised form,
+because result memoization keys on "the same configuration".
+:class:`MiningConfig` is that single source of truth:
 
 * :meth:`MiningConfig.resolve` applies the one precedence rule
   (explicit value > ``NOISYMINE_*`` environment variable > default) and
   fails loudly on a bad environment value, exactly as the CLI always
   has;
 * :meth:`MiningConfig.to_key` is the canonical string the daemon's
-  result memo keys on (semantic fields only — engine/lattice/resident
-  are execution knobs that never change results, which the equivalence
-  suites pin, so memo hits deliberately cross them);
-* :meth:`MiningConfig.build_miner` constructs the configured miner, the
-  code that previously lived as a six-way branch in ``_cmd_mine``.
+  result memo keys on (semantic fields only — the store representation
+  never changes results, so memo hits deliberately cross it);
+* :meth:`MiningConfig.build_miner` constructs the configured miner.
+
+Execution is not configured here: the counting engine comes from
+:func:`repro.engine.select_engine` (platform and worker count) and
+Phase 2 always runs the resident sample evaluator.
 
 Wire form: :meth:`to_dict` / :meth:`from_dict` round-trip the config as
 plain JSON types; unknown keys are rejected loudly so a typo in a job
@@ -37,15 +34,15 @@ import numpy as np
 
 from .core.compatibility import CompatibilityMatrix
 from .core.lattice import PatternConstraints
-from .core.latticekernels import LATTICE_MODES, resolve_lattice
 from .core.sequence import FileSequenceDatabase
-from .engine import MatchEngine, get_engine, resolve_engine_name
-from .engine.native import NativeEngine, SCORE_DTYPES, resolve_score_dtype
-from .engine.resident import (
-    RESIDENT_KERNEL_MODES,
+from .engine import (
+    MatchEngine,
+    NativeEngine,
     ResidentSampleEvaluator,
-    resident_from_env,
-    resident_kernels_from_env,
+    SCORE_DTYPES,
+    native_available,
+    resolve_score_dtype,
+    select_engine,
 )
 from .errors import MiningError, NoisyMineError
 from .io import (
@@ -134,11 +131,9 @@ class MiningConfig:
     Semantic fields (they change the mined result): ``algorithm``,
     ``min_match``, ``alphabet``, ``noise``, ``matrix``, ``sample_size``,
     ``delta``, ``max_weight``, ``max_span``, ``max_gap``,
-    ``memory_capacity``, ``seed``.  Execution fields (bit-identical
-    results, different throughput): ``engine``, ``lattice``,
-    ``resident_sample``, ``store``.  ``score_dtype`` sits in between:
-    float64 is bit-identical everywhere, float32 (native engine only)
-    is error-bounded and therefore keyed like a semantic field.
+    ``memory_capacity``, ``seed``.  ``store`` only picks the on-disk
+    representation.  ``score_dtype`` trades exactness for speed:
+    float32 is error-bounded and therefore keyed like a semantic field.
 
     Instances are immutable and hashable; construct through
     :meth:`resolve` (which applies flag > env > default precedence) or
@@ -160,20 +155,12 @@ class MiningConfig:
     max_gap: int = 0
     memory_capacity: Optional[int] = None
     seed: Optional[int] = None
-    engine: str = "reference"
-    lattice: str = "kernel"
-    resident_sample: bool = False
-    #: Kernel dispatch of the resident Phase-2 evaluator (``"auto"`` /
-    #: ``"numpy"`` / ``"pure"``); an execution knob — every dispatch is
-    #: bit-identical at equal ``score_dtype``.
-    resident_kernels: str = "auto"
     store: str = "auto"
-    #: Scoring dtype of the native engine and the resident Phase-2
-    #: evaluator.  ``"float64"`` is an execution knob like ``engine``
-    #: (bit-identical everywhere); ``"float32"`` changes results within
-    #: a documented error bound, so it participates in :meth:`to_key`
-    #: and requires a backend that supports it (the native engine, or
-    #: ``resident_sample`` for the Phase-2 path).
+    #: Scoring dtype of the compiled engine and the resident Phase-2
+    #: evaluator.  ``"float32"`` changes results within a documented
+    #: error bound, so it participates in :meth:`to_key`.  It needs a
+    #: float32-capable path: the sampling miners always have one
+    #: (Phase 2), every other miner needs the compiled kernels.
     score_dtype: str = "float64"
 
     def __post_init__(self):
@@ -194,11 +181,6 @@ class MiningConfig:
             raise MiningError(
                 f"alphabet size must be >= 1, got {self.alphabet}"
             )
-        if self.lattice not in LATTICE_MODES:
-            raise MiningError(
-                f"unknown lattice mode {self.lattice!r}; "
-                f"expected one of: {', '.join(LATTICE_MODES)}"
-            )
         if self.store not in STORE_MODES:
             raise NoisyMineError(
                 f"invalid store mode {self.store!r}: expected one of "
@@ -209,22 +191,12 @@ class MiningConfig:
                 f"unknown score dtype {self.score_dtype!r}; "
                 f"expected one of: {', '.join(SCORE_DTYPES)}"
             )
-        if self.resident_kernels not in RESIDENT_KERNEL_MODES:
-            raise MiningError(
-                f"unknown resident kernel mode {self.resident_kernels!r}; "
-                f"expected one of: {', '.join(RESIDENT_KERNEL_MODES)}"
-            )
         if (
             self.score_dtype != "float64"
-            and self.engine != "native"
-            and not self.resident_sample
+            and self.algorithm not in SAMPLING_ALGORITHMS
+            and not native_available
         ):
-            raise MiningError(
-                f"score_dtype {self.score_dtype!r} requires the native "
-                f"engine or the resident Phase-2 evaluator (got engine "
-                f"{self.engine!r} without resident_sample); the other "
-                "backends are float64-only"
-            )
+            raise MiningError(_float32_unsupported(self, "vectorized"))
 
     # -- resolution -----------------------------------------------------------
 
@@ -243,21 +215,15 @@ class MiningConfig:
         max_gap: int = 0,
         memory_capacity: Optional[int] = None,
         seed: Optional[int] = None,
-        engine: Optional[str] = None,
-        lattice: Optional[str] = None,
-        resident_sample: Optional[bool] = None,
-        resident_kernels: Optional[str] = None,
         store: Optional[str] = None,
         score_dtype: Optional[str] = None,
     ) -> "MiningConfig":
         """Build a config with flag > environment > default precedence.
 
-        ``None`` for an execution field consults its ``NOISYMINE_*``
-        environment variable (``NOISYMINE_ENGINE``,
-        ``NOISYMINE_LATTICE``, ``NOISYMINE_RESIDENT``,
-        ``NOISYMINE_RESIDENT_KERNELS``,
-        ``NOISYMINE_STORE``, ``NOISYMINE_SCORE_DTYPE``) and falls back
-        to the library default; a malformed environment value raises
+        ``None`` for ``store`` or ``score_dtype`` consults its
+        ``NOISYMINE_*`` environment variable (``NOISYMINE_STORE``,
+        ``NOISYMINE_SCORE_DTYPE``) and falls back to the library
+        default; a malformed environment value raises
         instead of silently running the default — the CLI's historical
         contract, now shared by the daemon and the eval harness.
         """
@@ -276,16 +242,6 @@ class MiningConfig:
             max_gap=max_gap,
             memory_capacity=memory_capacity,
             seed=seed,
-            engine=resolve_engine_name(engine),
-            lattice=resolve_lattice(lattice),
-            resident_sample=(
-                resident_from_env() if resident_sample is None
-                else bool(resident_sample)
-            ),
-            resident_kernels=(
-                resident_kernels_from_env() if resident_kernels is None
-                else resident_kernels
-            ),
             store=resolve_store_mode(store),
             score_dtype=resolve_score_dtype(score_dtype),
         )
@@ -329,53 +285,41 @@ class MiningConfig:
     def build_miner(
         self,
         n_sequences: int,
-        engine: Union[None, str, MatchEngine] = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        resident: Optional[ResidentSampleEvaluator] = None,
+        sample_engine: Optional[ResidentSampleEvaluator] = None,
     ):
-        """Construct the configured miner (the six-way dispatch that
-        used to live in the CLI).
+        """Construct the configured miner.
 
-        *engine* overrides the configured backend with a live instance
-        — the daemon passes per-store engines so concurrent jobs never
-        share caches; *resident* likewise passes a warm
-        :class:`ResidentSampleEvaluator` kept pinned across jobs.
+        *engine* is the counting engine (default
+        :func:`~repro.engine.select_engine`); the CLI passes one sized
+        by ``--workers`` and the daemon passes per-store engines so
+        concurrent jobs never share caches.  *sample_engine* likewise
+        passes a warm :class:`ResidentSampleEvaluator` kept pinned
+        across jobs; the sampling miners otherwise build a fresh one.
         """
         matrix = self.build_matrix()
         constraints = self.constraints()
-        engine = get_engine(engine if engine is not None else self.engine)
+        if engine is None:
+            engine = select_engine()
+        sampling = self.algorithm in SAMPLING_ALGORITHMS
         if isinstance(engine, NativeEngine):
-            # The config owns the scoring dtype: shared registry
-            # instances may have been switched by a previous float32
-            # run, so always (re)apply it.
+            # The config owns the scoring dtype: a warm per-store
+            # engine may have been switched by a previous float32 run,
+            # so always (re)apply it.
             engine.set_score_dtype(self.score_dtype)
-        elif self.score_dtype != "float64" and not self.resident_sample:
-            raise MiningError(
-                f"score_dtype {self.score_dtype!r} requires the native "
-                f"engine or the resident Phase-2 evaluator, but the run "
-                f"resolved to {engine.name!r} without resident_sample"
-            )
-        common = dict(
-            constraints=constraints, engine=engine, tracer=tracer,
-            lattice=self.lattice,
-        )
-        if self.algorithm in SAMPLING_ALGORITHMS:
-            resident_spec: Union[None, bool, ResidentSampleEvaluator]
-            if resident is not None and self.resident_sample:
-                # The config owns the dispatch and dtype: a warm
-                # evaluator pinned across jobs may have been switched
-                # by a previous run, so always (re)apply both (a dtype
-                # change re-pins lazily on the next count).
-                resident.set_kernel_mode(self.resident_kernels)
-                resident.set_score_dtype(self.score_dtype)
-                resident_spec = resident
-            elif self.resident_sample:
-                resident_spec = ResidentSampleEvaluator(
-                    kernels=self.resident_kernels,
-                    score_dtype=self.score_dtype,
+        elif self.score_dtype != "float64" and not sampling:
+            raise MiningError(_float32_unsupported(self, engine.name))
+        common = dict(constraints=constraints, engine=engine, tracer=tracer)
+        if sampling:
+            if sample_engine is None:
+                sample_engine = ResidentSampleEvaluator(
+                    score_dtype=self.score_dtype
                 )
             else:
-                resident_spec = False
+                # A warm evaluator may have been switched by a previous
+                # run; a dtype change re-pins lazily on the next count.
+                sample_engine.set_score_dtype(self.score_dtype)
             cls = (
                 BorderCollapsingMiner
                 if self.algorithm == "border-collapsing"
@@ -387,7 +331,7 @@ class MiningConfig:
                 delta=self.delta,
                 memory_capacity=self.memory_capacity,
                 rng=np.random.default_rng(self.seed),
-                resident_sample=resident_spec,
+                sample_engine=sample_engine,
                 **common,
             )
         if self.algorithm == "levelwise":
@@ -422,13 +366,12 @@ class MiningConfig:
     def to_key(self) -> str:
         """Canonical memoization key over the **semantic** fields.
 
-        Execution knobs (engine, lattice, resident, store) are excluded
-        on purpose: every backend combination is pinned bit-identical
-        by the equivalence suites, so a vectorized rerun of a job first
-        mined with the reference engine is a legitimate memo hit.
-        ``score_dtype`` is the exception — float32 scoring changes
-        match values within its error bound, so it participates in the
-        key and float32 runs never hit float64 memos.
+        ``store`` is excluded on purpose: every representation yields
+        bit-identical results, so a packed rerun of a job first mined
+        from a segmented store is a legitimate memo hit.
+        ``score_dtype`` participates — float32 scoring changes match
+        values within its error bound, so float32 runs never hit
+        float64 memos.
         """
         payload = {
             "score_dtype": self.score_dtype,
@@ -465,10 +408,6 @@ class MiningConfig:
             "max_gap": self.max_gap,
             "memory_capacity": self.memory_capacity,
             "seed": self.seed,
-            "engine": self.engine,
-            "lattice": self.lattice,
-            "resident_sample": self.resident_sample,
-            "resident_kernels": self.resident_kernels,
             "store": self.store,
             "score_dtype": self.score_dtype,
         }
@@ -498,8 +437,18 @@ class MiningConfig:
         return replace(self, **changes)
 
 
+def _float32_unsupported(config: MiningConfig, engine_name: str) -> str:
+    return (
+        f"score_dtype {config.score_dtype!r} needs a float32-capable "
+        f"path: {config.algorithm!r} counts with the {engine_name!r} "
+        "engine, which is float64-only (float32 needs the compiled "
+        "kernels of noisymine[native] with one worker, or a sampling "
+        "miner)"
+    )
+
+
 def json_payload(
-    config: MiningConfig, result, engine_name: Optional[str] = None
+    config: MiningConfig, result, engine_name: str
 ) -> Dict[str, object]:
     """The machine-readable result payload of one mining run.
 
@@ -507,11 +456,11 @@ def json_payload(
     printed (``frequent`` renamed to the historical ``patterns`` key);
     the daemon builds its job results through the same function, which
     is what makes "service result == CLI result" true by construction.
+    *engine_name* names the counting engine that actually ran.
     """
     payload: Dict[str, object] = {
         "algorithm": config.algorithm,
-        "engine": engine_name or config.engine,
-        "lattice": config.lattice,
+        "engine": engine_name,
         "min_match": config.min_match,
         "score_dtype": config.score_dtype,
         **result.to_dict(),

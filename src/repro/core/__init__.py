@@ -15,22 +15,15 @@ from .lattice import (
     iter_patterns_between,
     level_one_patterns,
     patterns_at_weight,
-    reference_generate_candidates,
 )
 from .latticekernels import (
-    DEFAULT_LATTICE_MODE,
-    LATTICE_ENV_VAR,
-    LATTICE_MODES,
     batch_restricted_spread,
     contains_any,
     filter_undecided,
     kernel_generate_candidates,
-    lattice_from_env,
     pack_block,
     pack_by_span,
-    resolve_lattice,
     subsumption_hits,
-    use_kernels,
 )
 from .match import (
     best_alignment,
@@ -73,20 +66,13 @@ __all__ = [
     "iter_patterns_between",
     "level_one_patterns",
     "patterns_at_weight",
-    "reference_generate_candidates",
-    "DEFAULT_LATTICE_MODE",
-    "LATTICE_ENV_VAR",
-    "LATTICE_MODES",
     "batch_restricted_spread",
     "contains_any",
     "filter_undecided",
     "kernel_generate_candidates",
-    "lattice_from_env",
     "pack_block",
     "pack_by_span",
-    "resolve_lattice",
     "subsumption_hits",
-    "use_kernels",
     "best_alignment",
     "calibrated_min_match",
     "clean_occurrence_match",

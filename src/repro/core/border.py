@@ -11,13 +11,12 @@ already covered is a no-op, and adding a new maximal pattern evicts any
 member it dominates.  ``covers(p)`` answers "is ``p`` in the downward
 closure?" — i.e. "is ``p`` frequent according to this border?".
 
-In the default ``kernel`` lattice mode (see
-:mod:`repro.core.latticekernels`) both the coverage query and the
-dominated sweep prefilter each member with its cached 64-bit symbol
-signature and span before paying for a positional
+Both the coverage query and the dominated sweep prefilter each member
+with its cached 64-bit symbol signature and span (see
+:mod:`repro.core.latticekernels`) before paying for a positional
 ``is_subpattern_of`` — an exact filter (a necessary condition for
-containment), so results are identical to the reference mode.  A
-tracer, when attached, receives the ``subsumption_checks`` /
+containment), so results equal the plain pairwise scan.  A tracer,
+when attached, receives the ``subsumption_checks`` /
 ``subsumption_skipped`` traffic.
 """
 
@@ -41,29 +40,20 @@ class Border:
     patterns:
         Initial members, added one by one (so the invariant holds from
         the start).
-    lattice:
-        Lattice mode: ``"kernel"`` enables the signature/span
-        prefilter, ``"reference"`` keeps the original scan; ``None``
-        defers to the ``NOISYMINE_LATTICE`` environment variable
-        (default kernel).  Both modes answer every query identically.
     tracer:
         Optional :class:`repro.obs.Tracer` receiving the subsumption
-        counter traffic of the kernel mode.
+        counter traffic.
     """
 
-    __slots__ = ("_elements", "_by_weight", "_use_kernels", "_tracer")
+    __slots__ = ("_elements", "_by_weight", "_tracer")
 
     def __init__(
         self,
         patterns: Iterable[Pattern] = (),
-        lattice: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ):
-        from .latticekernels import use_kernels
-
         self._elements: Set[Pattern] = set()
         self._by_weight: dict = {}
-        self._use_kernels = use_kernels(lattice)
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         for pattern in patterns:
             self.add(pattern)
@@ -76,24 +66,15 @@ class Border:
         """
         if self.covers(pattern):
             return False
-        if self._use_kernels:
-            dominated = self._dominated_filtered(pattern)
-        else:
-            dominated = [
-                member
-                for weight, bucket in self._by_weight.items()
-                if weight <= pattern.weight
-                for member in bucket
-                if member.is_subpattern_of(pattern)
-            ]
-        for member in dominated:
+        for member in self._dominated(pattern):
             self._discard(member)
         self._elements.add(pattern)
         self._by_weight.setdefault(pattern.weight, set()).add(pattern)
         return True
 
-    def _dominated_filtered(self, pattern: Pattern) -> list:
-        """The dominated sweep with the signature/span prefilter.
+    def _dominated(self, pattern: Pattern) -> list:
+        """The members *pattern* dominates, found with the
+        signature/span prefilter.
 
         A member can only be a subpattern of *pattern* if it is no
         longer, no heavier (the bucket test) and uses no symbol absent
@@ -128,20 +109,11 @@ class Border:
                 del self._by_weight[pattern.weight]
 
     def covers(self, pattern: Pattern) -> bool:
-        """True iff *pattern* lies in the downward closure of the border."""
-        if self._use_kernels:
-            return self._covers_filtered(pattern)
-        weight = pattern.weight
-        for member_weight, bucket in self._by_weight.items():
-            if member_weight < weight:
-                continue
-            for member in bucket:
-                if pattern.is_subpattern_of(member):
-                    return True
-        return False
+        """True iff *pattern* lies in the downward closure of the border.
 
-    def _covers_filtered(self, pattern: Pattern) -> bool:
-        """Coverage with the signature/span prefilter per member."""
+        Each member is prefiltered by signature and span before the
+        positional check.
+        """
         sig = pattern.signature64()
         span = pattern.span
         weight = pattern.weight
@@ -174,10 +146,9 @@ class Border:
     def copy(self, tracer: Optional[Tracer] = None) -> "Border":
         """A deep-enough copy (shared immutable members, fresh buckets).
 
-        The clone keeps the lattice mode; *tracer* rebinds the
-        observability sink (e.g. Phase 3 copying the Phase-2 FQT border
-        wants the counters on its own spans), ``None`` keeps the
-        current one.
+        *tracer* rebinds the observability sink (e.g. Phase 3 copying
+        the Phase-2 FQT border wants the counters on its own spans),
+        ``None`` keeps the current one.
         """
         clone = Border()
         clone._elements = set(self._elements)
@@ -185,7 +156,6 @@ class Border:
             weight: set(bucket)
             for weight, bucket in self._by_weight.items()
         }
-        clone._use_kernels = self._use_kernels
         if tracer is not None:
             clone._tracer = tracer if tracer.enabled else None
         else:

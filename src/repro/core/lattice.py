@@ -92,38 +92,10 @@ def extend_right(
             yield Pattern(base + tail + [symbol])
 
 
-def reference_generate_candidates(
-    frequent: Set[Pattern],
-    frequent_symbols: Sequence[int],
-    constraints: PatternConstraints,
-) -> Set[Pattern]:
-    """The pure-Python Apriori join + prune (differential baseline).
-
-    Kept verbatim as the semantic reference for the packed kernel in
-    :mod:`repro.core.latticekernels`; production call sites go through
-    :func:`generate_candidates`, which dispatches on the lattice mode.
-    """
-    if not frequent:
-        return set()
-    candidates: Set[Pattern] = set()
-    for pattern in frequent:
-        for extended in extend_right(pattern, frequent_symbols, constraints):
-            if extended in candidates:
-                continue
-            if all(
-                sub in frequent
-                for sub in extended.immediate_subpatterns()
-                if constraints.admits(sub)
-            ):
-                candidates.add(extended)
-    return candidates
-
-
 def generate_candidates(
     frequent: Set[Pattern],
     frequent_symbols: Sequence[int],
     constraints: PatternConstraints,
-    lattice: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> Set[Pattern]:
     """Apriori join + prune for the next lattice level.
@@ -136,26 +108,20 @@ def generate_candidates(
     search space and impose no requirement.  For ``k = 1`` the frequent
     set is the 1-patterns over *frequent_symbols*.
 
-    *lattice* picks the execution path (``"kernel"`` — the packed
-    batch kernel, the default — or ``"reference"``; ``None`` defers to
-    the ``NOISYMINE_LATTICE`` environment variable).  Both produce the
-    same set for any input.  When *tracer* is enabled, the candidate
+    The join + prune runs as the packed batch kernel
+    :func:`~repro.core.latticekernels.kernel_generate_candidates`.
+    When *tracer* is enabled, the candidate
     count and generation time land on the ``lattice_candidates`` /
     ``candidate_gen_seconds`` counters and the per-level counts on the
     run-level ``lattice_candidates_per_level`` note.
     """
-    from .latticekernels import kernel_generate_candidates, use_kernels
+    from .latticekernels import kernel_generate_candidates
 
     timed = tracer is not None and tracer.enabled
     started = time.perf_counter() if timed else 0.0
-    if use_kernels(lattice):
-        candidates = kernel_generate_candidates(
-            frequent, frequent_symbols, constraints
-        )
-    else:
-        candidates = reference_generate_candidates(
-            frequent, frequent_symbols, constraints
-        )
+    candidates = kernel_generate_candidates(
+        frequent, frequent_symbols, constraints
+    )
     if timed:
         tracer.count(LATTICE_CANDIDATES, len(candidates))
         tracer.count(CANDIDATE_GEN_SECONDS,

@@ -37,13 +37,8 @@ and span compatibility conditions) and report the traffic through the
 ``subsumption_checks`` / ``subsumption_skipped`` tracer counters; the
 incremental :class:`~repro.core.border.Border` paths apply it per
 member.  The filter is *exact*: it only ever skips pairs that could
-not be related, so kernel results are bit-identical to the reference
-path.
-
-Mode selection mirrors the engine registry: ``lattice=None`` anywhere
-resolves through the ``NOISYMINE_LATTICE`` environment variable and
-defaults to ``"kernel"``; ``"reference"`` keeps the original pure
-Python paths alive for differential testing.
+not be related, so kernel results equal the pairwise pure-Python
+oracles in ``tests/oracles.py``.
 
 Compiled acceleration
 ---------------------
@@ -61,7 +56,6 @@ counter.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -82,42 +76,7 @@ from .pattern import Pattern, WILDCARD
 _NATIVE_SWEEP = _nk.containment_sweep if _nk.native_available else None
 _NATIVE_MEMBER = _nk.rows_in_sorted if _nk.native_available else None
 
-#: Environment variable overriding the default lattice mode.
-LATTICE_ENV_VAR = "NOISYMINE_LATTICE"
-
-#: Mode used when no lattice mode is requested anywhere.
-DEFAULT_LATTICE_MODE = "kernel"
-
-#: The recognised lattice modes.
-LATTICE_MODES = ("reference", "kernel")
-
 _ITEMSIZE = 4  # int32 row-key stride
-
-
-def lattice_from_env() -> str:
-    """The process-default lattice mode (``NOISYMINE_LATTICE`` or kernel)."""
-    return os.environ.get(LATTICE_ENV_VAR) or DEFAULT_LATTICE_MODE
-
-
-def resolve_lattice(spec: Optional[str] = None) -> str:
-    """Resolve a lattice-mode specification to a validated mode name.
-
-    ``None`` defers to :func:`lattice_from_env`; anything else must be
-    one of :data:`LATTICE_MODES`.
-    """
-    if spec is None:
-        spec = lattice_from_env()
-    if spec not in LATTICE_MODES:
-        raise MiningError(
-            f"unknown lattice mode {spec!r}; "
-            f"available modes: {', '.join(LATTICE_MODES)}"
-        )
-    return spec
-
-
-def use_kernels(spec: Optional[str] = None) -> bool:
-    """True when *spec* resolves to the packed-kernel mode."""
-    return resolve_lattice(spec) == "kernel"
 
 
 # -- packing ------------------------------------------------------------------
@@ -314,9 +273,9 @@ def filter_undecided(
     Keeps the patterns that are neither a subpattern of a newly
     frequent probe (which would certify them frequent) nor a
     superpattern of a newly infrequent one (which would condemn them).
-    Equivalent to the reference pairwise ``is_subpattern_of`` sweep in
-    ``collapse_borders``, with the signature/weight/span prefilter
-    applied to both directions at once.
+    Equivalent to the pairwise ``is_subpattern_of`` sweep, with the
+    signature/weight/span prefilter applied to both directions at
+    once.
     """
     ordered = list(undecided)
     if not ordered:
@@ -392,8 +351,7 @@ def kernel_generate_candidates(
     frequent_symbols: Sequence[int],
     constraints,
 ) -> Set[Pattern]:
-    """Batch Apriori join + prune (the packed twin of the reference
-    ``generate_candidates``).
+    """Batch Apriori join + prune over packed pattern blocks.
 
     Patterns are grouped by their wildcard *shape* (the tuple of fixed
     positions); within a shape group every row extends identically, so
@@ -414,8 +372,8 @@ def kernel_generate_candidates(
 
     Candidates are unique across shape groups (a rightward extension
     determines its generator), so no cross-block deduplication is
-    needed.  Results are set-identical to the reference path for any
-    input, including non-admissible "frequent" patterns fed by the
+    needed.  Results are set-identical to the pure-Python join + prune
+    for any input, including non-admissible "frequent" patterns fed by the
     differential tests.
     """
     if not frequent:
@@ -518,21 +476,15 @@ def batch_restricted_spread(
 
 
 __all__ = [
-    "DEFAULT_LATTICE_MODE",
-    "LATTICE_ENV_VAR",
-    "LATTICE_MODES",
     "batch_restricted_spread",
     "block_signatures",
     "block_weights",
     "contains_any",
     "filter_undecided",
     "kernel_generate_candidates",
-    "lattice_from_env",
     "max_gap_rows",
     "pack_block",
     "pack_by_span",
-    "resolve_lattice",
     "row_keys",
     "subsumption_hits",
-    "use_kernels",
 ]

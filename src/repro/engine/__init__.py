@@ -1,141 +1,76 @@
-"""Pluggable match-execution engines.
+"""Match-execution engines: one counting path per platform.
 
-This package is the execution layer behind every ``M(P, D)``
-evaluation: a :class:`~repro.engine.base.MatchEngine` protocol with
-three interchangeable backends —
+Every ``M(P, D)`` evaluation runs through a
+:class:`~repro.engine.base.MatchEngine`.  A run does not choose one by
+name; :func:`select_engine` picks it:
 
-* :class:`~repro.engine.reference.ReferenceEngine` (``"reference"``) —
-  the original per-sequence code paths, unchanged;
-* :class:`~repro.engine.vectorized.VectorizedBatchEngine`
-  (``"vectorized"``) — batched chunk kernels plus a factor-row cache;
-* :class:`~repro.engine.parallel.ParallelEngine` (``"parallel"``) —
-  scatter-gather counting over a shard manifest with work-stealing
-  dispatch (local ``multiprocessing`` pool by default, any
-  :class:`~repro.engine.shards.ShardExecutor` transport);
-* :class:`~repro.engine.resident.ResidentSampleEvaluator`
-  (``"resident"``) — pins one memory-resident database (Phase 2's
-  sample) and evaluates candidates incrementally from their parents'
-  cached score planes, through compiled incremental-plane kernels when
-  numba is available;
-* :class:`~repro.engine.native.NativeEngine` (``"native"``) — numba
-  JIT-compiled fused window-scoring kernels (optional dependency;
-  fails loudly without numba unless graceful fallback is requested)
-  with an opt-in float32 scoring mode.
+* :class:`~repro.engine.vectorized.VectorizedBatchEngine` — batched
+  numpy chunk kernels plus a factor-row cache; the path of every
+  install without numba;
+* :class:`~repro.engine.native.NativeEngine` — numba JIT-compiled fused
+  window-scoring kernels, bit-identical to the vectorized engine in
+  float64; selected whenever numba imports, and the only engine that
+  scores full-database passes in float32;
+* :class:`~repro.engine.parallel.ParallelEngine` — scatter-gather
+  counting over a shard manifest (:mod:`repro.engine.shards`) with
+  work stealing; selected when the run asks for more than one worker.
 
-All backends agree on every match value; they differ only in
-throughput profile.  See ``docs/API.md`` ("Execution engines") for
-selection guidance.
+Phase 2 of the sampling miners always counts with
+:class:`~repro.engine.resident.ResidentSampleEvaluator`, which pins the
+sample once and extends candidate score planes incrementally.
+
+All engines agree bit for bit at equal ``chunk_rows``; they differ only
+in throughput.  See ``docs/API.md`` ("Execution engines").
 """
 
 from __future__ import annotations
 
-from .base import (
-    DEFAULT_ENGINE_NAME,
-    ENGINE_ENV_VAR,
-    EngineSpec,
-    MatchEngine,
-    available_engines,
-    create_engine,
-    get_engine,
-    register_engine,
-    resolve_engine_name,
-)
-from .parallel import (
-    OVERSPLIT_ENV_VAR,
-    ParallelEngine,
-    WORKERS_ENV_VAR,
-    resolve_oversplit,
-    resolve_worker_count,
-)
+from typing import Optional
+
+from .base import MatchEngine
 from .native import (
-    NATIVE_FALLBACK_ENV_VAR,
     NativeEngine,
     SCORE_DTYPES,
-    fallback_from_env,
     native_available,
     native_unavailable_reason,
     resolve_score_dtype,
 )
-from .reference import ReferenceEngine
-from .shards import (
-    InlineShardExecutor,
-    LocalPoolExecutor,
-    ShardExecutor,
-    ShardManifest,
-    ShardResult,
-    ShardRunStats,
-    ShardSpec,
-    ShardTask,
-    ShuffledExecutor,
-    build_tasks,
-    execute_shard_task,
-    manifest_from_rows,
-    manifest_from_store,
-    scatter_gather,
-)
-from .resident import (
-    PlaneStore,
-    RESIDENT_ENV_VAR,
-    RESIDENT_KERNEL_MODES,
-    RESIDENT_KERNELS_ENV_VAR,
-    ResidentSampleEvaluator,
-    resident_from_env,
-    resident_kernels_from_env,
-    sibling_order,
-)
+from .parallel import ParallelEngine, WORKERS_ENV_VAR, resolve_worker_count
+from .resident import PlaneStore, ResidentSampleEvaluator, sibling_order
 from .vectorized import FactorCache, VectorizedBatchEngine
 
-register_engine("reference", ReferenceEngine)
-register_engine("vectorized", VectorizedBatchEngine)
-register_engine("parallel", ParallelEngine)
-register_engine("resident", ResidentSampleEvaluator)
-register_engine("native", NativeEngine)
+
+def select_engine(workers: Optional[int] = None) -> MatchEngine:
+    """A fresh counting engine for this platform and worker count.
+
+    *workers* resolves through :func:`resolve_worker_count` (explicit
+    value, else ``NOISYMINE_WORKERS``, else 1).  More than one worker
+    selects :class:`ParallelEngine`; otherwise :class:`NativeEngine`
+    when numba imports and :class:`VectorizedBatchEngine` when it does
+    not.
+    """
+    n_workers = resolve_worker_count(workers)
+    if n_workers > 1:
+        return ParallelEngine(n_workers=n_workers)
+    if native_available:
+        return NativeEngine()
+    return VectorizedBatchEngine()
+
 
 __all__ = [
-    "DEFAULT_ENGINE_NAME",
-    "ENGINE_ENV_VAR",
-    "EngineSpec",
     "FactorCache",
-    "InlineShardExecutor",
-    "LocalPoolExecutor",
     "MatchEngine",
-    "NATIVE_FALLBACK_ENV_VAR",
     "NativeEngine",
-    "OVERSPLIT_ENV_VAR",
     "ParallelEngine",
     "PlaneStore",
-    "RESIDENT_ENV_VAR",
-    "RESIDENT_KERNELS_ENV_VAR",
-    "RESIDENT_KERNEL_MODES",
-    "ReferenceEngine",
     "ResidentSampleEvaluator",
     "SCORE_DTYPES",
-    "ShardExecutor",
-    "ShardManifest",
-    "ShardResult",
-    "ShardRunStats",
-    "ShardSpec",
-    "ShardTask",
-    "ShuffledExecutor",
     "VectorizedBatchEngine",
     "WORKERS_ENV_VAR",
-    "available_engines",
-    "build_tasks",
-    "create_engine",
-    "execute_shard_task",
-    "fallback_from_env",
-    "get_engine",
-    "manifest_from_rows",
-    "manifest_from_store",
     "native_available",
     "native_unavailable_reason",
-    "register_engine",
-    "resident_from_env",
-    "resident_kernels_from_env",
-    "resolve_engine_name",
-    "resolve_oversplit",
     "resolve_score_dtype",
     "resolve_worker_count",
-    "scatter_gather",
+    "select_engine",
     "sibling_order",
 ]

@@ -1,41 +1,24 @@
-"""The :class:`MatchEngine` protocol and the backend registry.
+"""The :class:`MatchEngine` protocol and the engine selector.
 
 A match engine is the execution layer behind every ``M(P, D)``
 evaluation in the repository: miners hand a batch of patterns to
 :func:`repro.mining.counting.count_matches_batched`, which dispatches
 each memory-capacity-sized batch to an engine.  The engine owns *how*
-the batch is evaluated (plain per-sequence loops, batched vectorized
-kernels, a worker pool); the paper's observable cost model — exactly
-one ``database.scan()`` per dispatched batch — is part of the protocol
-contract and is identical across backends.
+the batch is evaluated (batched vectorized kernels, compiled kernels,
+a worker pool); the paper's observable cost model — exactly one
+``database.scan()`` per dispatched batch — is part of the protocol
+contract and is identical across engines.
 
-Three backends ship with the repository:
-
-``reference``
-    :class:`~repro.engine.reference.ReferenceEngine` — wraps the
-    original ``repro.core.match`` code paths unchanged.  The semantic
-    baseline every other backend is tested against.
-``vectorized``
-    :class:`~repro.engine.vectorized.VectorizedBatchEngine` — pads
-    sequence chunks into ``(N, L)`` symbol matrices and evaluates a
-    whole batch of same-span patterns per chunk in a few numpy
-    operations, with a factor-row cache keyed by
-    ``(matrix fingerprint, padded-chunk content digest)``.
-``parallel``
-    :class:`~repro.engine.parallel.ParallelEngine` — shards sequence
-    chunks across a ``multiprocessing`` pool with worker-local
-    compatibility matrices and merges partial per-pattern sums.
-
-Select a backend by name through ``engine=`` on any miner or
-``--engine`` on the CLI; the ``NOISYMINE_ENGINE`` environment variable
-changes the default for a whole process.
+Runs never pick an engine by name: :func:`repro.engine.select_engine`
+chooses one from the platform (compiled kernels when numba imports)
+and the worker count.  Miners still accept any :class:`MatchEngine`
+instance, which is how tests substitute an oracle.
 """
 
 from __future__ import annotations
 
 import abc
-import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,12 +32,6 @@ from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase, SequenceLike
 from ..errors import MiningError
 from ..obs import Tracer
-
-#: Environment variable overriding the default backend name.
-ENGINE_ENV_VAR = "NOISYMINE_ENGINE"
-
-#: Backend used when no engine is requested anywhere.
-DEFAULT_ENGINE_NAME = "reference"
 
 
 class MatchEngine(abc.ABC):
@@ -70,12 +47,13 @@ class MatchEngine(abc.ABC):
     * :meth:`database_matches` consumes **exactly one**
       ``database.scan()`` per call, whatever the backend does
       internally — the paper's scan accounting depends on it.
-    * All backends agree with the reference engine on every match value
-      (the equivalence suite in ``tests/test_engines.py`` pins this to
-      within ``1e-12``; the window products themselves are bit-exact).
+    * All engines agree with the per-sequence oracle in
+      ``tests/oracles.py`` on every match value; the engines of this
+      package are bit-identical to each other at equal ``chunk_rows``.
     """
 
-    #: Registry name of the backend (e.g. ``"vectorized"``).
+    #: Name reported in run reports and ``mine --json`` (e.g.
+    #: ``"vectorized"``).
     name: str = "abstract"
 
     # -- single pattern hooks (reference implementations) --------------------
@@ -175,75 +153,6 @@ class MatchEngine(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-EngineSpec = Union[None, str, MatchEngine]
-
-_FACTORIES: Dict[str, Callable[[], MatchEngine]] = {}
-_INSTANCES: Dict[str, MatchEngine] = {}
-
-
-def register_engine(name: str, factory: Callable[[], MatchEngine]) -> None:
-    """Register a backend *factory* under *name* (overwrites quietly)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_engines() -> List[str]:
-    """Names of the registered backends, sorted."""
-    return sorted(_FACTORIES)
-
-
-def resolve_engine_name(spec: Union[None, str] = None) -> str:
-    """Resolve an optional engine *name* without instantiating anything.
-
-    ``None`` falls back to the ``NOISYMINE_ENGINE`` environment
-    variable, then to ``"reference"``; an unregistered name (from
-    either source) fails loudly.  This is the name-level half of
-    :func:`get_engine`, shared by :class:`repro.config.MiningConfig` so
-    the CLI, the daemon and the eval harness agree on precedence.
-    """
-    if spec is None:
-        spec = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE_NAME
-    if not isinstance(spec, str):
-        raise MiningError(
-            f"engine must be a backend name, got {spec!r}"
-        )
-    if spec not in _FACTORIES:
-        raise MiningError(
-            f"unknown match engine {spec!r}; "
-            f"available engines: {', '.join(available_engines())}"
-        )
-    return spec
-
-
-def create_engine(spec: Union[None, str] = None) -> MatchEngine:
-    """Build a **fresh, unshared** backend instance.
-
-    Unlike :func:`get_engine` this never touches the process-wide
-    instance cache: the daemon gives each warm store-cache entry its
-    own engines so concurrent jobs on different stores never share a
-    factor cache or worker pool.
-    """
-    return _FACTORIES[resolve_engine_name(spec)]()
-
-
-def get_engine(spec: EngineSpec = None) -> MatchEngine:
-    """Resolve an engine specification to a live backend.
-
-    * ``None`` — the process default: the ``NOISYMINE_ENGINE``
-      environment variable if set, else ``"reference"``;
-    * a registered name — the shared instance for that backend
-      (instances are cached so the vectorized factor cache and the
-      parallel worker pool persist across calls);
-    * a :class:`MatchEngine` instance — returned unchanged.
-    """
-    if isinstance(spec, MatchEngine):
-        return spec
-    name = resolve_engine_name(spec)
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
-    return _INSTANCES[name]
-
-
 def unique_patterns(patterns: Iterable[Pattern]) -> List[Pattern]:
     """Order-preserving deduplication (shared by engines and counting)."""
     return list(dict.fromkeys(patterns))
@@ -273,15 +182,7 @@ def empty_database_guard(count: int) -> None:
 
 
 __all__ = [
-    "DEFAULT_ENGINE_NAME",
-    "ENGINE_ENV_VAR",
-    "EngineSpec",
     "MatchEngine",
-    "available_engines",
-    "create_engine",
-    "get_engine",
     "matrix_fingerprint",
-    "register_engine",
-    "resolve_engine_name",
     "unique_patterns",
 ]

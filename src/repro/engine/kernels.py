@@ -35,12 +35,11 @@ the *true-symbol* axis, mirroring ``repro.core.match.database_matches``.
 Bit-compatibility
 -----------------
 For every real window the factors are gathered from the same matrix
-entries and multiplied in the same offset order as the reference
-implementation, so the per-window products — and therefore the
-per-sequence maxima — are bit-identical to the reference engine.  Only
-the order in which per-sequence maxima are *summed* differs (pairwise
-instead of sequential), which perturbs ``M(P, D)`` by at most a few
-ulps.
+entries and multiplied in the same offset order as the per-sequence
+evaluation of :mod:`repro.core.match`, so the per-window products —
+and therefore the per-sequence maxima — are bit-identical to it.
+Per-sequence maxima are summed pairwise within each chunk, which
+differs from a sequential sum by at most a few ulps of ``M(P, D)``.
 """
 
 from __future__ import annotations

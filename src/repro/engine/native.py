@@ -7,19 +7,12 @@ materialising the ``(m + 1, L, N)`` factor array or a ``(B, W, N)``
 score plane the vectorized backend streams through.  Per-sequence
 maxima come back as a ``(B, N)`` block and are summed with the same
 ``np.sum`` reduction the vectorized engine uses, so float64 results
-are **bit-identical** to both the vectorized and (at the match-value
-level) the reference backends.
+are **bit-identical** to the vectorized engine.
 
-Fallback policy
----------------
-numba is optional.  When it is missing, requesting the native backend
-fails loudly by default — an actionable :class:`MiningError` naming
-the ``noisymine[native]`` extra — because silently running 50x slower
-is worse than failing.  Opting in to degradation is explicit: either
-``fallback=True`` on the constructor or ``NOISYMINE_NATIVE_FALLBACK=1``
-in the environment downgrades to the vectorized numpy backend with a
-one-line warning, and every delegated call is tallied on the engine's
-``native_fallbacks`` counter (and the tracer's, when enabled).
+numba is optional.  :func:`repro.engine.select_engine` picks this
+engine only when numba imports; constructing it directly without
+numba fails loudly with an actionable :class:`MiningError` naming the
+``noisymine[native]`` extra.
 
 ``kernels="pure"`` forces the interpreted twins of the compiled
 kernels regardless of numba availability — slow, but it exercises the
@@ -40,7 +33,6 @@ gates that bound on the paper's fig9/fig14 workloads.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,12 +43,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase, iter_chunks
 from ..errors import MiningError
-from ..obs import (
-    JIT_COMPILE_SECONDS,
-    NATIVE_FALLBACKS,
-    NATIVE_KERNEL_CALLS,
-    Tracer,
-)
+from ..obs import JIT_COMPILE_SECONDS, NATIVE_KERNEL_CALLS, Tracer
 from .base import MatchEngine, empty_database_guard, matrix_fingerprint
 from .kernels import (
     DEFAULT_CHUNK_ROWS,
@@ -64,9 +51,6 @@ from .kernels import (
     group_patterns_by_span,
     pad_chunk,
 )
-
-#: Environment variable opting in to the graceful vectorized fallback.
-NATIVE_FALLBACK_ENV_VAR = "NOISYMINE_NATIVE_FALLBACK"
 
 #: Environment variable selecting the default scoring dtype.
 SCORE_DTYPE_ENV_VAR = "NOISYMINE_SCORE_DTYPE"
@@ -76,15 +60,6 @@ SCORE_DTYPES = ("float64", "float32")
 
 #: The default scoring dtype (every backend's historical behaviour).
 DEFAULT_SCORE_DTYPE = "float64"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def fallback_from_env() -> bool:
-    """Whether ``NOISYMINE_NATIVE_FALLBACK`` opts in to degradation."""
-    value = os.environ.get(NATIVE_FALLBACK_ENV_VAR, "")
-    return value.strip().lower() in _TRUTHY
-
 
 def resolve_score_dtype(spec: Optional[str] = None) -> str:
     """Resolve a scoring dtype with flag > env > default precedence.
@@ -131,10 +106,6 @@ class NativeEngine(MatchEngine):
         ``"float64"`` (default, bit-identical to every other backend)
         or ``"float32"`` (error-bounded, see the module docstring);
         ``None`` resolves through ``NOISYMINE_SCORE_DTYPE``.
-    fallback:
-        ``True`` — degrade to the vectorized backend when numba is
-        missing; ``False`` — fail loudly; ``None`` (default) — defer
-        to ``NOISYMINE_NATIVE_FALLBACK``.
     kernels:
         ``"auto"`` (compiled when available) or ``"pure"`` (force the
         interpreted kernel twins; for differential tests).
@@ -146,7 +117,6 @@ class NativeEngine(MatchEngine):
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         score_dtype: Optional[str] = None,
-        fallback: Optional[bool] = None,
         kernels: str = "auto",
     ):
         if chunk_rows < 1:
@@ -159,8 +129,6 @@ class NativeEngine(MatchEngine):
         self.score_dtype = resolve_score_dtype(score_dtype)
         self.kernel_mode = kernels
         self.kernel_calls = 0
-        self.native_fallbacks = 0
-        self._delegate = None
         self._matrix_cache: Dict[Tuple[tuple, str], np.ndarray] = {}
         if kernels == "pure":
             self._window_kernel = nk.py_window_group_maxima
@@ -171,34 +139,12 @@ class NativeEngine(MatchEngine):
             self._symbol_kernel = nk.symbol_window_maxima
             self._compiled = True
         else:
-            allowed = fallback if fallback is not None else fallback_from_env()
-            if not allowed:
-                raise MiningError(
-                    "the native engine needs numba, which is not "
-                    f"importable ({native_unavailable_reason()}). "
-                    "Install it with `pip install noisymine[native]`, "
-                    "pick another backend (--engine vectorized), or opt "
-                    "in to graceful degradation with "
-                    f"{NATIVE_FALLBACK_ENV_VAR}=1 / fallback=True"
-                )
-            warnings.warn(
-                "numba unavailable: native engine degrading to the "
-                "vectorized numpy backend",
-                RuntimeWarning,
-                stacklevel=2,
+            raise MiningError(
+                "the native engine needs numba, which is not "
+                f"importable ({native_unavailable_reason()}). "
+                "Install it with `pip install noisymine[native]`; runs "
+                "without numba use the vectorized engine automatically"
             )
-            from .vectorized import VectorizedBatchEngine
-
-            self._delegate = VectorizedBatchEngine(chunk_rows=chunk_rows)
-            self._window_kernel = None
-            self._symbol_kernel = None
-            self._compiled = False
-            if self.score_dtype != "float64":
-                raise MiningError(
-                    "float32 scoring needs the compiled kernels; the "
-                    "vectorized fallback cannot honour "
-                    f"score_dtype={self.score_dtype!r}"
-                )
 
     # -- configuration --------------------------------------------------------
 
@@ -210,12 +156,6 @@ class NativeEngine(MatchEngine):
     def set_score_dtype(self, score_dtype: str) -> None:
         """Switch the scoring dtype (clears the matrix-cast cache)."""
         resolved = resolve_score_dtype(score_dtype)
-        if self._delegate is not None and resolved != "float64":
-            raise MiningError(
-                "float32 scoring needs the compiled kernels; the "
-                "vectorized fallback cannot honour "
-                f"score_dtype={resolved!r}"
-            )
         if resolved != self.score_dtype:
             self.score_dtype = resolved
             self._matrix_cache.clear()
@@ -225,11 +165,6 @@ class NativeEngine(MatchEngine):
     def _ensure_warm(self, tracer: Optional[Tracer]) -> None:
         if self._compiled:
             charge_warmup(tracer)
-
-    def _record_fallback(self, tracer: Optional[Tracer]) -> None:
-        self.native_fallbacks += 1
-        if tracer is not None and tracer.enabled:
-            tracer.count(NATIVE_FALLBACKS, 1)
 
     def _record_calls(self, calls: int, tracer: Optional[Tracer]) -> None:
         self.kernel_calls += calls
@@ -258,11 +193,6 @@ class NativeEngine(MatchEngine):
         patterns = list(patterns)
         if not patterns:
             return {}
-        if self._delegate is not None:
-            self._record_fallback(tracer)
-            return self._delegate.database_matches(
-                patterns, database, matrix, tracer
-            )
         self._ensure_warm(tracer)
         m = matrix.size
         groups, elements_by_span = group_patterns_by_span(patterns, m)
@@ -300,9 +230,6 @@ class NativeEngine(MatchEngine):
         matrix: CompatibilityMatrix,
         tracer: Optional[Tracer] = None,
     ) -> np.ndarray:
-        if self._delegate is not None:
-            self._record_fallback(tracer)
-            return self._delegate.symbol_matches(database, matrix, tracer)
         self._ensure_warm(tracer)
         m = matrix.size
         c_ext = self._matrix(matrix)
@@ -331,9 +258,6 @@ class NativeEngine(MatchEngine):
         sequences: Sequence[np.ndarray],
         matrix: CompatibilityMatrix,
     ) -> np.ndarray:
-        if self._delegate is not None:
-            self._record_fallback(None)
-            return self._delegate.symbol_matches_rows(sequences, matrix)
         if not len(sequences):
             raise MiningError(
                 "cannot compute symbol matches over an empty database"
@@ -360,14 +284,9 @@ class NativeEngine(MatchEngine):
 
     def close(self) -> None:
         self._matrix_cache.clear()
-        if self._delegate is not None:
-            self._delegate.close()
 
     def __repr__(self) -> str:
-        mode = (
-            "fallback" if self._delegate is not None
-            else ("compiled" if self._compiled else "pure")
-        )
+        mode = "compiled" if self._compiled else "pure"
         return (
             f"NativeEngine(chunk_rows={self.chunk_rows}, "
             f"score_dtype={self.score_dtype!r}, mode={mode!r})"
@@ -376,12 +295,10 @@ class NativeEngine(MatchEngine):
 
 __all__ = [
     "DEFAULT_SCORE_DTYPE",
-    "NATIVE_FALLBACK_ENV_VAR",
     "NativeEngine",
     "SCORE_DTYPES",
     "SCORE_DTYPE_ENV_VAR",
     "charge_warmup",
-    "fallback_from_env",
     "native_available",
     "native_unavailable_reason",
     "resolve_score_dtype",

@@ -95,83 +95,39 @@ from .shards import (
 #: Below this many sequences, sharding costs more than it saves.
 DEFAULT_MIN_SHARD_ROWS = 64
 
-#: Environment variable overriding the default worker count.
+#: Environment variable setting the worker count of a run.
 WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
 
-#: Default work-stealing oversplit: tasks per worker.  Around 2-4x
-#: keeps the steal queue deep enough to absorb a skewed shard without
-#: drowning the pass in per-task dispatch overhead.
+#: Work-stealing oversplit: tasks per worker.  Around 2-4x keeps the
+#: steal queue deep enough to absorb a skewed shard without drowning
+#: the pass in per-task dispatch overhead; merged totals are
+#: bit-identical for any value.
 DEFAULT_OVERSPLIT = 3
-
-#: Environment variable overriding the default oversplit factor.
-OVERSPLIT_ENV_VAR = "NOISYMINE_OVERSPLIT"
 
 
 def resolve_worker_count(requested: Optional[int] = None) -> int:
-    """Resolve the parallel worker count for this process.
+    """Resolve the worker count of a run.
 
-    Resolution order:
-
-    1. an explicit *requested* value (must be ``>= 1``);
-    2. the ``NOISYMINE_WORKERS`` environment variable;
-    3. ``len(os.sched_getaffinity(0))`` — the CPUs this process may
-       actually run on, which respects cgroup/affinity limits where
-       ``os.cpu_count()`` reports the whole machine and oversubscribes
-       containers;
-    4. ``os.cpu_count()`` (or 1) on platforms without affinity masks.
+    An explicit *requested* value wins, then the ``NOISYMINE_WORKERS``
+    environment variable, then ``1``: a single process unless the user
+    asks for more.  Both sources must be ``>= 1``.
     """
     if requested is not None:
         if requested < 1:
             raise MiningError(f"n_workers must be >= 1, got {requested}")
         return requested
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise MiningError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise MiningError(
-                f"{WORKERS_ENV_VAR} must be >= 1, got {value}"
-            )
-        return value
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_oversplit(requested: Optional[int] = None) -> int:
-    """Resolve the work-stealing oversplit factor (tasks per worker).
-
-    An explicit *requested* value wins, then the ``NOISYMINE_OVERSPLIT``
-    environment variable, then :data:`DEFAULT_OVERSPLIT`.  Must be
-    ``>= 1``; ``1`` disables oversplitting (one task per worker, no
-    steal slack).
-    """
-    if requested is not None:
-        if requested < 1:
-            raise MiningError(f"oversplit must be >= 1, got {requested}")
-        return requested
-    env = os.environ.get(OVERSPLIT_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise MiningError(
-                f"{OVERSPLIT_ENV_VAR} must be a positive integer, "
-                f"got {env!r}"
-            ) from None
-        if value < 1:
-            raise MiningError(
-                f"{OVERSPLIT_ENV_VAR} must be >= 1, got {value}"
-            )
-        return value
-    return DEFAULT_OVERSPLIT
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise MiningError(
+            f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
+        ) from None
+    if value < 1:
+        raise MiningError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
+    return value
 
 
 class ParallelEngine(MatchEngine):
@@ -181,10 +137,8 @@ class ParallelEngine(MatchEngine):
     ----------
     n_workers:
         Worker processes; defaults to :func:`resolve_worker_count` —
-        the ``NOISYMINE_WORKERS`` environment variable if set, else the
-        process's CPU affinity mask (not the raw machine count, which
-        oversubscribes under cgroup limits).  ``1`` means always-inline
-        evaluation (useful as a deterministic fallback).
+        the ``NOISYMINE_WORKERS`` environment variable if set, else 1.
+        ``1`` means always-inline evaluation.
     chunk_rows:
         Rows per padded chunk inside each worker — also the shard
         block-grid pitch: shard bounds always land on multiples of
@@ -194,7 +148,7 @@ class ParallelEngine(MatchEngine):
         Minimum total sequences before any dispatch happens at all.
     oversplit:
         Work-stealing depth: target tasks per worker (default
-        :func:`resolve_oversplit` — ``NOISYMINE_OVERSPLIT`` or 3).
+        :data:`DEFAULT_OVERSPLIT`).
     executor:
         Optional :class:`~repro.engine.shards.ShardExecutor` replacing
         the local pool transport; the engine then never creates a pool.
@@ -214,7 +168,7 @@ class ParallelEngine(MatchEngine):
         n_workers: Optional[int] = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS,
-        oversplit: Optional[int] = None,
+        oversplit: int = DEFAULT_OVERSPLIT,
         executor: Optional[ShardExecutor] = None,
     ):
         if chunk_rows < 1:
@@ -223,10 +177,12 @@ class ParallelEngine(MatchEngine):
             raise MiningError(
                 f"min_shard_rows must be >= 1, got {min_shard_rows}"
             )
+        if oversplit < 1:
+            raise MiningError(f"oversplit must be >= 1, got {oversplit}")
         self.n_workers = resolve_worker_count(n_workers)
         self.chunk_rows = chunk_rows
         self.min_shard_rows = min_shard_rows
-        self.oversplit = resolve_oversplit(oversplit)
+        self.oversplit = oversplit
         self._executor = executor
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_fingerprint: Optional[tuple] = None

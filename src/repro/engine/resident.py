@@ -28,12 +28,10 @@ exploits the fixity instead:
 
 Kernel dispatch
 ---------------
-The plane arithmetic runs through one of three dispatches
-(``kernels=`` on the constructor, default ``$NOISYMINE_RESIDENT_KERNELS``):
-
-* ``"auto"`` — the compiled :mod:`repro.core._nativekernels` resident
-  kernels when numba is importable, the numpy path otherwise.  The
-  compiled path fuses each sibling group's multiply + max into one
+The plane arithmetic runs through the compiled
+:mod:`repro.core._nativekernels` resident kernels when numba is
+importable, and through the numpy plane path otherwise.  The compiled
+path fuses each sibling group's multiply + max into one
   loop nest (:func:`~repro.core._nativekernels.derive_sibling_batch`,
   parent plane gathered once, children innermost), derives missing
   parent planes with
@@ -41,12 +39,10 @@ The plane arithmetic runs through one of three dispatches
   eviction misses through the whole prefix chain in one call
   (:func:`~repro.core._nativekernels.replay_plane_chain`) instead of
   one Python-level extension per link.  It never materialises the
-  ``(m + 1, L, N)`` factor array the numpy path gathers.
-* ``"numpy"`` — force the numpy plane path (the pre-compiled
-  behaviour, and the float64 bit-identity baseline).
-* ``"pure"`` — the interpreted twins of the compiled kernels; slow,
-  but it exercises the exact code numba compiles, which is how the
-  differential suites test the kernel logic on numba-free CI legs.
+  ``(m + 1, L, N)`` factor array the numpy path gathers.  Tests pin
+either path, or the interpreted twins of the compiled kernels (the
+exact code numba compiles), with the ``kernels=`` constructor
+argument.
 
 ``score_dtype="float32"`` stores factors and planes in float32 —
 halving both the pinned bytes and the :class:`PlaneStore` pressure, so
@@ -56,23 +52,20 @@ native engine's (``benchmarks/bench_phase2_sample.py`` gates it).
 
 Products multiply in the same offset order as the flat kernels, so all
 float64 match values are bit-identical to the vectorized backend (at
-equal ``chunk_rows``) — across all three kernel dispatches — and
-within float ulps of the reference engine.
+equal ``chunk_rows``) whichever kernels run.
 
 The breadth-first order of :func:`repro.mining.ambiguous
 .classify_on_sample` — children are counted one level after their
 surviving parent — makes parent planes naturally live, which is what
 turns the plane store into an incremental evaluator rather than a
-cache of lucky repeats.  Enable it there with ``resident=True`` (CLI:
-``--resident-sample``; environment: ``NOISYMINE_RESIDENT=1``), or use
-the registered ``"resident"`` engine directly for workloads that
-repeatedly count against one memory-resident database.
+cache of lucky repeats.  Phase 2 always counts through this
+evaluator; it also serves any workload that repeatedly counts against
+one memory-resident database.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -101,25 +94,12 @@ from .kernels import (
 )
 from .native import charge_warmup, resolve_score_dtype
 
-#: Environment variable turning the resident evaluator on for Phase 2
-#: (read by ``classify_on_sample`` when no explicit choice is made).
-RESIDENT_ENV_VAR = "NOISYMINE_RESIDENT"
-
-#: Environment variable selecting the default kernel dispatch.
-RESIDENT_KERNELS_ENV_VAR = "NOISYMINE_RESIDENT_KERNELS"
-
-#: Kernel dispatch modes the evaluator accepts.
-RESIDENT_KERNEL_MODES = ("auto", "numpy", "pure")
-
 #: Default plane-store budget (bytes).  A float64 plane costs
 #: ``8 * W * N`` bytes (float32 exactly half, charged at its actual
 #: ``arr.nbytes``); 256 MiB holds ~6700 float64 planes of the paper's
 #: protein sample shape (W=50, N=100), far beyond one run's surviving
 #: parents.
 DEFAULT_PLANE_BYTES = 256 * 1024 * 1024
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off", ""})
 
 #: A pattern's identity inside the evaluator: its raw element tuple
 #: (constructing Pattern objects per lookup would dominate the hot loop).
@@ -131,36 +111,6 @@ _DUMMY_PLANES = {
     np.dtype(np.float64): np.zeros((1, 1), dtype=np.float64),
     np.dtype(np.float32): np.zeros((1, 1), dtype=np.float32),
 }
-
-
-def resident_from_env(default: bool = False) -> bool:
-    """Resolve the ``NOISYMINE_RESIDENT`` boolean flag."""
-    raw = os.environ.get(RESIDENT_ENV_VAR)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise MiningError(
-        f"{RESIDENT_ENV_VAR} must be a boolean flag "
-        f"(1/0, true/false, yes/no, on/off), got {raw!r}"
-    )
-
-
-def resident_kernels_from_env(default: str = "auto") -> str:
-    """Resolve the ``NOISYMINE_RESIDENT_KERNELS`` dispatch mode."""
-    raw = os.environ.get(RESIDENT_KERNELS_ENV_VAR)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value not in RESIDENT_KERNEL_MODES:
-        raise MiningError(
-            f"{RESIDENT_KERNELS_ENV_VAR} must be one of "
-            f"{', '.join(RESIDENT_KERNEL_MODES)}, got {raw!r}"
-        )
-    return value
 
 
 def _strip_last(elements: _Key) -> Tuple[Optional[_Key], int, int]:
@@ -364,10 +314,8 @@ class ResidentSampleEvaluator(MatchEngine):
         results unchanged).
     kernels:
         ``"auto"`` (compiled resident kernels when numba is available,
-        numpy otherwise), ``"numpy"`` (force the numpy plane path) or
-        ``"pure"`` (the interpreted kernel twins; for differential
-        tests).  ``None`` resolves through
-        ``NOISYMINE_RESIDENT_KERNELS``.
+        numpy otherwise); differential tests pin ``"numpy"`` or
+        ``"pure"`` (the interpreted kernel twins).
     score_dtype:
         ``"float64"`` (default, bit-identical to every other backend)
         or ``"float32"`` (planes and factors stored in float32, every
@@ -382,7 +330,7 @@ class ResidentSampleEvaluator(MatchEngine):
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         plane_bytes: int = DEFAULT_PLANE_BYTES,
-        kernels: Optional[str] = None,
+        kernels: str = "auto",
         score_dtype: Optional[str] = None,
     ):
         if chunk_rows < 1:
@@ -395,27 +343,18 @@ class ResidentSampleEvaluator(MatchEngine):
         self.native_calls = 0
         self._pin: Optional[_Pin] = None
         self.score_dtype = resolve_score_dtype(score_dtype)
-        kernels = (
-            resident_kernels_from_env() if kernels is None else kernels
-        )
-        if kernels not in RESIDENT_KERNEL_MODES:
+        if kernels not in ("auto", "numpy", "pure"):
             raise MiningError(
-                f"kernels must be one of "
-                f"{', '.join(RESIDENT_KERNEL_MODES)}, got {kernels!r}"
+                f"kernels must be 'auto', 'numpy' or 'pure', "
+                f"got {kernels!r}"
             )
         self.kernel_mode = kernels
-        self._bind_kernels()
-
-    # -- configuration --------------------------------------------------------
-
-    def _bind_kernels(self) -> None:
-        mode = self.kernel_mode
-        if mode == "pure":
+        if kernels == "pure":
             self._child_kernel = nk.py_derive_child_planes
             self._sibling_kernel = nk.py_derive_sibling_batch
             self._replay_kernel = nk.py_replay_plane_chain
             self._compiled = False
-        elif mode == "auto" and nk.native_available:
+        elif kernels == "auto" and nk.native_available:
             self._child_kernel = nk.derive_child_planes
             self._sibling_kernel = nk.derive_sibling_batch
             self._replay_kernel = nk.replay_plane_chain
@@ -430,22 +369,6 @@ class ResidentSampleEvaluator(MatchEngine):
     def compiled(self) -> bool:
         """Whether the evaluator is running the JIT-compiled kernels."""
         return self._compiled
-
-    def set_kernel_mode(self, kernels: str) -> None:
-        """Switch the kernel dispatch (the pin and planes carry over).
-
-        Safe mid-lifetime: every dispatch derives bit-identical float64
-        planes from the same pinned chunks, so cached planes remain
-        valid across the switch.
-        """
-        if kernels not in RESIDENT_KERNEL_MODES:
-            raise MiningError(
-                f"kernels must be one of "
-                f"{', '.join(RESIDENT_KERNEL_MODES)}, got {kernels!r}"
-            )
-        if kernels != self.kernel_mode:
-            self.kernel_mode = kernels
-            self._bind_kernels()
 
     def set_score_dtype(self, score_dtype: str) -> None:
         """Switch the scoring dtype.

@@ -22,32 +22,25 @@ memory), so this phase contributes no database passes.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
-from ..core.latticekernels import batch_restricted_spread, use_kernels
+from ..core.latticekernels import batch_restricted_spread
 from ..core.pattern import Pattern
 from ..core.sequence import SequenceDatabase
 from ..errors import MiningError
-from . import chernoff
 from .chernoff import (
     AMBIGUOUS,
     FREQUENT,
     INFREQUENT,
     chernoff_epsilon,
     classify_value,
-    restricted_spread,
 )
-from ..engine import (
-    EngineSpec,
-    ResidentSampleEvaluator,
-    resident_from_env,
-    sibling_order,
-)
+from ..engine import MatchEngine, ResidentSampleEvaluator, sibling_order
 from ..obs import (
     CANDIDATES_GENERATED,
     SAMPLE_PATTERNS_COUNTED,
@@ -68,10 +61,8 @@ def classify_on_sample(
     constraints: Optional[PatternConstraints] = None,
     use_restricted_spread: bool = True,
     exact: bool = False,
-    engine: "EngineSpec" = None,
+    engine: Optional[MatchEngine] = None,
     tracer: Optional[Tracer] = None,
-    resident: Union[None, bool, ResidentSampleEvaluator] = None,
-    lattice: Optional[str] = None,
 ) -> SampleClassification:
     """Run the Phase-2 breadth-first classification.
 
@@ -94,45 +85,23 @@ def classify_on_sample(
         then frequent iff its (exact) match reaches ``min_match`` — the
         zero-width band must not leave threshold-exact patterns
         ambiguous.  Used by the miner when the database fits in memory.
+    engine:
+        Engine counting the BFS levels on the sample.  ``None`` runs a
+        fresh :class:`~repro.engine.resident.ResidentSampleEvaluator`
+        that pins the sample on the first level's scan and extends each
+        candidate's score plane incrementally from its parent's; the
+        plane store dies with the phase.  A long-lived caller (the
+        mining daemon) passes a warm evaluator instead: its pin
+        survives across runs, and the content-digest pin check makes
+        reuse safe — a different sample transparently re-pins.
     tracer:
         Optional :class:`repro.obs.Tracer`; records candidate counts
         and in-memory sample scans (under the ``sample_scans`` counter,
         kept apart from full-database ``scans``).
-    resident:
-        Count the BFS levels with a
-        :class:`~repro.engine.resident.ResidentSampleEvaluator` that
-        pins the sample once and extends each candidate's score plane
-        incrementally from its parent's — the sample is fixed for the
-        whole phase, which is exactly the evaluator's sweet spot.
-        ``None`` defers to the ``NOISYMINE_RESIDENT`` environment
-        variable (default off).  Results and scan accounting are
-        identical either way; only Phase-2 wall-clock changes.
-    lattice:
-        Lattice execution mode for candidate generation, border
-        maintenance and the restricted-spread evaluation:
-        ``"kernel"`` (packed numpy batch kernels, the default) or
-        ``"reference"`` (the original pure-Python paths).  ``None``
-        defers to the ``NOISYMINE_LATTICE`` environment variable.
-        Labels, borders and every recorded value are identical in both
-        modes.
     """
     constraints = constraints or PatternConstraints()
     tracer = ensure_tracer(tracer)
-    kernels = use_kernels(lattice)
-    lattice_mode = "kernel" if kernels else "reference"
-    if resident is None:
-        resident = resident_from_env()
-    if isinstance(resident, ResidentSampleEvaluator):
-        # A warm evaluator handed in by a long-lived caller (the
-        # mining daemon): its pin survives across runs, so a second
-        # job on the same sample skips the factor-array build and its
-        # plane store starts hot.  The content-digest pin check makes
-        # reuse safe — a different sample transparently re-pins.
-        engine = resident
-    elif resident:
-        # A fresh evaluator per run: the pin is built on the first
-        # level's scan and reused by every later level; the plane store
-        # dies with the phase.
+    if engine is None:
         engine = ResidentSampleEvaluator()
     if not 0.0 < min_match <= 1.0:
         raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -171,8 +140,8 @@ def classify_on_sample(
     labels: Dict[Pattern, str] = {}
     sample_matches: Dict[Pattern, float] = {}
     epsilons: Dict[Pattern, float] = {}
-    fqt = Border(lattice=lattice_mode, tracer=tracer)
-    infqt = Border(lattice=lattice_mode, tracer=tracer)
+    fqt = Border(tracer=tracer)
+    infqt = Border(tracer=tracer)
     survivors: Set[Pattern] = set()
     for d in range(matrix.size):
         pattern = Pattern.single(d)
@@ -204,8 +173,7 @@ def classify_on_sample(
     level = 1
     while survivors and level < constraints.max_weight:
         candidates = generate_candidates(
-            survivors, frequent_symbols, constraints,
-            lattice=lattice_mode, tracer=tracer,
+            survivors, frequent_symbols, constraints, tracer=tracer,
         )
         if not candidates:
             break
@@ -213,23 +181,12 @@ def classify_on_sample(
         tracer.count(CANDIDATES_GENERATED, len(candidates))
         ordered = sorted(candidates)
         # The restricted spread of the whole level in one batched
-        # gather (kernel mode) or per pattern (reference mode); the
-        # values are identical, and each pattern's spread is consumed
-        # twice below (zero shortcut + Chernoff band).  The batch path
-        # only applies while the module-level ``restricted_spread``
-        # hook is the stock one — rebinding it (tests, experiments)
-        # must keep steering every spread evaluation.
+        # gather; each pattern's spread is consumed twice below (zero
+        # shortcut + Chernoff band).
         if use_restricted_spread:
-            if kernels and restricted_spread is chernoff.restricted_spread:
-                spread_of = dict(
-                    zip(ordered,
-                        batch_restricted_spread(ordered, symbol_match))
-                )
-            else:
-                spread_of = {
-                    pattern: restricted_spread(pattern, symbol_match)
-                    for pattern in ordered
-                }
+            spread_of = dict(
+                zip(ordered, batch_restricted_spread(ordered, symbol_match))
+            )
         else:
             spread_of = {}
         # A zero restricted spread means some symbol of the pattern has

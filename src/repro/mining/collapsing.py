@@ -34,13 +34,13 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
-from ..core.latticekernels import filter_undecided, use_kernels
+from ..core.latticekernels import filter_undecided
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
 from ..engine import (
-    EngineSpec,
+    MatchEngine,
     ResidentSampleEvaluator,
-    get_engine,
+    select_engine,
     sibling_order,
 )
 from ..obs import (
@@ -150,9 +150,8 @@ def collapse_borders(
     min_match: float,
     classification: SampleClassification,
     memory_capacity: Optional[int] = None,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
     tracer: Optional[Tracer] = None,
-    lattice: Optional[str] = None,
 ) -> CollapseOutcome:
     """Resolve every ambiguous pattern with a minimal number of scans.
 
@@ -166,16 +165,14 @@ def collapse_borders(
     count, scan and the number of ambiguous patterns still undecided
     after label propagation.
 
-    *lattice* selects the label-propagation path: ``"kernel"`` (the
-    default) runs the round's pairwise subsumption sweep as a packed
-    batch with the signature prefilter, ``"reference"`` keeps the
-    original per-pattern loops.  Borders, labels and probe rounds are
-    identical either way.
+    Label propagation runs each round's pairwise subsumption sweep as
+    one packed batch with the signature prefilter
+    (:func:`~repro.core.latticekernels.filter_undecided`).
     """
     validate_memory_capacity(memory_capacity)
     tracer = ensure_tracer(tracer)
-    kernels = use_kernels(lattice)
-    engine = get_engine(engine)
+    if engine is None:
+        engine = select_engine()
     # A resident engine (a caller probing a memory-resident database)
     # wants same-parent siblings adjacent: the probe *selection* is
     # unchanged, only the within-round counting order, so probe rounds,
@@ -219,24 +216,9 @@ def collapse_borders(
             # checking against this round's new decisions (earlier rounds
             # already filtered against the older ones).
             undecided.difference_update(batch)
-            if kernels:
-                undecided = filter_undecided(
-                    undecided, newly_frequent, newly_infrequent,
-                    tracer=tracer,
-                )
-            else:
-                undecided = {
-                    pattern
-                    for pattern in undecided
-                    if not any(
-                        pattern.is_subpattern_of(fresh)
-                        for fresh in newly_frequent
-                    )
-                    and not any(
-                        killer.is_subpattern_of(pattern)
-                        for killer in newly_infrequent
-                    )
-                }
+            undecided = filter_undecided(
+                undecided, newly_frequent, newly_infrequent, tracer=tracer,
+            )
             tracer.annotate(AMBIGUOUS_REMAINING, len(undecided))
     return CollapseOutcome(
         border=decided_frequent,

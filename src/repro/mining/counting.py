@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import (
     PATTERNS_COUNTED,
@@ -54,7 +54,7 @@ def count_matches_batched(
     database: AnySequenceDatabase,
     matrix: CompatibilityMatrix,
     memory_capacity: Optional[int] = None,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
     tracer: Optional[Tracer] = None,
     scan_counter: str = SCANS,
     patterns_counter: str = PATTERNS_COUNTED,
@@ -67,10 +67,8 @@ def count_matches_batched(
         Maximum number of pattern counters held in memory during one
         pass.  ``None`` means unbounded (everything in one scan).
     engine:
-        Match-execution backend: a registered name (``"reference"``,
-        ``"vectorized"``, ``"parallel"``), a
-        :class:`~repro.engine.MatchEngine` instance, or ``None`` for
-        the process default.
+        Match-execution engine; ``None`` builds one with
+        :func:`~repro.engine.select_engine`.
     tracer:
         Optional :class:`~repro.obs.Tracer`; each dispatched batch
         counts one *scan_counter* tick and ``len(batch)``
@@ -91,7 +89,7 @@ def count_matches_batched(
     if not unique:
         return {}
     validate_memory_capacity(memory_capacity)
-    eng = get_engine(engine)
+    eng = engine if engine is not None else select_engine()
     tracer = ensure_tracer(tracer)
     io_before = io_snapshot(database)
     batch_size = memory_capacity or len(unique)

@@ -59,10 +59,9 @@ import numpy as np
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
-from ..core.latticekernels import resolve_lattice
 from ..core.pattern import Pattern
 from ..core.sequence import SequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..io.segments import SegmentedSequenceStore
 from ..obs import (
@@ -208,7 +207,7 @@ def create_checkpoint(
     min_match: float,
     config_key: Optional[str] = None,
     memory_capacity: Optional[int] = None,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
     tracer: Optional[Tracer] = None,
 ) -> MiningCheckpoint:
     """Distil a full run's result into a refreshable checkpoint.
@@ -305,9 +304,8 @@ def delta_remine(
     checkpoint: MiningCheckpoint,
     constraints: Optional[PatternConstraints] = None,
     memory_capacity: Optional[int] = None,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
     tracer: Optional[Tracer] = None,
-    lattice: Optional[str] = None,
     config_key: Optional[str] = None,
 ) -> DeltaOutcome:
     """Refresh *checkpoint* against the grown *store*; exact border out.
@@ -320,8 +318,8 @@ def delta_remine(
     started = time.perf_counter()
     tracer = ensure_tracer(tracer)
     validate_memory_capacity(memory_capacity)
-    engine = get_engine(engine)
-    lattice = resolve_lattice(lattice)
+    if engine is None:
+        engine = select_engine()
     constraints = constraints or PatternConstraints()
     min_match = checkpoint.min_match
     if (
@@ -353,8 +351,7 @@ def delta_remine(
         }
         result = MiningResult(
             frequent=frequent,
-            border=Border(checkpoint.border_sums, lattice=lattice,
-                          tracer=tracer),
+            border=Border(checkpoint.border_sums, tracer=tracer),
             scans=0,
             elapsed_seconds=time.perf_counter() - started,
             extras={"delta_sequences": 0, "reprobed": 0,
@@ -400,8 +397,8 @@ def delta_remine(
     tracer.note("border_survivors", len(survivors))
     tracer.note("border_fallen", len(fallen))
 
-    old_border = Border(old_elements, lattice=lattice)
-    new_border = Border(survivors, lattice=lattice, tracer=tracer)
+    old_border = Border(old_elements)
+    new_border = Border(survivors, tracer=tracer)
     reprobed = 0
 
     # -- Downward: re-probe only the fallen elements' cones. ----------
@@ -465,7 +462,6 @@ def delta_remine(
         crosser_run = LevelwiseMiner(
             matrix, min_match, constraints=constraints,
             memory_capacity=memory_capacity, engine=engine,
-            lattice=lattice,
         ).mine(delta_db)
         tracer.count(DELTA_SCANS,
                      delta_db.scan_count - delta_scans_before)

@@ -31,10 +31,9 @@ import numpy as np
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
-from ..core.latticekernels import resolve_lattice
 from ..core.pattern import Pattern, WILDCARD
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -87,24 +86,21 @@ class DepthFirstMiner:
         matrix: CompatibilityMatrix,
         min_match: float,
         constraints: Optional[PatternConstraints] = None,
-        engine: EngineSpec = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        lattice: Optional[str] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
         self.matrix = matrix
         self.min_match = min_match
         self.constraints = constraints or PatternConstraints()
-        self.engine = get_engine(engine)
+        self.engine = engine if engine is not None else select_engine()
         self.tracer = ensure_tracer(tracer)
-        self.lattice = resolve_lattice(lattice)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         started = time.perf_counter()
         scans_before = database.scan_count
         tracer = self.tracer
-        tracer.note("lattice", self.lattice)
 
         with tracer.phase("materialize"):
             # Materialise once: the defining assumption of this class.
@@ -139,7 +135,7 @@ class DepthFirstMiner:
         elapsed = time.perf_counter() - started
         return MiningResult(
             frequent=frequent,
-            border=Border(frequent, lattice=self.lattice, tracer=tracer),
+            border=Border(frequent, tracer=tracer),
             scans=scans,
             elapsed_seconds=elapsed,
             extras={

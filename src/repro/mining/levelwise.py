@@ -19,10 +19,9 @@ from typing import Dict, Optional, Set
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
-from ..core.latticekernels import resolve_lattice
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -53,17 +52,12 @@ class LevelwiseMiner:
         Maximum pattern counters per database pass (``None`` =
         unbounded, i.e. one scan per lattice level).
     engine:
-        Match-execution backend for every counting pass (a registered
-        name or a :class:`~repro.engine.MatchEngine` instance).
+        Match engine for every counting pass; ``None`` builds one with
+        :func:`~repro.engine.select_engine`.
     tracer:
         Optional :class:`repro.obs.Tracer`; records one ``phase1-scan``
         span plus one ``level-k`` span per lattice level and attaches a
         :class:`repro.obs.RunReport` to the result.
-    lattice:
-        Lattice execution mode (``"kernel"`` or ``"reference"``;
-        ``None`` defers to ``NOISYMINE_LATTICE``).  Kernel mode runs
-        candidate generation and border maintenance through the packed
-        numpy batch kernels; results are identical in both modes.
     """
 
     algorithm = "levelwise"
@@ -74,9 +68,8 @@ class LevelwiseMiner:
         min_match: float,
         constraints: Optional[PatternConstraints] = None,
         memory_capacity: Optional[int] = None,
-        engine: EngineSpec = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        lattice: Optional[str] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(
@@ -87,16 +80,14 @@ class LevelwiseMiner:
         self.min_match = min_match
         self.constraints = constraints or PatternConstraints()
         self.memory_capacity = memory_capacity
-        self.engine = get_engine(engine)
+        self.engine = engine if engine is not None else select_engine()
         self.tracer = ensure_tracer(tracer)
-        self.lattice = resolve_lattice(lattice)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         """Run the full breadth-first search over *database*."""
         started = time.perf_counter()
         scans_before = database.scan_count
         tracer = self.tracer
-        tracer.note("lattice", self.lattice)
 
         with tracer.phase("phase1-scan"):
             io_before = io_snapshot(database)
@@ -127,7 +118,7 @@ class LevelwiseMiner:
         while current and level < self.constraints.max_weight:
             candidates = generate_candidates(
                 current, frequent_symbols, self.constraints,
-                lattice=self.lattice, tracer=tracer,
+                tracer=tracer,
             )
             if not candidates:
                 break
@@ -159,7 +150,7 @@ class LevelwiseMiner:
         elapsed = time.perf_counter() - started
         return MiningResult(
             frequent=frequent,
-            border=Border(frequent, lattice=self.lattice, tracer=tracer),
+            border=Border(frequent, tracer=tracer),
             scans=scans,
             elapsed_seconds=elapsed,
             level_stats=level_stats,
@@ -179,7 +170,7 @@ def mine_support(
     min_support: float,
     constraints: Optional[PatternConstraints] = None,
     memory_capacity: Optional[int] = None,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
 ) -> MiningResult:
     """Classical exact-match support mining.
 

@@ -20,18 +20,17 @@ verification needs 5-10+.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
-from ..core.latticekernels import resolve_lattice
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, ResidentSampleEvaluator, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import SCANS, Tracer, ensure_tracer, io_snapshot, record_io
 from .ambiguous import classify_on_sample
@@ -64,24 +63,20 @@ class BorderCollapsingMiner:
         Apply Claim 4.2's tightened spread (on by default; Figure 11
         measures the effect of turning it off).
     engine:
-        Match-execution backend (``"reference"``, ``"vectorized"``,
-        ``"parallel"``, or a :class:`~repro.engine.MatchEngine`
-        instance) used for every full-database and sample counting
-        pass.  The backend never changes results or scan counts, only
-        throughput.
+        Match engine for every full-database counting pass; ``None``
+        builds one with :func:`~repro.engine.select_engine`.  The
+        engine never changes results or scan counts, only throughput.
     tracer:
         Optional :class:`repro.obs.Tracer` recording per-phase spans
         and counters; when given, :meth:`mine` attaches a
         :class:`repro.obs.RunReport` to the result.  A tracer records
         one run — create a fresh one per ``mine()`` call.
-    resident_sample:
-        Run Phase 2 with the
+    sample_engine:
+        Engine counting Phase 2 on the sample; ``None`` runs a fresh
         :class:`~repro.engine.resident.ResidentSampleEvaluator`, which
         pins the sample once and extends candidate score planes
-        incrementally instead of recomputing them per level.  Results,
-        scan counts and Phase-3 behaviour are identical; only Phase-2
-        wall-clock changes.  ``None`` defers to the
-        ``NOISYMINE_RESIDENT`` environment variable (default off).
+        incrementally.  A long-lived caller passes a warm evaluator so
+        its pin and planes survive across runs.
     """
 
     algorithm = "border-collapsing"
@@ -96,10 +91,9 @@ class BorderCollapsingMiner:
         memory_capacity: Optional[int] = None,
         use_restricted_spread: bool = True,
         rng: Optional[np.random.Generator] = None,
-        engine: EngineSpec = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        resident_sample: "Union[None, bool, ResidentSampleEvaluator]" = None,
-        lattice: Optional[str] = None,
+        sample_engine: Optional[MatchEngine] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -116,10 +110,9 @@ class BorderCollapsingMiner:
         self.memory_capacity = memory_capacity
         self.use_restricted_spread = use_restricted_spread
         self.rng = rng or np.random.default_rng()
-        self.engine = get_engine(engine)
+        self.engine = engine if engine is not None else select_engine()
         self.tracer = ensure_tracer(tracer)
-        self.resident_sample = resident_sample
-        self.lattice = resolve_lattice(lattice)
+        self.sample_engine = sample_engine
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         """Run all three phases and return the discovered patterns.
@@ -133,7 +126,6 @@ class BorderCollapsingMiner:
         scans_before = database.scan_count
         tracer = self.tracer
         sample_size = min(self.sample_size, len(database))
-        tracer.note("lattice", self.lattice)
         tracer.note("requested_sample_size", self.sample_size)
         tracer.note("effective_sample_size", sample_size)
 
@@ -159,10 +151,8 @@ class BorderCollapsingMiner:
                 self.constraints,
                 use_restricted_spread=self.use_restricted_spread,
                 exact=sample_size >= len(database),
-                engine=self.engine,
+                engine=self.sample_engine,
                 tracer=tracer,
-                resident=self.resident_sample,
-                lattice=self.lattice,
             )
 
         # Phase 3 — border collapsing over the ambiguous band.
@@ -175,7 +165,6 @@ class BorderCollapsingMiner:
                 self.memory_capacity,
                 engine=self.engine,
                 tracer=tracer,
-                lattice=self.lattice,
             )
 
         frequent = self._assemble_frequent(classification, outcome.verified,

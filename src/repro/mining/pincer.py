@@ -27,10 +27,9 @@ from typing import Dict, List, Optional, Set
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
-from ..core.latticekernels import resolve_lattice
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -57,9 +56,8 @@ class PincerMiner:
         memory_capacity: Optional[int] = None,
         mfcs_limit: int = 12,
         collect_exact_matches: bool = True,
-        engine: EngineSpec = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        lattice: Optional[str] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -72,15 +70,13 @@ class PincerMiner:
         self.memory_capacity = memory_capacity
         self.mfcs_limit = mfcs_limit
         self.collect_exact_matches = collect_exact_matches
-        self.engine = get_engine(engine)
+        self.engine = engine if engine is not None else select_engine()
         self.tracer = ensure_tracer(tracer)
-        self.lattice = resolve_lattice(lattice)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         started = time.perf_counter()
         scans_before = database.scan_count
         tracer = self.tracer
-        tracer.note("lattice", self.lattice)
 
         with tracer.phase("phase1-scan"):
             io_before = io_snapshot(database)
@@ -98,7 +94,7 @@ class PincerMiner:
             Pattern.single(d): float(symbol_match[d])
             for d in frequent_symbols
         }
-        maximal = Border(frequent, lattice=self.lattice, tracer=tracer)
+        maximal = Border(frequent, tracer=tracer)
         mfcs: Set[Pattern] = set()
         level_stats = [
             LevelStats(1, self.matrix.size, len(frequent_symbols))
@@ -110,7 +106,7 @@ class PincerMiner:
         while current and level < self.constraints.max_weight:
             candidates = generate_candidates(
                 current | skipped, frequent_symbols, self.constraints,
-                lattice=self.lattice, tracer=tracer,
+                tracer=tracer,
             )
             if not candidates:
                 break
@@ -175,7 +171,7 @@ class PincerMiner:
         elapsed = time.perf_counter() - started
         return MiningResult(
             frequent=frequent,
-            border=Border(frequent, lattice=self.lattice, tracer=tracer),
+            border=Border(frequent, tracer=tracer),
             scans=scans,
             elapsed_seconds=elapsed,
             level_stats=level_stats,

@@ -16,16 +16,15 @@ comparison honest.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
-from ..core.latticekernels import resolve_lattice
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, ResidentSampleEvaluator, get_engine
+from ..engine import MatchEngine, select_engine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -57,10 +56,9 @@ class ToivonenMiner:
         constraints: Optional[PatternConstraints] = None,
         memory_capacity: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        engine: EngineSpec = None,
+        engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
-        resident_sample: "Union[None, bool, ResidentSampleEvaluator]" = None,
-        lattice: Optional[str] = None,
+        sample_engine: Optional[MatchEngine] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -72,18 +70,16 @@ class ToivonenMiner:
         self.constraints = constraints or PatternConstraints()
         self.memory_capacity = memory_capacity
         self.rng = rng or np.random.default_rng()
-        self.engine = get_engine(engine)
+        self.engine = engine if engine is not None else select_engine()
         self.tracer = ensure_tracer(tracer)
-        # Phase 2 option only: level-wise verification still runs on
-        # self.engine (the full database is not pinned).
-        self.resident_sample = resident_sample
-        self.lattice = resolve_lattice(lattice)
+        # Phase 2 only: level-wise verification runs on self.engine
+        # (the full database is not pinned).
+        self.sample_engine = sample_engine
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         started = time.perf_counter()
         scans_before = database.scan_count
         tracer = self.tracer
-        tracer.note("lattice", self.lattice)
         tracer.note("requested_sample_size", self.sample_size)
         tracer.note(
             "effective_sample_size", min(self.sample_size, len(database))
@@ -107,10 +103,8 @@ class ToivonenMiner:
                 self.delta,
                 symbol_match,
                 self.constraints,
-                engine=self.engine,
+                engine=self.sample_engine,
                 tracer=tracer,
-                resident=self.resident_sample,
-                lattice=self.lattice,
             )
         to_verify: Dict[int, List[Pattern]] = {}
         for pattern, label in classification.labels.items():
@@ -142,7 +136,7 @@ class ToivonenMiner:
             # the sample under-estimated the border.
             candidates |= generate_candidates(
                 current, frequent_symbols, self.constraints,
-                lattice=self.lattice, tracer=tracer,
+                tracer=tracer,
             )
             candidates = {
                 c
@@ -174,7 +168,7 @@ class ToivonenMiner:
             )
             current = set(survivors)
 
-        border = Border(frequent, lattice=self.lattice, tracer=tracer)
+        border = Border(frequent, tracer=tracer)
         estimated_border = classification.fqt
         scans = database.scan_count - scans_before
         elapsed = time.perf_counter() - started

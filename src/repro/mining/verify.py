@@ -19,7 +19,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import EngineSpec, get_engine
+from ..engine import MatchEngine, select_engine
 from .result import MiningResult
 
 #: Tolerance when re-measuring match values (sample-estimated values in
@@ -74,7 +74,7 @@ def verify_result(
     database: Optional[AnySequenceDatabase] = None,
     matrix: Optional[CompatibilityMatrix] = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    engine: EngineSpec = None,
+    engine: Optional[MatchEngine] = None,
 ) -> VerificationReport:
     """Check a mining result's structural invariants.
 
@@ -116,7 +116,8 @@ def verify_result(
 
     # 4. Optional exact re-measurement.
     if database is not None and matrix is not None and reported:
-        exact = get_engine(engine).database_matches(
+        engine = engine if engine is not None else select_engine()
+        exact = engine.database_matches(
             sorted(reported), database, matrix
         )
         for pattern, value in result.frequent.items():

@@ -37,7 +37,6 @@ from .tracer import (
     IO_CHUNKS,
     IO_COUNTER_ATTRS,
     JIT_COMPILE_SECONDS,
-    NATIVE_FALLBACKS,
     NATIVE_KERNEL_CALLS,
     NULL_TRACER,
     NullTracer,
@@ -85,7 +84,6 @@ __all__ = [
     "IO_COUNTER_ATTRS",
     "JIT_COMPILE_SECONDS",
     "LATTICE_CANDIDATES",
-    "NATIVE_FALLBACKS",
     "NATIVE_KERNEL_CALLS",
     "NULL_TRACER",
     "NullTracer",

@@ -83,7 +83,6 @@ DELTA_PATTERNS_COUNTED = "delta_patterns_counted"
 BORDER_REPROBES = "border_reprobes"
 NATIVE_KERNEL_CALLS = "native_kernel_calls"
 JIT_COMPILE_SECONDS = "jit_compile_seconds"
-NATIVE_FALLBACKS = "native_fallbacks"
 
 #: The disk-resident backends' lifetime I/O accumulators, in the order
 #: they are snapshotted.  ``io_chunk_seconds`` is a float counter —
@@ -203,7 +202,7 @@ class Tracer:
         with tracer.phase("phase1-scan"):
             ...
             tracer.count("scans")
-        report = tracer.report(algorithm="levelwise", engine="reference",
+        report = tracer.report(algorithm="levelwise", engine="vectorized",
                                scans=..., elapsed_seconds=...)
     """
 

@@ -11,7 +11,7 @@ expensive state survives across jobs:
   manifest): a same-size in-place rewrite is recognised immediately,
   a path is never served stale content, and the cached ``stat``
   signature is purely observability.  Each entry also owns per-store
-  execution state: private engine instances (so concurrent jobs on
+  execution state: a private counting engine (so concurrent jobs on
   different stores never share a factor cache or worker pool) and one
   warm :class:`~repro.engine.resident.ResidentSampleEvaluator` whose
   pinned sample and plane store carry over to the next job on the
@@ -32,7 +32,7 @@ expensive state survives across jobs:
 
 Both caches are LRU with small fixed capacities, thread-safe, and
 evict through the owning objects' ``close()`` hooks — an evicted store
-entry unmaps its file and shuts down its engines.
+entry unmaps its file and shuts down its engine.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
-from ..engine import MatchEngine, create_engine
+from ..engine import MatchEngine, select_engine
 from ..engine.resident import ResidentSampleEvaluator
 from ..errors import ServiceError
 from ..io import (
@@ -79,7 +79,7 @@ def open_store_path(path: str) -> AnyStore:
 
 
 class StoreEntry:
-    """One warm store: the open mapping plus its per-store engines.
+    """One warm store: the open mapping plus its per-store engine.
 
     ``lock`` serialises jobs on the same store — the scan-count
     bookkeeping on a store (and the engines' caches) is per-instance
@@ -98,25 +98,23 @@ class StoreEntry:
         self.digest = store.digest
         self.lock = threading.Lock()
         self.hits = 0
-        self._engines: Dict[str, MatchEngine] = {}
+        self._engine: Optional[MatchEngine] = None
         self._resident: Optional[ResidentSampleEvaluator] = None
         self._ref_mutex = threading.Lock()
         self._refcount = 0
         self._close_pending = False
         self._closed = False
 
-    def engine_for(self, name: str) -> MatchEngine:
-        """This entry's private instance of the named backend.
+    def engine(self) -> MatchEngine:
+        """This entry's private counting engine.
 
-        Created on first use via
-        :func:`repro.engine.create_engine` — never the process-shared
-        registry instance — and kept so the factor cache / worker pool
-        stays warm for the next job on this store.
+        Created on first use via :func:`repro.engine.select_engine` and
+        kept so the factor cache / worker pool stays warm for the next
+        job on this store.
         """
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = self._engines[name] = create_engine(name)
-        return engine
+        if self._engine is None:
+            self._engine = select_engine()
+        return self._engine
 
     def resident_evaluator(self) -> ResidentSampleEvaluator:
         """The entry's warm Phase-2 evaluator (created on first use).
@@ -213,9 +211,9 @@ class StoreEntry:
             if self._closed:
                 return
             self._closed = True
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
         if self._resident is not None:
             self._resident.close()
             self._resident = None

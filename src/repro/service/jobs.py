@@ -43,10 +43,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..config import MiningConfig, json_payload
+from ..config import SAMPLING_ALGORITHMS, MiningConfig, json_payload
 from ..core import _nativekernels
 from ..core.sequence import SequenceDatabase
-from ..engine import create_engine
+from ..engine import select_engine
 from ..errors import NoisyMineError, SequenceDatabaseError, ServiceError
 from ..io import SegmentedSequenceStore, is_segmented_store
 from ..obs import (
@@ -201,8 +201,8 @@ class MiningService:
         LRU capacities of the store cache and the result memo.
     warm_native:
         Trigger JIT compilation of the native kernels at startup (a
-        no-op without numba), so the first ``--engine native`` job
-        never pays compilation latency.  ``jit_warm_seconds`` records
+        no-op without numba), so the first job never pays compilation
+        latency.  ``jit_warm_seconds`` records
         what startup paid.
     """
 
@@ -413,25 +413,26 @@ class MiningService:
                     entry.store.reset_scan_count()
                     miner = config.build_miner(
                         n_sequences,
-                        engine=entry.engine_for(config.engine),
+                        engine=entry.engine(),
                         tracer=tracer,
-                        resident=(
+                        sample_engine=(
                             entry.resident_evaluator()
-                            if config.resident_sample else None
+                            if config.algorithm in SAMPLING_ALGORITHMS
+                            else None
                         ),
                     )
                     result = miner.mine(entry.store)
             else:
-                miner = config.build_miner(
-                    n_sequences, engine=create_engine(config.engine),
-                    tracer=tracer,
-                )
-                result = miner.mine(job.database)
+                with select_engine() as engine:
+                    miner = config.build_miner(
+                        n_sequences, engine=engine, tracer=tracer,
+                    )
+                    result = miner.mine(job.database)
         finally:
             if entry is not None:
                 entry.release()
 
-        payload = json_payload(config, result)
+        payload = json_payload(config, result, miner.engine.name)
         job.mark_done(payload)
         if config.memoizable:
             self.memo.put(memo_key, payload)

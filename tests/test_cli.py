@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine import select_engine
 
 
 @pytest.fixture
@@ -97,44 +98,92 @@ class TestMine:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized", "parallel"])
-    def test_engine_flag_selects_backend(self, generated, capsys, engine):
+    def _levelwise_json(self, path, capsys, *extra):
         code = main([
-            "mine", str(generated),
+            "mine", str(path),
             "--alphabet", "10",
             "--min-match", "0.5",
             "--algorithm", "levelwise",
             "--max-weight", "4",
             "--max-span", "4",
-            "--engine", engine,
-            "--json",
+            "--json", *extra,
         ])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == engine
+        return json.loads(capsys.readouterr().out)
 
-    def test_engine_results_identical_across_backends(self, generated,
-                                                      capsys):
-        payloads = {}
-        for engine in ("reference", "vectorized", "parallel"):
-            assert main([
-                "mine", str(generated),
-                "--alphabet", "10",
-                "--min-match", "0.5",
-                "--algorithm", "levelwise",
-                "--max-weight", "4",
-                "--max-span", "4",
-                "--engine", engine,
-                "--json",
-            ]) == 0
-            payloads[engine] = json.loads(capsys.readouterr().out)
-        reference = payloads["reference"]
-        for engine in ("vectorized", "parallel"):
-            patterns = payloads[engine]["patterns"]
-            assert set(patterns) == set(reference["patterns"])
-            for text, value in reference["patterns"].items():
-                assert patterns[text] == pytest.approx(value, abs=1e-12)
-            assert payloads[engine]["scans"] == reference["scans"]
+    def test_json_reports_the_engine_that_ran(self, generated, capsys,
+                                              monkeypatch):
+        monkeypatch.delenv("NOISYMINE_WORKERS", raising=False)
+        payload = self._levelwise_json(generated, capsys)
+        assert payload["engine"] == select_engine().name
+        assert "lattice" not in payload
+
+    def test_workers_two_runs_parallel_with_identical_patterns(
+        self, tmp_path, capsys
+    ):
+        # 600 rows span three 256-row chunk blocks, so the pool really
+        # dispatches shards.
+        path = tmp_path / "wide.txt"
+        assert main(["generate", str(path), "--sequences", "600",
+                     "--length", "12", "--alphabet", "10",
+                     "--seed", "5"]) == 0
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        one = self._levelwise_json(path, capsys, "--workers", "1")
+        two = self._levelwise_json(path, capsys, "--workers", "2",
+                                   "--metrics-json", str(metrics))
+        assert two["engine"] == "parallel"
+        assert two["patterns"] == one["patterns"]  # bit-identical
+        assert two["scans"] == one["scans"]
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("shards_dispatched", 0) > 0
+
+    def test_stale_execution_env_vars_change_nothing(
+        self, generated, capsys, monkeypatch
+    ):
+        baseline = self._levelwise_json(generated, capsys)
+        for name, value in [
+            ("NOISYMINE_ENGINE", "reference"),
+            ("NOISYMINE_LATTICE", "reference"),
+            ("NOISYMINE_RESIDENT", "0"),
+            ("NOISYMINE_RESIDENT_KERNELS", "pure"),
+            ("NOISYMINE_OVERSPLIT", "zebra"),
+            ("NOISYMINE_NATIVE_FALLBACK", "1"),
+        ]:
+            monkeypatch.setenv(name, value)
+        stale = self._levelwise_json(generated, capsys)
+        for payload in (baseline, stale):
+            del payload["elapsed_seconds"]
+            del payload["metrics"]
+        assert stale == baseline
+
+    @pytest.mark.parametrize("flags", [
+        ["--engine", "vectorized"],
+        ["--lattice", "kernel"],
+        ["--resident-sample"],
+        ["--resident-kernels", "auto"],
+        ["--oversplit", "3"],
+    ], ids=lambda flags: flags[0])
+    def test_removed_execution_flags_rejected_by_argparse(
+        self, generated, capsys, flags
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(generated), "--alphabet", "10",
+                  "--min-match", "0.5", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_float32_levelwise_without_numba_fails_loudly(
+        self, generated, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.config.native_available", False)
+        code = main([
+            "mine", str(generated), "--alphabet", "10",
+            "--min-match", "0.5", "--algorithm", "levelwise",
+            "--score-dtype", "float32",
+        ])
+        assert code == 2
+        assert "float32" in capsys.readouterr().err
 
     def test_unknown_engine_rejected_by_argparse(self, generated, capsys):
         with pytest.raises(SystemExit):

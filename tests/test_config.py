@@ -51,10 +51,8 @@ class TestResolveDefaults:
     def test_library_defaults(self):
         config = MiningConfig.resolve(min_match=0.5, alphabet=4)
         assert config.algorithm == "border-collapsing"
-        assert config.engine == "reference"
-        assert config.lattice == "kernel"
-        assert config.resident_sample is False
         assert config.store == "auto"
+        assert config.score_dtype == "float64"
 
     def test_all_algorithms_accepted(self):
         for algorithm in ALGORITHMS:
@@ -75,59 +73,15 @@ class TestResolveDefaults:
 
 
 class TestEnvPrecedence:
-    """Every NOISYMINE_* variable: env honoured, flag beats env, bad
-    env fails loudly."""
+    """Every NOISYMINE_* variable the config reads: env honoured, flag
+    beats env, bad env fails loudly.  Removed execution variables are
+    not read at all."""
 
-    def test_engine_env_honoured(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_ENGINE", "vectorized")
-        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
-        assert config.engine == "vectorized"
-
-    def test_engine_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_ENGINE", "vectorized")
-        config = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, engine="reference"
-        )
-        assert config.engine == "reference"
-
-    def test_bad_engine_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_ENGINE", "bogus")
-        with pytest.raises(MiningError, match="unknown match engine"):
-            MiningConfig.resolve(min_match=0.5, alphabet=4)
-
-    def test_lattice_env_honoured(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_LATTICE", "reference")
-        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
-        assert config.lattice == "reference"
-
-    def test_lattice_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_LATTICE", "reference")
-        config = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, lattice="kernel"
-        )
-        assert config.lattice == "kernel"
-
-    def test_bad_lattice_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_LATTICE", "bogus")
-        with pytest.raises(NoisyMineError):
-            MiningConfig.resolve(min_match=0.5, alphabet=4)
-
-    def test_resident_env_honoured(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_RESIDENT", "1")
-        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
-        assert config.resident_sample is True
-
-    def test_resident_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_RESIDENT", "1")
-        config = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, resident_sample=False
-        )
-        assert config.resident_sample is False
-
-    def test_bad_resident_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_RESIDENT", "maybe")
-        with pytest.raises(MiningError, match="NOISYMINE_RESIDENT"):
-            MiningConfig.resolve(min_match=0.5, alphabet=4)
+    def test_removed_execution_env_vars_are_not_read(self, monkeypatch):
+        base = MiningConfig.resolve(min_match=0.5, alphabet=4)
+        for var in ENV_VARS[:3]:
+            monkeypatch.setenv(var, "bogus")
+        assert MiningConfig.resolve(min_match=0.5, alphabet=4) == base
 
     def test_store_env_honoured(self, monkeypatch):
         monkeypatch.setenv("NOISYMINE_STORE", "text")
@@ -220,9 +174,7 @@ class TestCanonicalForms:
     def test_to_key_ignores_execution_knobs(self):
         base = MiningConfig.resolve(min_match=0.5, alphabet=4, seed=1)
         variant = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, seed=1,
-            engine="vectorized", lattice="reference",
-            resident_sample=True, store="packed",
+            min_match=0.5, alphabet=4, seed=1, store="packed",
         )
         assert base.to_key() == variant.to_key()
 
@@ -252,7 +204,7 @@ class TestCanonicalForms:
     def test_round_trip_through_dict(self):
         config = MiningConfig.resolve(
             min_match=0.4, alphabet=5, algorithm="toivonen", noise=0.1,
-            sample_size=9, seed=11, engine="vectorized",
+            sample_size=9, seed=11, store="packed",
         )
         assert MiningConfig.from_dict(config.to_dict()) == config
 
@@ -260,14 +212,21 @@ class TestCanonicalForms:
         with pytest.raises(NoisyMineError, match="unknown config keys"):
             MiningConfig.from_dict({"min_match": 0.5, "min_macth": 0.5})
 
+    @pytest.mark.parametrize(
+        "key", ["engine", "lattice", "resident_sample", "resident_kernels"]
+    )
+    def test_from_dict_rejects_removed_execution_keys(self, key):
+        with pytest.raises(NoisyMineError, match=f"unknown config keys: {key}"):
+            MiningConfig.from_dict({"min_match": 0.5, key: "x"})
+
     def test_from_dict_requires_min_match(self):
         with pytest.raises(NoisyMineError, match="min_match"):
             MiningConfig.from_dict({"algorithm": "levelwise"})
 
     def test_from_dict_resolves_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_ENGINE", "vectorized")
+        monkeypatch.setenv("NOISYMINE_STORE", "text")
         config = MiningConfig.from_dict({"min_match": 0.5, "alphabet": 4})
-        assert config.engine == "vectorized"
+        assert config.store == "text"
 
     def test_with_overrides_revalidates(self):
         config = MiningConfig.resolve(min_match=0.5, alphabet=4)
@@ -282,10 +241,10 @@ class TestJsonPayload:
             min_match=0.5, alphabet=3, algorithm="levelwise"
         )
         result = config.build_miner(len(database)).mine(database)
-        payload = json_payload(config, result)
+        payload = json_payload(config, result, "vectorized")
         assert payload["algorithm"] == "levelwise"
-        assert payload["engine"] == "reference"
-        assert payload["lattice"] == "kernel"
+        assert payload["engine"] == "vectorized"
+        assert "lattice" not in payload
         assert payload["min_match"] == 0.5
         assert "patterns" in payload and "frequent" not in payload
         json.dumps(payload)  # must be JSON-serialisable as-is

@@ -1,16 +1,14 @@
-"""The engine layer: backend equivalence, scan contract, cache, registry.
+"""The engine layer: engine equivalence, scan contract, cache, selection.
 
-The reference engine is the semantic baseline (it wraps the original
-``repro.core.match`` code paths unchanged); the vectorized and parallel
-backends must agree with it on ``M(P, s)``, ``M(P, S)`` and ``M(P, D)``
-to within 1e-12 on arbitrary inputs — including wildcard-heavy patterns
-and patterns whose span exceeds every sequence — while consuming exactly
-one scan per ``database_matches`` call.
+The per-sequence oracle of ``tests/oracles.py`` is the semantic
+baseline; the vectorized, parallel and native engines must agree with
+it on ``M(P, s)``, ``M(P, S)`` and ``M(P, D)`` to within 1e-12 on
+arbitrary inputs — including wildcard-heavy patterns and patterns whose
+span exceeds every sequence — while consuming exactly one scan per
+``database_matches`` call.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -26,25 +24,30 @@ from repro import (
 )
 from repro.core import match as core_match
 from repro.engine import (
-    DEFAULT_ENGINE_NAME,
-    ENGINE_ENV_VAR,
     FactorCache,
     MatchEngine,
     NativeEngine,
     ParallelEngine,
-    ReferenceEngine,
     VectorizedBatchEngine,
     WORKERS_ENV_VAR,
-    available_engines,
-    get_engine,
     native_available,
     native_unavailable_reason,
     resolve_worker_count,
+    select_engine,
 )
 from repro.mining import LevelwiseMiner
 from repro.obs import INLINE_FALLBACKS, SHARDS_DISPATCHED, Tracer
 
-M = 5  # alphabet size used throughout
+from .oracles import ReferenceEngine
+from .strategies import (
+    M,
+    databases,
+    matrices,
+    pattern_batches,
+    patterns,
+    sequences,
+)
+
 
 #: Module-level instances so the parallel pool and the factor cache are
 #: reused across examples.  chunk_rows=3 forces multi-chunk evaluation
@@ -77,53 +80,6 @@ def test_numba_absence_is_recorded():
     reason = native_unavailable_reason()
     assert reason  # e.g. "No module named 'numba'"
     pytest.skip(f"compiled native kernels unavailable: {reason}")
-
-
-# -- strategies ----------------------------------------------------------------
-
-def patterns(max_weight: int = 4, max_gap: int = 3) -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        weight = draw(st.integers(1, max_weight))
-        elements = [draw(st.integers(0, M - 1))]
-        for _ in range(weight - 1):
-            gap = draw(st.integers(0, max_gap))
-            elements.extend([WILDCARD] * gap)
-            elements.append(draw(st.integers(0, M - 1)))
-        return Pattern(elements)
-
-    return build()
-
-
-def sequences(min_len: int = 1, max_len: int = 12) -> st.SearchStrategy:
-    return st.lists(st.integers(0, M - 1), min_size=min_len, max_size=max_len)
-
-
-def matrices() -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        raw = draw(
-            st.lists(
-                st.lists(
-                    st.floats(0.01, 1.0, allow_nan=False),
-                    min_size=M, max_size=M,
-                ),
-                min_size=M, max_size=M,
-            )
-        )
-        array = np.asarray(raw, dtype=np.float64)
-        array = array / array.sum(axis=0, keepdims=True)
-        return CompatibilityMatrix(array)
-
-    return build()
-
-
-def databases() -> st.SearchStrategy:
-    return st.lists(sequences(), min_size=1, max_size=8).map(SequenceDatabase)
-
-
-def pattern_batches() -> st.SearchStrategy:
-    return st.lists(patterns(), min_size=1, max_size=6)
 
 
 # -- hypothesis equivalence ----------------------------------------------------
@@ -362,67 +318,41 @@ class TestFactorCache:
         assert len(engine.cache) == 0
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"reference", "vectorized", "parallel", "native"} <= set(
-            available_engines()
-        )
+class TestEngineSelection:
+    def test_one_worker_selects_by_platform(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        engine = select_engine()
+        expected = NativeEngine if native_available else VectorizedBatchEngine
+        assert type(engine) is expected
 
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert get_engine(None).name == DEFAULT_ENGINE_NAME == "reference"
+    def test_more_workers_select_the_parallel_engine(self):
+        with select_engine(2) as engine:
+            assert isinstance(engine, ParallelEngine)
+            assert engine.n_workers == 2
 
-    def test_env_var_changes_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vectorized")
-        assert get_engine(None).name == "vectorized"
+    def test_workers_env_var_selects_the_parallel_engine(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        with select_engine() as engine:
+            assert isinstance(engine, ParallelEngine)
+            assert engine.n_workers == 3
 
-    def test_name_resolves_to_shared_instance(self):
-        assert get_engine("vectorized") is get_engine("vectorized")
+    def test_each_call_builds_a_fresh_engine(self):
+        assert select_engine(1) is not select_engine(1)
 
-    def test_instance_passes_through(self):
-        assert get_engine(VEC) is VEC
+    def test_stale_engine_env_var_changes_nothing(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        expected = type(select_engine())
+        monkeypatch.setenv("NOISYMINE_ENGINE", "reference")
+        assert type(select_engine()) is expected
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(MiningError, match="unknown match engine"):
-            get_engine("gpu")
-
-    def test_non_string_spec_rejected(self):
-        with pytest.raises(MiningError):
-            get_engine(42)
+    def test_miners_use_a_passed_instance(self):
+        miner = LevelwiseMiner(CompatibilityMatrix.identity(M), 0.5,
+                               engine=VEC)
+        assert miner.engine is VEC
 
     def test_engine_is_context_manager(self):
         with VectorizedBatchEngine() as engine:
             assert isinstance(engine, MatchEngine)
-
-
-class TestMinerEquivalence:
-    """End-to-end: a deterministic miner finds the identical result on
-    every backend, with identical scan counts."""
-
-    def test_levelwise_results_identical_across_engines(self, rng):
-        m = 6
-        matrix = CompatibilityMatrix.uniform_noise(m, alpha=0.1)
-        database = SequenceDatabase(
-            [rng.integers(0, m, size=12) for _ in range(30)]
-        )
-        results = {}
-        for engine in ENGINES:
-            database.reset_scan_count()
-            miner = LevelwiseMiner(
-                matrix, min_match=0.25, memory_capacity=7, engine=engine
-            )
-            results[_engine_id(engine)] = miner.mine(database)
-        baseline = results["reference"]
-        for name, result in results.items():
-            if name == "reference":
-                continue
-            assert set(result.frequent) == set(baseline.frequent)
-            for pattern, value in baseline.frequent.items():
-                assert result.frequent[pattern] == pytest.approx(
-                    value, abs=1e-12
-                )
-            assert result.scans == baseline.scans
-            assert result.border == baseline.border
 
 
 class TestParallelLifecycle:
@@ -617,9 +547,7 @@ class TestWorkerResolution:
         with pytest.raises(MiningError):
             resolve_worker_count()
 
-    def test_default_follows_cpu_affinity(self, monkeypatch):
+    def test_default_is_one_worker(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        resolved = resolve_worker_count()
-        assert resolved >= 1
-        if hasattr(os, "sched_getaffinity"):
-            assert resolved == len(os.sched_getaffinity(0))
+        assert resolve_worker_count() == 1
+        assert ParallelEngine().n_workers == 1

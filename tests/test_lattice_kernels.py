@@ -1,13 +1,13 @@
 """Differential tests for the packed lattice kernels.
 
-The kernel lattice mode (:mod:`repro.core.latticekernels`) must be a
-*bit-identical* drop-in for the reference pure-Python paths: same
-candidate sets out of the Apriori join + prune, same containment
-verdicts, same border contents, same Phase-3 label propagation, same
-restricted-spread values — for arbitrary inputs, not just the
-well-formed ones production produces.  Hypothesis drives the
-comparisons; a fixed-seed run then checks all six miners end to end in
-both modes.
+The packed kernels (:mod:`repro.core.latticekernels`) must be a
+*bit-identical* drop-in for the pure-Python oracles of
+``tests/oracles.py``: same candidate sets out of the Apriori join +
+prune, same containment verdicts, same border contents, same Phase-3
+label propagation, same restricted-spread values — for arbitrary
+inputs, not just the well-formed ones production produces.  Hypothesis
+drives the comparisons; ``tests/test_differential.py`` checks whole
+miners against the oracle lattice.
 """
 
 from __future__ import annotations
@@ -21,58 +21,44 @@ from hypothesis import strategies as st
 
 from repro import (
     Border,
-    BorderCollapsingMiner,
-    CompatibilityMatrix,
-    LevelwiseMiner,
-    MaxMiner,
     Pattern,
     PatternConstraints,
-    SequenceDatabase,
     WILDCARD,
 )
 from repro.core import _nativekernels as _nk
 from repro.core import latticekernels as _lk
-from repro.core.lattice import reference_generate_candidates
 from repro.core.latticekernels import (
-    DEFAULT_LATTICE_MODE,
-    LATTICE_ENV_VAR,
-    LATTICE_MODES,
     batch_restricted_spread,
     block_signatures,
     block_weights,
     contains_any,
     filter_undecided,
     kernel_generate_candidates,
-    lattice_from_env,
     max_gap_rows,
     pack_block,
     pack_by_span,
-    resolve_lattice,
     row_keys,
     subsumption_hits,
-    use_kernels,
 )
 from repro.errors import MiningError
 from repro.mining.chernoff import restricted_spread
-from repro.mining.depthfirst import DepthFirstMiner
-from repro.mining.pincer import PincerMiner
-from repro.mining.toivonen import ToivonenMiner
+
+from .oracles import (
+    reference_add,
+    reference_covers,
+    reference_filter_undecided,
+    reference_generate_candidates,
+)
 
 M = 5  # alphabet size for the random strategies
 
 #: Containment-sweep / membership dispatch variants the kernel lattice
 #: must be bit-identical across: the numpy byte-set path, the
 #: interpreted kernel twins, and (where numba imports) the compiled
-#: kernels.  Compiled entries auto-skip with the recorded reason when
-#: numba is unavailable.
+#: kernels.
 NATIVE_DISPATCH = ["numpy", "native-pure"]
 if _nk.native_available:
     NATIVE_DISPATCH.append("native-jit")
-else:
-    NATIVE_DISPATCH_SKIP = (
-        f"compiled native kernels unavailable: "
-        f"{_nk.native_unavailable_reason()}"
-    )
 
 
 @contextmanager
@@ -124,38 +110,6 @@ def constraint_sets() -> st.SearchStrategy:
         )
 
     return build()
-
-
-# -- mode resolution -----------------------------------------------------------
-
-
-class TestModeResolution:
-    def test_default_is_kernel(self, monkeypatch):
-        monkeypatch.delenv(LATTICE_ENV_VAR, raising=False)
-        assert DEFAULT_LATTICE_MODE == "kernel"
-        assert lattice_from_env() == "kernel"
-        assert resolve_lattice(None) == "kernel"
-        assert use_kernels(None)
-
-    def test_env_var_steers_default(self, monkeypatch):
-        monkeypatch.setenv(LATTICE_ENV_VAR, "reference")
-        assert lattice_from_env() == "reference"
-        assert resolve_lattice(None) == "reference"
-        assert not use_kernels(None)
-
-    def test_explicit_mode_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(LATTICE_ENV_VAR, "reference")
-        assert resolve_lattice("kernel") == "kernel"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        with pytest.raises(MiningError, match="unknown lattice mode"):
-            resolve_lattice("turbo")
-        monkeypatch.setenv(LATTICE_ENV_VAR, "turbo")
-        with pytest.raises(MiningError, match="unknown lattice mode"):
-            resolve_lattice(None)
-
-    def test_modes_are_registered(self):
-        assert set(LATTICE_MODES) == {"reference", "kernel"}
 
 
 # -- packing primitives --------------------------------------------------------
@@ -269,12 +223,14 @@ def test_subsumption_hits_equal_pairwise_sweep(inner_set, outer_set):
 def test_contains_any_equals_border_covers(queries_set, members_set):
     queries = sorted(queries_set)
     members = sorted(members_set)
-    border = Border(members, lattice="reference")
+    border = Border()
+    for member in members:
+        reference_add(border, member)
     for mode in NATIVE_DISPATCH:
         with native_dispatch(mode):
             hits = contains_any(queries, members)
         for hit, query in zip(hits, queries):
-            assert bool(hit) == border.covers(query), mode
+            assert bool(hit) == reference_covers(border, query), mode
 
 
 @given(pattern_sets(), pattern_sets(max_size=6), pattern_sets(max_size=6))
@@ -284,16 +240,9 @@ def test_filter_undecided_equals_reference_propagation(
 ):
     newly_frequent = sorted(fresh_frequent)
     newly_infrequent = sorted(fresh_infrequent)
-    expected = {
-        pattern
-        for pattern in undecided
-        if not any(
-            pattern.is_subpattern_of(fresh) for fresh in newly_frequent
-        )
-        and not any(
-            killer.is_subpattern_of(pattern) for killer in newly_infrequent
-        )
-    }
+    expected = reference_filter_undecided(
+        undecided, newly_frequent, newly_infrequent
+    )
     for mode in NATIVE_DISPATCH:
         with native_dispatch(mode):
             got = filter_undecided(
@@ -302,28 +251,20 @@ def test_filter_undecided_equals_reference_propagation(
         assert got == expected, mode
 
 
-# -- border kernel mode --------------------------------------------------------
+# -- border prefilter ----------------------------------------------------------
 
 
 @given(st.lists(patterns(), min_size=0, max_size=20), pattern_sets(max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_border_kernel_mode_is_bit_identical(inserts, queries):
-    for mode in NATIVE_DISPATCH:
-        with native_dispatch(mode):
-            reference = Border(lattice="reference")
-            kernel = Border(lattice="kernel")
-            for pattern in inserts:
-                assert kernel.add(pattern) == reference.add(pattern), mode
-                assert kernel.elements == reference.elements, mode
-            for query in queries:
-                assert kernel.covers(query) == reference.covers(query), mode
-
-
-def test_border_copy_preserves_lattice_mode():
-    border = Border([Pattern([1, 2])], lattice="kernel")
-    clone = border.copy()
-    assert clone._use_kernels
-    assert clone.elements == border.elements
+    """The signature-prefiltered border answers like the plain scan."""
+    reference = Border()
+    kernel = Border()
+    for pattern in inserts:
+        assert kernel.add(pattern) == reference_add(reference, pattern)
+        assert kernel.elements == reference.elements
+    for query in queries:
+        assert kernel.covers(query) == reference_covers(reference, query)
 
 
 # -- batch restricted spread ---------------------------------------------------
@@ -338,62 +279,3 @@ def test_batch_restricted_spread_equals_scalar(pats, symbol_match):
     batch = batch_restricted_spread(ordered, symbol_match)
     for value, pattern in zip(batch, ordered):
         assert float(value) == restricted_spread(pattern, symbol_match)
-
-
-# -- six miners, both modes, bit-identical -------------------------------------
-
-
-def _random_database(seed: int = 7) -> SequenceDatabase:
-    rng = np.random.default_rng(seed)
-    return SequenceDatabase(
-        [rng.integers(0, M, size=rng.integers(8, 16)).tolist()
-         for _ in range(40)]
-    )
-
-
-CONSTRAINTS = PatternConstraints(max_weight=4, max_span=6, max_gap=1)
-
-MINER_FACTORIES = {
-    "levelwise": lambda matrix, lattice: LevelwiseMiner(
-        matrix, 0.3, constraints=CONSTRAINTS, lattice=lattice
-    ),
-    "maxminer": lambda matrix, lattice: MaxMiner(
-        matrix, 0.3, constraints=CONSTRAINTS, lattice=lattice
-    ),
-    "pincer": lambda matrix, lattice: PincerMiner(
-        matrix, 0.3, constraints=CONSTRAINTS, lattice=lattice
-    ),
-    "depthfirst": lambda matrix, lattice: DepthFirstMiner(
-        matrix, 0.3, constraints=CONSTRAINTS, lattice=lattice
-    ),
-    "border-collapsing": lambda matrix, lattice: BorderCollapsingMiner(
-        matrix, 0.3, sample_size=20, constraints=CONSTRAINTS,
-        rng=np.random.default_rng(11), lattice=lattice,
-    ),
-    "toivonen": lambda matrix, lattice: ToivonenMiner(
-        matrix, 0.3, sample_size=20, constraints=CONSTRAINTS,
-        rng=np.random.default_rng(11), lattice=lattice,
-    ),
-}
-
-
-@pytest.mark.parametrize("dispatch", NATIVE_DISPATCH)
-@pytest.mark.parametrize("algorithm", sorted(MINER_FACTORIES))
-def test_miners_bit_identical_across_lattice_modes(algorithm, dispatch):
-    matrix = CompatibilityMatrix.uniform_noise(M, 0.15)
-    results = {}
-    with native_dispatch(dispatch):
-        for lattice in LATTICE_MODES:
-            database = _random_database()
-            miner = MINER_FACTORIES[algorithm](matrix, lattice)
-            results[lattice] = miner.mine(database)
-    reference, kernel = results["reference"], results["kernel"]
-    # Same frequent set with bit-identical match values.
-    assert kernel.frequent == reference.frequent
-    # Same border and same full-database scan count.
-    assert kernel.border == reference.border
-    assert kernel.scans == reference.scans
-    # Sampling miners must take the very same probe rounds.
-    if "probe_rounds" in reference.extras:
-        assert kernel.extras["probe_rounds"] == \
-            reference.extras["probe_rounds"]

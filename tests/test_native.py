@@ -1,12 +1,11 @@
-"""The native backend: kernels, fallback policy, warm-up, float32, config.
+"""The native engine: kernels, no-fallback policy, warm-up, float32, config.
 
 Four surfaces, each differential-tested against the numpy tiers:
 
 * the kernel bodies themselves (``py_`` twins vs the vectorized
   chunk kernels — bit-identical in float64, integer-exact otherwise);
-* the fallback policy (loud :class:`MiningError` by default when numba
-  is missing, graceful vectorized degradation only on explicit opt-in,
-  every delegated call tallied);
+* the no-fallback policy (engine selection never picks the native
+  engine without numba, and constructing it directly fails loudly);
 * warm-up accounting (``warm_kernels`` idempotent, JIT seconds charged
   at most once per process — pool initializers included);
 * the float32 scoring mode and its ``score_dtype`` plumbing through
@@ -24,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    CompatibilityMatrix,
     MiningError,
     Pattern,
     SequenceDatabase,
@@ -38,14 +36,11 @@ from repro.core.latticekernels import (
     pack_by_span,
 )
 from repro.engine import (
-    NATIVE_FALLBACK_ENV_VAR,
     NativeEngine,
-    ReferenceEngine,
     VectorizedBatchEngine,
-    get_engine,
     native_available,
+    select_engine,
 )
-from repro.engine import base as engine_base
 from repro.engine import shards
 from repro.engine.kernels import (
     chunk_group_maxima,
@@ -59,76 +54,26 @@ from repro.engine.native import (
     DEFAULT_SCORE_DTYPE,
     SCORE_DTYPE_ENV_VAR,
     SCORE_DTYPES,
-    fallback_from_env,
     resolve_score_dtype,
 )
-from repro.obs import NATIVE_FALLBACKS, NATIVE_KERNEL_CALLS, Tracer
+from repro.obs import NATIVE_KERNEL_CALLS, Tracer
 
-M = 5
+from .strategies import (
+    M,
+    databases,
+    kernel_variants,
+    matrices,
+    pattern_batches,
+    patterns,
+)
 
-REF = ReferenceEngine()
+
 VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
 
 #: The float32 scoring bound documented in docs/ALGORITHMS.md: window
 #: products round once per factor, so the match-value deviation stays
 #: orders of magnitude below the 1e-3..1e-1 classification tolerances.
 FLOAT32_ATOL = 1e-5
-
-
-# -- strategies (mirroring test_engines.py) ------------------------------------
-
-def patterns(max_weight: int = 4, max_gap: int = 3) -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        weight = draw(st.integers(1, max_weight))
-        elements = [draw(st.integers(0, M - 1))]
-        for _ in range(weight - 1):
-            gap = draw(st.integers(0, max_gap))
-            elements.extend([WILDCARD] * gap)
-            elements.append(draw(st.integers(0, M - 1)))
-        return Pattern(elements)
-
-    return build()
-
-
-def sequences(min_len: int = 1, max_len: int = 12) -> st.SearchStrategy:
-    return st.lists(st.integers(0, M - 1), min_size=min_len, max_size=max_len)
-
-
-def matrices() -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        raw = draw(
-            st.lists(
-                st.lists(
-                    st.floats(0.01, 1.0, allow_nan=False),
-                    min_size=M, max_size=M,
-                ),
-                min_size=M, max_size=M,
-            )
-        )
-        array = np.asarray(raw, dtype=np.float64)
-        array = array / array.sum(axis=0, keepdims=True)
-        return CompatibilityMatrix(array)
-
-    return build()
-
-
-def databases() -> st.SearchStrategy:
-    return st.lists(sequences(), min_size=1, max_size=8).map(SequenceDatabase)
-
-
-def pattern_batches() -> st.SearchStrategy:
-    return st.lists(patterns(), min_size=1, max_size=6)
-
-
-def _kernel_variants(py_kernel, active_kernel):
-    """The kernel implementations to differential-test: always the
-    interpreted twin, plus the compiled function where numba imports."""
-    variants = [py_kernel]
-    if native_available:
-        variants.append(active_kernel)
-    return variants
 
 
 # -- kernel differential tests -------------------------------------------------
@@ -147,7 +92,7 @@ def test_window_kernel_matches_chunk_group_maxima(batch, database, matrix):
             continue
         elements = elements_by_span[span]
         expected = chunk_group_maxima(gathered, elements)
-        for kernel in _kernel_variants(
+        for kernel in kernel_variants(
             nk.py_window_group_maxima, nk.window_group_maxima
         ):
             out = np.empty((elements.shape[0], padded.shape[0]),
@@ -163,7 +108,7 @@ def test_symbol_kernel_matches_chunk_symbol_maxima(database, matrix):
     rows = [np.asarray(seq) for _sid, seq in database.scan()]
     padded = pad_chunk(rows, M)
     expected = chunk_symbol_maxima(gather_chunk(c_ext, padded))
-    for kernel in _kernel_variants(
+    for kernel in kernel_variants(
         nk.py_symbol_window_maxima, nk.symbol_window_maxima
     ):
         out = np.empty((M, padded.shape[0]), dtype=np.float64)
@@ -204,7 +149,7 @@ def test_containment_kernel_matches_pairwise_truth(inner_set, outer_set):
                     & 0xFFFFFFFFFFFFFFFF) == 0
                 and int(in_weight[a]) <= int(out_weight[b])
             )
-            for kernel in _kernel_variants(
+            for kernel in kernel_variants(
                 nk.py_containment_sweep, nk.containment_sweep
             ):
                 inner_any = np.zeros(len(inner_pats), dtype=np.bool_)
@@ -243,7 +188,7 @@ def test_membership_kernel_matches_byte_sets(span, table_rows, query_rows):
     expected = np.array(
         [tuple(row) in truth for row in queries], dtype=bool
     )
-    for kernel in _kernel_variants(nk.py_rows_in_sorted, nk.rows_in_sorted):
+    for kernel in kernel_variants(nk.py_rows_in_sorted, nk.rows_in_sorted):
         out = np.zeros(len(queries), dtype=np.bool_)
         kernel(queries, np.ascontiguousarray(table), out)
         np.testing.assert_array_equal(out, expected)
@@ -299,92 +244,31 @@ def test_shard_native_path_is_bit_identical(fig2_matrix, monkeypatch):
     np.testing.assert_array_equal(results[False][1], results[True][1])
 
 
-# -- fallback policy -----------------------------------------------------------
+# -- no-fallback policy --------------------------------------------------------
 
 class TestFallbackPolicy:
     @pytest.fixture(autouse=True)
     def _no_numba(self, monkeypatch):
-        """Force the numba-absent world regardless of the CI leg, and
-        keep the shared registry out of the way."""
+        """Force the numba-absent world regardless of the CI leg."""
         monkeypatch.setattr(nk, "native_available", False)
-        monkeypatch.delenv(NATIVE_FALLBACK_ENV_VAR, raising=False)
-        monkeypatch.setattr(engine_base, "_INSTANCES", {})
+        monkeypatch.setattr("repro.engine.native_available", False)
 
     def test_loud_failure_is_actionable(self):
         with pytest.raises(MiningError) as excinfo:
             NativeEngine()
         message = str(excinfo.value)
         assert "noisymine[native]" in message
-        assert "--engine vectorized" in message
-        assert NATIVE_FALLBACK_ENV_VAR in message
+        assert "vectorized engine" in message
 
-    def test_registry_never_caches_the_failure(self):
-        with pytest.raises(MiningError):
-            get_engine("native")
-        # A second resolve must re-raise, not serve a half-built shard.
-        with pytest.raises(MiningError):
-            get_engine("native")
-
-    def test_env_var_downgrades_with_one_warning(self, monkeypatch,
-                                                 fig2_matrix):
-        monkeypatch.setenv(NATIVE_FALLBACK_ENV_VAR, "1")
-        assert fallback_from_env()
-        with pytest.warns(RuntimeWarning, match="degrading"):
-            engine = NativeEngine(chunk_rows=3)
-        assert not engine.compiled
-        database = SequenceDatabase([[0, 1, 2, 3], [2, 1]])
-        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 3])]
-        tracer = Tracer()
-        result = engine.database_matches(
-            batch, database, fig2_matrix, tracer=tracer
-        )
-        expected = VEC.database_matches(batch, database, fig2_matrix)
-        assert result == expected  # delegation, not approximation
-        assert engine.native_fallbacks == 1
-        assert tracer.total(NATIVE_FALLBACKS) == 1
-        engine.symbol_matches(database, fig2_matrix, tracer=tracer)
-        assert engine.native_fallbacks == 2
-        assert tracer.total(NATIVE_FALLBACKS) == 2
-
-    def test_constructor_flag_downgrades_without_env(self, fig2_matrix):
-        with pytest.warns(RuntimeWarning):
-            engine = NativeEngine(fallback=True)
-        database = SequenceDatabase([[0, 1, 2]])
-        rows = [np.asarray([0, 1, 2])]
-        np.testing.assert_array_equal(
-            engine.symbol_matches_rows(rows, fig2_matrix),
-            VEC.symbol_matches_rows(rows, fig2_matrix),
-        )
-        assert engine.native_fallbacks == 1
-        assert engine.database_matches([], database, fig2_matrix) == {}
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", ""])
-    def test_falsy_env_values_still_fail_loudly(self, monkeypatch, value):
-        monkeypatch.setenv(NATIVE_FALLBACK_ENV_VAR, value)
-        with pytest.raises(MiningError):
-            NativeEngine()
-
-    def test_explicit_false_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_FALLBACK_ENV_VAR, "1")
-        with pytest.raises(MiningError):
-            NativeEngine(fallback=False)
-
-    def test_fallback_cannot_promise_float32(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_FALLBACK_ENV_VAR, "1")
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(MiningError, match="float32"):
-                NativeEngine(score_dtype="float32")
-        with pytest.warns(RuntimeWarning):
-            engine = NativeEngine()
-        with pytest.raises(MiningError, match="float32"):
-            engine.set_score_dtype("float32")
+    def test_selection_never_picks_native_without_numba(self, monkeypatch):
+        monkeypatch.delenv("NOISYMINE_WORKERS", raising=False)
+        assert type(select_engine()) is VectorizedBatchEngine
 
     def test_pure_mode_needs_no_opt_in(self, fig2_matrix):
-        # kernels="pure" is a testing mode, not a degradation: it must
-        # construct without numba and without the fallback switch.
+        # kernels="pure" is a testing mode: it must construct without
+        # numba.
         engine = NativeEngine(chunk_rows=3, kernels="pure")
         assert not engine.compiled
-        assert engine.native_fallbacks == 0
 
 
 # -- warm-up accounting --------------------------------------------------------
@@ -488,17 +372,20 @@ class TestConfigPlumbing:
         assert config.score_dtype == "float64"
         assert SCORE_DTYPES == ("float64", "float32")
 
-    def test_float32_requires_the_native_engine(self):
-        config = MiningConfig(
-            min_match=0.5, alphabet=M, engine="native",
-            score_dtype="float32",
+    def test_float32_requires_the_native_engine(self, monkeypatch):
+        # Sampling miners score Phase 2 in float32 on every platform;
+        # the others need the compiled kernels.
+        sampling = MiningConfig(
+            min_match=0.5, alphabet=M, score_dtype="float32",
         )
-        assert config.score_dtype == "float32"
-        with pytest.raises(MiningError, match="native"):
-            MiningConfig(
-                min_match=0.5, alphabet=M, engine="vectorized",
-                score_dtype="float32",
-            )
+        assert sampling.score_dtype == "float32"
+        monkeypatch.setattr("repro.config.native_available", True)
+        MiningConfig(min_match=0.5, alphabet=M, algorithm="levelwise",
+                     score_dtype="float32")
+        monkeypatch.setattr("repro.config.native_available", False)
+        with pytest.raises(MiningError, match="float32"):
+            MiningConfig(min_match=0.5, alphabet=M, algorithm="levelwise",
+                         score_dtype="float32")
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(MiningError, match="score dtype"):
@@ -506,18 +393,15 @@ class TestConfigPlumbing:
 
     def test_resolve_reads_the_environment(self, monkeypatch):
         monkeypatch.setenv(SCORE_DTYPE_ENV_VAR, "float32")
-        config = MiningConfig.resolve(
-            min_match=0.5, alphabet=M, engine="native"
-        )
+        config = MiningConfig.resolve(min_match=0.5, alphabet=M)
         assert config.score_dtype == "float32"
         explicit = MiningConfig.resolve(
-            min_match=0.5, alphabet=M, engine="native",
-            score_dtype="float64",
+            min_match=0.5, alphabet=M, score_dtype="float64",
         )
         assert explicit.score_dtype == "float64"
 
     def test_score_dtype_is_part_of_the_result_identity(self):
-        base = dict(min_match=0.5, alphabet=M, engine="native")
+        base = dict(min_match=0.5, alphabet=M)
         f64 = MiningConfig(**base)
         f32 = MiningConfig(score_dtype="float32", **base)
         assert f64.to_key() != f32.to_key()  # float32 changes results
@@ -525,21 +409,24 @@ class TestConfigPlumbing:
 
     def test_build_miner_applies_the_dtype_to_the_engine(self, monkeypatch):
         config = MiningConfig(
-            min_match=0.5, alphabet=M, engine="native",
-            score_dtype="float32",
+            min_match=0.5, alphabet=M, score_dtype="float32",
         )
         engine = NativeEngine(chunk_rows=3, kernels="pure")
         miner = config.build_miner(n_sequences=10, engine=engine)
         assert engine.score_dtype == "float32"
         assert miner is not None
 
-    def test_build_miner_rejects_float32_on_other_engines(self):
+    def test_build_miner_rejects_float32_on_other_engines(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.config.native_available", True)
         config = MiningConfig(
-            min_match=0.5, alphabet=M, engine="native",
+            min_match=0.5, alphabet=M, algorithm="levelwise",
             score_dtype="float32",
         )
-        with pytest.raises(MiningError, match="native"):
-            config.build_miner(n_sequences=10, engine="vectorized")
+        with pytest.raises(MiningError, match="float32"):
+            config.build_miner(n_sequences=10,
+                               engine=VectorizedBatchEngine())
 
 
 # -- CLI surface ---------------------------------------------------------------
@@ -550,10 +437,9 @@ class TestCliSurface:
 
         args = build_parser().parse_args([
             "mine", "db.txt", "--min-match", "0.5",
-            "--engine", "native", "--score-dtype", "float32",
+            "--score-dtype", "float32",
         ])
         assert args.score_dtype == "float32"
-        assert args.engine == "native"
 
     def test_bad_score_dtype_rejected_by_argparse(self, capsys):
         from repro.cli import build_parser
@@ -563,23 +449,3 @@ class TestCliSurface:
                 "mine", "db.txt", "--min-match", "0.5",
                 "--score-dtype", "float16",
             ])
-
-    def test_mine_runs_with_engine_native(self, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        # Numba-free legs take the explicit graceful-degradation path;
-        # with numba this is a real compiled run.  Isolate the shared
-        # registry so the fallback instance never leaks to other tests.
-        monkeypatch.setenv(NATIVE_FALLBACK_ENV_VAR, "1")
-        monkeypatch.setattr(engine_base, "_INSTANCES", {})
-        path = tmp_path / "db.txt"
-        assert main([
-            "generate", str(path), "--sequences", "20", "--length", "12",
-            "--alphabet", "6", "--seed", "3",
-        ]) == 0
-        code = main([
-            "mine", str(path), "--alphabet", "6", "--min-match", "0.5",
-            "--algorithm", "levelwise", "--engine", "native",
-            "--max-weight", "3", "--max-span", "4",
-        ])
-        assert code == 0

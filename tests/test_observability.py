@@ -34,6 +34,11 @@ from repro import (
     symbol_matches,
 )
 from repro.cli import main as cli_main
+from repro.engine import (
+    ParallelEngine,
+    ResidentSampleEvaluator,
+    VectorizedBatchEngine,
+)
 from repro.eval import ExperimentTable, phase_scan_series, record_run
 from repro.errors import NoisyMineError
 from repro.mining import ambiguous as ambiguous_mod
@@ -55,6 +60,8 @@ from repro.obs import (
     record_io,
 )
 
+from .oracles import ReferenceEngine
+
 M = 5
 CONSTRAINTS = PatternConstraints(max_weight=3, max_span=4)
 MIN_MATCH = 0.45
@@ -73,7 +80,17 @@ def noise_matrix() -> CompatibilityMatrix:
     return CompatibilityMatrix.uniform_noise(M, 0.1)
 
 
+#: Engines the scan invariant is pinned on, by report name.
+ENGINES = {
+    "reference": ReferenceEngine,
+    "vectorized": VectorizedBatchEngine,
+    "parallel": ParallelEngine,
+    "resident": ResidentSampleEvaluator,
+}
+
+
 def make_miner(algorithm, matrix, engine, tracer):
+    engine = ENGINES[engine]()
     if algorithm == "border-collapsing":
         return BorderCollapsingMiner(
             matrix, MIN_MATCH, sample_size=24, constraints=CONSTRAINTS,
@@ -197,14 +214,15 @@ class TestPhaseScanInvariant:
     def test_resident_sample_keeps_scan_accounting(
         self, small_db, noise_matrix, algorithm
     ):
-        # --resident-sample changes Phase-2 wall-clock only: the scan
-        # and sample-scan counters (and every result value) must be
-        # identical with and without it.
+        # The resident Phase-2 evaluator changes wall-clock only: the
+        # scan and sample-scan counters (and every result value) must
+        # equal a run counting the sample with the oracle.
         results = {}
         for resident in (False, True):
             tracer = Tracer()
             miner = make_miner(algorithm, noise_matrix, "reference", tracer)
-            miner.resident_sample = resident
+            if not resident:
+                miner.sample_engine = ReferenceEngine()
             before = small_db.scan_count
             result = miner.mine(small_db)
             consumed = small_db.scan_count - before
@@ -577,11 +595,13 @@ class TestZeroSpreadShortCircuit:
     def test_zero_spread_is_infrequent_and_never_probed(self, monkeypatch):
         db = threshold_exact_db()
         target = Pattern([0, 1])
-        real_spread = ambiguous_mod.restricted_spread
+        real_spreads = ambiguous_mod.batch_restricted_spread
         monkeypatch.setattr(
-            ambiguous_mod, "restricted_spread",
-            lambda pattern, sm: 0.0 if pattern == target
-            else real_spread(pattern, sm),
+            ambiguous_mod, "batch_restricted_spread",
+            lambda patterns, sm: np.where(
+                [p == target for p in patterns], 0.0,
+                real_spreads(patterns, sm),
+            ),
         )
         counted = []
         real_count = ambiguous_mod.count_matches_batched

@@ -29,6 +29,8 @@ from repro import (
 )
 from repro.io import HEADER_BYTES, STORE_MAGIC
 
+from .oracles import ReferenceEngine
+
 
 @pytest.fixture
 def small_db() -> SequenceDatabase:
@@ -311,12 +313,13 @@ class TestMinerParity:
     )
     def test_all_miners_bit_identical_on_packed(self, workload, algorithm):
         db, text, packed, matrix = workload
-        baseline = self._mine(algorithm, db, matrix, "reference")
+        baseline = self._mine(algorithm, db, matrix, ReferenceEngine())
         assert baseline.frequent  # the workload must exercise something
         store = PackedSequenceStore.open(packed)
         file_db = FileSequenceDatabase(text)
         for database in (store, file_db):
-            result = self._mine(algorithm, database, matrix, "reference")
+            result = self._mine(algorithm, database, matrix,
+                                ReferenceEngine())
             assert result.frequent == baseline.frequent  # bit-identical
             assert result.scans == baseline.scans
 
@@ -324,14 +327,16 @@ class TestMinerParity:
                              ["reference", "vectorized", "parallel"])
     def test_packed_matches_memory_on_every_backend(self, workload,
                                                     engine_name):
-        from repro.engine import ParallelEngine, get_engine
+        from repro.engine import ParallelEngine, VectorizedBatchEngine
 
         db, _text, packed, matrix = workload
         if engine_name == "parallel":
             engine = ParallelEngine(n_workers=2, chunk_rows=3,
                                     min_shard_rows=1)
+        elif engine_name == "vectorized":
+            engine = VectorizedBatchEngine()
         else:
-            engine = get_engine(engine_name)
+            engine = ReferenceEngine()
         try:
             in_memory = self._mine("border-collapsing", db, matrix, engine)
             store = PackedSequenceStore.open(packed)
@@ -341,7 +346,7 @@ class TestMinerParity:
             assert result.scans == in_memory.scans
             # Across backends: identical set, 1e-12 values, same scans.
             baseline = self._mine("border-collapsing", db, matrix,
-                                  "reference")
+                                  ReferenceEngine())
             assert set(result.frequent) == set(baseline.frequent)
             for pattern, value in baseline.frequent.items():
                 assert result.frequent[pattern] == pytest.approx(

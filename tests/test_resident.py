@@ -1,11 +1,11 @@
 """The resident-sample evaluator: equivalence, pinning, plane store.
 
 The evaluator's whole promise is "same numbers, fewer flops": every
-match value must agree with the reference engine to 1e-12 (and be
-bit-identical to the vectorized backend at equal ``chunk_rows``) on
+match value must agree with the per-sequence oracle to 1e-12 on
 arbitrary inputs — gapped patterns included — whether planes are
 cached, evicted and rebuilt, or the database was silently swapped
-between calls.  The scan contract (exactly one ``database.scan()`` per
+between calls (bit-identity to the vectorized engine, for every kernel
+dispatch, is pinned by ``tests/test_resident_native.py``).  The scan contract (exactly one ``database.scan()`` per
 ``database_matches``) must hold even though the engine keeps the data
 pinned.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     CompatibilityMatrix,
@@ -26,18 +25,7 @@ from repro import (
     WILDCARD,
     symbol_matches,
 )
-from repro.engine import (
-    NativeEngine,
-    PlaneStore,
-    RESIDENT_ENV_VAR,
-    ReferenceEngine,
-    ResidentSampleEvaluator,
-    VectorizedBatchEngine,
-    available_engines,
-    get_engine,
-    native_available,
-    resident_from_env,
-)
+from repro.engine import PlaneStore, ResidentSampleEvaluator
 from repro.engine.resident import _strip_last
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.chernoff import chernoff_epsilon, restricted_spread
@@ -48,56 +36,17 @@ from repro.obs import (
     Tracer,
 )
 
-M = 5
+from .oracles import ReferenceEngine
+from .strategies import (
+    M,
+    databases,
+    matrices,
+    pattern_batches,
+    patterns,
+)
+
 
 REF = ReferenceEngine()
-
-
-# -- strategies (mirroring test_engines.py) ------------------------------------
-
-def patterns(max_weight: int = 4, max_gap: int = 3) -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        weight = draw(st.integers(1, max_weight))
-        elements = [draw(st.integers(0, M - 1))]
-        for _ in range(weight - 1):
-            gap = draw(st.integers(0, max_gap))
-            elements.extend([WILDCARD] * gap)
-            elements.append(draw(st.integers(0, M - 1)))
-        return Pattern(elements)
-
-    return build()
-
-
-def sequences(min_len: int = 1, max_len: int = 12) -> st.SearchStrategy:
-    return st.lists(st.integers(0, M - 1), min_size=min_len, max_size=max_len)
-
-
-def matrices() -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        raw = draw(
-            st.lists(
-                st.lists(
-                    st.floats(0.01, 1.0, allow_nan=False),
-                    min_size=M, max_size=M,
-                ),
-                min_size=M, max_size=M,
-            )
-        )
-        array = np.asarray(raw, dtype=np.float64)
-        array = array / array.sum(axis=0, keepdims=True)
-        return CompatibilityMatrix(array)
-
-    return build()
-
-
-def databases() -> st.SearchStrategy:
-    return st.lists(sequences(), min_size=1, max_size=8).map(SequenceDatabase)
-
-
-def pattern_batches() -> st.SearchStrategy:
-    return st.lists(patterns(), min_size=1, max_size=6)
 
 
 # -- hypothesis equivalence ----------------------------------------------------
@@ -123,32 +72,6 @@ def test_database_matches_equivalence(batch, database, matrix):
     assert again == result
 
 
-@given(pattern_batches(), databases(), matrices())
-@settings(max_examples=40, deadline=None)
-def test_bit_identical_to_vectorized_at_equal_chunk_rows(
-    batch, database, matrix
-):
-    batch = list(dict.fromkeys(batch))
-    vec = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
-    res = ResidentSampleEvaluator(chunk_rows=3)
-    expected = vec.database_matches(batch, database, matrix)
-    got = res.database_matches(batch, database, matrix)
-    for pattern in batch:
-        # == on purpose: same multiply order, same chunk accumulation
-        # order, therefore the same float64 bit pattern.
-        assert got[pattern] == expected[pattern]
-    # The native backend (interpreted twins, plus the compiled kernels
-    # where numba imports) shares the same bit pattern — so resident and
-    # native results are mutually bit-identical too.
-    natives = [NativeEngine(chunk_rows=3, kernels="pure")]
-    if native_available:
-        natives.append(NativeEngine(chunk_rows=3))
-    for nat in natives:
-        native_got = nat.database_matches(batch, database, matrix)
-        for pattern in batch:
-            assert native_got[pattern] == expected[pattern]
-
-
 @given(databases(), matrices())
 @settings(max_examples=30, deadline=None)
 def test_symbol_matches_equivalence(database, matrix):
@@ -167,19 +90,6 @@ def test_symbol_matches_equivalence(database, matrix):
 
 
 # -- eviction and recompute ----------------------------------------------------
-
-@given(pattern_batches(), databases(), matrices())
-@settings(max_examples=40, deadline=None)
-def test_zero_plane_budget_changes_nothing(batch, database, matrix):
-    batch = list(dict.fromkeys(batch))
-    cached = ResidentSampleEvaluator(chunk_rows=3)
-    starved = ResidentSampleEvaluator(chunk_rows=3, plane_bytes=0)
-    expected = cached.database_matches(batch, database, matrix)
-    got = starved.database_matches(batch, database, matrix)
-    assert len(starved.planes) == 0  # nothing was ever retained
-    for pattern in batch:
-        assert got[pattern] == expected[pattern]
-
 
 class TestEvictionRecompute:
     def test_evicted_planes_are_rebuilt_exactly(self, fig2_matrix):
@@ -352,11 +262,10 @@ class TestClassifyIntegration:
     def test_resident_classification_identical_to_reference(self):
         database, matrix, sym, constraints = self._workload()
         base = classify_on_sample(
-            database, matrix, 0.4, 1e-3, sym, constraints,
-            engine="reference",
+            database, matrix, 0.4, 1e-3, sym, constraints, engine=REF,
         )
         res = classify_on_sample(
-            database, matrix, 0.4, 1e-3, sym, constraints, resident=True,
+            database, matrix, 0.4, 1e-3, sym, constraints,
         )
         assert base.labels == res.labels
         assert base.epsilons == res.epsilons
@@ -371,11 +280,10 @@ class TestClassifyIntegration:
         database, matrix, sym, constraints = self._workload()
         base = classify_on_sample(
             database, matrix, 0.4, 1e-3, sym, constraints,
-            exact=True, engine="reference",
+            exact=True, engine=REF,
         )
         res = classify_on_sample(
-            database, matrix, 0.4, 1e-3, sym, constraints,
-            exact=True, resident=True,
+            database, matrix, 0.4, 1e-3, sym, constraints, exact=True,
         )
         assert base.labels == res.labels
         assert base.epsilons == res.epsilons
@@ -388,7 +296,7 @@ class TestClassifyIntegration:
         database, matrix, sym, constraints = self._workload()
         n = len(database)
         result = classify_on_sample(
-            database, matrix, 0.4, 1e-3, sym, constraints, resident=True,
+            database, matrix, 0.4, 1e-3, sym, constraints,
         )
         checked = 0
         for pattern, epsilon in result.epsilons.items():
@@ -403,31 +311,6 @@ class TestClassifyIntegration:
 # -- configuration surface -----------------------------------------------------
 
 class TestConfiguration:
-    def test_registered_and_shared(self):
-        assert "resident" in available_engines()
-        engine = get_engine("resident")
-        assert isinstance(engine, ResidentSampleEvaluator)
-        assert get_engine("resident") is engine
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("false", False), ("no", False), ("off", False),
-        ("", False),
-    ])
-    def test_env_var_resolution(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(RESIDENT_ENV_VAR, raw)
-        assert resident_from_env() is expected
-
-    def test_env_var_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(RESIDENT_ENV_VAR, raising=False)
-        assert resident_from_env() is False
-        assert resident_from_env(default=True) is True
-
-    def test_env_var_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(RESIDENT_ENV_VAR, "maybe")
-        with pytest.raises(MiningError):
-            resident_from_env()
-
     def test_invalid_construction_rejected(self):
         with pytest.raises(MiningError):
             ResidentSampleEvaluator(chunk_rows=0)

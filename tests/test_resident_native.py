@@ -12,8 +12,7 @@ Differential surfaces:
   plane through the compiled recompute chain;
 * the float32 plane mode: error-bounded values, halved plane-store
   byte charges;
-* the ``resident_kernels`` / ``score_dtype`` plumbing through
-  :class:`MiningConfig` and the CLI.
+* the ``score_dtype`` plumbing through :class:`MiningConfig`.
 
 Everything runs on numba-free legs via the interpreted kernel twins;
 the compiled specialisations join in automatically where numba
@@ -29,22 +28,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    BorderCollapsingMiner,
     CompatibilityMatrix,
     MiningError,
     Pattern,
+    PatternConstraints,
     SequenceDatabase,
     WILDCARD,
 )
 from repro.config import MiningConfig
 from repro.core import _nativekernels as nk
 from repro.engine import (
-    RESIDENT_KERNEL_MODES,
-    RESIDENT_KERNELS_ENV_VAR,
     ResidentSampleEvaluator,
     VectorizedBatchEngine,
     native_available,
     native_unavailable_reason,
-    resident_kernels_from_env,
     sibling_order,
 )
 from repro.engine.kernels import extend_plane, extended_matrix, pad_chunk
@@ -56,66 +54,20 @@ from repro.obs import (
     Tracer,
 )
 
-M = 5
+from .strategies import (
+    M,
+    databases,
+    kernel_variants,
+    matrices,
+    pattern_batches,
+    patterns,
+)
+
 
 VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
 
 #: The float32 bound shared with the native engine (docs/ALGORITHMS.md).
 FLOAT32_ATOL = 1e-5
-
-
-# -- strategies (mirroring test_native.py) -------------------------------------
-
-def patterns(max_weight: int = 4, max_gap: int = 3) -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        weight = draw(st.integers(1, max_weight))
-        elements = [draw(st.integers(0, M - 1))]
-        for _ in range(weight - 1):
-            gap = draw(st.integers(0, max_gap))
-            elements.extend([WILDCARD] * gap)
-            elements.append(draw(st.integers(0, M - 1)))
-        return Pattern(elements)
-
-    return build()
-
-
-def sequences(min_len: int = 1, max_len: int = 12) -> st.SearchStrategy:
-    return st.lists(st.integers(0, M - 1), min_size=min_len, max_size=max_len)
-
-
-def matrices() -> st.SearchStrategy:
-    @st.composite
-    def build(draw):
-        raw = draw(
-            st.lists(
-                st.lists(
-                    st.floats(0.01, 1.0, allow_nan=False),
-                    min_size=M, max_size=M,
-                ),
-                min_size=M, max_size=M,
-            )
-        )
-        array = np.asarray(raw, dtype=np.float64)
-        array = array / array.sum(axis=0, keepdims=True)
-        return CompatibilityMatrix(array)
-
-    return build()
-
-
-def databases() -> st.SearchStrategy:
-    return st.lists(sequences(), min_size=1, max_size=8).map(SequenceDatabase)
-
-
-def pattern_batches() -> st.SearchStrategy:
-    return st.lists(patterns(), min_size=1, max_size=6)
-
-
-def _kernel_variants(py_kernel, active_kernel):
-    variants = [py_kernel]
-    if native_available:
-        variants.append(active_kernel)
-    return variants
 
 
 def _chain(pattern: Pattern):
@@ -141,7 +93,6 @@ def _numpy_plane(pattern: Pattern, padded: np.ndarray, c_ext: np.ndarray):
         plane = extend_plane(plane, gathered, symbol, offset)
     return plane
 
-
 # -- kernel differential tests -------------------------------------------------
 
 @given(patterns(), databases(), matrices())
@@ -159,7 +110,7 @@ def test_derive_child_planes_matches_extend_plane(pattern, database, matrix):
     symbol, offset = links[-1]
     n = padded.shape[0]
     windows = padded.shape[1] - offset
-    for kernel in _kernel_variants(
+    for kernel in kernel_variants(
         nk.py_derive_child_planes, nk.derive_child_planes
     ):
         plane = np.empty((windows, n), dtype=np.float64)
@@ -201,7 +152,7 @@ def test_derive_sibling_batch_matches_plane_maxima(batch, database, matrix):
             )
             plane = _numpy_plane(Pattern(elements), padded, c_ext)
             np.maximum.reduce(plane, axis=0, out=expected[s])
-        for kernel in _kernel_variants(
+        for kernel in kernel_variants(
             nk.py_derive_sibling_batch, nk.derive_sibling_batch
         ):
             maxima = np.empty((M, n), dtype=np.float64)
@@ -242,7 +193,7 @@ def test_replay_plane_chain_matches_iterated_extends(
         replayed = links[depth:]
     symbols = np.array([s for s, _ in replayed], dtype=np.int64)
     offsets = np.array([o for _, o in replayed], dtype=np.int64)
-    for kernel in _kernel_variants(
+    for kernel in kernel_variants(
         nk.py_replay_plane_chain, nk.replay_plane_chain
     ):
         plane = np.empty((windows, n), dtype=np.float64)
@@ -477,101 +428,53 @@ def test_sibling_order_is_a_permutation_with_contiguous_groups(batch):
 
 
 def test_kernel_mode_validation():
-    with pytest.raises(MiningError):
+    with pytest.raises(MiningError, match="kernels"):
         ResidentSampleEvaluator(kernels="fortran")
-    evaluator = ResidentSampleEvaluator()
-    with pytest.raises(MiningError):
-        evaluator.set_kernel_mode("fortran")
 
 
 # -- config / CLI / env plumbing -----------------------------------------------
 
 class TestPlumbing:
-    def test_env_resolution(self, monkeypatch):
-        assert resident_kernels_from_env() == "auto"
-        monkeypatch.setenv(RESIDENT_KERNELS_ENV_VAR, "pure")
-        assert resident_kernels_from_env() == "pure"
-        evaluator = ResidentSampleEvaluator()
-        assert evaluator.kernel_mode == "pure"
-        monkeypatch.setenv(RESIDENT_KERNELS_ENV_VAR, "cuda")
-        with pytest.raises(MiningError):
-            resident_kernels_from_env()
-
-    def test_config_defaults_and_validation(self):
-        config = MiningConfig(min_match=0.5)
-        assert config.resident_kernels == "auto"
-        with pytest.raises(MiningError):
-            MiningConfig(min_match=0.5, resident_kernels="cuda")
-
-    def test_config_resolve_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(RESIDENT_KERNELS_ENV_VAR, "numpy")
-        assert MiningConfig.resolve(min_match=0.5).resident_kernels == "numpy"
-
     def test_float32_allowed_with_resident_sample(self):
         config = MiningConfig(
-            min_match=0.5, alphabet=M, resident_sample=True,
-            score_dtype="float32", seed=1,
+            min_match=0.5, alphabet=M, score_dtype="float32", seed=1,
         )
         miner = config.build_miner(n_sequences=8)
-        evaluator = miner.resident_sample
+        evaluator = miner.sample_engine
         assert isinstance(evaluator, ResidentSampleEvaluator)
         assert evaluator.score_dtype == "float32"
 
     def test_float32_still_rejected_without_a_capable_backend(self):
-        with pytest.raises(MiningError):
-            MiningConfig(min_match=0.5, score_dtype="float32")
-
-    def test_build_miner_threads_kernels_into_fresh_evaluator(self):
-        config = MiningConfig(
-            min_match=0.5, alphabet=M, resident_sample=True,
-            resident_kernels="pure", seed=1,
-        )
-        evaluator = config.build_miner(n_sequences=8).resident_sample
-        assert evaluator.kernel_mode == "pure"
+        if native_available:
+            pytest.skip("compiled kernels score every miner in float32")
+        with pytest.raises(MiningError, match="float32"):
+            MiningConfig(min_match=0.5, algorithm="levelwise",
+                         score_dtype="float32")
 
     def test_build_miner_reconfigures_warm_evaluator(self):
         warm = ResidentSampleEvaluator(kernels="numpy")
         config = MiningConfig(
-            min_match=0.5, alphabet=M, resident_sample=True,
-            resident_kernels="pure", score_dtype="float32", seed=1,
+            min_match=0.5, alphabet=M, score_dtype="float32", seed=1,
         )
-        miner = config.build_miner(n_sequences=8, resident=warm)
-        assert miner.resident_sample is warm
-        assert warm.kernel_mode == "pure"
+        miner = config.build_miner(n_sequences=8, sample_engine=warm)
+        assert miner.sample_engine is warm
+        assert warm.kernel_mode == "numpy"
         assert warm.score_dtype == "float32"
-
-    def test_round_trip_keeps_resident_kernels(self):
-        config = MiningConfig(
-            min_match=0.5, resident_sample=True, resident_kernels="numpy"
-        )
-        assert MiningConfig.from_dict(config.to_dict()) == config
-
-    def test_resident_kernels_is_not_semantic(self):
-        base = MiningConfig(min_match=0.5, resident_sample=True)
-        pure = base.with_overrides(resident_kernels="pure")
-        assert base.to_key() == pure.to_key()  # bit-identical dispatches
-
-    def test_cli_flag_parses(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(
-            ["mine", "data", "--min-match", "0.5",
-             "--resident-sample", "--resident-kernels", "pure"]
-        )
-        assert args.resident_kernels == "pure"
 
 
 def test_mining_end_to_end_matches_across_dispatches(small_world):
-    """Whole-miner differential: the six-phase run with the resident
-    evaluator produces identical borders under every dispatch."""
+    """Whole-miner differential: the three-phase run produces identical
+    results whichever kernels the resident evaluator runs."""
     database, matrix = small_world
     results = {}
     for mode in ("numpy", "pure"):
-        config = MiningConfig(
-            min_match=0.35, matrix=tuple(map(tuple, matrix.array)),
-            resident_sample=True, resident_kernels=mode,
-            sample_size=7, seed=5, max_weight=4, max_span=6, max_gap=1,
+        miner = BorderCollapsingMiner(
+            matrix, 0.35, sample_size=7,
+            constraints=PatternConstraints(max_weight=4, max_span=6,
+                                           max_gap=1),
+            rng=np.random.default_rng(5),
+            sample_engine=ResidentSampleEvaluator(kernels=mode),
         )
-        miner = config.build_miner(n_sequences=len(database))
         results[mode] = miner.mine(database)
     assert results["numpy"].frequent == results["pure"].frequent
     assert results["numpy"].border == results["pure"].border

@@ -22,6 +22,7 @@ from repro import (
     SequenceDatabase,
     WILDCARD,
 )
+from repro.engine import ParallelEngine, VectorizedBatchEngine
 from repro.mining import (
     BorderCollapsingMiner,
     LevelwiseMiner,
@@ -42,7 +43,14 @@ from repro.mining import (
     toivonen as toivonen_module,
 )
 
-ENGINES = ["reference", "vectorized", "parallel"]
+from .oracles import ReferenceEngine
+
+#: Engines the scan contract is pinned on, by name.
+ENGINES = {
+    "reference": ReferenceEngine,
+    "vectorized": VectorizedBatchEngine,
+    "parallel": ParallelEngine,
+}
 
 PATTERNS = [
     Pattern([0, 1]),
@@ -63,7 +71,8 @@ class TestBatchedCounting:
     ):
         before = fig4_database.scan_count
         result = count_matches_batched(
-            PATTERNS, fig4_database, fig2_matrix, capacity, engine=engine
+            PATTERNS, fig4_database, fig2_matrix, capacity,
+            engine=ENGINES[engine](),
         )
         expected = (
             math.ceil(len(PATTERNS) / capacity) if capacity else 1
@@ -79,7 +88,8 @@ class TestBatchedCounting:
         duplicated = PATTERNS[:3] * 4
         before = fig4_database.scan_count
         count_matches_batched(
-            duplicated, fig4_database, fig2_matrix, 1, engine=engine
+            duplicated, fig4_database, fig2_matrix, 1,
+            engine=ENGINES[engine](),
         )
         assert fig4_database.scan_count - before == 3
 
@@ -94,7 +104,8 @@ class TestBatchedCounting:
         for engine in ENGINES:
             before = fig4_database.scan_count
             count_matches_batched(
-                PATTERNS, fig4_database, fig2_matrix, 3, engine=engine
+                PATTERNS, fig4_database, fig2_matrix, 3,
+                engine=ENGINES[engine](),
             )
             deltas[engine] = fig4_database.scan_count - before
         assert len(set(deltas.values())) == 1
@@ -210,7 +221,7 @@ class TestMinerEntryPoints:
         matrix, database, constraints = workload
         LevelwiseMiner(
             matrix, 0.3, constraints=constraints, memory_capacity=3,
-            engine=engine,
+            engine=ENGINES[engine](),
         ).mine(database)
         assert instrument  # the invariant was actually exercised
 

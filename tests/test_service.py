@@ -156,6 +156,15 @@ class TestHTTPRoundTrip:
                 store=str(store_path),
             )
 
+    @pytest.mark.parametrize(
+        "key", ["engine", "lattice", "resident_sample", "resident_kernels"]
+    )
+    def test_removed_execution_key_is_400(self, client, store_path, key):
+        with pytest.raises(ServiceError, match=f"400.*{key}"):
+            client.submit(dict(CONFIG, **{key: "vectorized"}),
+                          store=str(store_path))
+        assert client.healthz()["status"] == "ok"  # the daemon stays up
+
     def test_missing_store_is_400(self, client, tmp_path):
         with pytest.raises(ServiceError, match="400"):
             client.submit(CONFIG, store=str(tmp_path / "nope.nmp"))
@@ -195,13 +204,12 @@ class TestMemoization:
             assert service.memo.stats()["hits"] == 1
 
     def test_memo_crosses_execution_knobs(self, store_path):
-        """A vectorized rerun of a reference-engine job is a memo hit:
-        backends are pinned bit-identical by the equivalence suites."""
+        """A rerun that differs only in the store representation is a
+        memo hit: every representation yields bit-identical results."""
         with MiningService(workers=1) as service:
             service.submit(CONFIG, store=str(store_path))
             service._queue.join()
-            variant = dict(CONFIG, engine="vectorized",
-                           lattice="reference")
+            variant = dict(CONFIG, store="packed")
             second = service.submit(variant, store=str(store_path))
             service._queue.join()
             assert second.memo_hit
@@ -246,8 +254,7 @@ class TestWarmState:
         """The second sampling job on the same store reuses the pinned
         sample: the warm evaluator's repin counter must not move."""
         config = dict(CONFIG, algorithm="border-collapsing",
-                      sample_size=40, delta=0.5, seed=9,
-                      resident_sample=True)
+                      sample_size=40, delta=0.5, seed=9)
         with MiningService(workers=1) as service:
             service.submit(config, store=str(store_path))
             service._queue.join()
@@ -727,14 +734,13 @@ class TestShardMetrics:
         from repro.obs import INLINE_FALLBACKS, SHARDS_DISPATCHED
 
         # The per-store engine is built lazily by the daemon via
-        # ``create_engine("parallel")``, which resolves the worker
-        # count from the environment at construction.  The store must
-        # span several 256-row blocks or the engine (correctly) falls
-        # back inline.
+        # ``select_engine()``, which reads the worker count from the
+        # environment at construction.  The store must span several
+        # 256-row blocks or the engine (correctly) falls back inline.
         monkeypatch.setenv("NOISYMINE_WORKERS", "2")
         path = _make_store(tmp_path, "shards.nmp", seed=33,
                            sequences=600)
-        config = dict(CONFIG, engine="parallel", max_weight=2)
+        config = dict(CONFIG, max_weight=2)
         with MiningService(workers=1) as service:
             job = service.submit(config, store=str(path))
             service._queue.join()

@@ -26,25 +26,21 @@ from repro.config import MiningConfig
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.pattern import Pattern
 from repro.core.sequence import SequenceDatabase
-from repro.engine import (
-    InlineShardExecutor,
-    ParallelEngine,
-    OVERSPLIT_ENV_VAR,
-    ShardExecutor,
-    ShuffledExecutor,
-    VectorizedBatchEngine,
-    manifest_from_rows,
-    manifest_from_store,
-    resolve_oversplit,
-)
+from repro.engine import ParallelEngine, VectorizedBatchEngine
 from repro.engine.kernels import extended_matrix, group_patterns_by_span
+from repro.engine.parallel import DEFAULT_OVERSPLIT
 from repro.engine.shards import (
     TASK_DATABASE_TOTALS,
     TASK_SYMBOL_TOTALS,
+    InlineShardExecutor,
+    ShardExecutor,
     ShardSpec,
     ShardTask,
+    ShuffledExecutor,
     build_tasks,
     execute_shard_task,
+    manifest_from_rows,
+    manifest_from_store,
     scatter_gather,
 )
 from repro.errors import MiningError
@@ -53,7 +49,6 @@ from repro.obs import (
     INLINE_FALLBACKS,
     SHARD_IO_BYTES,
     SHARD_SCAN_SECONDS,
-    SHARD_STEALS,
     SHARDS_DISPATCHED,
     Tracer,
 )
@@ -390,7 +385,6 @@ def _mine(store, algorithm, engine):
     config = MiningConfig.resolve(
         min_match=0.45, algorithm=algorithm, alphabet=M, noise=0.1,
         sample_size=24, max_weight=3, max_span=4, seed=5,
-        engine="reference",  # overridden by the instance below
     )
     miner = config.build_miner(len(store), engine=engine)
     store.reset_scan_count()
@@ -522,25 +516,10 @@ class TestIOChargedOnSuccessOnly:
 
 
 class TestOversplitResolution:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(OVERSPLIT_ENV_VAR, "7")
-        assert resolve_oversplit(2) == 2
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(OVERSPLIT_ENV_VAR, "5")
-        assert resolve_oversplit() == 5
-        assert ParallelEngine(n_workers=2).oversplit == 5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(OVERSPLIT_ENV_VAR, raising=False)
-        assert resolve_oversplit() == 3
-
-    @pytest.mark.parametrize("value", ["zebra", "0", "-2"])
-    def test_env_must_be_a_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv(OVERSPLIT_ENV_VAR, value)
-        with pytest.raises(MiningError):
-            resolve_oversplit()
+    def test_default(self):
+        assert DEFAULT_OVERSPLIT == 3
+        assert ParallelEngine(n_workers=2).oversplit == DEFAULT_OVERSPLIT
 
     def test_explicit_must_be_positive(self):
         with pytest.raises(MiningError):
-            resolve_oversplit(0)
+            ParallelEngine(n_workers=2, oversplit=0)
