@@ -1,20 +1,25 @@
 """Match-engine throughput on the Figure 14 counting workload.
 
 Times :func:`repro.mining.counting.count_matches_batched` — the single
-dispatch point every miner funnels through — for each production
-engine, against the per-sequence oracle of ``tests/oracles.py``, on
+dispatch point every miner funnels through — for each setting of the
+counting engine (``VectorizedBatchEngine`` with one or two workers,
+numpy or compiled kernels), against the per-sequence oracle of
+``tests/oracles.py``, on
 the same workload ``bench_fig14_performance.py`` mines: the
 protein-composition standard database, uniform noise ``alpha = 0.1``,
 and a memory capacity of 64 counters per scan.  The pattern set is a
 fixed sample of weight-2..8 patterns, the shape of a Phase-2/Phase-3
 candidate batch.
 
-Engines are timed in *interleaved* rounds (reference, vectorized,
-parallel, reference, ...) so that machine-load drift hits every
-backend equally, and the recorded figure is the best round — the
-standard way to measure capability rather than contention.  The
-vectorized engine is additionally timed with a cleared factor cache
-every round (``cold``) to separate kernel speed from cache reuse.
+Legs are timed in *interleaved* rounds (reference, vectorized,
+workers-2, reference, ...) so that machine-load drift hits every leg
+equally, and the recorded figure is the best round — the standard way
+to measure capability rather than contention.  ``vectorized`` is one
+worker on the numpy kernels, ``workers-2`` the same kernels over a
+two-process pool, and ``compiled`` (numba only) one worker on the
+compiled kernels.  The vectorized leg is additionally timed with a
+cleared factor cache every round (``cold``) to separate kernel speed
+from cache reuse.
 
 Run as a script to write ``BENCH_engine.json`` next to the repo root
 (or to ``--out PATH``)::
@@ -32,6 +37,7 @@ benchmarks::
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from typing import Dict, List
 
@@ -39,12 +45,7 @@ import numpy as np
 
 from repro import CompatibilityMatrix, Pattern
 from repro.datagen.noise import corrupt_uniform
-from repro.engine import (
-    NativeEngine,
-    ParallelEngine,
-    VectorizedBatchEngine,
-    native_available,
-)
+from repro.engine import VectorizedBatchEngine, native_available
 from repro.mining.counting import count_matches_batched
 
 from _workloads import (
@@ -125,11 +126,11 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
     test, matrix, patterns = build_workload(scale)
     engines = {
         "reference": ReferenceEngine(),
-        "vectorized": VectorizedBatchEngine(),
-        "parallel": ParallelEngine(n_workers=2),
+        "vectorized": VectorizedBatchEngine(workers=1, kernels="numpy"),
+        "workers-2": VectorizedBatchEngine(workers=2, kernels="numpy"),
     }
     if native_available:
-        engines["native"] = NativeEngine()
+        engines["compiled"] = VectorizedBatchEngine(workers=1)
 
     def count(engine):
         test.reset_scan_count()
@@ -164,7 +165,7 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             timings["vectorized-cold"].append(
                 time.perf_counter() - started
             )
-    engines["parallel"].close()
+    engines["workers-2"].close()
 
     best_reference = min(timings["reference"])
     report = {
@@ -177,6 +178,8 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             "n_patterns": len(patterns),
             "pattern_weights": sorted({p.weight for p in patterns}),
             "rounds": rounds,
+            "cores": len(os.sched_getaffinity(0)),
+            "numba": native_available,
         },
         "engines": {},
     }
@@ -188,6 +191,9 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             "patterns_per_sec": len(patterns) / best,
             "speedup_vs_reference": best_reference / best,
         }
+    report["engines"]["workers-2"]["shards_dispatched"] = (
+        engines["workers-2"].shards_dispatched
+    )
     return report
 
 

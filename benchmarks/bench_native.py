@@ -1,25 +1,26 @@
-"""Native compiled kernels vs the vectorized numpy tiers.
+"""Compiled kernels vs the numpy kernels of the same engine.
 
-The numpy engine (PR 1) removed per-pattern Python dispatch but still
-materialises the ``(m + 1, L, N)`` factor array and a score plane per
-window; the lattice kernels (PR 5) still gather ``(pairs, span)``
-blocks per containment sweep.  The native backend fuses those loops
+The numpy kernels remove per-pattern Python dispatch but still
+materialise the ``(m + 1, L, N)`` factor array and a score plane per
+window; the numpy lattice kernels still gather ``(pairs, span)``
+blocks per containment sweep.  The compiled kernels fuse those loops
 into single compiled passes (:mod:`repro.core._nativekernels`).  This
-benchmark gates the whole contract of that backend:
+benchmark gates the whole contract of that path:
 
-* **window scoring** — ``NativeEngine.database_matches`` vs
-  ``VectorizedBatchEngine`` on the fig14 counting workload, gated
-  >= 5x when numba is importable (auto-skipped, with the recorded
-  import-failure reason, when it is not);
+* **window scoring** — ``VectorizedBatchEngine(kernels="auto")`` (the
+  compiled kernels) vs ``kernels="numpy"`` on the fig14 counting
+  workload, gated >= 5x when numba is importable (auto-skipped, with
+  the recorded import-failure reason, when it is not);
 * **lattice kernels** — batch candidate generation and the Phase-3
   containment sweep with the compiled kernels vs the numpy
   byte-set/gather paths, gated on combined speedup;
 * **float32 scoring** — max deviation of ``score_dtype="float32"``
   match values from float64, gated below the documented bound (far
   under every classification tolerance the miners use);
-* **six-miner bit-identity** — all six miners end to end on the native
-  engine vs the vectorized engine: identical frequent sets (float64
-  bit patterns included), identical borders, identical scan counts.
+* **six-miner bit-identity** — all six miners end to end on the
+  compiled kernels (their interpreted twins without numba) vs the
+  numpy kernels: identical frequent sets (float64 bit patterns
+  included), identical borders, identical scan counts.
 
 The correctness gates run on every leg — without numba they exercise
 the interpreted kernel twins, the exact code numba compiles.  Run as a
@@ -58,7 +59,7 @@ from repro.core.latticekernels import (
     subsumption_hits,
 )
 from repro.datagen.noise import corrupt_uniform
-from repro.engine import NativeEngine, VectorizedBatchEngine
+from repro.engine import VectorizedBatchEngine
 from repro.mining.depthfirst import DepthFirstMiner
 from repro.mining.pincer import PincerMiner
 from repro.mining.toivonen import ToivonenMiner
@@ -124,7 +125,9 @@ def build_workload(scale: BenchScale):
     rng = np.random.default_rng(scale.noise_seeds[0])
     noisy = corrupt_uniform(std, m, ALPHA, rng)
     matrix = CompatibilityMatrix.uniform_noise(m, ALPHA)
-    symbol_match = VectorizedBatchEngine().symbol_matches(noisy, matrix)
+    symbol_match = VectorizedBatchEngine(kernels="numpy").symbol_matches(
+        noisy, matrix
+    )
     top = list(np.argsort(symbol_match)[::-1][:TIMED_SYMBOLS])
     batch: List[Pattern] = []
     for a in top:
@@ -147,21 +150,25 @@ def verify_window_kernels(noisy, matrix, batch) -> Dict:
     :data:`FLOAT32_BOUND`.
     """
     correctness = batch[:CORRECTNESS_PATTERNS]
-    vec = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, cache_bytes=0)
+    vec = VectorizedBatchEngine(
+        chunk_rows=CHUNK_ROWS, cache_bytes=0, kernels="numpy"
+    )
     expected = vec.database_matches(correctness, noisy, matrix)
-    engines = {"pure": NativeEngine(chunk_rows=CHUNK_ROWS, kernels="pure")}
+    engines = {
+        "pure": VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, kernels="pure")
+    }
     if nk.native_available:
-        engines["compiled"] = NativeEngine(chunk_rows=CHUNK_ROWS)
+        engines["compiled"] = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS)
     for label, engine in engines.items():
         got = engine.database_matches(correctness, noisy, matrix)
         for pattern in correctness:
             if got[pattern] != expected[pattern]:
                 raise AssertionError(
-                    f"native ({label}) deviates from vectorized on "
+                    f"{label} kernels deviate from numpy on "
                     f"{pattern}: {got[pattern]!r} != "
                     f"{expected[pattern]!r}"
                 )
-    f32_engine = NativeEngine(
+    f32_engine = VectorizedBatchEngine(
         chunk_rows=CHUNK_ROWS, score_dtype="float32",
         kernels="auto" if nk.native_available else "pure",
     )
@@ -226,7 +233,7 @@ def verify_lattice_kernels(batch, triples) -> Dict:
 
 
 def verify_miners() -> Dict:
-    """Six miners end to end: native engine vs vectorized, identical."""
+    """Six miners end to end: compiled (or pure) kernels vs numpy."""
     rng = np.random.default_rng(7)
     rows = [
         rng.integers(0, MINER_GATE_ALPHABET, size=MINER_GATE_LENGTH).tolist()
@@ -239,14 +246,14 @@ def verify_miners() -> Dict:
     sample_size = max(2, len(rows) // 2)
 
     def engines():
-        native = (
-            NativeEngine(chunk_rows=CHUNK_ROWS)
-            if nk.native_available
-            else NativeEngine(chunk_rows=CHUNK_ROWS, kernels="pure")
-        )
         return {
-            "vectorized": VectorizedBatchEngine(chunk_rows=CHUNK_ROWS),
-            "native": native,
+            "vectorized": VectorizedBatchEngine(
+                chunk_rows=CHUNK_ROWS, kernels="numpy"
+            ),
+            "native": VectorizedBatchEngine(
+                chunk_rows=CHUNK_ROWS,
+                kernels="auto" if nk.native_available else "pure",
+            ),
         }
 
     factories = {
@@ -306,9 +313,11 @@ def verify_miners() -> Dict:
 
 
 def time_window_scoring(noisy, matrix, batch, rounds: int) -> Dict:
-    """Best-of-rounds timing: compiled native vs vectorized scoring."""
-    native = NativeEngine(chunk_rows=CHUNK_ROWS)
-    vec = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, cache_bytes=0)
+    """Best-of-rounds timing: compiled vs numpy kernel scoring."""
+    native = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS)
+    vec = VectorizedBatchEngine(
+        chunk_rows=CHUNK_ROWS, cache_bytes=0, kernels="numpy"
+    )
     nk.warm_kernels()  # charge JIT outside the timed region
     native.database_matches(batch[:2], noisy, matrix)
     timings: Dict[str, List[float]] = {"native": [], "vectorized": []}

@@ -1,21 +1,21 @@
-"""Sharded counting-tier benchmark: scatter-gather scaling and identity.
+"""Worker-pool benchmark: scatter-gather scaling and identity.
 
-Measures the :class:`~repro.engine.parallel.ParallelEngine`'s sharded
-counting tier against the single-process vectorized engine and enforces
-the contracts the tier is built on:
+Measures :class:`~repro.engine.VectorizedBatchEngine` with several
+workers — its block-aligned shards on a fork pool — against the same
+engine with one worker, and enforces the contracts the pool is built
+on:
 
 * **bit-identity** (always enforced, including ``--smoke``): merged
-  totals are bit-for-bit identical to the vectorized engine for every
-  shard count (1, 2, 7, workers*4) and for adversarially shuffled
-  completion orders, on both the packed and the segmented store.  No
-  tolerance — the shard-index merge replays the exact accumulation
-  order of a single-process chunked scan.
+  totals are bit-for-bit identical to one worker for several worker
+  counts (so shard counts) and for adversarially shuffled completion
+  orders, on both the packed and the segmented store.  No tolerance —
+  the shard-index merge replays the exact accumulation order of the
+  serial chunked scan.
 * **segmented dispatch** (always enforced): a multi-segment store
-  dispatches digest-addressed shards to real pool workers — zero
-  inline row-shipping fallbacks.
-* **steals** (full mode only): on a symbol-skewed store with 4x
-  oversplit, at least one task is stolen beyond a worker's fair share
-  — the work-stealing queue actually rebalances.
+  dispatches digest-addressed shards to real pool workers.
+* **steals** (full mode only): on a symbol-skewed store, at least one
+  task is stolen beyond a worker's fair share — the work-stealing
+  queue actually rebalances.
 * **scaling** (full mode only): counting throughput at 4 workers is at
   least 3x the 1-worker throughput on the standard store.  Skipped
   with a recorded reason when the machine exposes fewer than 4 cores,
@@ -54,9 +54,13 @@ from _workloads import (
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.pattern import Pattern
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ParallelEngine, VectorizedBatchEngine
-from repro.engine.shards import InlineShardExecutor, ShuffledExecutor
+from repro.engine import VectorizedBatchEngine
+from repro.engine.shards import OVERSPLIT
 from repro.io import PackedSequenceStore, SegmentedSequenceStore
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.oracles import serial_dispatch, shuffled, small_shards  # noqa: E402
 
 
 ALPHA = 0.1
@@ -65,10 +69,10 @@ SCALING_GATE = 3.0
 SCALING_WORKERS = 4
 ROUNDS = 3
 
-#: Shard-count targets exercised by the identity gate: serial, minimal
-#: split, an odd count that never divides the block grid evenly, and
-#: the scheduler's own default of workers*4.
-SHARD_TARGETS = (1, 2, 7, 8)
+#: Worker counts exercised by the identity gate (OVERSPLIT shards
+#: each): serial, the smallest pool, and counts whose shard totals
+#: never divide the block grid evenly.
+WORKER_COUNTS = (1, 2, 3, 5)
 
 
 def _batch(m: int) -> List[Pattern]:
@@ -113,36 +117,38 @@ def check_bit_identity(packed, segmented, matrix) -> Dict:
     """The identity gate: every shard count, shuffled completion, both
     stores, database and symbol totals — all bit-identical."""
     batch = _batch(matrix.size)
-    vec = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS)
+    vec = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, workers=1)
     checked = 0
     for store in (packed, segmented):
         want_db = vec.database_matches(batch, store, matrix)
         want_sym = vec.symbol_matches(store, matrix)
-        for target in SHARD_TARGETS:
+        for workers in WORKER_COUNTS:
             for seed in range(3):
-                engine = ParallelEngine(
-                    n_workers=1, chunk_rows=CHUNK_ROWS, min_shard_rows=1,
-                    oversplit=target,
-                    executor=ShuffledExecutor(InlineShardExecutor(),
-                                              seed),
+                engine = VectorizedBatchEngine(
+                    chunk_rows=CHUNK_ROWS, workers=workers
                 )
-                got_db = engine.database_matches(batch, store, matrix)
-                got_sym = engine.symbol_matches(store, matrix)
+                engine.dispatch = shuffled(
+                    serial_dispatch(engine, matrix), seed
+                )
+                with small_shards():
+                    got_db = engine.database_matches(batch, store, matrix)
+                    got_sym = engine.symbol_matches(store, matrix)
                 if got_db != want_db:
                     raise AssertionError(
-                        f"database totals differ at target={target} "
+                        f"database totals differ at workers={workers} "
                         f"seed={seed} on {type(store).__name__}"
                     )
                 if not np.array_equal(got_sym, want_sym):
                     raise AssertionError(
-                        f"symbol totals differ at target={target} "
+                        f"symbol totals differ at workers={workers} "
                         f"seed={seed} on {type(store).__name__}"
                     )
                 checked += 1
     return {
         "identical": True,
         "configs_checked": checked,
-        "shard_targets": list(SHARD_TARGETS),
+        "worker_counts": list(WORKER_COUNTS),
+        "oversplit": OVERSPLIT,
         "shuffle_seeds": 3,
         "tolerance": "bit-identical (== on floats)",
     }
@@ -150,34 +156,26 @@ def check_bit_identity(packed, segmented, matrix) -> Dict:
 
 def check_segmented_dispatch(segmented, matrix) -> Dict:
     """The worker-mmap gate: real pool workers, digest-addressed
-    segment shards, zero inline fallbacks."""
+    segment shards."""
     batch = _batch(matrix.size)
-    engine = ParallelEngine(
-        n_workers=2, chunk_rows=CHUNK_ROWS, min_shard_rows=1
-    )
+    engine = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, workers=2)
     try:
-        engine.database_matches(batch, segmented, matrix)
-        engine.symbol_matches(segmented, matrix)
+        with small_shards():
+            engine.database_matches(batch, segmented, matrix)
+            engine.symbol_matches(segmented, matrix)
         if engine.shards_dispatched == 0:
             raise AssertionError(
                 "segmented store never dispatched to the pool"
             )
-        if engine.inline_fallbacks != 0:
-            raise AssertionError(
-                f"segmented store fell back to row shipping "
-                f"{engine.inline_fallbacks} time(s)"
-            )
-        return {
-            "shards_dispatched": engine.shards_dispatched,
-            "inline_fallbacks": engine.inline_fallbacks,
-        }
+        return {"shards_dispatched": engine.shards_dispatched}
     finally:
         engine.close()
 
 
 def check_steals(matrix, gate: bool) -> Dict:
-    """The work-stealing gate: a skewed store with 4x oversplit must
-    produce at least one steal beyond a worker's fair share."""
+    """The work-stealing gate: a skewed store cut OVERSPLIT tasks per
+    worker must produce at least one steal beyond a worker's fair
+    share."""
     batch = _batch(matrix.size)
     with tempfile.TemporaryDirectory(prefix="bench_shards_skew_") as tmp:
         path = Path(tmp) / "skew.nmp"
@@ -186,12 +184,11 @@ def check_steals(matrix, gate: bool) -> Dict:
             path,
         )
         store = PackedSequenceStore.open(path)
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=8, min_shard_rows=1, oversplit=4
-        )
+        engine = VectorizedBatchEngine(chunk_rows=8, workers=2)
         try:
-            for _ in range(ROUNDS):
-                engine.database_matches(batch, store, matrix)
+            with small_shards():
+                for _ in range(ROUNDS):
+                    engine.database_matches(batch, store, matrix)
             steals = engine.shard_steals
         finally:
             engine.close()
@@ -201,7 +198,7 @@ def check_steals(matrix, gate: bool) -> Dict:
             "skewed workload produced zero steals: the shared queue "
             "is not rebalancing"
         )
-    return {"steals": steals, "rounds": ROUNDS, "oversplit": 4}
+    return {"steals": steals, "rounds": ROUNDS, "oversplit": OVERSPLIT}
 
 
 def check_scaling(packed, matrix, gate: bool) -> Dict:
@@ -221,11 +218,11 @@ def check_scaling(packed, matrix, gate: bool) -> Dict:
     batch = _batch(matrix.size)
 
     def _time(n_workers: int) -> float:
-        engine = ParallelEngine(
-            n_workers=n_workers, chunk_rows=CHUNK_ROWS, min_shard_rows=1
+        engine = VectorizedBatchEngine(
+            chunk_rows=CHUNK_ROWS, workers=n_workers
         )
         try:
-            engine.warm_pool()
+            engine.warm_pool(matrix)
             engine.database_matches(batch, packed, matrix)  # warm-up
             best = float("inf")
             for _ in range(ROUNDS):
@@ -261,7 +258,7 @@ def measure(smoke: bool = False) -> Dict:
         try:
             report = {
                 "benchmark": (
-                    "sharded scatter-gather counting vs vectorized"
+                    "worker-pool scatter-gather counting vs one worker"
                 ),
                 "smoke": smoke,
                 "workload": {
@@ -305,8 +302,7 @@ def main(argv=None) -> int:
     print(
         f"bit-identity: {identity['configs_checked']} configs "
         f"identical; segmented dispatch: "
-        f"{dispatch['shards_dispatched']} shards, "
-        f"{dispatch['inline_fallbacks']} fallbacks"
+        f"{dispatch['shards_dispatched']} shards"
     )
     if "steals" in report:
         print(f"steals on skewed store: {report['steals']['steals']}")

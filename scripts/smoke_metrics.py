@@ -4,8 +4,9 @@
 Generates a tiny synthetic database, runs ``noisymine mine`` with
 ``--metrics-json`` for every algorithm (plus one ``--workers 2`` run)
 and validates the resulting RunReport files: required keys present,
-the reported engine being the one :func:`repro.engine.select_engine`
-picks, the per-phase ``scans`` counters of the top-level phases summing
+the ``vectorized`` engine reported with the run's ``workers`` and
+``kernels`` in its context, the per-phase ``scans`` counters of the
+top-level phases summing
 exactly to the reported total, and the resident Phase-2 plane-store
 counters reaching the sampling miners' reports
 (``resident_native_calls`` must tick where numba imports and stay zero
@@ -29,12 +30,12 @@ import sys
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.engine import native_available, select_engine
+from repro.engine import native_available
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 #: (algorithm, workers) runs of the smoke pass: every algorithm once,
-#: and the parallel engine once.
+#: and two workers once.
 COMBINATIONS = [
     ("border-collapsing", 1),
     ("levelwise", 1),
@@ -70,7 +71,7 @@ REQUIRED_KEYS = {
 }
 
 
-def validate_report(payload: dict, algorithm: str, engine: str) -> None:
+def validate_report(payload: dict, algorithm: str, workers: int) -> None:
     missing = REQUIRED_KEYS - set(payload)
     if missing:
         raise AssertionError(f"metrics JSON lacks keys: {sorted(missing)}")
@@ -78,9 +79,15 @@ def validate_report(payload: dict, algorithm: str, engine: str) -> None:
         raise AssertionError(
             f"algorithm mismatch: {payload['algorithm']!r} != {algorithm!r}"
         )
-    if payload["engine"] != engine:
+    if payload["engine"] != "vectorized":
+        raise AssertionError(f"unexpected engine {payload['engine']!r}")
+    context = payload["context"]
+    kernels = "compiled" if native_available else "numpy"
+    if (context.get("workers"), context.get("kernels")) != (workers, kernels):
         raise AssertionError(
-            f"engine mismatch: {payload['engine']!r} != {engine!r}"
+            f"context reports workers={context.get('workers')!r}, "
+            f"kernels={context.get('kernels')!r}; expected {workers}, "
+            f"{kernels!r}"
         )
     phase_scans = sum(
         phase["counters"].get("scans", 0) for phase in payload["phases"]
@@ -127,8 +134,7 @@ def main(argv=None) -> int:
         return rc
 
     for algorithm, workers in COMBINATIONS:
-        engine = select_engine(workers).name
-        metrics_path = out / f"metrics_{algorithm}_{engine}.json"
+        metrics_path = out / f"metrics_{algorithm}_w{workers}.json"
         rc = cli_main([
             "mine", str(db_path), "--alphabet", "6",
             "--min-match", "0.6", "--noise", "0.05",
@@ -137,21 +143,24 @@ def main(argv=None) -> int:
             "--seed", "7", "--metrics-json", str(metrics_path),
         ])
         if rc != 0:
-            print(f"mine failed for {algorithm}/{engine}", file=sys.stderr)
+            print(f"mine failed for {algorithm} at {workers} worker(s)",
+                  file=sys.stderr)
             return rc
         payload = json.loads(metrics_path.read_text())
-        validate_report(payload, algorithm, engine)
+        validate_report(payload, algorithm, workers)
         if algorithm in ("border-collapsing", "toivonen"):
             validate_resident(payload)
-        if engine == "native" and not payload["counters"].get(
-            "native_kernel_calls"
+        # depthfirst counts in memory; only its Phase-1 rows pass runs
+        # the block kernel, untraced.
+        if native_available and algorithm != "depthfirst" and not (
+            payload["counters"].get("native_kernel_calls")
         ):
-            raise AssertionError("native run lacks native_kernel_calls")
+            raise AssertionError("compiled run lacks native_kernel_calls")
         phases = {
             phase["name"]: phase["counters"].get("scans", 0)
             for phase in payload["phases"]
         }
-        print(f"{algorithm:18s} {engine:10s} scans={payload['scans']} "
+        print(f"{algorithm:18s} workers={workers} scans={payload['scans']} "
               f"phases={phases}")
 
     sys.path.insert(0, str(BENCHMARKS_DIR))

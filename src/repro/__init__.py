@@ -61,11 +61,8 @@ from .datagen import (
 )
 from .engine import (
     MatchEngine,
-    NativeEngine,
-    ParallelEngine,
     ResidentSampleEvaluator,
     VectorizedBatchEngine,
-    select_engine,
 )
 from .errors import (
     AlphabetError,
@@ -152,11 +149,8 @@ __all__ = [
     "uniform_channel",
     "uniform_noise_setup",
     "MatchEngine",
-    "NativeEngine",
-    "ParallelEngine",
     "ResidentSampleEvaluator",
     "VectorizedBatchEngine",
-    "select_engine",
     "AlphabetError",
     "CompatibilityMatrixError",
     "MiningError",

@@ -46,7 +46,7 @@ from .config import ALGORITHMS, MiningConfig, json_payload, open_database
 from .core.pattern import Pattern
 from .core.sequence import FileSequenceDatabase
 from .datagen.motifs import Motif, random_motif
-from .engine import SCORE_DTYPES, select_engine
+from .engine import SCORE_DTYPES, VectorizedBatchEngine
 from .datagen.noise import corrupt_uniform
 from .datagen.synthetic import generate_database
 from .errors import NoisyMineError
@@ -380,7 +380,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     # A live tracer costs a few dict updates per scan; only pay for it
     # when some output will actually carry the metrics.
     tracer = Tracer() if (args.json or args.metrics_json) else None
-    engine = select_engine(args.workers)
+    engine = VectorizedBatchEngine(workers=args.workers)
     with engine:
         miner = config.build_miner(len(database), engine=engine,
                                    tracer=tracer)
@@ -434,7 +434,8 @@ def _cmd_remine(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     checkpoint = MiningCheckpoint.load(args.checkpoint)
     tracer = Tracer() if (args.json or args.metrics_json) else None
-    engine = select_engine()
+    engine = VectorizedBatchEngine()
+    engine.note_settings(tracer)
     with SegmentedSequenceStore.open(args.input) as store, engine:
         outcome = delta_remine(
             store,

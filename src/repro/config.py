@@ -14,9 +14,10 @@ because result memoization keys on "the same configuration".
   never changes results, so memo hits deliberately cross it);
 * :meth:`MiningConfig.build_miner` constructs the configured miner.
 
-Execution is not configured here: the counting engine comes from
-:func:`repro.engine.select_engine` (platform and worker count) and
-Phase 2 always runs the resident sample evaluator.
+Execution is not configured here: the counting engine is a
+:class:`repro.engine.VectorizedBatchEngine` (its kernels chosen by
+platform, its worker count by ``--workers``) and Phase 2 always runs
+the resident sample evaluator.
 
 Wire form: :meth:`to_dict` / :meth:`from_dict` round-trip the config as
 plain JSON types; unknown keys are rejected loudly so a typo in a job
@@ -37,12 +38,11 @@ from .core.lattice import PatternConstraints
 from .core.sequence import FileSequenceDatabase
 from .engine import (
     MatchEngine,
-    NativeEngine,
     ResidentSampleEvaluator,
     SCORE_DTYPES,
+    VectorizedBatchEngine,
     native_available,
     resolve_score_dtype,
-    select_engine,
 )
 from .errors import MiningError, NoisyMineError
 from .io import (
@@ -196,7 +196,7 @@ class MiningConfig:
             and self.algorithm not in SAMPLING_ALGORITHMS
             and not native_available
         ):
-            raise MiningError(_float32_unsupported(self, "vectorized"))
+            raise MiningError(_float32_unsupported(self))
 
     # -- resolution -----------------------------------------------------------
 
@@ -291,25 +291,31 @@ class MiningConfig:
     ):
         """Construct the configured miner.
 
-        *engine* is the counting engine (default
-        :func:`~repro.engine.select_engine`); the CLI passes one sized
-        by ``--workers`` and the daemon passes per-store engines so
-        concurrent jobs never share caches.  *sample_engine* likewise
-        passes a warm :class:`ResidentSampleEvaluator` kept pinned
-        across jobs; the sampling miners otherwise build a fresh one.
+        *engine* is the counting engine (default a fresh
+        :class:`~repro.engine.VectorizedBatchEngine`); the CLI passes
+        one sized by ``--workers`` and the daemon passes per-store
+        engines so concurrent jobs never share caches.
+        *sample_engine* likewise passes a warm
+        :class:`ResidentSampleEvaluator` kept pinned across jobs; the
+        sampling miners otherwise build a fresh one.
         """
         matrix = self.build_matrix()
         constraints = self.constraints()
         if engine is None:
-            engine = select_engine()
+            engine = VectorizedBatchEngine()
         sampling = self.algorithm in SAMPLING_ALGORITHMS
-        if isinstance(engine, NativeEngine):
+        if isinstance(engine, VectorizedBatchEngine):
             # The config owns the scoring dtype: a warm per-store
             # engine may have been switched by a previous float32 run,
-            # so always (re)apply it.
+            # so always (re)apply it.  Pool workers get the cast matrix.
             engine.set_score_dtype(self.score_dtype)
-        elif self.score_dtype != "float64" and not sampling:
-            raise MiningError(_float32_unsupported(self, engine.name))
+            engine.note_settings(tracer)
+        if (
+            self.score_dtype != "float64"
+            and not sampling
+            and getattr(engine, "kernels", "numpy") == "numpy"
+        ):
+            raise MiningError(_float32_unsupported(self))
         common = dict(constraints=constraints, engine=engine, tracer=tracer)
         if sampling:
             if sample_engine is None:
@@ -437,13 +443,12 @@ class MiningConfig:
         return replace(self, **changes)
 
 
-def _float32_unsupported(config: MiningConfig, engine_name: str) -> str:
+def _float32_unsupported(config: MiningConfig) -> str:
     return (
         f"score_dtype {config.score_dtype!r} needs a float32-capable "
-        f"path: {config.algorithm!r} counts with the {engine_name!r} "
-        "engine, which is float64-only (float32 needs the compiled "
-        "kernels of noisymine[native] with one worker, or a sampling "
-        "miner)"
+        f"path: {config.algorithm!r} counts on the full database, whose "
+        "numpy kernels are float64-only (float32 needs the compiled "
+        "kernels of noisymine[native], or a sampling miner)"
     )
 
 

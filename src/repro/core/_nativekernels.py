@@ -14,8 +14,9 @@ numba is an **optional** dependency (``pip install noisymine[native]``).
 At import time each kernel is compiled with ``@njit(cache=True)`` when
 numba is importable and left as its pure-Python twin otherwise; the
 outcome is surfaced through :data:`native_available` so callers (the
-``"native"`` engine, the lattice layer, shard workers) can select a
-numpy path instead of paying interpreted loop costs.  The pure-Python
+counting engine and its pool workers, the resident evaluator, the
+lattice layer) can select a numpy path instead of paying interpreted
+loop costs.  The pure-Python
 functions are always exported under their ``py_`` names, so the kernel
 *logic* is differential-tested on every CI leg, numba or not.
 
@@ -36,7 +37,7 @@ All float64 kernels are bit-identical to the numpy tiers they replace:
   comparisons with no floating point at all.
 
 The ``float32`` variants of the scoring kernels trade bit-identity for
-memory bandwidth; the native engine keeps their accumulation in
+memory bandwidth; the counting engine keeps their accumulation in
 float64 and the benchmark gates bound the deviation instead.
 
 Warm-up accounting

@@ -48,7 +48,8 @@ argument.
 halving both the pinned bytes and the :class:`PlaneStore` pressure, so
 the LRU holds twice the chain depth — while every cross-sequence
 accumulation stays float64; the deviation is error-bounded like the
-native engine's (``benchmarks/bench_phase2_sample.py`` gates it).
+counting engine's float32 scoring (``benchmarks/bench_phase2_sample.py``
+gates it).
 
 Products multiply in the same offset order as the flat kernels, so all
 float64 match values are bit-identical to the vectorized backend (at
@@ -86,13 +87,14 @@ from ..obs import (
 from .base import MatchEngine, empty_database_guard, matrix_fingerprint
 from .kernels import (
     DEFAULT_CHUNK_ROWS,
+    charge_warmup,
     extend_plane,
     extended_matrix,
     gather_chunk,
     pad_chunk,
+    resolve_score_dtype,
     rows_symbol_totals,
 )
-from .native import charge_warmup, resolve_score_dtype
 
 #: Default plane-store budget (bytes).  A float64 plane costs
 #: ``8 * W * N`` bytes (float32 exactly half, charged at its actual
@@ -672,14 +674,7 @@ class ResidentSampleEvaluator(MatchEngine):
             for chunk in iter_chunks(database, self.chunk_rows)
             for seq in chunk.rows
         ]
-        if not rows:
-            raise MiningError(
-                "cannot compute symbol matches over an empty database"
-            )
-        totals = rows_symbol_totals(
-            rows, extended_matrix(matrix.array), self.chunk_rows
-        )
-        return totals / len(rows)
+        return self.symbol_matches_rows(rows, matrix)
 
     def symbol_matches_rows(
         self,
@@ -690,10 +685,10 @@ class ResidentSampleEvaluator(MatchEngine):
             raise MiningError(
                 "cannot compute symbol matches over an empty database"
             )
-        rows = [np.asarray(s) for s in sequences]
         return rows_symbol_totals(
-            rows, extended_matrix(matrix.array), self.chunk_rows
-        ) / len(rows)
+            sequences, extended_matrix(matrix.array), self.chunk_rows,
+            "numpy",
+        ) / len(sequences)
 
     # -- lifecycle ------------------------------------------------------------
 

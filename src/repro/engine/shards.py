@@ -1,72 +1,107 @@
-"""Sharded scatter-gather counting tier: manifests, tasks, scheduler.
+"""Sharded scatter-gather counting: manifests, tasks, worker pool.
 
-This module turns the single-host worker pool into a *counting tier*:
-the store is described by a :class:`ShardManifest` — an ordered list of
-digest-addressed ``(path, digest, row_range, symbol_count)`` shard
-specs — and a counted scan becomes a scatter-gather over those shards,
-dispatched through a transport-agnostic :class:`ShardExecutor` and
-merged deterministically regardless of which shard finishes first.
+With more than one worker,
+:class:`~repro.engine.vectorized.VectorizedBatchEngine` runs a counted
+scan as a scatter-gather: the store is described by a
+:class:`ShardManifest` — an ordered list of digest-addressed
+``(path, digest, row_range, symbol_count)`` shard specs — each spec
+becomes a :class:`ShardTask` run by a fork pool, and the partial sums
+are merged deterministically regardless of which shard finishes first.
 
 Design invariants, in order of importance:
 
 1. **Bit-identical totals for any shard count and any completion
    order.**  Shard boundaries always fall on the *block grid* — the
-   ``chunk_rows``-sized chunk boundaries the single-process engines
-   already use, anchored at row 0 of each backing file — and workers
-   return **per-block** partial sums instead of one collapsed sum.
-   The scheduler adds blocks in global block order, which is exactly
-   the accumulation order of a single-process chunked scan.  So the
-   merged totals are bit-identical to the vectorized engine at equal
-   ``chunk_rows``, whether the manifest holds 1 shard or 64, and
-   whether shard 7 finishes before shard 0 or after.
-2. **Transport-agnostic worker protocol.**  :class:`ShardTask` and
-   :class:`ShardResult` are plain serializable dataclasses, and
+   ``chunk_rows``-sized chunk boundaries the serial scan uses,
+   anchored at row 0 of each backing file — and workers return
+   **per-block** partial sums computed by the serial scan's own block
+   kernel (:func:`~repro.engine.kernels.block_totals`).  The scheduler
+   adds blocks in global block order, which is exactly the
+   accumulation order of the serial chunked scan.  So the merged totals
+   are bit-identical to one worker at equal ``chunk_rows``, whether
+   the manifest holds 2 shards or 64, and whether shard 7 finishes
+   before shard 0 or after.
+2. **Plain-data worker protocol.**  :class:`ShardTask` and
+   :class:`ShardResult` are picklable dataclasses and
    :func:`execute_shard_task` is a pure function of ``(task, extended
-   matrix)``.  The local multiprocessing pool
-   (:class:`LocalPoolExecutor`) is the first executor; a socket or
-   remote executor only has to move the same dataclasses and call the
-   same function — no miner or engine change required.
-3. **Work-stealing dispatch.**  The manifest is oversplit into ~2-4x
-   as many tasks as workers and dispatched ``imap_unordered`` with a
-   chunk size of one, so every idle worker pulls the next task from
-   the shared queue — a skewed shard slows down one worker, not the
-   whole pass.  Bounds are weighted by **symbol count** (from the
-   stores' offsets tables), not raw row count, so a store whose long
-   sequences cluster at one end still splits into equal-work shards.
+   matrix, kernel mode)``; the dispatch is any callable from tasks to
+   results in completion order (the pool's ``imap_unordered`` in
+   production, reordering or failing fakes in the tests).
+3. **Work-stealing dispatch.**  The manifest is oversplit into
+   :data:`OVERSPLIT` tasks per worker and dispatched
+   ``imap_unordered`` with a chunk size of one, so every idle worker
+   pulls the next task from the shared queue — a skewed shard slows
+   down one worker, not the whole pass.  Bounds are weighted by
+   **symbol count** (from the stores' offsets tables), not raw row
+   count, so a store whose long sequences cluster at one end still
+   splits into equal-work shards.
 
 Worker-local state
 ------------------
 Workers memory-map each referenced store file once and cache it by
 path, re-opening only when a task's content digest no longer matches
-(the file was rewritten).  The extended compatibility matrix is
-installed once per pool via :func:`init_worker`; a remote executor
-would ship it once per connection instead.
+(the file was rewritten).  The extended compatibility matrix and the
+kernel mode are installed once per pool via :func:`init_worker`.
 """
 
 from __future__ import annotations
 
-import abc
+import multiprocessing
 import os
 import signal
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import _nativekernels as _nk
 from ..errors import MiningError
 from .kernels import (
-    chunk_database_totals,
-    chunk_symbol_totals,
-    gather_chunk,
+    DATABASE_TOTALS,
+    SYMBOL_TOTALS,
+    block_totals,
     group_plans,
     pad_chunk,
 )
 
-#: Task kinds understood by :func:`execute_shard_task`.
-TASK_DATABASE_TOTALS = "database-totals"
-TASK_SYMBOL_TOTALS = "symbol-totals"
+#: Environment variable setting the worker count of a run.
+WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
+
+#: Below this many sequences per shard, sharding costs more than it
+#: saves.
+MIN_SHARD_ROWS = 64
+
+#: Work-stealing oversplit: tasks per worker.  Around 2-4x keeps the
+#: steal queue deep enough to absorb a skewed shard without drowning
+#: the pass in per-task dispatch overhead; merged totals are
+#: bit-identical for any value.
+OVERSPLIT = 3
+
+
+def resolve_worker_count(requested: Optional[int] = None) -> int:
+    """Resolve the worker count of a run.
+
+    An explicit *requested* value wins, then the ``NOISYMINE_WORKERS``
+    environment variable, then ``1``: a single process unless the user
+    asks for more.  Both sources must be ``>= 1``.
+    """
+    if requested is not None:
+        if requested < 1:
+            raise MiningError(f"workers must be >= 1, got {requested}")
+        return requested
+    env = os.environ.get(WORKERS_ENV_VAR)
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise MiningError(
+            f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
+        ) from None
+    if value < 1:
+        raise MiningError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
+    return value
 
 
 # -- manifest ------------------------------------------------------------------
@@ -251,7 +286,7 @@ def manifest_from_rows(
     target_tasks: int,
     min_shard_rows: int = 1,
 ) -> ShardManifest:
-    """A manifest over already-materialised rows (inline transport).
+    """A manifest over already-materialised rows (shipped with tasks).
 
     Used for in-memory databases: the same block grid and weighted
     bounds as the file-backed path, but specs carry no path — the
@@ -273,8 +308,7 @@ def manifest_from_rows(
 @dataclass(frozen=True)
 class ShardTask:
     """One unit of counted-scan work: a shard spec plus the evaluation
-    payload.  Plain serializable data — no live objects — so any
-    transport (pool pickle today, a socket frame tomorrow) can carry it.
+    payload.  Plain picklable data — no live objects.
     """
 
     spec: ShardSpec
@@ -302,9 +336,14 @@ class ShardResult:
     scan_seconds: float
     io_bytes: int
     worker_id: int
+    kernel_calls: int = 0
 
 
-_WORKER_C_EXT: Optional[np.ndarray] = None
+#: A dispatch: runs tasks and yields their results in completion order.
+Dispatch = Callable[[Sequence[ShardTask]], Iterable[ShardResult]]
+
+#: ``(extended matrix, kernel mode)`` installed by :func:`init_worker`.
+_WORKER_STATE: Optional[Tuple[np.ndarray, str]] = None
 
 #: Worker-local cache of opened packed stores, keyed by path.  A store
 #: is reopened when the content digest of a task no longer matches the
@@ -312,25 +351,41 @@ _WORKER_C_EXT: Optional[np.ndarray] = None
 _WORKER_STORES: Dict[str, object] = {}
 
 
-def init_worker(c_ext: np.ndarray) -> None:
-    """Pool initializer: install the worker-local compatibility matrix.
+def init_worker(c_ext: np.ndarray, kernels: str) -> None:
+    """Pool initializer: install the worker-local matrix and kernels.
 
     Workers also ignore SIGINT: a terminal Ctrl-C is delivered to the
     whole foreground process group, and the parent — not the signal —
     owns worker shutdown (``pool.terminate`` on close).
 
-    When numba is available the native kernels are warmed here, once
-    per worker process, so no task ever pays JIT compilation:
-    fork-started workers inherit an already-warm dispatcher from the
-    parent (:func:`~repro.core._nativekernels.warm_kernels` is a
-    no-op then), and spawn-started workers mostly load the on-disk
-    ``cache=True`` machine code instead of compiling.
+    With compiled kernels the JIT warm-up runs here, once per worker
+    process, so no task ever pays compilation: fork-started workers
+    inherit an already-warm dispatcher from the parent
+    (:func:`~repro.core._nativekernels.warm_kernels` is a no-op then).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _WORKER_C_EXT
-    _WORKER_C_EXT = c_ext
-    if _nk.native_available:
+    global _WORKER_STATE
+    _WORKER_STATE = (c_ext, kernels)
+    if kernels == "compiled":
         _nk.warm_kernels()
+
+
+def open_pool(
+    workers: int, c_ext: np.ndarray, kernels: str
+) -> "multiprocessing.pool.Pool":
+    """A pool of *workers* processes initialised with *c_ext*.
+
+    fork is cheapest and inherits the imported numpy state; elsewhere
+    the platform default (spawn) is used.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else None
+    )
+    return context.Pool(
+        processes=workers, initializer=init_worker,
+        initargs=(c_ext, kernels),
+    )
 
 
 def _worker_store_rows(
@@ -356,47 +411,25 @@ def _worker_store_rows(
     return store.rows_slice(start, stop)
 
 
-def _native_database_block(
-    padded: np.ndarray,
-    c_ext: np.ndarray,
-    groups: Dict[int, List[int]],
-    elements_by_span: Dict[int, np.ndarray],
-    totals: np.ndarray,
-    buffers: Dict[tuple, np.ndarray],
-) -> None:
-    """One block's per-pattern sums via the compiled window kernel.
-
-    The per-sequence maxima are identical to
-    :func:`~repro.engine.kernels.chunk_group_maxima` (same factors,
-    same multiply order) and summed with the same ``np.sum``
-    reduction, so the accumulated block totals match the numpy path
-    bit for bit.  Span groups no window fits contribute exact zeros
-    on both paths and are skipped.
-    """
-    n, length = padded.shape
-    for span, indices in groups.items():
-        if length < span:
-            continue
-        elements = elements_by_span[span]
-        key = (elements.shape[0], n)
-        maxima = buffers.get(key)
-        if maxima is None:
-            maxima = buffers[key] = np.empty(key, dtype=c_ext.dtype)
-        _nk.window_group_maxima(padded, c_ext, elements, maxima)
-        totals[indices] += maxima.sum(axis=1)
-
-
-def execute_shard_task(task: ShardTask, c_ext: np.ndarray) -> ShardResult:
+def execute_shard_task(
+    task: ShardTask, c_ext: np.ndarray, kernels: str
+) -> ShardResult:
     """Evaluate one shard task: the pure worker-side function.
 
-    Every executor funnels here — pool workers via
-    :func:`pool_execute_shard_task`, the inline executor directly, a
-    remote executor through whatever framing it uses.  Blocks are
-    evaluated independently (one padded chunk each) so the returned
-    per-block sums are bit-identical to a single-process chunked scan
-    over the same grid.
+    Every block of the shard goes through
+    :func:`~repro.engine.kernels.block_totals` — the serial scan's own
+    block kernel — one padded chunk at a time, so the returned
+    per-block sums are bit-identical to the serial scan over the same
+    grid.
     """
     started = perf_counter()
+    m = c_ext.shape[0] - 1
+    if task.kind == DATABASE_TOTALS:
+        width = task.n_patterns
+    elif task.kind == SYMBOL_TOTALS:
+        width = m
+    else:
+        raise MiningError(f"unknown shard task kind {task.kind!r}")
     spec = task.spec
     if task.rows is not None:
         rows: List[np.ndarray] = [np.asarray(r) for r in task.rows]
@@ -410,50 +443,20 @@ def execute_shard_task(task: ShardTask, c_ext: np.ndarray) -> ShardResult:
             spec.path, spec.digest, spec.row_start, spec.row_stop
         )
         io_bytes = 4 * spec.symbol_count
-    m = c_ext.shape[0] - 1
-    native = _nk.native_available
+    plans = (
+        group_plans(task.elements_by_span)
+        if kernels == "numpy" and task.kind == DATABASE_TOTALS else None
+    )
     block_starts = range(0, len(rows), task.chunk_rows)
-    if task.kind == TASK_DATABASE_TOTALS:
-        width = task.n_patterns
-        plans = None if native else group_plans(task.elements_by_span)
-        out = np.zeros((len(block_starts), width), dtype=np.float64)
-        scratch: Dict[tuple, np.ndarray] = {}
-        for i, start in enumerate(block_starts):
-            chunk = rows[start : start + task.chunk_rows]
-            padded = pad_chunk(chunk, m)
-            if native:
-                # Compiled fused kernels, picked up transparently by
-                # every worker after fork: same per-window products,
-                # same np.sum reduction — per-block sums stay
-                # bit-identical to the numpy path.
-                _native_database_block(
-                    padded, c_ext, task.groups, task.elements_by_span,
-                    out[i], scratch,
-                )
-            else:
-                gathered = gather_chunk(c_ext, padded)
-                chunk_database_totals(
-                    gathered, task.groups, task.elements_by_span, out[i],
-                    plans, scratch,
-                )
-    elif task.kind == TASK_SYMBOL_TOTALS:
-        out = np.zeros((len(block_starts), m), dtype=np.float64)
-        maxima: Optional[np.ndarray] = None
-        for i, start in enumerate(block_starts):
-            chunk = rows[start : start + task.chunk_rows]
-            padded = pad_chunk(chunk, m)
-            if native:
-                if maxima is None or maxima.shape[1] != padded.shape[0]:
-                    maxima = np.empty(
-                        (m, padded.shape[0]), dtype=c_ext.dtype
-                    )
-                _nk.symbol_window_maxima(padded, c_ext, maxima)
-                out[i] = maxima.sum(axis=1)
-            else:
-                gathered = gather_chunk(c_ext, padded)
-                out[i] = chunk_symbol_totals(gathered)
-    else:
-        raise MiningError(f"unknown shard task kind {task.kind!r}")
+    out = np.zeros((len(block_starts), width), dtype=np.float64)
+    scratch: Dict[tuple, np.ndarray] = {}
+    calls = 0
+    for i, start in enumerate(block_starts):
+        calls += block_totals(
+            pad_chunk(rows[start : start + task.chunk_rows], m), c_ext,
+            task.kind, task.groups, task.elements_by_span, out[i],
+            kernels, plans=plans, scratch=scratch,
+        )
     return ShardResult(
         index=spec.index,
         n_rows=len(rows),
@@ -461,99 +464,16 @@ def execute_shard_task(task: ShardTask, c_ext: np.ndarray) -> ShardResult:
         scan_seconds=perf_counter() - started,
         io_bytes=io_bytes,
         worker_id=os.getpid(),
+        kernel_calls=calls,
     )
 
 
 def pool_execute_shard_task(task: ShardTask) -> ShardResult:
     """Pool entry point: :func:`execute_shard_task` against the
-    worker-local matrix installed by :func:`init_worker`."""
-    if _WORKER_C_EXT is None:
+    worker-local state installed by :func:`init_worker`."""
+    if _WORKER_STATE is None:
         raise MiningError("worker initializer did not run")
-    return execute_shard_task(task, _WORKER_C_EXT)
-
-
-# -- executors -----------------------------------------------------------------
-
-
-class ShardExecutor(abc.ABC):
-    """Transport abstraction: run shard tasks, yield results as they
-    complete (any order).
-
-    The contract is deliberately tiny — tasks in, results out, order
-    free — so the scheduler neither knows nor cares whether the shards
-    ran on a local pool, inline, or on another host.  Implementations
-    must yield exactly one result per task and may raise to abort the
-    whole pass.
-    """
-
-    name = "abstract"
-
-    @abc.abstractmethod
-    def run(
-        self, tasks: Sequence[ShardTask], c_ext: np.ndarray
-    ) -> Iterator[ShardResult]:
-        """Execute *tasks* and yield their results in completion order."""
-
-
-class InlineShardExecutor(ShardExecutor):
-    """Serial in-process execution: the degenerate single-worker tier.
-
-    Useful as a deterministic fallback and as the reference for the
-    bit-identity gates (its completion order *is* submission order).
-    """
-
-    name = "inline"
-
-    def run(
-        self, tasks: Sequence[ShardTask], c_ext: np.ndarray
-    ) -> Iterator[ShardResult]:
-        for task in tasks:
-            yield execute_shard_task(task, c_ext)
-
-
-class LocalPoolExecutor(ShardExecutor):
-    """Work-stealing dispatch over a ``multiprocessing`` pool.
-
-    ``imap_unordered`` with a chunk size of one is the steal mechanism:
-    tasks sit in one shared queue and every idle worker pulls the next
-    one, so an oversplit manifest self-balances around skewed shards.
-    The pool must have been created with :func:`init_worker` carrying
-    the same extended matrix the tasks will be evaluated against.
-    """
-
-    name = "local-pool"
-
-    def __init__(self, pool):
-        self._pool = pool
-
-    def run(
-        self, tasks: Sequence[ShardTask], c_ext: np.ndarray
-    ) -> Iterator[ShardResult]:
-        return self._pool.imap_unordered(
-            pool_execute_shard_task, tasks, chunksize=1
-        )
-
-
-class ShuffledExecutor(ShardExecutor):
-    """Deterministically scrambles another executor's completion order.
-
-    Test/benchmark harness for the determinism gates: the merged totals
-    must not change however adversarially the results are reordered.
-    """
-
-    name = "shuffled"
-
-    def __init__(self, inner: ShardExecutor, seed: int = 0):
-        self._inner = inner
-        self._seed = seed
-
-    def run(
-        self, tasks: Sequence[ShardTask], c_ext: np.ndarray
-    ) -> Iterator[ShardResult]:
-        results = list(self._inner.run(tasks, c_ext))
-        order = np.random.default_rng(self._seed).permutation(len(results))
-        for position in order:
-            yield results[int(position)]
+    return execute_shard_task(task, *_WORKER_STATE)
 
 
 # -- the scatter-gather scheduler ----------------------------------------------
@@ -569,6 +489,7 @@ class ShardRunStats:
     steals: int = 0
     scan_seconds: float = 0.0
     io_bytes: int = 0
+    kernel_calls: int = 0
     worker_tasks: Dict[int, int] = field(default_factory=dict)
 
 
@@ -610,8 +531,7 @@ def build_tasks(
 
 def scatter_gather(
     tasks: Sequence[ShardTask],
-    executor: ShardExecutor,
-    c_ext: np.ndarray,
+    dispatch: Dispatch,
     width: int,
     n_workers: int = 1,
 ) -> Tuple[np.ndarray, ShardRunStats]:
@@ -622,7 +542,7 @@ def scatter_gather(
     shard has been folded in, and each shard's per-block rows are added
     in block order.  The resulting accumulation sequence is the global
     block order — independent of shard count, worker count and
-    completion order, and identical to a single-process chunked scan.
+    completion order, and identical to the serial chunked scan.
 
     Steal accounting: each task records the worker that executed it; a
     worker's executions beyond its fair share (``ceil(tasks/workers)``)
@@ -633,7 +553,7 @@ def scatter_gather(
     totals = np.zeros(width, dtype=np.float64)
     pending: Dict[int, ShardResult] = {}
     next_index = 0
-    for result in executor.run(tasks, c_ext):
+    for result in dispatch(tasks):
         pending[result.index] = result
         while next_index in pending:
             ready = pending.pop(next_index)
@@ -643,6 +563,7 @@ def scatter_gather(
             stats.blocks += int(ready.block_totals.shape[0])
             stats.scan_seconds += ready.scan_seconds
             stats.io_bytes += ready.io_bytes
+            stats.kernel_calls += ready.kernel_calls
             stats.worker_tasks[ready.worker_id] = (
                 stats.worker_tasks.get(ready.worker_id, 0) + 1
             )
@@ -662,23 +583,23 @@ def scatter_gather(
 
 
 __all__ = [
-    "InlineShardExecutor",
-    "LocalPoolExecutor",
-    "ShardExecutor",
+    "Dispatch",
+    "MIN_SHARD_ROWS",
+    "OVERSPLIT",
     "ShardManifest",
     "ShardResult",
     "ShardRunStats",
     "ShardSpec",
     "ShardTask",
-    "ShuffledExecutor",
-    "TASK_DATABASE_TOTALS",
-    "TASK_SYMBOL_TOTALS",
+    "WORKERS_ENV_VAR",
     "build_tasks",
     "execute_shard_task",
     "init_worker",
     "manifest_from_layout",
     "manifest_from_rows",
     "manifest_from_store",
+    "open_pool",
     "pool_execute_shard_task",
+    "resolve_worker_count",
     "scatter_gather",
 ]

@@ -40,7 +40,7 @@ from ..core.sequence import AnySequenceDatabase
 from ..engine import (
     MatchEngine,
     ResidentSampleEvaluator,
-    select_engine,
+    VectorizedBatchEngine,
     sibling_order,
 )
 from ..obs import (
@@ -172,7 +172,7 @@ def collapse_borders(
     validate_memory_capacity(memory_capacity)
     tracer = ensure_tracer(tracer)
     if engine is None:
-        engine = select_engine()
+        engine = VectorizedBatchEngine()
     # A resident engine (a caller probing a memory-resident database)
     # wants same-parent siblings adjacent: the probe *selection* is
     # unchanged, only the within-round counting order, so probe rounds,

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     PATTERNS_COUNTED,
@@ -68,7 +68,7 @@ def count_matches_batched(
         pass.  ``None`` means unbounded (everything in one scan).
     engine:
         Match-execution engine; ``None`` builds one with
-        :func:`~repro.engine.select_engine`.
+        :class:`~repro.engine.VectorizedBatchEngine`.
     tracer:
         Optional :class:`~repro.obs.Tracer`; each dispatched batch
         counts one *scan_counter* tick and ``len(batch)``
@@ -89,7 +89,7 @@ def count_matches_batched(
     if not unique:
         return {}
     validate_memory_capacity(memory_capacity)
-    eng = engine if engine is not None else select_engine()
+    eng = engine if engine is not None else VectorizedBatchEngine()
     tracer = ensure_tracer(tracer)
     io_before = io_snapshot(database)
     batch_size = memory_capacity or len(unique)

@@ -61,7 +61,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
 from ..core.pattern import Pattern
 from ..core.sequence import SequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..io.segments import SegmentedSequenceStore
 from ..obs import (
@@ -319,7 +319,7 @@ def delta_remine(
     tracer = ensure_tracer(tracer)
     validate_memory_capacity(memory_capacity)
     if engine is None:
-        engine = select_engine()
+        engine = VectorizedBatchEngine()
     constraints = constraints or PatternConstraints()
     min_match = checkpoint.min_match
     if (

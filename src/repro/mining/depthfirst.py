@@ -33,7 +33,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
 from ..core.pattern import Pattern, WILDCARD
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -94,7 +94,9 @@ class DepthFirstMiner:
         self.matrix = matrix
         self.min_match = min_match
         self.constraints = constraints or PatternConstraints()
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:

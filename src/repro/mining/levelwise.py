@@ -21,7 +21,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -53,7 +53,7 @@ class LevelwiseMiner:
         unbounded, i.e. one scan per lattice level).
     engine:
         Match engine for every counting pass; ``None`` builds one with
-        :func:`~repro.engine.select_engine`.
+        :class:`~repro.engine.VectorizedBatchEngine`.
     tracer:
         Optional :class:`repro.obs.Tracer`; records one ``phase1-scan``
         span plus one ``level-k`` span per lattice level and attaches a
@@ -80,7 +80,9 @@ class LevelwiseMiner:
         self.min_match = min_match
         self.constraints = constraints or PatternConstraints()
         self.memory_capacity = memory_capacity
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:

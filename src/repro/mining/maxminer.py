@@ -40,7 +40,7 @@ from ..core.lattice import (
 )
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -88,7 +88,9 @@ class MaxMiner:
         self.memory_capacity = memory_capacity
         self.lookahead_per_level = lookahead_per_level
         self.collect_exact_matches = collect_exact_matches
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:

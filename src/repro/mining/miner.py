@@ -30,7 +30,7 @@ from ..core.lattice import PatternConstraints
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import SCANS, Tracer, ensure_tracer, io_snapshot, record_io
 from .ambiguous import classify_on_sample
@@ -64,7 +64,7 @@ class BorderCollapsingMiner:
         measures the effect of turning it off).
     engine:
         Match engine for every full-database counting pass; ``None``
-        builds one with :func:`~repro.engine.select_engine`.  The
+        builds a :class:`~repro.engine.VectorizedBatchEngine`.  The
         engine never changes results or scan counts, only throughput.
     tracer:
         Optional :class:`repro.obs.Tracer` recording per-phase spans
@@ -110,7 +110,9 @@ class BorderCollapsingMiner:
         self.memory_capacity = memory_capacity
         self.use_restricted_spread = use_restricted_spread
         self.rng = rng or np.random.default_rng()
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
         self.sample_engine = sample_engine
 

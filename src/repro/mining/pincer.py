@@ -29,7 +29,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints, generate_candidates
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -70,7 +70,9 @@ class PincerMiner:
         self.memory_capacity = memory_capacity
         self.mfcs_limit = mfcs_limit
         self.collect_exact_matches = collect_exact_matches
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:

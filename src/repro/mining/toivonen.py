@@ -24,7 +24,7 @@ from ..core.lattice import PatternConstraints, generate_candidates
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -70,7 +70,9 @@ class ToivonenMiner:
         self.constraints = constraints or PatternConstraints()
         self.memory_capacity = memory_capacity
         self.rng = rng or np.random.default_rng()
-        self.engine = engine if engine is not None else select_engine()
+        self.engine = (
+            engine if engine is not None else VectorizedBatchEngine()
+        )
         self.tracer = ensure_tracer(tracer)
         # Phase 2 only: level-wise verification runs on self.engine
         # (the full database is not pinned).

@@ -19,7 +19,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from .result import MiningResult
 
 #: Tolerance when re-measuring match values (sample-estimated values in
@@ -116,7 +116,7 @@ def verify_result(
 
     # 4. Optional exact re-measurement.
     if database is not None and matrix is not None and reported:
-        engine = engine if engine is not None else select_engine()
+        engine = engine if engine is not None else VectorizedBatchEngine()
         exact = engine.database_matches(
             sorted(reported), database, matrix
         )

@@ -31,7 +31,6 @@ from .tracer import (
     FACTOR_CACHE_EVICTIONS,
     FACTOR_CACHE_HITS,
     FACTOR_CACHE_MISSES,
-    INLINE_FALLBACKS,
     IO_BYTES_READ,
     IO_CHUNK_SECONDS,
     IO_CHUNKS,
@@ -77,7 +76,6 @@ __all__ = [
     "FACTOR_CACHE_EVICTIONS",
     "FACTOR_CACHE_HITS",
     "FACTOR_CACHE_MISSES",
-    "INLINE_FALLBACKS",
     "IO_BYTES_READ",
     "IO_CHUNKS",
     "IO_CHUNK_SECONDS",

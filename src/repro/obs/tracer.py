@@ -60,7 +60,6 @@ FACTOR_CACHE_HITS = "factor_cache_hits"
 FACTOR_CACHE_MISSES = "factor_cache_misses"
 FACTOR_CACHE_EVICTIONS = "factor_cache_evictions"
 SHARDS_DISPATCHED = "shards_dispatched"
-INLINE_FALLBACKS = "inline_fallbacks"
 SHARD_STEALS = "shard_steals"
 SHARD_SCAN_SECONDS = "shard_scan_seconds"
 SHARD_IO_BYTES = "shard_io_bytes"

@@ -42,7 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
-from ..engine import MatchEngine, select_engine
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..engine.resident import ResidentSampleEvaluator
 from ..errors import ServiceError
 from ..io import (
@@ -108,12 +108,13 @@ class StoreEntry:
     def engine(self) -> MatchEngine:
         """This entry's private counting engine.
 
-        Created on first use via :func:`repro.engine.select_engine` and
-        kept so the factor cache / worker pool stays warm for the next
-        job on this store.
+        Created on first use (a
+        :class:`~repro.engine.VectorizedBatchEngine`) and kept so the
+        factor cache / worker pool stays warm for the next job on this
+        store.
         """
         if self._engine is None:
-            self._engine = select_engine()
+            self._engine = VectorizedBatchEngine()
         return self._engine
 
     def resident_evaluator(self) -> ResidentSampleEvaluator:

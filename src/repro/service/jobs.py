@@ -46,7 +46,7 @@ import numpy as np
 from ..config import SAMPLING_ALGORITHMS, MiningConfig, json_payload
 from ..core import _nativekernels
 from ..core.sequence import SequenceDatabase
-from ..engine import select_engine
+from ..engine import VectorizedBatchEngine
 from ..errors import NoisyMineError, SequenceDatabaseError, ServiceError
 from ..io import SegmentedSequenceStore, is_segmented_store
 from ..obs import (
@@ -423,7 +423,7 @@ class MiningService:
                     )
                     result = miner.mine(entry.store)
             else:
-                with select_engine() as engine:
+                with VectorizedBatchEngine() as engine:
                     miner = config.build_miner(
                         n_sequences, engine=engine, tracer=tracer,
                     )

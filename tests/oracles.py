@@ -13,7 +13,10 @@ those layers live here, as oracles:
   the kernels replace;
 * :func:`reference_lattice` swaps those scans into the production
   modules for the duration of a ``with`` block, so a whole miner can
-  run on the oracle lattice.
+  run on the oracle lattice;
+* :func:`serial_dispatch` and :func:`shuffled` stand in for the worker
+  pool's dispatch, and :func:`small_shards` lets tiny test databases
+  cut into several shards.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from repro.core.lattice import PatternConstraints, extend_right
 from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
 from repro.core.sequence import AnySequenceDatabase, iter_chunks
-from repro.engine import MatchEngine
+from repro.engine import MatchEngine, vectorized
 from repro.engine.kernels import DEFAULT_CHUNK_ROWS
+from repro.engine.shards import execute_shard_task
 from repro.errors import MiningError
 from repro.mining import ambiguous, collapsing
 from repro.mining.chernoff import restricted_spread
@@ -246,4 +250,33 @@ def reference_lattice():
     with ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
+        yield
+
+
+# -- dispatch ------------------------------------------------------------------
+
+
+def serial_dispatch(engine, matrix: CompatibilityMatrix):
+    """A pool-free dispatch for *engine*: runs its shard tasks in this
+    process, in submission order, against *matrix*."""
+    c_ext = engine._matrix(matrix)
+    return lambda tasks: (
+        execute_shard_task(task, c_ext, engine.kernels) for task in tasks
+    )
+
+
+def shuffled(dispatch, seed: int = 0):
+    """*dispatch* with its completion order deterministically scrambled:
+    the merged totals must not change however the results arrive."""
+    def run(tasks):
+        results = list(dispatch(tasks))
+        order = np.random.default_rng(seed).permutation(len(results))
+        return [results[int(i)] for i in order]
+    return run
+
+
+@contextmanager
+def small_shards():
+    """Shard databases of any size: one row is enough for a shard."""
+    with mock.patch.object(vectorized, "MIN_SHARD_ROWS", 1):
         yield

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import select_engine
+from repro.engine import native_available
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ class TestMine:
                                               monkeypatch):
         monkeypatch.delenv("NOISYMINE_WORKERS", raising=False)
         payload = self._levelwise_json(generated, capsys)
-        assert payload["engine"] == select_engine().name
+        assert payload["engine"] == "vectorized"
         assert "lattice" not in payload
 
     def test_workers_two_runs_parallel_with_identical_patterns(
@@ -132,11 +132,23 @@ class TestMine:
         one = self._levelwise_json(path, capsys, "--workers", "1")
         two = self._levelwise_json(path, capsys, "--workers", "2",
                                    "--metrics-json", str(metrics))
-        assert two["engine"] == "parallel"
+        assert two["engine"] == one["engine"] == "vectorized"
         assert two["patterns"] == one["patterns"]  # bit-identical
         assert two["scans"] == one["scans"]
-        counters = json.loads(metrics.read_text())["counters"]
-        assert counters.get("shards_dispatched", 0) > 0
+        report = json.loads(metrics.read_text())
+        assert report["counters"].get("shards_dispatched", 0) > 0
+        assert report["context"]["workers"] == 2
+
+    def test_metrics_report_workers_and_kernels_on_one_worker(
+        self, generated, capsys, tmp_path
+    ):
+        metrics = tmp_path / "metrics.json"
+        self._levelwise_json(generated, capsys, "--workers", "1",
+                             "--metrics-json", str(metrics))
+        context = json.loads(metrics.read_text())["context"]
+        assert context["workers"] == 1
+        assert context["kernels"] == ("compiled" if native_available
+                                      else "numpy")
 
     def test_stale_execution_env_vars_change_nothing(
         self, generated, capsys, monkeypatch
@@ -177,13 +189,17 @@ class TestMine:
         self, generated, capsys, monkeypatch
     ):
         monkeypatch.setattr("repro.config.native_available", False)
-        code = main([
-            "mine", str(generated), "--alphabet", "10",
-            "--min-match", "0.5", "--algorithm", "levelwise",
-            "--score-dtype", "float32",
-        ])
-        assert code == 2
-        assert "float32" in capsys.readouterr().err
+        errors = []
+        for workers in ("1", "2"):
+            code = main([
+                "mine", str(generated), "--alphabet", "10",
+                "--min-match", "0.5", "--algorithm", "levelwise",
+                "--score-dtype", "float32", "--workers", workers,
+            ])
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert "float32" in errors[0]
+        assert errors[1] == errors[0]  # the worker count changes nothing
 
     def test_unknown_engine_rejected_by_argparse(self, generated, capsys):
         with pytest.raises(SystemExit):

@@ -1,10 +1,11 @@
-"""The engine layer: engine equivalence, scan contract, cache, selection.
+"""The engine layer: engine equivalence, scan contract, cache, pool.
 
 The per-sequence oracle of ``tests/oracles.py`` is the semantic
-baseline; the vectorized, parallel and native engines must agree with
-it on ``M(P, s)``, ``M(P, S)`` and ``M(P, D)`` to within 1e-12 on
-arbitrary inputs — including wildcard-heavy patterns and patterns whose
-span exceeds every sequence — while consuming exactly one scan per
+baseline; the counting engine — one worker or a pool, numpy or
+compiled kernels (or their interpreted twins) — must agree with it on
+``M(P, s)``, ``M(P, S)`` and ``M(P, D)`` to within 1e-12 on arbitrary
+inputs — including wildcard-heavy patterns and patterns whose span
+exceeds every sequence — while consuming exactly one scan per
 ``database_matches`` call.
 """
 
@@ -22,23 +23,21 @@ from repro import (
     SequenceDatabase,
     WILDCARD,
 )
+from repro.config import MiningConfig
 from repro.core import match as core_match
 from repro.engine import (
     FactorCache,
     MatchEngine,
-    NativeEngine,
-    ParallelEngine,
     VectorizedBatchEngine,
     WORKERS_ENV_VAR,
     native_available,
     native_unavailable_reason,
     resolve_worker_count,
-    select_engine,
 )
 from repro.mining import LevelwiseMiner
-from repro.obs import INLINE_FALLBACKS, SHARDS_DISPATCHED, Tracer
+from repro.obs import SHARDS_DISPATCHED, Tracer
 
-from .oracles import ReferenceEngine
+from .oracles import ReferenceEngine, small_shards
 from .strategies import (
     M,
     databases,
@@ -49,26 +48,37 @@ from .strategies import (
 )
 
 
-#: Module-level instances so the parallel pool and the factor cache are
-#: reused across examples.  chunk_rows=3 forces multi-chunk evaluation
-#: on tiny databases; min_shard_rows=1 forces the parallel engine onto
-#: its pool path even for a handful of sequences.
+@pytest.fixture(autouse=True, scope="module")
+def _tiny_shards():
+    """Let the handful-of-rows databases below cut into shards, so the
+    pool engine really dispatches."""
+    with small_shards():
+        yield
+
+
+#: Module-level instances so the pool and the factor cache are reused
+#: across examples.  chunk_rows=3 forces multi-chunk evaluation on tiny
+#: databases.
 REF = ReferenceEngine()
-VEC = VectorizedBatchEngine(chunk_rows=3)
-PAR = ParallelEngine(n_workers=2, chunk_rows=3, min_shard_rows=1)
-#: The native backend's interpreted twins are always differential-tested;
-#: the compiled specialisations join the matrix only where numba exists.
-NAT_PURE = NativeEngine(chunk_rows=3, kernels="pure")
+VEC = VectorizedBatchEngine(chunk_rows=3, kernels="numpy")
+PAR = VectorizedBatchEngine(chunk_rows=3, workers=2)
+#: The compiled kernels' interpreted twins are always differential-
+#: tested; the compiled specialisations join where numba exists.
+NAT_PURE = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
 ENGINES = [REF, VEC, PAR, NAT_PURE]
 if native_available:
-    ENGINES.append(NativeEngine(chunk_rows=3))
+    ENGINES.append(VectorizedBatchEngine(chunk_rows=3))
 #: Every non-reference backend must agree with REF to 1e-12.
 OTHERS = [engine for engine in ENGINES if engine is not REF]
 
 
 def _engine_id(engine: MatchEngine) -> str:
-    if isinstance(engine, NativeEngine):
-        return "native-pure" if not engine.compiled else "native-jit"
+    if isinstance(engine, VectorizedBatchEngine):
+        if engine.workers > 1:
+            return "parallel"
+        if engine.kernels != "numpy":
+            return "native-pure" if engine.kernels == "pure" \
+                else "native-jit"
     return engine.name
 
 
@@ -87,11 +97,13 @@ def test_numba_absence_is_recorded():
 @given(patterns(), sequences(), matrices())
 @settings(max_examples=120, deadline=None)
 def test_sequence_match_equivalence(pattern, sequence, matrix):
-    baseline = REF.sequence_match(pattern, sequence, matrix)
+    # M(P, S) is M(P, D) over the one-sequence database {S}.
+    baseline = core_match.sequence_match(pattern, sequence, matrix)
     for engine in OTHERS:
-        assert engine.sequence_match(
-            pattern, sequence, matrix
-        ) == pytest.approx(baseline, abs=1e-12)
+        got = engine.database_matches(
+            [pattern], SequenceDatabase([sequence]), matrix
+        )
+        assert got[pattern] == pytest.approx(baseline, abs=1e-12)
 
 
 @given(patterns(), matrices(), st.data())
@@ -104,11 +116,13 @@ def test_segment_match_equivalence(pattern, matrix, data):
             max_size=pattern.span,
         )
     )
-    baseline = REF.segment_match(pattern, segment, matrix)
+    # A span-length sequence has exactly one window: the segment.
+    baseline = core_match.segment_match(pattern, segment, matrix)
     for engine in OTHERS:
-        assert engine.segment_match(
-            pattern, segment, matrix
-        ) == pytest.approx(baseline, abs=1e-12)
+        got = engine.database_matches(
+            [pattern], SequenceDatabase([segment]), matrix
+        )
+        assert got[pattern] == pytest.approx(baseline, abs=1e-12)
 
 
 @given(pattern_batches(), databases(), matrices())
@@ -130,13 +144,11 @@ def test_database_matches_equivalence(batch, database, matrix):
 def test_native_float64_is_bit_identical_to_vectorized(
     batch, database, matrix
 ):
-    # Stronger than the 1e-12 contract: at equal chunk_rows the native
-    # float64 kernels reproduce the vectorized backend bit for bit.
+    # Stronger than the 1e-12 contract: at equal chunk_rows every kernel
+    # path and worker count reproduces the numpy kernels bit for bit.
     batch = list(dict.fromkeys(batch))
     baseline = VEC.database_matches(batch, database, matrix)
-    for engine in ENGINES:
-        if not isinstance(engine, NativeEngine):
-            continue
+    for engine in OTHERS:
         result = engine.database_matches(batch, database, matrix)
         for pattern in batch:
             assert result[pattern] == baseline[pattern]
@@ -150,12 +162,11 @@ def test_symbol_matches_equivalence(database, matrix):
         np.testing.assert_allclose(
             engine.symbol_matches(database, matrix), baseline, atol=1e-12
         )
-    for engine in ENGINES:
-        if isinstance(engine, NativeEngine):  # bit-identity, not closeness
-            np.testing.assert_array_equal(
-                engine.symbol_matches(database, matrix),
-                VEC.symbol_matches(database, matrix),
-            )
+    for engine in OTHERS:  # bit-identity, not closeness
+        np.testing.assert_array_equal(
+            engine.symbol_matches(database, matrix),
+            VEC.symbol_matches(database, matrix),
+        )
 
 
 @given(databases(), matrices())
@@ -321,29 +332,41 @@ class TestFactorCache:
 class TestEngineSelection:
     def test_one_worker_selects_by_platform(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        engine = select_engine()
-        expected = NativeEngine if native_available else VectorizedBatchEngine
-        assert type(engine) is expected
+        engine = VectorizedBatchEngine()
+        assert engine.workers == 1
+        assert engine.kernels == ("compiled" if native_available
+                                  else "numpy")
+        assert engine.name == "vectorized"
 
-    def test_more_workers_select_the_parallel_engine(self):
-        with select_engine(2) as engine:
-            assert isinstance(engine, ParallelEngine)
-            assert engine.n_workers == 2
+    def test_more_workers_select_the_parallel_engine(self, fig2_matrix):
+        database = SequenceDatabase([[0, 1, 2]] * 8)
+        with VectorizedBatchEngine(chunk_rows=4, workers=2) as engine:
+            assert engine.workers == 2
+            assert engine.name == "vectorized"
+            engine.database_matches([Pattern([0, 1])], database,
+                                    fig2_matrix)
+            assert engine.shards_dispatched == 2  # the pool ran it
 
     def test_workers_env_var_selects_the_parallel_engine(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        with select_engine() as engine:
-            assert isinstance(engine, ParallelEngine)
-            assert engine.n_workers == 3
+        with VectorizedBatchEngine() as engine:
+            assert engine.workers == 3
 
     def test_each_call_builds_a_fresh_engine(self):
-        assert select_engine(1) is not select_engine(1)
+        config = MiningConfig(min_match=0.5, alphabet=M,
+                              algorithm="levelwise")
+        assert config.build_miner(10).engine is not \
+            config.build_miner(10).engine
 
     def test_stale_engine_env_var_changes_nothing(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        expected = type(select_engine())
+        expected = repr(VectorizedBatchEngine())
         monkeypatch.setenv("NOISYMINE_ENGINE", "reference")
-        assert type(select_engine()) is expected
+        assert repr(VectorizedBatchEngine()) == expected
+
+    def test_unknown_kernel_mode_rejected(self):
+        with pytest.raises(MiningError, match="kernels"):
+            VectorizedBatchEngine(kernels="compiled")
 
     def test_miners_use_a_passed_instance(self):
         miner = LevelwiseMiner(CompatibilityMatrix.identity(M), 0.5,
@@ -367,16 +390,17 @@ class TestParallelLifecycle:
         return [Pattern.single(0), Pattern([0, 1])]
 
     def test_inline_fallback_below_min_shard_rows(self, fig2_matrix):
-        engine = ParallelEngine(n_workers=2, min_shard_rows=64)
+        # One block of rows cannot be cut into two shards: the serial
+        # path runs it, and no pool is ever built.
+        engine = VectorizedBatchEngine(workers=2)
         tracer = Tracer()
         result = engine.database_matches(
             self._batch(), self._database(8), fig2_matrix, tracer=tracer
         )
-        assert engine.inline_fallbacks == 1
         assert engine.shards_dispatched == 0
         assert engine.pools_created == 0  # no pool was ever built
-        assert tracer.total(INLINE_FALLBACKS) == 1
         assert tracer.total(SHARDS_DISPATCHED) == 0
+        assert tracer.root.notes["workers"] == 2
         baseline = REF.database_matches(
             self._batch(), self._database(8), fig2_matrix
         )
@@ -384,25 +408,22 @@ class TestParallelLifecycle:
             assert result[pattern] == pytest.approx(value, abs=1e-12)
 
     def test_single_worker_never_shards(self, fig2_matrix):
-        engine = ParallelEngine(n_workers=1, min_shard_rows=1)
+        engine = VectorizedBatchEngine(chunk_rows=1, workers=1)
         engine.database_matches(
             self._batch(), self._database(8), fig2_matrix
         )
         assert engine.pools_created == 0
-        assert engine.inline_fallbacks == 1
+        assert engine.shards_dispatched == 0
 
     def test_pool_reused_then_rebuilt_on_matrix_change(self, fig2_matrix):
-        # chunk_rows=4 puts 8 sequences on two grid blocks; oversplit=1
-        # makes the task count exactly n_workers, so the dispatch is
-        # deterministic enough to pin.
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=4, min_shard_rows=1, oversplit=1
-        )
+        # chunk_rows=4 puts 8 sequences on two grid blocks, so the
+        # dispatch is exactly two tasks.
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         other = CompatibilityMatrix(np.eye(M))
         database = self._database(8)
         try:
             tracer = Tracer()
-            result = engine.database_matches(
+            engine.database_matches(
                 self._batch(), database, fig2_matrix, tracer=tracer
             )
             assert engine.pools_created == 1
@@ -423,10 +444,10 @@ class TestParallelLifecycle:
             engine.close()
 
     def test_one_pool_across_a_full_mining_run(self, fig2_matrix):
-        # The satellite guarantee: every phase of a run (Phase-1 scan,
-        # each level's counting pass) reuses one worker pool — the
-        # engine must not fork per call.
-        engine = ParallelEngine(n_workers=2, chunk_rows=4, min_shard_rows=1)
+        # Every phase of a run (Phase-1 scan, each level's counting
+        # pass) reuses one worker pool — the engine must not fork per
+        # call.
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         database = self._database(12)
         try:
             miner = LevelwiseMiner(
@@ -443,7 +464,7 @@ class TestParallelLifecycle:
             engine.close()
 
     def test_warm_pool_precreates_once(self, fig2_matrix):
-        engine = ParallelEngine(n_workers=2, min_shard_rows=1)
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         try:
             engine.warm_pool(fig2_matrix)
             assert engine.pools_created == 1
@@ -457,7 +478,7 @@ class TestParallelLifecycle:
             engine.close()
 
     def test_warm_pool_is_noop_for_single_worker(self, fig2_matrix):
-        engine = ParallelEngine(n_workers=1)
+        engine = VectorizedBatchEngine(workers=1)
         engine.warm_pool(fig2_matrix)
         assert engine.pools_created == 0
 
@@ -471,15 +492,13 @@ class TestParallelLifecycle:
         store = PackedSequenceStore.from_database(
             database, tmp_path / "db.nmp"
         )
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=4, min_shard_rows=1, oversplit=1
-        )
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         batch = self._batch()
         try:
             expected = engine.database_matches(batch, database, fig2_matrix)
             dispatched = engine.shards_dispatched
             result = engine.database_matches(batch, store, fig2_matrix)
-            assert engine.shards_dispatched == dispatched + 2
+            assert engine.shards_dispatched == dispatched + 3
             assert store.scan_count == 1
             assert result == expected  # bit-identical merge order
             symbols = engine.symbol_matches(store, fig2_matrix)
@@ -496,7 +515,7 @@ class TestParallelLifecycle:
 
         database = self._database(12)
         store = PackedSequenceStore.from_database(database)
-        engine = ParallelEngine(n_workers=2, chunk_rows=4, min_shard_rows=1)
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         try:
             result = engine.database_matches(
                 self._batch(), store, fig2_matrix
@@ -505,14 +524,14 @@ class TestParallelLifecycle:
                 self._batch(), database, fig2_matrix
             )
             assert store.scan_count == 1
-            assert engine.shards_dispatched > 0  # rows shipped, not inline
+            assert engine.shards_dispatched > 0  # rows shipped
             for pattern, value in expected.items():
                 assert result[pattern] == pytest.approx(value, abs=1e-12)
         finally:
             engine.close()
 
     def test_close_is_idempotent_and_pool_comes_back(self, fig2_matrix):
-        engine = ParallelEngine(n_workers=2, chunk_rows=4, min_shard_rows=1)
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         database = self._database(8)
         try:
             engine.database_matches(self._batch(), database, fig2_matrix)
@@ -537,7 +556,7 @@ class TestWorkerResolution:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
         assert resolve_worker_count() == 5
-        assert ParallelEngine().n_workers == 5
+        assert VectorizedBatchEngine().workers == 5
 
     @pytest.mark.parametrize("value", ["zebra", "0", "-2"])
     def test_env_override_must_be_a_positive_integer(
@@ -550,4 +569,4 @@ class TestWorkerResolution:
     def test_default_is_one_worker(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert resolve_worker_count() == 1
-        assert ParallelEngine().n_workers == 1
+        assert VectorizedBatchEngine().workers == 1

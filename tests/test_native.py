@@ -1,11 +1,12 @@
-"""The native engine: kernels, no-fallback policy, warm-up, float32, config.
+"""The compiled kernels: bodies, selection, warm-up, float32, config.
 
-Four surfaces, each differential-tested against the numpy tiers:
+Four surfaces, each differential-tested against the numpy kernels:
 
 * the kernel bodies themselves (``py_`` twins vs the vectorized
   chunk kernels — bit-identical in float64, integer-exact otherwise);
-* the no-fallback policy (engine selection never picks the native
-  engine without numba, and constructing it directly fails loudly);
+* kernel selection (the counting engine never picks compiled kernels
+  without numba, and float32 full-database counting then fails
+  loudly);
 * warm-up accounting (``warm_kernels`` idempotent, JIT seconds charged
   at most once per process — pool initializers included);
 * the float32 scoring mode and its ``score_dtype`` plumbing through
@@ -16,6 +17,8 @@ twins; the compiled specialisations are exercised where numba imports.
 """
 
 from __future__ import annotations
+
+import signal
 
 import numpy as np
 import pytest
@@ -35,28 +38,25 @@ from repro.core.latticekernels import (
     block_weights,
     pack_by_span,
 )
-from repro.engine import (
-    NativeEngine,
-    VectorizedBatchEngine,
-    native_available,
-    select_engine,
-)
+from repro.engine import VectorizedBatchEngine, native_available
 from repro.engine import shards
 from repro.engine.kernels import (
+    DATABASE_TOTALS,
+    DEFAULT_SCORE_DTYPE,
+    SCORE_DTYPE_ENV_VAR,
+    SCORE_DTYPES,
+    SYMBOL_TOTALS,
     chunk_group_maxima,
     chunk_symbol_maxima,
     extended_matrix,
     gather_chunk,
     group_patterns_by_span,
     pad_chunk,
-)
-from repro.engine.native import (
-    DEFAULT_SCORE_DTYPE,
-    SCORE_DTYPE_ENV_VAR,
-    SCORE_DTYPES,
     resolve_score_dtype,
 )
 from repro.obs import NATIVE_KERNEL_CALLS, Tracer
+
+from .oracles import serial_dispatch, small_shards
 
 from .strategies import (
     M,
@@ -67,8 +67,6 @@ from .strategies import (
     patterns,
 )
 
-
-VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
 
 #: The float32 scoring bound documented in docs/ALGORITHMS.md: window
 #: products round once per factor, so the match-value deviation stays
@@ -197,7 +195,7 @@ def test_membership_kernel_matches_byte_sets(span, table_rows, query_rows):
 # -- engine-level equivalence and counters ------------------------------------
 
 def test_kernel_calls_reach_engine_and_tracer(fig2_matrix):
-    engine = NativeEngine(chunk_rows=2, kernels="pure")
+    engine = VectorizedBatchEngine(chunk_rows=2, kernels="pure")
     database = SequenceDatabase([[0, 1, 2, 3], [1, 2], [3, 0, 1]])
     tracer = Tracer()
     engine.database_matches(
@@ -208,13 +206,13 @@ def test_kernel_calls_reach_engine_and_tracer(fig2_matrix):
     assert tracer.total(NATIVE_KERNEL_CALLS) == engine.kernel_calls
     engine.symbol_matches(database, fig2_matrix, tracer=tracer)
     assert tracer.total(NATIVE_KERNEL_CALLS) == engine.kernel_calls
+    assert tracer.root.notes["kernels"] == "pure"
 
 
-def test_shard_native_path_is_bit_identical(fig2_matrix, monkeypatch):
-    """The worker-side native branch (the one fork-started pool workers
-    take) produces per-block totals bit-identical to the numpy branch.
-    Forcing ``native_available`` True runs the interpreted twins on
-    numba-free legs — the same code numba compiles."""
+def test_shard_native_path_is_bit_identical(fig2_matrix):
+    """The worker-side block kernel on the compiled path (its
+    interpreted twins on numba-free legs) produces per-block totals
+    bit-identical to the numpy path."""
     rng = np.random.default_rng(3)
     rows = [rng.integers(0, M, size=7) for _ in range(9)]
     batch = [Pattern([0, 1]), Pattern([1, WILDCARD, 2]), Pattern([4])]
@@ -225,50 +223,47 @@ def test_shard_native_path_is_bit_identical(fig2_matrix, monkeypatch):
         symbol_count=sum(len(r) for r in rows),
     )
 
-    def run(kind):
+    def run(kind, kernels):
         task = shards.ShardTask(
             spec=spec, kind=kind, chunk_rows=4,
             groups=groups, elements_by_span=elements_by_span,
             n_patterns=len(batch), rows=list(rows),
         )
-        return shards.execute_shard_task(task, c_ext).block_totals
+        return shards.execute_shard_task(task, c_ext, kernels).block_totals
 
-    results = {}
-    for forced in (False, True):
-        monkeypatch.setattr(nk, "native_available", forced)
-        results[forced] = (
-            run(shards.TASK_DATABASE_TOTALS),
-            run(shards.TASK_SYMBOL_TOTALS),
-        )
-    np.testing.assert_array_equal(results[False][0], results[True][0])
-    np.testing.assert_array_equal(results[False][1], results[True][1])
+    modes = ["pure"] + (["compiled"] if native_available else [])
+    for kind in (DATABASE_TOTALS, SYMBOL_TOTALS):
+        expected = run(kind, "numpy")
+        for kernels in modes:
+            np.testing.assert_array_equal(run(kind, kernels), expected)
 
 
-# -- no-fallback policy --------------------------------------------------------
+# -- kernel selection ----------------------------------------------------------
 
 class TestFallbackPolicy:
     @pytest.fixture(autouse=True)
     def _no_numba(self, monkeypatch):
         """Force the numba-absent world regardless of the CI leg."""
         monkeypatch.setattr(nk, "native_available", False)
-        monkeypatch.setattr("repro.engine.native_available", False)
+        monkeypatch.setattr("repro.config.native_available", False)
 
     def test_loud_failure_is_actionable(self):
         with pytest.raises(MiningError) as excinfo:
-            NativeEngine()
+            MiningConfig(min_match=0.5, alphabet=M, algorithm="levelwise",
+                         score_dtype="float32")
         message = str(excinfo.value)
         assert "noisymine[native]" in message
-        assert "vectorized engine" in message
+        assert "sampling miner" in message
 
     def test_selection_never_picks_native_without_numba(self, monkeypatch):
         monkeypatch.delenv("NOISYMINE_WORKERS", raising=False)
-        assert type(select_engine()) is VectorizedBatchEngine
+        assert VectorizedBatchEngine().kernels == "numpy"
 
     def test_pure_mode_needs_no_opt_in(self, fig2_matrix):
         # kernels="pure" is a testing mode: it must construct without
         # numba.
-        engine = NativeEngine(chunk_rows=3, kernels="pure")
-        assert not engine.compiled
+        engine = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
+        assert engine.kernels == "pure"
 
 
 # -- warm-up accounting --------------------------------------------------------
@@ -298,14 +293,19 @@ class TestWarmup:
 
     def test_pool_initializer_warms_exactly_once(self):
         c_ext = extended_matrix(np.eye(M))
-        shards.init_worker(c_ext)
-        charged = nk.jit_compile_seconds()
-        if native_available:
-            assert nk.kernels_warmed()
-        # Re-initialisation (a worker recycled into a new pool) must
-        # not re-charge the counter.
-        shards.init_worker(c_ext)
-        assert nk.jit_compile_seconds() == charged
+        kernels = "compiled" if native_available else "numpy"
+        saved = signal.getsignal(signal.SIGINT)
+        try:
+            shards.init_worker(c_ext, kernels)
+            charged = nk.jit_compile_seconds()
+            if native_available:
+                assert nk.kernels_warmed()
+            # Re-initialisation (a worker recycled into a new pool)
+            # must not re-charge the counter.
+            shards.init_worker(c_ext, kernels)
+            assert nk.jit_compile_seconds() == charged
+        finally:
+            signal.signal(signal.SIGINT, saved)
 
     def test_unavailable_reason_is_recorded(self):
         if native_available:
@@ -336,8 +336,8 @@ class TestScoreDtype:
     @settings(max_examples=40, deadline=None)
     def test_float32_error_is_bounded(self, batch, database, matrix):
         batch = list(dict.fromkeys(batch))
-        f64 = NativeEngine(chunk_rows=3, kernels="pure")
-        f32 = NativeEngine(
+        f64 = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
+        f32 = VectorizedBatchEngine(
             chunk_rows=3, kernels="pure", score_dtype="float32"
         )
         exact = f64.database_matches(batch, database, matrix)
@@ -348,7 +348,7 @@ class TestScoreDtype:
             )
 
     def test_set_score_dtype_switches_and_clears_cache(self, fig2_matrix):
-        engine = NativeEngine(chunk_rows=3, kernels="pure")
+        engine = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
         database = SequenceDatabase([[0, 1, 2, 3], [3, 2, 1]])
         batch = [Pattern([0, WILDCARD, 2])]
         exact = engine.database_matches(batch, database, fig2_matrix)
@@ -411,7 +411,7 @@ class TestConfigPlumbing:
         config = MiningConfig(
             min_match=0.5, alphabet=M, score_dtype="float32",
         )
-        engine = NativeEngine(chunk_rows=3, kernels="pure")
+        engine = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
         miner = config.build_miner(n_sequences=10, engine=engine)
         assert engine.score_dtype == "float32"
         assert miner is not None
@@ -425,8 +425,52 @@ class TestConfigPlumbing:
             score_dtype="float32",
         )
         with pytest.raises(MiningError, match="float32"):
-            config.build_miner(n_sequences=10,
-                               engine=VectorizedBatchEngine())
+            config.build_miner(
+                n_sequences=10, engine=VectorizedBatchEngine(kernels="numpy")
+            )
+
+    def test_worker_count_never_changes_float32_acceptance(
+        self, monkeypatch
+    ):
+        # numpy kernels reject float32 levelwise with one message,
+        # whatever the worker count.
+        monkeypatch.setattr("repro.config.native_available", True)
+        config = MiningConfig(min_match=0.5, alphabet=M,
+                              algorithm="levelwise", score_dtype="float32")
+        messages = set()
+        for workers in (1, 2):
+            engine = VectorizedBatchEngine(workers=workers, kernels="numpy")
+            with pytest.raises(MiningError, match="float32") as excinfo:
+                config.build_miner(n_sequences=10, engine=engine)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+        assert "worker" not in messages.pop()
+
+    def test_pool_workers_score_in_float32(self, fig2_matrix):
+        # The float32 cast reaches the shards: two workers give the
+        # same values as one, not float64 ones.
+        rng = np.random.default_rng(5)
+        database = SequenceDatabase(
+            [rng.integers(0, M, size=9).tolist() for _ in range(12)]
+        )
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 3])]
+        config = MiningConfig(min_match=0.5, alphabet=M,
+                              score_dtype="float32")
+        one = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
+        two = VectorizedBatchEngine(chunk_rows=3, kernels="pure", workers=2)
+        for engine in (one, two):
+            config.build_miner(n_sequences=12, engine=engine)
+            assert engine.score_dtype == "float32"
+        two.dispatch = serial_dispatch(two, fig2_matrix)
+        with small_shards():
+            got = two.database_matches(batch, database, fig2_matrix)
+        assert two.shards_dispatched > 0
+        want = one.database_matches(batch, database, fig2_matrix)
+        assert got == want
+        exact = VectorizedBatchEngine(chunk_rows=3).database_matches(
+            batch, database, fig2_matrix
+        )
+        assert got != exact  # float32 products, not float64 ones
 
 
 # -- CLI surface ---------------------------------------------------------------
@@ -449,3 +493,30 @@ class TestCliSurface:
                 "mine", "db.txt", "--min-match", "0.5",
                 "--score-dtype", "float16",
             ])
+
+    @pytest.mark.skipif(not native_available,
+                        reason="float32 full-database counting needs numba")
+    def test_float32_patterns_identical_across_worker_counts(
+        self, tmp_path, capsys
+    ):
+        # Pool workers get the float32-cast matrix: two workers print
+        # the patterns one worker prints.
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "wide.txt"
+        assert main(["generate", str(path), "--sequences", "600",
+                     "--length", "12", "--alphabet", "10",
+                     "--seed", "5"]) == 0
+        capsys.readouterr()
+        runs = []
+        for workers in ("1", "2"):
+            assert main([
+                "mine", str(path), "--alphabet", "10", "--min-match", "0.5",
+                "--algorithm", "levelwise", "--max-weight", "4",
+                "--max-span", "4", "--score-dtype", "float32",
+                "--workers", workers, "--json",
+            ]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert runs[1]["patterns"] == runs[0]["patterns"]

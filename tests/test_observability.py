@@ -12,6 +12,7 @@ requests must clamp (with the effective size recorded in the report).
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -34,11 +35,7 @@ from repro import (
     symbol_matches,
 )
 from repro.cli import main as cli_main
-from repro.engine import (
-    ParallelEngine,
-    ResidentSampleEvaluator,
-    VectorizedBatchEngine,
-)
+from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.eval import ExperimentTable, phase_scan_series, record_run
 from repro.errors import NoisyMineError
 from repro.mining import ambiguous as ambiguous_mod
@@ -84,7 +81,7 @@ def noise_matrix() -> CompatibilityMatrix:
 ENGINES = {
     "reference": ReferenceEngine,
     "vectorized": VectorizedBatchEngine,
-    "parallel": ParallelEngine,
+    "parallel": functools.partial(VectorizedBatchEngine, workers=2),
     "resident": ResidentSampleEvaluator,
 }
 
@@ -150,7 +147,9 @@ class TestPhaseScanInvariant:
         report = result.report
         assert report is not None
         assert report.algorithm == algorithm == miner.algorithm
-        assert report.engine == engine
+        assert report.engine == miner.engine.name
+        assert report.engine == ("vectorized" if engine == "parallel"
+                                 else engine)
         assert report.scans == result.scans == consumed
         assert sum(phase.scans for phase in report.phases) == consumed
         assert sum(report.scans_by_phase().values()) == consumed

@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.io import HEADER_BYTES, STORE_MAGIC
 
-from .oracles import ReferenceEngine
+from .oracles import ReferenceEngine, small_shards
 
 
 @pytest.fixture
@@ -327,20 +327,22 @@ class TestMinerParity:
                              ["reference", "vectorized", "parallel"])
     def test_packed_matches_memory_on_every_backend(self, workload,
                                                     engine_name):
-        from repro.engine import ParallelEngine, VectorizedBatchEngine
+        from repro.engine import VectorizedBatchEngine
 
         db, _text, packed, matrix = workload
         if engine_name == "parallel":
-            engine = ParallelEngine(n_workers=2, chunk_rows=3,
-                                    min_shard_rows=1)
+            engine = VectorizedBatchEngine(chunk_rows=3, workers=2)
         elif engine_name == "vectorized":
             engine = VectorizedBatchEngine()
         else:
             engine = ReferenceEngine()
         try:
-            in_memory = self._mine("border-collapsing", db, matrix, engine)
-            store = PackedSequenceStore.open(packed)
-            result = self._mine("border-collapsing", store, matrix, engine)
+            with small_shards():
+                in_memory = self._mine("border-collapsing", db, matrix,
+                                       engine)
+                store = PackedSequenceStore.open(packed)
+                result = self._mine("border-collapsing", store, matrix,
+                                    engine)
             # Same backend, different storage: bit-identical.
             assert result.frequent == in_memory.frequent
             assert result.scans == in_memory.scans

@@ -66,7 +66,7 @@ from .strategies import (
 
 VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
 
-#: The float32 bound shared with the native engine (docs/ALGORITHMS.md).
+#: The float32 bound shared with the counting engine (docs/ALGORITHMS.md).
 FLOAT32_ATOL = 1e-5
 
 

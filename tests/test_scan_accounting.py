@@ -9,6 +9,7 @@ every entry point, before any scan is spent.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro import (
     SequenceDatabase,
     WILDCARD,
 )
-from repro.engine import ParallelEngine, VectorizedBatchEngine
+from repro.engine import VectorizedBatchEngine
 from repro.mining import (
     BorderCollapsingMiner,
     LevelwiseMiner,
@@ -49,7 +50,7 @@ from .oracles import ReferenceEngine
 ENGINES = {
     "reference": ReferenceEngine,
     "vectorized": VectorizedBatchEngine,
-    "parallel": ParallelEngine,
+    "parallel": functools.partial(VectorizedBatchEngine, workers=2),
 }
 
 PATTERNS = [

@@ -725,18 +725,18 @@ class TestSegmentedStores:
 
 
 class TestShardMetrics:
-    """Jobs run on the parallel engine surface the per-shard counters
+    """Jobs run on a multi-worker engine surface the per-shard counters
     of the scatter-gather tier through the daemon's tracer."""
 
     def test_parallel_job_reports_shard_counters(
         self, tmp_path, monkeypatch
     ):
-        from repro.obs import INLINE_FALLBACKS, SHARDS_DISPATCHED
+        from repro.obs import SHARDS_DISPATCHED
 
-        # The per-store engine is built lazily by the daemon via
-        # ``select_engine()``, which reads the worker count from the
-        # environment at construction.  The store must span several
-        # 256-row blocks or the engine (correctly) falls back inline.
+        # The per-store engine is built lazily by the daemon, and reads
+        # the worker count from the environment at construction.  The
+        # store must span several 256-row blocks or the engine
+        # (correctly) counts serially.
         monkeypatch.setenv("NOISYMINE_WORKERS", "2")
         path = _make_store(tmp_path, "shards.nmp", seed=33,
                            sequences=600)
@@ -747,7 +747,7 @@ class TestShardMetrics:
             assert job.state == "done", job.error
             totals = job.tracer.totals()
             assert totals.get(SHARDS_DISPATCHED, 0) > 0
-            assert totals.get(INLINE_FALLBACKS, 0) == 0
+            assert job.result["metrics"]["context"]["workers"] == 2
             # The same counters reach the wire-format payload the
             # HTTP tier serves.
             counters = job.result["metrics"]["counters"]

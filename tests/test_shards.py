@@ -5,10 +5,10 @@ Covers the counting-tier contract end to end:
 * **manifests** — block-aligned, symbol-weighted shard specs from both
   disk backends (row-range splits of a packed store, one-or-more specs
   per immutable segment) and from in-memory rows;
-* **determinism** — merged totals bit-identical to the single-process
-  vectorized engine for any shard count, any completion order (the
-  shuffled executor) and steal-heavy skewed workloads, pinned for all
-  six miners on packed and segmented stores;
+* **determinism** — merged totals bit-identical to the serial engine
+  for any shard count, any completion order (a shuffled dispatch) and
+  steal-heavy skewed workloads, pinned for all six miners on packed
+  and segmented stores;
 * **worker protocol** — plain-picklable tasks/results, digest
   staleness detection, steal accounting from per-task worker ids;
 * **the satellite bugfixes** — a segmented store dispatches to the
@@ -26,17 +26,17 @@ from repro.config import MiningConfig
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.pattern import Pattern
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ParallelEngine, VectorizedBatchEngine
-from repro.engine.kernels import extended_matrix, group_patterns_by_span
-from repro.engine.parallel import DEFAULT_OVERSPLIT
+from repro.engine import VectorizedBatchEngine
+from repro.engine.kernels import (
+    DATABASE_TOTALS,
+    SYMBOL_TOTALS,
+    extended_matrix,
+    group_patterns_by_span,
+)
 from repro.engine.shards import (
-    TASK_DATABASE_TOTALS,
-    TASK_SYMBOL_TOTALS,
-    InlineShardExecutor,
-    ShardExecutor,
+    OVERSPLIT,
     ShardSpec,
     ShardTask,
-    ShuffledExecutor,
     build_tasks,
     execute_shard_task,
     manifest_from_rows,
@@ -46,12 +46,13 @@ from repro.engine.shards import (
 from repro.errors import MiningError
 from repro.io import PackedSequenceStore, SegmentedSequenceStore
 from repro.obs import (
-    INLINE_FALLBACKS,
     SHARD_IO_BYTES,
     SHARD_SCAN_SECONDS,
     SHARDS_DISPATCHED,
     Tracer,
 )
+
+from .oracles import serial_dispatch, shuffled, small_shards
 
 M = 6  # alphabet size used throughout
 
@@ -200,32 +201,31 @@ class TestManifest:
 # -- the worker protocol -------------------------------------------------------
 
 
-class _ScriptedWorkers(ShardExecutor):
-    """Inline execution that reports a scripted worker id per task."""
-
-    def __init__(self, worker_ids):
-        self._worker_ids = worker_ids
-
-    def run(self, tasks, c_ext):
-        for task, worker_id in zip(tasks, self._worker_ids):
-            result = execute_shard_task(task, c_ext)
-            yield dataclasses.replace(result, worker_id=worker_id)
+def _run(c_ext):
+    """Serial dispatch of raw tasks against *c_ext* (numpy kernels)."""
+    return lambda tasks: (
+        execute_shard_task(task, c_ext, "numpy") for task in tasks
+    )
 
 
-class _DroppingExecutor(ShardExecutor):
+def _scripted_workers(c_ext, worker_ids):
+    """Serial dispatch reporting a scripted worker id per task."""
+    return lambda tasks: (
+        dataclasses.replace(
+            execute_shard_task(task, c_ext, "numpy"), worker_id=worker_id
+        )
+        for task, worker_id in zip(tasks, worker_ids)
+    )
+
+
+def _dropping(c_ext):
     """Loses the last task's result — a broken transport."""
-
-    def run(self, tasks, c_ext):
-        for task in tasks[:-1]:
-            yield execute_shard_task(task, c_ext)
+    return lambda tasks: _run(c_ext)(tasks[:-1])
 
 
-class _ExplodingExecutor(ShardExecutor):
+def _exploding(tasks):
     """Fails before producing anything — transport down."""
-
-    def run(self, tasks, c_ext):
-        raise RuntimeError("transport down")
-        yield  # pragma: no cover
+    raise RuntimeError("transport down")
 
 
 class TestWorkerProtocol:
@@ -234,12 +234,12 @@ class TestWorkerProtocol:
         if store is not None:
             manifest = manifest_from_store(store, CHUNK, 4, 1)
             return build_tasks(
-                manifest, TASK_DATABASE_TOTALS, groups, elements,
+                manifest, DATABASE_TOTALS, groups, elements,
                 len(batch),
             )
         manifest = manifest_from_rows(rows, CHUNK, 4, 1)
         return build_tasks(
-            manifest, TASK_DATABASE_TOTALS, groups, elements, len(batch),
+            manifest, DATABASE_TOTALS, groups, elements, len(batch),
             rows=rows,
         )
 
@@ -252,7 +252,7 @@ class TestWorkerProtocol:
             for task in self._tasks(matrix, batch, store=store):
                 clone = pickle.loads(pickle.dumps(task))
                 assert clone.spec == task.spec
-                result = execute_shard_task(clone, c_ext)
+                result = execute_shard_task(clone, c_ext, "numpy")
                 wire = pickle.loads(pickle.dumps(result))
                 assert wire.index == task.spec.index
                 assert wire.block_totals.shape[1] == len(batch)
@@ -265,7 +265,7 @@ class TestWorkerProtocol:
         c_ext = extended_matrix(matrix.array)
         for task in self._tasks(matrix, batch, rows=rows):
             assert task.spec.path is None
-            result = execute_shard_task(task, c_ext)
+            result = execute_shard_task(task, c_ext, "numpy")
             assert result.io_bytes == 0
 
     def test_stale_digest_is_detected(self, tmp_path, matrix, batch):
@@ -279,7 +279,9 @@ class TestWorkerProtocol:
             SequenceDatabase(_rows(seed=2)), path
         )
         with pytest.raises(MiningError, match="changed underneath"):
-            execute_shard_task(tasks[0], extended_matrix(matrix.array))
+            execute_shard_task(
+                tasks[0], extended_matrix(matrix.array), "numpy"
+            )
 
     def test_unknown_task_kind_is_rejected(self, matrix):
         task = ShardTask(
@@ -288,7 +290,9 @@ class TestWorkerProtocol:
             rows=[np.array([0, 1])],
         )
         with pytest.raises(MiningError, match="unknown shard task kind"):
-            execute_shard_task(task, extended_matrix(matrix.array))
+            execute_shard_task(
+                task, extended_matrix(matrix.array), "numpy"
+            )
 
     def test_steals_counted_beyond_fair_share(self, matrix, batch):
         rows = [np.asarray(r) for r in _rows(24)]
@@ -297,8 +301,9 @@ class TestWorkerProtocol:
         # Worker 1 executed 3 of 4 tasks; fair share at 2 workers is 2,
         # so it stole exactly one task from the shared queue.
         _totals, stats = scatter_gather(
-            tasks, _ScriptedWorkers([1, 1, 1, 2]),
-            extended_matrix(matrix.array), len(batch), n_workers=2,
+            tasks,
+            _scripted_workers(extended_matrix(matrix.array), [1, 1, 1, 2]),
+            len(batch), n_workers=2,
         )
         assert stats.worker_tasks == {1: 3, 2: 1}
         assert stats.steals == 1
@@ -312,8 +317,8 @@ class TestWorkerProtocol:
         tasks = self._tasks(matrix, batch, rows=rows)
         with pytest.raises(MiningError, match="lost shards"):
             scatter_gather(
-                tasks, _DroppingExecutor(),
-                extended_matrix(matrix.array), len(batch),
+                tasks, _dropping(extended_matrix(matrix.array)),
+                len(batch),
             )
 
 
@@ -331,14 +336,12 @@ class TestSchedulerDeterminism:
         for target in (1, 2, 7, 8):
             manifest = manifest_from_rows(rows, CHUNK, target, 1)
             tasks = build_tasks(
-                manifest, TASK_DATABASE_TOTALS, groups, elements,
+                manifest, DATABASE_TOTALS, groups, elements,
                 len(batch), rows=rows,
             )
             for seed in range(4):
                 totals, _stats = scatter_gather(
-                    tasks,
-                    ShuffledExecutor(InlineShardExecutor(), seed),
-                    c_ext, len(batch),
+                    tasks, shuffled(_run(c_ext), seed), len(batch),
                 )
                 if reference is None:
                     reference = totals
@@ -350,10 +353,9 @@ class TestSchedulerDeterminism:
         reference = None
         for target in (1, 2, 7, 8):
             manifest = manifest_from_rows(rows, CHUNK, target, 1)
-            tasks = build_tasks(manifest, TASK_SYMBOL_TOTALS, rows=rows)
+            tasks = build_tasks(manifest, SYMBOL_TOTALS, rows=rows)
             totals, _stats = scatter_gather(
-                tasks, ShuffledExecutor(InlineShardExecutor(), target),
-                c_ext, matrix.size,
+                tasks, shuffled(_run(c_ext), target), matrix.size,
             )
             if reference is None:
                 reference = totals
@@ -391,55 +393,59 @@ def _mine(store, algorithm, engine):
     return miner.mine(store)
 
 
+def _sharded(matrix, workers, seed=0, chunk_rows=CHUNK):
+    """A pool-free multi-worker engine: tasks run serially here, their
+    results handed back in a shuffled order."""
+    engine = VectorizedBatchEngine(chunk_rows=chunk_rows, workers=workers)
+    engine.dispatch = shuffled(serial_dispatch(engine, matrix), seed)
+    return engine
+
+
 class TestMinerBitIdentity:
-    """The acceptance gate: all six miners, both disk backends, every
-    shard count and an adversarially shuffled completion order produce
-    the same bits as the single-process vectorized engine."""
+    """The acceptance gate: all six miners, both disk backends, several
+    shard counts and an adversarially shuffled completion order produce
+    the same bits as one worker."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("kind", ["packed", "segmented"])
     def test_six_miners_identical_across_shard_counts(
-        self, miner_stores, kind, algorithm
+        self, miner_stores, matrix, kind, algorithm
     ):
         store = miner_stores[kind]
         baseline = _mine(
             store, algorithm, VectorizedBatchEngine(chunk_rows=CHUNK)
         )
         assert baseline.frequent  # the workload exercises real counting
-        # Shard counts 1, 2, 7 and n_workers*4; shuffled completion.
-        for index, target in enumerate((1, 2, 7, 8)):
-            engine = ParallelEngine(
-                n_workers=1, chunk_rows=CHUNK, min_shard_rows=1,
-                oversplit=target,
-                executor=ShuffledExecutor(InlineShardExecutor(), index),
-            )
-            result = _mine(store, algorithm, engine)
-            assert result.frequent == baseline.frequent  # bit-identical
-            assert result.scans == baseline.scans
-            assert result.border == baseline.border
+        # 2, 3 and 5 workers cut 6, 9 and 12 (every block) shards.
+        with small_shards():
+            for index, workers in enumerate((2, 3, 5)):
+                engine = _sharded(matrix, workers, index)
+                result = _mine(store, algorithm, engine)
+                # depthfirst counts on rows it holds in memory.
+                assert engine.shards_dispatched or algorithm == "depthfirst"
+                assert result.frequent == baseline.frequent  # bit-identical
+                assert result.scans == baseline.scans
+                assert result.border == baseline.border
 
     def test_real_pool_matches_inline_bits(self, miner_stores, matrix,
                                            batch):
         # The multiprocessing transport returns the same bits as the
-        # inline executor: the protocol carries everything that matters.
+        # serial dispatch: the protocol carries everything that matters.
         store = miner_stores["packed"]
-        inline = ParallelEngine(
-            n_workers=2, chunk_rows=CHUNK, min_shard_rows=1,
-            executor=InlineShardExecutor(),
-        )
-        pooled = ParallelEngine(
-            n_workers=2, chunk_rows=CHUNK, min_shard_rows=1, oversplit=4
-        )
+        inline = VectorizedBatchEngine(chunk_rows=CHUNK, workers=2)
+        inline.dispatch = serial_dispatch(inline, matrix)
+        pooled = VectorizedBatchEngine(chunk_rows=CHUNK, workers=2)
         try:
-            want = inline.database_matches(batch, store, matrix)
-            got = pooled.database_matches(batch, store, matrix)
-            assert got == want
-            np.testing.assert_array_equal(
-                pooled.symbol_matches(store, matrix),
-                inline.symbol_matches(store, matrix),
-            )
+            with small_shards():
+                want = inline.database_matches(batch, store, matrix)
+                got = pooled.database_matches(batch, store, matrix)
+                assert got == want
+                np.testing.assert_array_equal(
+                    pooled.symbol_matches(store, matrix),
+                    inline.symbol_matches(store, matrix),
+                )
             assert pooled.shards_dispatched > 0
-            assert pooled.inline_fallbacks == 0
+            assert pooled.pools_created == 1
         finally:
             pooled.close()
 
@@ -451,22 +457,18 @@ class TestSegmentedDispatch:
     def test_segmented_store_dispatches_instead_of_pickling_rows(
         self, tmp_path, matrix, batch
     ):
-        # The PR-7 gap: no worker-mmap path for segmented stores meant
-        # every pass silently fell back to shipping pickled rows.  Now
-        # a large segmented store must dispatch digest-addressed shards
-        # and never fall back inline.
+        # A large segmented store must dispatch digest-addressed shards
+        # that workers map themselves, never ship pickled rows.
         store = _make_segmented(tmp_path, _rows(120, seed=8))
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=8, min_shard_rows=1
-        )
+        engine = VectorizedBatchEngine(chunk_rows=8, workers=2)
         tracer = Tracer()
         try:
-            engine.database_matches(batch, store, matrix, tracer=tracer)
-            engine.symbol_matches(store, matrix, tracer=tracer)
+            with small_shards():
+                engine.database_matches(batch, store, matrix,
+                                        tracer=tracer)
+                engine.symbol_matches(store, matrix, tracer=tracer)
             assert engine.shards_dispatched > 0
-            assert engine.inline_fallbacks == 0
             assert tracer.total(SHARDS_DISPATCHED) > 0
-            assert tracer.total(INLINE_FALLBACKS) == 0
             assert tracer.total(SHARD_IO_BYTES) == 2 * 4 * (
                 store.total_symbols()
             )
@@ -481,12 +483,12 @@ class TestIOChargedOnSuccessOnly:
     def test_failed_dispatch_charges_nothing(self, tmp_path, matrix,
                                              batch):
         store = _make_packed(tmp_path, _rows())
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=CHUNK, min_shard_rows=1,
-            executor=_ExplodingExecutor(),
-        )
+        engine = VectorizedBatchEngine(chunk_rows=CHUNK, workers=2)
+        engine.dispatch = _exploding
         try:
-            with pytest.raises(RuntimeError, match="transport down"):
+            with small_shards(), pytest.raises(
+                RuntimeError, match="transport down"
+            ):
                 engine.database_matches(batch, store, matrix)
             # The old bug: chunks were charged before dispatch, so a
             # failed pass inflated the I/O accounting.
@@ -501,13 +503,12 @@ class TestIOChargedOnSuccessOnly:
     ):
         rows = _rows()
         store = _make_packed(tmp_path, rows)
-        engine = ParallelEngine(
-            n_workers=2, chunk_rows=CHUNK, min_shard_rows=1,
-            executor=InlineShardExecutor(),
-        )
+        engine = _sharded(matrix, 2)
         try:
-            engine.database_matches(batch, store, matrix)
+            with small_shards():
+                engine.database_matches(batch, store, matrix)
             expected_blocks = -(-len(rows) // CHUNK)
+            assert engine.shards_dispatched > 0
             assert store.io_chunks == expected_blocks
             assert store.io_bytes_read == 4 * store.total_symbols()
             assert store.scan_count == 1
@@ -516,10 +517,13 @@ class TestIOChargedOnSuccessOnly:
 
 
 class TestOversplitResolution:
-    def test_default(self):
-        assert DEFAULT_OVERSPLIT == 3
-        assert ParallelEngine(n_workers=2).oversplit == DEFAULT_OVERSPLIT
-
-    def test_explicit_must_be_positive(self):
-        with pytest.raises(MiningError):
-            ParallelEngine(n_workers=2, oversplit=0)
+    def test_default(self, matrix, batch):
+        # 48 rows on a 3-row grid are 16 blocks; two workers cut
+        # OVERSPLIT tasks each.
+        assert OVERSPLIT == 3
+        engine = _sharded(matrix, 2)
+        with small_shards():
+            engine.database_matches(
+                batch, SequenceDatabase(_rows()), matrix
+            )
+        assert engine.shards_dispatched == 2 * OVERSPLIT
