@@ -29,6 +29,7 @@ from .core import (
     Alphabet,
     Border,
     CompatibilityMatrix,
+    CountedScanDatabase,
     FileSequenceDatabase,
     Pattern,
     PatternConstraints,
@@ -39,7 +40,6 @@ from .core import (
     compatibility_from_channel,
     database_match,
     database_matches,
-    iter_chunks,
     segment_match,
     sequence_match,
     symbol_matches,
@@ -117,6 +117,7 @@ __all__ = [
     "Border",
     "CompatibilityMatrix",
     "DEFAULT_SCAN_CHUNK_ROWS",
+    "CountedScanDatabase",
     "FileSequenceDatabase",
     "PackedSequenceStore",
     "Pattern",
@@ -131,7 +132,6 @@ __all__ = [
     "database_match",
     "database_matches",
     "is_packed_store",
-    "iter_chunks",
     "segment_match",
     "sequence_match",
     "symbol_matches",

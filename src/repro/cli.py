@@ -22,9 +22,10 @@ Seven subcommands cover the full workflow on text sequence files
 * ``noisymine submit`` — submit one mining job to a running daemon and
   wait for the result.
 
-``noisymine mine`` accepts either representation: ``--store auto`` (the
-default) sniffs the packed magic bytes, so a converted store is a
-drop-in replacement for the text file it came from.
+``mine`` and ``convert`` accept any representation: the input path is
+sniffed (segment manifest, then packed magic bytes, else text), so a
+converted store is a drop-in replacement for the text file it came
+from.
 
 Flag/environment resolution lives in :class:`repro.config.MiningConfig`
 — ``mine`` and ``submit`` share the exact same precedence (flag >
@@ -44,19 +45,13 @@ import numpy as np
 
 from .config import ALGORITHMS, MiningConfig, json_payload, open_database
 from .core.pattern import Pattern
-from .core.sequence import FileSequenceDatabase
 from .datagen.motifs import Motif, random_motif
 from .engine import SCORE_DTYPES, VectorizedBatchEngine
 from .datagen.noise import corrupt_uniform
 from .datagen.synthetic import generate_database
 from .errors import NoisyMineError
 from .eval.metrics import quality
-from .io import (
-    PackedSequenceStore,
-    SegmentedSequenceStore,
-    is_packed_store,
-    is_segmented_store,
-)
+from .io import PackedSequenceStore, SegmentedSequenceStore, is_packed_store
 from .obs import Tracer
 
 
@@ -114,7 +109,6 @@ def _config_from_args(args: argparse.Namespace) -> MiningConfig:
         max_gap=args.max_gap,
         memory_capacity=args.memory_capacity,
         seed=args.seed,
-        store=getattr(args, "store", None),
         score_dtype=args.score_dtype,
     )
 
@@ -156,23 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
 
     mine = sub.add_parser("mine", help="mine frequent patterns from a file")
-    mine.add_argument("input", help="sequence file to mine")
+    mine.add_argument(
+        "input",
+        help="text sequence file, packed store or segmented store "
+             "directory to mine (the representation is sniffed)",
+    )
     mine.add_argument(
         "--format", choices=["text", "fasta"], default="text",
         help="input format: the library's text format, or FASTA "
              "(20-letter amino-acid alphabet, implies --alphabet 20)",
-    )
-    mine.add_argument(
-        "--store",
-        choices=["auto", "text", "packed", "segmented"],
-        default=None,
-        help="on-disk representation of the input: 'text' streams and "
-             "re-parses the text format every scan, 'packed' memory-maps "
-             "a packed binary store (written by 'noisymine convert'), "
-             "'segmented' opens an appendable segmented store directory, "
-             "'auto' sniffs (segment manifest, then packed magic bytes); "
-             "results are identical either way "
-             "(default: $NOISYMINE_STORE, else 'auto')",
     )
     _add_mining_options(mine)
     mine.add_argument(
@@ -284,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="translate a sequence database between the text format and "
              "the packed binary store",
     )
-    conv.add_argument("input", help="sequence file to convert "
-                                    "(text or packed, sniffed)")
+    conv.add_argument("input", help="sequence database to convert "
+                                    "(text, packed or segmented, sniffed)")
     conv.add_argument("output", help="path for the converted database")
     conv.add_argument(
         "--to",
@@ -361,8 +347,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     # NOISYMINE_* value fails loudly before any file is opened.
     config = _config_from_args(args)
     if args.format == "fasta":
-        if config.store == "packed" or (config.store == "auto"
-                                        and is_packed_store(args.input)):
+        if is_packed_store(args.input):
             raise NoisyMineError(
                 "--format fasta cannot be combined with a packed store; "
                 "convert the FASTA file to text first, then to packed"
@@ -376,7 +361,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             raise NoisyMineError(
                 "--alphabet is required for the text input format"
             )
-        database = open_database(args.input, config.store)
+        database = open_database(args.input)
     # A live tracer costs a few dict updates per scan; only pay for it
     # when some output will actually carry the metrics.
     tracer = Tracer() if (args.json or args.metrics_json) else None
@@ -386,7 +371,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                                    tracer=tracer)
         result = miner.mine(database)
         if args.checkpoint:
-            from .io import SegmentedSequenceStore
             from .mining.delta import create_checkpoint
 
             if not isinstance(database, SegmentedSequenceStore):
@@ -428,7 +412,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_remine(args: argparse.Namespace) -> int:
-    from .io import SegmentedSequenceStore
     from .mining.delta import MiningCheckpoint, delta_remine
 
     config = _config_from_args(args)
@@ -529,21 +512,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    if is_segmented_store(args.input):
-        source = SegmentedSequenceStore.open(args.input)
-    elif is_packed_store(args.input):
-        source = PackedSequenceStore.open(args.input)
-    else:
-        source = FileSequenceDatabase(args.input)
-    n = len(source)
+    source = open_database(args.input)
     if args.target == "text":
-        if isinstance(source, PackedSequenceStore):
-            source.save_text(args.output)
-        else:
-            # Round-trip through the packed builder, which normalises
-            # whitespace and validates every row.
-            PackedSequenceStore.from_database(source).save_text(args.output)
-        print(f"wrote {n} sequences to {args.output} (text)")
+        source.save_text(args.output)
+        print(f"wrote {len(source)} sequences to {args.output} (text)")
         return 0
     if args.target == "segmented":
         store = SegmentedSequenceStore.create(args.output, source)

@@ -10,14 +10,17 @@ because result memoization keys on "the same configuration".
   fails loudly on a bad environment value, exactly as the CLI always
   has;
 * :meth:`MiningConfig.to_key` is the canonical string the daemon's
-  result memo keys on (semantic fields only — the store representation
-  never changes results, so memo hits deliberately cross it);
+  result memo keys on;
 * :meth:`MiningConfig.build_miner` constructs the configured miner.
 
 Execution is not configured here: the counting engine is a
 :class:`repro.engine.VectorizedBatchEngine` (its kernels chosen by
 platform, its worker count by ``--workers``) and Phase 2 always runs
 the resident sample evaluator.
+
+The input is not configured either: :func:`open_database` sniffs the
+path (segment manifest, then packed magic bytes, else text), and every
+representation yields bit-identical results, so memo hits cross them.
 
 Wire form: :meth:`to_dict` / :meth:`from_dict` round-trip the config as
 plain JSON types; unknown keys are rejected loudly so a typo in a job
@@ -35,7 +38,7 @@ import numpy as np
 
 from .core.compatibility import CompatibilityMatrix
 from .core.lattice import PatternConstraints
-from .core.sequence import FileSequenceDatabase
+from .core.sequence import CountedScanDatabase, FileSequenceDatabase
 from .engine import (
     MatchEngine,
     ResidentSampleEvaluator,
@@ -59,11 +62,6 @@ from .mining.pincer import PincerMiner
 from .mining.toivonen import ToivonenMiner
 from .obs import Tracer
 
-#: Environment variable selecting the on-disk store representation.
-STORE_ENV_VAR = "NOISYMINE_STORE"
-
-STORE_MODES = ("auto", "text", "packed", "segmented")
-
 #: All six miners, in the CLI's historical choice order.
 ALGORITHMS = (
     "border-collapsing",
@@ -80,46 +78,16 @@ ALGORITHMS = (
 SAMPLING_ALGORITHMS = frozenset({"border-collapsing", "toivonen"})
 
 
-def resolve_store_mode(spec: Optional[str] = None) -> str:
-    """The effective store choice: explicit value, else
-    ``$NOISYMINE_STORE``, else ``auto`` — bad values fail loudly."""
-    if spec is None:
-        spec = os.environ.get(STORE_ENV_VAR, "").strip() or "auto"
-    if spec not in STORE_MODES:
-        raise NoisyMineError(
-            f"invalid {STORE_ENV_VAR} value {spec!r}: "
-            f"expected one of {', '.join(STORE_MODES)}"
-        )
-    return spec
-
-
-def open_database(
-    path: Union[str, os.PathLike], store: str = "auto"
-) -> Union[
-    PackedSequenceStore, SegmentedSequenceStore, FileSequenceDatabase
-]:
-    """Open *path* under one of the :data:`STORE_MODES`.
-
-    ``auto`` sniffs: a directory with a segment manifest opens
-    segmented, a file with the packed magic bytes opens packed, and
-    anything else reads as text.  Results are identical across
-    representations, only scan throughput (and appendability) differs.
+def open_database(path: Union[str, os.PathLike]) -> CountedScanDatabase:
+    """Open *path*, sniffing its representation: a directory with a
+    segment manifest opens segmented, a file with the packed magic
+    bytes opens packed, and anything else reads as text.  Results are
+    identical across representations, only scan throughput (and
+    appendability) differs.
     """
-    if store not in STORE_MODES:
-        raise NoisyMineError(
-            f"invalid store mode {store!r}: expected one of "
-            f"{', '.join(STORE_MODES)}"
-        )
-    if store == "auto":
-        if is_segmented_store(path):
-            store = "segmented"
-        elif is_packed_store(path):
-            store = "packed"
-        else:
-            store = "text"
-    if store == "segmented":
+    if is_segmented_store(path):
         return SegmentedSequenceStore.open(path)
-    if store == "packed":
+    if is_packed_store(path):
         return PackedSequenceStore.open(path)
     return FileSequenceDatabase(path)
 
@@ -131,8 +99,8 @@ class MiningConfig:
     Semantic fields (they change the mined result): ``algorithm``,
     ``min_match``, ``alphabet``, ``noise``, ``matrix``, ``sample_size``,
     ``delta``, ``max_weight``, ``max_span``, ``max_gap``,
-    ``memory_capacity``, ``seed``.  ``store`` only picks the on-disk
-    representation.  ``score_dtype`` trades exactness for speed:
+    ``memory_capacity``, ``seed``.  ``score_dtype`` trades exactness
+    for speed:
     float32 is error-bounded and therefore keyed like a semantic field.
 
     Instances are immutable and hashable; construct through
@@ -155,7 +123,6 @@ class MiningConfig:
     max_gap: int = 0
     memory_capacity: Optional[int] = None
     seed: Optional[int] = None
-    store: str = "auto"
     #: Scoring dtype of the compiled engine and the resident Phase-2
     #: evaluator.  ``"float32"`` changes results within a documented
     #: error bound, so it participates in :meth:`to_key`.  It needs a
@@ -180,11 +147,6 @@ class MiningConfig:
         elif self.alphabet is not None and self.alphabet < 1:
             raise MiningError(
                 f"alphabet size must be >= 1, got {self.alphabet}"
-            )
-        if self.store not in STORE_MODES:
-            raise NoisyMineError(
-                f"invalid store mode {self.store!r}: expected one of "
-                f"{', '.join(STORE_MODES)}"
             )
         if self.score_dtype not in SCORE_DTYPES:
             raise MiningError(
@@ -215,17 +177,15 @@ class MiningConfig:
         max_gap: int = 0,
         memory_capacity: Optional[int] = None,
         seed: Optional[int] = None,
-        store: Optional[str] = None,
         score_dtype: Optional[str] = None,
     ) -> "MiningConfig":
         """Build a config with flag > environment > default precedence.
 
-        ``None`` for ``store`` or ``score_dtype`` consults its
-        ``NOISYMINE_*`` environment variable (``NOISYMINE_STORE``,
-        ``NOISYMINE_SCORE_DTYPE``) and falls back to the library
-        default; a malformed environment value raises
-        instead of silently running the default — the CLI's historical
-        contract, now shared by the daemon and the eval harness.
+        ``None`` for ``score_dtype`` consults ``NOISYMINE_SCORE_DTYPE``
+        and falls back to the library default; a malformed environment
+        value raises instead of silently running the default — the
+        CLI's historical contract, shared by the daemon and the eval
+        harness.
         """
         return cls(
             min_match=min_match,
@@ -242,7 +202,6 @@ class MiningConfig:
             max_gap=max_gap,
             memory_capacity=memory_capacity,
             seed=seed,
-            store=resolve_store_mode(store),
             score_dtype=resolve_score_dtype(score_dtype),
         )
 
@@ -372,9 +331,6 @@ class MiningConfig:
     def to_key(self) -> str:
         """Canonical memoization key over the **semantic** fields.
 
-        ``store`` is excluded on purpose: every representation yields
-        bit-identical results, so a packed rerun of a job first mined
-        from a segmented store is a legitimate memo hit.
         ``score_dtype`` participates — float32 scoring changes match
         values within its error bound, so float32 runs never hit
         float64 memos.
@@ -414,7 +370,6 @@ class MiningConfig:
             "max_gap": self.max_gap,
             "memory_capacity": self.memory_capacity,
             "seed": self.seed,
-            "store": self.store,
             "score_dtype": self.score_dtype,
         }
 
@@ -478,9 +433,6 @@ __all__ = [
     "ALGORITHMS",
     "MiningConfig",
     "SAMPLING_ALGORITHMS",
-    "STORE_ENV_VAR",
-    "STORE_MODES",
     "json_payload",
     "open_database",
-    "resolve_store_mode",
 ]

@@ -30,9 +30,10 @@ from .compatibility import CompatibilityMatrix
 from .pattern import Pattern, WILDCARD
 from .sequence import (
     AnySequenceDatabase,
+    SequenceDatabase,
     SequenceLike,
+    SequentialSampler,
     as_sequence_array,
-    iter_chunks,
 )
 
 
@@ -180,7 +181,7 @@ def database_matches(
 
     totals = np.zeros(len(patterns), dtype=np.float64)
     count = 0
-    for chunk in iter_chunks(database):
+    for chunk in database.scan_chunks():
         for seq in chunk.rows:
             count += 1
             gathered = c_ext[:, seq]  # (m + 1, |S|)
@@ -283,31 +284,31 @@ def symbol_matches_and_sample(
     matrix: CompatibilityMatrix,
     sample_size: int,
     rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, "SequenceDatabase"]:
+) -> Tuple[np.ndarray, SequenceDatabase]:
     """Algorithm 4.1 in full: one combined pass computing per-symbol
     matches **and** drawing a uniform random sample.
 
     The paper stresses that sampling is a free by-product of the Phase-1
     scan; this helper preserves that property (a single chunked
-    ``scan_chunks()`` pass, streamed through :func:`iter_chunks` so any
-    backend — in-memory, text file or packed store — is consumed the
-    same way).
+    ``scan_chunks()`` pass, consumed the same way on every backend).
 
     The per-symbol maxima of each chunk are computed with the batched
     gather kernel and are bit-identical to
     :func:`symbol_sequence_matches` row by row (the padded gather adds
     only duplicate columns and zero-valued pad columns, neither of
     which can change an exact maximum over non-negative entries), and
-    the totals are accumulated per row in scan order — so both the
-    match vector and the reservoir sample (one RNG draw per row, in
-    scan order) are bit-for-bit what the unchunked pass produced.
+    the totals are accumulated per row in scan order — so the match
+    vector is bit-for-bit what the unchunked pass produced.  The sample
+    comes from the same :class:`~repro.core.sequence.SequentialSampler`
+    as :meth:`~repro.core.sequence.CountedScanDatabase.sample`, fed the
+    same rows in the same order, so it selects the same ids for the
+    same *rng* state.
 
     ``sample_size >= len(database)`` is clamped to the database size:
     the sample is the whole database, selected deterministically in
     scan order without consuming the random stream.  ``sample_size < 1``
     is rejected.
     """
-    from .sequence import SequenceDatabase  # local import to avoid a cycle
     # Kernel imports are call-time: engine.base imports this module.
     from ..engine.kernels import (
         chunk_symbol_maxima,
@@ -321,26 +322,16 @@ def symbol_matches_and_sample(
         raise MiningError(
             f"cannot sample {sample_size} sequences from {total}"
         )
-    sample_size = min(sample_size, total)
-    select_all = sample_size == total
-    rng = rng or np.random.default_rng()
+    sampler = SequentialSampler(
+        sample_size, total, rng or np.random.default_rng()
+    )
     m = matrix.size
     c_ext = extended_matrix(matrix.array)
     totals = np.zeros(m, dtype=np.float64)
-    chosen_ids: List[int] = []
-    chosen_rows: List[np.ndarray] = []
-    seen = 0
-    for chunk in iter_chunks(database):
+    for chunk in database.scan_chunks():
         gathered = gather_chunk(c_ext, pad_chunk(chunk.rows, m))
         maxima = chunk_symbol_maxima(gathered)
         for offset, (sid, seq) in enumerate(zip(chunk.ids, chunk.rows)):
             totals += maxima[:, offset]
-            needed = sample_size - len(chosen_rows)
-            if needed > 0 and (
-                select_all or rng.random() < needed / (total - seen)
-            ):
-                chosen_ids.append(sid)
-                chosen_rows.append(np.array(seq, copy=True))
-            seen += 1
-    sample = SequenceDatabase(chosen_rows, ids=chosen_ids)
-    return totals / total, sample
+            sampler.offer(sid, seq)
+    return totals / total, sampler.database()

@@ -1,39 +1,45 @@
 """Sequence databases with scan accounting.
 
 The paper's cost model is *number of passes over a disk-resident
-sequence database*.  All database implementations here expose the same
-interface and count every full pass through :meth:`SequenceDatabase.scan`,
-so mining algorithms can be compared on the paper's own metric
-(Figure 14(b), Figure 15(a)) without real disks.
+sequence database*.  Every backend implements one scan contract,
+:class:`CountedScanDatabase`, which counts every full pass, so mining
+algorithms can be compared on the paper's own metric (Figure 14(b),
+Figure 15(a)) without real disks.
 
 * :class:`SequenceDatabase` keeps the sequences in memory (as numpy
   ``int32`` arrays) — convenient for tests and small experiments.
 * :class:`FileSequenceDatabase` stores one encoded sequence per line in
-  a text file and re-reads the file on every scan — a faithful
-  simulation of disk residency where only O(1) sequences are in memory
-  at a time.
-* :class:`repro.io.PackedSequenceStore` (in :mod:`repro.io`) keeps the
-  symbols in one contiguous memory-mapped ``int32`` buffer and delivers
-  zero-copy row views — the disk-resident backend whose scan layer is
-  fast enough that match arithmetic, not decoding, dominates a pass.
+  a text file and re-parses the file on every scan — a faithful
+  simulation of disk residency where only one block of rows is in
+  memory at a time.
+* :class:`repro.io.PackedSequenceStore` and
+  :class:`repro.io.SegmentedSequenceStore` (in :mod:`repro.io`) keep the
+  symbols in memory-mapped ``int32`` buffers and deliver zero-copy row
+  views — the disk-resident backends whose scan layer is fast enough
+  that match arithmetic, not decoding, dominates a pass.
 
-Scans come in two granularities.  :meth:`~SequenceDatabase.scan` yields
-one ``(id, sequence)`` pair at a time; :meth:`~SequenceDatabase.scan_chunks`
-yields :class:`SequenceChunk` blocks of up to ``chunk_rows`` rows so
-vectorized consumers can amortise per-row overhead.  Both count exactly
-one pass when first iterated, and :func:`iter_chunks` adapts any backend
-to the chunked form.
+A backend supplies only its metadata and an uncounted block primitive;
+the base class owns scanning, scan counting, I/O accounting and
+sampling.  Scans come in two granularities.
+:meth:`~CountedScanDatabase.scan` yields one ``(id, sequence)`` pair at
+a time; :meth:`~CountedScanDatabase.scan_chunks` yields
+:class:`SequenceChunk` blocks of up to ``chunk_rows`` rows so vectorized
+consumers can amortise per-row overhead.  Both count exactly one pass
+when first iterated.
 
 Sampling follows Algorithm 4.1 (lines 12-16): a single sequential pass
 selects each sequence ``i`` with probability ``(n - j) / (N - i)`` given
 ``j`` already chosen, which yields a uniform random sample of exactly
 ``n`` sequences — the classical sequential sampling scheme the paper
-cites from Vitter.
+cites from Vitter.  :class:`SequentialSampler` is that selector; the
+Phase-1 pass (:func:`repro.core.match.symbol_matches_and_sample`) feeds
+it the same rows in the same order, so both draw the same sample.
 """
 
 from __future__ import annotations
 
 import os
+from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -76,38 +82,6 @@ class SequenceChunk:
         return f"SequenceChunk(rows={len(self.rows)}, nbytes={self.nbytes})"
 
 
-def iter_chunks(
-    database,
-    chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS,
-) -> Iterator[SequenceChunk]:
-    """Stream *database* as :class:`SequenceChunk` blocks; one pass.
-
-    Dispatches to the backend's native :meth:`scan_chunks` when present
-    (all shipped backends have one); otherwise buffers the per-row
-    :meth:`scan` stream into blocks.  Either way exactly one scan is
-    counted, and concatenating ``chunk.rows`` across chunks reproduces
-    the ``scan()`` row stream in order.
-    """
-    native = getattr(database, "scan_chunks", None)
-    if native is not None:
-        return native(chunk_rows)
-    return _buffered_chunks(database, chunk_rows)
-
-
-def _buffered_chunks(database, chunk_rows: int) -> Iterator[SequenceChunk]:
-    _check_chunk_rows(chunk_rows)
-    ids: List[int] = []
-    rows: List[np.ndarray] = []
-    for sid, seq in database.scan():
-        ids.append(sid)
-        rows.append(seq)
-        if len(rows) >= chunk_rows:
-            yield SequenceChunk(ids, rows)
-            ids, rows = [], []
-    if rows:
-        yield SequenceChunk(ids, rows)
-
-
 def _check_chunk_rows(chunk_rows: int) -> None:
     if chunk_rows < 1:
         raise SequenceDatabaseError(
@@ -118,12 +92,7 @@ def _check_chunk_rows(chunk_rows: int) -> None:
 def _sampling_rng(
     rng: Optional[np.random.Generator], seed: Optional[int]
 ) -> np.random.Generator:
-    """Resolve the sampling RNG from an explicit generator or a seed.
-
-    All database backends route through this helper so that the same
-    ``seed`` draws the same random stream — and therefore, given equal
-    scan order, selects the same sequence ids — regardless of backend.
-    """
+    """Resolve the sampling RNG from an explicit generator or a seed."""
     if rng is not None and seed is not None:
         raise SamplingError(
             "pass either rng or seed, not both: an explicit generator "
@@ -150,7 +119,257 @@ def as_sequence_array(sequence: SequenceLike) -> np.ndarray:
     return array
 
 
-class SequenceDatabase:
+class SequentialSampler:
+    """Sequential uniform sampling of *n* of *total* rows (Algorithm 4.1,
+    lines 12-16), fed one row at a time in scan order.
+
+    While the sample is short, each offered row costs exactly one draw
+    and is kept with probability ``(n - chosen) / (total - seen)``; once
+    it is full no draw is made.  ``n >= total`` is clamped to the whole
+    database, selected without consuming the random stream (no draw
+    could fail).  ``n < 1`` is rejected.  Kept rows are copied, so the
+    sample outlives any mapping the rows were views into.
+    """
+
+    def __init__(self, n: int, total: int, rng: np.random.Generator):
+        if n < 1:
+            raise SamplingError(
+                f"cannot sample {n} sequences from a database of {total}"
+            )
+        self._n = min(n, total)
+        self._total = total
+        self._rng = rng
+        self._seen = 0
+        self.ids: List[int] = []
+        self.rows: List[np.ndarray] = []
+
+    @property
+    def full(self) -> bool:
+        """True once *n* rows are kept: later offers draw nothing."""
+        return len(self.rows) == self._n
+
+    def offer(self, sid: int, row: np.ndarray) -> None:
+        """Consider the next row in scan order."""
+        needed = self._n - len(self.rows)
+        if needed and (
+            self._n == self._total
+            or self._rng.random() < needed / (self._total - self._seen)
+        ):
+            self.ids.append(sid)
+            self.rows.append(np.array(row, copy=True))
+        self._seen += 1
+
+    def database(self) -> "SequenceDatabase":
+        """The kept rows as an in-memory database, in scan order."""
+        return SequenceDatabase(self.rows, ids=self.ids)
+
+
+class CountedScanDatabase(ABC):
+    """The scan contract every sequence backend honours.
+
+    A backend supplies its metadata (``__len__``, :attr:`ids`,
+    :meth:`sequence`, :meth:`total_symbols`, :meth:`max_symbol`) and
+    :meth:`_blocks`, an uncounted stream of row blocks.  This class
+    turns that into counted passes: every :meth:`scan`,
+    :meth:`scan_chunks` and :meth:`sample` adds one to
+    :attr:`scan_count`.
+
+    Backends that read storage also account their traffic in the
+    lifetime attributes :attr:`io_bytes_read` (payload bytes delivered),
+    :attr:`io_chunks` (blocks delivered by :meth:`scan_chunks`) and
+    :attr:`io_chunk_seconds` (time spent inside the scan layer,
+    excluding consumer time); the obs layer snapshots them into per-run
+    reports.  The in-memory database reads no storage and leaves them
+    at zero.
+
+    After :meth:`close`, every scan, sample and row access raises
+    :class:`SequenceDatabaseError`; catalog metadata stays readable.
+    """
+
+    #: False for a backend whose passes read no storage.
+    _reads_storage = True
+    _closed = False
+    #: Backing file or directory; ``None`` for an in-memory backend.
+    path: Optional[str] = None
+
+    def __init__(self) -> None:
+        self._scan_count = 0
+        self.io_bytes_read = 0
+        self.io_chunks = 0
+        self.io_chunk_seconds = 0.0
+
+    # -- what a backend supplies ------------------------------------------------
+
+    @abstractmethod
+    def _blocks(
+        self, chunk_rows: int
+    ) -> Iterator[Tuple[SequenceChunk, int]]:
+        """Yield ``(chunk, payload_bytes)`` over all rows in scan order,
+        at most ``chunk_rows`` rows per chunk.  Uncounted."""
+
+    @abstractmethod
+    def __len__(self) -> int:
+        """Number of sequences (catalog metadata, not a scan)."""
+
+    @property
+    @abstractmethod
+    def ids(self) -> Tuple[int, ...]:
+        """Sequence ids in scan order."""
+
+    @abstractmethod
+    def sequence(self, sequence_id: int) -> np.ndarray:
+        """Fetch one sequence by id (not counted as a scan)."""
+
+    @abstractmethod
+    def total_symbols(self) -> int:
+        """Total number of symbol occurrences across all sequences."""
+
+    @abstractmethod
+    def max_symbol(self) -> int:
+        """Largest symbol index present (useful to size matrices)."""
+
+    # -- scan accounting --------------------------------------------------------
+
+    @property
+    def scan_count(self) -> int:
+        """Number of full passes made over the database so far."""
+        return self._scan_count
+
+    def reset_scan_count(self) -> None:
+        """Zero the pass counter (e.g. between benchmark repetitions)."""
+        self._scan_count = 0
+
+    def _begin_pass(self) -> None:
+        self._require_open()
+        self._scan_count += 1
+
+    def scan(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(sequence_id, sequence)`` pairs; counts as one pass."""
+        self._begin_pass()
+        charge = self._reads_storage
+        for chunk, _nbytes in self._blocks(DEFAULT_SCAN_CHUNK_ROWS):
+            for sid, row in zip(chunk.ids, chunk.rows):
+                if charge:
+                    self.io_bytes_read += row.nbytes
+                yield sid, row
+
+    def scan_chunks(
+        self, chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS
+    ) -> Iterator[SequenceChunk]:
+        """Yield :class:`SequenceChunk` blocks of rows; counts as one pass.
+
+        The concatenation of ``chunk.rows`` across all chunks equals the
+        :meth:`scan` row stream, in order.  Time spent while the
+        consumer holds a yielded chunk is *not* charged to
+        :attr:`io_chunk_seconds`.
+        """
+        _check_chunk_rows(chunk_rows)
+        self._begin_pass()
+        if not self._reads_storage:
+            for chunk, _nbytes in self._blocks(chunk_rows):
+                yield chunk
+            return
+        started = perf_counter()
+        for chunk, nbytes in self._blocks(chunk_rows):
+            self.io_chunks += 1
+            self.io_bytes_read += nbytes
+            self.io_chunk_seconds += perf_counter() - started
+            yield chunk
+            started = perf_counter()
+
+    def begin_external_pass(self) -> None:
+        """Account one logical pass executed by an external counting tier.
+
+        Workers map the store's files themselves, so this side never
+        sees the row reads — this charges the one scan and the full
+        symbol payload the external pass represents.  Call it exactly
+        once per dispatched scatter-gather pass, *after* the gather
+        succeeded (a pass that falls back inline is counted by the
+        inline scan instead).
+        """
+        self._begin_pass()
+        self.io_bytes_read += 4 * self.total_symbols()
+
+    # -- derived --------------------------------------------------------------
+
+    def average_length(self) -> float:
+        """The paper's ``l̄_S``: mean sequence length."""
+        return self.total_symbols() / len(self)
+
+    def sample(
+        self,
+        n: int,
+        rng: Optional[np.random.Generator] = None,
+        seed: Optional[int] = None,
+    ) -> "SequenceDatabase":
+        """Draw a uniform sample of *n* sequences in one sequential pass.
+
+        Implements Algorithm 4.1 lines 12-16 through
+        :class:`SequentialSampler`; the pass is counted via
+        :attr:`scan_count` because the paper folds sampling into the
+        Phase-1 scan.  The sample is an in-memory database of copied
+        rows, as the sample is what Phase 2 mines, repeatedly.
+
+        ``n >= len(self)`` is clamped to the database size without
+        consuming the random stream; ``n < 1`` is rejected.  An explicit
+        *seed* makes the draw deterministic: every backend scans the
+        same rows in the same order, so the same seed selects the same
+        sequence ids from the same content on any backend.  *rng* and
+        *seed* are mutually exclusive.
+        """
+        sampler = SequentialSampler(n, len(self), _sampling_rng(rng, seed))
+        for sid, row in self.scan():
+            if sampler.full:
+                break
+            sampler.offer(sid, row)
+        return sampler.database()
+
+    def to_database(self) -> "SequenceDatabase":
+        """Materialise the database in memory (counts one pass): the
+        sample of every row, which makes no random draw."""
+        return self.sample(len(self))
+
+    def save_text(self, path: Union[str, os.PathLike]) -> None:
+        """Stream the database into the one-sequence-per-line text
+        format (counts one pass)."""
+        self._require_open()
+        _write_text(path, self.scan())
+
+    # -- lifecycle ------------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has run."""
+        return self._closed
+
+    def close(self) -> None:
+        """Release the backing storage.  Idempotent."""
+        if not self._closed:
+            self._closed = True
+            self._release()
+
+    def _release(self) -> None:
+        """Drop what :meth:`close` releases; nothing by default."""
+
+    def __enter__(self):
+        self._require_open()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise SequenceDatabaseError(
+                f"{type(self).__name__} {self.path or '<memory>'} is closed"
+            )
+
+
+#: The scan contract, under the name the miners annotate with.
+AnySequenceDatabase = CountedScanDatabase
+
+
+class SequenceDatabase(CountedScanDatabase):
     """An in-memory database of symbol-index sequences.
 
     Parameters
@@ -160,15 +379,17 @@ class SequenceDatabase:
     ids:
         Optional sequence ids; defaults to ``0 .. N-1``.
 
-    Every call to :meth:`scan` increments :attr:`scan_count` — the number
-    of full passes an algorithm has made over the data.
+    Every pass increments :attr:`scan_count`; no I/O is charged.
     """
+
+    _reads_storage = False
 
     def __init__(
         self,
         sequences: Iterable[SequenceLike],
         ids: Optional[Sequence[int]] = None,
     ):
+        super().__init__()
         self._sequences: List[np.ndarray] = [
             as_sequence_array(s) for s in sequences
         ]
@@ -184,7 +405,6 @@ class SequenceDatabase:
                 )
             if len(set(self._ids)) != len(self._ids):
                 raise SequenceDatabaseError("sequence ids must be unique")
-        self._scan_count = 0
         # Catalog metadata, computed once: recomputing total_symbols /
         # max_symbol per call was O(N) and showed up in tight loops.
         self._total_symbols = int(sum(len(s) for s in self._sequences))
@@ -205,40 +425,16 @@ class SequenceDatabase:
         """
         return cls(alphabet.encode(row) for row in rows)
 
-    # -- scan accounting --------------------------------------------------------
+    # -- the scan contract ----------------------------------------------------
 
-    @property
-    def scan_count(self) -> int:
-        """Number of full passes made over the database so far."""
-        return self._scan_count
-
-    def reset_scan_count(self) -> None:
-        """Zero the pass counter (e.g. between benchmark repetitions)."""
-        self._scan_count = 0
-
-    def scan(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(sequence_id, sequence)`` pairs; counts as one pass."""
-        self._scan_count += 1
-        for sid, seq in zip(self._ids, self._sequences):
-            yield sid, seq
-
-    def scan_chunks(
-        self, chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS
-    ) -> Iterator[SequenceChunk]:
-        """Yield :class:`SequenceChunk` blocks of rows; counts as one pass.
-
-        The concatenation of ``chunk.rows`` across all chunks equals the
-        :meth:`scan` row stream, in order.
-        """
-        _check_chunk_rows(chunk_rows)
-        self._scan_count += 1
+    def _blocks(
+        self, chunk_rows: int
+    ) -> Iterator[Tuple[SequenceChunk, int]]:
         for start in range(0, len(self._sequences), chunk_rows):
             stop = start + chunk_rows
             yield SequenceChunk(
                 self._ids[start:stop], self._sequences[start:stop]
-            )
-
-    # -- metadata -------------------------------------------------------------
+            ), 0
 
     def __len__(self) -> int:
         return len(self._sequences)
@@ -249,6 +445,7 @@ class SequenceDatabase:
 
     def sequence(self, sequence_id: int) -> np.ndarray:
         """Fetch one sequence by id (not counted as a scan)."""
+        self._require_open()
         try:
             index = self._ids.index(sequence_id)
         except ValueError:
@@ -258,82 +455,17 @@ class SequenceDatabase:
         return self._sequences[index]
 
     def total_symbols(self) -> int:
-        """Total number of symbol occurrences across all sequences."""
         return self._total_symbols
 
-    def average_length(self) -> float:
-        """The paper's ``l̄_S``: mean sequence length."""
-        return self._total_symbols / len(self)
-
     def max_symbol(self) -> int:
-        """Largest symbol index present (useful to size matrices)."""
         return self._max_symbol
-
-    # -- sampling -----------------------------------------------------------
-
-    def sample(
-        self,
-        n: int,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
-    ) -> "SequenceDatabase":
-        """Draw a uniform sample of *n* sequences in one sequential pass.
-
-        Implements Algorithm 4.1 lines 12-16: sequence ``i`` is chosen
-        with probability ``(n - j) / (N - i)`` where ``j`` sequences were
-        already chosen among the first ``i``.  The pass is counted via
-        :attr:`scan_count` because the paper folds sampling into the
-        Phase-1 scan.
-
-        ``n >= len(self)`` is clamped to the database size: the sample
-        is the whole database, selected deterministically in scan order
-        without consuming the random stream (no draw can fail, so no
-        draw is made).  ``n < 1`` is rejected.
-
-        An explicit *seed* makes the draw deterministic: the same seed
-        selects the same sequence ids from the same database, on this
-        backend and on :class:`FileSequenceDatabase` alike.  *rng* and
-        *seed* are mutually exclusive.
-        """
-        selected = list(self._select_sample(n, _sampling_rng(rng, seed)))
-        return SequenceDatabase(
-            [seq for _sid, seq in selected],
-            ids=[sid for sid, _seq in selected],
-        )
-
-    def _select_sample(
-        self, n: int, rng: np.random.Generator
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        total = len(self)
-        if n < 1:
-            raise SamplingError(
-                f"cannot sample {n} sequences from a database of {total}"
-            )
-        n = min(n, total)
-        if n == total:
-            # The whole database: every draw would succeed with
-            # probability exactly 1, so skip the random stream entirely
-            # and yield deterministically in scan order.
-            yield from self.scan()
-            return
-        chosen = 0
-        for seen, (sid, seq) in enumerate(self.scan()):
-            remaining_needed = n - chosen
-            remaining_rows = total - seen
-            if remaining_needed == 0:
-                break
-            if rng.random() < remaining_needed / remaining_rows:
-                chosen += 1
-                yield sid, seq
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Union[str, os.PathLike]) -> None:
-        """Write the database in the one-sequence-per-line text format."""
-        with open(path, "w", encoding="ascii") as handle:
-            for sid, seq in zip(self._ids, self._sequences):
-                symbols = " ".join(str(int(v)) for v in seq)
-                handle.write(f"{sid}\t{symbols}\n")
+        """Write the database in the one-sequence-per-line text format
+        (not counted as a scan)."""
+        _write_text(path, zip(self._ids, self._sequences))
 
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "SequenceDatabase":
@@ -354,170 +486,96 @@ class SequenceDatabase:
         )
 
 
-class FileSequenceDatabase:
+class FileSequenceDatabase(CountedScanDatabase):
     """A disk-resident database: one encoded sequence per line of a file.
 
     The file format matches :meth:`SequenceDatabase.save`:
-    ``<id> TAB <space-separated symbol indices>``.  Every :meth:`scan`
-    re-reads the file from the start; only the current sequence is held
-    in memory, simulating the paper's disk-resident assumption.
-
-    The lifetime attributes :attr:`io_bytes_read`, :attr:`io_chunks` and
-    :attr:`io_chunk_seconds` account for payload bytes decoded, chunks
-    delivered and time spent inside the scan layer (excluding consumer
-    time); the obs layer snapshots them into per-run reports.
+    ``<id> TAB <space-separated symbol indices>``.  Every scan re-parses
+    the file from the start; only the current block of rows is held in
+    memory, simulating the paper's disk-resident assumption.
     """
 
     def __init__(self, path: Union[str, os.PathLike]):
-        self._path = os.fspath(path)
-        if not os.path.exists(self._path):
-            raise SequenceDatabaseError(f"no such sequence file: {self._path}")
-        self._scan_count = 0
-        self.io_bytes_read = 0
-        self.io_chunks = 0
-        self.io_chunk_seconds = 0.0
+        super().__init__()
+        self.path = os.fspath(path)
+        if not os.path.exists(self.path):
+            raise SequenceDatabaseError(f"no such sequence file: {self.path}")
         # One up-front pass (not counted) to learn N and validate format,
         # mirroring how a real system would hold catalog metadata.  The
         # same pass caches total/max symbol so metadata stays O(1).
         length = 0
         total = 0
         max_symbol = -1
-        for _sid, seq in _read_sequence_file(self._path):
+        ids: List[int] = []
+        for sid, seq in _read_sequence_file(self.path):
             length += 1
             total += seq.size
+            ids.append(sid)
             top = int(seq.max())
             if top > max_symbol:
                 max_symbol = top
         self._length = length
         if self._length == 0:
-            raise SequenceDatabaseError(f"{self._path} contains no sequences")
+            raise SequenceDatabaseError(f"{self.path} contains no sequences")
+        self._ids = ids
         self._total_symbols = total
         self._max_symbol = max_symbol
 
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def scan_count(self) -> int:
-        return self._scan_count
-
-    def reset_scan_count(self) -> None:
-        self._scan_count = 0
+    def _blocks(
+        self, chunk_rows: int
+    ) -> Iterator[Tuple[SequenceChunk, int]]:
+        ids: List[int] = []
+        rows: List[np.ndarray] = []
+        for sid, seq in _read_sequence_file(self.path):
+            ids.append(sid)
+            rows.append(seq)
+            if len(rows) >= chunk_rows:
+                chunk = SequenceChunk(ids, rows)
+                yield chunk, chunk.nbytes
+                ids, rows = [], []
+        if rows:
+            chunk = SequenceChunk(ids, rows)
+            yield chunk, chunk.nbytes
 
     def __len__(self) -> int:
         return self._length
+
+    @property
+    def ids(self) -> Tuple[int, ...]:
+        return tuple(self._ids)
+
+    def sequence(self, sequence_id: int) -> np.ndarray:
+        """Fetch one sequence by id: a read of the file up to its line
+        (not counted as a scan)."""
+        self._require_open()
+        for sid, seq in _read_sequence_file(self.path):
+            if sid == sequence_id:
+                return seq
+        raise SequenceDatabaseError(f"no sequence with id {sequence_id}")
 
     def total_symbols(self) -> int:
         """Total number of symbol occurrences (cached at construction)."""
         return self._total_symbols
 
-    def average_length(self) -> float:
-        """The paper's ``l̄_S``: mean sequence length."""
-        return self._total_symbols / self._length
-
     def max_symbol(self) -> int:
         """Largest symbol index present (cached at construction)."""
         return self._max_symbol
 
-    def scan(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Stream ``(sequence_id, sequence)`` pairs from disk; one pass."""
-        self._scan_count += 1
-        for sid, seq in _read_sequence_file(self._path):
-            self.io_bytes_read += seq.nbytes
-            yield sid, seq
-
-    def scan_chunks(
-        self, chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS
-    ) -> Iterator[SequenceChunk]:
-        """Stream :class:`SequenceChunk` blocks from disk; one pass.
-
-        Rows are parsed into fresh arrays and buffered ``chunk_rows`` at
-        a time; time spent while the consumer holds a yielded chunk is
-        *not* charged to :attr:`io_chunk_seconds`.
-        """
-        _check_chunk_rows(chunk_rows)
-        self._scan_count += 1
-        started = perf_counter()
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        for sid, seq in _read_sequence_file(self._path):
-            ids.append(sid)
-            rows.append(seq)
-            if len(rows) >= chunk_rows:
-                chunk = SequenceChunk(ids, rows)
-                self.io_chunks += 1
-                self.io_bytes_read += chunk.nbytes
-                self.io_chunk_seconds += perf_counter() - started
-                yield chunk
-                ids, rows = [], []
-                started = perf_counter()
-        if rows:
-            chunk = SequenceChunk(ids, rows)
-            self.io_chunks += 1
-            self.io_bytes_read += chunk.nbytes
-            self.io_chunk_seconds += perf_counter() - started
-            yield chunk
-
-    def sample(
-        self,
-        n: int,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
-    ) -> SequenceDatabase:
-        """Sequential uniform sampling (Algorithm 4.1); returns an
-        in-memory database, as the sample is what Phase 2 mines.
-
-        The same explicit *seed* selects the same sequence ids as
-        :meth:`SequenceDatabase.sample` would on the in-memory copy of
-        this file (both backends draw the identical random stream in
-        the identical scan order).  ``n >= len(self)`` is clamped to
-        the database size, matching the in-memory backend: the whole
-        file is selected in scan order without consuming the random
-        stream.
-        """
-        total = len(self)
-        if n < 1:
-            raise SamplingError(
-                f"cannot sample {n} sequences from a database of {total}"
-            )
-        n = min(n, total)
-        rng = _sampling_rng(rng, seed)
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        if n == total:
-            for sid, seq in self.scan():
-                ids.append(sid)
-                rows.append(seq)
-            return SequenceDatabase(rows, ids=ids)
-        chosen = 0
-        for seen, (sid, seq) in enumerate(self.scan()):
-            if chosen == n:
-                break
-            if rng.random() < (n - chosen) / (total - seen):
-                ids.append(sid)
-                rows.append(seq)
-                chosen += 1
-        return SequenceDatabase(rows, ids=ids)
-
-    def materialize(self) -> SequenceDatabase:
-        """Load the entire file into an in-memory database (one pass)."""
-        self._scan_count += 1
-        return SequenceDatabase.load(self._path)
-
     def __repr__(self) -> str:
         return (
-            f"FileSequenceDatabase({self._path!r}, N={self._length}, "
+            f"FileSequenceDatabase({self.path!r}, N={self._length}, "
             f"scans={self._scan_count})"
         )
 
 
-#: Any object honouring the scan contract: ``__len__``, ``scan()``,
-#: ``scan_chunks()``, ``scan_count``/``reset_scan_count`` and ``sample``.
-#: ``repro.io.PackedSequenceStore`` satisfies it too; the alias keeps the
-#: two core backends for annotation purposes without importing
-#: :mod:`repro.io` (which depends on this module).
-AnySequenceDatabase = Union[SequenceDatabase, FileSequenceDatabase]
+def _write_text(
+    path: Union[str, os.PathLike], rows: Iterable[Tuple[int, np.ndarray]]
+) -> None:
+    """The one writer of the ``<id> TAB <symbols>`` text format."""
+    with open(path, "w", encoding="ascii") as handle:
+        for sid, seq in rows:
+            symbols = " ".join(map(str, seq.tolist()))
+            handle.write(f"{sid}\t{symbols}\n")
 
 
 def _read_sequence_file(
@@ -539,5 +597,12 @@ def _read_sequence_file(
             if seq.size == 0:
                 raise SequenceDatabaseError(
                     f"{path}:{line_no}: empty sequence"
+                )
+            # A '-' is the only way a parsed symbol can be negative, so
+            # the string test keeps the common case free of array work.
+            if "-" in body and int(seq.min()) < 0:
+                raise SequenceDatabaseError(
+                    f"{path}:{line_no}: negative symbol index "
+                    f"{int(seq.min())} (symbol indices must be >= 0)"
                 )
             yield sid, seq

@@ -75,7 +75,7 @@ import numpy as np
 from ..core import _nativekernels as nk
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern, WILDCARD
-from ..core.sequence import AnySequenceDatabase, iter_chunks
+from ..core.sequence import AnySequenceDatabase
 from ..errors import MiningError
 from ..obs import (
     RESIDENT_NATIVE_CALLS,
@@ -404,7 +404,7 @@ class ResidentSampleEvaluator(MatchEngine):
         # is per row, over the same bytes in the same order as the
         # per-row scan it replaces, so pin keys are unchanged — and
         # equal content pins identically across backends.
-        for chunk in iter_chunks(database, self.chunk_rows):
+        for chunk in database.scan_chunks(self.chunk_rows):
             for seq in chunk.rows:
                 row = np.ascontiguousarray(np.asarray(seq))
                 rows.append(row)
@@ -671,7 +671,7 @@ class ResidentSampleEvaluator(MatchEngine):
     ) -> np.ndarray:
         rows = [
             seq
-            for chunk in iter_chunks(database, self.chunk_rows)
+            for chunk in database.scan_chunks(self.chunk_rows)
             for seq in chunk.rows
         ]
         return self.symbol_matches_rows(rows, matrix)

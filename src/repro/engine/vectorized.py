@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
-from ..core.sequence import AnySequenceDatabase, iter_chunks
+from ..core.sequence import AnySequenceDatabase
 from ..errors import MiningError
 from ..obs import (
     FACTOR_CACHE_EVICTIONS,
@@ -331,7 +331,7 @@ class VectorizedBatchEngine(MatchEngine):
                 # and ship the rows with the tasks.
                 chunks = [
                     list(chunk.rows)
-                    for chunk in iter_chunks(database, self.chunk_rows)
+                    for chunk in database.scan_chunks(self.chunk_rows)
                 ]
                 rows = [row for chunk in chunks for row in chunk]
                 if rows:
@@ -353,7 +353,7 @@ class VectorizedBatchEngine(MatchEngine):
             if chunks is None:
                 chunks = (
                     list(chunk.rows)
-                    for chunk in iter_chunks(database, self.chunk_rows)
+                    for chunk in database.scan_chunks(self.chunk_rows)
                 )
             result = self._serial(batch, chunks, matrix, c_ext)
         if traced:

@@ -2,16 +2,18 @@
 
 :class:`PackedSequenceStore` is the disk-resident scan backend — all
 symbols in one memory-mapped ``int32`` buffer, rows delivered as
-zero-copy views.  The chunked-scan primitives (:class:`SequenceChunk`,
-:func:`iter_chunks`) live in :mod:`repro.core.sequence` so the core
-backends can implement them without a circular import; they are
-re-exported here as the public face of the streaming-scan API.
+zero-copy views — and :class:`SegmentedSequenceStore` an append-only
+log of such buffers.  Both implement the scan contract
+(:class:`CountedScanDatabase`, yielding :class:`SequenceChunk` blocks),
+which lives in :mod:`repro.core.sequence` so the core backends share it
+without a circular import; it is re-exported here as the public face
+of the streaming-scan API.
 """
 
 from ..core.sequence import (
     DEFAULT_SCAN_CHUNK_ROWS,
+    CountedScanDatabase,
     SequenceChunk,
-    iter_chunks,
 )
 from .packed import (
     HEADER_BYTES,
@@ -30,6 +32,7 @@ from .segments import (
 )
 
 __all__ = [
+    "CountedScanDatabase",
     "DEFAULT_SCAN_CHUNK_ROWS",
     "HEADER_BYTES",
     "MANIFEST_NAME",
@@ -40,7 +43,6 @@ __all__ = [
     "SequenceChunk",
     "is_packed_store",
     "is_segmented_store",
-    "iter_chunks",
     "manifest_digest",
     "peek_manifest_digest",
     "peek_store_digest",

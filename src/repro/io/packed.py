@@ -28,11 +28,10 @@ validates the header (magic, version, section sizes, offset monotony)
 in O(N) index work without touching the symbol payload;
 :meth:`PackedSequenceStore.verify` recomputes the content digest.
 
-The store honours the full scan contract of
-:class:`~repro.core.sequence.SequenceDatabase` — ``scan``/``scan_chunks``
-count passes, ``sample(seed=...)`` draws the identical random stream in
-the identical scan order as the other backends — so mining output is
-bit-identical across backends.
+The store is a :class:`~repro.core.sequence.CountedScanDatabase`: it
+supplies the block primitive and the metadata, and shares scanning,
+scan counting, I/O accounting and sampling with every other backend —
+so mining output is bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -40,19 +39,12 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from time import perf_counter
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.sequence import (
-    DEFAULT_SCAN_CHUNK_ROWS,
-    SequenceChunk,
-    SequenceDatabase,
-    _check_chunk_rows,
-    _sampling_rng,
-)
-from ..errors import SamplingError, SequenceDatabaseError
+from ..core.sequence import CountedScanDatabase, SequenceChunk
+from ..errors import SequenceDatabaseError
 
 STORE_MAGIC = b"NMPSTORE"
 STORE_VERSION = 1
@@ -118,14 +110,13 @@ def peek_store_digest(path: Union[str, os.PathLike]) -> str:
     return digest.hex()
 
 
-class PackedSequenceStore:
+class PackedSequenceStore(CountedScanDatabase):
     """Disk-resident sequence database over one packed symbol buffer.
 
     Construct via :meth:`from_database` (pack an existing database) or
-    :meth:`open` (memory-map a file written by :meth:`save`).  The store
-    satisfies the same scan/sample/metadata contract as the core
-    backends; rows delivered by :meth:`scan` and :meth:`scan_chunks` are
-    read-only ``int32`` views into the backing buffer.
+    :meth:`open` (memory-map a file written by :meth:`save`).  Rows
+    delivered by :meth:`scan` and :meth:`scan_chunks` are read-only
+    ``int32`` views into the backing buffer.
     """
 
     def __init__(
@@ -142,6 +133,7 @@ class PackedSequenceStore:
             raise SequenceDatabaseError(
                 "a packed store must contain at least one sequence"
             )
+        super().__init__()
         self._id_array = ids
         self._offsets = offsets
         self._symbols = symbols
@@ -152,11 +144,6 @@ class PackedSequenceStore:
         )
         self._ids: List[int] = ids.tolist()
         self._id_index = None
-        self._scan_count = 0
-        self._closed = False
-        self.io_bytes_read = 0
-        self.io_chunks = 0
-        self.io_chunk_seconds = 0.0
 
     # -- construction ---------------------------------------------------------
 
@@ -170,20 +157,18 @@ class PackedSequenceStore:
 
         Consumes exactly one ``scan()`` of the source.  With *path* the
         packed file is written and the returned store is backed by it
-        (memory-mapped); without, the store lives in memory.
+        (memory-mapped); without, the store lives in memory.  A row
+        holding a negative symbol index is rejected: no miner could
+        read the packed result.
         """
         ids: List[int] = []
         lengths: List[int] = []
         rows: List[np.ndarray] = []
-        max_symbol = -1
         for sid, seq in database.scan():
             seq = np.asarray(seq, dtype=np.int32)
             ids.append(int(sid))
             lengths.append(seq.size)
             rows.append(seq)
-            top = int(seq.max())
-            if top > max_symbol:
-                max_symbol = top
         if not rows:
             raise SequenceDatabaseError(
                 "cannot pack an empty database"
@@ -193,7 +178,17 @@ class PackedSequenceStore:
             raise SequenceDatabaseError("sequence ids must be unique")
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        if 0 in lengths:
+            raise SequenceDatabaseError("empty sequences are not allowed")
         symbols = np.concatenate(rows).astype(np.int32, copy=False)
+        negative = np.flatnonzero(symbols < 0)
+        if negative.size:
+            row = int(np.searchsorted(offsets, negative[0], side="right")) - 1
+            raise SequenceDatabaseError(
+                f"sequence {ids[row]} holds negative symbol index "
+                f"{int(symbols[negative[0]])} (symbol indices must be >= 0)"
+            )
+        max_symbol = int(symbols.max())
         store = cls(id_array, offsets, symbols, max_symbol=max_symbol)
         if path is not None:
             store.save(path)
@@ -287,23 +282,6 @@ class PackedSequenceStore:
             digest=digest,
         )
 
-    def to_database(self) -> SequenceDatabase:
-        """Materialise the store in memory (counts one pass)."""
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        for sid, seq in self.scan():
-            ids.append(sid)
-            rows.append(np.array(seq, copy=True))
-        return SequenceDatabase(rows, ids=ids)
-
-    def save_text(self, path: Union[str, os.PathLike]) -> None:
-        """Stream the store into the one-sequence-per-line text format
-        (counts one pass); inverse of packing a text file."""
-        with open(path, "w", encoding="ascii") as handle:
-            for sid, seq in self.scan():
-                symbols = " ".join(str(int(v)) for v in seq)
-                handle.write(f"{sid}\t{symbols}\n")
-
     # -- integrity ------------------------------------------------------------
 
     @property
@@ -328,101 +306,47 @@ class PackedSequenceStore:
 
     # -- lifecycle ------------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run; every data access then
-        raises instead of touching the released mapping."""
-        return self._closed
-
-    def close(self) -> None:
-        """Release the store's buffers (and, for a file-backed store,
-        the memory mapping once no row views outlive it).  Idempotent.
+    def _release(self) -> None:
+        """Drop the store's buffers (and, for a file-backed store, the
+        memory mapping once no row views outlive it).
 
         The ids/offsets/symbols arrays are views into one mapped
         buffer; dropping the store's references lets CPython unmap the
-        file as soon as the last externally-held row view dies.  After
-        ``close()`` every scan/sample/row access raises
-        :class:`SequenceDatabaseError` cleanly — there is no window
-        where a caller can read through a stale mapping.  Metadata
-        (``len``, ``digest``, ``path``, ``total_symbols``) stays
-        readable, which is what cache eviction logging needs.
+        file as soon as the last externally-held row view dies, and
+        there is no window where a caller can read through a stale
+        mapping.  Metadata (``len``, ``digest``, ``path``,
+        ``total_symbols``) stays readable, which is what cache eviction
+        logging needs.
         """
-        if self._closed:
-            return
-        self._closed = True
         self._total_symbols = int(self._offsets[-1])
         self._id_array = None
         self._offsets = None
         self._symbols = None
         self._id_index = None
 
-    def __enter__(self) -> "PackedSequenceStore":
-        self._require_open()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise SequenceDatabaseError(
-                f"packed store {self._path or '<memory>'} is closed"
-            )
-
-    # -- scan accounting ------------------------------------------------------
+    # -- the scan contract ----------------------------------------------------
 
     @property
     def path(self) -> Optional[str]:
         return self._path
 
-    @property
-    def scan_count(self) -> int:
-        return self._scan_count
-
-    def reset_scan_count(self) -> None:
-        self._scan_count = 0
-
-    def scan(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(sequence_id, row_view)`` pairs; counts as one pass."""
-        self._require_open()
-        self._scan_count += 1
+    def _blocks(
+        self, chunk_rows: int
+    ) -> Iterator[Tuple[SequenceChunk, int]]:
+        """Zero-copy blocks; payload bytes come from the offsets table."""
         offsets = self._offsets
         symbols = self._symbols
-        for index, sid in enumerate(self._ids):
-            row = symbols[int(offsets[index]):int(offsets[index + 1])]
-            self.io_bytes_read += row.nbytes
-            yield sid, row
-
-    def scan_chunks(
-        self, chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS
-    ) -> Iterator[SequenceChunk]:
-        """Yield zero-copy :class:`SequenceChunk` blocks; one pass."""
-        _check_chunk_rows(chunk_rows)
-        self._require_open()
-        self._scan_count += 1
-        started = perf_counter()
-        for start, stop, chunk in self._slice_chunks(0, len(self._ids),
-                                                     chunk_rows):
-            self.io_chunks += 1
-            self.io_bytes_read += 4 * int(
-                self._offsets[stop] - self._offsets[start]
-            )
-            self.io_chunk_seconds += perf_counter() - started
-            yield chunk
-            started = perf_counter()
-
-    def _slice_chunks(
-        self, row_start: int, row_stop: int, chunk_rows: int
-    ) -> Iterator[Tuple[int, int, SequenceChunk]]:
-        offsets = self._offsets
-        symbols = self._symbols
-        for start in range(row_start, row_stop, chunk_rows):
-            stop = min(start + chunk_rows, row_stop)
+        n_rows = len(self._ids)
+        for start in range(0, n_rows, chunk_rows):
+            stop = min(start + chunk_rows, n_rows)
             rows = [
                 symbols[int(offsets[i]):int(offsets[i + 1])]
                 for i in range(start, stop)
             ]
-            yield start, stop, SequenceChunk(self._ids[start:stop], rows)
+            yield (
+                SequenceChunk(self._ids[start:stop], rows),
+                4 * int(offsets[stop] - offsets[start]),
+            )
 
     def rows_slice(self, row_start: int, row_stop: int) -> List[np.ndarray]:
         """Zero-copy row views for ``[row_start, row_stop)``.
@@ -438,34 +362,6 @@ class PackedSequenceStore:
             symbols[int(offsets[i]):int(offsets[i + 1])]
             for i in range(row_start, row_stop)
         ]
-
-    def external_pass_spec(self) -> Optional[Tuple[str, str]]:
-        """Describe this store for an external executor making one pass.
-
-        Returns ``(path, digest_hex)`` for a file-backed store — enough
-        for a worker process to open the same content independently and
-        detect staleness — or ``None`` for an in-memory store.  Counts
-        one pass and charges the full payload to :attr:`io_bytes_read`;
-        the dispatcher adds its chunk count to :attr:`io_chunks`.
-        """
-        if self._path is None:
-            return None
-        self.begin_external_pass()
-        return self._path, self.digest
-
-    def begin_external_pass(self) -> None:
-        """Account one logical pass executed by an external counting tier.
-
-        Workers map the file themselves, so the parent-side store never
-        sees the row reads — this charges the one scan and the full
-        symbol payload the external pass represents.  Call it exactly
-        once per dispatched scatter-gather pass, *after* deciding to
-        dispatch (a pass that falls back inline is counted by the
-        inline scan instead).
-        """
-        self._require_open()
-        self._scan_count += 1
-        self.io_bytes_read += self._symbols.nbytes
 
     def shard_layout(
         self,
@@ -515,52 +411,9 @@ class PackedSequenceStore:
             return self._total_symbols
         return int(self._offsets[-1])
 
-    def average_length(self) -> float:
-        """The paper's ``l̄_S``: mean sequence length."""
-        return self.total_symbols() / len(self._ids)
-
     def max_symbol(self) -> int:
         """Largest symbol index present (from the header)."""
         return self._max_symbol
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample(
-        self,
-        n: int,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
-    ) -> SequenceDatabase:
-        """Sequential uniform sampling (Algorithm 4.1); one pass.
-
-        Draws the identical random stream in the identical scan order as
-        the core backends, so the same *seed* selects the same sequence
-        ids.  Rows are copied out of the mapped buffer — the sample is
-        what Phase 2 mines, repeatedly.
-        """
-        total = len(self)
-        if n < 1:
-            raise SamplingError(
-                f"cannot sample {n} sequences from a database of {total}"
-            )
-        n = min(n, total)
-        rng = _sampling_rng(rng, seed)
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        if n == total:
-            for sid, seq in self.scan():
-                ids.append(sid)
-                rows.append(np.array(seq, copy=True))
-            return SequenceDatabase(rows, ids=ids)
-        chosen = 0
-        for seen, (sid, seq) in enumerate(self.scan()):
-            if chosen == n:
-                break
-            if rng.random() < (n - chosen) / (total - seen):
-                ids.append(sid)
-                rows.append(np.array(seq, copy=True))
-                chosen += 1
-        return SequenceDatabase(rows, ids=ids)
 
     def __repr__(self) -> str:
         backing = self._path or "<memory>"

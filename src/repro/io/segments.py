@@ -21,11 +21,10 @@ keeps the immutability and adds growth:
   store, never a torn one.  Re-appending after a crash that wrote the
   segment but not the manifest simply overwrites the identical
   segment file — append is idempotent at the byte level;
-* the scan contract is the same as every other backend —
-  ``scan`` / ``scan_chunks`` count passes, ``sample(seed=...)`` draws
-  the identical random stream in the identical global scan order — so
-  all six miners run on a segmented store unchanged, and mining output
-  is bit-identical to the equivalent flat store.
+* the store is a :class:`~repro.core.sequence.CountedScanDatabase`
+  whose blocks are its segments' blocks in append order, so all six
+  miners run on a segmented store unchanged, and mining output is
+  bit-identical to the equivalent flat store.
 
 The delta-remining machinery (:mod:`repro.mining.delta`) builds on the
 segment boundaries: a checkpoint records the manifest prefix it has
@@ -38,19 +37,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from time import perf_counter
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.sequence import (
-    DEFAULT_SCAN_CHUNK_ROWS,
+    CountedScanDatabase,
     SequenceChunk,
     SequenceDatabase,
-    _check_chunk_rows,
-    _sampling_rng,
 )
-from ..errors import SamplingError, SequenceDatabaseError
+from ..errors import SequenceDatabaseError
 from .packed import PackedSequenceStore, peek_store_digest
 
 #: Manifest file name inside a segmented store directory.
@@ -147,15 +143,14 @@ def peek_manifest_digest(path: Union[str, os.PathLike]) -> str:
     return manifest_digest(digests)
 
 
-class SegmentedSequenceStore:
+class SegmentedSequenceStore(CountedScanDatabase):
     """A growing sequence database over immutable packed segments.
 
     Construct via :meth:`create` (seed a new directory from any
-    scan-contract backend) or :meth:`open` (map an existing one).  The
-    store satisfies the same scan/sample/metadata contract as the flat
-    backends; rows are zero-copy views into the segments' mapped
-    buffers.  :meth:`append` is the only mutation, and it never touches
-    existing segment bytes.
+    scan-contract backend) or :meth:`open` (map an existing one).  Rows
+    are zero-copy views into the segments' mapped buffers.
+    :meth:`append` is the only mutation, and it never touches existing
+    segment bytes.
     """
 
     def __init__(self, root: str, segments: List[PackedSequenceStore]):
@@ -163,15 +158,11 @@ class SegmentedSequenceStore:
             raise SequenceDatabaseError(
                 "a segmented store must contain at least one segment"
             )
+        super().__init__()
         self._root = root
         self._segments = segments
         self._digest = manifest_digest([s.digest for s in segments])
-        self._scan_count = 0
-        self._closed = False
         self._id_to_segment = None
-        self.io_bytes_read = 0
-        self.io_chunks = 0
-        self.io_chunk_seconds = 0.0
         self._check_unique_ids()
 
     def _check_unique_ids(self) -> None:
@@ -191,27 +182,21 @@ class SegmentedSequenceStore:
     def create(
         cls,
         path: Union[str, os.PathLike],
-        database=None,
+        database: CountedScanDatabase,
     ) -> "SegmentedSequenceStore":
-        """Create a new segmented store directory at *path*.
+        """Create a new segmented store directory at *path* whose first
+        segment holds the rows of *database* (any scan-contract backend).
 
-        With *database* (any scan-contract backend) the rows become the
-        first segment; without, the directory is prepared but the store
-        cannot be opened until a first :meth:`append` -- so in practice
-        always seed it.  Fails if *path* already holds a manifest.
+        Fails, before touching the disk, if *path* already holds a
+        manifest or *database* cannot be packed.
         """
         root = os.fspath(path)
         if is_segmented_store(root):
             raise SequenceDatabaseError(
                 f"{root} already holds a segmented store"
             )
-        os.makedirs(root, exist_ok=True)
-        if database is None:
-            raise SequenceDatabaseError(
-                "create() needs an initial database: an empty segmented "
-                "store cannot satisfy the scan contract"
-            )
         packed = PackedSequenceStore.from_database(database)
+        os.makedirs(root, exist_ok=True)
         _write_segment(root, packed)
         _swap_manifest(root, [packed])
         return cls.open(root)
@@ -269,7 +254,7 @@ class SegmentedSequenceStore:
         between the two writes leaves the store exactly as it was.
         """
         self._require_open()
-        if hasattr(sequences, "scan") and ids is None:
+        if isinstance(sequences, CountedScanDatabase) and ids is None:
             database = sequences
         else:
             rows = [np.asarray(row, dtype=np.int32) for row in sequences]
@@ -349,15 +334,8 @@ class SegmentedSequenceStore:
     def path(self) -> str:
         return self._root
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Release every segment mapping.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
+    def _release(self) -> None:
+        """Release every segment mapping."""
         self._total_symbols = sum(
             s.total_symbols() for s in self._segments
         )
@@ -365,73 +343,19 @@ class SegmentedSequenceStore:
             segment.close()
         self._id_to_segment = None
 
-    def __enter__(self) -> "SegmentedSequenceStore":
-        self._require_open()
-        return self
+    # -- the scan contract ----------------------------------------------------
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise SequenceDatabaseError(
-                f"segmented store {self._root} is closed"
-            )
-
-    # -- scan accounting ------------------------------------------------------
-
-    @property
-    def scan_count(self) -> int:
-        return self._scan_count
-
-    def reset_scan_count(self) -> None:
-        self._scan_count = 0
-
-    def scan(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(sequence_id, row_view)`` across all segments in
-        append order; counts as one pass of the whole store."""
-        self._require_open()
-        self._scan_count += 1
-        for segment in self._segments:
-            rows = segment.rows_slice(0, len(segment))
-            for sid, row in zip(segment.ids, rows):
-                self.io_bytes_read += row.nbytes
-                yield sid, row
-
-    def scan_chunks(
-        self, chunk_rows: int = DEFAULT_SCAN_CHUNK_ROWS
-    ) -> Iterator[SequenceChunk]:
-        """Yield zero-copy :class:`SequenceChunk` blocks; one pass.
+    def _blocks(
+        self, chunk_rows: int
+    ) -> Iterator[Tuple[SequenceChunk, int]]:
+        """The segments' zero-copy blocks in append order.
 
         Chunk boundaries reset at segment boundaries (a chunk never
-        spans two mapped buffers); the concatenated row stream equals
-        :meth:`scan` exactly, which is all any consumer relies on.
+        spans two mapped buffers); the concatenated row stream is the
+        global scan order, which is all any consumer relies on.
         """
-        _check_chunk_rows(chunk_rows)
-        self._require_open()
-        self._scan_count += 1
-        started = perf_counter()
         for segment in self._segments:
-            for _start, _stop, chunk in segment._slice_chunks(
-                0, len(segment), chunk_rows
-            ):
-                self.io_chunks += 1
-                self.io_bytes_read += chunk.nbytes
-                self.io_chunk_seconds += perf_counter() - started
-                yield chunk
-                started = perf_counter()
-
-    def begin_external_pass(self) -> None:
-        """Account one logical pass executed by an external counting tier.
-
-        The segmented analogue of
-        :meth:`repro.io.packed.PackedSequenceStore.begin_external_pass`:
-        workers map the segment files themselves, so this charges the
-        one scan and the full symbol payload on the parent-side store.
-        """
-        self._require_open()
-        self._scan_count += 1
-        self.io_bytes_read += 4 * self.total_symbols()
+            yield from segment._blocks(chunk_rows)
 
     def shard_layout(
         self,
@@ -485,60 +409,9 @@ class SegmentedSequenceStore:
             return self._total_symbols
         return sum(s.total_symbols() for s in self._segments)
 
-    def average_length(self) -> float:
-        """The paper's ``l̄_S``: mean sequence length."""
-        return self.total_symbols() / len(self)
-
     def max_symbol(self) -> int:
         """Largest symbol index present (from the segment headers)."""
         return max(s.max_symbol() for s in self._segments)
-
-    def to_database(self) -> SequenceDatabase:
-        """Materialise the whole store in memory (counts one pass)."""
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        for sid, seq in self.scan():
-            ids.append(sid)
-            rows.append(np.array(seq, copy=True))
-        return SequenceDatabase(rows, ids=ids)
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample(
-        self,
-        n: int,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
-    ) -> SequenceDatabase:
-        """Sequential uniform sampling (Algorithm 4.1); one pass.
-
-        Draws the identical random stream in the identical global scan
-        order as the flat backends, so the same *seed* selects the same
-        sequence ids as the equivalent flat store would.
-        """
-        total = len(self)
-        if n < 1:
-            raise SamplingError(
-                f"cannot sample {n} sequences from a database of {total}"
-            )
-        n = min(n, total)
-        rng = _sampling_rng(rng, seed)
-        ids: List[int] = []
-        rows: List[np.ndarray] = []
-        if n == total:
-            for sid, seq in self.scan():
-                ids.append(sid)
-                rows.append(np.array(seq, copy=True))
-            return SequenceDatabase(rows, ids=ids)
-        chosen = 0
-        for seen, (sid, seq) in enumerate(self.scan()):
-            if chosen == n:
-                break
-            if rng.random() < (n - chosen) / (total - seen):
-                ids.append(sid)
-                rows.append(np.array(seq, copy=True))
-                chosen += 1
-        return SequenceDatabase(rows, ids=ids)
 
     def __repr__(self) -> str:
         return (

@@ -96,7 +96,7 @@ def count_matches_batched(
     result: Dict[Pattern, float] = {}
     for start in range(0, len(unique), batch_size):
         # Engines consume the database through the chunked scan API
-        # (iter_chunks / scan_chunks), so each batch streams row blocks
+        # (scan_chunks), so each batch streams row blocks
         # instead of materialising the database; the scan accounting
         # below is unchanged by that.
         batch = unique[start : start + batch_size]

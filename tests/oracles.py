@@ -33,7 +33,7 @@ from repro.core.compatibility import CompatibilityMatrix
 from repro.core.lattice import PatternConstraints, extend_right
 from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
-from repro.core.sequence import AnySequenceDatabase, iter_chunks
+from repro.core.sequence import AnySequenceDatabase
 from repro.engine import MatchEngine, vectorized
 from repro.engine.kernels import DEFAULT_CHUNK_ROWS
 from repro.engine.shards import execute_shard_task
@@ -86,7 +86,7 @@ class ReferenceEngine(MatchEngine):
         c_ext = np.vstack([matrix.array, np.ones((1, m))])
         totals = np.zeros(len(patterns), dtype=np.float64)
         count = 0
-        for chunk in iter_chunks(database, self.chunk_rows):
+        for chunk in database.scan_chunks(self.chunk_rows):
             rows = [np.asarray(seq) for seq in chunk.rows]
             maxima = np.zeros((len(patterns), len(rows)), dtype=np.float64)
             for column, seq in enumerate(rows):
@@ -122,7 +122,7 @@ class ReferenceEngine(MatchEngine):
     ) -> np.ndarray:
         totals = np.zeros(matrix.size, dtype=np.float64)
         count = 0
-        for chunk in iter_chunks(database, self.chunk_rows):
+        for chunk in database.scan_chunks(self.chunk_rows):
             count += len(chunk)
             totals += self._symbol_totals(chunk.rows, matrix)
         if count == 0:

@@ -175,6 +175,7 @@ class TestMine:
         ["--resident-sample"],
         ["--resident-kernels", "auto"],
         ["--oversplit", "3"],
+        ["--store", "text"],
     ], ids=lambda flags: flags[0])
     def test_removed_execution_flags_rejected_by_argparse(
         self, generated, capsys, flags
@@ -336,27 +337,15 @@ class TestStoreAndConvert:
         assert payloads[back]["patterns"] == base
         assert payloads[packed]["scans"] == payloads[generated]["scans"]
 
-    def test_store_flag_overrides_sniffing(self, generated, capsys):
-        # Forcing --store text on a text file works; forcing packed on a
-        # text file fails loudly (bad magic), never silently misparses.
-        assert main([
-            "mine", str(generated), *self.MINE, "--store", "text",
-        ]) == 0
-        capsys.readouterr()
-        code = main([
-            "mine", str(generated), *self.MINE, "--store", "packed",
-        ])
-        assert code == 2
-        assert "magic" in capsys.readouterr().err
-
-    def test_env_var_sets_default_store(self, packed, capsys, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_STORE", "packed")
+    def test_stale_store_env_var_is_ignored(self, packed, capsys, monkeypatch):
+        # The input is always sniffed: no value of the old store variable,
+        # valid or not, changes what is read or mined.
         assert main(["mine", str(packed), *self.MINE]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("NOISYMINE_STORE", "bogus")
-        code = main(["mine", str(packed), *self.MINE])
-        assert code == 2
-        assert "NOISYMINE_STORE" in capsys.readouterr().err
+        baseline = json.loads(capsys.readouterr().out)["patterns"]
+        for value in ("text", "bogus"):
+            monkeypatch.setenv("NOISYMINE_STORE", value)
+            assert main(["mine", str(packed), *self.MINE]) == 0
+            assert json.loads(capsys.readouterr().out)["patterns"] == baseline
 
     def test_fasta_with_packed_store_rejected(self, packed, capsys):
         code = main([
@@ -364,6 +353,17 @@ class TestStoreAndConvert:
         ])
         assert code == 2
         assert "fasta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["packed", "segmented", "text"])
+    def test_convert_rejects_negative_symbol(self, tmp_path, capsys, target):
+        # A negative symbol would pack into a store no miner can read.
+        source = tmp_path / "neg.txt"
+        source.write_text("0\t1 2 3\n1\t4 -1 5\n")
+        output = tmp_path / "out"
+        code = main(["convert", str(source), str(output), "--to", target])
+        assert code == 2
+        assert f"{source}:2" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_convert_missing_input(self, tmp_path, capsys):
         code = main([

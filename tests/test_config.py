@@ -18,7 +18,6 @@ from repro.config import (
     SAMPLING_ALGORITHMS,
     json_payload,
     open_database,
-    resolve_store_mode,
 )
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.sequence import FileSequenceDatabase, SequenceDatabase
@@ -51,7 +50,6 @@ class TestResolveDefaults:
     def test_library_defaults(self):
         config = MiningConfig.resolve(min_match=0.5, alphabet=4)
         assert config.algorithm == "border-collapsing"
-        assert config.store == "auto"
         assert config.score_dtype == "float64"
 
     def test_all_algorithms_accepted(self):
@@ -83,26 +81,13 @@ class TestEnvPrecedence:
             monkeypatch.setenv(var, "bogus")
         assert MiningConfig.resolve(min_match=0.5, alphabet=4) == base
 
-    def test_store_env_honoured(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_STORE", "text")
-        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
-        assert config.store == "text"
-
-    def test_store_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_STORE", "text")
-        config = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, store="packed"
-        )
-        assert config.store == "packed"
-
-    def test_bad_store_env_fails_loudly(self, monkeypatch):
+    def test_stale_store_env_changes_nothing(self, monkeypatch):
+        base = MiningConfig.resolve(min_match=0.5, alphabet=4)
         monkeypatch.setenv("NOISYMINE_STORE", "bogus")
-        with pytest.raises(NoisyMineError, match="NOISYMINE_STORE"):
-            MiningConfig.resolve(min_match=0.5, alphabet=4)
-
-    def test_empty_store_env_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_STORE", "  ")
-        assert resolve_store_mode() == "auto"
+        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
+        assert config == base
+        assert config.to_dict() == base.to_dict()
+        assert "store" not in config.to_dict()
 
 
 class TestMatrix:
@@ -171,19 +156,21 @@ class TestBuildMiner:
 
 
 class TestCanonicalForms:
-    def test_to_key_ignores_execution_knobs(self):
-        base = MiningConfig.resolve(min_match=0.5, alphabet=4, seed=1)
-        variant = MiningConfig.resolve(
-            min_match=0.5, alphabet=4, seed=1, store="packed",
-        )
-        assert base.to_key() == variant.to_key()
-
     def test_to_key_distinguishes_semantic_fields(self):
         base = MiningConfig.resolve(min_match=0.5, alphabet=4)
         assert base.to_key() != base.with_overrides(min_match=0.6).to_key()
         assert base.to_key() != base.with_overrides(noise=0.1).to_key()
         assert base.to_key() != \
             base.with_overrides(algorithm="levelwise").to_key()
+
+    def test_to_key_ignores_execution_knobs(self, monkeypatch):
+        # The worker count (and a stale store variable) are execution
+        # settings: a memo entry must be shared across them.
+        base = MiningConfig.resolve(min_match=0.5, alphabet=4, seed=1)
+        monkeypatch.setenv("NOISYMINE_WORKERS", "2")
+        monkeypatch.setenv("NOISYMINE_STORE", "packed")
+        variant = MiningConfig.resolve(min_match=0.5, alphabet=4, seed=1)
+        assert base.to_key() == variant.to_key()
 
     def test_to_key_is_json(self):
         key = MiningConfig.resolve(min_match=0.5, alphabet=4).to_key()
@@ -204,7 +191,7 @@ class TestCanonicalForms:
     def test_round_trip_through_dict(self):
         config = MiningConfig.resolve(
             min_match=0.4, alphabet=5, algorithm="toivonen", noise=0.1,
-            sample_size=9, seed=11, store="packed",
+            sample_size=9, seed=11,
         )
         assert MiningConfig.from_dict(config.to_dict()) == config
 
@@ -213,7 +200,8 @@ class TestCanonicalForms:
             MiningConfig.from_dict({"min_match": 0.5, "min_macth": 0.5})
 
     @pytest.mark.parametrize(
-        "key", ["engine", "lattice", "resident_sample", "resident_kernels"]
+        "key",
+        ["engine", "lattice", "resident_sample", "resident_kernels", "store"],
     )
     def test_from_dict_rejects_removed_execution_keys(self, key):
         with pytest.raises(NoisyMineError, match=f"unknown config keys: {key}"):
@@ -224,9 +212,9 @@ class TestCanonicalForms:
             MiningConfig.from_dict({"algorithm": "levelwise"})
 
     def test_from_dict_resolves_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYMINE_STORE", "text")
+        monkeypatch.setenv("NOISYMINE_SCORE_DTYPE", "float32")
         config = MiningConfig.from_dict({"min_match": 0.5, "alphabet": 4})
-        assert config.store == "text"
+        assert config.score_dtype == "float32"
 
     def test_with_overrides_revalidates(self):
         config = MiningConfig.resolve(min_match=0.5, alphabet=4)
@@ -261,13 +249,3 @@ class TestOpenDatabase:
         opened = open_database(packed)
         assert isinstance(opened, PackedSequenceStore)
         opened.close()
-
-    def test_explicit_modes(self, tmp_path):
-        database = SequenceDatabase([[0, 1, 2], [1, 2, 0]])
-        text = tmp_path / "db.txt"
-        database.save(text)
-        assert isinstance(
-            open_database(text, "text"), FileSequenceDatabase
-        )
-        with pytest.raises(NoisyMineError, match="invalid store mode"):
-            open_database(text, "bogus")

@@ -175,11 +175,14 @@ class TestPinning:
 
     def test_empty_database_rejected(self, fig2_matrix):
         # SequenceDatabase refuses to be empty, so exercise the engine's
-        # own guard with a bare scan() that yields nothing.
+        # own guard with a bare scan that yields nothing.
         class EmptyScan:
             scan_count = 0
 
             def scan(self):
+                return iter(())
+
+            def scan_chunks(self, chunk_rows):
                 return iter(())
 
         engine = ResidentSampleEvaluator()

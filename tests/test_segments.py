@@ -78,6 +78,17 @@ def _build_segmented(tmp_path, batches, name="seg"):
     return store
 
 
+def _negative_source():
+    """A scan-contract source holding a negative symbol: the packed
+    constructor trusts its arrays, so only the packer can refuse it."""
+    return PackedSequenceStore(
+        np.array([7], dtype=np.int64),
+        np.array([0, 2], dtype=np.int64),
+        np.array([1, -3], dtype=np.int32),
+        max_symbol=1,
+    )
+
+
 # -- flat-store parity ---------------------------------------------------------
 
 class TestFlatParity:
@@ -199,6 +210,16 @@ class TestAppend:
             assert store.digest == before
             assert len(store.segments) == 1
 
+    def test_append_rejects_negative_symbols(self, tmp_path):
+        with _build_segmented(tmp_path, [[[0, 1]]]) as store:
+            before = store.digest
+            with pytest.raises(
+                SequenceDatabaseError, match="sequence 7 holds negative"
+            ):
+                store.append(_negative_source())
+            assert store.digest == before
+            assert len(store.segments) == 1
+
     def test_append_rejects_empty_batch(self, tmp_path):
         with _build_segmented(tmp_path, [[[0, 1]]]) as store:
             with pytest.raises(SequenceDatabaseError, match="empty"):
@@ -283,6 +304,15 @@ class TestIntegrity:
         (root / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SequenceDatabaseError):
             SegmentedSequenceStore.open(root)
+
+    def test_create_validates_before_touching_disk(self, tmp_path):
+        root = tmp_path / "seg"
+        with pytest.raises(TypeError):
+            SegmentedSequenceStore.create(root)  # no initial database
+        assert not root.exists()
+        with pytest.raises(SequenceDatabaseError, match="negative"):
+            SegmentedSequenceStore.create(root, _negative_source())
+        assert not root.exists()
 
     def test_closed_store_refuses_scans(self, tmp_path):
         root = self._grown(tmp_path)

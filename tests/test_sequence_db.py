@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro import (
+    CompatibilityMatrix,
     FileSequenceDatabase,
+    PackedSequenceStore,
     SamplingError,
     SequenceDatabase,
     SequenceDatabaseError,
 )
+from repro.core.match import symbol_matches_and_sample
 from repro.core.sequence import as_sequence_array
+from repro.io import SegmentedSequenceStore
 
 
 class TestAsSequenceArray:
@@ -169,20 +173,6 @@ class TestSampling:
         assert first == second
         assert db.sample(11, seed=124).ids != first  # seed actually matters
 
-    def test_seed_pins_ids_across_backends(self, tmp_path):
-        # The contract the miners' reproducibility rests on: the same
-        # explicit seed selects the same sequence ids whether the
-        # database lives in memory or on disk.
-        db = SequenceDatabase(
-            [[i % 5] for i in range(30)], ids=range(200, 230)
-        )
-        path = tmp_path / "seqs.txt"
-        db.save(path)
-        file_db = FileSequenceDatabase(path)
-        for seed in (0, 1, 99):
-            assert db.sample(7, seed=seed).ids == \
-                file_db.sample(7, seed=seed).ids
-
     def test_seed_pinned_ids(self):
         # Regression pin: this exact draw must never change, or saved
         # experiment configs stop being reproducible.
@@ -290,7 +280,7 @@ class TestFileDatabase:
 
     def test_materialize(self, db_file):
         fdb = FileSequenceDatabase(db_file)
-        mem = fdb.materialize()
+        mem = fdb.to_database()
         assert isinstance(mem, SequenceDatabase)
         assert len(mem) == 3
         assert fdb.scan_count == 1
@@ -310,3 +300,138 @@ class TestFileDatabase:
         values = symbol_matches(fdb, matrix)
         assert values[1] == pytest.approx(1 / 3)
         assert fdb.scan_count == 1
+
+
+class TestScanContract:
+    """One contract, four backends: rows, chunking, pass counting, I/O
+    accounting, sampling and lifecycle are the same everywhere."""
+
+    #: 23 rows of lengths 1..4; the segmented store splits them 10 + 13,
+    #: and CHUNK divides neither segment.
+    IDS = [200 + 3 * i for i in range(23)]
+    ROWS = [[(7 * i + j) % 5 for j in range(1 + i % 4)] for i in range(23)]
+    SPLIT = 10
+    CHUNK = 4
+    CHUNK_SIZES = {
+        "segmented": [4, 4, 2, 4, 4, 4, 1],
+        "default": [4, 4, 4, 4, 4, 3],
+    }
+
+    @pytest.fixture(params=["memory", "text", "packed", "segmented"])
+    def backend(self, request, tmp_path):
+        memory = SequenceDatabase(self.ROWS, ids=self.IDS)
+        kind = request.param
+        if kind == "memory":
+            db = memory
+        elif kind == "text":
+            memory.save(tmp_path / "db.txt")
+            db = FileSequenceDatabase(tmp_path / "db.txt")
+        elif kind == "packed":
+            db = PackedSequenceStore.from_database(memory, tmp_path / "db.nmp")
+        else:
+            db = SegmentedSequenceStore.create(
+                tmp_path / "seg",
+                SequenceDatabase(self.ROWS[:self.SPLIT],
+                                 ids=self.IDS[:self.SPLIT]),
+            )
+            db.append(self.ROWS[self.SPLIT:], ids=self.IDS[self.SPLIT:])
+            assert len(db.segments) == 2
+        yield kind, db
+        db.close()
+
+    def test_rows_in_scan_order(self, backend):
+        _kind, db = backend
+        assert len(db) == len(self.ROWS)
+        assert db.ids == tuple(self.IDS)
+        assert [sid for sid, _row in db.scan()] == self.IDS
+        assert [row.tolist() for _sid, row in db.scan()] == self.ROWS
+        assert db.sequence(self.IDS[7]).tolist() == self.ROWS[7]
+        assert db.total_symbols() == sum(map(len, self.ROWS))
+        assert db.max_symbol() == 4
+        assert db.to_database().ids == tuple(self.IDS)
+
+    def test_chunk_boundaries(self, backend):
+        kind, db = backend
+        chunks = list(db.scan_chunks(self.CHUNK))
+        expected = self.CHUNK_SIZES.get(kind, self.CHUNK_SIZES["default"])
+        assert [len(chunk) for chunk in chunks] == expected
+        assert [sid for c in chunks for sid in c.ids] == self.IDS
+        assert [r.tolist() for c in chunks for r in c.rows] == self.ROWS
+        with pytest.raises(SequenceDatabaseError, match="chunk_rows"):
+            list(db.scan_chunks(0))
+
+    def test_every_pass_counts_once(self, backend, tmp_path):
+        _kind, db = backend
+        assert db.scan_count == 0
+        list(db.scan())
+        assert db.scan_count == 1
+        list(db.scan_chunks(self.CHUNK))
+        assert db.scan_count == 2
+        db.sample(5, seed=1)
+        assert db.scan_count == 3
+        db.to_database()
+        db.save_text(tmp_path / "copy.txt")
+        assert db.scan_count == 5
+        len(db), db.ids, db.total_symbols(), db.average_length()
+        db.sequence(self.IDS[0])
+        assert db.scan_count == 5  # metadata is not a pass
+        db.reset_scan_count()
+        assert db.scan_count == 0
+
+    def test_io_counters(self, backend):
+        kind, db = backend
+        payload = 4 * db.total_symbols()
+        list(db.scan())
+        list(db.scan_chunks(self.CHUNK))
+        counters = (db.io_bytes_read, db.io_chunks)
+        if kind == "memory":
+            assert counters == (0, 0)  # nothing is read from storage
+            assert db.io_chunk_seconds == 0.0
+        else:
+            chunks = len(self.CHUNK_SIZES.get(kind,
+                                              self.CHUNK_SIZES["default"]))
+            assert counters == (2 * payload, chunks)
+            assert db.io_chunk_seconds > 0.0
+
+    def test_seed_pins_ids_across_backends(self, backend):
+        # The contract the miners' reproducibility rests on: the same
+        # explicit seed selects the same sequence ids wherever the
+        # database lives, and the Phase-1 pass draws the same sample.
+        _kind, db = backend
+        matrix = CompatibilityMatrix.identity(5)
+        for seed in (0, 1, 99):
+            # Algorithm 4.1 lines 12-16 as a loop: one draw per row
+            # while the sample is short, none once it is full.
+            reference = np.random.default_rng(seed)
+            expected = []
+            for seen, sid in enumerate(self.IDS):
+                if len(expected) == 7:
+                    break
+                needed = 7 - len(expected)
+                if reference.random() < needed / (len(self.IDS) - seen):
+                    expected.append(sid)
+            assert db.sample(7, seed=seed).ids == tuple(expected)
+            rng = np.random.default_rng(seed)
+            _values, sample = symbol_matches_and_sample(db, matrix, 7, rng=rng)
+            assert sample.ids == tuple(expected)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_closed_store_raises(self, backend, tmp_path):
+        _kind, db = backend
+        with db:
+            pass
+        assert db.closed
+        db.close()  # idempotent
+        for access in (
+            lambda: list(db.scan()),
+            lambda: list(db.scan_chunks()),
+            lambda: db.sample(3, seed=0),
+            lambda: db.sequence(self.IDS[0]),
+            lambda: db.to_database(),
+            lambda: db.save_text(tmp_path / "closed.txt"),
+            db.begin_external_pass,
+        ):
+            with pytest.raises(SequenceDatabaseError, match="closed"):
+                access()
+        assert len(db) == len(self.ROWS)  # catalog metadata survives
+        assert db.total_symbols() == sum(map(len, self.ROWS))
