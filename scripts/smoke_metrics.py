@@ -7,11 +7,13 @@ and validates the resulting RunReport files: required keys present,
 the ``vectorized`` engine reported with the run's ``workers`` and
 ``kernels`` in its context, the per-phase ``scans`` counters of the
 top-level phases summing
-exactly to the reported total, and the resident Phase-2 plane-store
+exactly to the reported total, and the resident Phase-2 prefix-stack
 counters reaching the sampling miners' reports
 (``resident_native_calls`` must tick where numba imports and stay zero
-where the numpy plane path runs).  Finally every per-layer benchmark
-runs in ``--smoke`` mode (correctness gates only, no timing
+where the numpy plane path runs; the border-collapsing run's
+``resident_plane_bytes`` must be positive and within the stack bound
+of its sample, so an unbounded plane cache cannot come back unseen).
+Finally every per-layer benchmark runs in ``--smoke`` mode (correctness gates only, no timing
 assertions) and writes its ``BENCH_*.json`` into the output directory
 — never into the repo root — so the CI workflow can upload it all as
 an artifact.
@@ -28,8 +30,10 @@ import importlib
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from repro.cli import main as cli_main
+from repro.core.sequence import SequenceDatabase
 from repro.engine import native_available
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -45,6 +49,15 @@ COMBINATIONS = [
     ("toivonen", 1),
     ("depthfirst", 1),
 ]
+
+#: The smoke runs' Phase-2 sample size and pattern weight cap.
+SAMPLE_SIZE = 80
+MAX_WEIGHT = 4
+
+#: min-match per algorithm (default 0.6).  Border-collapsing runs at
+#: 0.4, low enough for its sample search to reach weight-3 candidates,
+#: so the resident prefix stack holds planes to check against its bound.
+MIN_MATCH = {"border-collapsing": "0.4"}
 
 #: Counters the resident Phase-2 evaluator must surface in the
 #: sampling miners' RunReports.
@@ -100,10 +113,31 @@ def validate_report(payload: dict, algorithm: str, workers: int) -> None:
         raise AssertionError("run-wide scan counter != measured scan total")
 
 
-def validate_resident(payload: dict) -> None:
+def resident_stack_bound(db_path: Path) -> int:
+    """Bytes the resident prefix stack may hold on a smoke run.
+
+    One float64 ``(L, N)`` plane per chain depth of the deepest parent
+    (weight ``MAX_WEIGHT - 1``), with ``L`` the longest sequence and
+    ``N`` the sample size: the stack's bound, whatever the batches.
+    """
+    database = SequenceDatabase.load(db_path)
+    lengths = [len(seq) for _sid, seq in database.scan()]
+    sample = min(SAMPLE_SIZE, len(lengths))
+    return (MAX_WEIGHT - 1) * sample * max(lengths) * 8
+
+
+def validate_resident(
+    payload: dict, stack_bound: Optional[int] = None
+) -> None:
     missing = [n for n in RESIDENT_COUNTERS if n not in payload["counters"]]
     if missing:
         raise AssertionError(f"report lacks resident counters: {missing}")
+    plane_bytes = payload["counters"]["resident_plane_bytes"]
+    if stack_bound is not None and not 0 < plane_bytes <= stack_bound:
+        raise AssertionError(
+            f"resident_plane_bytes {plane_bytes} outside the prefix "
+            f"stack bound (0, {stack_bound}]"
+        )
     native_calls = payload["counters"]["resident_native_calls"]
     if native_available and not native_calls:
         raise AssertionError(
@@ -137,9 +171,11 @@ def main(argv=None) -> int:
         metrics_path = out / f"metrics_{algorithm}_w{workers}.json"
         rc = cli_main([
             "mine", str(db_path), "--alphabet", "6",
-            "--min-match", "0.6", "--noise", "0.05",
+            "--min-match", MIN_MATCH.get(algorithm, "0.6"),
+            "--noise", "0.05",
             "--algorithm", algorithm, "--workers", str(workers),
-            "--sample-size", "80", "--max-weight", "4", "--max-span", "5",
+            "--sample-size", str(SAMPLE_SIZE),
+            "--max-weight", str(MAX_WEIGHT), "--max-span", "5",
             "--seed", "7", "--metrics-json", str(metrics_path),
         ])
         if rc != 0:
@@ -148,7 +184,9 @@ def main(argv=None) -> int:
             return rc
         payload = json.loads(metrics_path.read_text())
         validate_report(payload, algorithm, workers)
-        if algorithm in ("border-collapsing", "toivonen"):
+        if algorithm == "border-collapsing":
+            validate_resident(payload, resident_stack_bound(db_path))
+        elif algorithm == "toivonen":
             validate_resident(payload)
         # depthfirst counts in memory; only its Phase-1 rows pass runs
         # the block kernel, untraced.

@@ -313,49 +313,6 @@ def py_derive_sibling_batch(padded, c_ext, parent, use_parent, symbols,
                         maxima_out[s, i] = value
 
 
-def py_replay_plane_chain(padded, c_ext, base, use_base, symbols, offsets,
-                          plane_out):
-    """Rebuild an evicted score plane by replaying its prefix chain.
-
-    *symbols*/*offsets* hold the chain links to apply in prefix order
-    (outermost ancestor first, the target pattern's own last symbol
-    last).  With ``use_base`` the plane seeds from *base*, the deepest
-    still-stored ancestor's plane; otherwise the first link must be
-    the span-1 root (``offsets[0] == 0``) and the plane seeds from its
-    factor row.  Every link then multiplies its shifted factor row in
-    place — the whole chain replays inside one kernel call instead of
-    one Python-level ``extend_plane`` per link.
-
-    Only the final span's ``L - offsets[-1]`` window rows are tracked:
-    row ``w`` of any plane depends only on row ``w`` of its ancestors,
-    so the truncation is exact and the left-to-right multiply order
-    keeps float64 results bit-identical to the numpy recursion.
-    """
-    n, length = padded.shape
-    links = symbols.shape[0]
-    windows = length - offsets[links - 1]
-    start = 0
-    if use_base:
-        for w in range(windows):
-            for i in range(n):
-                plane_out[w, i] = base[w, i]
-    else:
-        root = symbols[0]
-        for w in range(windows):
-            for i in range(n):
-                plane_out[w, i] = c_ext[root, padded[i, w]]
-        start = 1
-    for j in range(start, links):
-        symbol = symbols[j]
-        off = offsets[j]
-        for w in range(windows):
-            t = w + off
-            for i in range(n):
-                plane_out[w, i] = (
-                    plane_out[w, i] * c_ext[symbol, padded[i, t]]
-                )
-
-
 # -- compiled selection -------------------------------------------------------
 
 def _compile(function: Callable) -> Callable:
@@ -375,7 +332,6 @@ containment_sweep = _compile(py_containment_sweep)
 rows_in_sorted = _compile(py_rows_in_sorted)
 derive_child_planes = _compile(py_derive_child_planes)
 derive_sibling_batch = _compile(py_derive_sibling_batch)
-replay_plane_chain = _compile(py_replay_plane_chain)
 
 
 # -- warm-up accounting -------------------------------------------------------
@@ -416,9 +372,9 @@ def warm_kernels() -> float:
                 padded, c_ext, np.zeros((2, 1), dtype=dtype)
             )
             # The resident-evaluator kernels: a (windows, N) = (3, 1)
-            # plane, one sibling pair and a two-link replay chain warm
-            # every signature the hot loop dispatches, including the
-            # rootless (use_parent/use_base = False) branches.
+            # plane and one sibling pair warm every signature the hot
+            # loop dispatches, including the rootless
+            # (use_parent = False) branch.
             plane = np.ones((3, 1), dtype=dtype)
             maxima = np.zeros(1, dtype=dtype)
             derive_child_planes(
@@ -433,16 +389,6 @@ def warm_kernels() -> float:
             derive_sibling_batch(
                 padded, c_ext, plane, False, siblings, 0,
                 np.zeros((2, 1), dtype=dtype),
-            )
-            chain_symbols = np.array([0, 1], dtype=np.int64)
-            chain_offsets = np.array([0, 1], dtype=np.int64)
-            replay_plane_chain(
-                padded, c_ext, plane, False, chain_symbols, chain_offsets,
-                np.zeros((2, 1), dtype=dtype),
-            )
-            replay_plane_chain(
-                padded, c_ext, plane, True, chain_symbols[1:],
-                chain_offsets[1:], np.zeros((2, 1), dtype=dtype),
             )
         block = np.array([[0, -1, 1]], dtype=np.int32)
         flags = np.zeros(1, dtype=np.bool_)
@@ -491,11 +437,9 @@ __all__ = [
     "py_containment_sweep",
     "py_derive_child_planes",
     "py_derive_sibling_batch",
-    "py_replay_plane_chain",
     "py_rows_in_sorted",
     "py_symbol_window_maxima",
     "py_window_group_maxima",
-    "replay_plane_chain",
     "rows_in_sorted",
     "symbol_window_maxima",
     "warm_kernels",

@@ -22,14 +22,14 @@ from __future__ import annotations
 from ..core._nativekernels import native_available, native_unavailable_reason
 from .base import MatchEngine
 from .kernels import SCORE_DTYPES, resolve_score_dtype
-from .resident import PlaneStore, ResidentSampleEvaluator, sibling_order
+from .resident import PlaneStats, ResidentSampleEvaluator
 from .shards import WORKERS_ENV_VAR, resolve_worker_count
 from .vectorized import FactorCache, VectorizedBatchEngine
 
 __all__ = [
     "FactorCache",
     "MatchEngine",
-    "PlaneStore",
+    "PlaneStats",
     "ResidentSampleEvaluator",
     "SCORE_DTYPES",
     "VectorizedBatchEngine",
@@ -38,5 +38,4 @@ __all__ = [
     "native_unavailable_reason",
     "resolve_score_dtype",
     "resolve_worker_count",
-    "sibling_order",
 ]

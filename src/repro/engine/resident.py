@@ -17,10 +17,19 @@ exploits the fixity instead:
   parent ``P`` plus one fixed symbol, and window products associate
   left-to-right; the child's ``(windows, N)`` score plane is therefore
   its parent's plane times one shifted factor row — O(W·N) per
-  candidate instead of the O(span·W·N) flat evaluation.  Parent planes
-  live in a byte-budgeted LRU (:class:`PlaneStore`); an evicted plane
-  is rebuilt by walking the prefix chain down to the span-1 planes, so
-  eviction changes cost, never results.
+  candidate instead of the O(span·W·N) flat evaluation.
+* **Walk the prefix trie.**  Each call sorts its sibling groups by
+  ``(parent elements, offset)``, which is a pre-order walk of the
+  parents' prefix trie, and keeps the current parent's ancestor chain
+  on a stack: moving to the next group pops to the longest common
+  ancestor and extends from there, so every distinct parent prefix is
+  derived exactly once per call.  Entry *k* of the stack is the plane
+  of the ancestor holding the first *k + 1* fixed symbols; it is
+  written into one reusable ``(L, N)`` buffer per depth per pinned
+  chunk, so the planes held never exceed ``(max parent weight - 1) ×
+  Σ L·N`` elements, whatever the batch size.  Span-1 roots are views
+  of the factor arrays (a one-row gather on the kernel path) and take
+  no stack buffer.  Only the buffers outlive a call.
 * **Stay in cache.**  Child planes are never stored: each sibling
   group is reduced to its per-sequence maxima and discarded — the hot
   loop's working set is one ``(windows, N)`` plane, not the
@@ -31,44 +40,34 @@ Kernel dispatch
 The plane arithmetic runs through the compiled
 :mod:`repro.core._nativekernels` resident kernels when numba is
 importable, and through the numpy plane path otherwise.  The compiled
-path fuses each sibling group's multiply + max into one
-  loop nest (:func:`~repro.core._nativekernels.derive_sibling_batch`,
-  parent plane gathered once, children innermost), derives missing
-  parent planes with
-  :func:`~repro.core._nativekernels.derive_child_planes`, and replays
-  eviction misses through the whole prefix chain in one call
-  (:func:`~repro.core._nativekernels.replay_plane_chain`) instead of
-  one Python-level extension per link.  It never materialises the
-  ``(m + 1, L, N)`` factor array the numpy path gathers.  Tests pin
-either path, or the interpreted twins of the compiled kernels (the
-exact code numba compiles), with the ``kernels=`` constructor
-argument.
+path fuses each sibling group's multiply + max into one loop nest
+(:func:`~repro.core._nativekernels.derive_sibling_batch`, parent plane
+gathered once, children innermost), derives each stack link with
+:func:`~repro.core._nativekernels.derive_child_planes`, and never
+materialises the ``(m + 1, L, N)`` factor array the numpy path
+gathers.  Tests pin either path, or the interpreted twins of the
+compiled kernels (the exact code numba compiles), with the
+``kernels=`` constructor argument.
 
 ``score_dtype="float32"`` stores factors and planes in float32 —
-halving both the pinned bytes and the :class:`PlaneStore` pressure, so
-the LRU holds twice the chain depth — while every cross-sequence
-accumulation stays float64; the deviation is error-bounded like the
-counting engine's float32 scoring (``benchmarks/bench_phase2_sample.py``
-gates it).
+halving both the pinned bytes and the stack buffers — while every
+cross-sequence accumulation stays float64; the deviation is
+error-bounded like the counting engine's float32 scoring
+(``benchmarks/bench_phase2_sample.py`` gates it).
 
 Products multiply in the same offset order as the flat kernels, so all
 float64 match values are bit-identical to the vectorized backend (at
-equal ``chunk_rows``) whichever kernels run.
-
-The breadth-first order of :func:`repro.mining.ambiguous
-.classify_on_sample` — children are counted one level after their
-surviving parent — makes parent planes naturally live, which is what
-turns the plane store into an incremental evaluator rather than a
-cache of lucky repeats.  Phase 2 always counts through this
-evaluator; it also serves any workload that repeatedly counts against
-one memory-resident database.
+equal ``chunk_rows``) whichever kernels run, and independent of batch
+order.  Phase 2 always counts through this evaluator; it also serves
+any workload that repeatedly counts against one memory-resident
+database.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,19 +95,18 @@ from .kernels import (
     rows_symbol_totals,
 )
 
-#: Default plane-store budget (bytes).  A float64 plane costs
-#: ``8 * W * N`` bytes (float32 exactly half, charged at its actual
-#: ``arr.nbytes``); 256 MiB holds ~6700 float64 planes of the paper's
-#: protein sample shape (W=50, N=100), far beyond one run's surviving
-#: parents.
-DEFAULT_PLANE_BYTES = 256 * 1024 * 1024
-
 #: A pattern's identity inside the evaluator: its raw element tuple
 #: (constructing Pattern objects per lookup would dominate the hot loop).
 _Key = Tuple[int, ...]
 
-#: Placeholder plane for the kernels' rootless branches (``use_parent``
-#: / ``use_base`` false): numba wants a concrete array either way.
+#: One link of a prefix chain: the fixed symbol and its offset.
+_Link = Tuple[int, int]
+
+#: Per-chunk score planes of one pattern.
+_Planes = List[np.ndarray]
+
+#: Placeholder plane for the kernels' rootless branch (``use_parent``
+#: false): numba wants a concrete array either way.
 _DUMMY_PLANES = {
     np.dtype(np.float64): np.zeros((1, 1), dtype=np.float64),
     np.dtype(np.float32): np.zeros((1, 1), dtype=np.float32),
@@ -133,98 +131,35 @@ def _strip_last(elements: _Key) -> Tuple[Optional[_Key], int, int]:
     return parent, len(elements) - 1, symbol
 
 
-def sibling_order(patterns: Iterable[Pattern]) -> List[Pattern]:
-    """Order patterns so same-parent sibling groups are contiguous.
-
-    The evaluator groups each batch by ``(parent elements, offset)``
-    and evaluates every group against one shared parent plane.  The
-    mining loops use this order when handing batches to a resident
-    engine so that a memory budget splitting a batch into scans cuts
-    through at most one sibling group per boundary — every other
-    group's parent plane is derived (and its store entry touched)
-    exactly once.  Per-pattern match values are independent of batch
-    order, so the reordering never changes a result.
-    """
-    def key(pattern: Pattern):
-        parent, offset, symbol = _strip_last(pattern.elements)
-        return (parent or (), offset, symbol, pattern.elements)
-
-    return sorted(patterns, key=key)
+def _chain_links(elements: _Key) -> List[_Link]:
+    """A pattern's prefix chain as ``(symbol, offset)`` links, root
+    first: link *k* extends the ancestor holding the first *k* fixed
+    symbols, so two chains share exactly their common ancestors'
+    leading links."""
+    return [
+        (symbol, offset)
+        for offset, symbol in enumerate(elements)
+        if symbol != WILDCARD
+    ]
 
 
-class PlaneStore:
-    """Byte-budgeted LRU of per-pattern score-plane lists.
+def _visit_order(item) -> Tuple[_Key, int]:
+    (parent, offset), _group = item
+    return parent or (), offset
 
-    One entry holds a pattern's ``(windows, N)`` plane per pinned
-    chunk, charged at the stored arrays' actual ``nbytes`` — float32
-    planes cost half their float64 shape against ``max_bytes``, which
-    is how the float32 mode doubles the cached chain depth.  ``get``
-    counts a hit or miss; entries whose eviction is forced by the
-    budget are rebuilt transparently by the evaluator's prefix-chain
-    replay, so the budget trades time for memory only.
+
+@dataclass
+class PlaneStats:
+    """Lifetime counters of an evaluator's prefix stack.
+
+    ``hits`` counts sibling groups whose (span >= 2) parent was
+    already on the stack, ``misses`` the chain links derived, and
+    ``nbytes`` the stack buffer bytes currently held.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_PLANE_BYTES):
-        if max_bytes < 0:
-            raise MiningError(
-                f"plane budget must be >= 0 bytes, got {max_bytes}"
-            )
-        self.max_bytes = max_bytes
-        # key -> (planes, nbytes): the byte count is fixed at put time
-        # from the stored arrays, so eviction never re-measures (or
-        # mis-measures) an entry.
-        self._entries: (
-            "OrderedDict[_Key, Tuple[List[np.ndarray], int]]"
-        ) = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: _Key) -> Optional[List[np.ndarray]]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def put(self, key: _Key, planes: List[np.ndarray]) -> None:
-        if self.max_bytes == 0:
-            return  # caching disabled outright
-        nbytes = sum(p.nbytes for p in planes)
-        if nbytes > self.max_bytes:
-            return  # larger than the whole budget; not worth keeping
-        if key in self._entries:
-            _old, old_bytes = self._entries.pop(key)
-            self._bytes -= old_bytes
-        self._entries[key] = (planes, nbytes)
-        self._bytes += nbytes
-        while self._bytes > self.max_bytes:
-            _key, (_evicted, evicted_bytes) = self._entries.popitem(
-                last=False
-            )
-            self._bytes -= evicted_bytes
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"PlaneStore(entries={len(self)}, bytes={self._bytes}, "
-            f"hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions})"
-        )
+    hits: int = 0
+    misses: int = 0
+    nbytes: int = 0
 
 
 class _Pin:
@@ -232,14 +167,14 @@ class _Pin:
 
     The padded symbol chunks and the (dtype-cast) extended matrix are
     built eagerly — they are all the kernel dispatches need.  The
-    ``(m + 1, L, N)`` factor gathers and the multiply arenas exist
-    only for the numpy path and are materialised on first use, so a
-    kernel-mode pin never pays their memory.
+    ``(m + 1, L, N)`` factor gathers exist only for the numpy path,
+    and the ``(L, N)`` arenas and prefix-stack buffers are allocated on
+    first use, so a pin only pays for the buffers its path touches.
     """
 
     __slots__ = (
         "key", "count", "dtype", "c_ext", "padded", "gathered", "arenas",
-        "gmax",
+        "stack", "gmax",
     )
 
     def __init__(
@@ -264,25 +199,44 @@ class _Pin:
         ]
         self.gathered: Optional[List[np.ndarray]] = None
         self.arenas: Optional[List[np.ndarray]] = None
+        # Prefix-stack buffers: one (L, N) plane per depth per chunk.
+        self.stack: List[List[np.ndarray]] = []
         # Per-chunk sibling-maxima rows, grown on demand.
         self.gmax: List[np.ndarray] = [
             np.empty((32, p.shape[0]), dtype=dtype) for p in self.padded
         ]
 
+    def _planes(self) -> List[np.ndarray]:
+        """One uninitialised ``(L, N)`` plane per chunk."""
+        return [
+            np.empty(p.shape[::-1], dtype=self.dtype) for p in self.padded
+        ]
+
     def ensure_gathered(self) -> List[np.ndarray]:
-        """The numpy path's factor arrays (and its multiply arenas)."""
+        """The numpy path's factor arrays."""
         if self.gathered is None:
             self.gathered = [
                 gather_chunk(self.c_ext, p) for p in self.padded
             ]
-            # One (L, N) arena per chunk: every child plane is
-            # multiplied into it and reduced before the next child
-            # touches it, so the hot loop never allocates.
-            self.arenas = [
-                np.empty(g.shape[1:], dtype=self.dtype)
-                for g in self.gathered
-            ]
         return self.gathered
+
+    def ensure_arenas(self) -> List[np.ndarray]:
+        """One ``(L, N)`` work plane per chunk: the numpy path
+        multiplies every child into it and reduces before the next
+        child touches it; the kernel path gathers stack roots into it."""
+        if self.arenas is None:
+            self.arenas = self._planes()
+        return self.arenas
+
+    def stack_buffers(self, depth: int) -> List[np.ndarray]:
+        """The per-chunk plane buffers of stack depth *depth* (>= 1)."""
+        while len(self.stack) < depth:
+            self.stack.append(self._planes())
+        return self.stack[depth - 1]
+
+    @property
+    def stack_nbytes(self) -> int:
+        return sum(b.nbytes for level in self.stack for b in level)
 
     @property
     def nbytes(self) -> int:
@@ -310,10 +264,6 @@ class ResidentSampleEvaluator(MatchEngine):
         Sequences per pinned chunk.  Matching the vectorized backend's
         ``chunk_rows`` makes float64 match values bit-identical to it
         (the sum over sequences accumulates per chunk, in chunk order).
-    plane_bytes:
-        Byte budget of the parent-plane store; ``0`` disables caching
-        entirely (every parent plane is rebuilt from its prefix chain,
-        results unchanged).
     kernels:
         ``"auto"`` (compiled resident kernels when numba is available,
         numpy otherwise); differential tests pin ``"numpy"`` or
@@ -322,8 +272,10 @@ class ResidentSampleEvaluator(MatchEngine):
         ``"float64"`` (default, bit-identical to every other backend)
         or ``"float32"`` (planes and factors stored in float32, every
         cross-sequence accumulation in float64; error-bounded, and the
-        plane store holds twice the chain depth).  ``None`` resolves
-        through ``NOISYMINE_SCORE_DTYPE``.
+        stack buffers take half the bytes).  ``None`` resolves through
+        ``NOISYMINE_SCORE_DTYPE``.
+
+    ``planes`` (:class:`PlaneStats`) counts the prefix stack's traffic.
     """
 
     name = "resident"
@@ -331,7 +283,6 @@ class ResidentSampleEvaluator(MatchEngine):
     def __init__(
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        plane_bytes: int = DEFAULT_PLANE_BYTES,
         kernels: str = "auto",
         score_dtype: Optional[str] = None,
     ):
@@ -340,7 +291,7 @@ class ResidentSampleEvaluator(MatchEngine):
                 f"chunk_rows must be >= 1, got {chunk_rows}"
             )
         self.chunk_rows = chunk_rows
-        self.planes = PlaneStore(plane_bytes)
+        self.planes = PlaneStats()
         self.repins = 0
         self.native_calls = 0
         self._pin: Optional[_Pin] = None
@@ -354,17 +305,14 @@ class ResidentSampleEvaluator(MatchEngine):
         if kernels == "pure":
             self._child_kernel = nk.py_derive_child_planes
             self._sibling_kernel = nk.py_derive_sibling_batch
-            self._replay_kernel = nk.py_replay_plane_chain
             self._compiled = False
         elif kernels == "auto" and nk.native_available:
             self._child_kernel = nk.derive_child_planes
             self._sibling_kernel = nk.derive_sibling_batch
-            self._replay_kernel = nk.replay_plane_chain
             self._compiled = True
         else:  # "numpy", or "auto" without numba
             self._child_kernel = None
             self._sibling_kernel = None
-            self._replay_kernel = None
             self._compiled = False
 
     @property
@@ -376,8 +324,8 @@ class ResidentSampleEvaluator(MatchEngine):
         """Switch the scoring dtype.
 
         The dtype is part of the pin key, so the next counting call
-        transparently re-pins (and restarts the plane store) when the
-        dtype actually changed.
+        transparently re-pins (and reallocates the stack buffers) when
+        the dtype actually changed.
         """
         self.score_dtype = resolve_score_dtype(score_dtype)
 
@@ -425,104 +373,56 @@ class ResidentSampleEvaluator(MatchEngine):
             )
             pin = _Pin(key, rows, matrix, self.chunk_rows, dtype)
             self._pin = pin
-            self.planes.clear()
             self.repins += 1
         return pin
 
-    # -- plane derivation -----------------------------------------------------
+    # -- the prefix stack -----------------------------------------------------
 
-    def _pattern_planes(
-        self, key: _Key, pin: _Pin
-    ) -> List[np.ndarray]:
-        """Per-chunk score planes for the pattern *key*.
+    def _walk(
+        self,
+        groups,
+        root: Callable[[int], _Planes],
+        extend: Callable[[int, _Planes, int, int], _Planes],
+    ) -> Iterator[Tuple[int, List[int], List[int], Optional[_Planes]]]:
+        """Yield ``(offset, symbols, indices, parent planes)`` per
+        sibling group, in prefix-trie pre-order.
 
-        Span-1 planes are views straight into the factor arrays (no
-        store traffic); longer patterns come from the store or are
-        derived from their parent's planes with one
-        :func:`extend_plane` per chunk — recursing down the prefix
-        chain until a stored ancestor (or a span-1 base) is found, so
-        an evicted plane costs extra multiplies but never changes a
-        value.
+        The stack holds the current parent's ancestor chain: *root*
+        builds the span-1 entry from a symbol, *extend* derives entry
+        *depth* from entry ``depth - 1`` and one ``(symbol, offset)``
+        link.  Moving to the next group pops to the longest common
+        ancestor, so each distinct parent prefix is derived once.
+        Root groups (single symbols) have no parent planes.
         """
-        if len(key) == 1:
-            return [g[key[0]] for g in pin.ensure_gathered()]
-        planes = self.planes.get(key)
-        if planes is not None:
-            return planes
-        parent, offset, symbol = _strip_last(key)
-        parent_planes = self._pattern_planes(parent, pin)
-        planes = [
-            extend_plane(pp, g, symbol, offset)
-            for pp, g in zip(parent_planes, pin.ensure_gathered())
-        ]
-        self.planes.put(key, planes)
-        return planes
-
-    def _pattern_planes_kernel(
-        self, key: _Key, pin: _Pin
-    ) -> List[np.ndarray]:
-        """Kernel-dispatch twin of :meth:`_pattern_planes`.
-
-        The store is consulted up the prefix chain in Python (dict
-        lookups), but the arithmetic of every miss is compiled: a
-        single missing link runs the fused
-        :func:`~repro.core._nativekernels.derive_child_planes`, a
-        longer gap replays the whole chain in one
-        :func:`~repro.core._nativekernels.replay_plane_chain` call per
-        chunk — no Python bounce per link.  Unlike the numpy
-        recursion, intermediate ancestors of a multi-link replay are
-        not stored; only the requested plane is (the store's job is
-        parents of live sibling groups, and those are requested
-        directly).  Span-1 planes are derived and stored like any
-        other — this dispatch never builds the factor arrays they
-        would otherwise be views of.
-        """
-        planes = self.planes.get(key)
-        if planes is not None:
-            return planes
-        # Walk up the chain to the deepest still-stored ancestor.
-        links: List[Tuple[int, int]] = []
-        node: _Key = key
-        base_planes: Optional[List[np.ndarray]] = None
-        while True:
-            parent, offset, symbol = _strip_last(node)
-            links.append((symbol, offset))
+        links: List[_Link] = []
+        chain: List[_Planes] = []
+        stats = self.planes
+        for (parent, offset), (symbols, indices) in sorted(
+            groups.items(), key=_visit_order
+        ):
             if parent is None:
-                break
-            base_planes = self.planes.get(parent)
-            if base_planes is not None:
-                break
-            node = parent
-        links.reverse()
-        use_base = base_planes is not None
-        single_link = use_base and len(links) == 1
-        symbols = np.array([s for s, _ in links], dtype=np.int64)
-        offsets = np.array([o for _, o in links], dtype=np.int64)
-        final_offset = links[-1][1]
-        dummy = _DUMMY_PLANES[pin.dtype]
-        calls = 0
-        planes = []
-        for ci, padded in enumerate(pin.padded):
-            windows = padded.shape[1] - final_offset
-            n = padded.shape[0]
-            plane = np.empty((max(windows, 0), n), dtype=pin.dtype)
-            if windows > 0:
-                base = base_planes[ci] if use_base else dummy
-                if single_link:
-                    self._child_kernel(
-                        padded, pin.c_ext, base, links[0][0], links[0][1],
-                        plane, pin.maxima_rows(ci, 1)[0],
+                yield offset, symbols, indices, None
+                continue
+            wanted = _chain_links(parent)
+            depth = 0
+            while (
+                depth < len(links) and depth < len(wanted)
+                and links[depth] == wanted[depth]
+            ):
+                depth += 1
+            del links[depth:], chain[depth:]
+            if depth == len(wanted) and depth > 1:
+                stats.hits += 1
+            for symbol, link_offset in wanted[depth:]:
+                if chain:
+                    chain.append(
+                        extend(len(chain), chain[-1], symbol, link_offset)
                     )
+                    stats.misses += 1
                 else:
-                    self._replay_kernel(
-                        padded, pin.c_ext, base, use_base, symbols,
-                        offsets, plane,
-                    )
-                calls += 1
-            planes.append(plane)
-        self.native_calls += calls
-        self.planes.put(key, planes)
-        return planes
+                    chain.append(root(symbol))
+                links.append((symbol, link_offset))
+            yield offset, symbols, indices, chain[-1]
 
     # -- batched --------------------------------------------------------------
 
@@ -548,9 +448,7 @@ class ResidentSampleEvaluator(MatchEngine):
 
         # Group the batch into sibling sets: children sharing (parent,
         # offset) reuse one parent plane and differ only in their last
-        # symbol's factor row.  Candidate batches arrive sorted, so
-        # siblings are adjacent and insertion order keeps parents that
-        # were just derived hot in cache.
+        # symbol's factor row.
         groups: "Dict[Tuple[Optional[_Key], int], Tuple[List[int], List[int]]]" = {}
         for index, pattern in enumerate(patterns):
             parent, offset, symbol = _strip_last(pattern.elements)
@@ -565,6 +463,7 @@ class ResidentSampleEvaluator(MatchEngine):
             self._matches_kernel(groups, pin, totals)
         else:
             self._matches_numpy(groups, pin, totals)
+        self.planes.nbytes = pin.stack_nbytes
 
         if traced:
             tracer.count(RESIDENT_PLANE_HITS, self.planes.hits - hits0)
@@ -585,11 +484,24 @@ class ResidentSampleEvaluator(MatchEngine):
     def _matches_numpy(self, groups, pin: _Pin, totals: np.ndarray) -> None:
         """The numpy plane path (the float64 bit-identity baseline)."""
         gathered_chunks = pin.ensure_gathered()
-        for (parent, offset), (symbols, indices) in groups.items():
-            planes = (
-                None if parent is None
-                else self._pattern_planes(parent, pin)
-            )
+        arenas = pin.ensure_arenas()
+
+        def root(symbol: int) -> _Planes:
+            # Span-1 planes are views straight into the factor arrays.
+            return [g[symbol] for g in gathered_chunks]
+
+        def extend(depth: int, parent: _Planes, symbol: int,
+                   offset: int) -> _Planes:
+            return [
+                extend_plane(pp, g, symbol, offset, out=buf)
+                for pp, g, buf in zip(
+                    parent, gathered_chunks, pin.stack_buffers(depth)
+                )
+            ]
+
+        for offset, symbols, indices, planes in self._walk(
+            groups, root, extend
+        ):
             index_arr = np.asarray(indices, dtype=np.intp)
             n_sibs = len(symbols)
             for ci, gathered in enumerate(gathered_chunks):
@@ -617,7 +529,7 @@ class ResidentSampleEvaluator(MatchEngine):
                     # is one shifted elementwise product into a reused
                     # arena — O(W·N), independent of pattern span.
                     parent_w = planes[ci][:windows]
-                    arena_w = pin.arenas[ci][:windows]
+                    arena_w = arenas[ci][:windows]
                     for i, symbol in enumerate(symbols):
                         np.multiply(base[symbol], parent_w, out=arena_w)
                         np.maximum.reduce(arena_w, axis=0, out=maxima[i])
@@ -631,13 +543,38 @@ class ResidentSampleEvaluator(MatchEngine):
 
     def _matches_kernel(self, groups, pin: _Pin, totals: np.ndarray) -> None:
         """The compiled/interpreted-twin path: one fused sibling-batch
-        kernel call per (group, chunk), no factor arrays, no arenas."""
+        kernel call per (group, chunk), no factor arrays."""
         dummy = _DUMMY_PLANES[pin.dtype]
-        for (parent, offset), (symbols, indices) in groups.items():
-            planes = (
-                None if parent is None
-                else self._pattern_planes_kernel(parent, pin)
-            )
+        arenas = pin.ensure_arenas()
+
+        def root(symbol: int) -> _Planes:
+            # A one-row gather: plane[t, i] = c_ext[symbol, padded[i, t]].
+            row = pin.c_ext[symbol]
+            return [
+                np.take(row, padded.T, out=arena)
+                for padded, arena in zip(pin.padded, arenas)
+            ]
+
+        def extend(depth: int, parent: _Planes, symbol: int,
+                   offset: int) -> _Planes:
+            planes = []
+            for ci, (padded, pp, buf) in enumerate(
+                zip(pin.padded, parent, pin.stack_buffers(depth))
+            ):
+                windows = max(padded.shape[1] - offset, 0)
+                plane = buf[:windows]
+                if windows:
+                    self._child_kernel(
+                        padded, pin.c_ext, pp, symbol, offset, plane,
+                        pin.maxima_rows(ci, 1)[0],
+                    )
+                    self.native_calls += 1
+                planes.append(plane)
+            return planes
+
+        for offset, symbols, indices, planes in self._walk(
+            groups, root, extend
+        ):
             index_arr = np.asarray(indices, dtype=np.intp)
             n_sibs = len(symbols)
             symbols_arr = np.asarray(symbols, dtype=np.int64)
@@ -692,17 +629,9 @@ class ResidentSampleEvaluator(MatchEngine):
 
     # -- lifecycle ------------------------------------------------------------
 
-    def reset_planes(self) -> None:
-        """Drop cached planes but keep the pinned chunks.
-
-        Benchmarks call this between rounds so each round rebuilds its
-        planes the way one real Phase-2 run does.
-        """
-        self.planes.clear()
-
     def close(self) -> None:
         self._pin = None
-        self.planes.clear()
+        self.planes.nbytes = 0
 
     def __repr__(self) -> str:
         pinned = self._pin.nbytes if self._pin is not None else 0

@@ -15,6 +15,7 @@ from ..core.sequence import (
     CountedScanDatabase,
     SequenceChunk,
 )
+from .atomic import atomic_write
 from .packed import (
     HEADER_BYTES,
     STORE_MAGIC,
@@ -41,6 +42,7 @@ __all__ = [
     "STORE_VERSION",
     "SegmentedSequenceStore",
     "SequenceChunk",
+    "atomic_write",
     "is_packed_store",
     "is_segmented_store",
     "manifest_digest",

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -199,6 +199,13 @@ class PackedSequenceStore(CountedScanDatabase):
         """Write the store to *path* in the packed binary format."""
         self._require_open()
         path = os.fspath(path)
+        with open(path, "wb") as handle:
+            self.write(handle)
+        self._path = path
+
+    def write(self, handle: BinaryIO) -> None:
+        """Write the packed binary format to an open binary *handle*."""
+        self._require_open()
         header = _HEADER.pack(
             STORE_MAGIC,
             STORE_VERSION,
@@ -208,12 +215,10 @@ class PackedSequenceStore(CountedScanDatabase):
             self._max_symbol,
             self._digest,
         )
-        with open(path, "wb") as handle:
-            handle.write(header)
-            handle.write(np.ascontiguousarray(self._id_array).tobytes())
-            handle.write(np.ascontiguousarray(self._offsets).tobytes())
-            handle.write(np.ascontiguousarray(self._symbols).tobytes())
-        self._path = path
+        handle.write(header)
+        handle.write(np.ascontiguousarray(self._id_array).tobytes())
+        handle.write(np.ascontiguousarray(self._offsets).tobytes())
+        handle.write(np.ascontiguousarray(self._symbols).tobytes())
 
     @classmethod
     def open(cls, path: Union[str, os.PathLike]) -> "PackedSequenceStore":

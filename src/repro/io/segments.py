@@ -47,6 +47,7 @@ from ..core.sequence import (
     SequenceDatabase,
 )
 from ..errors import SequenceDatabaseError
+from .atomic import atomic_write
 from .packed import PackedSequenceStore, peek_store_digest
 
 #: Manifest file name inside a segmented store directory.
@@ -424,15 +425,15 @@ class SegmentedSequenceStore(CountedScanDatabase):
 def _write_segment(root: str, packed: PackedSequenceStore) -> str:
     """Write *packed* under its digest name; returns the path.
 
-    Writing via a temp file + ``os.replace`` keeps the digest-named
-    file all-or-nothing; an identical existing file is simply
-    overwritten with identical bytes (idempotent re-append after a
-    crash between segment write and manifest swap).
+    :func:`~repro.io.atomic.atomic_write` keeps the digest-named file
+    all-or-nothing and on disk before the manifest names it; an
+    identical existing file is simply overwritten with identical bytes
+    (idempotent re-append after a crash between segment write and
+    manifest swap).
     """
     final_path = os.path.join(root, segment_file_name(packed.digest))
-    tmp_path = final_path + ".tmp"
-    packed.save(tmp_path)
-    os.replace(tmp_path, final_path)
+    with atomic_write(final_path, "wb") as handle:
+        packed.write(handle)
     return final_path
 
 
@@ -453,14 +454,11 @@ def _swap_manifest(root: str, segments: List[PackedSequenceStore]) -> None:
             for s in segments
         ],
     }
-    manifest_path = os.path.join(root, MANIFEST_NAME)
-    tmp_path = manifest_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
+    with atomic_write(
+        os.path.join(root, MANIFEST_NAME), encoding="utf-8"
+    ) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, manifest_path)
 
 
 __all__ = [

@@ -40,7 +40,7 @@ from .chernoff import (
     chernoff_epsilon,
     classify_value,
 )
-from ..engine import MatchEngine, ResidentSampleEvaluator, sibling_order
+from ..engine import MatchEngine, ResidentSampleEvaluator
 from ..obs import (
     CANDIDATES_GENERATED,
     SAMPLE_PATTERNS_COUNTED,
@@ -89,9 +89,9 @@ def classify_on_sample(
         Engine counting the BFS levels on the sample.  ``None`` runs a
         fresh :class:`~repro.engine.resident.ResidentSampleEvaluator`
         that pins the sample on the first level's scan and extends each
-        candidate's score plane incrementally from its parent's; the
-        plane store dies with the phase.  A long-lived caller (the
-        mining daemon) passes a warm evaluator instead: its pin
+        candidate's score plane incrementally from its parent's; its
+        prefix-stack buffers die with the phase.  A long-lived caller
+        (the mining daemon) passes a warm evaluator instead: its pin
         survives across runs, and the content-digest pin check makes
         reuse safe — a different sample transparently re-pins.
     tracer:
@@ -202,13 +202,6 @@ def classify_on_sample(
                 epsilons[pattern] = 0.0
             else:
                 countable.append(pattern)
-        if isinstance(engine, ResidentSampleEvaluator):
-            # Hand the level over in sibling order: same-parent groups
-            # stay contiguous, so a memory budget splitting the batch
-            # cuts through at most one sibling group per scan boundary
-            # and each parent plane is derived once.  Per-pattern match
-            # values are order-independent, so labels are unchanged.
-            countable = sibling_order(countable)
         matches = count_matches_batched(
             countable, sample, matrix, engine=engine, tracer=tracer,
             scan_counter=SAMPLE_SCANS,

@@ -37,12 +37,7 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.latticekernels import filter_undecided
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import (
-    MatchEngine,
-    ResidentSampleEvaluator,
-    VectorizedBatchEngine,
-    sibling_order,
-)
+from ..engine import MatchEngine, VectorizedBatchEngine
 from ..obs import (
     AMBIGUOUS_REMAINING,
     PROBE_ROUNDS,
@@ -173,11 +168,6 @@ def collapse_borders(
     tracer = ensure_tracer(tracer)
     if engine is None:
         engine = VectorizedBatchEngine()
-    # A resident engine (a caller probing a memory-resident database)
-    # wants same-parent siblings adjacent: the probe *selection* is
-    # unchanged, only the within-round counting order, so probe rounds,
-    # scans and labels are identical.
-    resident_probes = isinstance(engine, ResidentSampleEvaluator)
     decided_frequent = classification.fqt.copy(tracer=tracer)
     minimal_infrequent: Set[Pattern] = set()
     undecided: Set[Pattern] = {
@@ -196,8 +186,7 @@ def collapse_borders(
         batch = select_probe_batch(undecided, floor_weight, memory_capacity)
         probe_rounds.append(batch)
         with tracer.phase(f"probe-round-{len(probe_rounds)}"):
-            probes = sibling_order(batch) if resident_probes else batch
-            matches = count_matches_batched(probes, database, matrix,
+            matches = count_matches_batched(batch, database, matrix,
                                             engine=engine, tracer=tracer)
             scans += 1
             tracer.count(PROBE_ROUNDS, 1)

@@ -63,6 +63,7 @@ from ..core.pattern import Pattern
 from ..core.sequence import SequenceDatabase
 from ..engine import MatchEngine, VectorizedBatchEngine
 from ..errors import MiningError
+from ..io.atomic import atomic_write
 from ..io.segments import SegmentedSequenceStore
 from ..obs import (
     BORDER_REPROBES,
@@ -175,13 +176,10 @@ class MiningCheckpoint:
         )
 
     def save(self, path) -> None:
-        """Write the checkpoint as JSON (atomic replace)."""
-        path = os.fspath(path)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        """Write the checkpoint as JSON (atomic, durable replace)."""
+        with atomic_write(path, encoding="utf-8") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "MiningCheckpoint":

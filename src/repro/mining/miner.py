@@ -76,7 +76,7 @@ class BorderCollapsingMiner:
         :class:`~repro.engine.resident.ResidentSampleEvaluator`, which
         pins the sample once and extends candidate score planes
         incrementally.  A long-lived caller passes a warm evaluator so
-        its pin and planes survive across runs.
+        its pin (and its stack buffers) survive across runs.
     """
 
     algorithm = "border-collapsing"

@@ -14,8 +14,8 @@ expensive state survives across jobs:
   execution state: a private counting engine (so concurrent jobs on
   different stores never share a factor cache or worker pool) and one
   warm :class:`~repro.engine.resident.ResidentSampleEvaluator` whose
-  pinned sample and plane store carry over to the next job on the
-  same store.
+  pinned sample (and its prefix-stack buffers) carry over to the next
+  job on the same store.
 
   Entries are **refcount-pinned** while a job runs on them
   (:meth:`StoreCache.acquire` / :meth:`StoreEntry.release`): LRU
@@ -122,7 +122,7 @@ class StoreEntry:
 
         Its pin is keyed by sample content, so a second job with the
         same (seed, sample_size, matrix) skips the factor-array build
-        entirely and starts with a hot plane store; a different sample
+        entirely and reuses the pin's stack buffers; a different sample
         transparently re-pins.
         """
         if self._resident is None:
@@ -350,11 +350,12 @@ class StoreCache:
     def resident_stats(self) -> Dict[str, object]:
         """Aggregate resident warm-state across every open store.
 
-        Sums the plane-store traffic and compiled-kernel call counts of
-        each entry's warm evaluator; ``evaluators`` counts the entries
-        a resident job has actually touched and ``compiled`` is true
-        when any of them dispatches to the JIT kernels — the daemon's
-        ``/healthz`` surfaces this next to the ``native_kernels`` block.
+        Sums the prefix-stack traffic, stack buffer bytes and
+        compiled-kernel call counts of each entry's warm evaluator;
+        ``evaluators`` counts the entries a resident job has actually
+        touched and ``compiled`` is true when any of them dispatches to
+        the JIT kernels — the daemon's ``/healthz`` surfaces this next
+        to the ``native_kernels`` block.
         """
         with self._lock:
             per_entry = [

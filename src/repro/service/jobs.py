@@ -312,7 +312,7 @@ class MiningService:
         """Append rows to the open segmented store with *digest*.
 
         The entry stays warm across the append: the existing segment
-        mappings, per-store engines and resident planes carry over, and
+        mappings, per-store engines and resident pins carry over, and
         the cache is re-keyed to the new manifest digest.  Memoized
         results for the old digest stay valid for the old content (a
         reader that pinned the old manifest still sees it); new jobs

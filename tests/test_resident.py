@@ -1,13 +1,15 @@
-"""The resident-sample evaluator: equivalence, pinning, plane store.
+"""The resident-sample evaluator: equivalence, pinning, prefix stack.
 
 The evaluator's whole promise is "same numbers, fewer flops": every
 match value must agree with the per-sequence oracle to 1e-12 on
-arbitrary inputs — gapped patterns included — whether planes are
-cached, evicted and rebuilt, or the database was silently swapped
-between calls (bit-identity to the vectorized engine, for every kernel
-dispatch, is pinned by ``tests/test_resident_native.py``).  The scan contract (exactly one ``database.scan()`` per
-``database_matches``) must hold even though the engine keeps the data
-pinned.
+arbitrary inputs — gapped patterns included — in any batch order, or
+when the database was silently swapped between calls (bit-identity to
+the vectorized engine, for every kernel dispatch, is pinned by
+``tests/test_resident_native.py``).  The prefix stack derives each
+distinct parent prefix once per call and holds at most one plane
+buffer per chain depth per chunk.  The scan contract (exactly one
+``database.scan()`` per ``database_matches``) must hold even though
+the engine keeps the data pinned.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CompatibilityMatrix,
@@ -25,7 +28,7 @@ from repro import (
     WILDCARD,
     symbol_matches,
 )
-from repro.engine import PlaneStore, ResidentSampleEvaluator
+from repro.engine import ResidentSampleEvaluator
 from repro.engine.resident import _strip_last
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.chernoff import chernoff_epsilon, restricted_spread
@@ -66,8 +69,8 @@ def test_database_matches_equivalence(batch, database, matrix):
         assert result[pattern] == pytest.approx(
             baseline[pattern], abs=1e-12
         )
-    # Second call on the warm pin: planes now come from the store and
-    # the values must not move at all.
+    # Second call on the warm pin: the stack re-derives every parent
+    # into reused buffers and the values must not move at all.
     again = engine.database_matches(batch, database, matrix)
     assert again == result
 
@@ -89,10 +92,112 @@ def test_symbol_matches_equivalence(database, matrix):
     )
 
 
-# -- eviction and recompute ----------------------------------------------------
+# -- the prefix stack ---------------------------------------------------------
 
-class TestEvictionRecompute:
-    def test_evicted_planes_are_rebuilt_exactly(self, fig2_matrix):
+def _distinct_parent_prefixes(batch) -> int:
+    """Distinct span->=2 prefixes on the batch's parent chains: the
+    links the stack must derive, once each, per call."""
+    prefixes = set()
+    for pattern in batch:
+        parent = _strip_last(pattern.elements)[0]
+        while parent is not None and len(parent) > 1:
+            prefixes.add(parent)
+            parent = _strip_last(parent)[0]
+    return len(prefixes)
+
+
+def _plane_elements(database, chunk_rows: int) -> int:
+    """``Σ_c L_c·N_c`` over the evaluator's pinned chunks."""
+    lengths = [len(seq) for _sid, seq in database.scan()]
+    return sum(
+        max(lengths[start : start + chunk_rows]) * len(
+            lengths[start : start + chunk_rows]
+        )
+        for start in range(0, len(lengths), chunk_rows)
+    )
+
+
+class _RecordingEvaluator(ResidentSampleEvaluator):
+    """Records each call's batch, derived links and held bytes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def database_matches(self, patterns, database, matrix, tracer=None):
+        patterns = list(patterns)
+        misses = self.planes.misses
+        result = super().database_matches(
+            patterns, database, matrix, tracer=tracer
+        )
+        self.calls.append(
+            (patterns, self.planes.misses - misses, self.planes.nbytes)
+        )
+        return result
+
+
+class TestPrefixStack:
+    def _workload(self):
+        rng = np.random.default_rng(29)
+        rows = [
+            list(rng.integers(0, M, size=rng.integers(6, 14)))
+            for _ in range(30)
+        ]
+        database = SequenceDatabase(rows)
+        matrix = CompatibilityMatrix.uniform_noise(M, 0.15)
+        constraints = PatternConstraints(max_weight=5, max_span=7,
+                                         max_gap=1)
+        return database, matrix, constraints
+
+    def test_bfs_levels_stay_within_the_stack_bound(self):
+        database, matrix, constraints = self._workload()
+        chunk_rows = 8  # 30 rows: four pinned chunks
+        engine = _RecordingEvaluator(chunk_rows=chunk_rows)
+        classify_on_sample(
+            database, matrix, 0.3, 1e-3, symbol_matches(database, matrix),
+            constraints, engine=engine,
+        )
+        assert len(engine.calls) >= 3  # at least three BFS levels
+        elements = _plane_elements(database, chunk_rows)
+        max_parent_span = 1
+        for batch, misses, nbytes in engine.calls:
+            max_parent_span = max(
+                [max_parent_span]
+                + [len(_strip_last(p.elements)[0] or ()) for p in batch]
+            )
+            assert nbytes <= (max_parent_span - 1) * elements * 8
+            assert misses == _distinct_parent_prefixes(batch)
+        assert engine.planes.nbytes > 0
+        # Every value equals a fresh numpy-path evaluator and the
+        # interpreted kernel twins, bit for bit.
+        for batch, _misses, _nbytes in engine.calls:
+            numpy_run = ResidentSampleEvaluator(
+                chunk_rows=chunk_rows, kernels="numpy"
+            ).database_matches(batch, database, matrix)
+            pure_run = ResidentSampleEvaluator(
+                chunk_rows=chunk_rows, kernels="pure"
+            ).database_matches(batch, database, matrix)
+            assert numpy_run == pure_run
+
+    @given(pattern_batches(), databases(), matrices(), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_batch_is_bit_identical(
+        self, batch, database, matrix, random
+    ):
+        batch = list(dict.fromkeys(batch))
+        shuffled = list(batch)
+        random.shuffle(shuffled)
+        for mode in ("numpy", "pure"):
+            first = ResidentSampleEvaluator(chunk_rows=3, kernels=mode)
+            second = ResidentSampleEvaluator(chunk_rows=3, kernels=mode)
+            expected = first.database_matches(batch, database, matrix)
+            assert second.database_matches(
+                shuffled, database, matrix
+            ) == expected
+            assert first.planes.misses == second.planes.misses
+            assert first.planes.misses == _distinct_parent_prefixes(batch)
+
+    def test_deep_chains_match_single_pattern_calls(self, fig2_matrix):
         rng = np.random.default_rng(11)
         database = SequenceDatabase(
             [list(rng.integers(0, M, size=10)) for _ in range(20)]
@@ -101,18 +206,20 @@ class TestEvictionRecompute:
             Pattern([0, 1]),
             Pattern([0, 1, WILDCARD, 2]),
             Pattern([0, 1, WILDCARD, 2, 3]),
+            Pattern([0, 1, WILDCARD, 2, WILDCARD, 3]),
+            Pattern([0, 2, 3]),
         ]
-        roomy = ResidentSampleEvaluator(chunk_rows=4)
-        # A budget of one small plane list: every put evicts the
-        # previous entry, so deep patterns always walk the full prefix
-        # chain down to the span-1 views.
-        tight = ResidentSampleEvaluator(chunk_rows=4, plane_bytes=2048)
-        first = roomy.database_matches(chain, database, fig2_matrix)
-        second = tight.database_matches(chain, database, fig2_matrix)
-        assert tight.planes.evictions > 0
-        assert first == second
-        # And the rebuilt values survive a warm re-count too.
-        assert tight.database_matches(chain, database, fig2_matrix) == first
+        engine = ResidentSampleEvaluator(chunk_rows=4)
+        together = engine.database_matches(chain, database, fig2_matrix)
+        # (0 1), (0 1 * 2) and (0 2): each derived once, the shared
+        # (0 1 * 2) parent of two sibling groups found on the stack.
+        assert engine.planes.misses == 3
+        assert engine.planes.hits == 1
+        for pattern in chain:
+            alone = ResidentSampleEvaluator(chunk_rows=4).database_matches(
+                [pattern], database, fig2_matrix
+            )
+            assert alone[pattern] == together[pattern]
 
 
 # -- pinning and the scan contract ---------------------------------------------
@@ -196,16 +303,19 @@ class TestPinning:
         database = self._database()
         batch = [Pattern([0, 1]), Pattern([0, 1, 2])]
         result = engine.database_matches(batch, database, fig2_matrix)
-        assert len(engine.planes) > 0
-        engine.reset_planes()
-        assert len(engine.planes) == 0
+        held = engine.planes.nbytes
+        assert held > 0
+        # The warm pin keeps its stack buffers: a second call reuses
+        # them rather than growing them.
         assert engine.database_matches(batch, database, fig2_matrix) \
             == result
-        assert engine.repins == 1  # reset keeps the pin
+        assert engine.planes.nbytes == held
+        assert engine.repins == 1
         engine.close()
+        assert engine.planes.nbytes == 0  # close drops pin and buffers
         assert engine.database_matches(batch, database, fig2_matrix) \
             == result
-        assert engine.repins == 2  # close drops it
+        assert engine.repins == 2
 
 
 # -- observability -------------------------------------------------------------
@@ -219,27 +329,28 @@ class TestCounters:
         engine = ResidentSampleEvaluator(chunk_rows=4)
         parents = [Pattern([0, 1]), Pattern([2, 3])]
         children = [Pattern([0, 1, 2]), Pattern([0, 1, 3]),
-                    Pattern([2, 3, 0])]
+                    Pattern([0, 1, WILDCARD, 2]), Pattern([2, 3, 0])]
         tracer = Tracer()
         engine.database_matches(parents, database, fig2_matrix,
                                 tracer=tracer)
         # Level-2 patterns extend span-1 planes, which are views into
-        # the factor arrays — no store traffic yet.
+        # the factor arrays — no stack traffic yet.
         assert tracer.total(RESIDENT_PLANE_MISSES) == 0
         engine.database_matches(children, database, fig2_matrix,
                                 tracer=tracer)
-        # The children's two distinct parents are derived (and stored)
-        # on first demand: one miss each, one fetch per sibling group.
+        # The children's two distinct parents are derived once each;
+        # the second sibling group of (0 1) finds it on the stack.
         assert tracer.total(RESIDENT_PLANE_MISSES) == 2
-        assert tracer.total(RESIDENT_PLANE_HITS) == 0
+        assert tracer.total(RESIDENT_PLANE_HITS) == 1
         engine.database_matches(children, database, fig2_matrix,
                                 tracer=tracer)
-        # Re-counting the same level hits the stored parent planes.
+        # Only the buffers outlive a call: the next one re-derives.
+        assert tracer.total(RESIDENT_PLANE_MISSES) == 4
         assert tracer.total(RESIDENT_PLANE_HITS) == 2
         # The bytes counter accumulates deltas, so its running total is
-        # the store's current footprint.
+        # the stack's current footprint: one depth of buffers.
         assert tracer.total(RESIDENT_PLANE_BYTES) == engine.planes.nbytes
-        assert engine.planes.nbytes > 0
+        assert engine.planes.nbytes == 8 * 10 * 12
 
     def test_untraced_calls_are_free_of_counter_state(self, fig2_matrix):
         engine = ResidentSampleEvaluator(chunk_rows=4)
@@ -317,8 +428,6 @@ class TestConfiguration:
     def test_invalid_construction_rejected(self):
         with pytest.raises(MiningError):
             ResidentSampleEvaluator(chunk_rows=0)
-        with pytest.raises(MiningError):
-            ResidentSampleEvaluator(plane_bytes=-1)
 
 
 # -- unit pieces ---------------------------------------------------------------
@@ -339,44 +448,3 @@ class TestStripLast:
         assert Pattern(list(parent)) == Pattern([1, WILDCARD, 0])
         assert offset == pattern.span - 1
         assert symbol == 3
-
-
-class TestPlaneStore:
-    def _plane(self, nbytes: int = 1024) -> list:
-        return [np.zeros(nbytes // 8, dtype=np.float64)]
-
-    def test_get_counts_hits_and_misses(self):
-        store = PlaneStore()
-        assert store.get((0, 1)) is None
-        store.put((0, 1), self._plane())
-        assert store.get((0, 1)) is not None
-        assert store.hits == 1
-        assert store.misses == 1
-
-    def test_budget_evicts_lru(self):
-        store = PlaneStore(max_bytes=2048)
-        store.put((1,), self._plane())
-        store.put((2,), self._plane())
-        store.get((1,))  # refresh (1,): now (2,) is the LRU entry
-        store.put((3,), self._plane())
-        assert store.get((2,)) is None
-        assert store.get((1,)) is not None
-        assert store.evictions == 1
-        assert store.nbytes <= 2048
-
-    def test_oversized_entry_is_not_kept(self):
-        store = PlaneStore(max_bytes=100)
-        store.put((1,), self._plane(1024))
-        assert len(store) == 0
-        assert store.nbytes == 0
-
-    def test_replace_updates_bytes(self):
-        store = PlaneStore(max_bytes=4096)
-        store.put((1,), self._plane(1024))
-        store.put((1,), self._plane(2048))
-        assert len(store) == 1
-        assert store.nbytes == 2048
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(MiningError):
-            PlaneStore(max_bytes=-1)

@@ -2,16 +2,14 @@
 
 Differential surfaces:
 
-* the three incremental-plane kernel bodies
-  (``derive_child_planes`` / ``derive_sibling_batch`` /
-  ``replay_plane_chain``) against the numpy plane primitives —
-  bit-identical in float64;
+* the two incremental-plane kernel bodies
+  (``derive_child_planes`` / ``derive_sibling_batch``) against the
+  numpy plane primitives — bit-identical in float64;
 * the evaluator's kernel dispatches (``numpy`` / ``pure`` / compiled
   ``auto``) against the vectorized backend over whole batches,
-  including an eviction-starved schedule that forces every parent
-  plane through the compiled recompute chain;
-* the float32 plane mode: error-bounded values, halved plane-store
-  byte charges;
+  including deep chains whose every link is derived on the prefix
+  stack;
+* the float32 plane mode: error-bounded values, halved stack buffers;
 * the ``score_dtype`` plumbing through :class:`MiningConfig`.
 
 Everything runs on numba-free legs via the interpreted kernel twins;
@@ -25,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     BorderCollapsingMiner,
@@ -43,10 +40,9 @@ from repro.engine import (
     VectorizedBatchEngine,
     native_available,
     native_unavailable_reason,
-    sibling_order,
 )
 from repro.engine.kernels import extend_plane, extended_matrix, pad_chunk
-from repro.engine.resident import PlaneStore, _strip_last
+from repro.engine.resident import _strip_last, _visit_order
 from repro.obs import (
     RESIDENT_NATIVE_CALLS,
     RESIDENT_PLANE_HITS,
@@ -72,7 +68,7 @@ FLOAT32_ATOL = 1e-5
 
 def _chain(pattern: Pattern):
     """The pattern's prefix chain as ``(symbol, offset)`` links, root
-    first (the replay kernel's input layout)."""
+    first."""
     links = []
     node = pattern.elements
     while node is not None:
@@ -85,7 +81,7 @@ def _chain(pattern: Pattern):
 
 def _numpy_plane(pattern: Pattern, padded: np.ndarray, c_ext: np.ndarray):
     """The pattern's plane built link by link with the numpy primitive
-    (the float64 bit-identity baseline for all three kernels)."""
+    (the float64 bit-identity baseline for both kernels)."""
     gathered = np.ascontiguousarray(c_ext[:, padded.T])
     links = _chain(pattern)
     plane = gathered[links[0][0]]
@@ -163,46 +159,6 @@ def test_derive_sibling_batch_matches_plane_maxima(batch, database, matrix):
             np.testing.assert_array_equal(maxima, expected)
 
 
-@given(patterns(), databases(), matrices(), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_replay_plane_chain_matches_iterated_extends(
-    pattern, database, matrix, base_depth
-):
-    rows = [np.asarray(seq) for _sid, seq in database.scan()]
-    padded = pad_chunk(rows, M)
-    c_ext = extended_matrix(matrix.array)
-    links = _chain(pattern)
-    if padded.shape[1] <= links[-1][1]:
-        return
-    expected = _numpy_plane(pattern, padded, c_ext)
-    n = padded.shape[0]
-    windows = padded.shape[1] - links[-1][1]
-    # Replay from every possible stored ancestor depth: 0 = from the
-    # span-1 root (use_base False), deeper = from a cached base plane.
-    depth = min(base_depth, len(links) - 1)
-    if depth == 0:
-        base = np.zeros((1, 1), dtype=np.float64)
-        use_base = False
-        replayed = links
-    else:
-        prefix = pattern.elements
-        for _ in range(len(links) - depth):
-            prefix = _strip_last(prefix)[0]
-        base = _numpy_plane(Pattern(prefix), padded, c_ext)
-        use_base = True
-        replayed = links[depth:]
-    symbols = np.array([s for s, _ in replayed], dtype=np.int64)
-    offsets = np.array([o for _, o in replayed], dtype=np.int64)
-    for kernel in kernel_variants(
-        nk.py_replay_plane_chain, nk.replay_plane_chain
-    ):
-        plane = np.empty((windows, n), dtype=np.float64)
-        kernel(padded, c_ext, base, use_base, symbols, offsets, plane)
-        np.testing.assert_array_equal(
-            plane, expected[:windows]
-        )  # truncated replay is exact: row w only depends on row w
-
-
 # -- evaluator-level differentials ---------------------------------------------
 
 @given(pattern_batches(), databases(), matrices())
@@ -220,25 +176,10 @@ def test_kernel_dispatches_are_bit_identical(batch, database, matrix):
         assert evaluator.database_matches(batch, database, matrix) == expected
 
 
-@given(pattern_batches(), databases(), matrices())
-@settings(max_examples=25, deadline=None)
-def test_eviction_starved_replay_chain_is_exact(batch, database, matrix):
-    """``plane_bytes=0`` disables the store outright, so every parent
-    plane is rebuilt through the full prefix-chain replay — the exact
-    path an eviction miss takes — and values must not move."""
-    batch = list(dict.fromkeys(batch))
-    expected = VEC.database_matches(batch, database, matrix)
-    for mode in ("numpy", "pure"):
-        starved = ResidentSampleEvaluator(
-            chunk_rows=3, plane_bytes=0, kernels=mode
-        )
-        assert starved.database_matches(batch, database, matrix) == expected
-        assert len(starved.planes) == 0
-
-
 def _mixed_batch():
-    """Deep chains plus siblings: exercises derive (single missing
-    link), replay (multi-link), and the rootless sibling branch."""
+    """Deep chains plus siblings: exercises single-link derivation,
+    multi-link stack pushes, pops to a shared ancestor, and the
+    rootless sibling branch."""
     out = []
     for d in range(M):
         out.append(Pattern((d,)))
@@ -260,19 +201,18 @@ def small_world():
     return database, matrix
 
 
-def test_tiny_budget_eviction_churn_is_exact(small_world):
-    """A budget big enough for ~one plane forces constant eviction and
-    recompute mid-run (not just the all-or-nothing starved case)."""
+def test_mixed_batch_walks_the_stack_exactly(small_world):
+    """Every stack move — push, pop to a shared ancestor, re-derive a
+    root — on both dispatches, against the vectorized backend."""
     database, matrix = small_world
     batch = _mixed_batch()
     expected = VEC.database_matches(batch, database, matrix)
-    one_plane = 8 * 10 * len(database)
+    # Distinct span->=2 parent prefixes: (0 d) and (0 d * d+1) per d.
+    links = 2 * M
     for mode in ("numpy", "pure"):
-        churning = ResidentSampleEvaluator(
-            chunk_rows=3, plane_bytes=one_plane, kernels=mode
-        )
-        assert churning.database_matches(batch, database, matrix) == expected
-        assert churning.planes.evictions > 0, mode
+        evaluator = ResidentSampleEvaluator(chunk_rows=3, kernels=mode)
+        assert evaluator.database_matches(batch, database, matrix) == expected
+        assert evaluator.planes.misses == links, mode
 
 
 def test_pure_dispatch_counts_kernel_calls(small_world):
@@ -305,17 +245,21 @@ def test_numpy_dispatch_records_zero_kernel_calls(small_world):
     assert counters[RESIDENT_PLANE_HITS] >= 0
 
 
-def test_warm_store_reuses_planes_across_calls(small_world):
+def test_warm_pin_rederives_planes_per_call(small_world):
     database, matrix = small_world
     batch = _mixed_batch()
     evaluator = ResidentSampleEvaluator(chunk_rows=3, kernels="pure")
     first = evaluator.database_matches(batch, database, matrix)
     calls_after_first = evaluator.native_calls
+    misses_after_first = evaluator.planes.misses
+    held = evaluator.planes.nbytes
     second = evaluator.database_matches(batch, database, matrix)
     assert second == first
-    # Parent planes were already stored: the second pass derives none.
-    assert evaluator.native_calls > calls_after_first  # sibling kernels ran
-    assert evaluator.planes.hits > 0
+    # Only the buffers outlive a call: the second pass derives the
+    # same links again, into the same buffers, at the same cost.
+    assert evaluator.native_calls == 2 * calls_after_first
+    assert evaluator.planes.misses == 2 * misses_after_first
+    assert evaluator.planes.nbytes == held
     assert evaluator.repins == 1
 
 
@@ -368,6 +312,7 @@ def test_float32_error_is_bounded(small_world):
 
 
 def test_float32_planes_halve_store_charges(small_world):
+    """The stack buffers are held in the scoring dtype."""
     database, matrix = small_world
     batch = _mixed_batch()
     by_dtype = {}
@@ -396,35 +341,31 @@ def test_set_score_dtype_repins_lazily(small_world):
     assert evaluator.database_matches(batch, database, matrix) == f64
 
 
-def test_plane_store_charges_actual_stored_bytes():
-    store = PlaneStore(max_bytes=10_000)
-    planes64 = [np.ones((4, 3), dtype=np.float64)]
-    planes32 = [np.ones((4, 3), dtype=np.float32)]
-    store.put((1,), planes64)
-    assert store.nbytes == planes64[0].nbytes
-    store.put((2,), planes32)
-    assert store.nbytes == planes64[0].nbytes + planes32[0].nbytes
-    # Replacement refunds the old entry's actual charge.
-    store.put((1,), planes32)
-    assert store.nbytes == 2 * planes32[0].nbytes
-
-
-# -- sibling ordering ----------------------------------------------------------
+# -- visit order ---------------------------------------------------------------
 
 @given(pattern_batches())
 @settings(max_examples=60, deadline=None)
-def test_sibling_order_is_a_permutation_with_contiguous_groups(batch):
+def test_visit_order_keeps_sibling_groups_contiguous(batch):
+    """The evaluator's group order is a pre-order walk of the parents'
+    prefix trie: groups sharing a parent are adjacent, and every
+    ancestor prefix's groups come before its descendants'."""
     batch = list(dict.fromkeys(batch))
-    ordered = sibling_order(batch)
-    assert sorted(ordered) == sorted(batch)
-    seen = []
-    for pattern in ordered:
+    groups = {}
+    for pattern in batch:
         parent, offset, _symbol = _strip_last(pattern.elements)
-        group = (parent, offset)
-        if group in seen:
-            assert seen[-1] == group, "sibling group split apart"
-        else:
-            seen.append(group)
+        groups.setdefault((parent, offset), []).append(pattern)
+    ordered = [key for key, _ in sorted(groups.items(), key=_visit_order)]
+    parents = [parent or () for parent, _offset in ordered]
+    for i, parent in enumerate(parents):
+        # The parents extending this one (itself included) form one
+        # contiguous run right after it: once the walk leaves a
+        # subtree it never comes back, so a popped plane is never
+        # needed again within the call.
+        inside = [
+            other[: len(parent)] == parent for other in parents[i:]
+        ]
+        run = inside.index(False) if False in inside else len(inside)
+        assert not any(inside[run:]), "prefix subtree split apart"
 
 
 def test_kernel_mode_validation():

@@ -273,6 +273,26 @@ class TestWarmState:
             else:
                 assert planes["resident_native_calls"] == 0
 
+    def test_resident_planes_stay_within_the_stack_bound(self, store_path):
+        """Planes no longer accumulate across jobs: after two jobs at
+        different thresholds the warm evaluator holds at most one
+        float64 ``(L, N)`` plane per chain depth below the weight cap."""
+        config = dict(CONFIG, algorithm="border-collapsing",
+                      sample_size=40, delta=0.5, seed=9, max_weight=5)
+        with MiningService(workers=1) as service:
+            service.submit(config, store=str(store_path))
+            service._queue.join()
+            service.submit(dict(config, min_match=0.3),
+                           store=str(store_path))
+            service._queue.join()
+            planes = service.healthz()["resident_planes"]
+        with PackedSequenceStore.open(store_path) as store:
+            lengths = [len(seq) for _sid, seq in store.scan()]
+        sample = min(config["sample_size"], len(lengths))
+        bound = (config["max_weight"] - 1) * sample * max(lengths) * 8
+        assert planes["plane_misses"] > 0
+        assert 0 < planes["plane_bytes"] <= bound
+
     def test_concurrent_jobs_do_not_cross_contaminate(
         self, store_path, other_store_path
     ):
