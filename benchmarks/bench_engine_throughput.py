@@ -2,9 +2,8 @@
 
 Times :func:`repro.mining.counting.count_matches_batched` — the single
 dispatch point every miner funnels through — for each setting of the
-counting engine (``VectorizedBatchEngine`` with one or two workers,
-numpy or compiled kernels), against the per-sequence oracle of
-``tests/oracles.py``, on
+counting engine (``VectorizedBatchEngine`` with one or two workers),
+against the per-sequence oracle of ``tests/oracles.py``, on
 the same workload ``bench_fig14_performance.py`` mines: the
 protein-composition standard database, uniform noise ``alpha = 0.1``,
 and a memory capacity of 64 counters per scan.  The pattern set is a
@@ -15,9 +14,8 @@ Legs are timed in *interleaved* rounds (reference, vectorized,
 workers-2, reference, ...) so that machine-load drift hits every leg
 equally, and the recorded figure is the best round — the standard way
 to measure capability rather than contention.  ``vectorized`` is one
-worker on the numpy kernels, ``workers-2`` the same kernels over a
-two-process pool, and ``compiled`` (numba only) one worker on the
-compiled kernels.  The vectorized leg is additionally timed with a
+worker and ``workers-2`` the same kernels over a two-process pool.
+The vectorized leg is additionally timed with a
 cleared factor cache every round (``cold``) to separate kernel speed
 from cache reuse.
 
@@ -45,7 +43,7 @@ import numpy as np
 
 from repro import CompatibilityMatrix, Pattern
 from repro.datagen.noise import corrupt_uniform
-from repro.engine import VectorizedBatchEngine, native_available
+from repro.engine import VectorizedBatchEngine
 from repro.mining.counting import count_matches_batched
 
 from _workloads import (
@@ -126,11 +124,9 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
     test, matrix, patterns = build_workload(scale)
     engines = {
         "reference": ReferenceEngine(),
-        "vectorized": VectorizedBatchEngine(workers=1, kernels="numpy"),
-        "workers-2": VectorizedBatchEngine(workers=2, kernels="numpy"),
+        "vectorized": VectorizedBatchEngine(workers=1),
+        "workers-2": VectorizedBatchEngine(workers=2),
     }
-    if native_available:
-        engines["compiled"] = VectorizedBatchEngine(workers=1)
 
     def count(engine):
         test.reset_scan_count()
@@ -179,7 +175,6 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             "pattern_weights": sorted({p.weight for p in patterns}),
             "rounds": rounds,
             "cores": len(os.sched_getaffinity(0)),
-            "numba": native_available,
         },
         "engines": {},
     }

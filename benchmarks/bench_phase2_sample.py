@@ -10,15 +10,11 @@ point the miners use — per leg:
 
 * ``vectorized``       — the flat per-batch baseline with a warm
   factor cache;
-* ``resident``         — the incremental evaluator on its numpy plane
-  path (``kernels="numpy"``), sample pinned once, each child's score
-  plane derived from its parent's in O(W·N);
-* ``resident_native``  — the compiled incremental-plane kernels
-  (``kernels="auto"``): fused sibling-batch evaluation, no factor
-  arrays; degrades to the numpy path where numba is absent (recorded,
-  not gated);
-* ``resident_float32`` — float32 plane storage with float64
-  accumulation (error-bounded, halved plane bytes).
+* ``resident``         — the incremental evaluator, sample pinned
+  once, each child's score plane derived from its parent's in O(W·N);
+* ``resident_float32`` — the same evaluator with float32 factor and
+  plane storage and float64 accumulation (error-bounded, halved
+  pinned and plane bytes).
 
 The resident legs keep no planes between calls (only the prefix-stack
 buffers of the pin outlive one), so every round derives its planes the
@@ -31,11 +27,8 @@ and ``fig14`` (mean length 30, the performance-comparison shape of
 Figure 14).  Legs are timed in interleaved rounds and the recorded
 figure is the best round.  Before timing, a correctness gate checks
 
-* both float64 resident legs are **bit-identical** to the vectorized
+* the float64 resident leg is **bit-identical** to the vectorized
   backend (equal ``chunk_rows``) on every pattern;
-* the interpreted kernel twins (``kernels="pure"``) agree
-  bit-identically on a spot-check subset, with
-  ``resident_native_calls`` actually ticking;
 * the float32 leg stays within ``1e-5`` of float64 everywhere;
 * a spot check against the per-sequence oracle of ``tests/oracles.py``
   to 1e-12.
@@ -61,7 +54,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro import CompatibilityMatrix, Pattern, PatternConstraints
-from repro.core import _nativekernels as nk
 from repro.core.sequence import SequenceDatabase
 from repro.datagen.noise import corrupt_uniform
 from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
@@ -84,32 +76,19 @@ ROUNDS = 5
 SMOKE_ROUNDS = 2
 SAMPLE_SEED = 23
 REFERENCE_SPOT_CHECK = 150
-PURE_SPOT_CHECK = 150
 FLOAT32_BOUND = 1e-5
 
-#: name -> (scale, min_match, resident-vs-vectorized gate, compiled
-#: native-vs-numpy-resident gate).  The vectorized-relative thresholds
-#: are regression floors tuned per regime (see the fig9/fig14 notes in
-#: the git history); the native gate applies only where numba imports:
-#: fig14 is the ISSUE's gated shape (the compiled sibling-batch path
-#: must hold 2.5x over the numpy resident path there), fig9 is
-#: recorded ungated.
-WORKLOADS: Dict[str, Tuple[BenchScale, float, float, float]] = {
-    "fig9": (BenchScale(400, 200, 60, (1,)), 0.15, 3.0, 0.0),
-    "fig14": (BenchScale(400, 200, 30, (1,)), 0.12, 2.5, 2.5),
+#: name -> (scale, min_match, resident-vs-vectorized gate).  The
+#: thresholds are regression floors tuned per regime (see the
+#: fig9/fig14 notes in the git history).
+WORKLOADS: Dict[str, Tuple[BenchScale, float, float]] = {
+    "fig9": (BenchScale(400, 200, 60, (1,)), 0.15, 3.0),
+    "fig14": (BenchScale(400, 200, 30, (1,)), 0.12, 2.5),
 }
-SMOKE_WORKLOADS: Dict[str, Tuple[BenchScale, float, float, float]] = {
-    "smoke": (BenchScale(60, 40, 12, (1,)), 0.30, 0.0, 0.0),
+SMOKE_WORKLOADS: Dict[str, Tuple[BenchScale, float, float]] = {
+    "smoke": (BenchScale(60, 40, 12, (1,)), 0.30, 0.0),
 }
 CONSTRAINTS = PatternConstraints(max_weight=10, max_span=10, max_gap=0)
-
-def speedup_skip_reason() -> "str | None":
-    if nk.native_available:
-        return None
-    return (
-        "compiled native kernels unavailable: "
-        f"{nk.native_unavailable_reason()}"
-    )
 
 
 class _RecordingEngine(VectorizedBatchEngine):
@@ -161,19 +140,18 @@ def replay(engine, batches, sample, matrix) -> Dict[Pattern, float]:
 def verify(batches, sample, matrix, results) -> Dict:
     """The correctness gates (always on, even under ``--smoke``)."""
     vec_result = results["vectorized"]
-    # Float64 bit-identity: both resident dispatches, every pattern.
-    for leg in ("resident", "resident_native"):
-        mismatches = sum(
-            1
-            for batch in batches
-            for p in batch
-            if results[leg][p] != vec_result[p]
+    # Float64 bit-identity, every pattern.
+    mismatches = sum(
+        1
+        for batch in batches
+        for p in batch
+        if results["resident"][p] != vec_result[p]
+    )
+    if mismatches:
+        raise AssertionError(
+            f"resident deviates from vectorized on {mismatches} patterns "
+            "(bit-identity is part of the evaluator's contract)"
         )
-        if mismatches:
-            raise AssertionError(
-                f"{leg} deviates from vectorized on {mismatches} patterns "
-                "(bit-identity is part of the evaluator's contract)"
-            )
     # Float32: error-bounded everywhere.
     worst_f32 = max(
         abs(results["resident_float32"][p] - vec_result[p])
@@ -186,20 +164,6 @@ def verify(batches, sample, matrix, results) -> Dict:
             f"(bound {FLOAT32_BOUND})"
         )
     largest = max(batches, key=len)
-    # Interpreted kernel twins: the exact loops numba compiles, checked
-    # bit-identical on a capped subset (they are slow by design).
-    pure_subset = largest[:PURE_SPOT_CHECK]
-    pure = ResidentSampleEvaluator(kernels="pure")
-    pure_result = replay(pure, [pure_subset], sample, matrix)
-    if any(pure_result[p] != vec_result[p] for p in pure_subset):
-        raise AssertionError(
-            "pure kernel twins deviate from vectorized"
-        )
-    if pure.native_calls <= 0:
-        raise AssertionError(
-            "pure dispatch recorded no kernel calls; the differential "
-            "check did not exercise the kernel bodies"
-        )
     subset = largest[:REFERENCE_SPOT_CHECK]
     expected = ReferenceEngine().database_matches(subset, sample, matrix)
     worst = max(abs(results["resident"][p] - expected[p]) for p in subset)
@@ -211,8 +175,6 @@ def verify(batches, sample, matrix, results) -> Dict:
         "bit_identical_to_vectorized": True,
         "float32_max_abs_deviation": worst_f32,
         "float32_bound": FLOAT32_BOUND,
-        "pure_spot_check_patterns": len(pure_subset),
-        "pure_kernel_calls": pure.native_calls,
         "reference_spot_check_patterns": len(subset),
         "reference_max_abs_deviation": worst,
     }
@@ -221,11 +183,8 @@ def verify(batches, sample, matrix, results) -> Dict:
 def _build_legs() -> Dict[str, object]:
     return {
         "vectorized": VectorizedBatchEngine(),
-        "resident": ResidentSampleEvaluator(kernels="numpy"),
-        "resident_native": ResidentSampleEvaluator(kernels="auto"),
-        "resident_float32": ResidentSampleEvaluator(
-            kernels="auto", score_dtype="float32"
-        ),
+        "resident": ResidentSampleEvaluator(),
+        "resident_float32": ResidentSampleEvaluator(score_dtype="float32"),
     }
 
 
@@ -263,11 +222,9 @@ def measure_workload(
             row["speedup_vs_vectorized"] = best["vectorized"] / best[leg]
             row["plane_stack_bytes"] = engine.planes.nbytes
             row["pinned_bytes"] = engine._pin.nbytes if engine._pin else 0
-            row["compiled"] = engine.compiled
-            row["resident_native_calls"] = engine.native_calls
         engines_report[leg] = row
-    engines_report["resident_native"]["speedup_vs_numpy_resident"] = (
-        best["resident"] / best["resident_native"]
+    engines_report["resident_float32"]["speedup_vs_float64_resident"] = (
+        best["resident"] / best["resident_float32"]
     )
     return {
         "workload": {
@@ -291,24 +248,16 @@ def measure_workload(
 def measure(smoke: bool = False) -> Dict:
     workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
     rounds = SMOKE_ROUNDS if smoke else ROUNDS
-    gated_native = nk.native_available and not smoke
     return {
         "benchmark": "phase-2 sample counting",
         "smoke": smoke,
-        "native_available": nk.native_available,
-        "speedup_skip_reason": speedup_skip_reason(),
         "speedup_gates": {
             name: (None if smoke else gate)
-            for name, (_scale, _mm, gate, _ng) in workloads.items()
-        },
-        "native_speedup_gates": {
-            name: (native_gate if gated_native and native_gate else None)
-            for name, (_scale, _mm, _gate, native_gate)
-            in workloads.items()
+            for name, (_scale, _mm, gate) in workloads.items()
         },
         "workloads": {
             name: measure_workload(name, scale, min_match, rounds)
-            for name, (scale, min_match, _gate, _ng) in workloads.items()
+            for name, (scale, min_match, _gate) in workloads.items()
         },
     }
 
@@ -328,17 +277,15 @@ def main(argv=None) -> int:
     for name, row in report["workloads"].items():
         engines = row["engines"]
         resident = engines["resident"]
-        native = engines["resident_native"]
+        f32 = engines["resident_float32"]
         speedup = resident["speedup_vs_vectorized"]
-        native_speedup = native["speedup_vs_numpy_resident"]
         print(
             f"{name:8s} {row['workload']['n_patterns']:6d} candidates in "
             f"{len(row['workload']['levels'])} levels   "
             f"vectorized {engines['vectorized']['best_seconds']:7.3f}s   "
             f"resident {resident['best_seconds']:7.3f}s ({speedup:.2f}x)   "
-            f"native {native['best_seconds']:7.3f}s "
-            f"({native_speedup:.2f}x vs numpy resident"
-            f"{', compiled' if native['compiled'] else ', degraded'})"
+            f"float32 {f32['best_seconds']:7.3f}s "
+            f"({f32['speedup_vs_float64_resident']:.2f}x vs float64)"
         )
         gate = report["speedup_gates"][name]
         if gate and speedup < gate:
@@ -347,25 +294,12 @@ def main(argv=None) -> int:
                 f"below {gate}x"
             )
             failed = True
-        native_gate = report["native_speedup_gates"][name]
-        if native_gate and native_speedup < native_gate:
-            print(
-                f"WARNING: {name} compiled resident speedup "
-                f"{native_speedup:.2f}x vs numpy resident is below "
-                f"{native_gate}x"
-            )
-            failed = True
-        if native["compiled"] and native["resident_native_calls"] <= 0:
-            print(f"WARNING: {name} compiled leg recorded no kernel calls")
-            failed = True
-    if report["speedup_skip_reason"]:
-        print(f"native gates skipped: {report['speedup_skip_reason']}")
     return 1 if failed else 0
 
 
 def test_phase2_sample(benchmark):
     """pytest-benchmark entry point (smoke-sized, correctness-gated)."""
-    scale, min_match, _gate, _ng = SMOKE_WORKLOADS["smoke"]
+    scale, min_match, _gate = SMOKE_WORKLOADS["smoke"]
     report = run_once(
         benchmark,
         lambda: measure_workload(

@@ -128,7 +128,7 @@ def check_bit_identity(packed, segmented, matrix) -> Dict:
                     chunk_rows=CHUNK_ROWS, workers=workers
                 )
                 engine.dispatch = shuffled(
-                    serial_dispatch(engine, matrix), seed
+                    serial_dispatch(matrix), seed
                 )
                 with small_shards():
                     got_db = engine.database_matches(batch, store, matrix)

@@ -4,15 +4,13 @@
 Generates a tiny synthetic database, runs ``noisymine mine`` with
 ``--metrics-json`` for every algorithm (plus one ``--workers 2`` run)
 and validates the resulting RunReport files: required keys present,
-the ``vectorized`` engine reported with the run's ``workers`` and
-``kernels`` in its context, the per-phase ``scans`` counters of the
-top-level phases summing
-exactly to the reported total, and the resident Phase-2 prefix-stack
-counters reaching the sampling miners' reports
-(``resident_native_calls`` must tick where numba imports and stay zero
-where the numpy plane path runs; the border-collapsing run's
-``resident_plane_bytes`` must be positive and within the stack bound
-of its sample, so an unbounded plane cache cannot come back unseen).
+the ``vectorized`` engine reported with the run's ``workers`` in its
+context, the per-phase ``scans`` counters of the top-level phases
+summing exactly to the reported total, and the resident Phase-2
+prefix-stack counters reaching the sampling miners' reports (the
+border-collapsing run's ``resident_plane_bytes`` must be positive and
+within the stack bound of its sample, so an unbounded plane cache
+cannot come back unseen).
 Finally every per-layer benchmark runs in ``--smoke`` mode (correctness gates only, no timing
 assertions) and writes its ``BENCH_*.json`` into the output directory
 — never into the repo root — so the CI workflow can upload it all as
@@ -34,7 +32,6 @@ from typing import Optional
 
 from repro.cli import main as cli_main
 from repro.core.sequence import SequenceDatabase
-from repro.engine import native_available
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -65,7 +62,6 @@ RESIDENT_COUNTERS = (
     "resident_plane_hits",
     "resident_plane_misses",
     "resident_plane_bytes",
-    "resident_native_calls",
 )
 
 #: Per-layer benchmarks run in smoke mode, by module and artifact.
@@ -75,7 +71,6 @@ BENCHMARKS = [
     ("bench_lattice", "BENCH_lattice.json"),
     ("bench_delta", "BENCH_delta.json"),
     ("bench_shards", "BENCH_shards.json"),
-    ("bench_native", "BENCH_native.json"),
 ]
 
 REQUIRED_KEYS = {
@@ -94,13 +89,10 @@ def validate_report(payload: dict, algorithm: str, workers: int) -> None:
         )
     if payload["engine"] != "vectorized":
         raise AssertionError(f"unexpected engine {payload['engine']!r}")
-    context = payload["context"]
-    kernels = "compiled" if native_available else "numpy"
-    if (context.get("workers"), context.get("kernels")) != (workers, kernels):
+    reported = payload["context"].get("workers")
+    if reported != workers:
         raise AssertionError(
-            f"context reports workers={context.get('workers')!r}, "
-            f"kernels={context.get('kernels')!r}; expected {workers}, "
-            f"{kernels!r}"
+            f"context reports workers={reported!r}; expected {workers}"
         )
     phase_scans = sum(
         phase["counters"].get("scans", 0) for phase in payload["phases"]
@@ -137,16 +129,6 @@ def validate_resident(
         raise AssertionError(
             f"resident_plane_bytes {plane_bytes} outside the prefix "
             f"stack bound (0, {stack_bound}]"
-        )
-    native_calls = payload["counters"]["resident_native_calls"]
-    if native_available and not native_calls:
-        raise AssertionError(
-            "numba is importable but the resident run recorded no "
-            "compiled kernel calls"
-        )
-    if not native_available and native_calls:
-        raise AssertionError(
-            "numba is absent but resident_native_calls ticked"
         )
 
 
@@ -188,12 +170,6 @@ def main(argv=None) -> int:
             validate_resident(payload, resident_stack_bound(db_path))
         elif algorithm == "toivonen":
             validate_resident(payload)
-        # depthfirst counts in memory; only its Phase-1 rows pass runs
-        # the block kernel, untraced.
-        if native_available and algorithm != "depthfirst" and not (
-            payload["counters"].get("native_kernel_calls")
-        ):
-            raise AssertionError("compiled run lacks native_kernel_calls")
         phases = {
             phase["name"]: phase["counters"].get("scans", 0)
             for phase in payload["phases"]

@@ -84,11 +84,10 @@ def _add_mining_options(parser: argparse.ArgumentParser) -> None:
         "--score-dtype",
         choices=list(SCORE_DTYPES),
         default=None,
-        help="scoring precision: 'float64' (default, exact) or "
-             "'float32' (halved scoring-pass memory traffic, match values "
-             "within the documented error bound; the sampling miners "
-             "always accept it, the others need the compiled kernels of "
-             "noisymine[native]) "
+        help="Phase-2 scoring precision of the sampling miners: "
+             "'float64' (default, exact) or 'float32' (half the sample's "
+             "factor and plane memory, match values within 1e-5; the "
+             "other miners reject it) "
              "(default: $NOISYMINE_SCORE_DTYPE, else 'float64')",
     )
     parser.add_argument("--seed", type=int, default=None)

@@ -14,9 +14,9 @@ because result memoization keys on "the same configuration".
 * :meth:`MiningConfig.build_miner` constructs the configured miner.
 
 Execution is not configured here: the counting engine is a
-:class:`repro.engine.VectorizedBatchEngine` (its kernels chosen by
-platform, its worker count by ``--workers``) and Phase 2 always runs
-the resident sample evaluator.
+:class:`repro.engine.VectorizedBatchEngine` (its worker count set by
+``--workers``) and Phase 2 always runs the resident sample
+evaluator.
 
 The input is not configured either: :func:`open_database` sniffs the
 path (segment manifest, then packed magic bytes, else text), and every
@@ -44,7 +44,6 @@ from .engine import (
     ResidentSampleEvaluator,
     SCORE_DTYPES,
     VectorizedBatchEngine,
-    native_available,
     resolve_score_dtype,
 )
 from .errors import MiningError, NoisyMineError
@@ -123,11 +122,11 @@ class MiningConfig:
     max_gap: int = 0
     memory_capacity: Optional[int] = None
     seed: Optional[int] = None
-    #: Scoring dtype of the compiled engine and the resident Phase-2
-    #: evaluator.  ``"float32"`` changes results within a documented
-    #: error bound, so it participates in :meth:`to_key`.  It needs a
-    #: float32-capable path: the sampling miners always have one
-    #: (Phase 2), every other miner needs the compiled kernels.
+    #: Scoring dtype of the resident Phase-2 evaluator.  ``"float32"``
+    #: changes results within a documented error bound, so it
+    #: participates in :meth:`to_key`.  Only the sampling miners have
+    #: a Phase 2; full-database counting is float64-only, so every
+    #: other miner rejects float32.
     score_dtype: str = "float64"
 
     def __post_init__(self):
@@ -156,9 +155,14 @@ class MiningConfig:
         if (
             self.score_dtype != "float64"
             and self.algorithm not in SAMPLING_ALGORITHMS
-            and not native_available
         ):
-            raise MiningError(_float32_unsupported(self))
+            raise MiningError(
+                f"score_dtype {self.score_dtype!r} needs a sampling "
+                f"miner: {self.algorithm!r} counts only on the full "
+                "database, which scores in float64 (use "
+                "border-collapsing or toivonen, or score_dtype "
+                "'float64')"
+            )
 
     # -- resolution -----------------------------------------------------------
 
@@ -262,21 +266,10 @@ class MiningConfig:
         constraints = self.constraints()
         if engine is None:
             engine = VectorizedBatchEngine()
-        sampling = self.algorithm in SAMPLING_ALGORITHMS
         if isinstance(engine, VectorizedBatchEngine):
-            # The config owns the scoring dtype: a warm per-store
-            # engine may have been switched by a previous float32 run,
-            # so always (re)apply it.  Pool workers get the cast matrix.
-            engine.set_score_dtype(self.score_dtype)
             engine.note_settings(tracer)
-        if (
-            self.score_dtype != "float64"
-            and not sampling
-            and getattr(engine, "kernels", "numpy") == "numpy"
-        ):
-            raise MiningError(_float32_unsupported(self))
         common = dict(constraints=constraints, engine=engine, tracer=tracer)
-        if sampling:
+        if self.algorithm in SAMPLING_ALGORITHMS:
             if sample_engine is None:
                 sample_engine = ResidentSampleEvaluator(
                     score_dtype=self.score_dtype
@@ -396,15 +389,6 @@ class MiningConfig:
     def with_overrides(self, **changes) -> "MiningConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **changes)
-
-
-def _float32_unsupported(config: MiningConfig) -> str:
-    return (
-        f"score_dtype {config.score_dtype!r} needs a float32-capable "
-        f"path: {config.algorithm!r} counts on the full database, whose "
-        "numpy kernels are float64-only (float32 needs the compiled "
-        "kernels of noisymine[native], or a sampling miner)"
-    )
 
 
 def json_payload(

@@ -39,19 +39,6 @@ incremental :class:`~repro.core.border.Border` paths apply it per
 member.  The filter is *exact*: it only ever skips pairs that could
 not be related, so kernel results equal the pairwise pure-Python
 oracles in ``tests/oracles.py``.
-
-Compiled acceleration
----------------------
-When numba is importable (``pip install noisymine[native]``), the two
-integer-only hot loops of this layer — the all-pairs containment sweep
-and the join + prune membership lookups — dispatch to the compiled
-kernels of :mod:`repro.core._nativekernels`, selected once at import
-time (:data:`_NATIVE_SWEEP` / :data:`_NATIVE_MEMBER`).  The kernels
-compare exactly the same rows the numpy paths compare, so results and
-the ``subsumption_checks`` / ``subsumption_skipped`` accounting are
-identical; only the throughput changes.  Compiled sweeps additionally
-report their call count through the ``native_kernel_calls`` tracer
-counter.
 """
 
 from __future__ import annotations
@@ -61,20 +48,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import MiningError
-from ..obs import (
-    NATIVE_KERNEL_CALLS,
-    SUBSUMPTION_CHECKS,
-    SUBSUMPTION_SKIPPED,
-    Tracer,
-)
-from . import _nativekernels as _nk
+from ..obs import SUBSUMPTION_CHECKS, SUBSUMPTION_SKIPPED, Tracer
 from .pattern import Pattern, WILDCARD
-
-#: Compiled containment / membership kernels, or ``None`` for the
-#: numpy paths.  Module attributes (not locals) so the differential
-#: tests can monkeypatch the pure-Python kernel twins in.
-_NATIVE_SWEEP = _nk.containment_sweep if _nk.native_available else None
-_NATIVE_MEMBER = _nk.rows_in_sorted if _nk.native_available else None
 
 _ITEMSIZE = 4  # int32 row-key stride
 
@@ -193,7 +168,6 @@ def subsumption_hits(
         return inner_any, outer_any
     checks = 0
     skipped = 0
-    native_calls = 0
     in_groups = pack_by_span(inner)
     out_groups = pack_by_span(outer)
     for in_span, (in_block, in_idx) in in_groups.items():
@@ -205,23 +179,6 @@ def subsumption_hits(
                 continue
             out_sig = block_signatures(out_block)
             out_weight = block_weights(out_block)
-            if _NATIVE_SWEEP is not None:
-                # Compiled sweep: same prefilter, same positional
-                # comparisons, same check accounting — no (pairs, span)
-                # gather ever materialised.
-                sub_in = np.zeros(in_block.shape[0], dtype=np.bool_)
-                sub_out = np.zeros(out_block.shape[0], dtype=np.bool_)
-                pair_checks = int(_NATIVE_SWEEP(
-                    in_block, in_sig, in_weight,
-                    out_block, out_sig, out_weight,
-                    sub_in, sub_out,
-                ))
-                checks += pair_checks
-                skipped += in_sig.size * out_sig.size - pair_checks
-                native_calls += 1
-                inner_any[in_idx[sub_in]] = True
-                outer_any[out_idx[sub_out]] = True
-                continue
             compatible = (
                 ((in_sig[:, None] & ~out_sig[None, :]) == 0)
                 & (in_weight[:, None] <= out_weight[None, :])
@@ -243,8 +200,6 @@ def subsumption_hits(
     if tracer is not None and tracer.enabled:
         tracer.count(SUBSUMPTION_CHECKS, checks)
         tracer.count(SUBSUMPTION_SKIPPED, skipped)
-        if native_calls:
-            tracer.count(NATIVE_KERNEL_CALLS, native_calls)
     return inner_any, outer_any
 
 
@@ -306,46 +261,6 @@ def _membership(
     )
 
 
-class _FrequentIndex:
-    """Span-keyed row-membership index over the frequent set.
-
-    The numpy path hashes row bytes into per-span :class:`set` objects;
-    the native path keeps each span's block lexicographically sorted
-    and binary-searches query rows with the compiled
-    ``rows_in_sorted`` kernel (no per-row Python objects at all).
-    Both answer exactly "is this row one of the frequent rows", so the
-    candidate sets are identical.  *member_kernel* overrides the
-    import-time selection (differential tests pass the pure-Python
-    kernel twin).
-    """
-
-    def __init__(self, patterns: Sequence[Pattern], member_kernel=None):
-        self._kernel = (
-            member_kernel if member_kernel is not None else _NATIVE_MEMBER
-        )
-        self._tables: Dict[int, np.ndarray] = {}
-        self._keysets: Dict[int, Set[bytes]] = {}
-        for span, (block, _idx) in pack_by_span(list(patterns)).items():
-            if self._kernel is not None:
-                order = np.lexsort(block.T[::-1])
-                self._tables[span] = np.ascontiguousarray(block[order])
-            else:
-                self._keysets[span] = set(row_keys(block))
-
-    def contains_rows(self, block: np.ndarray) -> np.ndarray:
-        if self._kernel is None:
-            return _membership(block, self._keysets)
-        n, span = block.shape
-        table = self._tables.get(span)
-        if table is None:
-            return np.zeros(n, dtype=bool)
-        out = np.zeros(n, dtype=np.bool_)
-        self._kernel(
-            np.ascontiguousarray(block, dtype=np.int32), table, out
-        )
-        return out
-
-
 def kernel_generate_candidates(
     frequent: Set[Pattern],
     frequent_symbols: Sequence[int],
@@ -383,10 +298,11 @@ def kernel_generate_candidates(
     if n_sym == 0:
         return set()
 
-    # Frequent-set membership keyed by span: row-byte sets on the
-    # numpy path, sorted blocks + the compiled binary-search kernel on
-    # the native path.
-    index = _FrequentIndex(list(frequent))
+    # Frequent-set membership: row-byte sets keyed by span.
+    keysets: Dict[int, Set[bytes]] = {
+        span: set(row_keys(block))
+        for span, (block, _idx) in pack_by_span(list(frequent)).items()
+    }
 
     # Group the extendable patterns by wildcard shape.  A pattern ends
     # with a symbol, so the shape (fixed-position tuple) determines the
@@ -428,7 +344,7 @@ def kernel_generate_candidates(
             first_cut = shape[1] if k >= 2 else new_span - 1
             if max(all_runs[1:], default=0) <= max_gap:
                 sub = cand[:, first_cut:]
-                alive &= index.contains_rows(sub)
+                alive &= _membership(sub, keysets)
 
             # Interior drops: blanking fixed position j merges the two
             # adjacent runs; admissibility is a shape constant (and the
@@ -442,7 +358,7 @@ def kernel_generate_candidates(
                     continue
                 sub = cand.copy()
                 sub[:, shape[j]] = WILDCARD
-                alive &= index.contains_rows(sub)
+                alive &= _membership(sub, keysets)
 
             for i in np.nonzero(alive)[0]:
                 candidates.add(Pattern(cand[i]))

@@ -4,22 +4,21 @@ Every ``M(P, D)`` evaluation runs through a
 :class:`~repro.engine.base.MatchEngine`:
 
 * :class:`~repro.engine.vectorized.VectorizedBatchEngine` counts full
-  databases — one block kernel (compiled when numba imports, numpy
-  plus a factor-row cache otherwise), run serially or, with
+  databases — one numpy block kernel plus a factor-row cache, run
+  serially or, with
   ``workers > 1``, over block-aligned shards on a fork pool
   (:mod:`repro.engine.shards`);
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
   Phase 2 of the sampling miners: it pins the sample once and extends
   candidate score planes incrementally.
 
-Results are bit-identical across worker counts and kernel paths at
-equal ``chunk_rows`` in float64.  See ``docs/API.md`` ("Execution
+Results are bit-identical across worker counts at equal
+``chunk_rows`` in float64.  See ``docs/API.md`` ("Execution
 engines").
 """
 
 from __future__ import annotations
 
-from ..core._nativekernels import native_available, native_unavailable_reason
 from .base import MatchEngine
 from .kernels import SCORE_DTYPES, resolve_score_dtype
 from .resident import PlaneStats, ResidentSampleEvaluator
@@ -34,8 +33,6 @@ __all__ = [
     "SCORE_DTYPES",
     "VectorizedBatchEngine",
     "WORKERS_ENV_VAR",
-    "native_available",
-    "native_unavailable_reason",
     "resolve_score_dtype",
     "resolve_worker_count",
 ]

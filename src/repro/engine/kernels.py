@@ -4,10 +4,8 @@ The kernels operate on *chunks*: a group of sequences padded into one
 ``(N, L)`` symbol matrix so a whole batch of same-span patterns can be
 evaluated against every sequence of the chunk with a handful of numpy
 operations, instead of one Python iteration per (pattern, sequence)
-pair.  :func:`block_totals` adds one chunk's match sums on the numpy
-path below or on the compiled kernels of
-:mod:`repro.core._nativekernels`; the serial scan and the pool workers
-both call it.
+pair.  :func:`block_totals` adds one chunk's match sums; the serial
+scan and the pool workers both call it.
 
 Memory layout
 -------------
@@ -52,10 +50,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import _nativekernels as nk
 from ..core.pattern import Pattern, WILDCARD
 from ..errors import MiningError
-from ..obs import JIT_COMPILE_SECONDS, Tracer
 
 #: Default number of sequences evaluated per padded chunk.  The
 #: row-wise kernel touches only a few ``(windows, N)`` planes per
@@ -362,18 +358,13 @@ def chunk_symbol_maxima(gathered: np.ndarray) -> np.ndarray:
     return gathered[:m].max(axis=1)
 
 
-# -- kernel modes and score dtypes --------------------------------------------
-
-#: Kernel modes a counting engine accepts: ``"auto"`` runs the compiled
-#: fused kernels when numba imports and the numpy gather kernels above
-#: otherwise; ``"numpy"`` and ``"pure"`` (the interpreted twins of the
-#: compiled kernels) pin one path for tests and benchmarks.
-KERNEL_MODES = ("auto", "numpy", "pure")
+# -- score dtypes and the block kernel ----------------------------------------
 
 #: Environment variable selecting the default scoring dtype.
 SCORE_DTYPE_ENV_VAR = "NOISYMINE_SCORE_DTYPE"
 
-#: Scoring dtypes the compiled kernels accept.
+#: Scoring dtypes of the resident Phase-2 evaluator (the counting
+#: engine always scores in float64).
 SCORE_DTYPES = ("float64", "float32")
 
 #: The default scoring dtype.
@@ -382,19 +373,6 @@ DEFAULT_SCORE_DTYPE = "float64"
 #: Block kinds understood by :func:`block_totals`.
 DATABASE_TOTALS = "database-totals"
 SYMBOL_TOTALS = "symbol-totals"
-
-
-def resolve_kernels(spec: str) -> str:
-    """The kernel path a mode runs: ``"compiled"``, ``"numpy"`` or
-    ``"pure"`` (``"auto"`` resolves by numba availability)."""
-    if spec not in KERNEL_MODES:
-        raise MiningError(
-            f"kernels must be one of {', '.join(KERNEL_MODES)}, "
-            f"got {spec!r}"
-        )
-    if spec == "auto":
-        return "compiled" if nk.native_available else "numpy"
-    return spec
 
 
 def resolve_score_dtype(spec: Optional[str] = None) -> str:
@@ -416,33 +394,6 @@ def resolve_score_dtype(spec: Optional[str] = None) -> str:
     return spec
 
 
-def charge_warmup(tracer: Optional[Tracer]) -> float:
-    """Warm the compiled kernels once, charging the JIT seconds.
-
-    Shared by every compiled dispatch path (the counting engine, the
-    resident evaluator): :func:`repro.core._nativekernels.warm_kernels`
-    is idempotent, so whichever path touches the kernels first pays —
-    and records — the compile, and everyone after gets ``0.0``.
-    """
-    seconds = nk.warm_kernels()
-    if seconds and tracer is not None and tracer.enabled:
-        tracer.count(JIT_COMPILE_SECONDS, seconds)
-    return seconds
-
-
-# -- the block kernel ---------------------------------------------------------
-
-
-def _buffer(
-    scratch: Dict[tuple, np.ndarray], shape: Tuple[int, int], dtype
-) -> np.ndarray:
-    key = (*shape, np.dtype(dtype).str)
-    out = scratch.get(key)
-    if out is None:
-        out = scratch[key] = np.empty(shape, dtype=dtype)
-    return out
-
-
 def block_totals(
     padded: np.ndarray,
     c_ext: np.ndarray,
@@ -450,89 +401,48 @@ def block_totals(
     groups: Optional[Dict[int, List[int]]],
     elements_by_span: Optional[Dict[int, np.ndarray]],
     out: np.ndarray,
-    kernels: str,
     plans: Optional[Dict[int, List[PlanLevel]]] = None,
     scratch: Optional[Dict[tuple, np.ndarray]] = None,
     factors: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> int:
+) -> None:
     """Add one padded block's match sums to *out*; the one block kernel.
 
     *kind* :data:`DATABASE_TOTALS` adds each pattern's sum of
     per-sequence maxima at its batch index; :data:`SYMBOL_TOTALS` adds
-    the Phase-1 per-symbol sums.  *kernels* is a resolved mode (see
-    :func:`resolve_kernels`):
-
-    * ``"numpy"`` gathers the factor array — through *factors* when
-      given, which is how the serial engine serves it from its cache —
-      and reduces it with the prefix-sharing row-wise kernels (*plans*
-      from :func:`group_plans`);
-    * ``"compiled"`` / ``"pure"`` run the fused window kernels of
-      :mod:`repro.core._nativekernels` (or their interpreted twins) in
-      the dtype of *c_ext*.
-
-    Both paths multiply the same factors in the same order and sum the
-    ``(B, N)`` maxima with the same float64 ``np.sum``, so float64
-    totals are bit-identical across modes.  Span groups no window fits
-    add exact zeros on the numpy path and are skipped on the others.
-    *scratch* recycles buffers across blocks.  Returns the number of
-    compiled-kernel calls made (``0`` on the numpy path).
+    the Phase-1 per-symbol sums.  The factor array is gathered —
+    through *factors* when given, which is how the serial engine
+    serves it from its cache — and reduced with the prefix-sharing
+    row-wise kernels (*plans* from :func:`group_plans`).  Span groups
+    no window fits add exact zeros.  *scratch* recycles score buffers
+    across blocks.
     """
-    if scratch is None:
-        scratch = {}
-    if kernels == "numpy":
-        gathered = gather_chunk(c_ext, padded) if factors is None \
-            else factors(padded)
-        if kind == SYMBOL_TOTALS:
-            # The pad column is all zeros: padding never wins a max.
-            out += chunk_symbol_maxima(gathered).sum(axis=1)
-        else:
-            for span, indices in groups.items():
-                maxima = chunk_group_maxima(
-                    gathered,
-                    elements_by_span[span],
-                    plans[span] if plans is not None else None,
-                    scratch,
-                )
-                out[indices] += maxima.sum(axis=1)
-        return 0
-    if kernels == "compiled":
-        window, symbol = nk.window_group_maxima, nk.symbol_window_maxima
-    else:
-        window, symbol = nk.py_window_group_maxima, nk.py_symbol_window_maxima
-    n, length = padded.shape
+    gathered = gather_chunk(c_ext, padded) if factors is None \
+        else factors(padded)
     if kind == SYMBOL_TOTALS:
-        maxima = _buffer(scratch, (c_ext.shape[0] - 1, n), c_ext.dtype)
-        symbol(padded, c_ext, maxima)
-        out += maxima.sum(axis=1, dtype=np.float64)
-        return 1
-    calls = 0
+        # The pad column is all zeros: padding never wins a max.
+        out += chunk_symbol_maxima(gathered).sum(axis=1)
+        return
     for span, indices in groups.items():
-        if length < span:
-            continue
-        elements = elements_by_span[span]
-        maxima = _buffer(scratch, (elements.shape[0], n), c_ext.dtype)
-        window(padded, c_ext, elements, maxima)
-        out[indices] += maxima.sum(axis=1, dtype=np.float64)
-        calls += 1
-    return calls
+        maxima = chunk_group_maxima(
+            gathered,
+            elements_by_span[span],
+            plans[span] if plans is not None else None,
+            scratch,
+        )
+        out[indices] += maxima.sum(axis=1)
 
 
 def rows_symbol_totals(
     rows: Sequence[np.ndarray],
     c_ext: np.ndarray,
     chunk_rows: int,
-    kernels: str,
 ) -> np.ndarray:
     """Per-symbol match sums for in-memory *rows*, block by block."""
     m = c_ext.shape[0] - 1
     totals = np.zeros(m, dtype=np.float64)
-    scratch: Dict[tuple, np.ndarray] = {}
     for start in range(0, len(rows), chunk_rows):
         padded = pad_chunk(
             [np.asarray(r) for r in rows[start : start + chunk_rows]], m
         )
-        block_totals(
-            padded, c_ext, SYMBOL_TOTALS, None, None, totals, kernels,
-            scratch=scratch,
-        )
+        block_totals(padded, c_ext, SYMBOL_TOTALS, None, None, totals)
     return totals

@@ -7,12 +7,13 @@ factor cache by content hash, and recomputes every candidate's window
 products from its first symbol.  :class:`ResidentSampleEvaluator`
 exploits the fixity instead:
 
-* **Pin once.**  The first call pads the scanned rows into chunks a
-  single time.  Later calls verify the pin with a ``blake2b`` content
-  digest computed *during* the mandatory scan — the protocol's one
-  ``database.scan()`` per call doubles as the staleness check, so scan
-  accounting is untouched and handing the engine a different database
-  (or matrix) transparently re-pins.
+* **Pin once.**  The first call pads the scanned rows into chunks and
+  gathers their factor arrays a single time.  Later calls verify the
+  pin with a ``blake2b`` content digest computed *during* the
+  mandatory scan — the protocol's one ``database.scan()`` per call
+  doubles as the staleness check, so scan accounting is untouched and
+  handing the engine a different database (or matrix) transparently
+  re-pins.
 * **Extend, don't recompute.**  A candidate ``P·(gaps)·d`` is its
   parent ``P`` plus one fixed symbol, and window products associate
   left-to-right; the child's ``(windows, N)`` score plane is therefore
@@ -28,56 +29,38 @@ exploits the fixity instead:
   written into one reusable ``(L, N)`` buffer per depth per pinned
   chunk, so the planes held never exceed ``(max parent weight - 1) ×
   Σ L·N`` elements, whatever the batch size.  Span-1 roots are views
-  of the factor arrays (a one-row gather on the kernel path) and take
-  no stack buffer.  Only the buffers outlive a call.
+  of the factor arrays and take no stack buffer.  Only the buffers
+  outlive a call.
 * **Stay in cache.**  Child planes are never stored: each sibling
   group is reduced to its per-sequence maxima and discarded — the hot
   loop's working set is one ``(windows, N)`` plane, not the
   ``(B, W, N)`` scratch of the batch kernels.
 
-Kernel dispatch
----------------
-The plane arithmetic runs through the compiled
-:mod:`repro.core._nativekernels` resident kernels when numba is
-importable, and through the numpy plane path otherwise.  The compiled
-path fuses each sibling group's multiply + max into one loop nest
-(:func:`~repro.core._nativekernels.derive_sibling_batch`, parent plane
-gathered once, children innermost), derives each stack link with
-:func:`~repro.core._nativekernels.derive_child_planes`, and never
-materialises the ``(m + 1, L, N)`` factor array the numpy path
-gathers.  Tests pin either path, or the interpreted twins of the
-compiled kernels (the exact code numba compiles), with the
-``kernels=`` constructor argument.
-
 ``score_dtype="float32"`` stores factors and planes in float32 —
-halving both the pinned bytes and the stack buffers — while every
-cross-sequence accumulation stays float64; the deviation is
-error-bounded like the counting engine's float32 scoring
-(``benchmarks/bench_phase2_sample.py`` gates it).
+halving both the pinned factor arrays and the stack buffers — while
+every cross-sequence accumulation stays float64; the deviation is
+error-bounded (``benchmarks/bench_phase2_sample.py`` gates it).
 
 Products multiply in the same offset order as the flat kernels, so all
 float64 match values are bit-identical to the vectorized backend (at
-equal ``chunk_rows``) whichever kernels run, and independent of batch
-order.  Phase 2 always counts through this evaluator; it also serves
-any workload that repeatedly counts against one memory-resident
-database.
+equal ``chunk_rows``), and independent of batch order.  Phase 2
+always counts through this evaluator; it also serves any workload that
+repeatedly counts against one memory-resident database.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import _nativekernels as nk
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern, WILDCARD
 from ..core.sequence import AnySequenceDatabase
 from ..errors import MiningError
 from ..obs import (
-    RESIDENT_NATIVE_CALLS,
     RESIDENT_PLANE_BYTES,
     RESIDENT_PLANE_HITS,
     RESIDENT_PLANE_MISSES,
@@ -86,7 +69,6 @@ from ..obs import (
 from .base import MatchEngine, empty_database_guard, matrix_fingerprint
 from .kernels import (
     DEFAULT_CHUNK_ROWS,
-    charge_warmup,
     extend_plane,
     extended_matrix,
     gather_chunk,
@@ -104,13 +86,6 @@ _Link = Tuple[int, int]
 
 #: Per-chunk score planes of one pattern.
 _Planes = List[np.ndarray]
-
-#: Placeholder plane for the kernels' rootless branch (``use_parent``
-#: false): numba wants a concrete array either way.
-_DUMMY_PLANES = {
-    np.dtype(np.float64): np.zeros((1, 1), dtype=np.float64),
-    np.dtype(np.float32): np.zeros((1, 1), dtype=np.float32),
-}
 
 
 def _strip_last(elements: _Key) -> Tuple[Optional[_Key], int, int]:
@@ -163,19 +138,15 @@ class PlaneStats:
 
 
 class _Pin:
-    """One pinned database: padded chunks plus reusable work buffers.
+    """One pinned database: factor arrays plus reusable work buffers.
 
-    The padded symbol chunks and the (dtype-cast) extended matrix are
-    built eagerly — they are all the kernel dispatches need.  The
-    ``(m + 1, L, N)`` factor gathers exist only for the numpy path,
-    and the ``(L, N)`` arenas and prefix-stack buffers are allocated on
-    first use, so a pin only pays for the buffers its path touches.
+    The ``(m + 1, L, N)`` factor array of every chunk is gathered once,
+    in the pin's dtype.  The ``(L, N)`` prefix-stack buffers are
+    allocated on first use, one per chain depth per chunk.
     """
 
-    __slots__ = (
-        "key", "count", "dtype", "c_ext", "padded", "gathered", "arenas",
-        "stack", "gmax",
-    )
+    __slots__ = ("key", "count", "dtype", "gathered", "arenas", "stack",
+                 "gmax")
 
     def __init__(
         self,
@@ -189,44 +160,26 @@ class _Pin:
         self.count = len(rows)
         self.dtype = dtype
         m = matrix.size
-        c_ext = extended_matrix(matrix.array)
-        if dtype == np.float32:
-            c_ext = c_ext.astype(np.float32)
-        self.c_ext = c_ext
-        self.padded: List[np.ndarray] = [
-            pad_chunk(rows[start : start + chunk_rows], m)
+        c_ext = extended_matrix(matrix.array).astype(dtype, copy=False)
+        self.gathered: List[np.ndarray] = [
+            gather_chunk(c_ext, pad_chunk(rows[start : start + chunk_rows], m))
             for start in range(0, len(rows), chunk_rows)
         ]
-        self.gathered: Optional[List[np.ndarray]] = None
-        self.arenas: Optional[List[np.ndarray]] = None
+        # One (L, N) work plane per chunk: every child is multiplied
+        # into it and reduced before the next child touches it.
+        self.arenas = self._planes()
         # Prefix-stack buffers: one (L, N) plane per depth per chunk.
         self.stack: List[List[np.ndarray]] = []
         # Per-chunk sibling-maxima rows, grown on demand.
         self.gmax: List[np.ndarray] = [
-            np.empty((32, p.shape[0]), dtype=dtype) for p in self.padded
+            np.empty((32, g.shape[2]), dtype=dtype) for g in self.gathered
         ]
 
     def _planes(self) -> List[np.ndarray]:
         """One uninitialised ``(L, N)`` plane per chunk."""
         return [
-            np.empty(p.shape[::-1], dtype=self.dtype) for p in self.padded
+            np.empty(g.shape[1:], dtype=self.dtype) for g in self.gathered
         ]
-
-    def ensure_gathered(self) -> List[np.ndarray]:
-        """The numpy path's factor arrays."""
-        if self.gathered is None:
-            self.gathered = [
-                gather_chunk(self.c_ext, p) for p in self.padded
-            ]
-        return self.gathered
-
-    def ensure_arenas(self) -> List[np.ndarray]:
-        """One ``(L, N)`` work plane per chunk: the numpy path
-        multiplies every child into it and reduces before the next
-        child touches it; the kernel path gathers stack roots into it."""
-        if self.arenas is None:
-            self.arenas = self._planes()
-        return self.arenas
 
     def stack_buffers(self, depth: int) -> List[np.ndarray]:
         """The per-chunk plane buffers of stack depth *depth* (>= 1)."""
@@ -240,10 +193,7 @@ class _Pin:
 
     @property
     def nbytes(self) -> int:
-        pinned = sum(p.nbytes for p in self.padded) + self.c_ext.nbytes
-        if self.gathered is not None:
-            pinned += sum(g.nbytes for g in self.gathered)
-        return pinned
+        return sum(g.nbytes for g in self.gathered)
 
     def maxima_rows(self, chunk_index: int, count: int) -> np.ndarray:
         rows = self.gmax[chunk_index]
@@ -264,10 +214,6 @@ class ResidentSampleEvaluator(MatchEngine):
         Sequences per pinned chunk.  Matching the vectorized backend's
         ``chunk_rows`` makes float64 match values bit-identical to it
         (the sum over sequences accumulates per chunk, in chunk order).
-    kernels:
-        ``"auto"`` (compiled resident kernels when numba is available,
-        numpy otherwise); differential tests pin ``"numpy"`` or
-        ``"pure"`` (the interpreted kernel twins).
     score_dtype:
         ``"float64"`` (default, bit-identical to every other backend)
         or ``"float32"`` (planes and factors stored in float32, every
@@ -283,7 +229,6 @@ class ResidentSampleEvaluator(MatchEngine):
     def __init__(
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        kernels: str = "auto",
         score_dtype: Optional[str] = None,
     ):
         if chunk_rows < 1:
@@ -293,32 +238,8 @@ class ResidentSampleEvaluator(MatchEngine):
         self.chunk_rows = chunk_rows
         self.planes = PlaneStats()
         self.repins = 0
-        self.native_calls = 0
         self._pin: Optional[_Pin] = None
         self.score_dtype = resolve_score_dtype(score_dtype)
-        if kernels not in ("auto", "numpy", "pure"):
-            raise MiningError(
-                f"kernels must be 'auto', 'numpy' or 'pure', "
-                f"got {kernels!r}"
-            )
-        self.kernel_mode = kernels
-        if kernels == "pure":
-            self._child_kernel = nk.py_derive_child_planes
-            self._sibling_kernel = nk.py_derive_sibling_batch
-            self._compiled = False
-        elif kernels == "auto" and nk.native_available:
-            self._child_kernel = nk.derive_child_planes
-            self._sibling_kernel = nk.derive_sibling_batch
-            self._compiled = True
-        else:  # "numpy", or "auto" without numba
-            self._child_kernel = None
-            self._sibling_kernel = None
-            self._compiled = False
-
-    @property
-    def compiled(self) -> bool:
-        """Whether the evaluator is running the JIT-compiled kernels."""
-        return self._compiled
 
     def set_score_dtype(self, score_dtype: str) -> None:
         """Switch the scoring dtype.
@@ -379,21 +300,20 @@ class ResidentSampleEvaluator(MatchEngine):
     # -- the prefix stack -----------------------------------------------------
 
     def _walk(
-        self,
-        groups,
-        root: Callable[[int], _Planes],
-        extend: Callable[[int, _Planes, int, int], _Planes],
+        self, groups, pin: _Pin
     ) -> Iterator[Tuple[int, List[int], List[int], Optional[_Planes]]]:
         """Yield ``(offset, symbols, indices, parent planes)`` per
         sibling group, in prefix-trie pre-order.
 
-        The stack holds the current parent's ancestor chain: *root*
-        builds the span-1 entry from a symbol, *extend* derives entry
-        *depth* from entry ``depth - 1`` and one ``(symbol, offset)``
-        link.  Moving to the next group pops to the longest common
-        ancestor, so each distinct parent prefix is derived once.
-        Root groups (single symbols) have no parent planes.
+        The stack holds the current parent's ancestor chain: the
+        span-1 entry is a view of the factor arrays, and entry *depth*
+        is entry ``depth - 1`` extended by one ``(symbol, offset)``
+        link into that depth's stack buffers.  Moving to the next group
+        pops to the longest common ancestor, so each distinct parent
+        prefix is derived once.  Root groups (single symbols) have no
+        parent planes.
         """
+        gathered_chunks = pin.gathered
         links: List[_Link] = []
         chain: List[_Planes] = []
         stats = self.planes
@@ -415,12 +335,18 @@ class ResidentSampleEvaluator(MatchEngine):
                 stats.hits += 1
             for symbol, link_offset in wanted[depth:]:
                 if chain:
-                    chain.append(
-                        extend(len(chain), chain[-1], symbol, link_offset)
-                    )
+                    chain.append([
+                        extend_plane(pp, g, symbol, link_offset, out=buf)
+                        for pp, g, buf in zip(
+                            chain[-1], gathered_chunks,
+                            pin.stack_buffers(len(chain)),
+                        )
+                    ])
                     stats.misses += 1
                 else:
-                    chain.append(root(symbol))
+                    # Span-1 planes are views straight into the factor
+                    # arrays.
+                    chain.append([g[symbol] for g in gathered_chunks])
                 links.append((symbol, link_offset))
             yield offset, symbols, indices, chain[-1]
 
@@ -441,9 +367,6 @@ class ResidentSampleEvaluator(MatchEngine):
             hits0 = self.planes.hits
             misses0 = self.planes.misses
             bytes0 = self.planes.nbytes
-            calls0 = self.native_calls
-        if self._compiled:
-            charge_warmup(tracer)
         pin = self._scan_and_pin(database, matrix)
 
         # Group the batch into sibling sets: children sharing (parent,
@@ -459,10 +382,7 @@ class ResidentSampleEvaluator(MatchEngine):
             group[1].append(index)
 
         totals = np.zeros(len(patterns), dtype=np.float64)
-        if self._sibling_kernel is not None:
-            self._matches_kernel(groups, pin, totals)
-        else:
-            self._matches_numpy(groups, pin, totals)
+        self._accumulate(groups, pin, totals)
         self.planes.nbytes = pin.stack_nbytes
 
         if traced:
@@ -473,35 +393,17 @@ class ResidentSampleEvaluator(MatchEngine):
             tracer.count(
                 RESIDENT_PLANE_BYTES, self.planes.nbytes - bytes0
             )
-            tracer.count(
-                RESIDENT_NATIVE_CALLS, self.native_calls - calls0
-            )
         # One C-level divide + tolist instead of a float() per pattern
         # (same IEEE division, so the values are unchanged).
         np.divide(totals, pin.count, out=totals)
         return dict(zip(patterns, totals.tolist()))
 
-    def _matches_numpy(self, groups, pin: _Pin, totals: np.ndarray) -> None:
-        """The numpy plane path (the float64 bit-identity baseline)."""
-        gathered_chunks = pin.ensure_gathered()
-        arenas = pin.ensure_arenas()
-
-        def root(symbol: int) -> _Planes:
-            # Span-1 planes are views straight into the factor arrays.
-            return [g[symbol] for g in gathered_chunks]
-
-        def extend(depth: int, parent: _Planes, symbol: int,
-                   offset: int) -> _Planes:
-            return [
-                extend_plane(pp, g, symbol, offset, out=buf)
-                for pp, g, buf in zip(
-                    parent, gathered_chunks, pin.stack_buffers(depth)
-                )
-            ]
-
-        for offset, symbols, indices, planes in self._walk(
-            groups, root, extend
-        ):
+    def _accumulate(self, groups, pin: _Pin, totals: np.ndarray) -> None:
+        """Add every sibling group's per-chunk sums of maxima to
+        *totals*, walking the groups in prefix-trie pre-order."""
+        gathered_chunks = pin.gathered
+        arenas = pin.arenas
+        for offset, symbols, indices, planes in self._walk(groups, pin):
             index_arr = np.asarray(indices, dtype=np.intp)
             n_sibs = len(symbols)
             for ci, gathered in enumerate(gathered_chunks):
@@ -541,65 +443,6 @@ class ResidentSampleEvaluator(MatchEngine):
                     maxima[:n_sibs], axis=1, dtype=np.float64
                 )
 
-    def _matches_kernel(self, groups, pin: _Pin, totals: np.ndarray) -> None:
-        """The compiled/interpreted-twin path: one fused sibling-batch
-        kernel call per (group, chunk), no factor arrays."""
-        dummy = _DUMMY_PLANES[pin.dtype]
-        arenas = pin.ensure_arenas()
-
-        def root(symbol: int) -> _Planes:
-            # A one-row gather: plane[t, i] = c_ext[symbol, padded[i, t]].
-            row = pin.c_ext[symbol]
-            return [
-                np.take(row, padded.T, out=arena)
-                for padded, arena in zip(pin.padded, arenas)
-            ]
-
-        def extend(depth: int, parent: _Planes, symbol: int,
-                   offset: int) -> _Planes:
-            planes = []
-            for ci, (padded, pp, buf) in enumerate(
-                zip(pin.padded, parent, pin.stack_buffers(depth))
-            ):
-                windows = max(padded.shape[1] - offset, 0)
-                plane = buf[:windows]
-                if windows:
-                    self._child_kernel(
-                        padded, pin.c_ext, pp, symbol, offset, plane,
-                        pin.maxima_rows(ci, 1)[0],
-                    )
-                    self.native_calls += 1
-                planes.append(plane)
-            return planes
-
-        for offset, symbols, indices, planes in self._walk(
-            groups, root, extend
-        ):
-            index_arr = np.asarray(indices, dtype=np.intp)
-            n_sibs = len(symbols)
-            symbols_arr = np.asarray(symbols, dtype=np.int64)
-            for ci, padded in enumerate(pin.padded):
-                windows = padded.shape[1] - offset
-                if windows <= 0:
-                    continue  # this chunk's sequences are too short: 0.0
-                maxima = pin.maxima_rows(ci, n_sibs)
-                if planes is None:
-                    self._sibling_kernel(
-                        padded, pin.c_ext, dummy, False, symbols_arr,
-                        offset, maxima,
-                    )
-                else:
-                    self._sibling_kernel(
-                        padded, pin.c_ext, planes[ci], True, symbols_arr,
-                        offset, maxima,
-                    )
-                self.native_calls += 1
-                # Same per-chunk, scan-order accumulation as the numpy
-                # path; maxima are bit-identical, so the totals are too.
-                totals[index_arr] += np.add.reduce(
-                    maxima[:n_sibs], axis=1, dtype=np.float64
-                )
-
     def symbol_matches(
         self,
         database: AnySequenceDatabase,
@@ -623,8 +466,7 @@ class ResidentSampleEvaluator(MatchEngine):
                 "cannot compute symbol matches over an empty database"
             )
         return rows_symbol_totals(
-            sequences, extended_matrix(matrix.array), self.chunk_rows,
-            "numpy",
+            sequences, extended_matrix(matrix.array), self.chunk_rows
         ) / len(sequences)
 
     # -- lifecycle ------------------------------------------------------------
@@ -637,7 +479,6 @@ class ResidentSampleEvaluator(MatchEngine):
         pinned = self._pin.nbytes if self._pin is not None else 0
         return (
             f"ResidentSampleEvaluator(chunk_rows={self.chunk_rows}, "
-            f"kernels={self.kernel_mode!r}, "
             f"score_dtype={self.score_dtype!r}, "
             f"pinned_bytes={pinned}, planes={self.planes!r})"
         )

@@ -24,7 +24,7 @@ Design invariants, in order of importance:
 2. **Plain-data worker protocol.**  :class:`ShardTask` and
    :class:`ShardResult` are picklable dataclasses and
    :func:`execute_shard_task` is a pure function of ``(task, extended
-   matrix, kernel mode)``; the dispatch is any callable from tasks to
+   matrix)``; the dispatch is any callable from tasks to
    results in completion order (the pool's ``imap_unordered`` in
    production, reordering or failing fakes in the tests).
 3. **Work-stealing dispatch.**  The manifest is oversplit into
@@ -40,8 +40,8 @@ Worker-local state
 ------------------
 Workers memory-map each referenced store file once and cache it by
 path, re-opening only when a task's content digest no longer matches
-(the file was rewritten).  The extended compatibility matrix and the
-kernel mode are installed once per pool via :func:`init_worker`.
+(the file was rewritten).  The extended compatibility matrix is
+installed once per pool via :func:`init_worker`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import _nativekernels as _nk
 from ..errors import MiningError
 from .kernels import (
     DATABASE_TOTALS,
@@ -336,14 +335,13 @@ class ShardResult:
     scan_seconds: float
     io_bytes: int
     worker_id: int
-    kernel_calls: int = 0
 
 
 #: A dispatch: runs tasks and yields their results in completion order.
 Dispatch = Callable[[Sequence[ShardTask]], Iterable[ShardResult]]
 
-#: ``(extended matrix, kernel mode)`` installed by :func:`init_worker`.
-_WORKER_STATE: Optional[Tuple[np.ndarray, str]] = None
+#: The extended matrix installed by :func:`init_worker`.
+_WORKER_MATRIX: Optional[np.ndarray] = None
 
 #: Worker-local cache of opened packed stores, keyed by path.  A store
 #: is reopened when the content digest of a task no longer matches the
@@ -351,27 +349,20 @@ _WORKER_STATE: Optional[Tuple[np.ndarray, str]] = None
 _WORKER_STORES: Dict[str, object] = {}
 
 
-def init_worker(c_ext: np.ndarray, kernels: str) -> None:
-    """Pool initializer: install the worker-local matrix and kernels.
+def init_worker(c_ext: np.ndarray) -> None:
+    """Pool initializer: install the worker-local matrix.
 
     Workers also ignore SIGINT: a terminal Ctrl-C is delivered to the
     whole foreground process group, and the parent — not the signal —
     owns worker shutdown (``pool.terminate`` on close).
-
-    With compiled kernels the JIT warm-up runs here, once per worker
-    process, so no task ever pays compilation: fork-started workers
-    inherit an already-warm dispatcher from the parent
-    (:func:`~repro.core._nativekernels.warm_kernels` is a no-op then).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _WORKER_STATE
-    _WORKER_STATE = (c_ext, kernels)
-    if kernels == "compiled":
-        _nk.warm_kernels()
+    global _WORKER_MATRIX
+    _WORKER_MATRIX = c_ext
 
 
 def open_pool(
-    workers: int, c_ext: np.ndarray, kernels: str
+    workers: int, c_ext: np.ndarray
 ) -> "multiprocessing.pool.Pool":
     """A pool of *workers* processes initialised with *c_ext*.
 
@@ -383,8 +374,7 @@ def open_pool(
         "fork" if "fork" in methods else None
     )
     return context.Pool(
-        processes=workers, initializer=init_worker,
-        initargs=(c_ext, kernels),
+        processes=workers, initializer=init_worker, initargs=(c_ext,),
     )
 
 
@@ -411,9 +401,7 @@ def _worker_store_rows(
     return store.rows_slice(start, stop)
 
 
-def execute_shard_task(
-    task: ShardTask, c_ext: np.ndarray, kernels: str
-) -> ShardResult:
+def execute_shard_task(task: ShardTask, c_ext: np.ndarray) -> ShardResult:
     """Evaluate one shard task: the pure worker-side function.
 
     Every block of the shard goes through
@@ -445,17 +433,16 @@ def execute_shard_task(
         io_bytes = 4 * spec.symbol_count
     plans = (
         group_plans(task.elements_by_span)
-        if kernels == "numpy" and task.kind == DATABASE_TOTALS else None
+        if task.kind == DATABASE_TOTALS else None
     )
     block_starts = range(0, len(rows), task.chunk_rows)
     out = np.zeros((len(block_starts), width), dtype=np.float64)
     scratch: Dict[tuple, np.ndarray] = {}
-    calls = 0
     for i, start in enumerate(block_starts):
-        calls += block_totals(
+        block_totals(
             pad_chunk(rows[start : start + task.chunk_rows], m), c_ext,
             task.kind, task.groups, task.elements_by_span, out[i],
-            kernels, plans=plans, scratch=scratch,
+            plans=plans, scratch=scratch,
         )
     return ShardResult(
         index=spec.index,
@@ -464,16 +451,15 @@ def execute_shard_task(
         scan_seconds=perf_counter() - started,
         io_bytes=io_bytes,
         worker_id=os.getpid(),
-        kernel_calls=calls,
     )
 
 
 def pool_execute_shard_task(task: ShardTask) -> ShardResult:
     """Pool entry point: :func:`execute_shard_task` against the
     worker-local state installed by :func:`init_worker`."""
-    if _WORKER_STATE is None:
+    if _WORKER_MATRIX is None:
         raise MiningError("worker initializer did not run")
-    return execute_shard_task(task, *_WORKER_STATE)
+    return execute_shard_task(task, _WORKER_MATRIX)
 
 
 # -- the scatter-gather scheduler ----------------------------------------------
@@ -489,7 +475,6 @@ class ShardRunStats:
     steals: int = 0
     scan_seconds: float = 0.0
     io_bytes: int = 0
-    kernel_calls: int = 0
     worker_tasks: Dict[int, int] = field(default_factory=dict)
 
 
@@ -544,6 +529,10 @@ def scatter_gather(
     block order — independent of shard count, worker count and
     completion order, and identical to the serial chunked scan.
 
+    A duplicate result (a retried task) is folded in once, whether it
+    arrives before or after its shard was merged; a shard that never
+    arrives raises :class:`MiningError` naming the lost indices.
+
     Steal accounting: each task records the worker that executed it; a
     worker's executions beyond its fair share (``ceil(tasks/workers)``)
     were pulled from the shared queue to cover for a slower peer and
@@ -554,6 +543,8 @@ def scatter_gather(
     pending: Dict[int, ShardResult] = {}
     next_index = 0
     for result in dispatch(tasks):
+        if result.index < next_index or result.index in pending:
+            continue  # a duplicate: this shard is already counted
         pending[result.index] = result
         while next_index in pending:
             ready = pending.pop(next_index)
@@ -563,17 +554,18 @@ def scatter_gather(
             stats.blocks += int(ready.block_totals.shape[0])
             stats.scan_seconds += ready.scan_seconds
             stats.io_bytes += ready.io_bytes
-            stats.kernel_calls += ready.kernel_calls
             stats.worker_tasks[ready.worker_id] = (
                 stats.worker_tasks.get(ready.worker_id, 0) + 1
             )
             next_index += 1
     if next_index != len(tasks):
-        missing = sorted(set(range(len(tasks))) - set(pending))
+        # Merged shards left pending already: only unmerged indices
+        # can be lost.
+        missing = sorted(set(range(next_index, len(tasks))) - set(pending))
         raise MiningError(
             f"scatter-gather lost shards: expected {len(tasks)} results, "
             f"merged {next_index} (pending: {sorted(pending)}, "
-            f"missing: {missing[:5]})"
+            f"missing: {missing})"
         )
     fair_share = -(-len(tasks) // max(1, n_workers))
     stats.steals = sum(

@@ -5,23 +5,17 @@ memory-capacity batch of patterns in one database scan, a *chunk* of
 ``chunk_rows`` sequences at a time.  Each chunk is right-padded into
 one ``(N, L)`` symbol matrix and handed to
 :func:`repro.engine.kernels.block_totals`, which adds the chunk's
-per-pattern sums of per-sequence maxima.  The kernel path is picked
-once, at construction:
-
-* **compiled** (numba imports): fused window kernels slide every
-  pattern over every sequence in one compiled pass, without
-  materialising the factor array; these also score in float32 on
-  request;
-* **numpy** (no numba): the extended compatibility matrix is gathered
-  through the chunk **once**, producing the ``(m + 1, L, N)`` *factor
-  array*, and each same-span pattern group is reduced over sliding
-  windows by row-wise multiplies of contiguous ``(windows, N)`` planes,
-  sharing the partial products of common pattern prefixes (see
-  :func:`repro.engine.kernels.prefix_plan`).
+per-pattern sums of per-sequence maxima: the extended compatibility
+matrix is gathered through the chunk **once**, producing the
+``(m + 1, L, N)`` *factor array*, and each same-span pattern group is
+reduced over sliding windows by row-wise multiplies of contiguous
+``(windows, N)`` planes, sharing the partial products of common
+pattern prefixes (see :func:`repro.engine.kernels.prefix_plan`).
+Counting always scores in float64.
 
 The factor array depends only on ``(compatibility matrix, sequences)``
-— not on the patterns — so the numpy path caches it across calls keyed
-by ``(matrix fingerprint, padded-chunk content digest)``.  Phase 3 of
+— not on the patterns — so the serial scan caches it across calls
+keyed by ``(matrix fingerprint, padded-chunk content digest)``.  Phase 3 of
 the paper's algorithm probes half-layers of the ambiguous region with
 one scan per batch over the *same* database; with the cache those
 repeat scans skip the gather and pay only the window reductions.
@@ -51,7 +45,6 @@ from ..obs import (
     FACTOR_CACHE_EVICTIONS,
     FACTOR_CACHE_HITS,
     FACTOR_CACHE_MISSES,
-    NATIVE_KERNEL_CALLS,
     SHARD_IO_BYTES,
     SHARD_SCAN_SECONDS,
     SHARD_STEALS,
@@ -64,14 +57,11 @@ from .kernels import (
     DEFAULT_CHUNK_ROWS,
     SYMBOL_TOTALS,
     block_totals,
-    charge_warmup,
     extended_matrix,
     gather_chunk,
     group_patterns_by_span,
     group_plans,
     pad_chunk,
-    resolve_kernels,
-    resolve_score_dtype,
     rows_symbol_totals,
 )
 from .shards import (
@@ -171,34 +161,22 @@ class VectorizedBatchEngine(MatchEngine):
     chunk_rows:
         Sequences per padded chunk — also the shard block-grid pitch.
         Larger chunks amortise Python overhead further but cost
-        ``8 (m+1) N L`` bytes of factor array each on the numpy path.
+        ``8 (m+1) N L`` bytes of factor array each.
     cache_bytes:
-        Budget of the numpy path's factor-row cache; ``0`` disables
+        Budget of the serial scan's factor-row cache; ``0`` disables
         caching.
     workers:
         Worker processes; ``None`` resolves through
         :func:`~repro.engine.shards.resolve_worker_count` (the
         ``NOISYMINE_WORKERS`` environment variable, else 1).  With more
         than one, scans over at least two shards run on a fork pool.
-    score_dtype:
-        ``"float64"`` (default, bit-identical across kernel paths) or
-        ``"float32"`` (window products in float32, every accumulation
-        in float64; error-bounded).  Only the compiled kernels and
-        their twins score in float32 — the numpy path always scores in
-        float64.  ``None`` resolves through ``NOISYMINE_SCORE_DTYPE``.
-    kernels:
-        ``"auto"`` (compiled when numba imports, numpy otherwise),
-        ``"numpy"`` or ``"pure"`` (the interpreted twins of the
-        compiled kernels); the latter two are for tests and
-        benchmarks.  :attr:`kernels` holds the resolved path:
-        ``"compiled"``, ``"numpy"`` or ``"pure"``.
 
     :attr:`dispatch` is the pool seam: ``None`` runs shard tasks on
     the engine's own pool (``imap_unordered``); tests set any callable
-    from tasks to results to reorder or fail the gather.  The lifetime
-    counters :attr:`pools_created`, :attr:`shards_dispatched`,
-    :attr:`shard_steals` and :attr:`kernel_calls` are also reported per
-    call on the tracer.
+    from tasks to results to reorder or fail the gather.  Of the lifetime
+    counters :attr:`pools_created`, :attr:`shards_dispatched` and
+    :attr:`shard_steals`, the last two are also reported per call on
+    the tracer.
     """
 
     name = "vectorized"
@@ -208,8 +186,6 @@ class VectorizedBatchEngine(MatchEngine):
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         workers: Optional[int] = None,
-        score_dtype: Optional[str] = None,
-        kernels: str = "auto",
     ):
         if chunk_rows < 1:
             raise MiningError(
@@ -218,33 +194,18 @@ class VectorizedBatchEngine(MatchEngine):
         self.chunk_rows = chunk_rows
         self.cache = FactorCache(cache_bytes)
         self.workers = resolve_worker_count(workers)
-        self.score_dtype = resolve_score_dtype(score_dtype)
-        self.kernels = resolve_kernels(kernels)
         self.dispatch: Optional[Dispatch] = None
         self._pool = None
         self._pool_key: Optional[tuple] = None
         self.pools_created = 0
         self.shards_dispatched = 0
         self.shard_steals = 0
-        self.kernel_calls = 0
-
-    def set_score_dtype(self, score_dtype: str) -> None:
-        """Switch the scoring dtype (the next pool dispatch rebuilds
-        the pool when the cast matrix changes)."""
-        self.score_dtype = resolve_score_dtype(score_dtype)
 
     def note_settings(self, tracer: Optional[Tracer]) -> None:
-        """Note the run's ``workers`` and ``kernels`` on *tracer* (the
-        report context), whether or not a scan runs."""
+        """Note the run's ``workers`` on *tracer* (the report
+        context), whether or not a scan runs."""
         if tracer is not None and tracer.enabled:
             tracer.note("workers", self.workers)
-            tracer.note("kernels", self.kernels)
-
-    def _matrix(self, matrix: CompatibilityMatrix) -> np.ndarray:
-        c_ext = extended_matrix(matrix.array)
-        if self.score_dtype == "float32" and self.kernels != "numpy":
-            c_ext = c_ext.astype(np.float32)
-        return c_ext
 
     # -- batched --------------------------------------------------------------
 
@@ -287,10 +248,8 @@ class VectorizedBatchEngine(MatchEngine):
             raise MiningError(
                 "cannot compute symbol matches over an empty database"
             )
-        if self.kernels == "compiled":
-            charge_warmup(None)
         return rows_symbol_totals(
-            sequences, self._matrix(matrix), self.chunk_rows, self.kernels
+            sequences, extended_matrix(matrix.array), self.chunk_rows
         ) / len(sequences)
 
     # -- one counted scan -----------------------------------------------------
@@ -307,16 +266,13 @@ class VectorizedBatchEngine(MatchEngine):
     ) -> Tuple[np.ndarray, int]:
         """``(totals, sequence count)`` of one scan: over the pool when
         there are workers and at least two shards, serially otherwise."""
-        c_ext = self._matrix(matrix)
-        if self.kernels == "compiled":
-            charge_warmup(tracer)
+        c_ext = extended_matrix(matrix.array)
         traced = tracer is not None and tracer.enabled
         if traced:
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
             cache0 = (self.cache.hits, self.cache.misses,
                       self.cache.evictions)
-            calls0 = self.kernel_calls
         batch = (kind, groups, elements_by_span, width)
         result = None
         chunks = None
@@ -358,17 +314,11 @@ class VectorizedBatchEngine(MatchEngine):
             result = self._serial(batch, chunks, matrix, c_ext)
         if traced:
             self.note_settings(tracer)
-            if self.kernels == "numpy":
-                tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
-                tracer.count(
-                    FACTOR_CACHE_MISSES, self.cache.misses - cache0[1]
-                )
-                tracer.count(
-                    FACTOR_CACHE_EVICTIONS,
-                    self.cache.evictions - cache0[2],
-                )
-            if self.kernel_calls != calls0:
-                tracer.count(NATIVE_KERNEL_CALLS, self.kernel_calls - calls0)
+            tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
+            tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
+            tracer.count(
+                FACTOR_CACHE_EVICTIONS, self.cache.evictions - cache0[2]
+            )
         return result
 
     def _serial(
@@ -380,22 +330,21 @@ class VectorizedBatchEngine(MatchEngine):
     ) -> Tuple[np.ndarray, int]:
         kind, groups, elements_by_span, width = batch
         m = matrix.size
-        plans = factors = None
-        if self.kernels == "numpy":
-            factors = partial(
-                self._factor_array, c_ext, matrix_fingerprint(matrix)
-            )
-            if kind == DATABASE_TOTALS:
-                plans = group_plans(elements_by_span)
+        factors = partial(
+            self._factor_array, c_ext, matrix_fingerprint(matrix)
+        )
+        plans = (
+            group_plans(elements_by_span) if kind == DATABASE_TOTALS
+            else None
+        )
         totals = np.zeros(width, dtype=np.float64)
         scratch: Dict[tuple, np.ndarray] = {}
         count = 0
         for rows in chunks:
             count += len(rows)
-            self.kernel_calls += block_totals(
+            block_totals(
                 pad_chunk(rows, m), c_ext, kind, groups, elements_by_span,
-                totals, self.kernels, plans=plans, scratch=scratch,
-                factors=factors,
+                totals, plans=plans, scratch=scratch, factors=factors,
             )
         if count == 0:
             what = "symbol matches" if kind == SYMBOL_TOTALS else "matches"
@@ -434,7 +383,6 @@ class VectorizedBatchEngine(MatchEngine):
         totals, stats = scatter_gather(tasks, dispatch, width, self.workers)
         self.shards_dispatched += stats.tasks
         self.shard_steals += stats.steals
-        self.kernel_calls += stats.kernel_calls
         if tracer is not None and tracer.enabled:
             tracer.count(SHARDS_DISPATCHED, stats.tasks)
             if stats.steals:
@@ -447,13 +395,13 @@ class VectorizedBatchEngine(MatchEngine):
     def _pool_dispatch(
         self, matrix: CompatibilityMatrix, c_ext: np.ndarray
     ) -> Dispatch:
-        """The pool's work-stealing dispatch; one pool per (matrix,
-        dtype), rebuilt when a call brings a different one."""
-        key = (matrix_fingerprint(matrix), c_ext.dtype.str)
+        """The pool's work-stealing dispatch; one pool per matrix,
+        rebuilt when a call brings a different one."""
+        key = matrix_fingerprint(matrix)
         if self._pool is not None and self._pool_key != key:
             self._close_pool()
         if self._pool is None:
-            self._pool = open_pool(self.workers, c_ext, self.kernels)
+            self._pool = open_pool(self.workers, c_ext)
             self._pool_key = key
             self.pools_created += 1
         return partial(
@@ -465,7 +413,7 @@ class VectorizedBatchEngine(MatchEngine):
         moving the one-time fork cost out of the first measured scan.
         A no-op with one worker or a custom :attr:`dispatch`."""
         if self.workers > 1 and self.dispatch is None:
-            self._pool_dispatch(matrix, self._matrix(matrix))
+            self._pool_dispatch(matrix, extended_matrix(matrix.array))
 
     def _close_pool(self) -> None:
         if self._pool is not None:
@@ -489,6 +437,5 @@ class VectorizedBatchEngine(MatchEngine):
     def __repr__(self) -> str:
         return (
             f"VectorizedBatchEngine(chunk_rows={self.chunk_rows}, "
-            f"workers={self.workers}, kernels={self.kernels!r}, "
-            f"score_dtype={self.score_dtype!r})"
+            f"workers={self.workers})"
         )

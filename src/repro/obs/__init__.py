@@ -35,14 +35,11 @@ from .tracer import (
     IO_CHUNK_SECONDS,
     IO_CHUNKS,
     IO_COUNTER_ATTRS,
-    JIT_COMPILE_SECONDS,
-    NATIVE_KERNEL_CALLS,
     NULL_TRACER,
     NullTracer,
     PATTERNS_COUNTED,
     PROBE_ROUNDS,
     PROBES,
-    RESIDENT_NATIVE_CALLS,
     RESIDENT_PLANE_BYTES,
     RESIDENT_PLANE_HITS,
     RESIDENT_PLANE_MISSES,
@@ -80,9 +77,7 @@ __all__ = [
     "IO_CHUNKS",
     "IO_CHUNK_SECONDS",
     "IO_COUNTER_ATTRS",
-    "JIT_COMPILE_SECONDS",
     "LATTICE_CANDIDATES",
-    "NATIVE_KERNEL_CALLS",
     "NULL_TRACER",
     "NullTracer",
     "PATTERNS_COUNTED",
@@ -90,7 +85,6 @@ __all__ = [
     "PROBES",
     "PhaseReport",
     "REPORT_SCHEMA_VERSION",
-    "RESIDENT_NATIVE_CALLS",
     "RESIDENT_PLANE_BYTES",
     "RESIDENT_PLANE_HITS",
     "RESIDENT_PLANE_MISSES",

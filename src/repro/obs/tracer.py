@@ -66,7 +66,6 @@ SHARD_IO_BYTES = "shard_io_bytes"
 RESIDENT_PLANE_HITS = "resident_plane_hits"
 RESIDENT_PLANE_MISSES = "resident_plane_misses"
 RESIDENT_PLANE_BYTES = "resident_plane_bytes"
-RESIDENT_NATIVE_CALLS = "resident_native_calls"
 IO_BYTES_READ = "io_bytes_read"
 IO_CHUNKS = "io_chunks"
 IO_CHUNK_SECONDS = "io_chunk_seconds"
@@ -80,8 +79,6 @@ RESULT_MEMO_HITS = "result_memo_hits"
 DELTA_SCANS = "delta_scans"
 DELTA_PATTERNS_COUNTED = "delta_patterns_counted"
 BORDER_REPROBES = "border_reprobes"
-NATIVE_KERNEL_CALLS = "native_kernel_calls"
-JIT_COMPILE_SECONDS = "jit_compile_seconds"
 
 #: The disk-resident backends' lifetime I/O accumulators, in the order
 #: they are snapshotted.  ``io_chunk_seconds`` is a float counter —

@@ -145,9 +145,7 @@ class StoreEntry:
             "plane_hits": resident.planes.hits,
             "plane_misses": resident.planes.misses,
             "plane_bytes": resident.planes.nbytes,
-            "resident_native_calls": resident.native_calls,
             "repins": resident.repins,
-            "compiled": resident.compiled,
         }
 
     # -- pinning --------------------------------------------------------------
@@ -347,15 +345,13 @@ class StoreCache:
                 "evictions": self.evictions,
             }
 
-    def resident_stats(self) -> Dict[str, object]:
+    def resident_stats(self) -> Dict[str, int]:
         """Aggregate resident warm-state across every open store.
 
-        Sums the prefix-stack traffic, stack buffer bytes and
-        compiled-kernel call counts of each entry's warm evaluator;
-        ``evaluators`` counts the entries a resident job has actually
-        touched and ``compiled`` is true when any of them dispatches to
-        the JIT kernels — the daemon's ``/healthz`` surfaces this next
-        to the ``native_kernels`` block.
+        Sums the prefix-stack traffic, stack buffer bytes and re-pins
+        of each entry's warm evaluator; ``evaluators`` counts the
+        entries a resident job has actually touched.  The daemon's
+        ``/healthz`` surfaces this as ``resident_planes``.
         """
         with self._lock:
             per_entry = [
@@ -363,22 +359,16 @@ class StoreCache:
                 for e in self._entries.values()
                 if (stats := e.resident_stats()) is not None
             ]
-        aggregate: Dict[str, object] = {
+        aggregate = {
             "evaluators": len(per_entry),
             "plane_hits": 0,
             "plane_misses": 0,
             "plane_bytes": 0,
-            "resident_native_calls": 0,
             "repins": 0,
-            "compiled": False,
         }
         for stats in per_entry:
-            for key in (
-                "plane_hits", "plane_misses", "plane_bytes",
-                "resident_native_calls", "repins",
-            ):
-                aggregate[key] += stats[key]
-            aggregate["compiled"] = aggregate["compiled"] or stats["compiled"]
+            for key, value in stats.items():
+                aggregate[key] += value
         return aggregate
 
     def close(self) -> None:

@@ -44,7 +44,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..config import SAMPLING_ALGORITHMS, MiningConfig, json_payload
-from ..core import _nativekernels
 from ..core.sequence import SequenceDatabase
 from ..engine import VectorizedBatchEngine
 from ..errors import NoisyMineError, SequenceDatabaseError, ServiceError
@@ -199,11 +198,6 @@ class MiningService:
         the store entry's lock.
     store_capacity / memo_entries:
         LRU capacities of the store cache and the result memo.
-    warm_native:
-        Trigger JIT compilation of the native kernels at startup (a
-        no-op without numba), so the first job never pays compilation
-        latency.  ``jit_warm_seconds`` records
-        what startup paid.
     """
 
     def __init__(
@@ -211,15 +205,11 @@ class MiningService:
         workers: int = DEFAULT_WORKERS,
         store_capacity: int = DEFAULT_STORE_CAPACITY,
         memo_entries: int = DEFAULT_MEMO_ENTRIES,
-        warm_native: bool = True,
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         self.stores = StoreCache(store_capacity)
         self.memo = ResultMemo(memo_entries)
-        self.jit_warm_seconds = (
-            _nativekernels.warm_kernels() if warm_native else 0.0
-        )
         self.started_at = time.time()
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -451,11 +441,6 @@ class MiningService:
             "jobs": states,
             "store_cache": self.stores.stats(),
             "result_memo": self.memo.stats(),
-            "native_kernels": {
-                "available": _nativekernels.native_available,
-                "warmed": _nativekernels.kernels_warmed(),
-                "jit_warm_seconds": self.jit_warm_seconds,
-            },
             "resident_planes": self.stores.resident_stats(),
         }
 

@@ -14,9 +14,10 @@ those layers live here, as oracles:
 * :func:`reference_lattice` swaps those scans into the production
   modules for the duration of a ``with`` block, so a whole miner can
   run on the oracle lattice;
-* :func:`serial_dispatch` and :func:`shuffled` stand in for the worker
-  pool's dispatch, and :func:`small_shards` lets tiny test databases
-  cut into several shards.
+* :func:`serial_dispatch`, :func:`shuffled` and :func:`faulty` stand
+  in for the worker pool's dispatch (in order, reordered, or losing,
+  repeating and holding back results), and :func:`small_shards` lets
+  tiny test databases cut into several shards.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
 from repro.core.sequence import AnySequenceDatabase
 from repro.engine import MatchEngine, vectorized
-from repro.engine.kernels import DEFAULT_CHUNK_ROWS
+from repro.engine.kernels import DEFAULT_CHUNK_ROWS, extended_matrix
 from repro.engine.shards import execute_shard_task
 from repro.errors import MiningError
 from repro.mining import ambiguous, collapsing
@@ -256,13 +257,11 @@ def reference_lattice():
 # -- dispatch ------------------------------------------------------------------
 
 
-def serial_dispatch(engine, matrix: CompatibilityMatrix):
-    """A pool-free dispatch for *engine*: runs its shard tasks in this
-    process, in submission order, against *matrix*."""
-    c_ext = engine._matrix(matrix)
-    return lambda tasks: (
-        execute_shard_task(task, c_ext, engine.kernels) for task in tasks
-    )
+def serial_dispatch(matrix: CompatibilityMatrix):
+    """A pool-free dispatch: runs shard tasks in this process, in
+    submission order, against *matrix*."""
+    c_ext = extended_matrix(matrix.array)
+    return lambda tasks: (execute_shard_task(task, c_ext) for task in tasks)
 
 
 def shuffled(dispatch, seed: int = 0):
@@ -272,6 +271,29 @@ def shuffled(dispatch, seed: int = 0):
         results = list(dispatch(tasks))
         order = np.random.default_rng(seed).permutation(len(results))
         return [results[int(i)] for i in order]
+    return run
+
+
+def faulty(dispatch, drop=(), duplicate=(), delay=()):
+    """*dispatch* with shard faults injected by shard index.
+
+    Results of *drop* never arrive; results of *delay* arrive after
+    every other result; results of *duplicate* arrive twice in a row
+    (so a duplicate of a shard that is still waiting on a delayed
+    lower index arrives before that shard is merged, and any other
+    duplicate arrives after).
+    """
+    def run(tasks):
+        held = []
+        for result in dispatch(tasks):
+            if result.index in drop:
+                continue
+            copies = [result] * (2 if result.index in duplicate else 1)
+            if result.index in delay:
+                held.extend(copies)
+            else:
+                yield from copies
+        yield from held
     return run
 
 

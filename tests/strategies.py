@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro import CompatibilityMatrix, Pattern, SequenceDatabase, WILDCARD
-from repro.core._nativekernels import native_available
 
 M = 5
 
@@ -59,12 +58,3 @@ def databases() -> st.SearchStrategy:
 
 def pattern_batches() -> st.SearchStrategy:
     return st.lists(patterns(), min_size=1, max_size=6)
-
-
-def kernel_variants(py_kernel, active_kernel):
-    """The kernel implementations to differential-test: always the
-    interpreted twin, plus the compiled function where numba imports."""
-    variants = [py_kernel]
-    if native_available:
-        variants.append(active_kernel)
-    return variants

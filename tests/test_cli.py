@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.engine import native_available
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -139,7 +138,7 @@ class TestMine:
         assert report["counters"].get("shards_dispatched", 0) > 0
         assert report["context"]["workers"] == 2
 
-    def test_metrics_report_workers_and_kernels_on_one_worker(
+    def test_metrics_report_workers_on_one_worker(
         self, generated, capsys, tmp_path
     ):
         metrics = tmp_path / "metrics.json"
@@ -147,8 +146,7 @@ class TestMine:
                              "--metrics-json", str(metrics))
         context = json.loads(metrics.read_text())["context"]
         assert context["workers"] == 1
-        assert context["kernels"] == ("compiled" if native_available
-                                      else "numpy")
+        assert "kernels" not in context  # one kernel path: nothing to note
 
     def test_stale_execution_env_vars_change_nothing(
         self, generated, capsys, monkeypatch
@@ -186,10 +184,21 @@ class TestMine:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_float32_levelwise_without_numba_fails_loudly(
-        self, generated, capsys, monkeypatch
-    ):
-        monkeypatch.setattr("repro.config.native_available", False)
+    def test_score_dtype_flag_parses(self):
+        args = build_parser().parse_args([
+            "mine", "db.txt", "--min-match", "0.5",
+            "--score-dtype", "float32",
+        ])
+        assert args.score_dtype == "float32"
+
+    def test_bad_score_dtype_rejected_by_argparse(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "mine", "db.txt", "--min-match", "0.5",
+                "--score-dtype", "float16",
+            ])
+
+    def test_float32_levelwise_fails_loudly(self, generated, capsys):
         errors = []
         for workers in ("1", "2"):
             code = main([
@@ -200,7 +209,30 @@ class TestMine:
             assert code == 2
             errors.append(capsys.readouterr().err)
         assert "float32" in errors[0]
+        assert "sampling miner" in errors[0]
         assert errors[1] == errors[0]  # the worker count changes nothing
+
+    def test_float32_sampling_patterns_identical_across_worker_counts(
+        self, tmp_path, capsys
+    ):
+        # float32 is Phase 2's precision; Phase 3 counts in float64 on
+        # one worker or a pool alike, so two workers print the patterns
+        # one worker prints.
+        path = tmp_path / "wide.txt"
+        assert main(["generate", str(path), "--sequences", "600",
+                     "--length", "12", "--alphabet", "10",
+                     "--seed", "5"]) == 0
+        capsys.readouterr()
+        runs = []
+        for workers in ("1", "2"):
+            assert main([
+                "mine", str(path), "--alphabet", "10", "--min-match", "0.5",
+                "--max-weight", "4", "--max-span", "4", "--seed", "3",
+                "--score-dtype", "float32", "--workers", workers, "--json",
+            ]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert runs[0]["patterns"]
+        assert runs[1]["patterns"] == runs[0]["patterns"]
 
     def test_unknown_engine_rejected_by_argparse(self, generated, capsys):
         with pytest.raises(SystemExit):

@@ -21,6 +21,13 @@ from repro.config import (
 )
 from repro.core.compatibility import CompatibilityMatrix
 from repro.core.sequence import FileSequenceDatabase, SequenceDatabase
+from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
+from repro.engine.kernels import (
+    DEFAULT_SCORE_DTYPE,
+    SCORE_DTYPE_ENV_VAR,
+    SCORE_DTYPES,
+    resolve_score_dtype,
+)
 from repro.errors import MiningError, NoisyMineError
 from repro.io import PackedSequenceStore
 from repro.mining.depthfirst import DepthFirstMiner
@@ -220,6 +227,100 @@ class TestCanonicalForms:
         config = MiningConfig.resolve(min_match=0.5, alphabet=4)
         with pytest.raises(MiningError):
             config.with_overrides(min_match=2.0)
+
+
+class TestScoreDtype:
+    """``score_dtype`` is the sampling miners' Phase-2 precision: float32
+    is accepted for them at any worker count and rejected, once and at
+    construction, for every miner that only counts full databases."""
+
+    def test_resolution_precedence(self, monkeypatch):
+        monkeypatch.delenv(SCORE_DTYPE_ENV_VAR, raising=False)
+        assert resolve_score_dtype(None) == DEFAULT_SCORE_DTYPE == "float64"
+        monkeypatch.setenv(SCORE_DTYPE_ENV_VAR, "float32")
+        assert resolve_score_dtype(None) == "float32"
+        assert resolve_score_dtype("float64") == "float64"  # flag wins
+
+    @pytest.mark.parametrize("bad", ["float16", "double", "32"])
+    def test_bad_values_fail_loudly(self, monkeypatch, bad):
+        with pytest.raises(MiningError, match="score dtype"):
+            resolve_score_dtype(bad)
+        monkeypatch.setenv(SCORE_DTYPE_ENV_VAR, bad)
+        with pytest.raises(MiningError, match="score dtype"):
+            resolve_score_dtype(None)
+
+    def test_default_is_float64_everywhere(self, monkeypatch):
+        monkeypatch.delenv(SCORE_DTYPE_ENV_VAR, raising=False)
+        assert MiningConfig(min_match=0.5, alphabet=4).score_dtype \
+            == "float64"
+        assert ResidentSampleEvaluator().score_dtype == "float64"
+        assert SCORE_DTYPES == ("float64", "float32")
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(MiningError, match="score dtype"):
+            MiningConfig(min_match=0.5, alphabet=4, score_dtype="half")
+
+    def test_resolve_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv(SCORE_DTYPE_ENV_VAR, "float32")
+        config = MiningConfig.resolve(min_match=0.5, alphabet=4)
+        assert config.score_dtype == "float32"
+        explicit = MiningConfig.resolve(
+            min_match=0.5, alphabet=4, score_dtype="float64",
+        )
+        assert explicit.score_dtype == "float64"
+
+    def test_score_dtype_is_part_of_the_result_identity(self):
+        base = dict(min_match=0.5, alphabet=4)
+        f64 = MiningConfig(**base)
+        f32 = MiningConfig(score_dtype="float32", **base)
+        assert f64.to_key() != f32.to_key()  # float32 changes results
+        assert f32.to_dict()["score_dtype"] == "float32"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float32_needs_a_sampling_miner(self, workers):
+        messages = set()
+        for algorithm in ALGORITHMS:
+            if algorithm in SAMPLING_ALGORITHMS:
+                config = MiningConfig(
+                    min_match=0.5, alphabet=4, algorithm=algorithm,
+                    score_dtype="float32", seed=1,
+                )
+                with VectorizedBatchEngine(workers=workers) as engine:
+                    miner = config.build_miner(8, engine=engine)
+                assert miner.sample_engine.score_dtype == "float32"
+                continue
+            with pytest.raises(MiningError, match="float32") as excinfo:
+                MiningConfig(min_match=0.5, alphabet=4,
+                             algorithm=algorithm, score_dtype="float32")
+            messages.add(str(excinfo.value).replace(algorithm, "<a>"))
+        # One message, rejected at construction: no engine (and so no
+        # worker count) is involved.
+        assert len(messages) == 1
+        message = messages.pop()
+        assert "sampling miner" in message
+        assert "noisymine[" not in message
+        assert "worker" not in message
+
+    def test_build_miner_applies_the_dtype_to_the_sample_evaluator(self):
+        config = MiningConfig(
+            min_match=0.5, alphabet=4, score_dtype="float32", seed=1,
+        )
+        evaluator = config.build_miner(n_sequences=8).sample_engine
+        assert isinstance(evaluator, ResidentSampleEvaluator)
+        assert evaluator.score_dtype == "float32"
+
+    def test_build_miner_reconfigures_warm_evaluator(self):
+        warm = ResidentSampleEvaluator()
+        config = MiningConfig(
+            min_match=0.5, alphabet=4, score_dtype="float32", seed=1,
+        )
+        miner = config.build_miner(n_sequences=8, sample_engine=warm)
+        assert miner.sample_engine is warm
+        assert warm.score_dtype == "float32"
+        config.with_overrides(score_dtype="float64").build_miner(
+            n_sequences=8, sample_engine=warm
+        )
+        assert warm.score_dtype == "float64"
 
 
 class TestJsonPayload:

@@ -9,13 +9,10 @@ pairwise lattice scans — and requires the same frequent patterns with
 bit-identical match values, the same border, the same scan count and
 the same Phase-3 probe rounds.
 
-Hypothesis draws miner x store kind x worker count x kernel path; the
-``pure`` path runs the interpreted twins of the compiled kernels, so
-the compiled logic goes through the pool on numba-free legs too.
-Sample sizes and the confidence ``delta`` are drawn so the Chernoff
-band stays below the threshold; one fixed case keeps the
-degenerate-band regime, where the warning fires and nothing can be
-ruled out on the sample.  A float32 leg checks the two sampling miners
+Hypothesis draws miner x store kind x worker count.  Sample sizes and
+the confidence ``delta`` are drawn so the Chernoff band stays below
+the threshold; one fixed case keeps the degenerate-band regime, where
+the warning fires and nothing can be ruled out on the sample.  A float32 leg checks the two sampling miners
 against the float64 oracle within the documented bound.
 """
 
@@ -43,11 +40,7 @@ from repro import (
     ToivonenMiner,
 )
 from repro.config import ALGORITHMS, SAMPLING_ALGORITHMS
-from repro.engine import (
-    ResidentSampleEvaluator,
-    VectorizedBatchEngine,
-    native_available,
-)
+from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.io import SegmentedSequenceStore
 
 from .oracles import ReferenceEngine, reference_lattice, small_shards
@@ -60,14 +53,8 @@ CONSTRAINTS = PatternConstraints(max_weight=4, max_span=6, max_gap=1)
 #: chunks and two workers cut several shards.
 CHUNK = 16
 
-#: Kernel paths drawn for the counting engine: numpy, the interpreted
-#: twins of the compiled kernels, and the compiled kernels themselves
-#: where numba imports.
-KERNELS = ("numpy", "pure") + (("auto",) if native_available else ())
-
-#: The interpreted twins are slow: their draws use at most this many
-#: rows.
-PURE_ROWS = 32
+#: Rows of each float32 draw.
+FLOAT32_ROWS = 32
 
 #: The documented float32 bound on any match value (docs/ALGORITHMS.md).
 FLOAT32_BOUND = 1e-5
@@ -122,17 +109,14 @@ def make_store(kind, rows, directory):
     return store
 
 
-def run_both(algorithm, kind, workers, kernels, rows, params,
+def run_both(algorithm, kind, workers, rows, params,
              score_dtype="float64"):
     """Mine *rows* on the production path and on the oracles."""
     with tempfile.TemporaryDirectory() as directory:
         os.mkdir(os.path.join(directory, "prod"))
         os.mkdir(os.path.join(directory, "oracle"))
         store = make_store(kind, rows, os.path.join(directory, "prod"))
-        engine = VectorizedBatchEngine(
-            chunk_rows=CHUNK, workers=workers, kernels=kernels,
-            score_dtype=score_dtype,
-        )
+        engine = VectorizedBatchEngine(chunk_rows=CHUNK, workers=workers)
         with small_shards(), engine:
             got = mine(algorithm, store, engine,
                        ResidentSampleEvaluator(chunk_rows=CHUNK,
@@ -166,9 +150,8 @@ def mine(algorithm, database, engine, sample_engine, params):
     )
 
 
-def assert_matches_oracle(algorithm, kind, workers, rows, params,
-                          kernels="numpy"):
-    got, want = run_both(algorithm, kind, workers, kernels, rows, params)
+def assert_matches_oracle(algorithm, kind, workers, rows, params):
+    got, want = run_both(algorithm, kind, workers, rows, params)
     assert got.frequent == want.frequent  # dict ==: bit-identical values
     assert got.border == want.border
     assert got.scans == want.scans
@@ -179,7 +162,6 @@ def assert_matches_oracle(algorithm, kind, workers, rows, params,
     algorithm=st.sampled_from(ALGORITHMS),
     kind=st.sampled_from(STORE_KINDS),
     workers=st.sampled_from((1, 2)),
-    kernels=st.sampled_from(KERNELS),
     data_seed=st.integers(0, 2**16),
     n_rows=st.integers(32, 48),
     min_match=st.sampled_from((0.3, 0.4)),
@@ -188,36 +170,33 @@ def assert_matches_oracle(algorithm, kind, workers, rows, params,
 )
 @settings(max_examples=60, deadline=None)
 def test_production_path_matches_the_oracles(
-    algorithm, kind, workers, kernels, data_seed, n_rows, min_match,
+    algorithm, kind, workers, data_seed, n_rows, min_match,
     sample_fraction, memory_capacity,
 ):
-    if kernels == "pure":
-        n_rows = min(n_rows, PURE_ROWS)
     rows = random_rows(data_seed, n_rows)
     # delta = 0.1 keeps the band half-width (at most ~0.25 for a 16-row
     # sample) below both thresholds.
     params = dict(min_match=min_match, delta=0.1, seed=data_seed,
                   sample_size=max(1, int(n_rows * sample_fraction)),
                   memory_capacity=memory_capacity)
-    assert_matches_oracle(algorithm, kind, workers, rows, params, kernels)
+    assert_matches_oracle(algorithm, kind, workers, rows, params)
 
 
 @given(
     algorithm=st.sampled_from(sorted(SAMPLING_ALGORITHMS)),
     kind=st.sampled_from(STORE_KINDS),
     workers=st.sampled_from((1, 2)),
-    kernels=st.sampled_from(KERNELS),
     data_seed=st.integers(0, 2**16),
     min_match=st.sampled_from((0.3, 0.4)),
 )
 @settings(max_examples=12, deadline=None)
 def test_float32_stays_within_the_documented_bound(
-    algorithm, kind, workers, kernels, data_seed, min_match,
+    algorithm, kind, workers, data_seed, min_match,
 ):
-    rows = random_rows(data_seed, PURE_ROWS)
+    rows = random_rows(data_seed, FLOAT32_ROWS)
     params = dict(min_match=min_match, delta=0.1, seed=data_seed,
-                  sample_size=PURE_ROWS // 2, memory_capacity=16)
-    got, want = run_both(algorithm, kind, workers, kernels, rows, params,
+                  sample_size=FLOAT32_ROWS // 2, memory_capacity=16)
+    got, want = run_both(algorithm, kind, workers, rows, params,
                          score_dtype="float32")
     for pattern in set(got.frequent) & set(want.frequent):
         assert abs(got.frequent[pattern] - want.frequent[pattern]) \

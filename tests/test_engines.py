@@ -1,8 +1,8 @@
 """The engine layer: engine equivalence, scan contract, cache, pool.
 
 The per-sequence oracle of ``tests/oracles.py`` is the semantic
-baseline; the counting engine — one worker or a pool, numpy or
-compiled kernels (or their interpreted twins) — must agree with it on
+baseline; the counting engine — one worker or a pool — must agree
+with it on
 ``M(P, s)``, ``M(P, S)`` and ``M(P, D)`` to within 1e-12 on arbitrary
 inputs — including wildcard-heavy patterns and patterns whose span
 exceeds every sequence — while consuming exactly one scan per
@@ -30,8 +30,6 @@ from repro.engine import (
     MatchEngine,
     VectorizedBatchEngine,
     WORKERS_ENV_VAR,
-    native_available,
-    native_unavailable_reason,
     resolve_worker_count,
 )
 from repro.mining import LevelwiseMiner
@@ -60,36 +58,17 @@ def _tiny_shards():
 #: across examples.  chunk_rows=3 forces multi-chunk evaluation on tiny
 #: databases.
 REF = ReferenceEngine()
-VEC = VectorizedBatchEngine(chunk_rows=3, kernels="numpy")
+VEC = VectorizedBatchEngine(chunk_rows=3)
 PAR = VectorizedBatchEngine(chunk_rows=3, workers=2)
-#: The compiled kernels' interpreted twins are always differential-
-#: tested; the compiled specialisations join where numba exists.
-NAT_PURE = VectorizedBatchEngine(chunk_rows=3, kernels="pure")
-ENGINES = [REF, VEC, PAR, NAT_PURE]
-if native_available:
-    ENGINES.append(VectorizedBatchEngine(chunk_rows=3))
+ENGINES = [REF, VEC, PAR]
 #: Every non-reference backend must agree with REF to 1e-12.
 OTHERS = [engine for engine in ENGINES if engine is not REF]
 
 
 def _engine_id(engine: MatchEngine) -> str:
-    if isinstance(engine, VectorizedBatchEngine):
-        if engine.workers > 1:
-            return "parallel"
-        if engine.kernels != "numpy":
-            return "native-pure" if engine.kernels == "pure" \
-                else "native-jit"
+    if isinstance(engine, VectorizedBatchEngine) and engine.workers > 1:
+        return "parallel"
     return engine.name
-
-
-def test_numba_absence_is_recorded():
-    """When numba is missing the compiled matrix entries auto-skip, but
-    the skip must carry the recorded import-failure reason."""
-    if native_available:
-        pytest.skip("numba present: compiled engine is in the matrix")
-    reason = native_unavailable_reason()
-    assert reason  # e.g. "No module named 'numba'"
-    pytest.skip(f"compiled native kernels unavailable: {reason}")
 
 
 # -- hypothesis equivalence ----------------------------------------------------
@@ -141,11 +120,11 @@ def test_database_matches_equivalence(batch, database, matrix):
 
 @given(pattern_batches(), databases(), matrices())
 @settings(max_examples=40, deadline=None)
-def test_native_float64_is_bit_identical_to_vectorized(
+def test_pool_float64_is_bit_identical_to_one_worker(
     batch, database, matrix
 ):
-    # Stronger than the 1e-12 contract: at equal chunk_rows every kernel
-    # path and worker count reproduces the numpy kernels bit for bit.
+    # Stronger than the 1e-12 contract: at equal chunk_rows every worker
+    # count reproduces the one-worker scan bit for bit.
     batch = list(dict.fromkeys(batch))
     baseline = VEC.database_matches(batch, database, matrix)
     for engine in OTHERS:
@@ -334,8 +313,6 @@ class TestEngineSelection:
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         engine = VectorizedBatchEngine()
         assert engine.workers == 1
-        assert engine.kernels == ("compiled" if native_available
-                                  else "numpy")
         assert engine.name == "vectorized"
 
     def test_more_workers_select_the_parallel_engine(self, fig2_matrix):
@@ -363,10 +340,6 @@ class TestEngineSelection:
         expected = repr(VectorizedBatchEngine())
         monkeypatch.setenv("NOISYMINE_ENGINE", "reference")
         assert repr(VectorizedBatchEngine()) == expected
-
-    def test_unknown_kernel_mode_rejected(self):
-        with pytest.raises(MiningError, match="kernels"):
-            VectorizedBatchEngine(kernels="compiled")
 
     def test_miners_use_a_passed_instance(self):
         miner = LevelwiseMiner(CompatibilityMatrix.identity(M), 0.5,

@@ -12,8 +12,6 @@ miners against the oracle lattice.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +23,6 @@ from repro import (
     PatternConstraints,
     WILDCARD,
 )
-from repro.core import _nativekernels as _nk
-from repro.core import latticekernels as _lk
 from repro.core.latticekernels import (
     batch_restricted_spread,
     block_signatures,
@@ -51,33 +47,6 @@ from .oracles import (
 )
 
 M = 5  # alphabet size for the random strategies
-
-#: Containment-sweep / membership dispatch variants the kernel lattice
-#: must be bit-identical across: the numpy byte-set path, the
-#: interpreted kernel twins, and (where numba imports) the compiled
-#: kernels.
-NATIVE_DISPATCH = ["numpy", "native-pure"]
-if _nk.native_available:
-    NATIVE_DISPATCH.append("native-jit")
-
-
-@contextmanager
-def native_dispatch(mode: str):
-    """Pin the lattice module's kernel dispatch to one variant."""
-    saved = (_lk._NATIVE_SWEEP, _lk._NATIVE_MEMBER)
-    if mode == "numpy":
-        _lk._NATIVE_SWEEP = _lk._NATIVE_MEMBER = None
-    elif mode == "native-pure":
-        _lk._NATIVE_SWEEP = _nk.py_containment_sweep
-        _lk._NATIVE_MEMBER = _nk.py_rows_in_sorted
-    else:  # native-jit
-        _lk._NATIVE_SWEEP = _nk.containment_sweep
-        _lk._NATIVE_MEMBER = _nk.rows_in_sorted
-    try:
-        yield
-    finally:
-        _lk._NATIVE_SWEEP, _lk._NATIVE_MEMBER = saved
-
 
 # -- strategies ----------------------------------------------------------------
 
@@ -189,12 +158,8 @@ def test_kernel_candidates_equal_reference(frequent, constraints, symbols):
     expected = reference_generate_candidates(
         frequent, frequent_symbols, constraints
     )
-    for mode in NATIVE_DISPATCH:
-        with native_dispatch(mode):
-            got = kernel_generate_candidates(
-                frequent, frequent_symbols, constraints
-            )
-        assert got == expected, mode
+    got = kernel_generate_candidates(frequent, frequent_symbols, constraints)
+    assert got == expected
 
 
 # -- batch containment ---------------------------------------------------------
@@ -205,17 +170,11 @@ def test_kernel_candidates_equal_reference(frequent, constraints, symbols):
 def test_subsumption_hits_equal_pairwise_sweep(inner_set, outer_set):
     inner = sorted(inner_set)
     outer = sorted(outer_set)
-    for mode in NATIVE_DISPATCH:
-        with native_dispatch(mode):
-            inner_any, outer_any = subsumption_hits(inner, outer)
-        for i, p in enumerate(inner):
-            assert inner_any[i] == any(
-                p.is_subpattern_of(q) for q in outer
-            ), mode
-        for j, q in enumerate(outer):
-            assert outer_any[j] == any(
-                p.is_subpattern_of(q) for p in inner
-            ), mode
+    inner_any, outer_any = subsumption_hits(inner, outer)
+    for i, p in enumerate(inner):
+        assert inner_any[i] == any(p.is_subpattern_of(q) for q in outer)
+    for j, q in enumerate(outer):
+        assert outer_any[j] == any(p.is_subpattern_of(q) for p in inner)
 
 
 @given(pattern_sets(), pattern_sets())
@@ -226,11 +185,9 @@ def test_contains_any_equals_border_covers(queries_set, members_set):
     border = Border()
     for member in members:
         reference_add(border, member)
-    for mode in NATIVE_DISPATCH:
-        with native_dispatch(mode):
-            hits = contains_any(queries, members)
-        for hit, query in zip(hits, queries):
-            assert bool(hit) == reference_covers(border, query), mode
+    hits = contains_any(queries, members)
+    for hit, query in zip(hits, queries):
+        assert bool(hit) == reference_covers(border, query)
 
 
 @given(pattern_sets(), pattern_sets(max_size=6), pattern_sets(max_size=6))
@@ -243,12 +200,8 @@ def test_filter_undecided_equals_reference_propagation(
     expected = reference_filter_undecided(
         undecided, newly_frequent, newly_infrequent
     )
-    for mode in NATIVE_DISPATCH:
-        with native_dispatch(mode):
-            got = filter_undecided(
-                undecided, newly_frequent, newly_infrequent
-            )
-        assert got == expected, mode
+    got = filter_undecided(undecided, newly_frequent, newly_infrequent)
+    assert got == expected
 
 
 # -- border prefilter ----------------------------------------------------------

@@ -3,13 +3,14 @@
 The evaluator's whole promise is "same numbers, fewer flops": every
 match value must agree with the per-sequence oracle to 1e-12 on
 arbitrary inputs — gapped patterns included — in any batch order, or
-when the database was silently swapped between calls (bit-identity to
-the vectorized engine, for every kernel dispatch, is pinned by
-``tests/test_resident_native.py``).  The prefix stack derives each
-distinct parent prefix once per call and holds at most one plane
-buffer per chain depth per chunk.  The scan contract (exactly one
-``database.scan()`` per ``database_matches``) must hold even though
-the engine keeps the data pinned.
+when the database was silently swapped between calls, and equal the
+vectorized engine's bit for bit at equal ``chunk_rows``.  The prefix
+stack derives each distinct parent prefix once per call and holds at
+most one plane buffer per chain depth per chunk.  float32 scoring
+stays within the documented 1e-5 bound with half-size buffers.  The
+scan contract (exactly one ``database.scan()`` per
+``database_matches``) must hold even though the engine keeps the data
+pinned.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    BorderCollapsingMiner,
     CompatibilityMatrix,
     MiningError,
     Pattern,
@@ -28,8 +30,8 @@ from repro import (
     WILDCARD,
     symbol_matches,
 )
-from repro.engine import ResidentSampleEvaluator
-from repro.engine.resident import _strip_last
+from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
+from repro.engine.resident import _strip_last, _visit_order
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.chernoff import chernoff_epsilon, restricted_spread
 from repro.obs import (
@@ -50,6 +52,12 @@ from .strategies import (
 
 
 REF = ReferenceEngine()
+#: The counting engine at the evaluator's test pitch: float64 resident
+#: values must equal its values bit for bit.
+VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
+
+#: The documented float32 bound on any match value (docs/ALGORITHMS.md).
+FLOAT32_ATOL = 1e-5
 
 
 # -- hypothesis equivalence ----------------------------------------------------
@@ -73,6 +81,19 @@ def test_database_matches_equivalence(batch, database, matrix):
     # into reused buffers and the values must not move at all.
     again = engine.database_matches(batch, database, matrix)
     assert again == result
+
+
+@given(pattern_batches(), databases(), matrices())
+@settings(max_examples=40, deadline=None)
+def test_float64_is_bit_identical_to_the_vectorized_engine(
+    batch, database, matrix
+):
+    batch = list(dict.fromkeys(batch))
+    expected = VEC.database_matches(batch, database, matrix)
+    got = ResidentSampleEvaluator(chunk_rows=3).database_matches(
+        batch, database, matrix
+    )
+    assert got == expected  # dict == is bit-identity
 
 
 @given(databases(), matrices())
@@ -115,6 +136,31 @@ def _plane_elements(database, chunk_rows: int) -> int:
         )
         for start in range(0, len(lengths), chunk_rows)
     )
+
+
+def _mixed_batch():
+    """Deep chains plus siblings: exercises single-link derivation,
+    multi-link stack pushes, pops to a shared ancestor, and root
+    sibling groups."""
+    out = []
+    for d in range(M):
+        out.append(Pattern((d,)))
+        out.append(Pattern((0, d)))
+        out.append(Pattern((0, d, WILDCARD, (d + 1) % M)))
+        out.append(Pattern((0, d, WILDCARD, (d + 1) % M, d)))
+    return list(dict.fromkeys(out))
+
+
+@pytest.fixture
+def small_world():
+    rng = np.random.default_rng(11)
+    array = rng.uniform(0.05, 1.0, size=(M, M)) + np.eye(M)
+    matrix = CompatibilityMatrix(array / array.sum(axis=0, keepdims=True))
+    database = SequenceDatabase([
+        rng.integers(0, M, size=rng.integers(2, 10)).astype(np.int64)
+        for _ in range(13)
+    ])
+    return database, matrix
 
 
 class _RecordingEvaluator(ResidentSampleEvaluator):
@@ -168,16 +214,13 @@ class TestPrefixStack:
             assert nbytes <= (max_parent_span - 1) * elements * 8
             assert misses == _distinct_parent_prefixes(batch)
         assert engine.planes.nbytes > 0
-        # Every value equals a fresh numpy-path evaluator and the
-        # interpreted kernel twins, bit for bit.
+        # Every value equals the counting engine's, bit for bit.
+        vec = VectorizedBatchEngine(chunk_rows=chunk_rows, cache_bytes=0)
         for batch, _misses, _nbytes in engine.calls:
-            numpy_run = ResidentSampleEvaluator(
-                chunk_rows=chunk_rows, kernels="numpy"
-            ).database_matches(batch, database, matrix)
-            pure_run = ResidentSampleEvaluator(
-                chunk_rows=chunk_rows, kernels="pure"
-            ).database_matches(batch, database, matrix)
-            assert numpy_run == pure_run
+            assert ResidentSampleEvaluator(
+                chunk_rows=chunk_rows
+            ).database_matches(batch, database, matrix) == \
+                vec.database_matches(batch, database, matrix)
 
     @given(pattern_batches(), databases(), matrices(), st.randoms())
     @settings(max_examples=40, deadline=None)
@@ -187,15 +230,13 @@ class TestPrefixStack:
         batch = list(dict.fromkeys(batch))
         shuffled = list(batch)
         random.shuffle(shuffled)
-        for mode in ("numpy", "pure"):
-            first = ResidentSampleEvaluator(chunk_rows=3, kernels=mode)
-            second = ResidentSampleEvaluator(chunk_rows=3, kernels=mode)
-            expected = first.database_matches(batch, database, matrix)
-            assert second.database_matches(
-                shuffled, database, matrix
-            ) == expected
-            assert first.planes.misses == second.planes.misses
-            assert first.planes.misses == _distinct_parent_prefixes(batch)
+        first = ResidentSampleEvaluator(chunk_rows=3)
+        second = ResidentSampleEvaluator(chunk_rows=3)
+        expected = first.database_matches(batch, database, matrix)
+        assert second.database_matches(shuffled, database, matrix) \
+            == expected
+        assert first.planes.misses == second.planes.misses
+        assert first.planes.misses == _distinct_parent_prefixes(batch)
 
     def test_deep_chains_match_single_pattern_calls(self, fig2_matrix):
         rng = np.random.default_rng(11)
@@ -220,6 +261,106 @@ class TestPrefixStack:
                 [pattern], database, fig2_matrix
             )
             assert alone[pattern] == together[pattern]
+
+    def test_mixed_batch_walks_the_stack_exactly(self, small_world):
+        """Every stack move — push, pop to a shared ancestor, re-derive
+        a root — against the vectorized backend."""
+        database, matrix = small_world
+        batch = _mixed_batch()
+        expected = VEC.database_matches(batch, database, matrix)
+        evaluator = ResidentSampleEvaluator(chunk_rows=3)
+        assert evaluator.database_matches(batch, database, matrix) \
+            == expected
+        # Distinct span->=2 parent prefixes: (0 d) and (0 d * d+1) per d.
+        assert evaluator.planes.misses == 2 * M
+
+    def test_warm_pin_rederives_planes_per_call(self, small_world):
+        database, matrix = small_world
+        batch = _mixed_batch()
+        evaluator = ResidentSampleEvaluator(chunk_rows=3)
+        first = evaluator.database_matches(batch, database, matrix)
+        misses_after_first = evaluator.planes.misses
+        held = evaluator.planes.nbytes
+        second = evaluator.database_matches(batch, database, matrix)
+        assert second == first
+        # Only the buffers outlive a call: the second pass derives the
+        # same links again, into the same buffers.
+        assert evaluator.planes.misses == 2 * misses_after_first
+        assert evaluator.planes.nbytes == held
+        assert evaluator.repins == 1
+
+    @given(pattern_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_visit_order_keeps_sibling_groups_contiguous(self, batch):
+        """The evaluator's group order is a pre-order walk of the
+        parents' prefix trie: groups sharing a parent are adjacent, and
+        every ancestor prefix's groups come before its descendants'."""
+        batch = list(dict.fromkeys(batch))
+        groups = {}
+        for pattern in batch:
+            parent, offset, _symbol = _strip_last(pattern.elements)
+            groups.setdefault((parent, offset), []).append(pattern)
+        ordered = [
+            key for key, _ in sorted(groups.items(), key=_visit_order)
+        ]
+        parents = [parent or () for parent, _offset in ordered]
+        for i, parent in enumerate(parents):
+            # The parents extending this one (itself included) form one
+            # contiguous run right after it: once the walk leaves a
+            # subtree it never comes back, so a popped plane is never
+            # needed again within the call.
+            inside = [
+                other[: len(parent)] == parent for other in parents[i:]
+            ]
+            run = inside.index(False) if False in inside else len(inside)
+            assert not any(inside[run:]), "prefix subtree split apart"
+
+
+# -- float32 scoring -----------------------------------------------------------
+
+class TestFloat32:
+    def test_error_is_bounded(self, small_world):
+        database, matrix = small_world
+        batch = _mixed_batch()
+        exact = VEC.database_matches(batch, database, matrix)
+        evaluator = ResidentSampleEvaluator(
+            chunk_rows=3, score_dtype="float32"
+        )
+        got = evaluator.database_matches(batch, database, matrix)
+        for pattern in batch:
+            assert got[pattern] == pytest.approx(
+                exact[pattern], abs=FLOAT32_ATOL
+            )
+
+    def test_stack_buffers_are_half_size(self, small_world):
+        """The stack buffers are held in the scoring dtype."""
+        database, matrix = small_world
+        batch = _mixed_batch()
+        by_dtype = {}
+        for dtype in ("float64", "float32"):
+            evaluator = ResidentSampleEvaluator(
+                chunk_rows=3, score_dtype=dtype
+            )
+            evaluator.database_matches(batch, database, matrix)
+            by_dtype[dtype] = evaluator.planes.nbytes
+        assert by_dtype["float32"] * 2 == by_dtype["float64"]
+
+    def test_set_score_dtype_repins_lazily(self, small_world):
+        database, matrix = small_world
+        batch = _mixed_batch()
+        evaluator = ResidentSampleEvaluator(chunk_rows=3)
+        f64 = evaluator.database_matches(batch, database, matrix)
+        assert evaluator.repins == 1
+        evaluator.set_score_dtype("float32")
+        f32 = evaluator.database_matches(batch, database, matrix)
+        assert evaluator.repins == 2  # dtype is part of the pin key
+        for pattern in batch:
+            assert f32[pattern] == pytest.approx(
+                f64[pattern], abs=FLOAT32_ATOL
+            )
+        # Switching back re-pins again and restores exact values.
+        evaluator.set_score_dtype("float64")
+        assert evaluator.database_matches(batch, database, matrix) == f64
 
 
 # -- pinning and the scan contract ---------------------------------------------
@@ -420,6 +561,30 @@ class TestClassifyIntegration:
             assert epsilon == chernoff_epsilon(spread, 1e-3, n)
             checked += 1
         assert checked > 0
+
+    def test_mining_end_to_end_matches_the_vectorized_sample_engine(
+        self, small_world
+    ):
+        """Whole-miner check: counting Phase 2 on the resident evaluator
+        gives the run that counting it on the vectorized engine gives."""
+        database, matrix = small_world
+        results = []
+        for sample_engine in (
+            ResidentSampleEvaluator(),
+            VectorizedBatchEngine(cache_bytes=0),
+        ):
+            miner = BorderCollapsingMiner(
+                matrix, 0.35, sample_size=7,
+                constraints=PatternConstraints(max_weight=4, max_span=6,
+                                               max_gap=1),
+                rng=np.random.default_rng(5),
+                sample_engine=sample_engine,
+            )
+            results.append(miner.mine(database))
+        resident, vectorized = results
+        assert resident.frequent == vectorized.frequent
+        assert resident.border == vectorized.border
+        assert resident.scans == vectorized.scans
 
 
 # -- configuration surface -----------------------------------------------------

@@ -11,6 +11,8 @@ Covers the counting-tier contract end to end:
   and segmented stores;
 * **worker protocol** — plain-picklable tasks/results, digest
   staleness detection, steal accounting from per-task worker ids;
+* **shard faults** — a lost result raises naming exactly the lost
+  shards, a duplicate is counted once, delayed results change no bit;
 * **the satellite bugfixes** — a segmented store dispatches to the
   pool instead of silently pickling rows, and a failed dispatch
   charges neither the scan nor the chunk I/O accounting.
@@ -52,7 +54,7 @@ from repro.obs import (
     Tracer,
 )
 
-from .oracles import serial_dispatch, shuffled, small_shards
+from .oracles import faulty, serial_dispatch, shuffled, small_shards
 
 M = 6  # alphabet size used throughout
 
@@ -201,26 +203,14 @@ class TestManifest:
 # -- the worker protocol -------------------------------------------------------
 
 
-def _run(c_ext):
-    """Serial dispatch of raw tasks against *c_ext* (numpy kernels)."""
-    return lambda tasks: (
-        execute_shard_task(task, c_ext, "numpy") for task in tasks
-    )
-
-
 def _scripted_workers(c_ext, worker_ids):
     """Serial dispatch reporting a scripted worker id per task."""
     return lambda tasks: (
         dataclasses.replace(
-            execute_shard_task(task, c_ext, "numpy"), worker_id=worker_id
+            execute_shard_task(task, c_ext), worker_id=worker_id
         )
         for task, worker_id in zip(tasks, worker_ids)
     )
-
-
-def _dropping(c_ext):
-    """Loses the last task's result — a broken transport."""
-    return lambda tasks: _run(c_ext)(tasks[:-1])
 
 
 def _exploding(tasks):
@@ -252,7 +242,7 @@ class TestWorkerProtocol:
             for task in self._tasks(matrix, batch, store=store):
                 clone = pickle.loads(pickle.dumps(task))
                 assert clone.spec == task.spec
-                result = execute_shard_task(clone, c_ext, "numpy")
+                result = execute_shard_task(clone, c_ext)
                 wire = pickle.loads(pickle.dumps(result))
                 assert wire.index == task.spec.index
                 assert wire.block_totals.shape[1] == len(batch)
@@ -265,7 +255,7 @@ class TestWorkerProtocol:
         c_ext = extended_matrix(matrix.array)
         for task in self._tasks(matrix, batch, rows=rows):
             assert task.spec.path is None
-            result = execute_shard_task(task, c_ext, "numpy")
+            result = execute_shard_task(task, c_ext)
             assert result.io_bytes == 0
 
     def test_stale_digest_is_detected(self, tmp_path, matrix, batch):
@@ -279,9 +269,7 @@ class TestWorkerProtocol:
             SequenceDatabase(_rows(seed=2)), path
         )
         with pytest.raises(MiningError, match="changed underneath"):
-            execute_shard_task(
-                tasks[0], extended_matrix(matrix.array), "numpy"
-            )
+            execute_shard_task(tasks[0], extended_matrix(matrix.array))
 
     def test_unknown_task_kind_is_rejected(self, matrix):
         task = ShardTask(
@@ -290,9 +278,7 @@ class TestWorkerProtocol:
             rows=[np.array([0, 1])],
         )
         with pytest.raises(MiningError, match="unknown shard task kind"):
-            execute_shard_task(
-                task, extended_matrix(matrix.array), "numpy"
-            )
+            execute_shard_task(task, extended_matrix(matrix.array))
 
     def test_steals_counted_beyond_fair_share(self, matrix, batch):
         rows = [np.asarray(r) for r in _rows(24)]
@@ -315,11 +301,75 @@ class TestWorkerProtocol:
     ):
         rows = [np.asarray(r) for r in _rows(24)]
         tasks = self._tasks(matrix, batch, rows=rows)
+        last = len(tasks) - 1
         with pytest.raises(MiningError, match="lost shards"):
             scatter_gather(
-                tasks, _dropping(extended_matrix(matrix.array)),
+                tasks, faulty(serial_dispatch(matrix), drop=(last,)),
                 len(batch),
             )
+
+
+class TestShardFaults:
+    """The scheduler under a transport that loses, repeats and holds
+    back results (:func:`tests.oracles.faulty`)."""
+
+    N_TASKS = 5
+
+    def _tasks(self, matrix, batch):
+        rows = [np.asarray(r) for r in _rows(40)]
+        groups, elements = group_patterns_by_span(batch, matrix.size)
+        manifest = manifest_from_rows(rows, CHUNK, self.N_TASKS, 1)
+        tasks = build_tasks(
+            manifest, DATABASE_TOTALS, groups, elements, len(batch),
+            rows=rows,
+        )
+        assert len(tasks) == self.N_TASKS
+        return tasks, len(rows)
+
+    @pytest.mark.parametrize("lost", [(2,), (0,), (4,), (1, 3)])
+    def test_lost_shards_are_named_exactly(self, matrix, batch, lost):
+        tasks, _n = self._tasks(matrix, batch)
+        with pytest.raises(MiningError, match="lost shards") as excinfo:
+            scatter_gather(
+                tasks, faulty(serial_dispatch(matrix), drop=lost),
+                len(batch),
+            )
+        assert f"missing: {list(lost)})" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            # Arrives while shard 1 is held back: before 2 is merged.
+            dict(duplicate=(2,), delay=(1,)),
+            # Arrives right after its shard was merged.
+            dict(duplicate=(2,)),
+            # Both copies of a held-back shard: the second after merge.
+            dict(duplicate=(1,), delay=(1,)),
+            dict(duplicate=(0, 4)),
+        ],
+    )
+    def test_duplicates_are_counted_once(self, matrix, batch, faults):
+        tasks, n_rows = self._tasks(matrix, batch)
+        want, _ = scatter_gather(tasks, serial_dispatch(matrix), len(batch))
+        got, stats = scatter_gather(
+            tasks, faulty(serial_dispatch(matrix), **faults), len(batch),
+        )
+        np.testing.assert_array_equal(got, want)
+        assert stats.rows == n_rows
+        assert sum(stats.worker_tasks.values()) == self.N_TASKS
+
+    @pytest.mark.parametrize("delayed", [(0,), (1, 2), (0, 4), (3,)])
+    def test_delayed_results_are_bit_identical(
+        self, matrix, batch, delayed
+    ):
+        tasks, n_rows = self._tasks(matrix, batch)
+        want, _ = scatter_gather(tasks, serial_dispatch(matrix), len(batch))
+        got, stats = scatter_gather(
+            tasks, faulty(serial_dispatch(matrix), delay=delayed),
+            len(batch),
+        )
+        np.testing.assert_array_equal(got, want)
+        assert stats.rows == n_rows
 
 
 # -- scheduler determinism -----------------------------------------------------
@@ -331,7 +381,6 @@ class TestSchedulerDeterminism:
     ):
         rows = [np.asarray(r) for r in _rows(30, skew=True)]
         groups, elements = group_patterns_by_span(batch, matrix.size)
-        c_ext = extended_matrix(matrix.array)
         reference = None
         for target in (1, 2, 7, 8):
             manifest = manifest_from_rows(rows, CHUNK, target, 1)
@@ -341,7 +390,8 @@ class TestSchedulerDeterminism:
             )
             for seed in range(4):
                 totals, _stats = scatter_gather(
-                    tasks, shuffled(_run(c_ext), seed), len(batch),
+                    tasks, shuffled(serial_dispatch(matrix), seed),
+                    len(batch),
                 )
                 if reference is None:
                     reference = totals
@@ -349,13 +399,13 @@ class TestSchedulerDeterminism:
 
     def test_symbol_totals_identical_too(self, matrix):
         rows = [np.asarray(r) for r in _rows(30)]
-        c_ext = extended_matrix(matrix.array)
         reference = None
         for target in (1, 2, 7, 8):
             manifest = manifest_from_rows(rows, CHUNK, target, 1)
             tasks = build_tasks(manifest, SYMBOL_TOTALS, rows=rows)
             totals, _stats = scatter_gather(
-                tasks, shuffled(_run(c_ext), target), matrix.size,
+                tasks, shuffled(serial_dispatch(matrix), target),
+                matrix.size,
             )
             if reference is None:
                 reference = totals
@@ -397,7 +447,7 @@ def _sharded(matrix, workers, seed=0, chunk_rows=CHUNK):
     """A pool-free multi-worker engine: tasks run serially here, their
     results handed back in a shuffled order."""
     engine = VectorizedBatchEngine(chunk_rows=chunk_rows, workers=workers)
-    engine.dispatch = shuffled(serial_dispatch(engine, matrix), seed)
+    engine.dispatch = shuffled(serial_dispatch(matrix), seed)
     return engine
 
 
@@ -433,7 +483,7 @@ class TestMinerBitIdentity:
         # serial dispatch: the protocol carries everything that matters.
         store = miner_stores["packed"]
         inline = VectorizedBatchEngine(chunk_rows=CHUNK, workers=2)
-        inline.dispatch = serial_dispatch(inline, matrix)
+        inline.dispatch = serial_dispatch(matrix)
         pooled = VectorizedBatchEngine(chunk_rows=CHUNK, workers=2)
         try:
             with small_shards():
