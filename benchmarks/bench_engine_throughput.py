@@ -16,8 +16,8 @@ equally, and the recorded figure is the best round — the standard way
 to measure capability rather than contention.  ``vectorized`` is one
 worker and ``workers-2`` the same kernels over a two-process pool.
 The vectorized leg is additionally timed with a
-cleared factor cache every round (``cold``) to separate kernel speed
-from cache reuse.
+cleared factor pin every round (``cold``) to separate kernel speed
+from factor-array reuse.
 
 Run as a script to write ``BENCH_engine.json`` next to the repo root
 (or to ``--out PATH``)::

@@ -12,7 +12,8 @@ that consume full-database passes:
   matches plus the reservoir sample, one streamed pass;
 * **probe** — one replayed Phase-3 probe round: a batch of probe
   patterns counted by ``count_matches_batched`` through the vectorized
-  engine (factor cache off, so every round pays the full scan).
+  engine (a fresh engine per round, so every round pays the full
+  scan).
 
 Because the match arithmetic is identical for every representation,
 end-to-end times understate the storage difference.  Each task is
@@ -164,9 +165,9 @@ def phase1_task(database, matrix, sample_size):
 
 
 def probe_task(database, matrix, probes):
-    # Factor cache off: every round pays the storage cost, exactly as
-    # successive Phase-3 rounds over a cold store would.
-    engine = VectorizedBatchEngine(cache_bytes=0)
+    # A fresh engine per task holds no factor arrays: every round pays
+    # the storage cost, exactly as a Phase-3 round over a cold store.
+    engine = VectorizedBatchEngine()
     return count_matches_batched(probes, database, matrix, engine=engine)
 
 

@@ -14,7 +14,10 @@ level stats).  The pass then checks the warm-state contract:
 * the second job on the same store is warm (``store_cache_hits`` in its
   report, exactly one store mapped);
 * a warm sampling job reuses the resident evaluator's pinned sample
-  (the pin/repins counter does not move).
+  (the pin/repins counter does not move);
+* a malformed request — a non-numeric ``Content-Length``, a config
+  value of the wrong JSON type — gets a 4xx with an ``error`` reason,
+  and ``/healthz`` still answers 200 afterwards.
 
 Each job's status document (with the streamed RunReport-shaped phase
 progress) is written to the output directory so CI uploads it as an
@@ -28,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 from pathlib import Path
@@ -85,6 +89,38 @@ def _cli_payload(store: Path, algorithm: str, out: Path) -> dict:
     payload = json.loads(buffer.getvalue())
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
+
+
+def _raw_post(server, body: bytes, length: str) -> tuple:
+    """``(status, JSON document)`` of one ``POST /jobs`` sent with the
+    given ``Content-Length`` header, bypassing the client."""
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+def _check_malformed_requests(server, client, store_path: Path) -> None:
+    """Each malformed submit gets a 4xx with a reason; the daemon
+    stays up."""
+    good = {"config": CONFIG, "store": str(store_path)}
+    typed = dict(good, config=dict(CONFIG, max_weight="4"))
+    for name, payload, length in (
+        ("bad Content-Length", good, "abc"),
+        ("wrongly typed config", typed, None),
+    ):
+        body = json.dumps(payload).encode("utf-8")
+        status, doc = _raw_post(server, body, length or str(len(body)))
+        assert 400 <= status < 500 and doc.get("error"), (name, status, doc)
+        print(f"malformed request ({name}): {status} {doc['error']}")
+    assert client.healthz()["status"] == "ok"  # a 200, or it raises
 
 
 def main(argv=None) -> int:
@@ -177,6 +213,7 @@ def main(argv=None) -> int:
             "warm sampling job re-pinned the resident sample"
         )
         print("warm-state: store cache, result memo and resident pin ok")
+        _check_malformed_requests(server, client, store_path)
         (out / "service_healthz.json").write_text(
             json.dumps(client.healthz(), indent=2) + "\n"
         )

@@ -53,6 +53,7 @@ from .io import (
     is_packed_store,
     is_segmented_store,
 )
+from .mining.counting import validate_memory_capacity
 from .mining.depthfirst import DepthFirstMiner
 from .mining.levelwise import LevelwiseMiner
 from .mining.maxminer import MaxMiner
@@ -75,6 +76,42 @@ ALGORITHMS = (
 #: are fully deterministic for a given database and config, seed or no
 #: seed — which is what decides memoizability below.
 SAMPLING_ALGORITHMS = frozenset({"border-collapsing", "toivonen"})
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: What each JSON type of a wire field accepts (an integer is not a
+#: bool, a number is an int or float).
+_WIRE_CHECKS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "a string": lambda v: isinstance(v, str),
+    "rows of numbers": lambda v: isinstance(v, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(map(_is_number, row))
+        for row in v
+    ),
+}
+
+#: Each wire field's JSON type, and whether it may be null
+#: (:meth:`MiningConfig.from_dict`; a null ``algorithm`` or
+#: ``score_dtype`` resolves to its default).
+_WIRE_TYPES = {
+    "min_match": ("a number", False),
+    "algorithm": ("a string", True),
+    "alphabet": ("an integer", True),
+    "noise": ("a number", False),
+    "matrix": ("rows of numbers", True),
+    "sample_size": ("an integer", True),
+    "delta": ("a number", False),
+    "max_weight": ("an integer", False),
+    "max_span": ("an integer", False),
+    "max_gap": ("an integer", False),
+    "memory_capacity": ("an integer", True),
+    "seed": ("an integer", True),
+    "score_dtype": ("a string", True),
+}
 
 
 def open_database(path: Union[str, os.PathLike]) -> CountedScanDatabase:
@@ -147,6 +184,7 @@ class MiningConfig:
             raise MiningError(
                 f"alphabet size must be >= 1, got {self.alphabet}"
             )
+        validate_memory_capacity(self.memory_capacity)
         if self.score_dtype not in SCORE_DTYPES:
             raise MiningError(
                 f"unknown score dtype {self.score_dtype!r}; "
@@ -372,8 +410,9 @@ class MiningConfig:
 
         Omitted fields resolve through :meth:`resolve` in the *current*
         process environment (the daemon's, for jobs over HTTP); unknown
-        keys are rejected loudly so payload typos cannot silently mine
-        with a default.
+        keys and values of the wrong JSON type are rejected loudly,
+        naming the field, so a payload typo can neither silently mine
+        with a default nor fail only once the job runs.
         """
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
@@ -384,6 +423,14 @@ class MiningConfig:
             )
         if "min_match" not in payload:
             raise NoisyMineError("config requires min_match")
+        for name, value in payload.items():
+            kind, nullable = _WIRE_TYPES[name]
+            if not (value is None and nullable or _WIRE_CHECKS[kind](value)):
+                raise NoisyMineError(
+                    f"config field {name!r} must be {kind}"
+                    f"{' or null' if nullable else ''}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         return cls.resolve(**dict(payload))
 
     def with_overrides(self, **changes) -> "MiningConfig":

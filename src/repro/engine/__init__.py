@@ -4,13 +4,17 @@ Every ``M(P, D)`` evaluation runs through a
 :class:`~repro.engine.base.MatchEngine`:
 
 * :class:`~repro.engine.vectorized.VectorizedBatchEngine` counts full
-  databases — one numpy block kernel plus a factor-row cache, run
-  serially or, with
+  databases — one numpy block kernel, run serially or, with
   ``workers > 1``, over block-aligned shards on a fork pool
   (:mod:`repro.engine.shards`);
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
   Phase 2 of the sampling miners: it pins the sample once and extends
   candidate score planes incrementally.
+
+Both keep a database's factor arrays across scans in one
+:class:`~repro.engine.kernels.FactorPin` each: the counting engine when
+they fit :data:`~repro.engine.vectorized.PIN_BYTES`, the sample
+evaluator always.
 
 Results are bit-identical across worker counts at equal
 ``chunk_rows`` in float64.  See ``docs/API.md`` ("Execution
@@ -20,14 +24,15 @@ engines").
 from __future__ import annotations
 
 from .base import MatchEngine
-from .kernels import SCORE_DTYPES, resolve_score_dtype
+from .kernels import SCORE_DTYPES, FactorPin, resolve_score_dtype
 from .resident import PlaneStats, ResidentSampleEvaluator
 from .shards import WORKERS_ENV_VAR, resolve_worker_count
-from .vectorized import FactorCache, VectorizedBatchEngine
+from .vectorized import PIN_BYTES, VectorizedBatchEngine
 
 __all__ = [
-    "FactorCache",
+    "FactorPin",
     "MatchEngine",
+    "PIN_BYTES",
     "PlaneStats",
     "ResidentSampleEvaluator",
     "SCORE_DTYPES",

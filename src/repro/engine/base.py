@@ -58,7 +58,7 @@ class MatchEngine(abc.ABC):
         """``M(P, D)`` for a batch of patterns in **one** database scan.
 
         *tracer* is optional observability: backends record their own
-        counters on it (factor-cache traffic, shards dispatched).  It
+        counters on it (factor-pin traffic, shards dispatched).  It
         never changes results or scan accounting; passing ``None``
         must be free.
         """
@@ -88,7 +88,8 @@ class MatchEngine(abc.ABC):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (worker pools, caches).  Idempotent."""
+        """Release backend resources (worker pools, factor pins).
+        Idempotent."""
 
     def __enter__(self) -> "MatchEngine":
         return self
@@ -101,7 +102,7 @@ class MatchEngine(abc.ABC):
 
 
 def matrix_fingerprint(matrix: CompatibilityMatrix) -> "tuple":
-    """A cheap, content-based cache key component for a matrix."""
+    """A cheap, content-based pin key component for a matrix."""
     return (matrix.size, hash(matrix))
 
 

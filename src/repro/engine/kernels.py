@@ -45,8 +45,9 @@ differs from a sequential sum by at most a few ulps of ``M(P, D)``.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +153,109 @@ def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:
     downstream window slice strided.
     """
     return np.ascontiguousarray(c_ext[:, padded.T])
+
+
+#: One kept chunk: its padded shape, content digest and factor array.
+_Slot = Tuple[Tuple[int, ...], bytes, np.ndarray]
+
+
+class FactorPin:
+    """One database's factor arrays, kept across scans of it.
+
+    The factor array depends only on ``(compatibility matrix, chunk)``,
+    so repeat scans of one database — Phase 3's probe rounds, the
+    daemon's jobs on one store, Phase 2's levels over one sample — can
+    skip the gather.  Per chunk position *i* the pin keeps the padded
+    chunk's shape, a ``blake2b`` digest of its bytes and its gathered
+    array, all under one ``(matrix fingerprint, dtype)`` key; chunk *i*
+    of a scan is served from slot *i* only on a key, shape and digest
+    match.  Neither a different matrix nor a chunk with one symbol
+    changed can therefore be served stale factors: the 128-bit digest
+    makes a collision impossible in practice (Python's salted 64-bit
+    ``hash`` does not), and real symbols are below the pad symbol, so
+    equal padded bytes mean equal rows.  Digesting the ``(N, L)`` chunk
+    costs ``O(N L)``, small next to the ``O(m N L)`` gather it saves.
+
+    ``hits`` and ``misses`` count chunks served from the pin and chunks
+    gathered, over the pin's lifetime.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[tuple] = None
+        self._slots: List[_Slot] = []
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of factor arrays held."""
+        return sum(slot[2].nbytes for slot in self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def clear(self) -> None:
+        self._key = None
+        self._slots.clear()
+
+    def scan(
+        self,
+        database,
+        chunk_rows: int,
+        c_ext: np.ndarray,
+        fingerprint: tuple,
+        budget: Optional[int] = None,
+    ) -> Iterator[Tuple[Sequence[np.ndarray], np.ndarray]]:
+        """Consume one ``database.scan_chunks(chunk_rows)`` pass and
+        yield ``(rows, factor array)`` per chunk, in scan order.
+
+        Without a *budget* every chunk is kept.  With one, nothing is
+        kept when the unpadded factor arrays, ``(m + 1) × itemsize ×
+        total symbols`` bytes, already exceed it, and the pin is dropped
+        as soon as padding would push it past the budget — so it never
+        holds more than *budget* bytes.
+        """
+        m = c_ext.shape[0] - 1
+        key = (fingerprint, c_ext.dtype)
+        if key != self._key:
+            self.clear()
+            self._key = key
+        keep = budget is None or (
+            (m + 1) * c_ext.itemsize * database.total_symbols() <= budget
+        )
+        slots = self._slots
+        held = self.nbytes
+        count = 0
+        for i, chunk in enumerate(database.scan_chunks(chunk_rows)):
+            count = i + 1
+            padded = pad_chunk(chunk.rows, m)
+            if not keep:
+                self.misses += 1
+                yield chunk.rows, gather_chunk(c_ext, padded)
+                continue
+            slot = (
+                padded.shape,
+                hashlib.blake2b(padded.data, digest_size=16).digest(),
+            )
+            old = slots[i] if i < len(slots) else None
+            if old is not None and old[:2] == slot:
+                self.hits += 1
+                yield chunk.rows, old[2]
+                continue
+            self.misses += 1
+            gathered = gather_chunk(c_ext, padded)
+            held += gathered.nbytes - (0 if old is None else old[2].nbytes)
+            if budget is not None and held > budget:
+                # Padding outgrew the budget: keep nothing of this scan.
+                slots.clear()
+                keep = False
+            elif old is None:
+                slots.append(slot + (gathered,))
+            else:
+                slots[i] = slot + (gathered,)
+            yield chunk.rows, gathered
+        if keep:
+            del slots[count:]
 
 
 #: One level of a prefix-sharing evaluation plan: the symbol column to
@@ -395,29 +499,24 @@ def resolve_score_dtype(spec: Optional[str] = None) -> str:
 
 
 def block_totals(
-    padded: np.ndarray,
-    c_ext: np.ndarray,
+    gathered: np.ndarray,
     kind: str,
     groups: Optional[Dict[int, List[int]]],
     elements_by_span: Optional[Dict[int, np.ndarray]],
     out: np.ndarray,
     plans: Optional[Dict[int, List[PlanLevel]]] = None,
     scratch: Optional[Dict[tuple, np.ndarray]] = None,
-    factors: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> None:
-    """Add one padded block's match sums to *out*; the one block kernel.
+    """Add one block's match sums to *out*; the one block kernel.
 
-    *kind* :data:`DATABASE_TOTALS` adds each pattern's sum of
-    per-sequence maxima at its batch index; :data:`SYMBOL_TOTALS` adds
-    the Phase-1 per-symbol sums.  The factor array is gathered —
-    through *factors* when given, which is how the serial engine
-    serves it from its cache — and reduced with the prefix-sharing
-    row-wise kernels (*plans* from :func:`group_plans`).  Span groups
-    no window fits add exact zeros.  *scratch* recycles score buffers
-    across blocks.
+    *gathered* is the block's factor array (:func:`gather_chunk`, or
+    served by a :class:`FactorPin`).  *kind* :data:`DATABASE_TOTALS`
+    adds each pattern's sum of per-sequence maxima at its batch index;
+    :data:`SYMBOL_TOTALS` adds the Phase-1 per-symbol sums.  Pattern
+    groups are reduced with the prefix-sharing row-wise kernels
+    (*plans* from :func:`group_plans`).  Span groups no window fits add
+    exact zeros.  *scratch* recycles score buffers across blocks.
     """
-    gathered = gather_chunk(c_ext, padded) if factors is None \
-        else factors(padded)
     if kind == SYMBOL_TOTALS:
         # The pad column is all zeros: padding never wins a max.
         out += chunk_symbol_maxima(gathered).sum(axis=1)
@@ -444,5 +543,7 @@ def rows_symbol_totals(
         padded = pad_chunk(
             [np.asarray(r) for r in rows[start : start + chunk_rows]], m
         )
-        block_totals(padded, c_ext, SYMBOL_TOTALS, None, None, totals)
+        block_totals(
+            gather_chunk(c_ext, padded), SYMBOL_TOTALS, None, None, totals
+        )
     return totals

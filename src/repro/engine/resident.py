@@ -1,18 +1,19 @@
 """Resident-sample backend: incremental prefix-product counting.
 
 Phase 2 of the paper's algorithm runs its whole breadth-first search
-against one fixed in-memory sample.  The other backends treat every
-batch as a fresh database: each level re-pads the sample, re-keys the
-factor cache by content hash, and recomputes every candidate's window
-products from its first symbol.  :class:`ResidentSampleEvaluator`
+against one fixed in-memory sample.  The counting engine treats every
+batch as a fresh set of patterns: it recomputes every candidate's
+window products from its first symbol.  :class:`ResidentSampleEvaluator`
 exploits the fixity instead:
 
-* **Pin once.**  The first call pads the scanned rows into chunks and
-  gathers their factor arrays a single time.  Later calls verify the
-  pin with a ``blake2b`` content digest computed *during* the
-  mandatory scan — the protocol's one ``database.scan()`` per call
-  doubles as the staleness check, so scan accounting is untouched and
-  handing the engine a different database (or matrix) transparently
+* **Pin once.**  The mandatory scan of every call streams the rows
+  through the evaluator's :class:`~repro.engine.kernels.FactorPin`
+  (:attr:`~ResidentSampleEvaluator.cache`), the counting engine's own
+  factor-array policy with no budget: the first call gathers every
+  chunk, later calls reuse a chunk whose padded content digest still
+  matches.  The protocol's one ``database.scan()`` per call doubles as
+  the staleness check, so scan accounting is untouched and handing the
+  evaluator a different database (or matrix, or dtype) transparently
   re-pins.
 * **Extend, don't recompute.**  A candidate ``P·(gaps)·d`` is its
   parent ``P`` plus one fixed symbol, and window products associate
@@ -50,7 +51,6 @@ repeatedly counts against one memory-resident database.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,10 +69,9 @@ from ..obs import (
 from .base import MatchEngine, empty_database_guard, matrix_fingerprint
 from .kernels import (
     DEFAULT_CHUNK_ROWS,
+    FactorPin,
     extend_plane,
     extended_matrix,
-    gather_chunk,
-    pad_chunk,
     resolve_score_dtype,
     rows_symbol_totals,
 )
@@ -138,33 +137,21 @@ class PlaneStats:
 
 
 class _Pin:
-    """One pinned database: factor arrays plus reusable work buffers.
+    """One pinned database: its factor arrays plus reusable work buffers.
 
-    The ``(m + 1, L, N)`` factor array of every chunk is gathered once,
-    in the pin's dtype.  The ``(L, N)`` prefix-stack buffers are
-    allocated on first use, one per chain depth per chunk.
+    *gathered* holds the ``(m + 1, L, N)`` factor array of every chunk,
+    in the pin's dtype (shared with the evaluator's
+    :class:`~repro.engine.kernels.FactorPin`).  The ``(L, N)``
+    prefix-stack buffers are allocated on first use, one per chain
+    depth per chunk.
     """
 
-    __slots__ = ("key", "count", "dtype", "gathered", "arenas", "stack",
-                 "gmax")
+    __slots__ = ("count", "dtype", "gathered", "arenas", "stack", "gmax")
 
-    def __init__(
-        self,
-        key: tuple,
-        rows: List[np.ndarray],
-        matrix: CompatibilityMatrix,
-        chunk_rows: int,
-        dtype: np.dtype,
-    ):
-        self.key = key
-        self.count = len(rows)
-        self.dtype = dtype
-        m = matrix.size
-        c_ext = extended_matrix(matrix.array).astype(dtype, copy=False)
-        self.gathered: List[np.ndarray] = [
-            gather_chunk(c_ext, pad_chunk(rows[start : start + chunk_rows], m))
-            for start in range(0, len(rows), chunk_rows)
-        ]
+    def __init__(self, count: int, gathered: List[np.ndarray]):
+        self.count = count
+        self.gathered = gathered
+        self.dtype = gathered[0].dtype
         # One (L, N) work plane per chunk: every child is multiplied
         # into it and reduced before the next child touches it.
         self.arenas = self._planes()
@@ -172,7 +159,7 @@ class _Pin:
         self.stack: List[List[np.ndarray]] = []
         # Per-chunk sibling-maxima rows, grown on demand.
         self.gmax: List[np.ndarray] = [
-            np.empty((32, g.shape[2]), dtype=dtype) for g in self.gathered
+            np.empty((32, g.shape[2]), dtype=self.dtype) for g in gathered
         ]
 
     def _planes(self) -> List[np.ndarray]:
@@ -190,10 +177,6 @@ class _Pin:
     @property
     def stack_nbytes(self) -> int:
         return sum(b.nbytes for level in self.stack for b in level)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(g.nbytes for g in self.gathered)
 
     def maxima_rows(self, chunk_index: int, count: int) -> np.ndarray:
         rows = self.gmax[chunk_index]
@@ -221,7 +204,9 @@ class ResidentSampleEvaluator(MatchEngine):
         stack buffers take half the bytes).  ``None`` resolves through
         ``NOISYMINE_SCORE_DTYPE``.
 
-    ``planes`` (:class:`PlaneStats`) counts the prefix stack's traffic.
+    ``planes`` (:class:`PlaneStats`) counts the prefix stack's traffic,
+    ``cache`` (:class:`~repro.engine.kernels.FactorPin`) holds the
+    pinned factor arrays and ``repins`` counts the pins built.
     """
 
     name = "resident"
@@ -237,6 +222,7 @@ class ResidentSampleEvaluator(MatchEngine):
             )
         self.chunk_rows = chunk_rows
         self.planes = PlaneStats()
+        self.cache = FactorPin()
         self.repins = 0
         self._pin: Optional[_Pin] = None
         self.score_dtype = resolve_score_dtype(score_dtype)
@@ -259,41 +245,29 @@ class ResidentSampleEvaluator(MatchEngine):
     ) -> _Pin:
         """Consume exactly one scan; reuse or rebuild the pin.
 
-        The digest is computed from the very rows the mandatory scan
-        yields, so a database whose content changed between calls (or a
-        different database object with equal content) is detected with
-        no extra pass.  A ``blake2b`` digest is collision-safe in a way
-        Python's salted 64-bit ``hash`` is not, and is stable across
-        processes.
+        The factor pin checks every chunk the mandatory scan yields
+        against its content digest, so a database whose content changed
+        between calls is detected with no extra pass, and a different
+        database object with equal content reuses the pin.  The work
+        buffers are rebuilt only when some chunk had to be gathered.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        rows: List[np.ndarray] = []
-        # One chunked pass: zero-copy blocks from backends that support
-        # them (the packed store), buffered rows elsewhere.  The digest
-        # is per row, over the same bytes in the same order as the
-        # per-row scan it replaces, so pin keys are unchanged — and
-        # equal content pins identically across backends.
-        for chunk in database.scan_chunks(self.chunk_rows):
-            for seq in chunk.rows:
-                row = np.ascontiguousarray(np.asarray(seq))
-                rows.append(row)
-                digest.update(len(row).to_bytes(8, "little"))
-                # dtype.char is a C-level attribute; str(dtype) costs
-                # more than the row digest itself on short sequences.
-                digest.update(row.dtype.char.encode())
-                digest.update(row.data)
-        empty_database_guard(len(rows))
-        key = (
-            matrix_fingerprint(matrix), self.chunk_rows,
-            self.score_dtype, digest.digest(),
-        )
+        dtype = np.float32 if self.score_dtype == "float32" else np.float64
+        c_ext = extended_matrix(matrix.array).astype(dtype, copy=False)
+        misses = self.cache.misses
+        count = 0
+        gathered: List[np.ndarray] = []
+        for rows, factors in self.cache.scan(
+            database, self.chunk_rows, c_ext, matrix_fingerprint(matrix)
+        ):
+            count += len(rows)
+            gathered.append(factors)
+        empty_database_guard(count)
         pin = self._pin
-        if pin is None or pin.key != key:
-            dtype = np.dtype(
-                np.float32 if self.score_dtype == "float32" else np.float64
-            )
-            pin = _Pin(key, rows, matrix, self.chunk_rows, dtype)
-            self._pin = pin
+        if (
+            pin is None or self.cache.misses != misses
+            or len(gathered) != len(pin.gathered)
+        ):
+            pin = self._pin = _Pin(count, gathered)
             self.repins += 1
         return pin
 
@@ -473,12 +447,12 @@ class ResidentSampleEvaluator(MatchEngine):
 
     def close(self) -> None:
         self._pin = None
+        self.cache.clear()
         self.planes.nbytes = 0
 
     def __repr__(self) -> str:
-        pinned = self._pin.nbytes if self._pin is not None else 0
         return (
             f"ResidentSampleEvaluator(chunk_rows={self.chunk_rows}, "
             f"score_dtype={self.score_dtype!r}, "
-            f"pinned_bytes={pinned}, planes={self.planes!r})"
+            f"pinned_bytes={self.cache.nbytes}, planes={self.planes!r})"
         )

@@ -60,6 +60,7 @@ from .kernels import (
     DATABASE_TOTALS,
     SYMBOL_TOTALS,
     block_totals,
+    gather_chunk,
     group_plans,
     pad_chunk,
 )
@@ -439,10 +440,10 @@ def execute_shard_task(task: ShardTask, c_ext: np.ndarray) -> ShardResult:
     out = np.zeros((len(block_starts), width), dtype=np.float64)
     scratch: Dict[tuple, np.ndarray] = {}
     for i, start in enumerate(block_starts):
+        padded = pad_chunk(rows[start : start + task.chunk_rows], m)
         block_totals(
-            pad_chunk(rows[start : start + task.chunk_rows], m), c_ext,
-            task.kind, task.groups, task.elements_by_span, out[i],
-            plans=plans, scratch=scratch,
+            gather_chunk(c_ext, padded), task.kind, task.groups,
+            task.elements_by_span, out[i], plans=plans, scratch=scratch,
         )
     return ShardResult(
         index=spec.index,

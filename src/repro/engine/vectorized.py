@@ -14,11 +14,15 @@ pattern prefixes (see :func:`repro.engine.kernels.prefix_plan`).
 Counting always scores in float64.
 
 The factor array depends only on ``(compatibility matrix, sequences)``
-— not on the patterns — so the serial scan caches it across calls
-keyed by ``(matrix fingerprint, padded-chunk content digest)``.  Phase 3 of
-the paper's algorithm probes half-layers of the ambiguous region with
-one scan per batch over the *same* database; with the cache those
-repeat scans skip the gather and pay only the window reductions.
+— not on the patterns — so the serial scan streams every chunk through
+the engine's :class:`~repro.engine.kernels.FactorPin` (:attr:`cache`),
+which keeps the database's factor arrays when they fit
+:data:`PIN_BYTES`.  Phase 3 of the paper's algorithm probes half-layers
+of the ambiguous region with one scan per batch over the *same*
+database, and the daemon's jobs re-scan the same store; with the pin
+those repeat scans skip the gather and pay only the window reductions.
+A database too large for the budget is gathered chunk by chunk and
+nothing is kept.
 
 With ``workers > 1`` a scan over at least two blocks is cut into
 block-aligned shards (:mod:`repro.engine.shards`) and run by a fork
@@ -30,8 +34,6 @@ equal ``chunk_rows``.  Either way the engine consumes exactly one
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +44,6 @@ from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
 from ..errors import MiningError
 from ..obs import (
-    FACTOR_CACHE_EVICTIONS,
     FACTOR_CACHE_HITS,
     FACTOR_CACHE_MISSES,
     SHARD_IO_BYTES,
@@ -56,6 +57,7 @@ from .kernels import (
     DATABASE_TOTALS,
     DEFAULT_CHUNK_ROWS,
     SYMBOL_TOTALS,
+    FactorPin,
     block_totals,
     extended_matrix,
     gather_chunk,
@@ -78,79 +80,10 @@ from .shards import (
     scatter_gather,
 )
 
-#: Default factor-cache budget (bytes).  A cached chunk costs
-#: ``8 * (m + 1) * N * L`` bytes; 128 MiB holds ~48 chunks of the
-#: paper's protein workload (m=20, N=256, L=64).
-DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
-
-_CacheKey = Tuple[tuple, Tuple[int, ...], bytes]
-
-
-class FactorCache:
-    """LRU cache of per-chunk factor arrays with a byte budget.
-
-    Keys are ``(matrix fingerprint, padded shape, padded content
-    digest)`` — both components are content-based, so two equal
-    matrices share entries and neither a different matrix nor a
-    different chunk of sequences can ever serve stale factors.  The
-    digest is ``blake2b`` over the padded chunk's bytes: Python's
-    salted 64-bit ``hash`` admits (however unlikely) collisions that
-    would silently serve the factor array of a *different* chunk,
-    whereas a 128-bit cryptographic digest makes that impossible in
-    practice.  Digesting the ``(N, L)`` int chunk costs ``O(N L)``,
-    negligible next to the ``O(m N L)`` gather it saves.
-    """
-
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES):
-        if max_bytes < 0:
-            raise MiningError(
-                f"cache budget must be >= 0 bytes, got {max_bytes}"
-            )
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[_CacheKey, np.ndarray]" = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: _CacheKey) -> Optional[np.ndarray]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: _CacheKey, value: np.ndarray) -> None:
-        if value.nbytes > self.max_bytes:
-            return  # larger than the whole budget; not worth keeping
-        if key in self._entries:
-            self._bytes -= self._entries.pop(key).nbytes
-        self._entries[key] = value
-        self._bytes += value.nbytes
-        while self._bytes > self.max_bytes:
-            _key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"FactorCache(entries={len(self)}, bytes={self._bytes}, "
-            f"hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions})"
-        )
+#: Byte budget of an engine's factor pin.  A database whose factor
+#: arrays (``8 (m + 1)`` bytes per symbol, plus padding) exceed it is
+#: not kept: the pin holds all of a database or none of it.
+PIN_BYTES = 128 * 1024 * 1024
 
 
 class VectorizedBatchEngine(MatchEngine):
@@ -162,21 +95,19 @@ class VectorizedBatchEngine(MatchEngine):
         Sequences per padded chunk — also the shard block-grid pitch.
         Larger chunks amortise Python overhead further but cost
         ``8 (m+1) N L`` bytes of factor array each.
-    cache_bytes:
-        Budget of the serial scan's factor-row cache; ``0`` disables
-        caching.
     workers:
         Worker processes; ``None`` resolves through
         :func:`~repro.engine.shards.resolve_worker_count` (the
         ``NOISYMINE_WORKERS`` environment variable, else 1).  With more
         than one, scans over at least two shards run on a fork pool.
 
-    :attr:`dispatch` is the pool seam: ``None`` runs shard tasks on
-    the engine's own pool (``imap_unordered``); tests set any callable
-    from tasks to results to reorder or fail the gather.  Of the lifetime
-    counters :attr:`pools_created`, :attr:`shards_dispatched` and
-    :attr:`shard_steals`, the last two are also reported per call on
-    the tracer.
+    :attr:`cache` is the serial scan's :class:`FactorPin`, holding at
+    most :data:`PIN_BYTES`.  :attr:`dispatch` is the pool seam: ``None``
+    runs shard tasks on the engine's own pool (``imap_unordered``);
+    tests set any callable from tasks to results to reorder or fail the
+    gather.  Of the lifetime counters :attr:`pools_created`,
+    :attr:`shards_dispatched` and :attr:`shard_steals`, the last two
+    are also reported per call on the tracer.
     """
 
     name = "vectorized"
@@ -184,7 +115,6 @@ class VectorizedBatchEngine(MatchEngine):
     def __init__(
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         workers: Optional[int] = None,
     ):
         if chunk_rows < 1:
@@ -192,7 +122,7 @@ class VectorizedBatchEngine(MatchEngine):
                 f"chunk_rows must be >= 1, got {chunk_rows}"
             )
         self.chunk_rows = chunk_rows
-        self.cache = FactorCache(cache_bytes)
+        self.cache = FactorPin()
         self.workers = resolve_worker_count(workers)
         self.dispatch: Optional[Dispatch] = None
         self._pool = None
@@ -271,8 +201,7 @@ class VectorizedBatchEngine(MatchEngine):
         if traced:
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
-            cache0 = (self.cache.hits, self.cache.misses,
-                      self.cache.evictions)
+            cache0 = (self.cache.hits, self.cache.misses)
         batch = (kind, groups, elements_by_span, width)
         result = None
         chunks = None
@@ -307,32 +236,26 @@ class VectorizedBatchEngine(MatchEngine):
                 result = (totals, manifest.n_rows)
         if result is None:
             if chunks is None:
-                chunks = (
-                    list(chunk.rows)
-                    for chunk in database.scan_chunks(self.chunk_rows)
+                factors = self.cache.scan(
+                    database, self.chunk_rows, c_ext,
+                    matrix_fingerprint(matrix), budget=PIN_BYTES,
                 )
-            result = self._serial(batch, chunks, matrix, c_ext)
+            else:
+                # The pool path already took this call's scan.
+                factors = (
+                    (rows, gather_chunk(c_ext, pad_chunk(rows, matrix.size)))
+                    for rows in chunks
+                )
+            result = self._serial(batch, factors)
         if traced:
             self.note_settings(tracer)
             tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
             tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
-            tracer.count(
-                FACTOR_CACHE_EVICTIONS, self.cache.evictions - cache0[2]
-            )
         return result
 
-    def _serial(
-        self,
-        batch: tuple,
-        chunks,
-        matrix: CompatibilityMatrix,
-        c_ext: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
+    def _serial(self, batch: tuple, factors) -> Tuple[np.ndarray, int]:
+        """Add up *factors*' ``(rows, factor array)`` blocks."""
         kind, groups, elements_by_span, width = batch
-        m = matrix.size
-        factors = partial(
-            self._factor_array, c_ext, matrix_fingerprint(matrix)
-        )
         plans = (
             group_plans(elements_by_span) if kind == DATABASE_TOTALS
             else None
@@ -340,11 +263,11 @@ class VectorizedBatchEngine(MatchEngine):
         totals = np.zeros(width, dtype=np.float64)
         scratch: Dict[tuple, np.ndarray] = {}
         count = 0
-        for rows in chunks:
+        for rows, gathered in factors:
             count += len(rows)
             block_totals(
-                pad_chunk(rows, m), c_ext, kind, groups, elements_by_span,
-                totals, plans=plans, scratch=scratch, factors=factors,
+                gathered, kind, groups, elements_by_span, totals,
+                plans=plans, scratch=scratch,
             )
         if count == 0:
             what = "symbol matches" if kind == SYMBOL_TOTALS else "matches"
@@ -352,17 +275,6 @@ class VectorizedBatchEngine(MatchEngine):
                 f"cannot compute {what} over an empty database"
             )
         return totals, count
-
-    def _factor_array(
-        self, c_ext: np.ndarray, fingerprint: tuple, padded: np.ndarray
-    ) -> np.ndarray:
-        digest = hashlib.blake2b(padded.tobytes(), digest_size=16).digest()
-        key: _CacheKey = (fingerprint, padded.shape, digest)
-        gathered = self.cache.get(key)
-        if gathered is None:
-            gathered = gather_chunk(c_ext, padded)
-            self.cache.put(key, gathered)
-        return gathered
 
     # -- the worker pool ------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 The paper compares algorithms by *database scans per phase*; this
 package makes that metric (and its neighbours: pattern counters,
-probe rounds, factor-cache traffic, parallel shard dispatch) a native
+probe rounds, factor-pin traffic, parallel shard dispatch) a native
 output of every miner instead of a number inferred from one total.
 
 * :class:`Tracer` — nested phase spans with monotonic timers and named
@@ -28,7 +28,6 @@ from .tracer import (
     CANDIDATES_GENERATED,
     DELTA_PATTERNS_COUNTED,
     DELTA_SCANS,
-    FACTOR_CACHE_EVICTIONS,
     FACTOR_CACHE_HITS,
     FACTOR_CACHE_MISSES,
     IO_BYTES_READ,
@@ -70,7 +69,6 @@ __all__ = [
     "CANDIDATES_GENERATED",
     "DELTA_PATTERNS_COUNTED",
     "DELTA_SCANS",
-    "FACTOR_CACHE_EVICTIONS",
     "FACTOR_CACHE_HITS",
     "FACTOR_CACHE_MISSES",
     "IO_BYTES_READ",

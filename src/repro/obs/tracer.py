@@ -7,7 +7,7 @@ per phase* (Algorithms 4.1-4.4): one Phase-1 scan, zero Phase-2 scans
 inferable from a single total: miners open a span per phase (and per
 probe round), and every component that consumes or saves work reports
 it through named counters — scans, patterns counted, candidates
-generated, factor-cache hits, parallel shards, and so on.
+generated, factor-pin hits, parallel shards, and so on.
 
 Design constraints, in order:
 
@@ -56,9 +56,9 @@ CANDIDATES_GENERATED = "candidates_generated"
 AMBIGUOUS_REMAINING = "ambiguous_remaining"
 PROBE_ROUNDS = "probe_rounds"
 PROBES = "probes"
+#: Chunks the counting engine's factor pin served / gathered.
 FACTOR_CACHE_HITS = "factor_cache_hits"
 FACTOR_CACHE_MISSES = "factor_cache_misses"
-FACTOR_CACHE_EVICTIONS = "factor_cache_evictions"
 SHARDS_DISPATCHED = "shards_dispatched"
 SHARD_STEALS = "shard_steals"
 SHARD_SCAN_SECONDS = "shard_scan_seconds"

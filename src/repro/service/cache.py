@@ -11,11 +11,13 @@ expensive state survives across jobs:
   manifest): a same-size in-place rewrite is recognised immediately,
   a path is never served stale content, and the cached ``stat``
   signature is purely observability.  Each entry also owns per-store
-  execution state: a private counting engine (so concurrent jobs on
-  different stores never share a factor cache or worker pool) and one
-  warm :class:`~repro.engine.resident.ResidentSampleEvaluator` whose
-  pinned sample (and its prefix-stack buffers) carry over to the next
-  job on the same store.
+  execution state: a private counting engine, whose factor pin keeps
+  the store's factor arrays for the next job when they fit
+  :data:`~repro.engine.vectorized.PIN_BYTES` (concurrent jobs on
+  different stores never share a pin or worker pool), and one warm
+  :class:`~repro.engine.resident.ResidentSampleEvaluator` whose pinned
+  sample (and its prefix-stack buffers) carry over to the next job on
+  the same store.
 
   Entries are **refcount-pinned** while a job runs on them
   (:meth:`StoreCache.acquire` / :meth:`StoreEntry.release`): LRU
@@ -82,7 +84,7 @@ class StoreEntry:
     """One warm store: the open mapping plus its per-store engine.
 
     ``lock`` serialises jobs on the same store — the scan-count
-    bookkeeping on a store (and the engines' caches) is per-instance
+    bookkeeping on a store (and the engines' pins) is per-instance
     state that two concurrent miners must not interleave.  Jobs on
     *different* entries run fully in parallel.
 
@@ -109,8 +111,8 @@ class StoreEntry:
         """This entry's private counting engine.
 
         Created on first use (a
-        :class:`~repro.engine.VectorizedBatchEngine`) and kept so the
-        factor cache / worker pool stays warm for the next job on this
+        :class:`~repro.engine.VectorizedBatchEngine`) and kept so its
+        factor pin and worker pool stay warm for the next job on this
         store.
         """
         if self._engine is None:

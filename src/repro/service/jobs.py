@@ -253,6 +253,11 @@ class MiningService:
         if not isinstance(config, MiningConfig):
             config = MiningConfig.from_dict(config)
         if store is not None:
+            if not isinstance(store, (str, os.PathLike)):
+                raise ServiceError(
+                    "'store' must be a path string, got "
+                    f"{type(store).__name__} {store!r}"
+                )
             store = os.path.abspath(os.fspath(store))
             if not (
                 os.path.isfile(store)
@@ -265,7 +270,7 @@ class MiningService:
                 db = SequenceDatabase(database, ids=ids)
             except NoisyMineError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError(
                     f"invalid inline database: {exc}"
                 ) from exc

@@ -72,11 +72,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot be
+            # reused after answering.
+            self.close_connection = True
+            self._send_error_json(
+                400, f"malformed Content-Length header: {header!r}"
+            )
+            return None
         if length <= 0:
             self._send_error_json(400, "request body required")
             return None
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
             self._send_error_json(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
@@ -168,6 +179,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except OSError as exc:
             self._send_error_json(400, f"cannot stat store: {exc}")
+            return
+        except Exception as exc:  # noqa: BLE001 - keep the daemon alive
+            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
             return
         self._send_json(202, job.status_dict())
 

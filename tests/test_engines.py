@@ -1,4 +1,4 @@
-"""The engine layer: engine equivalence, scan contract, cache, pool.
+"""The engine layer: engine equivalence, scan contract, factor pin, pool.
 
 The per-sequence oracle of ``tests/oracles.py`` is the semantic
 baseline; the counting engine — one worker or a pool — must agree
@@ -26,7 +26,7 @@ from repro import (
 from repro.config import MiningConfig
 from repro.core import match as core_match
 from repro.engine import (
-    FactorCache,
+    FactorPin,
     MatchEngine,
     VectorizedBatchEngine,
     WORKERS_ENV_VAR,
@@ -54,7 +54,7 @@ def _tiny_shards():
         yield
 
 
-#: Module-level instances so the pool and the factor cache are reused
+#: Module-level instances so the pool and the factor pin are reused
 #: across examples.  chunk_rows=3 forces multi-chunk evaluation on tiny
 #: databases.
 REF = ReferenceEngine()
@@ -237,9 +237,9 @@ class TestScanContract:
         assert engine.cache.hits > 0
 
 
-class TestFactorCache:
-    def test_repeat_scan_hits_cache_and_agrees(self, fig4_database,
-                                               fig2_matrix):
+class TestFactorPin:
+    def test_repeat_scan_hits_pin_and_agrees(self, fig4_database,
+                                             fig2_matrix):
         engine = VectorizedBatchEngine(chunk_rows=2)
         batch = [Pattern([0, 1]), Pattern([1, 1])]
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
@@ -265,40 +265,80 @@ class TestFactorCache:
         self, fig2_matrix
     ):
         # Same (N, L) padded shape, one symbol different: the content
-        # digest in the key must keep the two chunks apart — a collision
-        # would silently serve the factor array of the *other* chunk.
+        # digest of the slot must keep the two chunks apart — a
+        # collision would silently serve the factor array of the
+        # *other* chunk.
         engine = VectorizedBatchEngine(chunk_rows=2)
         db_a = SequenceDatabase([[0, 1, 2], [3, 4, 0]])
         db_b = SequenceDatabase([[0, 1, 2], [3, 4, 1]])
         batch = [Pattern([0, 1])]
         engine.database_matches(batch, db_a, fig2_matrix)
         engine.database_matches(batch, db_b, fig2_matrix)
-        assert len(engine.cache) == 2
         assert engine.cache.hits == 0
         got = engine.database_matches(batch, db_b, fig2_matrix)
         assert engine.cache.hits == 1  # the repeat is a genuine hit
         expected = core_match.database_matches(batch, db_b, fig2_matrix)
         assert got[batch[0]] == pytest.approx(expected[batch[0]], abs=1e-12)
+        got = engine.database_matches(batch, db_a, fig2_matrix)
+        assert engine.cache.hits == 1  # db_b's slot is not db_a's
+        expected = core_match.database_matches(batch, db_a, fig2_matrix)
+        assert got[batch[0]] == pytest.approx(expected[batch[0]], abs=1e-12)
 
-    def test_byte_budget_evicts_lru(self):
-        cache = FactorCache(max_bytes=2048)
-        a = np.zeros(128, dtype=np.float64)  # 1024 bytes each
-        cache.put(("k1",), a)
-        cache.put(("k2",), a.copy())
-        cache.put(("k3",), a.copy())  # evicts k1
-        assert cache.get(("k1",)) is None
-        assert cache.get(("k2",)) is not None
-        assert cache.nbytes <= 2048
-
-    def test_zero_budget_disables_caching(self, fig4_database, fig2_matrix):
-        engine = VectorizedBatchEngine(chunk_rows=2, cache_bytes=0)
-        batch = [Pattern([0, 1])]
+    def test_database_over_the_budget_is_never_kept(
+        self, monkeypatch, fig4_database, fig2_matrix
+    ):
+        engine = VectorizedBatchEngine(chunk_rows=2)
+        batch = [Pattern([0, 1]), Pattern([1, 1])]
+        unpadded = 8 * (fig2_matrix.size + 1) * fig4_database.total_symbols()
+        monkeypatch.setattr(
+            "repro.engine.vectorized.PIN_BYTES", unpadded - 1
+        )
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
         second = engine.database_matches(batch, fig4_database, fig2_matrix)
-        assert len(engine.cache) == 0
-        assert first == second
+        assert len(engine.cache) == 0 and engine.cache.nbytes == 0
+        assert engine.cache.hits == 0  # every scan gathers afresh
+        assert first == second == REF.database_matches(
+            batch, fig4_database, fig2_matrix
+        )
 
-    def test_close_clears_cache(self, fig4_database, fig2_matrix):
+    def test_nbytes_never_exceeds_the_budget(self, monkeypatch,
+                                              fig2_matrix):
+        # Unequal lengths: padding makes the held arrays larger than
+        # the unpadded estimate the pin checks first.
+        database = SequenceDatabase(
+            [[0, 1, 2, 3, 4, 0, 1, 2], [1], [2, 3], [4, 0, 1, 2, 3]]
+        )
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
+        expected = REF.database_matches(batch, database, fig2_matrix)
+        unpadded = 8 * (fig2_matrix.size + 1) * database.total_symbols()
+        padded = 8 * (fig2_matrix.size + 1) * 2 * (8 + 5)
+        kept = []
+        for budget in range(0, padded + 97, 48):
+            monkeypatch.setattr("repro.engine.vectorized.PIN_BYTES", budget)
+            engine = VectorizedBatchEngine(chunk_rows=2)
+            for _ in range(2):
+                got = engine.database_matches(batch, database, fig2_matrix)
+                assert engine.cache.nbytes <= budget
+                assert got == pytest.approx(expected, abs=1e-12)
+            # All of the database or none of it, never a part.
+            assert engine.cache.nbytes in (0, padded)
+            if engine.cache.nbytes:
+                kept.append(budget)
+                assert engine.cache.hits == 2
+        assert unpadded < padded
+        assert kept and min(kept) >= padded
+
+    def test_pin_keeps_every_chunk_without_a_budget(self, fig2_matrix):
+        database = SequenceDatabase([[0, 1, 2], [3, 4], [1, 0, 2, 4]])
+        pin = FactorPin()
+        c_ext = np.eye(6)
+        for _ in range(2):
+            blocks = list(pin.scan(database, 2, c_ext, ("eye",)))
+            assert [len(rows) for rows, _g in blocks] == [2, 1]
+        assert (pin.hits, pin.misses, len(pin)) == (2, 2, 2)
+        assert pin.nbytes == sum(g.nbytes for _rows, g in blocks)
+
+    def test_close_clears_pin(self, fig4_database, fig2_matrix):
         engine = VectorizedBatchEngine(chunk_rows=2)
         engine.database_matches(
             [Pattern([0])], fig4_database, fig2_matrix

@@ -54,7 +54,7 @@ from .strategies import (
 REF = ReferenceEngine()
 #: The counting engine at the evaluator's test pitch: float64 resident
 #: values must equal its values bit for bit.
-VEC = VectorizedBatchEngine(chunk_rows=3, cache_bytes=0)
+VEC = VectorizedBatchEngine(chunk_rows=3)
 
 #: The documented float32 bound on any match value (docs/ALGORITHMS.md).
 FLOAT32_ATOL = 1e-5
@@ -215,7 +215,7 @@ class TestPrefixStack:
             assert misses == _distinct_parent_prefixes(batch)
         assert engine.planes.nbytes > 0
         # Every value equals the counting engine's, bit for bit.
-        vec = VectorizedBatchEngine(chunk_rows=chunk_rows, cache_bytes=0)
+        vec = VectorizedBatchEngine(chunk_rows=chunk_rows)
         for batch, _misses, _nbytes in engine.calls:
             assert ResidentSampleEvaluator(
                 chunk_rows=chunk_rows
@@ -571,7 +571,7 @@ class TestClassifyIntegration:
         results = []
         for sample_engine in (
             ResidentSampleEvaluator(),
-            VectorizedBatchEngine(cache_bytes=0),
+            VectorizedBatchEngine(),
         ):
             miner = BorderCollapsingMiner(
                 matrix, 0.35, sample_size=7,

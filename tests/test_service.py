@@ -9,6 +9,7 @@ store jobs and the append endpoint, job-state transition invariants
 under concurrent readers, and deterministic service shutdown.
 """
 
+import http.client
 import json
 import os
 import threading
@@ -21,7 +22,13 @@ from repro.datagen.synthetic import generate_database
 from repro.datagen.motifs import random_motif
 from repro.errors import SequenceDatabaseError, ServiceError
 from repro.io import PackedSequenceStore, SegmentedSequenceStore
-from repro.obs import RESULT_MEMO_HITS, STORE_CACHE_HITS, STORE_CACHE_MISSES
+from repro.obs import (
+    FACTOR_CACHE_HITS,
+    FACTOR_CACHE_MISSES,
+    RESULT_MEMO_HITS,
+    STORE_CACHE_HITS,
+    STORE_CACHE_MISSES,
+)
 from repro.service import (
     MiningService,
     ServiceClient,
@@ -169,6 +176,52 @@ class TestHTTPRoundTrip:
                           store=str(store_path))
         assert client.healthz()["status"] == "ok"  # the daemon stays up
 
+    @pytest.mark.parametrize(
+        "content_length, payload, reason",
+        [
+            ("abc", {"config": CONFIG}, "Content-Length"),
+            (None, {"config": CONFIG, "store": 5}, "'store' must be"),
+            (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
+                    "database": [[0, 10**12]]}, "invalid inline database"),
+            (None, {"config": {"min_match": "abc"}}, "'min_match'"),
+            (None, {"config": {"min_match": [1]}}, "'min_match'"),
+            (None, {"config": dict(CONFIG, max_weight="3")}, "'max_weight'"),
+            (None, {"config": dict(CONFIG, seed=1.5)}, "'seed'"),
+            (None, {"config": dict(CONFIG, memory_capacity=0)},
+             "memory_capacity"),
+        ],
+        ids=[
+            "content-length", "store-type", "symbol-overflow",
+            "min-match-string", "min-match-list", "max-weight-string",
+            "seed-float", "memory-capacity-zero",
+        ],
+    )
+    def test_malformed_submit_is_4xx(self, server, client, store_path,
+                                     content_length, payload, reason):
+        if "store" not in payload and "database" not in payload:
+            payload = dict(payload, store=str(store_path))
+        before = client.healthz()["jobs"]
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            body = json.dumps(payload).encode("utf-8")
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader(
+                "Content-Length", content_length or str(len(body))
+            )
+            connection.endheaders(body)
+            response = connection.getresponse()
+            doc = json.loads(response.read().decode("utf-8"))
+        finally:
+            connection.close()
+        assert 400 <= response.status < 500, doc
+        assert reason in doc["error"]
+        health = client.healthz()  # the daemon stays up
+        assert health["status"] == "ok"
+        assert health["jobs"] == before  # no job was queued
+        assert health["jobs"]["queued"] == health["jobs"]["running"] == 0
+
     def test_missing_store_is_400(self, client, tmp_path):
         with pytest.raises(ServiceError, match="400"):
             client.submit(CONFIG, store=str(tmp_path / "nope.nmp"))
@@ -266,6 +319,25 @@ class TestWarmState:
             assert planes["evaluators"] == 1
             assert planes["plane_misses"] > 0
             assert planes["repins"] == repins_after_first
+
+    def test_warm_levelwise_job_gathers_no_factor_array(self, store_path):
+        """The entry engine's factor pin keeps the store: a second
+        level-wise job on it serves every chunk from the pin."""
+        with MiningService(workers=1) as service:
+            first = service.submit(CONFIG, store=str(store_path))
+            service._queue.join()
+            entry, _was_hit = service.stores.get(str(store_path))
+            misses = entry.engine().cache.misses
+            second = service.submit(
+                dict(CONFIG, min_match=0.6), store=str(store_path)
+            )
+            service._queue.join()
+            assert second.state == "done" and not second.memo_hit
+            assert first.tracer.totals().get(FACTOR_CACHE_MISSES, 0) > 0
+            totals = second.tracer.totals()
+            assert totals.get(FACTOR_CACHE_MISSES, 0) == 0
+            assert totals.get(FACTOR_CACHE_HITS, 0) > 0
+            assert entry.engine().cache.misses == misses
 
     def test_resident_planes_stay_within_the_stack_bound(self, store_path):
         """Planes no longer accumulate across jobs: after two jobs at
