@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import CompatibilityMatrix, classify_on_sample
-from repro.core.match import symbol_matches
+from repro.engine import VectorizedBatchEngine
 from repro.datagen.noise import corrupt_uniform
 from repro.eval.harness import ExperimentTable
 from repro.mining.ambiguous import ambiguous_count
@@ -36,7 +36,7 @@ def test_fig10_ambiguous_vs_sample_size(benchmark, protein_db, scale):
             rng = np.random.default_rng(scale.noise_seeds[0])
             test = corrupt_uniform(std, m, alpha, rng)
             matrix = CompatibilityMatrix.uniform_noise(m, alpha)
-            symbol_match = symbol_matches(test, matrix)
+            symbol_match = VectorizedBatchEngine().symbol_matches(test, matrix)
             for fraction in SAMPLE_FRACTIONS:
                 n = max(10, int(fraction * len(test)))
                 test.reset_scan_count()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import CompatibilityMatrix, classify_on_sample, restricted_spread
-from repro.core.match import symbol_matches
+from repro.engine import VectorizedBatchEngine
 from repro.datagen.noise import corrupt_uniform
 from repro.eval.harness import ExperimentTable
 from repro.mining.ambiguous import ambiguous_count
@@ -39,7 +39,7 @@ def test_fig11_restricted_spread(benchmark, protein_db, scale):
             rng = np.random.default_rng(scale.noise_seeds[0])
             test = corrupt_uniform(std, m, alpha, rng)
             matrix = CompatibilityMatrix.uniform_noise(m, alpha)
-            symbol_match = symbol_matches(test, matrix)
+            symbol_match = VectorizedBatchEngine().symbol_matches(test, matrix)
             test.reset_scan_count()
             # The figure studies the Chernoff band; at very large sample
             # sizes the band collapses and nothing stays ambiguous under

@@ -6,7 +6,10 @@ Generates a tiny synthetic database, runs ``noisymine mine`` with
 and validates the resulting RunReport files: required keys present,
 the ``vectorized`` engine reported with the run's ``workers`` in its
 context, the per-phase ``scans`` counters of the top-level phases
-summing exactly to the reported total, and the resident Phase-2
+summing exactly to the reported total, every algorithm's Phase-1 span
+counting its chunks through the counting engine's factor pin (so a
+Phase-1 loop that bypasses the engine cannot come back unseen), and
+the resident Phase-2
 prefix-stack counters reaching the sampling miners' reports (the
 border-collapsing run's ``resident_plane_bytes`` must be positive and
 within the stack bound of its sample, so an unbounded plane cache
@@ -73,6 +76,9 @@ BENCHMARKS = [
     ("bench_shards", "BENCH_shards.json"),
 ]
 
+#: Name of each algorithm's Phase-1 span (default ``phase1-scan``).
+PHASE1_SPAN = {"depthfirst": "materialize"}
+
 REQUIRED_KEYS = {
     "algorithm", "engine", "scans", "elapsed_seconds",
     "phases", "counters", "context",
@@ -103,6 +109,18 @@ def validate_report(payload: dict, algorithm: str, workers: int) -> None:
         )
     if payload["counters"].get("scans", 0) != payload["scans"]:
         raise AssertionError("run-wide scan counter != measured scan total")
+    name = PHASE1_SPAN.get(algorithm, "phase1-scan")
+    phase1 = [p for p in payload["phases"] if p["name"] == name]
+    if len(phase1) != 1:
+        raise AssertionError(f"expected one {name!r} phase, got {phase1}")
+    counters = phase1[0]["counters"]
+    chunks = sum(counters.get(key, 0)
+                 for key in ("factor_cache_hits", "factor_cache_misses"))
+    if chunks <= 0:
+        raise AssertionError(
+            f"{name!r} counted no chunk through the engine's factor pin: "
+            f"Phase 1 bypassed the counting engine ({counters})"
+        )
 
 
 def resident_stack_bound(db_path: Path) -> int:

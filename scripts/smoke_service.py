@@ -16,8 +16,9 @@ level stats).  The pass then checks the warm-state contract:
 * a warm sampling job reuses the resident evaluator's pinned sample
   (the pin/repins counter does not move);
 * a malformed request — a non-numeric ``Content-Length``, a config
-  value of the wrong JSON type — gets a 4xx with an ``error`` reason,
-  and ``/healthz`` still answers 200 afterwards.
+  value of the wrong JSON type, inline rows or ids of floats or bools —
+  gets a 4xx with an ``error`` reason, and ``/healthz`` still answers
+  200 afterwards.
 
 Each job's status document (with the streamed RunReport-shaped phase
 progress) is written to the output directory so CI uploads it as an
@@ -112,9 +113,14 @@ def _check_malformed_requests(server, client, store_path: Path) -> None:
     stays up."""
     good = {"config": CONFIG, "store": str(store_path)}
     typed = dict(good, config=dict(CONFIG, max_weight="4"))
+    inline = {"config": {"min_match": 0.5, "algorithm": "maxminer"}}
+    floats = dict(inline, database=[[1.5, 2.7], [1, 0]])
+    bools = dict(inline, database=[[1, 2], [1, 0]], ids=[True, 0])
     for name, payload, length in (
         ("bad Content-Length", good, "abc"),
         ("wrongly typed config", typed, None),
+        ("float inline symbols", floats, None),
+        ("bool inline ids", bools, None),
     ):
         body = json.dumps(payload).encode("utf-8")
         status, doc = _raw_post(server, body, length or str(len(body)))

@@ -42,7 +42,6 @@ from .core import (
     database_matches,
     segment_match,
     sequence_match,
-    symbol_matches,
 )
 from .datagen import (
     Motif,
@@ -134,7 +133,6 @@ __all__ = [
     "is_packed_store",
     "segment_match",
     "sequence_match",
-    "symbol_matches",
     "Motif",
     "expected_occurrence_retention",
     "blosum50_channel",

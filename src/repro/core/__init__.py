@@ -33,7 +33,6 @@ from .match import (
     database_matches,
     segment_match,
     sequence_match,
-    symbol_matches,
     symbol_matches_and_sample,
     symbol_sequence_matches,
     window_matches,
@@ -82,7 +81,6 @@ __all__ = [
     "database_matches",
     "segment_match",
     "sequence_match",
-    "symbol_matches",
     "symbol_matches_and_sample",
     "symbol_sequence_matches",
     "window_matches",

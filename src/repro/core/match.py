@@ -14,18 +14,20 @@ Three levels of aggregation, exactly as in the paper:
 The sliding-window evaluation is vectorised: for each fixed pattern
 position we gather one row of the compatibility matrix through the whole
 sequence and multiply the shifted row slices, giving ``O(k · |S|)`` numpy
-work for a weight-``k`` pattern.  :func:`symbol_matches` implements the
-Phase-1 per-symbol pass with the paper's distinct-symbol optimisation
-(``O(|S| + m²)`` per sequence instead of ``O(|S| · m)``).
+work for a weight-``k`` pattern.  :func:`symbol_sequence_matches` is the
+per-sequence definition of the Phase-1 symbol match;
+:func:`symbol_matches_and_sample` runs Algorithm 4.1's one pass on the
+counting engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MiningError
+from ..obs import Tracer
 from .compatibility import CompatibilityMatrix
 from .pattern import Pattern, WILDCARD
 from .sequence import (
@@ -35,6 +37,9 @@ from .sequence import (
     SequentialSampler,
     as_sequence_array,
 )
+
+if TYPE_CHECKING:  # engine.base imports this package
+    from ..engine.base import MatchEngine
 
 
 def segment_match(
@@ -261,77 +266,46 @@ def symbol_sequence_matches(
     return matrix.array[:, distinct].max(axis=1)
 
 
-def symbol_matches(
-    database: AnySequenceDatabase, matrix: CompatibilityMatrix
-) -> np.ndarray:
-    """Phase 1: the match of every individual symbol, in one scan.
-
-    Returns an ``(m,)`` array where entry ``d`` is ``M(d, D)``,
-    i.e. the database match of the 1-pattern consisting of symbol ``d``.
-    """
-    totals = np.zeros(matrix.size, dtype=np.float64)
-    count = 0
-    for _sid, seq in database.scan():
-        totals += symbol_sequence_matches(seq, matrix)
-        count += 1
-    if count == 0:
-        raise MiningError("cannot compute symbol matches over an empty database")
-    return totals / count
-
-
 def symbol_matches_and_sample(
     database: AnySequenceDatabase,
     matrix: CompatibilityMatrix,
     sample_size: int,
     rng: Optional[np.random.Generator] = None,
+    engine: Optional[MatchEngine] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[np.ndarray, SequenceDatabase]:
-    """Algorithm 4.1 in full: one combined pass computing per-symbol
-    matches **and** drawing a uniform random sample.
+    """Algorithm 4.1 in full: one pass computing per-symbol matches
+    **and** drawing a uniform random sample.
 
     The paper stresses that sampling is a free by-product of the Phase-1
-    scan; this helper preserves that property (a single chunked
-    ``scan_chunks()`` pass, consumed the same way on every backend).
-
-    The per-symbol maxima of each chunk are computed with the batched
-    gather kernel and are bit-identical to
-    :func:`symbol_sequence_matches` row by row (the padded gather adds
-    only duplicate columns and zero-valued pad columns, neither of
-    which can change an exact maximum over non-negative entries), and
-    the totals are accumulated per row in scan order — so the match
-    vector is bit-for-bit what the unchunked pass produced.  The sample
-    comes from the same :class:`~repro.core.sequence.SequentialSampler`
-    as :meth:`~repro.core.sequence.CountedScanDatabase.sample`, fed the
-    same rows in the same order, so it selects the same ids for the
-    same *rng* state.
+    scan.  The pass is *engine*'s own
+    :meth:`~repro.engine.base.MatchEngine.symbol_matches` (a fresh
+    :class:`~repro.engine.VectorizedBatchEngine` when ``None``), which
+    offers every row it scans to a
+    :class:`~repro.core.sequence.SequentialSampler` — the selector of
+    :meth:`~repro.core.sequence.CountedScanDatabase.sample`, fed the
+    same rows in the same order — so the values are the engine's
+    Phase-1 values and the sample holds the ids ``database.sample``
+    selects for the same *rng* state.  *tracer* records the engine's
+    counters.
 
     ``sample_size >= len(database)`` is clamped to the database size:
     the sample is the whole database, selected deterministically in
     scan order without consuming the random stream.  ``sample_size < 1``
     is rejected.
     """
-    # Kernel imports are call-time: engine.base imports this module.
-    from ..engine.kernels import (
-        chunk_symbol_maxima,
-        extended_matrix,
-        gather_chunk,
-        pad_chunk,
-    )
-
-    total = len(database)
     if sample_size < 1:
         raise MiningError(
-            f"cannot sample {sample_size} sequences from {total}"
+            f"cannot sample {sample_size} sequences from {len(database)}"
         )
+    if engine is None:
+        from ..engine import VectorizedBatchEngine  # imports this module
+
+        engine = VectorizedBatchEngine()
     sampler = SequentialSampler(
-        sample_size, total, rng or np.random.default_rng()
+        sample_size, len(database), rng or np.random.default_rng()
     )
-    m = matrix.size
-    c_ext = extended_matrix(matrix.array)
-    totals = np.zeros(m, dtype=np.float64)
-    for chunk in database.scan_chunks():
-        gathered = gather_chunk(c_ext, pad_chunk(chunk.rows, m))
-        maxima = chunk_symbol_maxima(gathered)
-        for offset, (sid, seq) in enumerate(zip(chunk.ids, chunk.rows)):
-            totals += maxima[:, offset]
-            sampler.offer(sid, seq)
-    return totals / total, sampler.database()
+    values = engine.symbol_matches(
+        database, matrix, tracer=tracer, sampler=sampler
+    )
+    return values, sampler.database()

@@ -4,9 +4,9 @@ Every ``M(P, D)`` evaluation runs through a
 :class:`~repro.engine.base.MatchEngine`:
 
 * :class:`~repro.engine.vectorized.VectorizedBatchEngine` counts full
-  databases — one numpy block kernel, run serially or, with
-  ``workers > 1``, over block-aligned shards on a fork pool
-  (:mod:`repro.engine.shards`);
+  databases, every miner's Phase-1 scan and sample included — one
+  numpy block kernel, run serially or, with ``workers > 1``, over
+  block-aligned shards on a fork pool (:mod:`repro.engine.shards`);
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
   Phase 2 of the sampling miners: it pins the sample once and extends
   candidate score planes incrementally.

@@ -9,11 +9,11 @@ one ``database.scan()`` per dispatched batch — is part of the protocol
 contract.
 
 Runs count full databases with
-:class:`~repro.engine.vectorized.VectorizedBatchEngine` and Phase 2 of
-the sampling miners with
-:class:`~repro.engine.resident.ResidentSampleEvaluator`.  Miners accept
-any :class:`MatchEngine` instance, which is how tests substitute an
-oracle.
+:class:`~repro.engine.vectorized.VectorizedBatchEngine` — every
+miner's Phase-1 scan and sample included — and Phase 2 of the sampling
+miners with :class:`~repro.engine.resident.ResidentSampleEvaluator`.
+Miners accept any :class:`MatchEngine` instance, which is how tests
+substitute an oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
-from ..core.sequence import AnySequenceDatabase
+from ..core.sequence import AnySequenceDatabase, SequentialSampler
 from ..errors import MiningError
 from ..obs import Tracer
 
@@ -63,27 +63,23 @@ class MatchEngine(abc.ABC):
         must be free.
         """
 
-    @abc.abstractmethod
     def symbol_matches(
         self,
         database: AnySequenceDatabase,
         matrix: CompatibilityMatrix,
         tracer: "Optional[Tracer]" = None,
+        sampler: "Optional[SequentialSampler]" = None,
     ) -> np.ndarray:
-        """Phase 1: the match of every 1-pattern, in one scan."""
+        """Phase 1: the match of every 1-pattern, in **one** scan.
 
-    @abc.abstractmethod
-    def symbol_matches_rows(
-        self,
-        sequences: Sequence[np.ndarray],
-        matrix: CompatibilityMatrix,
-    ) -> np.ndarray:
-        """Per-symbol matches of already-materialised sequences.
-
-        Used by memory-resident miners (e.g. the depth-first class)
-        that hold the database as a list of rows; no scan accounting
-        applies.
+        A *sampler* is offered every ``(id, row)`` of that scan in scan
+        order, so the same pass draws Algorithm 4.1's sample.  Only
+        engines that count full databases implement it: the resident
+        evaluator counts Phase 2 alone.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not count Phase 1"
+        )
 
     # -- lifecycle ------------------------------------------------------------
 

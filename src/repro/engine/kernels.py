@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.pattern import Pattern, WILDCARD
+from ..core.sequence import SequenceChunk
 from ..errors import MiningError
 
 #: Default number of sequences evaluated per padded chunk.  The
@@ -205,9 +206,11 @@ class FactorPin:
         c_ext: np.ndarray,
         fingerprint: tuple,
         budget: Optional[int] = None,
-    ) -> Iterator[Tuple[Sequence[np.ndarray], np.ndarray]]:
-        """Consume one ``database.scan_chunks(chunk_rows)`` pass and
-        yield ``(rows, factor array)`` per chunk, in scan order.
+        chunks: Optional[Iterable[SequenceChunk]] = None,
+    ) -> Iterator[Tuple[SequenceChunk, np.ndarray]]:
+        """Consume one ``database.scan_chunks(chunk_rows)`` pass — or
+        *chunks*, that pass already taken — and yield ``(chunk, factor
+        array)`` per chunk, in scan order.
 
         Without a *budget* every chunk is kept.  With one, nothing is
         kept when the unpadded factor arrays, ``(m + 1) × itemsize ×
@@ -226,12 +229,14 @@ class FactorPin:
         slots = self._slots
         held = self.nbytes
         count = 0
-        for i, chunk in enumerate(database.scan_chunks(chunk_rows)):
+        if chunks is None:
+            chunks = database.scan_chunks(chunk_rows)
+        for i, chunk in enumerate(chunks):
             count = i + 1
             padded = pad_chunk(chunk.rows, m)
             if not keep:
                 self.misses += 1
-                yield chunk.rows, gather_chunk(c_ext, padded)
+                yield chunk, gather_chunk(c_ext, padded)
                 continue
             slot = (
                 padded.shape,
@@ -240,7 +245,7 @@ class FactorPin:
             old = slots[i] if i < len(slots) else None
             if old is not None and old[:2] == slot:
                 self.hits += 1
-                yield chunk.rows, old[2]
+                yield chunk, old[2]
                 continue
             self.misses += 1
             gathered = gather_chunk(c_ext, padded)
@@ -253,7 +258,7 @@ class FactorPin:
                 slots.append(slot + (gathered,))
             else:
                 slots[i] = slot + (gathered,)
-            yield chunk.rows, gathered
+            yield chunk, gathered
         if keep:
             del slots[count:]
 
@@ -530,20 +535,3 @@ def block_totals(
         )
         out[indices] += maxima.sum(axis=1)
 
-
-def rows_symbol_totals(
-    rows: Sequence[np.ndarray],
-    c_ext: np.ndarray,
-    chunk_rows: int,
-) -> np.ndarray:
-    """Per-symbol match sums for in-memory *rows*, block by block."""
-    m = c_ext.shape[0] - 1
-    totals = np.zeros(m, dtype=np.float64)
-    for start in range(0, len(rows), chunk_rows):
-        padded = pad_chunk(
-            [np.asarray(r) for r in rows[start : start + chunk_rows]], m
-        )
-        block_totals(
-            gather_chunk(c_ext, padded), SYMBOL_TOTALS, None, None, totals
-        )
-    return totals

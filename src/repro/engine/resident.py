@@ -45,8 +45,8 @@ error-bounded (``benchmarks/bench_phase2_sample.py`` gates it).
 Products multiply in the same offset order as the flat kernels, so all
 float64 match values are bit-identical to the vectorized backend (at
 equal ``chunk_rows``), and independent of batch order.  Phase 2
-always counts through this evaluator; it also serves any workload that
-repeatedly counts against one memory-resident database.
+always counts through this evaluator, and it counts nothing else: the
+Phase-1 scan and every full-database pass run on the counting engine.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .kernels import (
     extend_plane,
     extended_matrix,
     resolve_score_dtype,
-    rows_symbol_totals,
 )
 
 #: A pattern's identity inside the evaluator: its raw element tuple
@@ -256,10 +255,10 @@ class ResidentSampleEvaluator(MatchEngine):
         misses = self.cache.misses
         count = 0
         gathered: List[np.ndarray] = []
-        for rows, factors in self.cache.scan(
+        for chunk, factors in self.cache.scan(
             database, self.chunk_rows, c_ext, matrix_fingerprint(matrix)
         ):
-            count += len(rows)
+            count += len(chunk)
             gathered.append(factors)
         empty_database_guard(count)
         pin = self._pin
@@ -416,32 +415,6 @@ class ResidentSampleEvaluator(MatchEngine):
                 totals[index_arr] += np.add.reduce(
                     maxima[:n_sibs], axis=1, dtype=np.float64
                 )
-
-    def symbol_matches(
-        self,
-        database: AnySequenceDatabase,
-        matrix: CompatibilityMatrix,
-        tracer: Optional[Tracer] = None,
-    ) -> np.ndarray:
-        rows = [
-            seq
-            for chunk in database.scan_chunks(self.chunk_rows)
-            for seq in chunk.rows
-        ]
-        return self.symbol_matches_rows(rows, matrix)
-
-    def symbol_matches_rows(
-        self,
-        sequences: Sequence[np.ndarray],
-        matrix: CompatibilityMatrix,
-    ) -> np.ndarray:
-        if not len(sequences):
-            raise MiningError(
-                "cannot compute symbol matches over an empty database"
-            )
-        return rows_symbol_totals(
-            sequences, extended_matrix(matrix.array), self.chunk_rows
-        ) / len(sequences)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -30,6 +30,12 @@ pool whose workers call the same block kernel; the per-block sums are
 merged in block order, so results are bit-identical to one worker at
 equal ``chunk_rows``.  Either way the engine consumes exactly one
 ``database.scan()`` per batch — the paper's cost model.
+
+:meth:`VectorizedBatchEngine.symbol_matches` is every miner's Phase-1
+scan.  Given a :class:`~repro.core.sequence.SequentialSampler` it
+offers the sampler every ``(id, row)`` in scan order, so Algorithm
+4.1's sample is drawn in the same pass; a sampler keeps the scan
+serial, since this process must see every row.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
-from ..core.sequence import AnySequenceDatabase
+from ..core.sequence import AnySequenceDatabase, SequentialSampler
 from ..errors import MiningError
 from ..obs import (
     FACTOR_CACHE_HITS,
@@ -60,11 +66,8 @@ from .kernels import (
     FactorPin,
     block_totals,
     extended_matrix,
-    gather_chunk,
     group_patterns_by_span,
     group_plans,
-    pad_chunk,
-    rows_symbol_totals,
 )
 from .shards import (
     MIN_SHARD_ROWS,
@@ -163,24 +166,13 @@ class VectorizedBatchEngine(MatchEngine):
         database: AnySequenceDatabase,
         matrix: CompatibilityMatrix,
         tracer: Optional[Tracer] = None,
+        sampler: Optional[SequentialSampler] = None,
     ) -> np.ndarray:
         totals, count = self._count(
-            SYMBOL_TOTALS, database, matrix, tracer, matrix.size
+            SYMBOL_TOTALS, database, matrix, tracer, matrix.size,
+            sampler=sampler,
         )
         return totals / count
-
-    def symbol_matches_rows(
-        self,
-        sequences: Sequence[np.ndarray],
-        matrix: CompatibilityMatrix,
-    ) -> np.ndarray:
-        if not len(sequences):
-            raise MiningError(
-                "cannot compute symbol matches over an empty database"
-            )
-        return rows_symbol_totals(
-            sequences, extended_matrix(matrix.array), self.chunk_rows
-        ) / len(sequences)
 
     # -- one counted scan -----------------------------------------------------
 
@@ -193,9 +185,11 @@ class VectorizedBatchEngine(MatchEngine):
         width: int,
         groups: Optional[Dict[int, List[int]]] = None,
         elements_by_span: Optional[Dict[int, np.ndarray]] = None,
+        sampler: Optional[SequentialSampler] = None,
     ) -> Tuple[np.ndarray, int]:
         """``(totals, sequence count)`` of one scan: over the pool when
-        there are workers and at least two shards, serially otherwise."""
+        there are workers, at least two shards and no *sampler* (which
+        must be offered every row here), serially otherwise."""
         c_ext = extended_matrix(matrix.array)
         traced = tracer is not None and tracer.enabled
         if traced:
@@ -205,7 +199,7 @@ class VectorizedBatchEngine(MatchEngine):
         batch = (kind, groups, elements_by_span, width)
         result = None
         chunks = None
-        if self.workers > 1:
+        if self.workers > 1 and sampler is None:
             manifest = manifest_from_store(
                 database, self.chunk_rows, self.workers * OVERSPLIT,
                 MIN_SHARD_ROWS,
@@ -214,11 +208,8 @@ class VectorizedBatchEngine(MatchEngine):
             if manifest is None:
                 # No file for workers to map: take the one scan here
                 # and ship the rows with the tasks.
-                chunks = [
-                    list(chunk.rows)
-                    for chunk in database.scan_chunks(self.chunk_rows)
-                ]
-                rows = [row for chunk in chunks for row in chunk]
+                chunks = list(database.scan_chunks(self.chunk_rows))
+                rows = [row for chunk in chunks for row in chunk.rows]
                 if rows:
                     manifest = manifest_from_rows(
                         rows, self.chunk_rows, self.workers * OVERSPLIT,
@@ -235,26 +226,27 @@ class VectorizedBatchEngine(MatchEngine):
                     database.io_chunks += manifest.n_blocks
                 result = (totals, manifest.n_rows)
         if result is None:
-            if chunks is None:
-                factors = self.cache.scan(
-                    database, self.chunk_rows, c_ext,
-                    matrix_fingerprint(matrix), budget=PIN_BYTES,
-                )
-            else:
-                # The pool path already took this call's scan.
-                factors = (
-                    (rows, gather_chunk(c_ext, pad_chunk(rows, matrix.size)))
-                    for rows in chunks
-                )
-            result = self._serial(batch, factors)
+            # Serially through the pin; when the pool declined, over
+            # the scan it already took.
+            factors = self.cache.scan(
+                database, self.chunk_rows, c_ext,
+                matrix_fingerprint(matrix), budget=PIN_BYTES, chunks=chunks,
+            )
+            result = self._serial(batch, factors, sampler)
         if traced:
             self.note_settings(tracer)
             tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
             tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
         return result
 
-    def _serial(self, batch: tuple, factors) -> Tuple[np.ndarray, int]:
-        """Add up *factors*' ``(rows, factor array)`` blocks."""
+    def _serial(
+        self,
+        batch: tuple,
+        factors,
+        sampler: Optional[SequentialSampler] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """Add up *factors*' ``(chunk, factor array)`` blocks, offering
+        every ``(id, row)`` to *sampler* in scan order."""
         kind, groups, elements_by_span, width = batch
         plans = (
             group_plans(elements_by_span) if kind == DATABASE_TOTALS
@@ -263,8 +255,11 @@ class VectorizedBatchEngine(MatchEngine):
         totals = np.zeros(width, dtype=np.float64)
         scratch: Dict[tuple, np.ndarray] = {}
         count = 0
-        for rows, gathered in factors:
-            count += len(rows)
+        for chunk, gathered in factors:
+            count += len(chunk)
+            if sampler is not None:
+                for sid, row in zip(chunk.ids, chunk.rows):
+                    sampler.offer(sid, row)
             block_totals(
                 gathered, kind, groups, elements_by_span, totals,
                 plans=plans, scratch=scratch,

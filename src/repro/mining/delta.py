@@ -278,9 +278,7 @@ class DeltaOutcome:
     crosser_candidates: int
 
 
-def _delta_database(
-    segments: Sequence,
-) -> Tuple[SequenceDatabase, List[np.ndarray]]:
+def _delta_database(segments: Sequence) -> SequenceDatabase:
     """Materialise the appended segments as one in-memory database.
 
     The delta is what a refresh is allowed to hold in memory — the
@@ -293,7 +291,7 @@ def _delta_database(
         for sid, row in zip(segment.ids, row_views):
             ids.append(sid)
             rows.append(np.array(row, copy=True))
-    return SequenceDatabase(rows, ids=ids), rows
+    return SequenceDatabase(rows, ids=ids)
 
 
 def delta_remine(
@@ -363,8 +361,8 @@ def delta_remine(
 
     # -- O(Δ) phase: everything below touches only the appended rows. --
     with tracer.phase("delta-scan"):
-        delta_db, delta_rows = _delta_database(delta_segments)
-        delta_symbol = engine.symbol_matches_rows(delta_rows, matrix)
+        delta_db = _delta_database(delta_segments)
+        delta_symbol = engine.symbol_matches(delta_db, matrix, tracer=tracer)
         tracer.count(DELTA_SCANS, 1)
         new_symbol_sums = tuple(
             old + float(delta_symbol[d]) * n_delta

@@ -31,6 +31,7 @@ import numpy as np
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
 from ..core.lattice import PatternConstraints
+from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern, WILDCARD
 from ..core.sequence import AnySequenceDatabase
 from ..engine import MatchEngine, VectorizedBatchEngine
@@ -105,15 +106,17 @@ class DepthFirstMiner:
         tracer = self.tracer
 
         with tracer.phase("materialize"):
-            # Materialise once: the defining assumption of this class.
+            # Materialise once, the defining assumption of this class:
+            # the Phase-1 scan's sample of every row.
             io_before = io_snapshot(database)
-            sequences: List[np.ndarray] = [
-                np.asarray(seq) for _sid, seq in database.scan()
-            ]
+            symbol_match, loaded = symbol_matches_and_sample(
+                database, self.matrix, len(database),
+                engine=self.engine, tracer=tracer,
+            )
+            sequences = [row for _sid, row in loaded.scan()]
             tracer.count(SCANS, 1)
             record_io(tracer, database, io_before)
             m = self.matrix.size
-            symbol_match = self._symbol_matches(sequences)
 
         frequent_symbols = [
             d for d in range(m) if symbol_match[d] >= self.min_match
@@ -153,11 +156,6 @@ class DepthFirstMiner:
         )
 
     # -- internals -----------------------------------------------------------
-
-    def _symbol_matches(self, sequences: List[np.ndarray]) -> np.ndarray:
-        # The engine's in-memory Phase-1 kernel (chunked/batched for the
-        # vectorized and parallel backends).
-        return self.engine.symbol_matches_rows(sequences, self.matrix)
 
     def _project_symbol(
         self, sequences: List[np.ndarray], symbol: int

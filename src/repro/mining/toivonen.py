@@ -91,7 +91,8 @@ class ToivonenMiner:
         with tracer.phase("phase1-scan"):
             io_before = io_snapshot(database)
             symbol_match, sample = symbol_matches_and_sample(
-                database, self.matrix, self.sample_size, self.rng
+                database, self.matrix, self.sample_size, self.rng,
+                engine=self.engine, tracer=tracer,
             )
             tracer.count(SCANS, 1)
             record_io(tracer, database, io_before)

@@ -39,7 +39,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,6 +87,19 @@ def _inline_digest(database: SequenceDatabase) -> str:
         digest.update(len(row).to_bytes(8, "little"))
         digest.update(row.tobytes())
     return "inline-" + digest.hexdigest()
+
+
+def _require_integers(values: Iterable[object], what: str) -> None:
+    """Reject a float or a bool among inline *values* by name: numpy
+    would truncate ``1.5`` to 1 and ``true`` to 1 silently."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(
+            value, (int, np.integer)
+        ):
+            raise ValueError(
+                f"{what} holds {value!r} ({type(value).__name__}); "
+                "symbols and ids must be integers"
+            )
 
 
 @dataclass
@@ -267,6 +280,10 @@ class MiningService:
         db = None
         if database is not None:
             try:
+                for index, row in enumerate(database):
+                    _require_integers(row, f"row {index}")
+                if ids is not None:
+                    _require_integers(ids, "'ids'")
                 db = SequenceDatabase(database, ids=ids)
             except NoisyMineError:
                 raise

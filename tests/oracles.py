@@ -34,7 +34,7 @@ from repro.core.compatibility import CompatibilityMatrix
 from repro.core.lattice import PatternConstraints, extend_right
 from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
-from repro.core.sequence import AnySequenceDatabase
+from repro.core.sequence import AnySequenceDatabase, SequentialSampler
 from repro.engine import MatchEngine, vectorized
 from repro.engine.kernels import DEFAULT_CHUNK_ROWS, extended_matrix
 from repro.engine.shards import execute_shard_task
@@ -54,7 +54,8 @@ class ReferenceEngine(MatchEngine):
     does; the per-sequence values are summed chunk by chunk with the
     same numpy reduction the production engines use, so at equal
     ``chunk_rows`` the totals are bit-identical to theirs.  Consumes
-    exactly one scan per call.
+    exactly one scan per call; :meth:`symbol_matches` offers every row
+    of it to a sampler, as the production Phase-1 scan does.
     """
 
     name = "reference"
@@ -120,33 +121,21 @@ class ReferenceEngine(MatchEngine):
         database: AnySequenceDatabase,
         matrix: CompatibilityMatrix,
         tracer: Optional[Tracer] = None,
+        sampler: Optional[SequentialSampler] = None,
     ) -> np.ndarray:
         totals = np.zeros(matrix.size, dtype=np.float64)
         count = 0
         for chunk in database.scan_chunks(self.chunk_rows):
             count += len(chunk)
             totals += self._symbol_totals(chunk.rows, matrix)
+            if sampler is not None:
+                for sid, row in zip(chunk.ids, chunk.rows):
+                    sampler.offer(sid, row)
         if count == 0:
             raise MiningError(
                 "cannot compute symbol matches over an empty database"
             )
         return totals / count
-
-    def symbol_matches_rows(
-        self,
-        sequences: Sequence[np.ndarray],
-        matrix: CompatibilityMatrix,
-    ) -> np.ndarray:
-        if not len(sequences):
-            raise MiningError(
-                "cannot compute symbol matches over an empty database"
-            )
-        totals = np.zeros(matrix.size, dtype=np.float64)
-        for start in range(0, len(sequences), self.chunk_rows):
-            totals += self._symbol_totals(
-                sequences[start:start + self.chunk_rows], matrix
-            )
-        return totals / len(sequences)
 
 
 # -- lattice -----------------------------------------------------------------

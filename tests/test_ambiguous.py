@@ -11,11 +11,11 @@ from repro import (
     SequenceDatabase,
     classify_on_sample,
 )
-from repro.core.match import symbol_matches
 from repro.mining.ambiguous import ambiguous_count
 from repro.mining.chernoff import FREQUENT, INFREQUENT
 from repro.datagen.motifs import Motif
 from repro.datagen.synthetic import generate_database
+from repro.engine import VectorizedBatchEngine
 
 CONSTRAINTS = PatternConstraints(max_weight=4, max_span=5, max_gap=0)
 
@@ -25,7 +25,7 @@ def setting(rng):
     motif = Motif(Pattern([1, 2, 3]), frequency=0.6)
     db = generate_database(200, 25, 8, [motif], rng=rng)
     matrix = CompatibilityMatrix.identity(8)
-    symbol_match = symbol_matches(db, matrix)
+    symbol_match = VectorizedBatchEngine().symbol_matches(db, matrix)
     sample = db.sample(60, rng)
     return db, matrix, symbol_match, sample
 

@@ -20,12 +20,12 @@ from repro import (
     classify_on_sample,
     collapse_borders,
 )
-from repro.core.match import symbol_matches
 from repro.mining.collapsing import layer_schedule, select_probe_batch
 from repro.mining.chernoff import AMBIGUOUS, FREQUENT
 from repro.mining.result import SampleClassification
 from repro.datagen.motifs import Motif
 from repro.datagen.synthetic import generate_database
+from repro.engine import VectorizedBatchEngine
 
 CONSTRAINTS = PatternConstraints(max_weight=6, max_span=7, max_gap=0)
 
@@ -218,7 +218,7 @@ class TestCollapseIntegration:
         motif = Motif(Pattern([1, 2, 3, 4, 5]), frequency=0.55)
         db = generate_database(300, 20, 12, [motif], rng=rng)
         matrix = CompatibilityMatrix.identity(12)
-        symbol_match = symbol_matches(db, matrix)
+        symbol_match = VectorizedBatchEngine().symbol_matches(db, matrix)
         db.reset_scan_count()
         sample = db.sample(150, rng)
         db.reset_scan_count()

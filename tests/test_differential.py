@@ -6,8 +6,8 @@ worker pool), the resident Phase-2 evaluator, and the packed lattice
 kernels.  This module runs whole miners on that path and again on the
 oracles of ``tests/oracles.py`` — per-sequence counting and the
 pairwise lattice scans — and requires the same frequent patterns with
-bit-identical match values, the same border, the same scan count and
-the same Phase-3 probe rounds.
+bit-identical match values and Phase-1 symbol matches, the same
+border, the same scan count and the same Phase-3 probe rounds.
 
 Hypothesis draws miner x store kind x worker count.  Sample sizes and
 the confidence ``delta`` are drawn so the Chernoff band stays below
@@ -153,6 +153,11 @@ def mine(algorithm, database, engine, sample_engine, params):
 def assert_matches_oracle(algorithm, kind, workers, rows, params):
     got, want = run_both(algorithm, kind, workers, rows, params)
     assert got.frequent == want.frequent  # dict ==: bit-identical values
+    # Every miner's Phase 1 (the sampling miners' sample scan included)
+    # is the engine's scan, bit for bit the oracle's.
+    np.testing.assert_array_equal(
+        got.extras["symbol_match"], want.extras["symbol_match"]
+    )
     assert got.border == want.border
     assert got.scans == want.scans
     assert got.extras.get("probe_rounds") == want.extras.get("probe_rounds")
@@ -226,3 +231,21 @@ def test_degenerate_band_matches_the_oracles():
     with pytest.warns(RuntimeWarning, match="Chernoff band"):
         assert_matches_oracle("border-collapsing", "packed", 2, rows,
                               params)
+
+
+def test_every_miner_reports_the_levelwise_phase1():
+    """One Phase-1 implementation: every miner's symbol matches —
+    the sampling miners' sample scan and depth-first's materialising
+    scan included — are level-wise's, bit for bit."""
+    rows = random_rows(7, 600)  # three default-size chunks
+    params = dict(min_match=0.4, delta=0.1, seed=7, sample_size=100,
+                  memory_capacity=None)
+    levelwise = mine("levelwise", SequenceDatabase(rows),
+                     VectorizedBatchEngine(), None, params)
+    for algorithm in ALGORITHMS:
+        got = mine(algorithm, SequenceDatabase(rows),
+                   VectorizedBatchEngine(), None, params)
+        np.testing.assert_array_equal(
+            got.extras["symbol_match"], levelwise.extras["symbol_match"],
+            err_msg=algorithm,
+        )

@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.config import MiningConfig
 from repro.core import match as core_match
+from repro.core.sequence import SequentialSampler
 from repro.engine import (
     FactorPin,
     MatchEngine,
@@ -36,6 +37,7 @@ from repro.mining import LevelwiseMiner
 from repro.obs import SHARDS_DISPATCHED, Tracer
 
 from .oracles import ReferenceEngine, small_shards
+from .test_differential import make_store
 from .strategies import (
     M,
     databases,
@@ -148,15 +150,36 @@ def test_symbol_matches_equivalence(database, matrix):
         )
 
 
-@given(databases(), matrices())
-@settings(max_examples=40, deadline=None)
-def test_symbol_matches_rows_equivalence(database, matrix):
-    rows = [seq for _sid, seq in database.scan()]
-    baseline = REF.symbol_matches_rows(rows, matrix)
-    for engine in OTHERS:
-        np.testing.assert_allclose(
-            engine.symbol_matches_rows(rows, matrix), baseline, atol=1e-12
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["memory", "text", "packed", "segmented"])
+def test_symbol_matches_feeds_a_sampler(kind, workers, fig2_matrix,
+                                        tmp_path):
+    # Algorithm 4.1's one pass: offering the Phase-1 scan's rows to a
+    # sampler moves no value bit, and the sampler draws exactly what
+    # database.sample draws from the same generator state.
+    rng = np.random.default_rng(11)
+    rows = [rng.integers(0, 5, size=rng.integers(1, 9)) for _ in range(30)]
+    database = make_store(kind, rows, str(tmp_path))
+    engine = VectorizedBatchEngine(chunk_rows=4, workers=workers)
+    try:
+        plain = engine.symbol_matches(database, fig2_matrix)
+        assert (engine.shards_dispatched > 0) == (workers > 1)
+        draw = np.random.default_rng(3)
+        sampler = SequentialSampler(7, len(database), draw)
+        before = database.scan_count
+        sampled = engine.symbol_matches(
+            database, fig2_matrix, sampler=sampler
         )
+        assert database.scan_count == before + 1
+        np.testing.assert_array_equal(sampled, plain)
+        expected_rng = np.random.default_rng(3)
+        expected = database.sample(7, expected_rng)
+        assert sampler.ids == list(expected.ids)
+        assert draw.bit_generator.state == expected_rng.bit_generator.state
+    finally:
+        engine.close()
+        if kind != "memory":
+            database.close()
 
 
 # -- deterministic edge cases --------------------------------------------------

@@ -13,7 +13,6 @@ from repro import (
     database_matches,
     segment_match,
     sequence_match,
-    symbol_matches,
 )
 from repro.core.match import (
     best_alignment,
@@ -21,6 +20,10 @@ from repro.core.match import (
     symbol_sequence_matches,
     window_matches,
 )
+from repro.engine import VectorizedBatchEngine
+
+#: Phase 1 has one implementation: the counting engine's scan.
+ENGINE = VectorizedBatchEngine()
 
 
 class TestSegmentMatch:
@@ -150,26 +153,26 @@ class TestSymbolMatches:
         # Exact values by Algorithm 4.1 over Figure 4(a).  (The paper's
         # Figure 5(b) final column contains two typographic errors for
         # d1 and d3; these are the values its own algorithm produces.)
-        values = symbol_matches(fig4_database, fig2_matrix)
+        values = ENGINE.symbol_matches(fig4_database, fig2_matrix)
         assert values == pytest.approx([0.7, 0.8, 0.3875, 0.425, 0.075])
 
     def test_figure5b_progression_seq2_seq3(self, fig2_matrix):
         # Partial sums after sequences 1-3 match Figure 5(b).
         db = SequenceDatabase([[0, 1, 2, 0], [3, 1, 0], [2, 3, 1, 0]])
         # Rescale: figure divides by N=4 even for partial progressions.
-        values = symbol_matches(db, fig2_matrix) * 3 / 4
+        values = ENGINE.symbol_matches(db, fig2_matrix) * 3 / 4
         assert values[0] == pytest.approx(0.675)   # d1 after 3 sequences
         assert values[1] == pytest.approx(0.6)     # d2
         assert values[2] == pytest.approx(0.3875, abs=5e-4)  # d3 (fig: .388)
         assert values[3] == pytest.approx(0.4)     # d4
 
     def test_one_scan(self, fig2_matrix, fig4_database):
-        symbol_matches(fig4_database, fig2_matrix)
+        ENGINE.symbol_matches(fig4_database, fig2_matrix)
         assert fig4_database.scan_count == 1
 
     def test_identity_matrix_gives_presence_fraction(self):
         db = SequenceDatabase([[0, 1], [1], [2]])
-        values = symbol_matches(db, CompatibilityMatrix.identity(3))
+        values = ENGINE.symbol_matches(db, CompatibilityMatrix.identity(3))
         assert values == pytest.approx([1 / 3, 2 / 3, 1 / 3])
 
 

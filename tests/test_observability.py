@@ -32,10 +32,9 @@ from repro import (
     PincerMiner,
     SequenceDatabase,
     ToivonenMiner,
-    symbol_matches,
 )
 from repro.cli import main as cli_main
-from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
+from repro.engine import VectorizedBatchEngine
 from repro.eval import ExperimentTable, phase_scan_series, record_run
 from repro.errors import NoisyMineError
 from repro.mining import ambiguous as ambiguous_mod
@@ -82,7 +81,6 @@ ENGINES = {
     "reference": ReferenceEngine,
     "vectorized": VectorizedBatchEngine,
     "parallel": functools.partial(VectorizedBatchEngine, workers=2),
-    "resident": ResidentSampleEvaluator,
 }
 
 
@@ -132,7 +130,7 @@ ALGORITHMS = [
 
 class TestPhaseScanInvariant:
     @pytest.mark.parametrize(
-        "engine", ["reference", "vectorized", "parallel", "resident"]
+        "engine", ["reference", "vectorized", "parallel"]
     )
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_phase_scans_sum_to_scan_count(
@@ -611,7 +609,7 @@ class TestZeroSpreadShortCircuit:
 
         monkeypatch.setattr(ambiguous_mod, "count_matches_batched", spy)
 
-        symbol_match = symbol_matches(db, IDENTITY3)
+        symbol_match = VectorizedBatchEngine().symbol_matches(db, IDENTITY3)
         classification = ambiguous_mod.classify_on_sample(
             db, IDENTITY3, 0.5, 0.25, symbol_match, TIGHT
         )

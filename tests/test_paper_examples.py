@@ -17,8 +17,11 @@ from repro import (
     database_match,
     segment_match,
     sequence_match,
-    symbol_matches,
 )
+from repro.engine import VectorizedBatchEngine
+
+#: Phase 1 has one implementation: the counting engine's scan.
+ENGINE = VectorizedBatchEngine()
 
 
 class TestFigure2Matrix:
@@ -62,11 +65,11 @@ class TestFigure4Tables:
 
     def test_support_column_of_figure4b(self, fig4_database):
         identity = CompatibilityMatrix.identity(5)
-        support = symbol_matches(fig4_database, identity)
+        support = ENGINE.symbol_matches(fig4_database, identity)
         assert support == pytest.approx([0.75, 1.0, 0.5, 0.5, 0.0])
 
     def test_match_column_of_figure4b(self, fig2_matrix, fig4_database):
-        match = symbol_matches(fig4_database, fig2_matrix)
+        match = ENGINE.symbol_matches(fig4_database, fig2_matrix)
         # d2 = 0.800 and d5 = 0.075 as printed; d1/d3/d4 as computed by
         # Algorithm 4.1 (the printed d1 = 0.538 contradicts the paper's
         # own monotone accumulation, see EXPERIMENTS.md).
@@ -82,9 +85,9 @@ class TestFigure4Tables:
         # Sanity relation: under this matrix a true occurrence of d
         # contributes at least C(d, d), so match >= support * C(d, d).
         identity = CompatibilityMatrix.identity(5)
-        support = symbol_matches(fig4_database, identity)
+        support = ENGINE.symbol_matches(fig4_database, identity)
         fig4_database.reset_scan_count()
-        match = symbol_matches(fig4_database, fig2_matrix)
+        match = ENGINE.symbol_matches(fig4_database, fig2_matrix)
         for d in range(5):
             assert match[d] >= support[d] * fig2_matrix.prob(d, d) - 1e-12
 

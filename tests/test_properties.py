@@ -33,6 +33,7 @@ from repro.core.naive import (
     naive_sequence_match,
     naive_symbol_matches,
 )
+from repro.engine import VectorizedBatchEngine
 
 M = 5  # alphabet size used throughout
 
@@ -128,9 +129,7 @@ def test_vectorised_database_match_equals_naive(pattern, database, matrix):
 @given(databases(), matrices())
 @settings(max_examples=40, deadline=None)
 def test_vectorised_symbol_matches_equal_naive(database, matrix):
-    from repro.core.match import symbol_matches
-
-    fast = symbol_matches(database, matrix)
+    fast = VectorizedBatchEngine().symbol_matches(database, matrix)
     database.reset_scan_count()
     slow = naive_symbol_matches(database, matrix)
     assert fast == pytest.approx(slow, abs=1e-12)

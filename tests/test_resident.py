@@ -28,7 +28,6 @@ from repro import (
     PatternConstraints,
     SequenceDatabase,
     WILDCARD,
-    symbol_matches,
 )
 from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.engine.resident import _strip_last, _visit_order
@@ -94,23 +93,6 @@ def test_float64_is_bit_identical_to_the_vectorized_engine(
         batch, database, matrix
     )
     assert got == expected  # dict == is bit-identity
-
-
-@given(databases(), matrices())
-@settings(max_examples=30, deadline=None)
-def test_symbol_matches_equivalence(database, matrix):
-    engine = ResidentSampleEvaluator(chunk_rows=3)
-    np.testing.assert_allclose(
-        engine.symbol_matches(database, matrix),
-        REF.symbol_matches(database, matrix),
-        atol=1e-12,
-    )
-    rows = [seq for _sid, seq in database.scan()]
-    np.testing.assert_allclose(
-        engine.symbol_matches_rows(rows, matrix),
-        REF.symbol_matches_rows(rows, matrix),
-        atol=1e-12,
-    )
 
 
 # -- the prefix stack ---------------------------------------------------------
@@ -200,7 +182,8 @@ class TestPrefixStack:
         chunk_rows = 8  # 30 rows: four pinned chunks
         engine = _RecordingEvaluator(chunk_rows=chunk_rows)
         classify_on_sample(
-            database, matrix, 0.3, 1e-3, symbol_matches(database, matrix),
+            database, matrix, 0.3, 1e-3,
+            VectorizedBatchEngine().symbol_matches(database, matrix),
             constraints, engine=engine,
         )
         assert len(engine.calls) >= 3  # at least three BFS levels
@@ -509,7 +492,7 @@ class TestClassifyIntegration:
         rows = [list(rng.integers(0, M, size=12)) for _ in range(40)]
         database = SequenceDatabase(rows)
         matrix = CompatibilityMatrix.uniform_noise(M, 0.15)
-        sym = symbol_matches(database, matrix)
+        sym = VectorizedBatchEngine().symbol_matches(database, matrix)
         constraints = PatternConstraints(max_weight=4, max_span=6,
                                          max_gap=1)
         return database, matrix, sym, constraints

@@ -14,6 +14,7 @@ from repro import (
 from repro.core.match import symbol_matches_and_sample
 from repro.core.sequence import as_sequence_array
 from repro.io import SegmentedSequenceStore
+from repro.engine import VectorizedBatchEngine
 
 
 class TestAsSequenceArray:
@@ -293,11 +294,10 @@ class TestFileDatabase:
         # Integration: the disk-backed database satisfies the same
         # protocol the miners consume.
         from repro import CompatibilityMatrix
-        from repro.core.match import symbol_matches
-
+        
         fdb = FileSequenceDatabase(db_file)
         matrix = CompatibilityMatrix.identity(7)
-        values = symbol_matches(fdb, matrix)
+        values = VectorizedBatchEngine().symbol_matches(fdb, matrix)
         assert values[1] == pytest.approx(1 / 3)
         assert fdb.scan_count == 1
 

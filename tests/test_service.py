@@ -183,6 +183,18 @@ class TestHTTPRoundTrip:
             (None, {"config": CONFIG, "store": 5}, "'store' must be"),
             (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
                     "database": [[0, 10**12]]}, "invalid inline database"),
+            (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
+                    "database": [[1.5, 2.7], [True, 0]]},
+             "row 0 holds 1.5 (float)"),
+            (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
+                    "database": [[1, 2], [True, 0]]},
+             "row 1 holds True (bool)"),
+            (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
+                    "database": [[1, 2], [1, 0]], "ids": [0.5, 1]},
+             "'ids' holds 0.5 (float)"),
+            (None, {"config": {"min_match": 0.5, "algorithm": "maxminer"},
+                    "database": [[1, 2], [1, 0]], "ids": [False, 1]},
+             "'ids' holds False (bool)"),
             (None, {"config": {"min_match": "abc"}}, "'min_match'"),
             (None, {"config": {"min_match": [1]}}, "'min_match'"),
             (None, {"config": dict(CONFIG, max_weight="3")}, "'max_weight'"),
@@ -192,6 +204,7 @@ class TestHTTPRoundTrip:
         ],
         ids=[
             "content-length", "store-type", "symbol-overflow",
+            "symbol-float", "symbol-bool", "id-float", "id-bool",
             "min-match-string", "min-match-list", "max-weight-string",
             "seed-float", "memory-capacity-zero",
         ],
@@ -338,6 +351,24 @@ class TestWarmState:
             assert totals.get(FACTOR_CACHE_MISSES, 0) == 0
             assert totals.get(FACTOR_CACHE_HITS, 0) > 0
             assert entry.engine().cache.misses == misses
+
+    def test_warm_sampling_phase1_gathers_no_factor_array(self, store_path):
+        """Phase 1 of a sampling job scans on the entry engine: a second
+        border-collapsing job on the store serves every chunk of its
+        Phase-1 scan from the engine's factor pin."""
+        config = dict(CONFIG, algorithm="border-collapsing",
+                      sample_size=20, delta=0.5, seed=9)
+        with MiningService(workers=1) as service:
+            service.submit(config, store=str(store_path))
+            service._queue.join()
+            second = service.submit(dict(config, min_match=0.35),
+                                    store=str(store_path))
+            service._queue.join()
+            assert second.state == "done" and not second.memo_hit
+            phase1, = (span for span in second.tracer.phases()
+                       if span.name == "phase1-scan")
+            assert phase1.counters.get(FACTOR_CACHE_MISSES, 0) == 0
+            assert phase1.counters.get(FACTOR_CACHE_HITS, 0) > 0
 
     def test_resident_planes_stay_within_the_stack_bound(self, store_path):
         """Planes no longer accumulate across jobs: after two jobs at
