@@ -14,7 +14,8 @@ Legs are timed in *interleaved* rounds (reference, vectorized,
 workers-2, reference, ...) so that machine-load drift hits every leg
 equally, and the recorded figure is the best round — the standard way
 to measure capability rather than contention.  ``vectorized`` is one
-worker and ``workers-2`` the same kernels over a two-process pool.
+worker and ``workers-2`` the same scan with its chunks counted on a
+two-thread pool.
 The vectorized leg is additionally timed with a
 cleared factor pin every round (``cold``) to separate kernel speed
 from factor-array reuse.
@@ -186,9 +187,6 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             "patterns_per_sec": len(patterns) / best,
             "speedup_vs_reference": best_reference / best,
         }
-    report["engines"]["workers-2"]["shards_dispatched"] = (
-        engines["workers-2"].shards_dispatched
-    )
     return report
 
 

@@ -1,28 +1,23 @@
-"""Worker-pool benchmark: scatter-gather scaling and identity.
+"""Worker-count benchmark: thread-pool counting scaling and identity.
 
 Measures :class:`~repro.engine.VectorizedBatchEngine` with several
-workers — its block-aligned shards on a fork pool — against the same
-engine with one worker, and enforces the contracts the pool is built
-on:
+workers — one scan whose chunks are counted on a thread pool — against
+the same engine with one worker, and enforces the contracts the pool
+is built on:
 
-* **bit-identity** (always enforced, including ``--smoke``): merged
-  totals are bit-for-bit identical to one worker for several worker
-  counts (so shard counts) and for adversarially shuffled completion
-  orders, on both the packed and the segmented store.  No tolerance —
-  the shard-index merge replays the exact accumulation order of the
-  serial chunked scan.
-* **segmented dispatch** (always enforced): a multi-segment store
-  dispatches digest-addressed shards to real pool workers.
-* **steals** (full mode only): on a symbol-skewed store, at least one
-  task is stolen beyond a worker's fair share — the work-stealing
-  queue actually rebalances.
+* **bit-identity** (always enforced, including ``--smoke``): totals are
+  bit-for-bit identical to one worker for several worker counts, on
+  both the packed and the segmented store, over repeated calls (so
+  varying completion orders).  No tolerance — the chunk rows are added
+  in scan order, the exact accumulation order of one worker.
 * **scaling** (full mode only): counting throughput at 4 workers is at
   least 3x the 1-worker throughput on the standard store.  Skipped
   with a recorded reason when the machine exposes fewer than 4 cores,
   because the gate would measure the scheduler's overhead rather than
   its scaling.
 
-Writes ``BENCH_shards.json`` next to the repository root.
+Writes ``BENCH_shards.json`` next to the repository root (or to
+``--out PATH``).
 
 Usage::
 
@@ -55,12 +50,7 @@ from repro.core.compatibility import CompatibilityMatrix
 from repro.core.pattern import Pattern
 from repro.core.sequence import SequenceDatabase
 from repro.engine import VectorizedBatchEngine
-from repro.engine.shards import OVERSPLIT
 from repro.io import PackedSequenceStore, SegmentedSequenceStore
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from tests.oracles import serial_dispatch, shuffled, small_shards  # noqa: E402
 
 
 ALPHA = 0.1
@@ -69,10 +59,12 @@ SCALING_GATE = 3.0
 SCALING_WORKERS = 4
 ROUNDS = 3
 
-#: Worker counts exercised by the identity gate (OVERSPLIT shards
-#: each): serial, the smallest pool, and counts whose shard totals
-#: never divide the block grid evenly.
+#: Worker counts exercised by the identity gate: one, the smallest
+#: pool, and two odd counts.
 WORKER_COUNTS = (1, 2, 3, 5)
+
+#: Calls per worker count and store in the identity gate.
+REPEATS = 3
 
 
 def _batch(m: int) -> List[Pattern]:
@@ -80,18 +72,6 @@ def _batch(m: int) -> List[Pattern]:
     singles = [Pattern.single(s) for s in range(min(m, 6))]
     pairs = [Pattern([0, 1]), Pattern([2, 3]), Pattern([1, 0, 2])]
     return singles + pairs
-
-
-def _skewed_rows(n: int, m: int, seed: int) -> List[List[int]]:
-    """Rows where the last few sequences hold most of the symbols, so
-    equal-row splits are unbalanced and the steal path must engage."""
-    rng = np.random.default_rng(seed)
-    rows = [
-        rng.integers(0, m, size=int(rng.integers(4, 16))).tolist()
-        for _ in range(n - 4)
-    ]
-    rows += [rng.integers(0, m, size=600).tolist() for _ in range(4)]
-    return rows
 
 
 def _build_stores(tmp: Path, smoke: bool):
@@ -114,7 +94,7 @@ def _build_stores(tmp: Path, smoke: bool):
 
 
 def check_bit_identity(packed, segmented, matrix) -> Dict:
-    """The identity gate: every shard count, shuffled completion, both
+    """The identity gate: every worker count, repeated calls, both
     stores, database and symbol totals — all bit-identical."""
     batch = _batch(matrix.size)
     vec = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, workers=1)
@@ -123,82 +103,30 @@ def check_bit_identity(packed, segmented, matrix) -> Dict:
         want_db = vec.database_matches(batch, store, matrix)
         want_sym = vec.symbol_matches(store, matrix)
         for workers in WORKER_COUNTS:
-            for seed in range(3):
-                engine = VectorizedBatchEngine(
-                    chunk_rows=CHUNK_ROWS, workers=workers
-                )
-                engine.dispatch = shuffled(
-                    serial_dispatch(matrix), seed
-                )
-                with small_shards():
+            with VectorizedBatchEngine(
+                chunk_rows=CHUNK_ROWS, workers=workers
+            ) as engine:
+                for repeat in range(REPEATS):
                     got_db = engine.database_matches(batch, store, matrix)
                     got_sym = engine.symbol_matches(store, matrix)
-                if got_db != want_db:
-                    raise AssertionError(
-                        f"database totals differ at workers={workers} "
-                        f"seed={seed} on {type(store).__name__}"
-                    )
-                if not np.array_equal(got_sym, want_sym):
-                    raise AssertionError(
-                        f"symbol totals differ at workers={workers} "
-                        f"seed={seed} on {type(store).__name__}"
-                    )
-                checked += 1
+                    if got_db != want_db:
+                        raise AssertionError(
+                            f"database totals differ at workers={workers} "
+                            f"call {repeat} on {type(store).__name__}"
+                        )
+                    if not np.array_equal(got_sym, want_sym):
+                        raise AssertionError(
+                            f"symbol totals differ at workers={workers} "
+                            f"call {repeat} on {type(store).__name__}"
+                        )
+                    checked += 1
     return {
         "identical": True,
         "configs_checked": checked,
         "worker_counts": list(WORKER_COUNTS),
-        "oversplit": OVERSPLIT,
-        "shuffle_seeds": 3,
+        "repeats": REPEATS,
         "tolerance": "bit-identical (== on floats)",
     }
-
-
-def check_segmented_dispatch(segmented, matrix) -> Dict:
-    """The worker-mmap gate: real pool workers, digest-addressed
-    segment shards."""
-    batch = _batch(matrix.size)
-    engine = VectorizedBatchEngine(chunk_rows=CHUNK_ROWS, workers=2)
-    try:
-        with small_shards():
-            engine.database_matches(batch, segmented, matrix)
-            engine.symbol_matches(segmented, matrix)
-        if engine.shards_dispatched == 0:
-            raise AssertionError(
-                "segmented store never dispatched to the pool"
-            )
-        return {"shards_dispatched": engine.shards_dispatched}
-    finally:
-        engine.close()
-
-
-def check_steals(matrix, gate: bool) -> Dict:
-    """The work-stealing gate: a skewed store cut OVERSPLIT tasks per
-    worker must produce at least one steal beyond a worker's fair
-    share."""
-    batch = _batch(matrix.size)
-    with tempfile.TemporaryDirectory(prefix="bench_shards_skew_") as tmp:
-        path = Path(tmp) / "skew.nmp"
-        PackedSequenceStore.from_database(
-            SequenceDatabase(_skewed_rows(200, matrix.size, seed=7)),
-            path,
-        )
-        store = PackedSequenceStore.open(path)
-        engine = VectorizedBatchEngine(chunk_rows=8, workers=2)
-        try:
-            with small_shards():
-                for _ in range(ROUNDS):
-                    engine.database_matches(batch, store, matrix)
-            steals = engine.shard_steals
-        finally:
-            engine.close()
-            store.close()
-    if gate and steals == 0:
-        raise AssertionError(
-            "skewed workload produced zero steals: the shared queue "
-            "is not rebalancing"
-        )
-    return {"steals": steals, "rounds": ROUNDS, "oversplit": OVERSPLIT}
 
 
 def check_scaling(packed, matrix, gate: bool) -> Dict:
@@ -222,7 +150,6 @@ def check_scaling(packed, matrix, gate: bool) -> Dict:
             chunk_rows=CHUNK_ROWS, workers=n_workers
         )
         try:
-            engine.warm_pool(matrix)
             engine.database_matches(batch, packed, matrix)  # warm-up
             best = float("inf")
             for _ in range(ROUNDS):
@@ -257,9 +184,7 @@ def measure(smoke: bool = False) -> Dict:
         matrix = CompatibilityMatrix.uniform_noise(m, ALPHA)
         try:
             report = {
-                "benchmark": (
-                    "worker-pool scatter-gather counting vs one worker"
-                ),
+                "benchmark": "thread-pool chunk counting vs one worker",
                 "smoke": smoke,
                 "workload": {
                     "n_sequences": len(packed),
@@ -271,12 +196,8 @@ def measure(smoke: bool = False) -> Dict:
                 "bit_identity": check_bit_identity(
                     packed, segmented, matrix
                 ),
-                "segmented_dispatch": check_segmented_dispatch(
-                    segmented, matrix
-                ),
             }
             if not smoke:
-                report["steals"] = check_steals(matrix, gate=True)
                 report["scaling"] = check_scaling(
                     packed, matrix, gate=True
                 )
@@ -290,22 +211,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny workload, identity and dispatch gates only "
-             "(CI correctness pass)",
+        help="tiny workload, identity gate only (CI correctness pass)",
     )
     add_output_argument(parser)
     args = parser.parse_args(argv)
     report = measure(smoke=args.smoke)
     write_report(report, "BENCH_shards.json", args.out, args.smoke)
     identity = report["bit_identity"]
-    dispatch = report["segmented_dispatch"]
-    print(
-        f"bit-identity: {identity['configs_checked']} configs "
-        f"identical; segmented dispatch: "
-        f"{dispatch['shards_dispatched']} shards"
-    )
-    if "steals" in report:
-        print(f"steals on skewed store: {report['steals']['steals']}")
+    print(f"bit-identity: {identity['configs_checked']} configs identical")
     if "scaling" in report:
         scaling = report["scaling"]
         if scaling.get("skipped"):

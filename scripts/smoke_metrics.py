@@ -2,14 +2,17 @@
 """CI smoke pass for the observability layer.
 
 Generates a tiny synthetic database, runs ``noisymine mine`` with
-``--metrics-json`` for every algorithm (plus one ``--workers 2`` run)
-and validates the resulting RunReport files: required keys present,
+``--metrics-json`` for every algorithm (plus one ``--workers 2`` run,
+on a wider generated store that spans several 256-row chunks, whose
+patterns must equal a one-worker run's) and validates the resulting
+RunReport files: required keys present,
 the ``vectorized`` engine reported with the run's ``workers`` in its
 context, the per-phase ``scans`` counters of the top-level phases
 summing exactly to the reported total, every algorithm's Phase-1 span
 counting its chunks through the counting engine's factor pin (so a
-Phase-1 loop that bypasses the engine cannot come back unseen), and
-the resident Phase-2
+Phase-1 loop that bypasses the engine cannot come back unseen), every
+``level-k`` span of the multi-worker run doing the same (so a parallel
+path that bypasses the pin cannot either), and the resident Phase-2
 prefix-stack counters reaching the sampling miners' reports (the
 border-collapsing run's ``resident_plane_bytes`` must be positive and
 within the stack bound of its sample, so an unbounded plane cache
@@ -27,7 +30,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -49,6 +54,10 @@ COMBINATIONS = [
     ("toivonen", 1),
     ("depthfirst", 1),
 ]
+
+#: Rows of the store the multi-worker runs mine: three 256-row chunks,
+#: so the thread pool really counts.
+WIDE_SEQUENCES = 600
 
 #: The smoke runs' Phase-2 sample size and pattern weight cap.
 SAMPLE_SIZE = 80
@@ -123,6 +132,23 @@ def validate_report(payload: dict, algorithm: str, workers: int) -> None:
         )
 
 
+def validate_levels(payload: dict) -> None:
+    """Every ``level-k`` span counted its chunks through the pin."""
+    levels = [p for p in payload["phases"]
+              if p["name"].startswith("level-")]
+    if not levels:
+        raise AssertionError("the multi-worker run reports no level span")
+    for phase in levels:
+        counters = phase["counters"]
+        chunks = sum(counters.get(key, 0)
+                     for key in ("factor_cache_hits", "factor_cache_misses"))
+        if chunks <= 0:
+            raise AssertionError(
+                f"{phase['name']!r} counted no chunk through the engine's "
+                f"factor pin: a parallel pass bypassed it ({counters})"
+            )
+
+
 def resident_stack_bound(db_path: Path) -> int:
     """Bytes the resident prefix stack may hold on a smoke run.
 
@@ -158,32 +184,56 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     db_path = out / "smoke_db.txt"
-    rc = cli_main([
-        "generate", str(db_path), "--sequences", "80", "--length", "12",
-        "--alphabet", "6", "--motif-weight", "3", "--motifs", "1",
-        "--seed", "11",
-    ])
-    if rc != 0:
-        print("database generation failed", file=sys.stderr)
-        return rc
-
-    for algorithm, workers in COMBINATIONS:
-        metrics_path = out / f"metrics_{algorithm}_w{workers}.json"
+    wide_path = out / "smoke_wide_db.txt"
+    for path, sequences in ((db_path, 80), (wide_path, WIDE_SEQUENCES)):
         rc = cli_main([
-            "mine", str(db_path), "--alphabet", "6",
-            "--min-match", MIN_MATCH.get(algorithm, "0.6"),
-            "--noise", "0.05",
-            "--algorithm", algorithm, "--workers", str(workers),
-            "--sample-size", str(SAMPLE_SIZE),
-            "--max-weight", str(MAX_WEIGHT), "--max-span", "5",
-            "--seed", "7", "--metrics-json", str(metrics_path),
+            "generate", str(path), "--sequences", str(sequences),
+            "--length", "12", "--alphabet", "6", "--motif-weight", "3",
+            "--motifs", "1", "--seed", "11",
         ])
+        if rc != 0:
+            print("database generation failed", file=sys.stderr)
+            return rc
+
+    def mine(path, algorithm, workers, metrics_path):
+        """One ``mine --json`` run; its payload, or None on failure."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli_main([
+                "mine", str(path), "--alphabet", "6",
+                "--min-match", MIN_MATCH.get(algorithm, "0.6"),
+                "--noise", "0.05",
+                "--algorithm", algorithm, "--workers", str(workers),
+                "--sample-size", str(SAMPLE_SIZE),
+                "--max-weight", str(MAX_WEIGHT), "--max-span", "5",
+                "--seed", "7", "--metrics-json", str(metrics_path),
+                "--json",
+            ])
         if rc != 0:
             print(f"mine failed for {algorithm} at {workers} worker(s)",
                   file=sys.stderr)
-            return rc
+            return None
+        return json.loads(stdout.getvalue())
+
+    for algorithm, workers in COMBINATIONS:
+        metrics_path = out / f"metrics_{algorithm}_w{workers}.json"
+        path = wide_path if workers > 1 else db_path
+        result = mine(path, algorithm, workers, metrics_path)
+        if result is None:
+            return 1
         payload = json.loads(metrics_path.read_text())
         validate_report(payload, algorithm, workers)
+        if workers > 1:
+            validate_levels(payload)
+            one = mine(path, algorithm, 1,
+                       out / f"metrics_{algorithm}_wide_w1.json")
+            if one is None:
+                return 1
+            if result["patterns"] != one["patterns"]:
+                raise AssertionError(
+                    f"{algorithm} at {workers} workers mined other "
+                    f"patterns than one worker on {path.name}"
+                )
         if algorithm == "border-collapsing":
             validate_resident(payload, resident_stack_bound(db_path))
         elif algorithm == "toivonen":

@@ -162,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mining_options(mine)
     mine.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="counting processes: more than 1 scatters every "
-             "full-database pass over a worker pool; results are "
+        help="counting threads: more than 1 counts the chunks of "
+             "every full-database pass on a thread pool; results are "
              "bit-identical for any N "
              "(default: $NOISYMINE_WORKERS, else 1)",
     )
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="also write the run's structured RunReport (per-phase spans, "
-             "scan/cache/shard counters) to PATH as JSON",
+             "scan and factor-pin counters) to PATH as JSON",
     )
     mine.add_argument(
         "--checkpoint", default=None, metavar="PATH",

@@ -119,6 +119,22 @@ def as_sequence_array(sequence: SequenceLike) -> np.ndarray:
     return array
 
 
+def require_integers(values: Iterable[object], what: str) -> None:
+    """Reject a float or a bool among *values* (a row of symbols, or
+    ids) by name: numpy would truncate ``1.5`` to 1 and ``True`` to 1
+    silently.  Raises :class:`ValueError`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return
+    for value in values:
+        if isinstance(value, bool) or not isinstance(
+            value, (int, np.integer)
+        ):
+            raise ValueError(
+                f"{what} holds {value!r} ({type(value).__name__}); "
+                "symbols and ids must be integers"
+            )
+
+
 class SequentialSampler:
     """Sequential uniform sampling of *n* of *total* rows (Algorithm 4.1,
     lines 12-16), fed one row at a time in scan order.
@@ -276,19 +292,6 @@ class CountedScanDatabase(ABC):
             self.io_chunk_seconds += perf_counter() - started
             yield chunk
             started = perf_counter()
-
-    def begin_external_pass(self) -> None:
-        """Account one logical pass executed by an external counting tier.
-
-        Workers map the store's files themselves, so this side never
-        sees the row reads — this charges the one scan and the full
-        symbol payload the external pass represents.  Call it exactly
-        once per dispatched scatter-gather pass, *after* the gather
-        succeeded (a pass that falls back inline is counted by the
-        inline scan instead).
-        """
-        self._begin_pass()
-        self.io_bytes_read += 4 * self.total_symbols()
 
     # -- derived --------------------------------------------------------------
 

@@ -5,8 +5,8 @@ Every ``M(P, D)`` evaluation runs through a
 
 * :class:`~repro.engine.vectorized.VectorizedBatchEngine` counts full
   databases, every miner's Phase-1 scan and sample included — one
-  numpy block kernel, run serially or, with ``workers > 1``, over
-  block-aligned shards on a fork pool (:mod:`repro.engine.shards`);
+  numpy block kernel over one scan, its chunks counted on the scanning
+  thread or, with ``workers > 1``, on a thread pool;
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
   Phase 2 of the sampling miners: it pins the sample once and extends
   candidate score planes incrementally.
@@ -26,8 +26,12 @@ from __future__ import annotations
 from .base import MatchEngine
 from .kernels import SCORE_DTYPES, FactorPin, resolve_score_dtype
 from .resident import PlaneStats, ResidentSampleEvaluator
-from .shards import WORKERS_ENV_VAR, resolve_worker_count
-from .vectorized import PIN_BYTES, VectorizedBatchEngine
+from .vectorized import (
+    PIN_BYTES,
+    WORKERS_ENV_VAR,
+    VectorizedBatchEngine,
+    resolve_worker_count,
+)
 
 __all__ = [
     "FactorPin",

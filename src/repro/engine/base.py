@@ -58,7 +58,7 @@ class MatchEngine(abc.ABC):
         """``M(P, D)`` for a batch of patterns in **one** database scan.
 
         *tracer* is optional observability: backends record their own
-        counters on it (factor-pin traffic, shards dispatched).  It
+        counters on it (factor-pin traffic).  It
         never changes results or scan accounting; passing ``None``
         must be free.
         """

@@ -4,8 +4,8 @@ The kernels operate on *chunks*: a group of sequences padded into one
 ``(N, L)`` symbol matrix so a whole batch of same-span patterns can be
 evaluated against every sequence of the chunk with a handful of numpy
 operations, instead of one Python iteration per (pattern, sequence)
-pair.  :func:`block_totals` adds one chunk's match sums; the serial
-scan and the pool workers both call it.
+pair.  :func:`block_totals` adds one chunk's match sums; every scan of the
+counting engine calls it, on the scanning thread or on a pool thread.
 
 Memory layout
 -------------
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,21 +143,53 @@ def pad_chunk(rows: Sequence[np.ndarray], m: int) -> np.ndarray:
 def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:
     """Factor-row gather: ``result[d, t, i] = c_ext[d, padded[i, t]]``.
 
-    One fancy-indexed gather per chunk replaces the per-sequence
-    ``c_ext[:, seq]`` gathers of the reference path; the result is the
-    cacheable *factor array* of shape ``(m + 1, L, N)`` — position
-    major, sequences innermost (see the module docstring).
+    One gather per chunk replaces the per-sequence ``c_ext[:, seq]``
+    gathers of the reference path; the result is the cacheable *factor
+    array* of shape ``(m + 1, L, N)`` — position major, sequences
+    innermost (see the module docstring).
 
-    The explicit contiguity copy matters: fancy-indexing through the
-    transposed index array yields a buffer laid out in the *index's*
-    memory order (symbol axis innermost), which would make every
-    downstream window slice strided.
+    ``np.take`` writes that layout directly.  Fancy indexing through
+    the transposed index array would yield a buffer in the *index's*
+    memory order (symbol axis innermost), making every downstream
+    window slice strided, and its contiguous copy would allocate and
+    free a second factor-sized array per chunk.
     """
-    return np.ascontiguousarray(c_ext[:, padded.T])
+    return np.take(c_ext, padded.T, axis=1)
 
 
-#: One kept chunk: its padded shape, content digest and factor array.
-_Slot = Tuple[Tuple[int, ...], bytes, np.ndarray]
+class PinSlot:
+    """One chunk position of a :class:`FactorPin`: the padded chunk's
+    shape and content digest, and its factor array, gathered on the
+    first :meth:`factors` call.
+
+    The scanning thread builds slots (padding, digesting and budget
+    bookkeeping are serial); the gather itself can then run wherever
+    the slot is counted.
+    """
+
+    __slots__ = ("shape", "digest", "nbytes", "_c_ext", "_padded",
+                 "_factors")
+
+    def __init__(
+        self,
+        c_ext: np.ndarray,
+        padded: np.ndarray,
+        digest: Optional[bytes] = None,
+    ):
+        self.shape = padded.shape
+        self.digest = digest
+        # The gathered array is (m + 1, L, N) in c_ext's dtype.
+        self.nbytes = c_ext.shape[0] * padded.size * c_ext.itemsize
+        self._c_ext = c_ext
+        self._padded: Optional[np.ndarray] = padded
+        self._factors: Optional[np.ndarray] = None
+
+    def factors(self) -> np.ndarray:
+        """The chunk's ``(m + 1, L, N)`` factor array."""
+        if self._factors is None:
+            self._factors = gather_chunk(self._c_ext, self._padded)
+            self._padded = None
+        return self._factors
 
 
 class FactorPin:
@@ -166,16 +198,17 @@ class FactorPin:
     The factor array depends only on ``(compatibility matrix, chunk)``,
     so repeat scans of one database — Phase 3's probe rounds, the
     daemon's jobs on one store, Phase 2's levels over one sample — can
-    skip the gather.  Per chunk position *i* the pin keeps the padded
-    chunk's shape, a ``blake2b`` digest of its bytes and its gathered
-    array, all under one ``(matrix fingerprint, dtype)`` key; chunk *i*
-    of a scan is served from slot *i* only on a key, shape and digest
-    match.  Neither a different matrix nor a chunk with one symbol
-    changed can therefore be served stale factors: the 128-bit digest
-    makes a collision impossible in practice (Python's salted 64-bit
-    ``hash`` does not), and real symbols are below the pad symbol, so
-    equal padded bytes mean equal rows.  Digesting the ``(N, L)`` chunk
-    costs ``O(N L)``, small next to the ``O(m N L)`` gather it saves.
+    skip the gather.  Per chunk position *i* the pin keeps a
+    :class:`PinSlot`: the padded chunk's shape, a ``blake2b`` digest of
+    its bytes and its gathered array, all under one ``(matrix
+    fingerprint, dtype)`` key; chunk *i* of a scan is served from slot
+    *i* only on a key, shape and digest match.  Neither a different
+    matrix nor a chunk with one symbol changed can therefore be served
+    stale factors: the 128-bit digest makes a collision impossible in
+    practice (Python's salted 64-bit ``hash`` does not), and real
+    symbols are below the pad symbol, so equal padded bytes mean equal
+    rows.  Digesting the ``(N, L)`` chunk costs ``O(N L)``, small next
+    to the ``O(m N L)`` gather it saves.
 
     ``hits`` and ``misses`` count chunks served from the pin and chunks
     gathered, over the pin's lifetime.
@@ -183,14 +216,14 @@ class FactorPin:
 
     def __init__(self) -> None:
         self._key: Optional[tuple] = None
-        self._slots: List[_Slot] = []
+        self._slots: List[PinSlot] = []
         self.hits = 0
         self.misses = 0
 
     @property
     def nbytes(self) -> int:
         """Bytes of factor arrays held."""
-        return sum(slot[2].nbytes for slot in self._slots)
+        return sum(slot.nbytes for slot in self._slots)
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -206,11 +239,10 @@ class FactorPin:
         c_ext: np.ndarray,
         fingerprint: tuple,
         budget: Optional[int] = None,
-        chunks: Optional[Iterable[SequenceChunk]] = None,
-    ) -> Iterator[Tuple[SequenceChunk, np.ndarray]]:
-        """Consume one ``database.scan_chunks(chunk_rows)`` pass — or
-        *chunks*, that pass already taken — and yield ``(chunk, factor
-        array)`` per chunk, in scan order.
+    ) -> Iterator[Tuple[SequenceChunk, PinSlot]]:
+        """Consume one ``database.scan_chunks(chunk_rows)`` pass and
+        yield ``(chunk, slot)`` per chunk, in scan order; a slot's
+        :meth:`~PinSlot.factors` is the chunk's factor array.
 
         Without a *budget* every chunk is kept.  With one, nothing is
         kept when the unpadded factor arrays, ``(m + 1) × itemsize ×
@@ -229,36 +261,34 @@ class FactorPin:
         slots = self._slots
         held = self.nbytes
         count = 0
-        if chunks is None:
-            chunks = database.scan_chunks(chunk_rows)
-        for i, chunk in enumerate(chunks):
+        for i, chunk in enumerate(database.scan_chunks(chunk_rows)):
             count = i + 1
             padded = pad_chunk(chunk.rows, m)
             if not keep:
                 self.misses += 1
-                yield chunk, gather_chunk(c_ext, padded)
+                yield chunk, PinSlot(c_ext, padded)
                 continue
-            slot = (
-                padded.shape,
-                hashlib.blake2b(padded.data, digest_size=16).digest(),
-            )
+            digest = hashlib.blake2b(padded.data, digest_size=16).digest()
             old = slots[i] if i < len(slots) else None
-            if old is not None and old[:2] == slot:
+            if (
+                old is not None and old.shape == padded.shape
+                and old.digest == digest
+            ):
                 self.hits += 1
-                yield chunk, old[2]
+                yield chunk, old
                 continue
             self.misses += 1
-            gathered = gather_chunk(c_ext, padded)
-            held += gathered.nbytes - (0 if old is None else old[2].nbytes)
+            slot = PinSlot(c_ext, padded, digest)
+            held += slot.nbytes - (0 if old is None else old.nbytes)
             if budget is not None and held > budget:
                 # Padding outgrew the budget: keep nothing of this scan.
                 slots.clear()
                 keep = False
             elif old is None:
-                slots.append(slot + (gathered,))
+                slots.append(slot)
             else:
-                slots[i] = slot + (gathered,)
-            yield chunk, gathered
+                slots[i] = slot
+            yield chunk, slot
         if keep:
             del slots[count:]
 

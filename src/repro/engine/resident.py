@@ -255,11 +255,11 @@ class ResidentSampleEvaluator(MatchEngine):
         misses = self.cache.misses
         count = 0
         gathered: List[np.ndarray] = []
-        for chunk, factors in self.cache.scan(
+        for chunk, slot in self.cache.scan(
             database, self.chunk_rows, c_ext, matrix_fingerprint(matrix)
         ):
             count += len(chunk)
-            gathered.append(factors)
+            gathered.append(slot.factors())
         empty_database_guard(count)
         pin = self._pin
         if (

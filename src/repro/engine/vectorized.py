@@ -1,4 +1,4 @@
-"""The counting engine: one block kernel, serial or over a worker pool.
+"""The counting engine: one block kernel, one scan, one or more threads.
 
 :class:`VectorizedBatchEngine` evaluates ``M(P, D)`` for a whole
 memory-capacity batch of patterns in one database scan, a *chunk* of
@@ -14,7 +14,7 @@ pattern prefixes (see :func:`repro.engine.kernels.prefix_plan`).
 Counting always scores in float64.
 
 The factor array depends only on ``(compatibility matrix, sequences)``
-— not on the patterns — so the serial scan streams every chunk through
+— not on the patterns — so every scan streams its chunks through
 the engine's :class:`~repro.engine.kernels.FactorPin` (:attr:`cache`),
 which keeps the database's factor arrays when they fit
 :data:`PIN_BYTES`.  Phase 3 of the paper's algorithm probes half-layers
@@ -24,24 +24,29 @@ those repeat scans skip the gather and pay only the window reductions.
 A database too large for the budget is gathered chunk by chunk and
 nothing is kept.
 
-With ``workers > 1`` a scan over at least two blocks is cut into
-block-aligned shards (:mod:`repro.engine.shards`) and run by a fork
-pool whose workers call the same block kernel; the per-block sums are
-merged in block order, so results are bit-identical to one worker at
-equal ``chunk_rows``.  Either way the engine consumes exactly one
-``database.scan()`` per batch — the paper's cost model.
+With ``workers > 1`` the same scan counts its chunks on a thread pool:
+the scanning thread pads, digests and pins each chunk and offers its
+rows to a sampler, and each chunk's gather plus block kernel — numpy
+releases the GIL in both — is one task, adding into its own zeroed
+row.  At most ``2 × workers`` chunks are in flight, and the rows are
+added to the totals in scan order: the same float additions as one
+worker's running sum, so results are bit-identical at every worker
+count.  Either way the engine consumes exactly one ``database.scan()``
+per batch — the paper's cost model.
 
 :meth:`VectorizedBatchEngine.symbol_matches` is every miner's Phase-1
 scan.  Given a :class:`~repro.core.sequence.SequentialSampler` it
 offers the sampler every ``(id, row)`` in scan order, so Algorithm
-4.1's sample is drawn in the same pass; a sampler keeps the scan
-serial, since this process must see every row.
+4.1's sample is drawn in the same pass.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,44 +54,87 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase, SequentialSampler
 from ..errors import MiningError
-from ..obs import (
-    FACTOR_CACHE_HITS,
-    FACTOR_CACHE_MISSES,
-    SHARD_IO_BYTES,
-    SHARD_SCAN_SECONDS,
-    SHARD_STEALS,
-    SHARDS_DISPATCHED,
-    Tracer,
-)
+from ..obs import FACTOR_CACHE_HITS, FACTOR_CACHE_MISSES, Tracer
 from .base import MatchEngine, matrix_fingerprint
 from .kernels import (
     DATABASE_TOTALS,
     DEFAULT_CHUNK_ROWS,
     SYMBOL_TOTALS,
     FactorPin,
+    PinSlot,
     block_totals,
     extended_matrix,
     group_patterns_by_span,
     group_plans,
 )
-from .shards import (
-    MIN_SHARD_ROWS,
-    OVERSPLIT,
-    Dispatch,
-    ShardManifest,
-    build_tasks,
-    manifest_from_rows,
-    manifest_from_store,
-    open_pool,
-    pool_execute_shard_task,
-    resolve_worker_count,
-    scatter_gather,
-)
+
+#: Environment variable setting the worker count of a run.
+WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
 
 #: Byte budget of an engine's factor pin.  A database whose factor
 #: arrays (``8 (m + 1)`` bytes per symbol, plus padding) exceed it is
 #: not kept: the pin holds all of a database or none of it.
 PIN_BYTES = 128 * 1024 * 1024
+
+
+def resolve_worker_count(requested: Optional[int] = None) -> int:
+    """Resolve the worker count of a run.
+
+    An explicit *requested* value wins, then the ``NOISYMINE_WORKERS``
+    environment variable, then ``1``: one counting thread unless the
+    user asks for more.  Both sources must be ``>= 1``.
+    """
+    if requested is not None:
+        if requested < 1:
+            raise MiningError(f"workers must be >= 1, got {requested}")
+        return requested
+    env = os.environ.get(WORKERS_ENV_VAR)
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise MiningError(
+            f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
+        ) from None
+    if value < 1:
+        raise MiningError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
+    return value
+
+
+def _chunk_counter(
+    kind: str,
+    groups: Optional[Dict[int, List[int]]],
+    elements_by_span: Optional[Dict[int, np.ndarray]],
+    width: int,
+) -> Callable[[PinSlot], np.ndarray]:
+    """The per-chunk task of one batch: a slot's gather plus
+    :func:`block_totals`, into a fresh zeroed row.
+
+    Thread-safe: each thread keeps its own score buffers, and holds its
+    previous chunk's factor array until its next gather, as a streaming
+    loop does: freed before it, the multi-megabyte arrays make glibc
+    return heap pages and fault them in again on every chunk.
+    """
+    plans = (
+        group_plans(elements_by_span) if kind == DATABASE_TOTALS else None
+    )
+    local = threading.local()
+
+    def count_chunk(slot: PinSlot) -> np.ndarray:
+        gathered = slot.factors()
+        local.previous = gathered
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = {}
+        row = np.zeros(width, dtype=np.float64)
+        block_totals(
+            gathered, kind, groups, elements_by_span, row,
+            plans=plans, scratch=scratch,
+        )
+        return row
+
+    return count_chunk
 
 
 class VectorizedBatchEngine(MatchEngine):
@@ -95,22 +143,17 @@ class VectorizedBatchEngine(MatchEngine):
     Parameters
     ----------
     chunk_rows:
-        Sequences per padded chunk — also the shard block-grid pitch.
-        Larger chunks amortise Python overhead further but cost
-        ``8 (m+1) N L`` bytes of factor array each.
+        Sequences per padded chunk.  Larger chunks amortise Python
+        overhead further but cost ``8 (m+1) N L`` bytes of factor array
+        each.
     workers:
-        Worker processes; ``None`` resolves through
-        :func:`~repro.engine.shards.resolve_worker_count` (the
-        ``NOISYMINE_WORKERS`` environment variable, else 1).  With more
-        than one, scans over at least two shards run on a fork pool.
+        Counting threads; ``None`` resolves through
+        :func:`resolve_worker_count` (the ``NOISYMINE_WORKERS``
+        environment variable, else 1).  With more than one, chunks are
+        counted on a thread pool the engine keeps until :meth:`close`.
 
-    :attr:`cache` is the serial scan's :class:`FactorPin`, holding at
-    most :data:`PIN_BYTES`.  :attr:`dispatch` is the pool seam: ``None``
-    runs shard tasks on the engine's own pool (``imap_unordered``);
-    tests set any callable from tasks to results to reorder or fail the
-    gather.  Of the lifetime counters :attr:`pools_created`,
-    :attr:`shards_dispatched` and :attr:`shard_steals`, the last two
-    are also reported per call on the tracer.
+    :attr:`cache` is the scan's :class:`FactorPin`, holding at most
+    :data:`PIN_BYTES`.
     """
 
     name = "vectorized"
@@ -127,12 +170,7 @@ class VectorizedBatchEngine(MatchEngine):
         self.chunk_rows = chunk_rows
         self.cache = FactorPin()
         self.workers = resolve_worker_count(workers)
-        self.dispatch: Optional[Dispatch] = None
-        self._pool = None
-        self._pool_key: Optional[tuple] = None
-        self.pools_created = 0
-        self.shards_dispatched = 0
-        self.shard_steals = 0
+        self._executor: Optional[ThreadPoolExecutor] = None
 
     def note_settings(self, tracer: Optional[Tracer]) -> None:
         """Note the run's ``workers`` on *tracer* (the report
@@ -187,159 +225,68 @@ class VectorizedBatchEngine(MatchEngine):
         elements_by_span: Optional[Dict[int, np.ndarray]] = None,
         sampler: Optional[SequentialSampler] = None,
     ) -> Tuple[np.ndarray, int]:
-        """``(totals, sequence count)`` of one scan: over the pool when
-        there are workers, at least two shards and no *sampler* (which
-        must be offered every row here), serially otherwise."""
-        c_ext = extended_matrix(matrix.array)
+        """``(totals, sequence count)`` of one scan through the pin,
+        offering every ``(id, row)`` to *sampler* in scan order."""
         traced = tracer is not None and tracer.enabled
         if traced:
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
             cache0 = (self.cache.hits, self.cache.misses)
-        batch = (kind, groups, elements_by_span, width)
-        result = None
-        chunks = None
-        if self.workers > 1 and sampler is None:
-            manifest = manifest_from_store(
-                database, self.chunk_rows, self.workers * OVERSPLIT,
-                MIN_SHARD_ROWS,
-            )
-            rows = None
-            if manifest is None:
-                # No file for workers to map: take the one scan here
-                # and ship the rows with the tasks.
-                chunks = list(database.scan_chunks(self.chunk_rows))
-                rows = [row for chunk in chunks for row in chunk.rows]
-                if rows:
-                    manifest = manifest_from_rows(
-                        rows, self.chunk_rows, self.workers * OVERSPLIT,
-                        MIN_SHARD_ROWS,
-                    )
-            if manifest is not None and len(manifest) >= 2:
-                totals = self._scatter(
-                    batch, manifest, rows, matrix, c_ext, tracer
-                )
-                if rows is None:
-                    # Charged only after the gather succeeded, so a
-                    # failed dispatch inflates no I/O accounting.
-                    database.begin_external_pass()
-                    database.io_chunks += manifest.n_blocks
-                result = (totals, manifest.n_rows)
-        if result is None:
-            # Serially through the pin; when the pool declined, over
-            # the scan it already took.
-            factors = self.cache.scan(
-                database, self.chunk_rows, c_ext,
-                matrix_fingerprint(matrix), budget=PIN_BYTES, chunks=chunks,
-            )
-            result = self._serial(batch, factors, sampler)
-        if traced:
-            self.note_settings(tracer)
-            tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
-            tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
-        return result
-
-    def _serial(
-        self,
-        batch: tuple,
-        factors,
-        sampler: Optional[SequentialSampler] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Add up *factors*' ``(chunk, factor array)`` blocks, offering
-        every ``(id, row)`` to *sampler* in scan order."""
-        kind, groups, elements_by_span, width = batch
-        plans = (
-            group_plans(elements_by_span) if kind == DATABASE_TOTALS
-            else None
-        )
+        count_chunk = _chunk_counter(kind, groups, elements_by_span, width)
+        pool = self._pool() if self.workers > 1 else None
         totals = np.zeros(width, dtype=np.float64)
-        scratch: Dict[tuple, np.ndarray] = {}
         count = 0
-        for chunk, gathered in factors:
-            count += len(chunk)
-            if sampler is not None:
-                for sid, row in zip(chunk.ids, chunk.rows):
-                    sampler.offer(sid, row)
-            block_totals(
-                gathered, kind, groups, elements_by_span, totals,
-                plans=plans, scratch=scratch,
-            )
+        pending: deque = deque()
+        try:
+            for chunk, slot in self.cache.scan(
+                database, self.chunk_rows, extended_matrix(matrix.array),
+                matrix_fingerprint(matrix), budget=PIN_BYTES,
+            ):
+                count += len(chunk)
+                if sampler is not None:
+                    for sid, row in zip(chunk.ids, chunk.rows):
+                        sampler.offer(sid, row)
+                if pool is None:
+                    totals += count_chunk(slot)
+                    continue
+                pending.append(pool.submit(count_chunk, slot))
+                if len(pending) >= 2 * self.workers:
+                    totals += pending.popleft().result()
+            while pending:
+                totals += pending.popleft().result()
+        except BaseException:
+            # Return only once no task of this call still runs.
+            for future in pending:
+                future.cancel()
+            wait(pending)
+            raise
         if count == 0:
             what = "symbol matches" if kind == SYMBOL_TOTALS else "matches"
             raise MiningError(
                 f"cannot compute {what} over an empty database"
             )
+        if traced:
+            self.note_settings(tracer)
+            tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
+            tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
         return totals, count
 
-    # -- the worker pool ------------------------------------------------------
-
-    def _scatter(
-        self,
-        batch: tuple,
-        manifest: ShardManifest,
-        rows: Optional[List[np.ndarray]],
-        matrix: CompatibilityMatrix,
-        c_ext: np.ndarray,
-        tracer: Optional[Tracer],
-    ) -> np.ndarray:
-        kind, groups, elements_by_span, width = batch
-        tasks = build_tasks(
-            manifest, kind, groups, elements_by_span, width, rows=rows
-        )
-        dispatch = self.dispatch or self._pool_dispatch(matrix, c_ext)
-        totals, stats = scatter_gather(tasks, dispatch, width, self.workers)
-        self.shards_dispatched += stats.tasks
-        self.shard_steals += stats.steals
-        if tracer is not None and tracer.enabled:
-            tracer.count(SHARDS_DISPATCHED, stats.tasks)
-            if stats.steals:
-                tracer.count(SHARD_STEALS, stats.steals)
-            tracer.count(SHARD_SCAN_SECONDS, stats.scan_seconds)
-            if stats.io_bytes:
-                tracer.count(SHARD_IO_BYTES, stats.io_bytes)
-        return totals
-
-    def _pool_dispatch(
-        self, matrix: CompatibilityMatrix, c_ext: np.ndarray
-    ) -> Dispatch:
-        """The pool's work-stealing dispatch; one pool per matrix,
-        rebuilt when a call brings a different one."""
-        key = matrix_fingerprint(matrix)
-        if self._pool is not None and self._pool_key != key:
-            self._close_pool()
-        if self._pool is None:
-            self._pool = open_pool(self.workers, c_ext)
-            self._pool_key = key
-            self.pools_created += 1
-        return partial(
-            self._pool.imap_unordered, pool_execute_shard_task, chunksize=1
-        )
-
-    def warm_pool(self, matrix: CompatibilityMatrix) -> None:
-        """Create (or reuse) the worker pool for *matrix* ahead of time,
-        moving the one-time fork cost out of the first measured scan.
-        A no-op with one worker or a custom :attr:`dispatch`."""
-        if self.workers > 1 and self.dispatch is None:
-            self._pool_dispatch(matrix, extended_matrix(matrix.array))
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_key = None
+    def _pool(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                self.workers, thread_name_prefix="noisymine-count"
+            )
+        return self._executor
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        self._close_pool()
+        """Stop the thread pool (a later call starts a new one) and
+        drop the pin."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
         self.cache.clear()
-
-    def __del__(self) -> None:
-        try:
-            self._close_pool()
-        except Exception:
-            pass
 
     def __repr__(self) -> str:
         return (

@@ -356,9 +356,9 @@ class PackedSequenceStore(CountedScanDatabase):
     def rows_slice(self, row_start: int, row_stop: int) -> List[np.ndarray]:
         """Zero-copy row views for ``[row_start, row_stop)``.
 
-        Partial access for external executors (worker pools); like
-        :meth:`sequence`, it is *not* counted as a pass — the dispatching
-        side accounts for the logical full pass.
+        Partial access for callers that read a segment's rows outside
+        a scan (the O(Δ) refresh of :mod:`repro.mining.delta`); like
+        :meth:`sequence`, it is *not* counted as a pass.
         """
         self._require_open()
         offsets = self._offsets
@@ -367,22 +367,6 @@ class PackedSequenceStore(CountedScanDatabase):
             symbols[int(offsets[i]):int(offsets[i + 1])]
             for i in range(row_start, row_stop)
         ]
-
-    def shard_layout(
-        self,
-    ) -> Optional[List[Tuple[str, str, int, np.ndarray]]]:
-        """Shardable description of this store for a counting tier.
-
-        Returns a single ``(path, digest, n_rows, offsets)`` part for a
-        file-backed store — the offsets table lets the dispatcher weigh
-        shard bounds by symbol count — or ``None`` when there is no
-        path to ship to workers.  Pure metadata: consumes no scan and
-        charges no I/O (see :meth:`begin_external_pass`).
-        """
-        self._require_open()
-        if self._path is None:
-            return None
-        return [(self._path, self.digest, len(self._ids), self._offsets)]
 
     # -- metadata -------------------------------------------------------------
 

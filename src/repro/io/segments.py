@@ -45,6 +45,7 @@ from ..core.sequence import (
     CountedScanDatabase,
     SequenceChunk,
     SequenceDatabase,
+    require_integers,
 )
 from ..errors import SequenceDatabaseError
 from .atomic import atomic_write
@@ -253,11 +254,18 @@ class SegmentedSequenceStore(CountedScanDatabase):
         manifest is swapped atomically — a reader holding the old
         manifest keeps a consistent (shorter) store, and a crash
         between the two writes leaves the store exactly as it was.
+        A float or bool symbol or id raises :class:`ValueError` naming
+        it instead of being truncated.
         """
         self._require_open()
         if isinstance(sequences, CountedScanDatabase) and ids is None:
             database = sequences
         else:
+            sequences = list(sequences)
+            for index, row in enumerate(sequences):
+                require_integers(row, f"row {index}")
+            if ids is not None:
+                require_integers(ids, "'ids'")
             rows = [np.asarray(row, dtype=np.int32) for row in sequences]
             if not rows:
                 raise SequenceDatabaseError(
@@ -357,26 +365,6 @@ class SegmentedSequenceStore(CountedScanDatabase):
         """
         for segment in self._segments:
             yield from segment._blocks(chunk_rows)
-
-    def shard_layout(
-        self,
-    ) -> Optional[List[Tuple[str, str, int, np.ndarray]]]:
-        """Shardable description of this store for a counting tier.
-
-        One ``(path, digest, n_rows, offsets)`` part per immutable
-        segment, in append order — workers memory-map each segment file
-        independently, so a segmented store no longer has to ship
-        pickled rows to the pool.  Pure metadata: consumes no scan (see
-        :meth:`begin_external_pass`).
-        """
-        self._require_open()
-        parts: List[Tuple[str, str, int, np.ndarray]] = []
-        for segment in self._segments:
-            layout = segment.shard_layout()
-            if layout is None:  # pragma: no cover - segments are file-backed
-                return None
-            parts.extend(layout)
-        return parts
 
     # -- metadata -------------------------------------------------------------
 

@@ -73,7 +73,7 @@ def count_matches_batched(
         Optional :class:`~repro.obs.Tracer`; each dispatched batch
         counts one *scan_counter* tick and ``len(batch)``
         *patterns_counter* ticks, and is forwarded to the engine for
-        backend-level counters (cache traffic, shard dispatch).
+        backend-level counters (factor-pin traffic).
     scan_counter / patterns_counter:
         Counter names used for the per-batch accounting.  Phase-2
         callers counting against the in-memory sample pass

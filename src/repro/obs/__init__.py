@@ -2,7 +2,7 @@
 
 The paper compares algorithms by *database scans per phase*; this
 package makes that metric (and its neighbours: pattern counters,
-probe rounds, factor-pin traffic, parallel shard dispatch) a native
+probe rounds, factor-pin traffic) a native
 output of every miner instead of a number inferred from one total.
 
 * :class:`Tracer` — nested phase spans with monotonic timers and named
@@ -47,10 +47,6 @@ from .tracer import (
     SAMPLE_PATTERNS_COUNTED,
     SAMPLE_SCANS,
     SCANS,
-    SHARD_IO_BYTES,
-    SHARD_SCAN_SECONDS,
-    SHARD_STEALS,
-    SHARDS_DISPATCHED,
     STORE_CACHE_HITS,
     STORE_CACHE_MISSES,
     SUBSUMPTION_CHECKS,
@@ -91,10 +87,6 @@ __all__ = [
     "SAMPLE_PATTERNS_COUNTED",
     "SAMPLE_SCANS",
     "SCANS",
-    "SHARD_IO_BYTES",
-    "SHARD_SCAN_SECONDS",
-    "SHARD_STEALS",
-    "SHARDS_DISPATCHED",
     "STORE_CACHE_HITS",
     "STORE_CACHE_MISSES",
     "SUBSUMPTION_CHECKS",

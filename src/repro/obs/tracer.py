@@ -7,7 +7,7 @@ per phase* (Algorithms 4.1-4.4): one Phase-1 scan, zero Phase-2 scans
 inferable from a single total: miners open a span per phase (and per
 probe round), and every component that consumes or saves work reports
 it through named counters — scans, patterns counted, candidates
-generated, factor-pin hits, parallel shards, and so on.
+generated, factor-pin hits, and so on.
 
 Design constraints, in order:
 
@@ -59,10 +59,6 @@ PROBES = "probes"
 #: Chunks the counting engine's factor pin served / gathered.
 FACTOR_CACHE_HITS = "factor_cache_hits"
 FACTOR_CACHE_MISSES = "factor_cache_misses"
-SHARDS_DISPATCHED = "shards_dispatched"
-SHARD_STEALS = "shard_steals"
-SHARD_SCAN_SECONDS = "shard_scan_seconds"
-SHARD_IO_BYTES = "shard_io_bytes"
 RESIDENT_PLANE_HITS = "resident_plane_hits"
 RESIDENT_PLANE_MISSES = "resident_plane_misses"
 RESIDENT_PLANE_BYTES = "resident_plane_bytes"

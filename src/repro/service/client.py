@@ -20,6 +20,13 @@ from ..errors import ServiceError
 DEFAULT_TIMEOUT = 30.0
 
 
+def _wire_integers(values) -> list:
+    """*values* for the wire: integers as ``int``, a float or a bool as
+    is, so the daemon rejects it by name instead of the client
+    truncating it."""
+    return [v if isinstance(v, (bool, float)) else int(v) for v in values]
+
+
 class ServiceClient:
     """HTTP client bound to one daemon base URL.
 
@@ -89,9 +96,9 @@ class ServiceClient:
         if store is not None:
             body["store"] = str(store)
         if database is not None:
-            body["database"] = [list(map(int, row)) for row in database]
+            body["database"] = [_wire_integers(row) for row in database]
         if ids is not None:
-            body["ids"] = [int(i) for i in ids]
+            body["ids"] = _wire_integers(ids)
         return self._request("POST", "/jobs", body)
 
     def append(
@@ -104,10 +111,10 @@ class ServiceClient:
         segmented store with that manifest digest; returns the new
         digest document."""
         body: dict = {
-            "database": [list(map(int, row)) for row in database],
+            "database": [_wire_integers(row) for row in database],
         }
         if ids is not None:
-            body["ids"] = [int(i) for i in ids]
+            body["ids"] = _wire_integers(ids)
         return self._request("POST", f"/stores/{digest}/append", body)
 
     def status(self, job_id: str) -> dict:

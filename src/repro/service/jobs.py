@@ -39,12 +39,12 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..config import SAMPLING_ALGORITHMS, MiningConfig, json_payload
-from ..core.sequence import SequenceDatabase
+from ..core.sequence import SequenceDatabase, require_integers
 from ..engine import VectorizedBatchEngine
 from ..errors import NoisyMineError, SequenceDatabaseError, ServiceError
 from ..io import SegmentedSequenceStore, is_segmented_store
@@ -87,19 +87,6 @@ def _inline_digest(database: SequenceDatabase) -> str:
         digest.update(len(row).to_bytes(8, "little"))
         digest.update(row.tobytes())
     return "inline-" + digest.hexdigest()
-
-
-def _require_integers(values: Iterable[object], what: str) -> None:
-    """Reject a float or a bool among inline *values* by name: numpy
-    would truncate ``1.5`` to 1 and ``true`` to 1 silently."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer)
-        ):
-            raise ValueError(
-                f"{what} holds {value!r} ({type(value).__name__}); "
-                "symbols and ids must be integers"
-            )
 
 
 @dataclass
@@ -281,9 +268,9 @@ class MiningService:
         if database is not None:
             try:
                 for index, row in enumerate(database):
-                    _require_integers(row, f"row {index}")
+                    require_integers(row, f"row {index}")
                 if ids is not None:
-                    _require_integers(ids, "'ids'")
+                    require_integers(ids, "'ids'")
                 db = SequenceDatabase(database, ids=ids)
             except NoisyMineError:
                 raise
@@ -329,7 +316,9 @@ class MiningService:
         results for the old digest stay valid for the old content (a
         reader that pinned the old manifest still sees it); new jobs
         key on the new digest.  Raises :class:`ServiceError` for an
-        unknown digest or a non-segmented store.
+        unknown digest, a non-segmented store, a rejected append
+        (``append rejected: ...``, e.g. an id collision) and malformed
+        rows or ids (``invalid append: ...``, e.g. a float symbol).
         """
         if self._stopped:
             raise ServiceError("service is shut down")
@@ -349,10 +338,12 @@ class MiningService:
             with entry.lock:
                 try:
                     segment_digest = entry.store.append(database, ids=ids)
-                except (SequenceDatabaseError, TypeError, ValueError) as exc:
+                except SequenceDatabaseError as exc:
                     raise ServiceError(
                         f"append rejected: {exc}"
                     ) from exc
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ServiceError(f"invalid append: {exc}") from exc
                 new_digest = entry.store.digest
                 self.stores.rekey(entry, new_digest)
             return {

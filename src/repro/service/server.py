@@ -201,7 +201,12 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except ServiceError as exc:
             message = str(exc)
-            status = 404 if message.startswith("no open store") else 409
+            if message.startswith("no open store"):
+                status = 404
+            elif message.startswith("invalid append"):
+                status = 400
+            else:
+                status = 409
             self._send_error_json(status, message)
             return
         except Exception as exc:  # noqa: BLE001 - keep the daemon alive

@@ -13,11 +13,7 @@ those layers live here, as oracles:
   the kernels replace;
 * :func:`reference_lattice` swaps those scans into the production
   modules for the duration of a ``with`` block, so a whole miner can
-  run on the oracle lattice;
-* :func:`serial_dispatch`, :func:`shuffled` and :func:`faulty` stand
-  in for the worker pool's dispatch (in order, reordered, or losing,
-  repeating and holding back results), and :func:`small_shards` lets
-  tiny test databases cut into several shards.
+  run on the oracle lattice.
 """
 
 from __future__ import annotations
@@ -35,9 +31,8 @@ from repro.core.lattice import PatternConstraints, extend_right
 from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
 from repro.core.sequence import AnySequenceDatabase, SequentialSampler
-from repro.engine import MatchEngine, vectorized
-from repro.engine.kernels import DEFAULT_CHUNK_ROWS, extended_matrix
-from repro.engine.shards import execute_shard_task
+from repro.engine import MatchEngine
+from repro.engine.kernels import DEFAULT_CHUNK_ROWS
 from repro.errors import MiningError
 from repro.mining import ambiguous, collapsing
 from repro.mining.chernoff import restricted_spread
@@ -240,54 +235,4 @@ def reference_lattice():
     with ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        yield
-
-
-# -- dispatch ------------------------------------------------------------------
-
-
-def serial_dispatch(matrix: CompatibilityMatrix):
-    """A pool-free dispatch: runs shard tasks in this process, in
-    submission order, against *matrix*."""
-    c_ext = extended_matrix(matrix.array)
-    return lambda tasks: (execute_shard_task(task, c_ext) for task in tasks)
-
-
-def shuffled(dispatch, seed: int = 0):
-    """*dispatch* with its completion order deterministically scrambled:
-    the merged totals must not change however the results arrive."""
-    def run(tasks):
-        results = list(dispatch(tasks))
-        order = np.random.default_rng(seed).permutation(len(results))
-        return [results[int(i)] for i in order]
-    return run
-
-
-def faulty(dispatch, drop=(), duplicate=(), delay=()):
-    """*dispatch* with shard faults injected by shard index.
-
-    Results of *drop* never arrive; results of *delay* arrive after
-    every other result; results of *duplicate* arrive twice in a row
-    (so a duplicate of a shard that is still waiting on a delayed
-    lower index arrives before that shard is merged, and any other
-    duplicate arrives after).
-    """
-    def run(tasks):
-        held = []
-        for result in dispatch(tasks):
-            if result.index in drop:
-                continue
-            copies = [result] * (2 if result.index in duplicate else 1)
-            if result.index in delay:
-                held.extend(copies)
-            else:
-                yield from copies
-        yield from held
-    return run
-
-
-@contextmanager
-def small_shards():
-    """Shard databases of any size: one row is enough for a shard."""
-    with mock.patch.object(vectorized, "MIN_SHARD_ROWS", 1):
         yield

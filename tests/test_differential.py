@@ -43,14 +43,14 @@ from repro.config import ALGORITHMS, SAMPLING_ALGORITHMS
 from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.io import SegmentedSequenceStore
 
-from .oracles import ReferenceEngine, reference_lattice, small_shards
+from .oracles import ReferenceEngine, reference_lattice
 
 M = 5
 MATRIX = CompatibilityMatrix.uniform_noise(M, 0.15)
 CONSTRAINTS = PatternConstraints(max_weight=4, max_span=6, max_gap=1)
 
 #: Rows per chunk on both sides: small, so every store spans several
-#: chunks and two workers cut several shards.
+#: chunks and two workers count several chunks at once.
 CHUNK = 16
 
 #: Rows of each float32 draw.
@@ -100,8 +100,8 @@ def make_store(kind, rows, directory):
         return PackedSequenceStore.from_database(
             database, os.path.join(directory, "db.nmp")
         )
-    # Two segments, the first not a multiple of CHUNK rows, so chunk and
-    # shard boundaries follow the segment layout.
+    # Two segments, the first not a multiple of CHUNK rows, so chunk
+    # boundaries follow the segment layout.
     store = SegmentedSequenceStore.create(
         os.path.join(directory, "seg"), SequenceDatabase(rows[:13])
     )
@@ -117,7 +117,7 @@ def run_both(algorithm, kind, workers, rows, params,
         os.mkdir(os.path.join(directory, "oracle"))
         store = make_store(kind, rows, os.path.join(directory, "prod"))
         engine = VectorizedBatchEngine(chunk_rows=CHUNK, workers=workers)
-        with small_shards(), engine:
+        with engine:
             got = mine(algorithm, store, engine,
                        ResidentSampleEvaluator(chunk_rows=CHUNK,
                                                score_dtype=score_dtype),

@@ -11,6 +11,9 @@ exceeds every sequence — while consuming exactly one scan per
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,11 +35,12 @@ from repro.engine import (
     VectorizedBatchEngine,
     WORKERS_ENV_VAR,
     resolve_worker_count,
+    vectorized,
 )
 from repro.mining import LevelwiseMiner
-from repro.obs import SHARDS_DISPATCHED, Tracer
+from repro.obs import Tracer
 
-from .oracles import ReferenceEngine, small_shards
+from .oracles import ReferenceEngine
 from .test_differential import make_store
 from .strategies import (
     M,
@@ -46,14 +50,6 @@ from .strategies import (
     patterns,
     sequences,
 )
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _tiny_shards():
-    """Let the handful-of-rows databases below cut into shards, so the
-    pool engine really dispatches."""
-    with small_shards():
-        yield
 
 
 #: Module-level instances so the pool and the factor pin are reused
@@ -150,10 +146,24 @@ def test_symbol_matches_equivalence(database, matrix):
         )
 
 
+def record_kernel_threads(monkeypatch) -> list:
+    """Wrap the engine's block kernel; return the list it appends each
+    call's thread id to."""
+    threads = []
+    kernel = vectorized.block_totals
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(vectorized, "block_totals", recording)
+    return threads
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["memory", "text", "packed", "segmented"])
 def test_symbol_matches_feeds_a_sampler(kind, workers, fig2_matrix,
-                                        tmp_path):
+                                        tmp_path, monkeypatch):
     # Algorithm 4.1's one pass: offering the Phase-1 scan's rows to a
     # sampler moves no value bit, and the sampler draws exactly what
     # database.sample draws from the same generator state.
@@ -161,9 +171,10 @@ def test_symbol_matches_feeds_a_sampler(kind, workers, fig2_matrix,
     rows = [rng.integers(0, 5, size=rng.integers(1, 9)) for _ in range(30)]
     database = make_store(kind, rows, str(tmp_path))
     engine = VectorizedBatchEngine(chunk_rows=4, workers=workers)
+    threads = record_kernel_threads(monkeypatch)
     try:
         plain = engine.symbol_matches(database, fig2_matrix)
-        assert (engine.shards_dispatched > 0) == (workers > 1)
+        chunks = len(threads)
         draw = np.random.default_rng(3)
         sampler = SequentialSampler(7, len(database), draw)
         before = database.scan_count
@@ -172,6 +183,11 @@ def test_symbol_matches_feeds_a_sampler(kind, workers, fig2_matrix,
         )
         assert database.scan_count == before + 1
         np.testing.assert_array_equal(sampled, plain)
+        # With a pool, even the sampled scan runs the block kernel off
+        # the scanning thread.
+        assert chunks >= 8 and len(threads) == 2 * chunks
+        scanning = threading.get_ident()
+        assert all((t != scanning) == (workers > 1) for t in threads)
         expected_rng = np.random.default_rng(3)
         expected = database.sample(7, expected_rng)
         assert sampler.ids == list(expected.ids)
@@ -357,9 +373,42 @@ class TestFactorPin:
         c_ext = np.eye(6)
         for _ in range(2):
             blocks = list(pin.scan(database, 2, c_ext, ("eye",)))
-            assert [len(rows) for rows, _g in blocks] == [2, 1]
+            assert [len(chunk) for chunk, _slot in blocks] == [2, 1]
         assert (pin.hits, pin.misses, len(pin)) == (2, 2, 2)
-        assert pin.nbytes == sum(g.nbytes for _rows, g in blocks)
+        assert pin.nbytes == sum(
+            slot.factors().nbytes for _chunk, slot in blocks
+        )
+
+    def test_slot_gathers_once_on_first_use(self):
+        database = SequenceDatabase([[0, 1, 2], [3, 4]])
+        pin = FactorPin()
+        c_ext = np.arange(36, dtype=np.float64).reshape(6, 6)
+        [(_chunk, slot)] = list(pin.scan(database, 2, c_ext, ("c",)))
+        assert slot.factors() is slot.factors()
+        assert slot.nbytes == slot.factors().nbytes
+        np.testing.assert_array_equal(
+            slot.factors(), c_ext[:, np.array([[0, 1, 2], [3, 4, 5]]).T]
+        )
+
+    def test_two_workers_serve_a_repeat_scan_from_the_pin(
+        self, fig2_matrix
+    ):
+        # Pooled passes go through the same pin as one worker: the
+        # repeat scan gathers nothing.
+        database = SequenceDatabase(
+            [[i % 5, (i + 1) % 5, (i * 3) % 5] for i in range(160)]
+        )
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
+        with VectorizedBatchEngine(chunk_rows=16, workers=2) as engine:
+            first = engine.database_matches(batch, database, fig2_matrix)
+            hits, misses = engine.cache.hits, engine.cache.misses
+            second = engine.database_matches(batch, database, fig2_matrix)
+            assert engine.cache.misses - misses == 0
+            assert engine.cache.hits - hits == 10  # the chunk count
+            assert len(engine.cache) == 10
+        assert first == second == VectorizedBatchEngine(
+            chunk_rows=16
+        ).database_matches(batch, database, fig2_matrix)
 
     def test_close_clears_pin(self, fig4_database, fig2_matrix):
         engine = VectorizedBatchEngine(chunk_rows=2)
@@ -383,9 +432,12 @@ class TestEngineSelection:
         with VectorizedBatchEngine(chunk_rows=4, workers=2) as engine:
             assert engine.workers == 2
             assert engine.name == "vectorized"
-            engine.database_matches([Pattern([0, 1])], database,
-                                    fig2_matrix)
-            assert engine.shards_dispatched == 2  # the pool ran it
+            batch = [Pattern([0, 1])]
+            assert engine.database_matches(
+                batch, database, fig2_matrix
+            ) == VectorizedBatchEngine(chunk_rows=4).database_matches(
+                batch, database, fig2_matrix
+            )
 
     def test_workers_env_var_selects_the_parallel_engine(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
@@ -415,7 +467,7 @@ class TestEngineSelection:
 
 
 class TestParallelLifecycle:
-    """Pool lifecycle, asserted via the engine's lifetime counters."""
+    """The engine's thread pool: built on first use, reused, closed."""
 
     def _database(self, n: int = 8) -> SequenceDatabase:
         return SequenceDatabase(
@@ -425,35 +477,17 @@ class TestParallelLifecycle:
     def _batch(self):
         return [Pattern.single(0), Pattern([0, 1])]
 
-    def test_inline_fallback_below_min_shard_rows(self, fig2_matrix):
-        # One block of rows cannot be cut into two shards: the serial
-        # path runs it, and no pool is ever built.
-        engine = VectorizedBatchEngine(workers=2)
-        tracer = Tracer()
-        result = engine.database_matches(
-            self._batch(), self._database(8), fig2_matrix, tracer=tracer
-        )
-        assert engine.shards_dispatched == 0
-        assert engine.pools_created == 0  # no pool was ever built
-        assert tracer.total(SHARDS_DISPATCHED) == 0
-        assert tracer.root.notes["workers"] == 2
-        baseline = REF.database_matches(
-            self._batch(), self._database(8), fig2_matrix
-        )
-        for pattern, value in baseline.items():
-            assert result[pattern] == pytest.approx(value, abs=1e-12)
-
-    def test_single_worker_never_shards(self, fig2_matrix):
+    def test_single_worker_never_starts_a_pool(self, fig2_matrix,
+                                               monkeypatch):
         engine = VectorizedBatchEngine(chunk_rows=1, workers=1)
+        threads = record_kernel_threads(monkeypatch)
         engine.database_matches(
             self._batch(), self._database(8), fig2_matrix
         )
-        assert engine.pools_created == 0
-        assert engine.shards_dispatched == 0
+        assert engine._executor is None
+        assert set(threads) == {threading.get_ident()}
 
-    def test_pool_reused_then_rebuilt_on_matrix_change(self, fig2_matrix):
-        # chunk_rows=4 puts 8 sequences on two grid blocks, so the
-        # dispatch is exactly two tasks.
+    def test_pool_reused_across_calls_and_matrices(self, fig2_matrix):
         engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         other = CompatibilityMatrix(np.eye(M))
         database = self._database(8)
@@ -462,27 +496,22 @@ class TestParallelLifecycle:
             engine.database_matches(
                 self._batch(), database, fig2_matrix, tracer=tracer
             )
-            assert engine.pools_created == 1
-            assert tracer.total(SHARDS_DISPATCHED) == 2
+            pool = engine._executor
+            assert pool is not None
             assert tracer.root.notes["workers"] == 2
-
             engine.database_matches(self._batch(), database, fig2_matrix)
-            assert engine.pools_created == 1  # same matrix: pool reused
-
-            rebuilt = engine.database_matches(
-                self._batch(), database, other
-            )
-            assert engine.pools_created == 2  # new matrix: pool rebuilt
+            got = engine.database_matches(self._batch(), database, other)
+            assert engine._executor is pool
             baseline = REF.database_matches(self._batch(), database, other)
             for pattern, value in baseline.items():
-                assert rebuilt[pattern] == pytest.approx(value, abs=1e-12)
+                assert got[pattern] == pytest.approx(value, abs=1e-12)
         finally:
             engine.close()
 
     def test_one_pool_across_a_full_mining_run(self, fig2_matrix):
         # Every phase of a run (Phase-1 scan, each level's counting
-        # pass) reuses one worker pool — the engine must not fork per
-        # call.
+        # pass) reuses one thread pool — the engine must not start one
+        # per call.
         engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         database = self._database(12)
         try:
@@ -491,37 +520,16 @@ class TestParallelLifecycle:
             )
             result = miner.mine(database)
             assert result.frequent  # the run did real counting work
-            assert engine.pools_created == 1
-            assert engine.shards_dispatched >= 4  # several passes sharded
-            # A second run over the same matrix still reuses it.
+            pool = engine._executor
+            assert pool is not None
             miner.mine(database)
-            assert engine.pools_created == 1
+            assert engine._executor is pool
         finally:
             engine.close()
-
-    def test_warm_pool_precreates_once(self, fig2_matrix):
-        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
-        try:
-            engine.warm_pool(fig2_matrix)
-            assert engine.pools_created == 1
-            engine.warm_pool(fig2_matrix)  # idempotent
-            assert engine.pools_created == 1
-            engine.database_matches(
-                self._batch(), self._database(8), fig2_matrix
-            )
-            assert engine.pools_created == 1  # the warm pool served it
-        finally:
-            engine.close()
-
-    def test_warm_pool_is_noop_for_single_worker(self, fig2_matrix):
-        engine = VectorizedBatchEngine(workers=1)
-        engine.warm_pool(fig2_matrix)
-        assert engine.pools_created == 0
 
     def test_packed_store_scans_chunk_parallel(self, fig2_matrix, tmp_path):
-        # A path-backed packed store is dispatched to the pool by
-        # (path, row-range) — workers mmap the file themselves — and the
-        # merged totals are bit-identical to the in-memory shard path.
+        # A packed store is read by the one counted scan, whatever the
+        # worker count: its scan and I/O counters are that scan's.
         from repro import PackedSequenceStore
 
         database = self._database(12)
@@ -530,54 +538,158 @@ class TestParallelLifecycle:
         )
         engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         batch = self._batch()
+        one = VectorizedBatchEngine(chunk_rows=4)
         try:
-            expected = engine.database_matches(batch, database, fig2_matrix)
-            dispatched = engine.shards_dispatched
+            expected = one.database_matches(batch, database, fig2_matrix)
             result = engine.database_matches(batch, store, fig2_matrix)
-            assert engine.shards_dispatched == dispatched + 3
             assert store.scan_count == 1
-            assert result == expected  # bit-identical merge order
+            assert store.io_chunks == 3
+            assert store.io_bytes_read == 4 * store.total_symbols()
+            assert result == expected  # bit-identical
             symbols = engine.symbol_matches(store, fig2_matrix)
             np.testing.assert_array_equal(
-                symbols, engine.symbol_matches(database, fig2_matrix)
+                symbols, one.symbol_matches(database, fig2_matrix)
             )
         finally:
             engine.close()
-
-    def test_pathless_store_falls_back_to_row_shipping(self, fig2_matrix):
-        # No file behind the store: nothing for workers to mmap, so the
-        # engine ships rows like any other database (and still agrees).
-        from repro import PackedSequenceStore
-
-        database = self._database(12)
-        store = PackedSequenceStore.from_database(database)
-        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
-        try:
-            result = engine.database_matches(
-                self._batch(), store, fig2_matrix
-            )
-            expected = REF.database_matches(
-                self._batch(), database, fig2_matrix
-            )
-            assert store.scan_count == 1
-            assert engine.shards_dispatched > 0  # rows shipped
-            for pattern, value in expected.items():
-                assert result[pattern] == pytest.approx(value, abs=1e-12)
-        finally:
-            engine.close()
+            store.close()
 
     def test_close_is_idempotent_and_pool_comes_back(self, fig2_matrix):
         engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
         database = self._database(8)
         try:
             engine.database_matches(self._batch(), database, fig2_matrix)
-            assert engine.pools_created == 1
+            first = engine._executor
+            assert first is not None
             engine.close()
             engine.close()  # second close is a no-op, not an error
+            assert engine._executor is None
+            with pytest.raises(RuntimeError):
+                first.submit(int)  # the old pool is shut down
             engine.database_matches(self._batch(), database, fig2_matrix)
-            assert engine.pools_created == 2
+            assert engine._executor not in (None, first)
         finally:
             engine.close()
+
+    def test_many_threads_on_two_cores_stay_bit_identical(
+        self, fig2_matrix
+    ):
+        # More workers than cores and a tiny switch interval: a lost or
+        # reordered update of the totals or of the pin would show.
+        database = self._database(60)
+        batch = self._batch() + [Pattern([1, WILDCARD, 2])]
+        expected = VectorizedBatchEngine(chunk_rows=2).database_matches(
+            batch, database, fig2_matrix
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with VectorizedBatchEngine(chunk_rows=2, workers=8) as engine:
+                for _ in range(6):
+                    assert engine.database_matches(
+                        batch, database, fig2_matrix
+                    ) == expected
+                assert (engine.cache.hits, engine.cache.misses) == (150, 30)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", ["memory", "packed"])
+    def test_kernel_error_in_the_pool_reaches_the_caller(
+        self, kind, fig2_matrix, tmp_path, monkeypatch
+    ):
+        # The third kernel call raises on a pool thread: the caller
+        # gets that very exception, the failed call still consumed its
+        # one scan, and the engine's next call is bit-identical.
+        database = make_store(
+            kind, [row for _sid, row in self._database(24).scan()],
+            str(tmp_path),
+        )
+        batch = self._batch()
+        expected = VEC.database_matches(batch, database, fig2_matrix)
+        kernel = vectorized.block_totals
+        calls = []
+        boom = RuntimeError("third kernel call failed")
+
+        def failing(*args, **kwargs):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise boom
+            return kernel(*args, **kwargs)
+
+        engine = VectorizedBatchEngine(chunk_rows=4, workers=2)
+        try:
+            monkeypatch.setattr(vectorized, "block_totals", failing)
+            before = database.scan_count
+            with pytest.raises(RuntimeError) as raised:
+                engine.database_matches(batch, database, fig2_matrix)
+            assert raised.value is boom
+            assert threading.get_ident() not in calls
+            assert database.scan_count == before + 1
+            monkeypatch.setattr(vectorized, "block_totals", kernel)
+            assert engine.database_matches(
+                batch, database, fig2_matrix
+            ) == expected
+            assert database.scan_count == before + 2
+        finally:
+            engine.close()
+            if kind != "memory":
+                database.close()
+
+
+#: The six miners of the bit-identity gate below.
+ALGORITHMS = [
+    "border-collapsing", "toivonen", "levelwise", "maxminer",
+    "pincer", "depthfirst",
+]
+
+
+@pytest.fixture(scope="module")
+def miner_stores(tmp_path_factory):
+    """One symbol-skewed workload as a packed and a segmented store."""
+    rng = np.random.default_rng(4)
+    rows = [
+        rng.integers(0, 6, size=80 if i >= 32 else int(rng.integers(2, 12)))
+        for i in range(36)
+    ]
+    stores = {
+        kind: make_store(kind, rows, str(tmp_path_factory.mktemp(kind)))
+        for kind in ("packed", "segmented")
+    }
+    yield stores
+    for store in stores.values():
+        store.close()
+
+
+class TestWorkerBitIdentity:
+    """All six miners, both disk backends, several worker counts: the
+    same bits as one worker."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("kind", ["packed", "segmented"])
+    def test_six_miners_identical_across_worker_counts(
+        self, miner_stores, kind, algorithm
+    ):
+        store = miner_stores[kind]
+        config = MiningConfig.resolve(
+            min_match=0.45, algorithm=algorithm, alphabet=6, noise=0.1,
+            sample_size=24, max_weight=3, max_span=4, seed=5,
+        )
+
+        def mine(workers):
+            with VectorizedBatchEngine(chunk_rows=3,
+                                       workers=workers) as engine:
+                store.reset_scan_count()
+                return config.build_miner(
+                    len(store), engine=engine
+                ).mine(store)
+
+        baseline = mine(1)
+        assert baseline.frequent  # the workload exercises real counting
+        for workers in (2, 3, 5):
+            result = mine(workers)
+            assert result.frequent == baseline.frequent  # bit-identical
+            assert result.scans == baseline.scans
+            assert result.border == baseline.border
 
 
 class TestWorkerResolution:

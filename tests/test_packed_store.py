@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.io import HEADER_BYTES, STORE_MAGIC
 
-from .oracles import ReferenceEngine, small_shards
+from .oracles import ReferenceEngine
 
 
 @pytest.fixture
@@ -337,12 +337,9 @@ class TestMinerParity:
         else:
             engine = ReferenceEngine()
         try:
-            with small_shards():
-                in_memory = self._mine("border-collapsing", db, matrix,
-                                       engine)
-                store = PackedSequenceStore.open(packed)
-                result = self._mine("border-collapsing", store, matrix,
-                                    engine)
+            in_memory = self._mine("border-collapsing", db, matrix, engine)
+            store = PackedSequenceStore.open(packed)
+            result = self._mine("border-collapsing", store, matrix, engine)
             # Same backend, different storage: bit-identical.
             assert result.frequent == in_memory.frequent
             assert result.scans == in_memory.scans

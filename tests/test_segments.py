@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,31 @@ class TestAppend:
             # A rejected append leaves the store untouched.
             assert store.digest == before
             assert len(store.segments) == 1
+
+    @pytest.mark.parametrize(
+        "rows, ids, reason",
+        [
+            ([[1.5, 2.7], [True, 0]], [7.9, 8], "row 0 holds 1.5 (float)"),
+            ([[1, 2], [True, 0]], [7, 8], "row 1 holds True (bool)"),
+            ([[1, 2], [1, 0]], [7.9, 8], "'ids' holds 7.9 (float)"),
+            ([[1, 2], [1, 0]], [True, 8], "'ids' holds True (bool)"),
+            ([np.array([1.5, 2.0]), [1, 0]], None, "(float64)"),
+        ],
+        ids=["symbol-float", "symbol-bool", "id-float", "id-bool",
+             "float-array"],
+    )
+    def test_append_rejects_non_integers(self, tmp_path, rows, ids,
+                                         reason):
+        # numpy would truncate these to (7, 8) with rows [1, 2], [1, 0].
+        with _build_segmented(tmp_path, [[[0, 1], [2, 3]]]) as store:
+            before = store.digest
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                store.append(rows, ids=ids)
+            assert store.digest == before
+            assert len(store.segments) == 1
+            store.append([np.array([1, 2], dtype=np.int64), [1, 0]],
+                         ids=[np.int64(7), 8])
+            assert store.ids == (0, 1, 7, 8)
 
     def test_append_rejects_negative_symbols(self, tmp_path):
         with _build_segmented(tmp_path, [[[0, 1]]]) as store:

@@ -429,7 +429,6 @@ class TestScanContract:
             lambda: db.sequence(self.IDS[0]),
             lambda: db.to_database(),
             lambda: db.save_text(tmp_path / "closed.txt"),
-            db.begin_external_pass,
         ):
             with pytest.raises(SequenceDatabaseError, match="closed"):
                 access()

@@ -832,32 +832,77 @@ class TestSegmentedStores:
                     job.store_digest, [[0, 1]], ids=[0]
                 )
 
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ({"database": [[1.5, 2.7], [True, 0]]},
+             "row 0 holds 1.5 (float)"),
+            ({"database": [[1, 2], [True, 0]]}, "row 1 holds True (bool)"),
+            ({"database": [[1, 2], [1, 0]], "ids": [7.9, 8]},
+             "'ids' holds 7.9 (float)"),
+            ({"database": [[1, 2], [1, 0]], "ids": [False, 41]},
+             "'ids' holds False (bool)"),
+        ],
+        ids=["symbol-float", "symbol-bool", "id-float", "id-bool"],
+    )
+    def test_malformed_append_is_400(self, tmp_path, payload, reason):
+        path = _make_segmented_store(tmp_path, "malformed", seed=66)
+        server, _thread = start_server(port=0)
+        try:
+            client = ServiceClient(server.url)
+            digest = client.wait(
+                client.submit(CONFIG, store=str(path))["id"]
+            )["store_digest"]
+            host, port = server.address
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                connection.request(
+                    "POST", f"/stores/{digest}/append",
+                    body=json.dumps(payload).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                doc = json.loads(response.read().decode("utf-8"))
+            finally:
+                connection.close()
+            assert response.status == 400, doc
+            assert reason in doc["error"]
+            # The client sends the values as they are, not truncated.
+            with pytest.raises(ServiceError, match="400"):
+                client.append(digest, payload["database"],
+                              ids=payload.get("ids"))
+            # Nothing was written: the digest still names the store.
+            outcome = client.append(digest, [[0, 1]])
+            assert outcome["n_sequences"] == 41
+        finally:
+            server.close()
 
-class TestShardMetrics:
-    """Jobs run on a multi-worker engine surface the per-shard counters
-    of the scatter-gather tier through the daemon's tracer."""
 
-    def test_parallel_job_reports_shard_counters(
+class TestParallelJobs:
+    """Jobs on a multi-worker engine count through the same scan and
+    factor pin as one worker."""
+
+    def test_parallel_job_counts_through_the_pin(
         self, tmp_path, monkeypatch
     ):
-        from repro.obs import SHARDS_DISPATCHED
-
         # The per-store engine is built lazily by the daemon, and reads
-        # the worker count from the environment at construction.  The
-        # store must span several 256-row blocks or the engine
-        # (correctly) counts serially.
-        monkeypatch.setenv("NOISYMINE_WORKERS", "2")
-        path = _make_store(tmp_path, "shards.nmp", seed=33,
+        # the worker count from the environment at construction.  600
+        # rows span three 256-row chunks, so the pool counts them.
+        path = _make_store(tmp_path, "parallel.nmp", seed=33,
                            sequences=600)
         config = dict(CONFIG, max_weight=2)
-        with MiningService(workers=1) as service:
-            job = service.submit(config, store=str(path))
-            service._queue.join()
-            assert job.state == "done", job.error
-            totals = job.tracer.totals()
-            assert totals.get(SHARDS_DISPATCHED, 0) > 0
-            assert job.result["metrics"]["context"]["workers"] == 2
-            # The same counters reach the wire-format payload the
-            # HTTP tier serves.
-            counters = job.result["metrics"]["counters"]
-            assert counters[SHARDS_DISPATCHED] == totals[SHARDS_DISPATCHED]
+        results = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NOISYMINE_WORKERS", workers)
+            with MiningService(workers=1) as service:
+                job = service.submit(config, store=str(path))
+                service._queue.join()
+                assert job.state == "done", job.error
+                results[workers] = job.result
+        metrics = results["2"]["metrics"]
+        assert metrics["context"]["workers"] == 2
+        counters = metrics["counters"]
+        assert counters[FACTOR_CACHE_HITS] + counters[
+            FACTOR_CACHE_MISSES
+        ] == 3 * results["2"]["scans"]
+        assert _strip_timing(results["2"]) == _strip_timing(results["1"])
