@@ -1,4 +1,4 @@
-"""Phase-2 sample counting: resident evaluator legs vs vectorized.
+"""Phase-2 sample counting: resident evaluator legs vs the batched kernel.
 
 Phase 2 counts every BFS level against one fixed in-memory sample, and
 is where the bulk of a run's wall-clock goes once Phase-3 scans are
@@ -8,18 +8,23 @@ engine), then replays them through
 :func:`repro.mining.counting.count_matches_batched` — the same dispatch
 point the miners use — per leg:
 
-* ``vectorized``       — the flat per-batch baseline with a warm
-  factor pin;
-* ``resident``         — the incremental evaluator, sample pinned
-  once, each child's score plane derived from its parent's in O(W·N);
+* ``batched``          — the baseline: the batched prefix-plan kernel
+  of ``tests/oracles.py`` (``PrefixPlanEngine``), which evaluates each
+  span group flat in a ``(B, W, N)`` score buffer, with a warm factor
+  pin;
+* ``resident``         — the evaluator, sample pinned once, walking
+  each batch's prefix trie (the counting engine's kernel), each
+  child's score plane derived from its parent's in O(W·N);
 * ``resident_float32`` — the same evaluator with float32 factor and
   plane storage and float64 accumulation (error-bounded, halved
   pinned and plane bytes).
 
-The resident legs keep no planes between calls (only the prefix-stack
-buffers of the pin outlive one), so every round derives its planes the
-way one real Phase-2 run does; ``plane_stack_bytes`` records the stack
-buffers a leg holds.
+The resident legs keep no planes between calls (only the walk's
+prefix-stack buffers outlive one), so every round derives its planes
+the way one real Phase-2 run does; ``plane_stack_bytes`` records the
+stack buffers a leg holds.  The counting engine walks the same prefix
+trie as the resident legs, so the baseline is the batched kernel it
+replaced: comparing the walk with itself would gate nothing.
 
 Two workloads bracket the paper's experiments: ``fig9`` (protein
 composition, mean length 60 — the long-sequence regime of Figure 9)
@@ -27,8 +32,8 @@ and ``fig14`` (mean length 30, the performance-comparison shape of
 Figure 14).  Legs are timed in interleaved rounds and the recorded
 figure is the best round.  Before timing, a correctness gate checks
 
-* the float64 resident leg is **bit-identical** to the vectorized
-  backend (equal ``chunk_rows``) on every pattern;
+* the float64 resident leg is **bit-identical** to the batched
+  kernel (equal ``chunk_rows``) on every pattern;
 * the float32 leg stays within ``1e-5`` of float64 everywhere;
 * a spot check against the per-sequence oracle of ``tests/oracles.py``
   to 1e-12.
@@ -68,7 +73,7 @@ from _workloads import (
     write_report,
 )
 # Importing _workloads first puts the repo root on sys.path.
-from tests.oracles import ReferenceEngine
+from tests.oracles import PrefixPlanEngine, ReferenceEngine
 
 ALPHA = 0.2
 DELTA = 1e-4
@@ -78,7 +83,7 @@ SAMPLE_SEED = 23
 REFERENCE_SPOT_CHECK = 150
 FLOAT32_BOUND = 1e-5
 
-#: name -> (scale, min_match, resident-vs-vectorized gate).  The
+#: name -> (scale, min_match, resident-vs-batched gate).  The
 #: thresholds are regression floors tuned per regime (see the
 #: fig9/fig14 notes in the git history).
 WORKLOADS: Dict[str, Tuple[BenchScale, float, float]] = {
@@ -92,7 +97,7 @@ CONSTRAINTS = PatternConstraints(max_weight=10, max_span=10, max_gap=0)
 
 
 class _RecordingEngine(VectorizedBatchEngine):
-    """Vectorized backend that records every batch it is handed."""
+    """Counting engine that records every batch it is handed."""
 
     def __init__(self):
         super().__init__()
@@ -139,22 +144,22 @@ def replay(engine, batches, sample, matrix) -> Dict[Pattern, float]:
 
 def verify(batches, sample, matrix, results) -> Dict:
     """The correctness gates (always on, even under ``--smoke``)."""
-    vec_result = results["vectorized"]
+    batched = results["batched"]
     # Float64 bit-identity, every pattern.
     mismatches = sum(
         1
         for batch in batches
         for p in batch
-        if results["resident"][p] != vec_result[p]
+        if results["resident"][p] != batched[p]
     )
     if mismatches:
         raise AssertionError(
-            f"resident deviates from vectorized on {mismatches} patterns "
+            f"resident deviates from batched on {mismatches} patterns "
             "(bit-identity is part of the evaluator's contract)"
         )
     # Float32: error-bounded everywhere.
     worst_f32 = max(
-        abs(results["resident_float32"][p] - vec_result[p])
+        abs(results["resident_float32"][p] - batched[p])
         for batch in batches
         for p in batch
     )
@@ -172,7 +177,7 @@ def verify(batches, sample, matrix, results) -> Dict:
             f"resident deviates from reference by {worst}"
         )
     return {
-        "bit_identical_to_vectorized": True,
+        "bit_identical_to_batched": True,
         "float32_max_abs_deviation": worst_f32,
         "float32_bound": FLOAT32_BOUND,
         "reference_spot_check_patterns": len(subset),
@@ -182,7 +187,7 @@ def verify(batches, sample, matrix, results) -> Dict:
 
 def _build_legs() -> Dict[str, object]:
     return {
-        "vectorized": VectorizedBatchEngine(),
+        "batched": PrefixPlanEngine(),
         "resident": ResidentSampleEvaluator(),
         "resident_float32": ResidentSampleEvaluator(score_dtype="float32"),
     }
@@ -218,8 +223,8 @@ def measure_workload(
             "median_seconds": sorted(timings[leg])[rounds // 2],
             "patterns_per_sec": n_patterns / best[leg],
         }
-        if leg != "vectorized":
-            row["speedup_vs_vectorized"] = best["vectorized"] / best[leg]
+        if leg != "batched":
+            row["speedup_vs_batched"] = best["batched"] / best[leg]
             row["plane_stack_bytes"] = engine.planes.nbytes
             row["pinned_bytes"] = engine.cache.nbytes
         engines_report[leg] = row
@@ -278,11 +283,11 @@ def main(argv=None) -> int:
         engines = row["engines"]
         resident = engines["resident"]
         f32 = engines["resident_float32"]
-        speedup = resident["speedup_vs_vectorized"]
+        speedup = resident["speedup_vs_batched"]
         print(
             f"{name:8s} {row['workload']['n_patterns']:6d} candidates in "
             f"{len(row['workload']['levels'])} levels   "
-            f"vectorized {engines['vectorized']['best_seconds']:7.3f}s   "
+            f"batched {engines['batched']['best_seconds']:7.3f}s   "
             f"resident {resident['best_seconds']:7.3f}s ({speedup:.2f}x)   "
             f"float32 {f32['best_seconds']:7.3f}s "
             f"({f32['speedup_vs_float64_resident']:.2f}x vs float64)"
@@ -306,7 +311,7 @@ def test_phase2_sample(benchmark):
             "smoke", scale, min_match, rounds=SMOKE_ROUNDS
         ),
     )
-    assert report["equivalence"]["bit_identical_to_vectorized"]
+    assert report["equivalence"]["bit_identical_to_batched"]
 
 
 if __name__ == "__main__":

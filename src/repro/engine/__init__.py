@@ -8,8 +8,11 @@ Every ``M(P, D)`` evaluation runs through a
   numpy block kernel over one scan, its chunks counted on the scanning
   thread or, with ``workers > 1``, on a thread pool;
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
-  Phase 2 of the sampling miners: it pins the sample once and extends
-  candidate score planes incrementally.
+  Phase 2 of the sampling miners: it pins the sample once.
+
+Both count a batch with one kernel: the prefix-trie walk of
+:func:`~repro.engine.kernels.walk_totals`, which derives each
+candidate's score plane from its parent's.
 
 Both keep a database's factor arrays across scans in one
 :class:`~repro.engine.kernels.FactorPin` each: the counting engine when

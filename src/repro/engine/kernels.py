@@ -1,25 +1,37 @@
 """Chunk kernels of the counting engine, and its one block kernel.
 
 The kernels operate on *chunks*: a group of sequences padded into one
-``(N, L)`` symbol matrix so a whole batch of same-span patterns can be
-evaluated against every sequence of the chunk with a handful of numpy
-operations, instead of one Python iteration per (pattern, sequence)
-pair.  :func:`block_totals` adds one chunk's match sums; every scan of the
-counting engine calls it, on the scanning thread or on a pool thread.
+``(N, L)`` symbol matrix so a whole batch of patterns can be evaluated
+against every sequence of the chunk with a handful of numpy operations
+per pattern, instead of one Python iteration per (pattern, sequence)
+pair.  :func:`block_totals` adds one chunk's match sums; every scan of
+the counting engine calls it, on the scanning thread or on a pool
+thread, and the resident Phase-2 evaluator runs its
+:func:`walk_totals` on each pinned chunk.
+
+The prefix-trie walk
+--------------------
+A batch is planned once (:class:`WalkPlan`): its patterns are grouped
+into sibling groups sharing a parent (the pattern minus its last fixed
+symbol) and the groups sorted into a pre-order walk of the parents'
+prefix trie.  Each chunk replays the plan (:func:`walk_totals`): the
+current parent's ancestor chain lives on a stack of ``(L, N)`` planes,
+each distinct parent prefix is derived once by :func:`extend_plane`,
+and each sibling costs one multiply of the parent plane by its last
+factor row and one max-reduce over the windows — ``O(W·N)`` per
+pattern, whatever its span.  The buffers (:class:`WalkBuffers`) belong
+to the calling thread.
 
 Memory layout
 -------------
 The factor array is stored *position-major*: ``(m + 1, L, N)`` with
-the sequence axis innermost.  The window reduction then multiplies and
-maximises over contiguous ``(windows, N)`` planes, which keeps the
-accumulator streaming through cache and makes the ``max`` reduction an
+the sequence axis innermost.  The walk then multiplies and maximises
+over contiguous ``(windows, N)`` planes, which keeps the accumulator
+streaming through cache and makes the ``max`` reduction an
 inner-axis-contiguous operation — several times faster than reducing
-over a strided last axis.  Window products are accumulated *row-wise*:
-every multiply reads two ``(windows, N)`` views (a score row and a
-factor-array plane) and writes one score row, so no intermediate
-right-hand-side gather or prefix fan-out copy is ever materialised —
-per-window element traffic is one multiply and one store, the
-streaming lower bound for this evaluation order.
+over a strided last axis.  Every multiply reads two ``(windows, N)``
+views (a parent plane and a factor-array plane) and writes one plane,
+so no right-hand-side gather is ever materialised.
 
 Padding convention
 ------------------
@@ -37,8 +49,9 @@ Bit-compatibility
 -----------------
 For every real window the factors are gathered from the same matrix
 entries and multiplied in the same offset order as the per-sequence
-evaluation of :mod:`repro.core.match`, so the per-window products —
-and therefore the per-sequence maxima — are bit-identical to it.
+evaluation of :mod:`repro.core.match` (a skipped wildcard multiplies
+by an exact ``1.0``), so the per-window products — and therefore the
+per-sequence maxima — are bit-identical to it.
 Per-sequence maxima are summed pairwise within each chunk, which
 differs from a sequential sum by at most a few ulps of ``M(P, D)``.
 """
@@ -47,7 +60,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -55,9 +70,9 @@ from ..core.pattern import Pattern, WILDCARD
 from ..core.sequence import SequenceChunk
 from ..errors import MiningError
 
-#: Default number of sequences evaluated per padded chunk.  The
-#: row-wise kernel touches only a few ``(windows, N)`` planes per
-#: operation, so cache residency no longer caps the chunk; larger
+#: Default number of sequences evaluated per padded chunk.  The walk
+#: touches only a few ``(windows, N)`` planes per operation, so cache
+#: residency does not cap the chunk; larger
 #: chunks amortise per-operation Python overhead until right-padding
 #: waste (every sequence pads to the chunk maximum) takes over.
 DEFAULT_CHUNK_ROWS = 256
@@ -76,32 +91,6 @@ def extended_matrix(c: np.ndarray) -> np.ndarray:
     ext[:m, :m] = c
     ext[m, :m] = 1.0
     return ext
-
-
-def group_patterns_by_span(
-    patterns: Sequence[Pattern], m: int
-) -> Tuple[Dict[int, List[int]], Dict[int, np.ndarray]]:
-    """Group patterns by span and build their element matrices.
-
-    Returns ``(indices_by_span, elements_by_span)`` where
-    ``elements_by_span[span]`` is a ``(B, span)`` int64 matrix with the
-    wildcard remapped to the virtual symbol ``m`` — the same remapping
-    the reference evaluation uses.
-    """
-    groups: Dict[int, List[int]] = {}
-    for index, pattern in enumerate(patterns):
-        groups.setdefault(pattern.span, []).append(index)
-    elements = {
-        span: np.array(
-            [
-                [e if e != WILDCARD else m for e in patterns[i].elements]
-                for i in indices
-            ],
-            dtype=np.int64,
-        )
-        for span, indices in groups.items()
-    }
-    return groups, elements
 
 
 def pad_chunk(rows: Sequence[np.ndarray], m: int) -> np.ndarray:
@@ -293,144 +282,49 @@ class FactorPin:
             del slots[count:]
 
 
-#: One level of a prefix-sharing evaluation plan: the symbol column to
-#: multiply in at this offset, and (for non-root levels) the optional
-#: inverse map expanding deduplicated prefix rows back to this level's
-#: rows (``None`` when every prefix is distinct and rows stay aligned).
-PlanLevel = Tuple[np.ndarray, Optional[np.ndarray]]
+# -- the prefix-trie walk ----------------------------------------------------
+
+#: A pattern's raw element tuple (building Pattern objects per lookup
+#: would dominate the planning loop).
+_Key = Tuple[int, ...]
+
+#: One link of a prefix chain: the fixed symbol and its offset.
+_Link = Tuple[int, int]
 
 
-def prefix_plan(elements: np.ndarray) -> List[PlanLevel]:
-    """Build the shared-prefix evaluation plan for one span group.
+def _strip_last(elements: _Key) -> Tuple[Optional[_Key], int, int]:
+    """Split off a pattern's last fixed symbol.
 
-    Candidate batches produced by rightward extension share their
-    ``(k-1)``-prefixes: a level-``k`` candidate is a surviving pattern
-    plus one more symbol, so a batch of ``B`` children typically
-    descends from far fewer distinct parents.  Because window products
-    are accumulated left-to-right, the product of a shared prefix is
-    exactly the left-associated partial product of every child — it
-    can be computed once per distinct prefix and fanned out, keeping
-    the per-window products bit-identical to the flat evaluation.
-
-    The plan is pattern-only (independent of any chunk), so callers
-    build it once per batch and replay it on every chunk.  Level ``o``
-    of the returned list holds the symbol column multiplied at offset
-    ``o`` and the inverse map that expands the deduplicated prefix
-    rows of level ``o - 1`` to this level (``None`` when prefixes are
-    already distinct).  For batches with no shared prefixes the plan
-    replays the plain offset-order product with no extra copies.
-
-    Prefixes are deduplicated by *adjacent runs* rather than a full
-    ``np.unique(axis=0)``: miners count candidates in sorted order, so
-    equal prefixes are adjacent and run-merging finds all of them in
-    ``O(B * span)`` cheap comparisons (a sorted ``unique`` per level is
-    ~10x the cost of the multiplies it saves on these small batches).
-    On unsorted input the plan stays correct — non-adjacent duplicate
-    prefixes are merely evaluated per run instead of once.
+    Returns ``(parent elements, offset, symbol)`` where *offset* is the
+    symbol's position (``span - 1``) and *parent* is the pattern with
+    the last symbol and any preceding wildcard gap removed (``None``
+    for single symbols).  Patterns never end in a wildcard, so the
+    parent is itself a valid pattern.
     """
-    levels: List[PlanLevel] = []
-    current = elements
-    while current.shape[1] > 1:
-        prefix = current[:, :-1]
-        starts = np.empty(prefix.shape[0], dtype=bool)
-        starts[0] = True
-        np.any(prefix[1:] != prefix[:-1], axis=1, out=starts[1:])
-        runs = int(starts.sum())
-        if runs == prefix.shape[0]:
-            # All prefixes distinct: keep this level's row order so the
-            # child multiply needs no expansion copy.
-            levels.append((current[:, -1], None))
-        else:
-            inverse = np.cumsum(starts) - 1
-            levels.append((current[:, -1], inverse))
-        current = prefix[starts]
-    levels.append((current[:, 0], None))
-    levels.reverse()
-    return levels
+    i = len(elements) - 1
+    symbol = elements[i]
+    i -= 1
+    while i >= 0 and elements[i] == WILDCARD:
+        i -= 1
+    parent = elements[: i + 1] if i >= 0 else None
+    return parent, len(elements) - 1, symbol
 
 
-def chunk_group_maxima(
-    gathered: np.ndarray,
-    elements: np.ndarray,
-    plan: Optional[List[PlanLevel]] = None,
-    scratch: Optional[Dict[tuple, np.ndarray]] = None,
-) -> np.ndarray:
-    """Per-sequence best-window match for a batch of same-span patterns.
+def _chain_links(elements: _Key) -> List[_Link]:
+    """A pattern's prefix chain as ``(symbol, offset)`` links, root
+    first: link *k* extends the ancestor holding the first *k* fixed
+    symbols, so two chains share exactly their common ancestors'
+    leading links."""
+    return [
+        (symbol, offset)
+        for offset, symbol in enumerate(elements)
+        if symbol != WILDCARD
+    ]
 
-    Parameters
-    ----------
-    gathered:
-        ``(m + 1, L, N)`` factor array from :func:`gather_chunk`.
-    elements:
-        ``(B, span)`` element matrix (wildcard already remapped).
-    plan:
-        Optional precomputed :func:`prefix_plan` for *elements*
-        (rebuilt on the fly when omitted).
-    scratch:
-        Optional dict reused across calls to recycle the ``(B, W, N)``
-        score buffer instead of reallocating it per chunk.
 
-    Returns the ``(B, N)`` matrix of ``M(P, S)`` values.  Sequences
-    shorter than the span contribute ``0.0`` via the pad convention.
-
-    Products are accumulated row by row: score row ``r`` is multiplied
-    in place by the ``(windows, N)`` *view* ``gathered[d, o:o+W]`` of
-    its offset-``o`` symbol, so the right-hand factors are never
-    copied.  Levels that fan a shared prefix out to its children fuse
-    the copy into the multiply (``out=`` a fresh row) and walk rows in
-    descending order — run-merged prefixes guarantee ``inv[r] <= r``,
-    so a parent row is only overwritten by its own first child, where
-    the in-place elementwise product is safe.  Factors multiply in the
-    same offset order as the reference evaluation, so every product is
-    bit-identical to it.
-    """
-    length, n = gathered.shape[1], gathered.shape[2]
-    b, span = elements.shape
-    windows = length - span + 1
-    if windows <= 0:
-        return np.zeros((b, n), dtype=np.float64)
-    if plan is None:
-        plan = prefix_plan(elements)
-    symbols0, _ = plan[0]
-    if span == 1:
-        return gathered[symbols0, 0:windows, :].max(axis=1)
-    # Level sizes are non-decreasing down the plan, so one (B, W, N)
-    # buffer serves every level as a leading-rows view.
-    key = (b, windows, n)
-    if scratch is None:
-        full = np.empty(key, dtype=np.float64)
-    else:
-        full = scratch.get(key)
-        if full is None:
-            full = scratch[key] = np.empty(key, dtype=np.float64)
-    symbols, inverse = plan[1]
-    scores = full[: len(symbols)]
-    for r in range(len(symbols) - 1, -1, -1):
-        root = symbols0[inverse[r] if inverse is not None else r]
-        np.multiply(
-            gathered[root, 0:windows, :],
-            gathered[symbols[r], 1 : 1 + windows, :],
-            out=scores[r],
-        )
-    for offset in range(2, span):
-        symbols, inverse = plan[offset]
-        scores = full[: len(symbols)]
-        stop = offset + windows
-        if inverse is None:
-            for r in range(len(symbols)):
-                np.multiply(
-                    scores[r],
-                    gathered[symbols[r], offset:stop, :],
-                    out=scores[r],
-                )
-        else:
-            for r in range(len(symbols) - 1, -1, -1):
-                np.multiply(
-                    scores[inverse[r]],
-                    gathered[symbols[r], offset:stop, :],
-                    out=scores[r],
-                )
-    return scores.max(axis=1)
+def _visit_order(item) -> Tuple[_Key, int]:
+    (parent, offset), _group = item
+    return parent or (), offset
 
 
 def extend_plane(
@@ -438,7 +332,7 @@ def extend_plane(
     gathered: np.ndarray,
     symbol: int,
     offset: int,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """One incremental prefix-product step: parent plane × factor row.
 
@@ -450,37 +344,224 @@ def extend_plane(
 
     ``child[w] = parent[w] * gathered[symbol, w + offset]``
 
-    for the ``length - offset`` windows the child still fits in.  The
-    multiply order is the same offset order the flat kernels use, and
-    skipping the wildcard positions is exact: their factor is ``1.0``
-    for in-bounds windows (an exact identity) and the windows that
-    overlap the padding are zeroed by the (always fixed) last position
-    either way — so every product stays bit-identical to
-    :func:`chunk_group_maxima` and the reference evaluation.
-
-    With *out*, the product is written into its leading rows and the
-    trimmed view is returned (the hot path reuses one arena buffer per
-    chunk); otherwise a fresh array is allocated (planes that are
-    cached must own their memory).
+    for the ``length - offset`` windows the child still fits in,
+    written into the leading rows of *out*; the trimmed view is
+    returned.  The multiply order is the offset order of the reference
+    evaluation, and skipping the wildcard positions is exact: their
+    factor is ``1.0`` for in-bounds windows (an exact identity) and the
+    windows that overlap the padding are zeroed by the (always fixed)
+    last position either way — so every product stays bit-identical to
+    the reference evaluation.
     """
     length = gathered.shape[1]
     windows = max(length - offset, 0)
-    factors = gathered[symbol, offset : offset + windows, :]
-    if out is None:
-        return parent_plane[:windows] * factors
     target = out[:windows]
-    np.multiply(parent_plane[:windows], factors, out=target)
+    np.multiply(
+        parent_plane[:windows],
+        gathered[symbol, offset : offset + windows, :],
+        out=target,
+    )
     return target
 
 
-def group_plans(
-    elements_by_span: Dict[int, np.ndarray]
-) -> Dict[int, List[PlanLevel]]:
-    """Prefix plans for every span group of a batch (built once)."""
-    return {
-        span: prefix_plan(elements)
-        for span, elements in elements_by_span.items()
-    }
+class WalkStep(NamedTuple):
+    """One sibling group of a :class:`WalkPlan`, in visit order."""
+
+    #: Prefix-stack entries kept from the previous group.
+    keep: int
+    #: ``(symbol, offset)`` links then derived onto the stack.
+    pushes: Tuple[_Link, ...]
+    #: The siblings' last fixed position; ``0`` for single symbols,
+    #: which have no parent plane.
+    offset: int
+    #: The siblings' last symbols (``intp``).
+    symbols: np.ndarray
+    #: The siblings' batch indices (``intp``).
+    indices: np.ndarray
+
+
+class WalkPlan:
+    """The prefix-trie walk of one pattern batch, built once per batch
+    and replayed on every chunk by :func:`walk_totals`.
+
+    A pattern ``P·(gaps)·d`` is its parent ``P`` plus one fixed symbol,
+    and window products associate left to right, so its score plane is
+    the parent's plane times one shifted factor row.  The batch is
+    grouped into sibling groups keyed by ``(parent, offset)``: siblings
+    share one parent plane and differ only in the last factor row.
+    Sorting the groups by ``(parent elements, offset)`` is a pre-order
+    walk of the parents' prefix trie, so a stack holding the current
+    parent's ancestor chain suffices: moving to the next group pops to
+    the longest common ancestor (:attr:`WalkStep.keep`) and extends
+    from there (:attr:`WalkStep.pushes`), and every distinct parent
+    prefix is derived exactly once per chunk.
+
+    :attr:`depth` is the number of ``(L, N)`` stack planes the deepest
+    parent needs (span-1 ancestors are views of the factor array),
+    :attr:`siblings` the largest group.  :attr:`hits` counts groups
+    whose parent of two or more fixed symbols was already on the
+    stack, :attr:`misses` the links derived into stack planes: the
+    per-chunk stack traffic, which depends on the batch alone.
+    """
+
+    __slots__ = ("steps", "depth", "siblings", "hits", "misses")
+
+    def __init__(self, patterns: Sequence[Pattern]):
+        groups: Dict[Tuple[Optional[_Key], int], Tuple[list, list]] = {}
+        for index, pattern in enumerate(patterns):
+            parent, offset, symbol = _strip_last(pattern.elements)
+            group = groups.get((parent, offset))
+            if group is None:
+                groups[(parent, offset)] = group = ([], [])
+            group[0].append(symbol)
+            group[1].append(index)
+        self.steps: List[WalkStep] = []
+        self.depth = self.siblings = self.hits = self.misses = 0
+        links: List[_Link] = []
+        for (parent, offset), (symbols, indices) in sorted(
+            groups.items(), key=_visit_order
+        ):
+            if parent is None:
+                # Single symbols read the factor rows: the stack stays.
+                keep, pushes = len(links), ()
+            else:
+                wanted = _chain_links(parent)
+                keep = 0
+                while (
+                    keep < len(links) and keep < len(wanted)
+                    and links[keep] == wanted[keep]
+                ):
+                    keep += 1
+                if keep == len(wanted) and keep > 1:
+                    self.hits += 1
+                # Every link past the span-1 root fills a stack plane.
+                self.misses += len(wanted) - max(keep, 1)
+                self.depth = max(self.depth, len(wanted) - 1)
+                pushes = tuple(wanted[keep:])
+                links = wanted
+            self.siblings = max(self.siblings, len(symbols))
+            self.steps.append(WalkStep(
+                keep, pushes, offset,
+                np.asarray(symbols, dtype=np.intp),
+                np.asarray(indices, dtype=np.intp),
+            ))
+
+
+#: Byte alignment of the walk's buffers: one cache line.  Every sibling
+#: multiply streams its product into the arena, and stores that start
+#: off a line boundary made the walk up to ~1.4x slower.
+_ALIGN = 64
+
+
+def _aligned_empty(size: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialised 1-D array of *size* items that starts on a
+    cache line (``np.empty`` guarantees only 16 bytes)."""
+    nbytes = size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + nbytes].view(dtype)
+
+
+class WalkBuffers:
+    """One thread's work buffers for :func:`walk_totals`.
+
+    Flat, cache-line aligned arrays in the factor array's dtype,
+    reshaped per chunk: an ``(L, N)`` arena every sibling is multiplied
+    into, one ``(L, N)`` plane per prefix-stack depth, and the
+    ``(k, N)`` maxima rows of the largest sibling group.  They are
+    reused across chunks; a chunk with more cells than any before it,
+    or another dtype, reallocates them.
+    """
+
+    __slots__ = ("dtype", "cells", "arena", "stack", "maxima")
+
+    def __init__(self) -> None:
+        self.dtype: Optional[np.dtype] = None
+        self.cells = 0
+        self.arena = self.maxima = np.empty(0)
+        self.stack: List[np.ndarray] = []
+
+    @property
+    def stack_nbytes(self) -> int:
+        """Bytes of prefix-stack planes held."""
+        return sum(plane.nbytes for plane in self.stack)
+
+    def views(
+        self, dtype: np.dtype, length: int, n: int, plan: WalkPlan
+    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+        """``(arena, stack planes, maxima rows)`` for one ``(L, N)``
+        chunk walked by *plan*, growing the buffers as needed."""
+        cells = length * n
+        if dtype != self.dtype or cells > self.cells:
+            self.dtype, self.cells = dtype, cells
+            self.arena = _aligned_empty(cells, dtype)
+            self.maxima = _aligned_empty(0, dtype)
+            self.stack = []
+        while len(self.stack) < plan.depth:
+            self.stack.append(_aligned_empty(self.cells, dtype))
+        if self.maxima.size < plan.siblings * n:
+            self.maxima = _aligned_empty(plan.siblings * n, dtype)
+        shape = (length, n)
+        return (
+            self.arena[:cells].reshape(shape),
+            [plane[:cells].reshape(shape) for plane in self.stack],
+            self.maxima[: plan.siblings * n].reshape(plan.siblings, n),
+        )
+
+
+def walk_totals(
+    gathered: np.ndarray,
+    plan: WalkPlan,
+    out: np.ndarray,
+    buffers: WalkBuffers,
+) -> None:
+    """Add every pattern's sum of per-sequence maxima over one chunk
+    to *out* at its batch index, walking *plan*'s prefix trie.
+
+    *gathered* is the chunk's ``(m + 1, L, N)`` factor array.  The
+    stack's planes are derived with :func:`extend_plane` into
+    *buffers*; each sibling is one multiply of its factor row by the
+    parent plane into the arena and one maximum-reduce over the
+    windows, and each group's maxima rows are summed (in float64,
+    whatever the factor dtype) into *out*.  Sequences shorter than a
+    span contribute ``0.0``, through the pad convention or, when no
+    sequence of the chunk fits, by adding nothing.
+    """
+    length, n = gathered.shape[1], gathered.shape[2]
+    arena, stack, maxima = buffers.views(gathered.dtype, length, n, plan)
+    chain: List[np.ndarray] = []
+    for keep, pushes, offset, symbols, indices in plan.steps:
+        del chain[keep:]
+        for symbol, link_offset in pushes:
+            if chain:
+                chain.append(extend_plane(
+                    chain[-1], gathered, symbol, link_offset,
+                    stack[len(chain) - 1],
+                ))
+            else:
+                # Span-1 planes are views straight into the factors.
+                chain.append(gathered[symbol])
+        windows = length - offset
+        if windows <= 0:
+            continue
+        # The factor rows and work buffers are sliced to the window
+        # span once per sibling group, not once per sibling: with
+        # alphabet-sized fan-out the view bookkeeping otherwise rivals
+        # the arithmetic.  np.maximum.reduce is np.max(axis=0, out=)
+        # without the fromnumeric wrapper, which costs more than the
+        # reduction itself on sample-sized planes.
+        base = gathered[:, offset : offset + windows, :]
+        rows = maxima[: len(symbols)]
+        if offset == 0:
+            for i, symbol in enumerate(symbols):
+                np.maximum.reduce(base[symbol], axis=0, out=rows[i])
+        else:
+            parent = chain[-1][:windows]
+            work = arena[:windows]
+            for i, symbol in enumerate(symbols):
+                np.multiply(base[symbol], parent, out=work)
+                np.maximum.reduce(work, axis=0, out=rows[i])
+        out[indices] += np.add.reduce(rows, axis=1, dtype=np.float64)
 
 
 def chunk_symbol_maxima(gathered: np.ndarray) -> np.ndarray:
@@ -536,32 +617,21 @@ def resolve_score_dtype(spec: Optional[str] = None) -> str:
 def block_totals(
     gathered: np.ndarray,
     kind: str,
-    groups: Optional[Dict[int, List[int]]],
-    elements_by_span: Optional[Dict[int, np.ndarray]],
+    plan: Optional[WalkPlan],
     out: np.ndarray,
-    plans: Optional[Dict[int, List[PlanLevel]]] = None,
-    scratch: Optional[Dict[tuple, np.ndarray]] = None,
+    buffers: Optional[WalkBuffers],
 ) -> None:
     """Add one block's match sums to *out*; the one block kernel.
 
     *gathered* is the block's factor array (:func:`gather_chunk`, or
     served by a :class:`FactorPin`).  *kind* :data:`DATABASE_TOTALS`
-    adds each pattern's sum of per-sequence maxima at its batch index;
-    :data:`SYMBOL_TOTALS` adds the Phase-1 per-symbol sums.  Pattern
-    groups are reduced with the prefix-sharing row-wise kernels
-    (*plans* from :func:`group_plans`).  Span groups no window fits add
-    exact zeros.  *scratch* recycles score buffers across blocks.
+    adds each pattern of *plan* its sum of per-sequence maxima at its
+    batch index, by :func:`walk_totals` into the calling thread's
+    *buffers*; :data:`SYMBOL_TOTALS` adds the Phase-1 per-symbol sums
+    (*plan* and *buffers* unused).
     """
     if kind == SYMBOL_TOTALS:
         # The pad column is all zeros: padding never wins a max.
         out += chunk_symbol_maxima(gathered).sum(axis=1)
         return
-    for span, indices in groups.items():
-        maxima = chunk_group_maxima(
-            gathered,
-            elements_by_span[span],
-            plans[span] if plans is not None else None,
-            scratch,
-        )
-        out[indices] += maxima.sum(axis=1)
-
+    walk_totals(gathered, plan, out, buffers)

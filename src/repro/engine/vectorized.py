@@ -7,11 +7,12 @@ one ``(N, L)`` symbol matrix and handed to
 :func:`repro.engine.kernels.block_totals`, which adds the chunk's
 per-pattern sums of per-sequence maxima: the extended compatibility
 matrix is gathered through the chunk **once**, producing the
-``(m + 1, L, N)`` *factor array*, and each same-span pattern group is
-reduced over sliding windows by row-wise multiplies of contiguous
-``(windows, N)`` planes, sharing the partial products of common
-pattern prefixes (see :func:`repro.engine.kernels.prefix_plan`).
-Counting always scores in float64.
+``(m + 1, L, N)`` *factor array*, and the batch's prefix trie is
+walked over it (:func:`repro.engine.kernels.walk_totals`), each
+pattern's window products derived from its parent's by one multiply.
+The walk is planned once per batch
+(:class:`~repro.engine.kernels.WalkPlan`) and each counting thread
+keeps its own buffers.  Counting always scores in float64.
 
 The factor array depends only on ``(compatibility matrix, sequences)``
 — not on the patterns — so every scan streams its chunks through
@@ -46,7 +47,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +63,10 @@ from .kernels import (
     SYMBOL_TOTALS,
     FactorPin,
     PinSlot,
+    WalkBuffers,
+    WalkPlan,
     block_totals,
     extended_matrix,
-    group_patterns_by_span,
-    group_plans,
 )
 
 #: Environment variable setting the worker count of a run.
@@ -103,35 +104,26 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
 
 
 def _chunk_counter(
-    kind: str,
-    groups: Optional[Dict[int, List[int]]],
-    elements_by_span: Optional[Dict[int, np.ndarray]],
-    width: int,
+    kind: str, plan: Optional[WalkPlan], width: int
 ) -> Callable[[PinSlot], np.ndarray]:
     """The per-chunk task of one batch: a slot's gather plus
     :func:`block_totals`, into a fresh zeroed row.
 
-    Thread-safe: each thread keeps its own score buffers, and holds its
+    Thread-safe: each thread keeps its own walk buffers, and holds its
     previous chunk's factor array until its next gather, as a streaming
     loop does: freed before it, the multi-megabyte arrays make glibc
     return heap pages and fault them in again on every chunk.
     """
-    plans = (
-        group_plans(elements_by_span) if kind == DATABASE_TOTALS else None
-    )
     local = threading.local()
 
     def count_chunk(slot: PinSlot) -> np.ndarray:
         gathered = slot.factors()
         local.previous = gathered
-        scratch = getattr(local, "scratch", None)
-        if scratch is None:
-            scratch = local.scratch = {}
+        buffers = getattr(local, "buffers", None)
+        if buffers is None and plan is not None:
+            buffers = local.buffers = WalkBuffers()
         row = np.zeros(width, dtype=np.float64)
-        block_totals(
-            gathered, kind, groups, elements_by_span, row,
-            plans=plans, scratch=scratch,
-        )
+        block_totals(gathered, kind, plan, row, buffers)
         return row
 
     return count_chunk
@@ -190,12 +182,9 @@ class VectorizedBatchEngine(MatchEngine):
         patterns = list(patterns)
         if not patterns:
             return {}
-        groups, elements_by_span = group_patterns_by_span(
-            patterns, matrix.size
-        )
         totals, count = self._count(
             DATABASE_TOTALS, database, matrix, tracer, len(patterns),
-            groups, elements_by_span,
+            WalkPlan(patterns),
         )
         return {p: float(t / count) for p, t in zip(patterns, totals)}
 
@@ -221,8 +210,7 @@ class VectorizedBatchEngine(MatchEngine):
         matrix: CompatibilityMatrix,
         tracer: Optional[Tracer],
         width: int,
-        groups: Optional[Dict[int, List[int]]] = None,
-        elements_by_span: Optional[Dict[int, np.ndarray]] = None,
+        plan: Optional[WalkPlan] = None,
         sampler: Optional[SequentialSampler] = None,
     ) -> Tuple[np.ndarray, int]:
         """``(totals, sequence count)`` of one scan through the pin,
@@ -232,7 +220,7 @@ class VectorizedBatchEngine(MatchEngine):
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
             cache0 = (self.cache.hits, self.cache.misses)
-        count_chunk = _chunk_counter(kind, groups, elements_by_span, width)
+        count_chunk = _chunk_counter(kind, plan, width)
         pool = self._pool() if self.workers > 1 else None
         totals = np.zeros(width, dtype=np.float64)
         count = 0

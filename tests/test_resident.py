@@ -5,8 +5,9 @@ match value must agree with the per-sequence oracle to 1e-12 on
 arbitrary inputs — gapped patterns included — in any batch order, or
 when the database was silently swapped between calls, and equal the
 vectorized engine's bit for bit at equal ``chunk_rows``.  The prefix
-stack derives each distinct parent prefix once per call and holds at
-most one plane buffer per chain depth per chunk.  float32 scoring
+stack derives each distinct parent prefix once per chunk, counts it
+once per call, and holds at most one plane buffer per chain depth,
+sized for the largest chunk.  float32 scoring
 stays within the documented 1e-5 bound with half-size buffers.  The
 scan contract (exactly one ``database.scan()`` per
 ``database_matches``) must hold even though the engine keeps the data
@@ -30,7 +31,7 @@ from repro import (
     WILDCARD,
 )
 from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
-from repro.engine.resident import _strip_last, _visit_order
+from repro.engine.kernels import _strip_last, _visit_order
 from repro.mining.ambiguous import classify_on_sample
 from repro.mining.chernoff import chernoff_epsilon, restricted_spread
 from repro.obs import (
@@ -110,9 +111,10 @@ def _distinct_parent_prefixes(batch) -> int:
 
 
 def _plane_elements(database, chunk_rows: int) -> int:
-    """``Σ_c L_c·N_c`` over the evaluator's pinned chunks."""
+    """``max_c L_c·N_c`` over the evaluator's pinned chunks: one
+    stack plane's cells."""
     lengths = [len(seq) for _sid, seq in database.scan()]
-    return sum(
+    return max(
         max(lengths[start : start + chunk_rows]) * len(
             lengths[start : start + chunk_rows]
         )
@@ -472,9 +474,10 @@ class TestCounters:
         assert tracer.total(RESIDENT_PLANE_MISSES) == 4
         assert tracer.total(RESIDENT_PLANE_HITS) == 2
         # The bytes counter accumulates deltas, so its running total is
-        # the stack's current footprint: one depth of buffers.
+        # the stack's current footprint: one depth of buffers, sized
+        # for one (10, 4) chunk, whatever the chunk count.
         assert tracer.total(RESIDENT_PLANE_BYTES) == engine.planes.nbytes
-        assert engine.planes.nbytes == 8 * 10 * 12
+        assert engine.planes.nbytes == 8 * 10 * 4
 
     def test_untraced_calls_are_free_of_counter_state(self, fig2_matrix):
         engine = ResidentSampleEvaluator(chunk_rows=4)
