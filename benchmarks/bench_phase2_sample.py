@@ -12,17 +12,18 @@ point the miners use — per leg:
   of ``tests/oracles.py`` (``PrefixPlanEngine``), which evaluates each
   span group flat in a ``(B, W, N)`` score buffer, with a warm factor
   pin;
-* ``resident``         — the evaluator, sample pinned once, walking
-  each batch's prefix trie (the counting engine's kernel), each
+* ``resident``         — the evaluator: the counting engine with an
+  unbudgeted pin, so the sample is pinned once, counting each batch
+  through the engine's one counted scan and prefix-trie walk, each
   child's score plane derived from its parent's in O(W·N);
 * ``resident_float32`` — the same evaluator with float32 factor and
   plane storage and float64 accumulation (error-bounded, halved
   pinned and plane bytes).
 
-The resident legs keep no planes between calls (only the walk's
-prefix-stack buffers outlive one), so every round derives its planes
-the way one real Phase-2 run does; ``plane_stack_bytes`` records the
-stack buffers a leg holds.  The counting engine walks the same prefix
+The resident legs keep only the sample pin between calls (each call's
+walk buffers are its own), so every round derives its planes the way
+one real Phase-2 run does; ``plane_stack_bytes`` records the stack
+buffers one counting thread held in the last call.  The counting engine walks the same prefix
 trie as the resident legs, so the baseline is the batched kernel it
 replaced: comparing the walk with itself would gate nothing.
 

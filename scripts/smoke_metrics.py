@@ -12,7 +12,9 @@ summing exactly to the reported total, every algorithm's Phase-1 span
 counting its chunks through the counting engine's factor pin (so a
 Phase-1 loop that bypasses the engine cannot come back unseen), every
 ``level-k`` span of the multi-worker run doing the same (so a parallel
-path that bypasses the pin cannot either), and the resident Phase-2
+path that bypasses the pin cannot either), that one-shot run on the
+wider store keeping nothing in the pin (``factor_cache_hits`` 0: a CLI
+run streams every pass), and the resident Phase-2
 prefix-stack counters reaching the sampling miners' reports (the
 border-collapsing run's ``resident_plane_bytes`` must be positive and
 within the stack bound of its sample, so an unbounded plane cache
@@ -149,6 +151,19 @@ def validate_levels(payload: dict) -> None:
             )
 
 
+def validate_streaming(payload: dict) -> None:
+    """A one-shot run's engine keeps no factor arrays: every chunk of
+    every pass is gathered afresh, none served from the pin."""
+    counters = payload["counters"]
+    hits = counters.get("factor_cache_hits", 0)
+    misses = counters.get("factor_cache_misses", 0)
+    if hits != 0 or misses <= 0:
+        raise AssertionError(
+            f"a one-shot run should stream every pass (factor_cache_hits "
+            f"{hits}, factor_cache_misses {misses})"
+        )
+
+
 def resident_stack_bound(db_path: Path) -> int:
     """Bytes the resident prefix stack may hold on a smoke run.
 
@@ -225,6 +240,7 @@ def main(argv=None) -> int:
         validate_report(payload, algorithm, workers)
         if workers > 1:
             validate_levels(payload)
+            validate_streaming(payload)
             one = mine(path, algorithm, 1,
                        out / f"metrics_{algorithm}_wide_w1.json")
             if one is None:

@@ -12,7 +12,8 @@ level stats).  The pass then checks the warm-state contract:
 * resubmitting an identical job is free (``memo_hit`` true, the
   ``result_memo_hits`` counter set, payload identical);
 * the second job on the same store is warm (``store_cache_hits`` in its
-  report, exactly one store mapped);
+  report, exactly one store mapped, and the store engine, built with the
+  daemon's ``PIN_BYTES`` budget, serving chunks from its pin);
 * a warm sampling job reuses the resident evaluator's pinned sample
   (the pin/repins counter does not move);
 * a malformed request — a non-numeric ``Content-Length``, a config
@@ -38,6 +39,7 @@ import sys
 from pathlib import Path
 
 from repro.cli import main as cli_main
+from repro.engine import PIN_BYTES
 from repro.service import ServiceClient, start_server
 
 ALGORITHMS = [
@@ -218,7 +220,15 @@ def main(argv=None) -> int:
         assert entry.resident_repins == pins_before, (
             "warm sampling job re-pinned the resident sample"
         )
-        print("warm-state: store cache, result memo and resident pin ok")
+        # The store's own engine is the daemon's PIN_BYTES budget: the
+        # jobs after the first counted the store from its pin.
+        engine = entry.engine()
+        assert engine.pin_bytes == PIN_BYTES, engine
+        assert engine.cache.hits > 0 and len(engine.cache) > 0, (
+            "the store engine kept no factor arrays across jobs"
+        )
+        print("warm-state: store cache, result memo, store pin and "
+              "resident pin ok")
         _check_malformed_requests(server, client, store_path)
         (out / "service_healthz.json").write_text(
             json.dumps(client.healthz(), indent=2) + "\n"

@@ -15,8 +15,9 @@ because result memoization keys on "the same configuration".
 
 Execution is not configured here: the counting engine is a
 :class:`repro.engine.VectorizedBatchEngine` (its worker count set by
-``--workers``) and Phase 2 always runs the resident sample
-evaluator.
+``--workers``; a one-shot run's engine keeps no factor arrays) and
+Phase 2 always runs the resident sample evaluator, the same engine with
+the sample pinned, at the same worker count.
 
 The input is not configured either: :func:`open_database` sniffs the
 path (segment manifest, then packed magic bytes, else text), and every
@@ -298,7 +299,8 @@ class MiningConfig:
         engines so concurrent jobs never share caches.
         *sample_engine* likewise passes a warm
         :class:`ResidentSampleEvaluator` kept pinned across jobs; the
-        sampling miners otherwise build a fresh one.
+        sampling miners otherwise build a fresh one, in
+        ``score_dtype`` and at *engine*'s worker count, for Phase 2.
         """
         matrix = self.build_matrix()
         constraints = self.constraints()
@@ -308,11 +310,7 @@ class MiningConfig:
             engine.note_settings(tracer)
         common = dict(constraints=constraints, engine=engine, tracer=tracer)
         if self.algorithm in SAMPLING_ALGORITHMS:
-            if sample_engine is None:
-                sample_engine = ResidentSampleEvaluator(
-                    score_dtype=self.score_dtype
-                )
-            else:
+            if sample_engine is not None:
                 # A warm evaluator may have been switched by a previous
                 # run; a dtype change re-pins lazily on the next count.
                 sample_engine.set_score_dtype(self.score_dtype)
@@ -328,6 +326,7 @@ class MiningConfig:
                 memory_capacity=self.memory_capacity,
                 rng=np.random.default_rng(self.seed),
                 sample_engine=sample_engine,
+                score_dtype=self.score_dtype,
                 **common,
             )
         if self.algorithm == "levelwise":

@@ -26,7 +26,6 @@ import numpy as np
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase, SequentialSampler
-from ..errors import MiningError
 from ..obs import Tracer
 
 
@@ -100,12 +99,6 @@ class MatchEngine(abc.ABC):
 def matrix_fingerprint(matrix: CompatibilityMatrix) -> "tuple":
     """A cheap, content-based pin key component for a matrix."""
     return (matrix.size, hash(matrix))
-
-
-def empty_database_guard(count: int) -> None:
-    """Raise the reference error message for zero scanned sequences."""
-    if count == 0:
-        raise MiningError("cannot compute matches over an empty database")
 
 
 __all__ = [

@@ -6,8 +6,7 @@ against every sequence of the chunk with a handful of numpy operations
 per pattern, instead of one Python iteration per (pattern, sequence)
 pair.  :func:`block_totals` adds one chunk's match sums; every scan of
 the counting engine calls it, on the scanning thread or on a pool
-thread, and the resident Phase-2 evaluator runs its
-:func:`walk_totals` on each pinned chunk.
+thread, the Phase-2 sample evaluator's included.
 
 The prefix-trie walk
 --------------------
@@ -237,7 +236,8 @@ class FactorPin:
         kept when the unpadded factor arrays, ``(m + 1) × itemsize ×
         total symbols`` bytes, already exceed it, and the pin is dropped
         as soon as padding would push it past the budget — so it never
-        holds more than *budget* bytes.
+        holds more than *budget* bytes.  Once nothing is kept, chunks are
+        neither digested nor held: a budget of ``0`` streams.
         """
         m = c_ext.shape[0] - 1
         key = (fingerprint, c_ext.dtype)
@@ -583,8 +583,8 @@ def chunk_symbol_maxima(gathered: np.ndarray) -> np.ndarray:
 #: Environment variable selecting the default scoring dtype.
 SCORE_DTYPE_ENV_VAR = "NOISYMINE_SCORE_DTYPE"
 
-#: Scoring dtypes of the resident Phase-2 evaluator (the counting
-#: engine always scores in float64).
+#: Scoring dtypes of the counting engine; only the Phase-2 sample
+#: evaluator is ever built in float32.
 SCORE_DTYPES = ("float64", "float32")
 
 #: The default scoring dtype.

@@ -1,70 +1,45 @@
-"""Resident-sample backend: the counting walk over a pinned sample.
+"""The Phase-2 sample evaluator: the counting engine, sample pinned.
 
 Phase 2 of the paper's algorithm runs its whole breadth-first search
 against one fixed in-memory sample.  :class:`ResidentSampleEvaluator`
-counts it with the counting engine's own chunk kernel,
-:func:`~repro.engine.kernels.walk_totals`, and keeps the sample's
-factor arrays between calls:
+is :class:`~repro.engine.vectorized.VectorizedBatchEngine` with no pin
+budget: the first level's scan gathers every chunk of the sample and
+each later level's mandatory scan reuses a chunk whose padded content
+digest still matches, so a different sample (or matrix, or dtype)
+transparently re-pins.  Every level is one counted scan of the engine,
+on its thread pool when ``workers > 1``, bit-identical to the engine
+at equal ``chunk_rows`` in float64.  ``score_dtype="float32"`` halves
+the pinned factor arrays and stack planes while every cross-sequence
+accumulation stays float64 (``benchmarks/bench_phase2_sample.py``
+gates the deviation).
 
-* **Pin once.**  The mandatory scan of every call streams the rows
-  through the evaluator's :class:`~repro.engine.kernels.FactorPin`
-  (:attr:`~ResidentSampleEvaluator.cache`), the counting engine's own
-  factor-array policy with no budget: the first call gathers every
-  chunk, later calls reuse a chunk whose padded content digest still
-  matches.  The protocol's one ``database.scan()`` per call doubles as
-  the staleness check, so scan accounting is untouched and handing the
-  evaluator a different database (or matrix, or dtype) transparently
-  re-pins.
-* **Walk the prefix trie.**  Each call builds one
-  :class:`~repro.engine.kernels.WalkPlan` and walks it over every
-  pinned chunk in chunk order: a child's ``(windows, N)`` score plane
-  is its parent's plane times one shifted factor row, each distinct
-  parent prefix is derived once per chunk onto a stack, and each
-  sibling is reduced to its per-sequence maxima and discarded.  The
-  evaluator's one :class:`~repro.engine.kernels.WalkBuffers` holds one
-  ``(L, N)`` stack plane per chain depth for the largest pinned chunk,
-  so the planes held never exceed ``(max parent weight - 1) × max L·N``
-  elements, whatever the batch size or chunk count.
-
-``score_dtype="float32"`` stores factors and planes in float32 —
-halving both the pinned factor arrays and the stack buffers — while
-every cross-sequence accumulation stays float64; the deviation is
-error-bounded (``benchmarks/bench_phase2_sample.py`` gates it).
-
-In float64 the walk is the counting engine's, so every match value is
-bit-identical to :class:`~repro.engine.vectorized.VectorizedBatchEngine`
-at equal ``chunk_rows``, and independent of batch order.  Phase 2
-always counts through this evaluator, and it counts nothing else: the
-Phase-1 scan and every full-database pass run on the counting engine.
+The evaluator adds Phase 2's observability: :attr:`planes`
+(prefix-stack traffic) and :attr:`repins` (scans that gathered).  Its
+pin traffic stays out of the ``factor_cache_*`` counters, which count
+full-database passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..errors import MiningError
 from ..obs import (
     RESIDENT_PLANE_BYTES,
     RESIDENT_PLANE_HITS,
     RESIDENT_PLANE_MISSES,
     Tracer,
 )
-from .base import MatchEngine, empty_database_guard, matrix_fingerprint
 from .kernels import (
+    DATABASE_TOTALS,
     DEFAULT_CHUNK_ROWS,
-    FactorPin,
-    WalkBuffers,
     WalkPlan,
-    extended_matrix,
     resolve_score_dtype,
-    walk_totals,
 )
+from .vectorized import VectorizedBatchEngine, _averages
 
 
 @dataclass
@@ -73,7 +48,8 @@ class PlaneStats:
 
     ``hits`` counts sibling groups whose (span >= 2) parent was
     already on the stack, ``misses`` the chain links derived, each
-    once per call, and ``nbytes`` the stack buffer bytes currently held.
+    once per call, and ``nbytes`` the stack bytes one counting thread
+    held in the last call.
     """
 
     hits: int = 0
@@ -81,25 +57,28 @@ class PlaneStats:
     nbytes: int = 0
 
 
-class ResidentSampleEvaluator(MatchEngine):
-    """Incremental ``M(P, D)`` evaluation over a pinned database.
+class ResidentSampleEvaluator(VectorizedBatchEngine):
+    """The counting engine with an unbudgeted pin, for Phase 2.
 
     Parameters
     ----------
     chunk_rows:
-        Sequences per pinned chunk.  Matching the vectorized backend's
-        ``chunk_rows`` makes float64 match values bit-identical to it
-        (the sum over sequences accumulates per chunk, in chunk order).
+        Sequences per pinned chunk.  Matching the full-database
+        engine's ``chunk_rows`` makes float64 match values
+        bit-identical to it (the sum over sequences accumulates per
+        chunk, in chunk order).
     score_dtype:
-        ``"float64"`` (default, bit-identical to every other backend)
+        ``"float64"`` (default, bit-identical to the counting engine)
         or ``"float32"`` (planes and factors stored in float32, every
         cross-sequence accumulation in float64; error-bounded, and the
         stack buffers take half the bytes).  ``None`` resolves through
         ``NOISYMINE_SCORE_DTYPE``.
+    workers:
+        Counting threads, as for the counting engine.
 
     ``planes`` (:class:`PlaneStats`) counts the prefix stack's traffic,
-    ``cache`` (:class:`~repro.engine.kernels.FactorPin`) holds the
-    pinned factor arrays and ``repins`` counts the pins built.
+    ``cache`` holds the pinned factor arrays and ``repins`` counts the
+    scans that gathered any chunk.
     """
 
     name = "resident"
@@ -108,64 +87,22 @@ class ResidentSampleEvaluator(MatchEngine):
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         score_dtype: Optional[str] = None,
+        workers: Optional[int] = None,
     ):
-        if chunk_rows < 1:
-            raise MiningError(
-                f"chunk_rows must be >= 1, got {chunk_rows}"
-            )
-        self.chunk_rows = chunk_rows
+        super().__init__(
+            chunk_rows, workers, pin_bytes=None,
+            score_dtype=resolve_score_dtype(score_dtype),
+        )
         self.planes = PlaneStats()
-        self.cache = FactorPin()
         self.repins = 0
-        # Chunks of the current pin (None before the first), and the
-        # walk's buffers.
-        self._chunks: Optional[int] = None
-        self._buffers = WalkBuffers()
-        self.score_dtype = resolve_score_dtype(score_dtype)
 
     def set_score_dtype(self, score_dtype: str) -> None:
         """Switch the scoring dtype.
 
         The dtype is part of the pin key, so the next counting call
-        transparently re-pins (and reallocates the stack buffers) when
-        the dtype actually changed.
+        transparently re-pins when the dtype actually changed.
         """
         self.score_dtype = resolve_score_dtype(score_dtype)
-
-    # -- pinning --------------------------------------------------------------
-
-    def _scan_and_pin(
-        self,
-        database: AnySequenceDatabase,
-        matrix: CompatibilityMatrix,
-    ) -> Tuple[int, List[np.ndarray]]:
-        """Consume exactly one scan; return the sequence count and the
-        factor array of every chunk, reusing or rebuilding the pin.
-
-        The factor pin checks every chunk the mandatory scan yields
-        against its content digest, so a database whose content changed
-        between calls is detected with no extra pass, and a different
-        database object with equal content reuses the pin.  The walk
-        buffers are dropped only when some chunk had to be gathered.
-        """
-        dtype = np.float32 if self.score_dtype == "float32" else np.float64
-        c_ext = extended_matrix(matrix.array).astype(dtype, copy=False)
-        misses = self.cache.misses
-        count = 0
-        gathered: List[np.ndarray] = []
-        for chunk, slot in self.cache.scan(
-            database, self.chunk_rows, c_ext, matrix_fingerprint(matrix)
-        ):
-            count += len(chunk)
-            gathered.append(slot.factors())
-        empty_database_guard(count)
-        if self.cache.misses != misses or len(gathered) != self._chunks:
-            self._buffers = WalkBuffers()
-            self.repins += 1
-        self._chunks = len(gathered)
-        return count, gathered
-
-    # -- batched --------------------------------------------------------------
 
     def database_matches(
         self,
@@ -177,37 +114,24 @@ class ResidentSampleEvaluator(MatchEngine):
         patterns = list(patterns)
         if not patterns:
             return {}
-        count, gathered = self._scan_and_pin(database, matrix)
         plan = WalkPlan(patterns)
-        totals = np.zeros(len(patterns), dtype=np.float64)
-        # Chunks add in scan order: the counting engine's summation.
-        for factors in gathered:
-            walk_totals(factors, plan, totals, self._buffers)
+        misses = self.cache.misses
+        totals, count, stack = self._count(
+            DATABASE_TOTALS, database, matrix, None, len(patterns), plan,
+        )
+        if self.cache.misses != misses:
+            self.repins += 1
         planes = self.planes
         bytes0 = planes.nbytes
         planes.hits += plan.hits
         planes.misses += plan.misses
-        planes.nbytes = self._buffers.stack_nbytes
+        planes.nbytes = stack
         if tracer is not None and tracer.enabled:
             tracer.count(RESIDENT_PLANE_HITS, plan.hits)
             tracer.count(RESIDENT_PLANE_MISSES, plan.misses)
             tracer.count(RESIDENT_PLANE_BYTES, planes.nbytes - bytes0)
-        # One C-level divide + tolist instead of a float() per pattern
-        # (same IEEE division, so the values are unchanged).
-        np.divide(totals, count, out=totals)
-        return dict(zip(patterns, totals.tolist()))
-
-    # -- lifecycle ------------------------------------------------------------
+        return _averages(patterns, totals, count)
 
     def close(self) -> None:
-        self._chunks = None
-        self._buffers = WalkBuffers()
-        self.cache.clear()
+        super().close()
         self.planes.nbytes = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"ResidentSampleEvaluator(chunk_rows={self.chunk_rows}, "
-            f"score_dtype={self.score_dtype!r}, "
-            f"pinned_bytes={self.cache.nbytes}, planes={self.planes!r})"
-        )

@@ -12,27 +12,27 @@ walked over it (:func:`repro.engine.kernels.walk_totals`), each
 pattern's window products derived from its parent's by one multiply.
 The walk is planned once per batch
 (:class:`~repro.engine.kernels.WalkPlan`) and each counting thread
-keeps its own buffers.  Counting always scores in float64.
+keeps its own buffers.  Full-database passes score in float64.
 
 The factor array depends only on ``(compatibility matrix, sequences)``
-— not on the patterns — so every scan streams its chunks through
-the engine's :class:`~repro.engine.kernels.FactorPin` (:attr:`cache`),
-which keeps the database's factor arrays when they fit
-:data:`PIN_BYTES`.  Phase 3 of the paper's algorithm probes half-layers
-of the ambiguous region with one scan per batch over the *same*
-database, and the daemon's jobs re-scan the same store; with the pin
-those repeat scans skip the gather and pay only the window reductions.
-A database too large for the budget is gathered chunk by chunk and
-nothing is kept.
+— not on the patterns — so every scan streams its chunks through the
+engine's :class:`~repro.engine.kernels.FactorPin` (:attr:`cache`),
+which keeps what its caller's byte budget (``pin_bytes``) allows.  The
+default, ``0``, keeps nothing: a one-shot run gathers, counts and drops
+each chunk, as the paper's disk-resident passes do.  The daemon's
+per-store engine passes :data:`PIN_BYTES`, so repeat scans of a store
+that fits skip the gather; the Phase-2 sample evaluator
+(:class:`~repro.engine.resident.ResidentSampleEvaluator`) passes
+``None`` and keeps the whole sample.
 
 With ``workers > 1`` the same scan counts its chunks on a thread pool:
-the scanning thread pads, digests and pins each chunk and offers its
-rows to a sampler, and each chunk's gather plus block kernel — numpy
-releases the GIL in both — is one task, adding into its own zeroed
-row.  At most ``2 × workers`` chunks are in flight, and the rows are
-added to the totals in scan order: the same float additions as one
-worker's running sum, so results are bit-identical at every worker
-count.  Either way the engine consumes exactly one ``database.scan()``
+the scanning thread pads (and, when pinning, digests) each chunk and
+offers its rows to a sampler, and each chunk's gather plus block
+kernel — numpy releases the GIL in both — is one task, adding into its
+own zeroed row.  At most ``2 × workers`` chunks are in flight, and the
+rows are added to the totals in scan order: the same float additions
+as one worker's running sum, so results are bit-identical at every
+worker count.  Either way the engine consumes exactly one ``database.scan()``
 per batch — the paper's cost model.
 
 :meth:`VectorizedBatchEngine.symbol_matches` is every miner's Phase-1
@@ -47,7 +47,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .base import MatchEngine, matrix_fingerprint
 from .kernels import (
     DATABASE_TOTALS,
     DEFAULT_CHUNK_ROWS,
+    DEFAULT_SCORE_DTYPE,
     SYMBOL_TOTALS,
     FactorPin,
     PinSlot,
@@ -67,14 +68,15 @@ from .kernels import (
     WalkPlan,
     block_totals,
     extended_matrix,
+    resolve_score_dtype,
 )
 
 #: Environment variable setting the worker count of a run.
 WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
 
-#: Byte budget of an engine's factor pin.  A database whose factor
-#: arrays (``8 (m + 1)`` bytes per symbol, plus padding) exceed it is
-#: not kept: the pin holds all of a database or none of it.
+#: Factor-pin budget of the daemon's per-store engines.  A database
+#: whose factor arrays (``8 (m + 1)`` bytes per symbol, plus padding)
+#: exceed it is not kept: the pin holds all of a database or none of it.
 PIN_BYTES = 128 * 1024 * 1024
 
 
@@ -105,9 +107,10 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
 
 def _chunk_counter(
     kind: str, plan: Optional[WalkPlan], width: int
-) -> Callable[[PinSlot], np.ndarray]:
-    """The per-chunk task of one batch: a slot's gather plus
-    :func:`block_totals`, into a fresh zeroed row.
+) -> Tuple[Callable[[PinSlot], np.ndarray], List[WalkBuffers]]:
+    """The per-chunk task of one batch — a slot's gather plus
+    :func:`block_totals`, into a fresh zeroed row — and the list of
+    walk buffers its threads create.
 
     Thread-safe: each thread keeps its own walk buffers, and holds its
     previous chunk's factor array until its next gather, as a streaming
@@ -115,6 +118,7 @@ def _chunk_counter(
     return heap pages and fault them in again on every chunk.
     """
     local = threading.local()
+    made: List[WalkBuffers] = []
 
     def count_chunk(slot: PinSlot) -> np.ndarray:
         gathered = slot.factors()
@@ -122,11 +126,21 @@ def _chunk_counter(
         buffers = getattr(local, "buffers", None)
         if buffers is None and plan is not None:
             buffers = local.buffers = WalkBuffers()
+            made.append(buffers)
         row = np.zeros(width, dtype=np.float64)
         block_totals(gathered, kind, plan, row, buffers)
         return row
 
-    return count_chunk
+    return count_chunk, made
+
+
+def _averages(
+    patterns: List[Pattern], totals: np.ndarray, count: int
+) -> Dict[Pattern, float]:
+    """``M(P, D)`` per pattern: one C-level divide plus ``tolist``, the
+    same IEEE division as a ``float(total / count)`` per pattern."""
+    np.divide(totals, count, out=totals)
+    return dict(zip(patterns, totals.tolist()))
 
 
 class VectorizedBatchEngine(MatchEngine):
@@ -143,9 +157,16 @@ class VectorizedBatchEngine(MatchEngine):
         :func:`resolve_worker_count` (the ``NOISYMINE_WORKERS``
         environment variable, else 1).  With more than one, chunks are
         counted on a thread pool the engine keeps until :meth:`close`.
-
-    :attr:`cache` is the scan's :class:`FactorPin`, holding at most
-    :data:`PIN_BYTES`.
+    pin_bytes:
+        Byte budget of :attr:`cache`, the scan's :class:`FactorPin`:
+        ``0`` (default) keeps nothing, so every pass streams;
+        :data:`PIN_BYTES` keeps a database whose factor arrays fit it,
+        all or nothing; ``None`` keeps every chunk.
+    score_dtype:
+        dtype of the factor arrays and walk planes, ``"float64"``
+        (default) or ``"float32"``; totals accumulate in float64
+        either way.  Only the Phase-2 sample evaluator scores in
+        float32.
     """
 
     name = "vectorized"
@@ -154,12 +175,16 @@ class VectorizedBatchEngine(MatchEngine):
         self,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         workers: Optional[int] = None,
+        pin_bytes: Optional[int] = 0,
+        score_dtype: str = DEFAULT_SCORE_DTYPE,
     ):
         if chunk_rows < 1:
             raise MiningError(
                 f"chunk_rows must be >= 1, got {chunk_rows}"
             )
         self.chunk_rows = chunk_rows
+        self.pin_bytes = pin_bytes
+        self.score_dtype = resolve_score_dtype(score_dtype)
         self.cache = FactorPin()
         self.workers = resolve_worker_count(workers)
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -182,11 +207,11 @@ class VectorizedBatchEngine(MatchEngine):
         patterns = list(patterns)
         if not patterns:
             return {}
-        totals, count = self._count(
+        totals, count, _stack = self._count(
             DATABASE_TOTALS, database, matrix, tracer, len(patterns),
             WalkPlan(patterns),
         )
-        return {p: float(t / count) for p, t in zip(patterns, totals)}
+        return _averages(patterns, totals, count)
 
     def symbol_matches(
         self,
@@ -195,7 +220,7 @@ class VectorizedBatchEngine(MatchEngine):
         tracer: Optional[Tracer] = None,
         sampler: Optional[SequentialSampler] = None,
     ) -> np.ndarray:
-        totals, count = self._count(
+        totals, count, _stack = self._count(
             SYMBOL_TOTALS, database, matrix, tracer, matrix.size,
             sampler=sampler,
         )
@@ -212,23 +237,28 @@ class VectorizedBatchEngine(MatchEngine):
         width: int,
         plan: Optional[WalkPlan] = None,
         sampler: Optional[SequentialSampler] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """``(totals, sequence count)`` of one scan through the pin,
-        offering every ``(id, row)`` to *sampler* in scan order."""
+    ) -> Tuple[np.ndarray, int, int]:
+        """``(totals, sequence count, stack bytes)`` of one scan through
+        the pin, offering every ``(id, row)`` to *sampler* in scan
+        order; *stack bytes* are the largest prefix stack one counting
+        thread held."""
         traced = tracer is not None and tracer.enabled
         if traced:
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
             cache0 = (self.cache.hits, self.cache.misses)
-        count_chunk = _chunk_counter(kind, plan, width)
+        count_chunk, made = _chunk_counter(kind, plan, width)
         pool = self._pool() if self.workers > 1 else None
         totals = np.zeros(width, dtype=np.float64)
         count = 0
         pending: deque = deque()
+        c_ext = extended_matrix(matrix.array).astype(
+            self.score_dtype, copy=False
+        )
         try:
             for chunk, slot in self.cache.scan(
-                database, self.chunk_rows, extended_matrix(matrix.array),
-                matrix_fingerprint(matrix), budget=PIN_BYTES,
+                database, self.chunk_rows, c_ext,
+                matrix_fingerprint(matrix), budget=self.pin_bytes,
             ):
                 count += len(chunk)
                 if sampler is not None:
@@ -257,7 +287,9 @@ class VectorizedBatchEngine(MatchEngine):
             self.note_settings(tracer)
             tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
             tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
-        return totals, count
+        return totals, count, max(
+            (buffers.stack_nbytes for buffers in made), default=0
+        )
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -278,6 +310,7 @@ class VectorizedBatchEngine(MatchEngine):
 
     def __repr__(self) -> str:
         return (
-            f"VectorizedBatchEngine(chunk_rows={self.chunk_rows}, "
-            f"workers={self.workers})"
+            f"{type(self).__name__}(chunk_rows={self.chunk_rows}, "
+            f"workers={self.workers}, pin_bytes={self.pin_bytes}, "
+            f"score_dtype={self.score_dtype!r})"
         )

@@ -16,13 +16,16 @@ every subpattern is frequent-or-ambiguous.
 The output is the pair of borders the paper calls FQT and INFQT,
 together with per-pattern labels, sample matches and band widths.
 Sample scans are free in the paper's cost model (the sample lives in
-memory), so this phase contributes no database passes.
+memory), so this phase contributes no database passes.  The levels are
+counted by :class:`~repro.engine.resident.ResidentSampleEvaluator`, the
+counting engine with the sample pinned, on the run's worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
-from typing import Dict, Optional, Sequence, Set
+from typing import ContextManager, Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -50,6 +53,15 @@ from ..obs import (
 )
 from .counting import count_matches_batched
 from .result import SampleClassification
+
+
+def sample_evaluator(
+    engine: MatchEngine, owned: bool
+) -> ContextManager[MatchEngine]:
+    """*engine* for one Phase 2: closed on exit (thread pool and sample
+    pin released) when the miner built it, else left warm for its
+    owner."""
+    return engine if owned else contextlib.nullcontext(engine)
 
 
 def classify_on_sample(
@@ -88,9 +100,8 @@ def classify_on_sample(
     engine:
         Engine counting the BFS levels on the sample.  ``None`` runs a
         fresh :class:`~repro.engine.resident.ResidentSampleEvaluator`
-        that pins the sample on the first level's scan and extends each
-        candidate's score plane incrementally from its parent's; its
-        prefix-stack buffers die with the phase.  A long-lived caller
+        that pins the sample on the first level's scan; the pin dies
+        with the phase.  A long-lived caller
         (the mining daemon) passes a warm evaluator instead: its pin
         survives across runs, and the content-digest pin check makes
         reuse safe — a different sample transparently re-pins.

@@ -30,10 +30,14 @@ from ..core.lattice import PatternConstraints
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, VectorizedBatchEngine
+from ..engine import (
+    MatchEngine,
+    ResidentSampleEvaluator,
+    VectorizedBatchEngine,
+)
 from ..errors import MiningError
 from ..obs import SCANS, Tracer, ensure_tracer, io_snapshot, record_io
-from .ambiguous import classify_on_sample
+from .ambiguous import classify_on_sample, sample_evaluator
 from .collapsing import collapse_borders
 from .counting import validate_memory_capacity
 from .result import MiningResult, SampleClassification
@@ -72,11 +76,15 @@ class BorderCollapsingMiner:
         :class:`repro.obs.RunReport` to the result.  A tracer records
         one run — create a fresh one per ``mine()`` call.
     sample_engine:
-        Engine counting Phase 2 on the sample; ``None`` runs a fresh
-        :class:`~repro.engine.resident.ResidentSampleEvaluator`, which
-        pins the sample once and extends candidate score planes
-        incrementally.  A long-lived caller passes a warm evaluator so
-        its pin (and its stack buffers) survive across runs.
+        Engine counting Phase 2 on the sample; ``None`` builds a
+        :class:`~repro.engine.resident.ResidentSampleEvaluator` at
+        *engine*'s worker count, which pins the sample once and is
+        closed after each Phase 2.  A long-lived caller passes a warm
+        evaluator, which stays open so its pin survives across runs.
+    score_dtype:
+        Scoring dtype of that built evaluator (``None`` resolves
+        ``NOISYMINE_SCORE_DTYPE``); a caller's *sample_engine* keeps
+        its own.
     """
 
     algorithm = "border-collapsing"
@@ -94,6 +102,7 @@ class BorderCollapsingMiner:
         engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
         sample_engine: Optional[MatchEngine] = None,
+        score_dtype: Optional[str] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -114,7 +123,11 @@ class BorderCollapsingMiner:
             engine if engine is not None else VectorizedBatchEngine()
         )
         self.tracer = ensure_tracer(tracer)
-        self.sample_engine = sample_engine
+        self._owns_sample_engine = sample_engine is None
+        self.sample_engine = sample_engine or ResidentSampleEvaluator(
+            score_dtype=score_dtype,
+            workers=getattr(self.engine, "workers", None),
+        )
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         """Run all three phases and return the discovered patterns.
@@ -144,7 +157,9 @@ class BorderCollapsingMiner:
         # Phase 2 — in-memory classification (no database passes).  When
         # the sample is the entire database the estimates are exact and
         # the Chernoff band collapses to zero.
-        with tracer.phase("phase2-sample-mining"):
+        with tracer.phase("phase2-sample-mining"), sample_evaluator(
+            self.sample_engine, self._owns_sample_engine
+        ) as sample_engine:
             classification = classify_on_sample(
                 sample,
                 self.matrix,
@@ -154,7 +169,7 @@ class BorderCollapsingMiner:
                 self.constraints,
                 use_restricted_spread=self.use_restricted_spread,
                 exact=sample_size >= len(database),
-                engine=self.sample_engine,
+                engine=sample_engine,
                 tracer=tracer,
             )
 

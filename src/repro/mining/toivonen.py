@@ -24,7 +24,11 @@ from ..core.lattice import PatternConstraints, generate_candidates
 from ..core.match import symbol_matches_and_sample
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, VectorizedBatchEngine
+from ..engine import (
+    MatchEngine,
+    ResidentSampleEvaluator,
+    VectorizedBatchEngine,
+)
 from ..errors import MiningError
 from ..obs import (
     CANDIDATES_GENERATED,
@@ -34,7 +38,7 @@ from ..obs import (
     io_snapshot,
     record_io,
 )
-from .ambiguous import classify_on_sample
+from .ambiguous import classify_on_sample, sample_evaluator
 from .chernoff import INFREQUENT
 from .counting import count_matches_batched, validate_memory_capacity
 from .result import LevelStats, MiningResult
@@ -59,6 +63,7 @@ class ToivonenMiner:
         engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
         sample_engine: Optional[MatchEngine] = None,
+        score_dtype: Optional[str] = None,
     ):
         if not 0.0 < min_match <= 1.0:
             raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
@@ -74,9 +79,13 @@ class ToivonenMiner:
             engine if engine is not None else VectorizedBatchEngine()
         )
         self.tracer = ensure_tracer(tracer)
-        # Phase 2 only: level-wise verification runs on self.engine
-        # (the full database is not pinned).
-        self.sample_engine = sample_engine
+        # Phase 2's engine: a caller's warm evaluator, else one of our
+        # own at the run's worker count, closed after each Phase 2.
+        self._owns_sample_engine = sample_engine is None
+        self.sample_engine = sample_engine or ResidentSampleEvaluator(
+            score_dtype=score_dtype,
+            workers=getattr(self.engine, "workers", None),
+        )
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
         started = time.perf_counter()
@@ -98,7 +107,9 @@ class ToivonenMiner:
             record_io(tracer, database, io_before)
         # Phase 2 (shared): classify candidates on the sample; every
         # pattern that is not clearly infrequent must be verified.
-        with tracer.phase("phase2-sample-mining"):
+        with tracer.phase("phase2-sample-mining"), sample_evaluator(
+            self.sample_engine, self._owns_sample_engine
+        ) as sample_engine:
             classification = classify_on_sample(
                 sample,
                 self.matrix,
@@ -106,7 +117,7 @@ class ToivonenMiner:
                 self.delta,
                 symbol_match,
                 self.constraints,
-                engine=self.sample_engine,
+                engine=sample_engine,
                 tracer=tracer,
             )
         to_verify: Dict[int, List[Pattern]] = {}

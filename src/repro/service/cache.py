@@ -11,13 +11,13 @@ expensive state survives across jobs:
   manifest): a same-size in-place rewrite is recognised immediately,
   a path is never served stale content, and the cached ``stat``
   signature is purely observability.  Each entry also owns per-store
-  execution state: a private counting engine, whose factor pin keeps
-  the store's factor arrays for the next job when they fit
-  :data:`~repro.engine.vectorized.PIN_BYTES` (concurrent jobs on
-  different stores never share a pin or worker pool), and one warm
+  execution state: a private counting engine built with a
+  :data:`~repro.engine.vectorized.PIN_BYTES` pin budget, which keeps
+  the store's factor arrays for the next job when they fit (concurrent
+  jobs on different stores never share a pin or worker pool; a
+  one-shot CLI run's engine keeps none), and one warm
   :class:`~repro.engine.resident.ResidentSampleEvaluator` whose pinned
-  sample (and its prefix-stack buffers) carry over to the next job on
-  the same store.
+  sample carries over to the next job on the same store.
 
   Entries are **refcount-pinned** while a job runs on them
   (:meth:`StoreCache.acquire` / :meth:`StoreEntry.release`): LRU
@@ -44,7 +44,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
-from ..engine import MatchEngine, VectorizedBatchEngine
+from ..engine import PIN_BYTES, MatchEngine, VectorizedBatchEngine
 from ..engine.resident import ResidentSampleEvaluator
 from ..errors import ServiceError
 from ..io import (
@@ -111,12 +111,13 @@ class StoreEntry:
         """This entry's private counting engine.
 
         Created on first use (a
-        :class:`~repro.engine.VectorizedBatchEngine`) and kept so its
-        factor pin and worker pool stay warm for the next job on this
-        store.
+        :class:`~repro.engine.VectorizedBatchEngine` with a
+        :data:`~repro.engine.vectorized.PIN_BYTES` pin budget) and kept
+        so its factor pin and worker pool stay warm for the next job on
+        this store.
         """
         if self._engine is None:
-            self._engine = VectorizedBatchEngine()
+            self._engine = VectorizedBatchEngine(pin_bytes=PIN_BYTES)
         return self._engine
 
     def resident_evaluator(self) -> ResidentSampleEvaluator:
@@ -124,8 +125,7 @@ class StoreEntry:
 
         Its pin is keyed by sample content, so a second job with the
         same (seed, sample_size, matrix) skips the factor-array build
-        entirely and reuses the pin's stack buffers; a different sample
-        transparently re-pins.
+        entirely; a different sample transparently re-pins.
         """
         if self._resident is None:
             self._resident = ResidentSampleEvaluator()

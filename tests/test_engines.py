@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.config import MiningConfig
 from repro.core import match as core_match
 from repro.core.sequence import SequentialSampler
 from repro.engine import (
+    PIN_BYTES,
     FactorPin,
     MatchEngine,
     VectorizedBatchEngine,
@@ -37,6 +39,7 @@ from repro.engine import (
     resolve_worker_count,
     vectorized,
 )
+from repro.io import PackedSequenceStore
 from repro.mining import LevelwiseMiner
 from repro.obs import Tracer
 
@@ -267,7 +270,7 @@ class TestScanContract:
 
     def test_cache_hit_still_consumes_a_scan(self, fig4_database,
                                              fig2_matrix):
-        engine = VectorizedBatchEngine(chunk_rows=2)
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=PIN_BYTES)
         batch = [Pattern([0, 1])]
         engine.database_matches(batch, fig4_database, fig2_matrix)
         before = fig4_database.scan_count
@@ -279,7 +282,7 @@ class TestScanContract:
 class TestFactorPin:
     def test_repeat_scan_hits_pin_and_agrees(self, fig4_database,
                                              fig2_matrix):
-        engine = VectorizedBatchEngine(chunk_rows=2)
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=PIN_BYTES)
         batch = [Pattern([0, 1]), Pattern([1, 1])]
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
         misses = engine.cache.misses
@@ -289,7 +292,7 @@ class TestFactorPin:
 
     def test_different_matrix_never_serves_stale_factors(self,
                                                          fig4_database):
-        engine = VectorizedBatchEngine(chunk_rows=2)
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=PIN_BYTES)
         batch = [Pattern([0, 1])]
         noisy = CompatibilityMatrix.uniform_noise(5, alpha=0.2)
         identity = CompatibilityMatrix.identity(5)
@@ -307,7 +310,7 @@ class TestFactorPin:
         # digest of the slot must keep the two chunks apart — a
         # collision would silently serve the factor array of the
         # *other* chunk.
-        engine = VectorizedBatchEngine(chunk_rows=2)
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=PIN_BYTES)
         db_a = SequenceDatabase([[0, 1, 2], [3, 4, 0]])
         db_b = SequenceDatabase([[0, 1, 2], [3, 4, 1]])
         batch = [Pattern([0, 1])]
@@ -324,14 +327,11 @@ class TestFactorPin:
         assert got[batch[0]] == pytest.approx(expected[batch[0]], abs=1e-12)
 
     def test_database_over_the_budget_is_never_kept(
-        self, monkeypatch, fig4_database, fig2_matrix
+        self, fig4_database, fig2_matrix
     ):
-        engine = VectorizedBatchEngine(chunk_rows=2)
         batch = [Pattern([0, 1]), Pattern([1, 1])]
         unpadded = 8 * (fig2_matrix.size + 1) * fig4_database.total_symbols()
-        monkeypatch.setattr(
-            "repro.engine.vectorized.PIN_BYTES", unpadded - 1
-        )
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=unpadded - 1)
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
         second = engine.database_matches(batch, fig4_database, fig2_matrix)
         assert len(engine.cache) == 0 and engine.cache.nbytes == 0
@@ -340,8 +340,7 @@ class TestFactorPin:
             batch, fig4_database, fig2_matrix
         )
 
-    def test_nbytes_never_exceeds_the_budget(self, monkeypatch,
-                                              fig2_matrix):
+    def test_nbytes_never_exceeds_the_budget(self, fig2_matrix):
         # Unequal lengths: padding makes the held arrays larger than
         # the unpadded estimate the pin checks first.
         database = SequenceDatabase(
@@ -353,8 +352,7 @@ class TestFactorPin:
         padded = 8 * (fig2_matrix.size + 1) * 2 * (8 + 5)
         kept = []
         for budget in range(0, padded + 97, 48):
-            monkeypatch.setattr("repro.engine.vectorized.PIN_BYTES", budget)
-            engine = VectorizedBatchEngine(chunk_rows=2)
+            engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
             for _ in range(2):
                 got = engine.database_matches(batch, database, fig2_matrix)
                 assert engine.cache.nbytes <= budget
@@ -399,7 +397,9 @@ class TestFactorPin:
             [[i % 5, (i + 1) % 5, (i * 3) % 5] for i in range(160)]
         )
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
-        with VectorizedBatchEngine(chunk_rows=16, workers=2) as engine:
+        with VectorizedBatchEngine(
+            chunk_rows=16, workers=2, pin_bytes=PIN_BYTES
+        ) as engine:
             first = engine.database_matches(batch, database, fig2_matrix)
             hits, misses = engine.cache.hits, engine.cache.misses
             second = engine.database_matches(batch, database, fig2_matrix)
@@ -411,13 +411,70 @@ class TestFactorPin:
         ).database_matches(batch, database, fig2_matrix)
 
     def test_close_clears_pin(self, fig4_database, fig2_matrix):
-        engine = VectorizedBatchEngine(chunk_rows=2)
+        engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=PIN_BYTES)
         engine.database_matches(
             [Pattern([0])], fig4_database, fig2_matrix
         )
         assert len(engine.cache) > 0
         engine.close()
         assert len(engine.cache) == 0
+
+
+class TestPinBudget:
+    """The caller picks the pin budget: one-shot engines stream."""
+
+    M, ROWS, LENGTH, CHUNK = 10, 1024, 48, 256
+
+    def _store(self, tmp_path):
+        rng = np.random.default_rng(9)
+        database = SequenceDatabase([
+            rng.integers(0, self.M, size=self.LENGTH)
+            for _ in range(self.ROWS)
+        ])
+        return PackedSequenceStore.from_database(
+            database, tmp_path / "db.nmp"
+        )
+
+    def _passes(self, engine, store):
+        matrix = CompatibilityMatrix.uniform_noise(self.M, 0.2)
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 3, 4])]
+        engine.symbol_matches(store, matrix)
+        first = engine.database_matches(batch, store, matrix)
+        assert engine.database_matches(batch, store, matrix) == first
+
+    def test_default_engine_streams_a_store_that_fits(self, tmp_path):
+        store = self._store(tmp_path)
+        factor_bytes = (self.M + 1) * self.LENGTH * self.CHUNK * 8
+        # The whole store would fit the daemon's budget ...
+        assert factor_bytes * self.ROWS // self.CHUNK <= PIN_BYTES
+        engine = VectorizedBatchEngine(chunk_rows=self.CHUNK)
+        tracemalloc.start()
+        try:
+            self._passes(engine, store)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            store.close()
+        # ... but a one-shot engine keeps none of it.
+        assert engine.cache.nbytes == 0 and len(engine.cache) == 0
+        assert engine.cache.hits == 0
+        assert engine.cache.misses == 3 * self.ROWS // self.CHUNK
+        assert peak < 3 * factor_bytes, (peak, factor_bytes)
+
+    def test_pin_bytes_engine_hits_on_its_second_pass(self, tmp_path):
+        store = self._store(tmp_path)
+        chunks = self.ROWS // self.CHUNK
+        engine = VectorizedBatchEngine(
+            chunk_rows=self.CHUNK, pin_bytes=PIN_BYTES
+        )
+        try:
+            self._passes(engine, store)
+        finally:
+            store.close()
+        assert (engine.cache.hits, engine.cache.misses) == (
+            2 * chunks, chunks
+        )
+        assert len(engine.cache) == chunks
 
 
 class TestEngineSelection:
@@ -584,7 +641,9 @@ class TestParallelLifecycle:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with VectorizedBatchEngine(chunk_rows=2, workers=8) as engine:
+            with VectorizedBatchEngine(
+                chunk_rows=2, workers=8, pin_bytes=PIN_BYTES
+            ) as engine:
                 for _ in range(6):
                     assert engine.database_matches(
                         batch, database, fig2_matrix

@@ -78,7 +78,7 @@ def test_database_matches_equivalence(batch, database, matrix):
             baseline[pattern], abs=1e-12
         )
     # Second call on the warm pin: the stack re-derives every parent
-    # into reused buffers and the values must not move at all.
+    # into fresh buffers and the values must not move at all.
     again = engine.database_matches(batch, database, matrix)
     assert again == result
 
@@ -268,8 +268,8 @@ class TestPrefixStack:
         held = evaluator.planes.nbytes
         second = evaluator.database_matches(batch, database, matrix)
         assert second == first
-        # Only the buffers outlive a call: the second pass derives the
-        # same links again, into the same buffers.
+        # Only the pin outlives a call: the second pass derives the
+        # same links again, into buffers of the same size.
         assert evaluator.planes.misses == 2 * misses_after_first
         assert evaluator.planes.nbytes == held
         assert evaluator.repins == 1
@@ -431,8 +431,8 @@ class TestPinning:
         result = engine.database_matches(batch, database, fig2_matrix)
         held = engine.planes.nbytes
         assert held > 0
-        # The warm pin keeps its stack buffers: a second call reuses
-        # them rather than growing them.
+        # A warm call on the same batch holds stack buffers of the
+        # same size.
         assert engine.database_matches(batch, database, fig2_matrix) \
             == result
         assert engine.planes.nbytes == held
@@ -470,7 +470,7 @@ class TestCounters:
         assert tracer.total(RESIDENT_PLANE_HITS) == 1
         engine.database_matches(children, database, fig2_matrix,
                                 tracer=tracer)
-        # Only the buffers outlive a call: the next one re-derives.
+        # Only the pin outlives a call: the next one re-derives.
         assert tracer.total(RESIDENT_PLANE_MISSES) == 4
         assert tracer.total(RESIDENT_PLANE_HITS) == 2
         # The bytes counter accumulates deltas, so its running total is
@@ -547,6 +547,49 @@ class TestClassifyIntegration:
             assert epsilon == chernoff_epsilon(spread, 1e-3, n)
             checked += 1
         assert checked > 0
+
+    def test_sample_pin_hits_from_the_second_level_on(self):
+        database, matrix, sym, constraints = self._workload()
+        traffic = []
+
+        class Recording(ResidentSampleEvaluator):
+            def database_matches(self, *args, **kwargs):
+                before = (self.cache.hits, self.cache.misses)
+                result = super().database_matches(*args, **kwargs)
+                traffic.append((self.cache.hits - before[0],
+                                self.cache.misses - before[1]))
+                return result
+
+        with Recording(chunk_rows=16) as evaluator:  # 3 chunks
+            classify_on_sample(
+                database, matrix, 0.4, 1e-3, sym, constraints,
+                engine=evaluator,
+            )
+            assert evaluator.repins == 1
+        first, *later = traffic
+        assert first == (0, 3)  # level 2 gathers the sample once
+        assert later and all(level == (3, 0) for level in later)
+
+    @pytest.mark.parametrize("score_dtype", ["float64", "float32"])
+    def test_classification_is_identical_at_every_worker_count(
+        self, score_dtype
+    ):
+        database, matrix, sym, constraints = self._workload()
+        results = []
+        for workers in (1, 2, 8):
+            with ResidentSampleEvaluator(
+                chunk_rows=4, score_dtype=score_dtype, workers=workers
+            ) as evaluator:
+                results.append(classify_on_sample(
+                    database, matrix, 0.4, 1e-3, sym, constraints,
+                    engine=evaluator,
+                ))
+        one = results[0]
+        assert len(one.labels) > M
+        for other in results[1:]:
+            assert other.labels == one.labels
+            assert other.sample_matches == one.sample_matches  # bits
+            assert other.epsilons == one.epsilons
 
     def test_mining_end_to_end_matches_the_vectorized_sample_engine(
         self, small_world
