@@ -15,7 +15,8 @@ point the miners use — per leg:
 * ``resident``         — the evaluator: the counting engine with an
   unbudgeted pin, so the sample is pinned once, counting each batch
   through the engine's one counted scan and prefix-trie walk, each
-  child's score plane derived from its parent's in O(W·N);
+  child's maxima derived from its parent's score plane in O(W·N), or
+  a sibling group's at once in O(W·N + k·(m+1)·N);
 * ``resident_float32`` — the same evaluator with float32 factor and
   plane storage and float64 accumulation (error-bounded, halved
   pinned and plane bytes).

@@ -15,11 +15,17 @@ into sibling groups sharing a parent (the pattern minus its last fixed
 symbol) and the groups sorted into a pre-order walk of the parents'
 prefix trie.  Each chunk replays the plan (:func:`walk_totals`): the
 current parent's ancestor chain lives on a stack of ``(L, N)`` planes,
-each distinct parent prefix is derived once by :func:`extend_plane`,
-and each sibling costs one multiply of the parent plane by its last
-factor row and one max-reduce over the windows — ``O(W·N)`` per
-pattern, whatever its span.  The buffers (:class:`WalkBuffers`) belong
-to the calling thread.
+and each distinct parent prefix is derived once by
+:func:`extend_plane`.  A sibling ``P·d`` differs from its parent only
+by the factor ``C(d, s)`` of the symbol ``s`` at its last position, so
+a group of *k* siblings over *W* windows is counted in *symbol space*:
+one scatter-max of the parent plane into ``(m + 1, N)`` bins keyed by
+that symbol (:func:`chunk_keys`), then one ``(m + 1, k, N)`` multiply
+by the siblings' matrix columns and one max-reduce over the symbols —
+``O(W·N + k·(m + 1)·N)`` for the group instead of a multiply and a
+max-reduce over the windows per sibling, ``O(k·W·N)``.  The group takes
+whichever of the two does less work (:func:`grouped_pays`).  The
+buffers (:class:`WalkBuffers`) belong to the calling thread.
 
 Memory layout
 -------------
@@ -30,7 +36,10 @@ streaming through cache and makes the ``max`` reduction an
 inner-axis-contiguous operation — several times faster than reducing
 over a strided last axis.  Every multiply reads two ``(windows, N)``
 views (a parent plane and a factor-array plane) and writes one plane,
-so no right-hand-side gather is ever materialised.
+so no right-hand-side gather is ever materialised.  A chunk's symbol
+keys (:func:`chunk_keys`) are stored ``(L, N)`` in C order, so the
+window slice the scatter-max reads is contiguous and ravels without a
+copy.
 
 Padding convention
 ------------------
@@ -50,7 +59,11 @@ For every real window the factors are gathered from the same matrix
 entries and multiplied in the same offset order as the per-sequence
 evaluation of :mod:`repro.core.match` (a skipped wildcard multiplies
 by an exact ``1.0``), so the per-window products — and therefore the
-per-sequence maxima — are bit-identical to it.
+per-sequence maxima — are bit-identical to it.  The symbol-space step
+keeps this: for ``c >= 0`` the rounded product ``fl(c·x)`` is monotone
+in ``x``, so ``max_w fl(c·p_w) = fl(c · max_w p_w)`` over the windows
+of one bin, and an empty bin adds only ``0.0`` to a maximum over
+products that are all ``>= 0``.
 Per-sequence maxima are summed pairwise within each chunk, which
 differs from a sequential sum by at most a few ulps of ``M(P, D)``.
 """
@@ -145,10 +158,39 @@ def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:
     return np.take(c_ext, padded.T, axis=1)
 
 
+def key_dtype(bins: int) -> np.dtype:
+    """The narrowest index dtype of :func:`chunk_keys` for *bins*
+    ``= (m + 1) · N`` symbol bins: int32 when they fit, else intp."""
+    return np.dtype(np.int32 if bins <= np.iinfo(np.int32).max else np.intp)
+
+
+def chunk_keys(padded: np.ndarray, symbols: int) -> np.ndarray:
+    """Symbol-bin keys: ``keys[t, i] = padded[i, t] · N + i``.
+
+    The ``(L, N)`` array, C-contiguous in :func:`key_dtype`, names the
+    ``(symbol, sequence)`` bin of every position of the chunk, over
+    *symbols* ``= m + 1`` symbols (the pad symbol included): the index
+    array of :func:`walk_totals`' scatter-max.
+    """
+    n = padded.shape[0]
+    dtype = key_dtype(symbols * n)
+    keys = padded.T.astype(dtype, order="C")
+    keys *= n
+    keys += np.arange(n, dtype=dtype)
+    return keys
+
+
+def cell_bytes(c_ext: np.ndarray, n: int) -> int:
+    """Bytes a :class:`PinSlot` holds per padded cell of an *n*-row
+    chunk: its ``m + 1`` factors and its symbol key."""
+    symbols = c_ext.shape[0]
+    return symbols * c_ext.itemsize + key_dtype(symbols * n).itemsize
+
+
 class PinSlot:
     """One chunk position of a :class:`FactorPin`: the padded chunk's
-    shape and content digest, and its factor array, gathered on the
-    first :meth:`factors` call.
+    shape and content digest, and its factor array and symbol keys,
+    built on the first :meth:`factors` call.
 
     The scanning thread builds slots (padding, digesting and budget
     bookkeeping are serial); the gather itself can then run wherever
@@ -156,7 +198,7 @@ class PinSlot:
     """
 
     __slots__ = ("shape", "digest", "nbytes", "_c_ext", "_padded",
-                 "_factors")
+                 "_factors", "_keys")
 
     def __init__(
         self,
@@ -166,18 +208,26 @@ class PinSlot:
     ):
         self.shape = padded.shape
         self.digest = digest
-        # The gathered array is (m + 1, L, N) in c_ext's dtype.
-        self.nbytes = c_ext.shape[0] * padded.size * c_ext.itemsize
+        # The gathered (m + 1, L, N) array in c_ext's dtype, plus keys.
+        self.nbytes = padded.size * cell_bytes(c_ext, padded.shape[0])
         self._c_ext = c_ext
         self._padded: Optional[np.ndarray] = padded
         self._factors: Optional[np.ndarray] = None
+        self._keys: Optional[np.ndarray] = None
 
     def factors(self) -> np.ndarray:
         """The chunk's ``(m + 1, L, N)`` factor array."""
         if self._factors is None:
+            # Keys first: a slot whose factors are set has its keys.
+            self._keys = chunk_keys(self._padded, self._c_ext.shape[0])
             self._factors = gather_chunk(self._c_ext, self._padded)
             self._padded = None
         return self._factors
+
+    def keys(self) -> np.ndarray:
+        """The chunk's ``(L, N)`` symbol keys (:func:`chunk_keys`)."""
+        self.factors()
+        return self._keys
 
 
 class FactorPin:
@@ -188,7 +238,7 @@ class FactorPin:
     daemon's jobs on one store, Phase 2's levels over one sample — can
     skip the gather.  Per chunk position *i* the pin keeps a
     :class:`PinSlot`: the padded chunk's shape, a ``blake2b`` digest of
-    its bytes and its gathered array, all under one ``(matrix
+    its bytes and its gathered array and keys, all under one ``(matrix
     fingerprint, dtype)`` key; chunk *i* of a scan is served from slot
     *i* only on a key, shape and digest match.  Neither a different
     matrix nor a chunk with one symbol changed can therefore be served
@@ -210,7 +260,7 @@ class FactorPin:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of factor arrays held."""
+        """Bytes of factor arrays and symbol keys held."""
         return sum(slot.nbytes for slot in self._slots)
 
     def __len__(self) -> int:
@@ -233,10 +283,10 @@ class FactorPin:
         :meth:`~PinSlot.factors` is the chunk's factor array.
 
         Without a *budget* every chunk is kept.  With one, nothing is
-        kept when the unpadded factor arrays, ``(m + 1) × itemsize ×
-        total symbols`` bytes, already exceed it, and the pin is dropped
-        as soon as padding would push it past the budget — so it never
-        holds more than *budget* bytes.  Once nothing is kept, chunks are
+        kept when the unpadded factor arrays and keys,
+        :func:`cell_bytes` × total symbols, already exceed it, and the
+        pin is dropped as soon as padding would push it past the budget
+        — so it never holds more than *budget* bytes.  Once nothing is kept, chunks are
         neither digested nor held: a budget of ``0`` streams.
         """
         m = c_ext.shape[0] - 1
@@ -245,7 +295,8 @@ class FactorPin:
             self.clear()
             self._key = key
         keep = budget is None or (
-            (m + 1) * c_ext.itemsize * database.total_symbols() <= budget
+            cell_bytes(c_ext, chunk_rows) * database.total_symbols()
+            <= budget
         )
         slots = self._slots
         held = self.nbytes
@@ -466,19 +517,22 @@ class WalkBuffers:
     """One thread's work buffers for :func:`walk_totals`.
 
     Flat, cache-line aligned arrays in the factor array's dtype,
-    reshaped per chunk: an ``(L, N)`` arena every sibling is multiplied
-    into, one ``(L, N)`` plane per prefix-stack depth, and the
-    ``(k, N)`` maxima rows of the largest sibling group.  They are
-    reused across chunks; a chunk with more cells than any before it,
-    or another dtype, reallocates them.
+    reshaped per chunk: an ``(L, N)`` arena every looped sibling is
+    multiplied into, one ``(L, N)`` plane per prefix-stack depth, the
+    ``(k, N)`` maxima rows of the largest sibling group, the
+    ``(m + 1, N)`` symbol bins of the scatter-max and the
+    ``(m + 1, k, N)`` products of the largest group counted in symbol
+    space.  They are reused across chunks; a chunk with more cells than
+    any before it, or another dtype, reallocates them.
     """
 
-    __slots__ = ("dtype", "cells", "arena", "stack", "maxima")
+    __slots__ = ("dtype", "cells", "arena", "stack", "maxima", "bins",
+                 "products")
 
     def __init__(self) -> None:
         self.dtype: Optional[np.dtype] = None
         self.cells = 0
-        self.arena = self.maxima = np.empty(0)
+        self.arena = self.maxima = self.bins = self.products = np.empty(0)
         self.stack: List[np.ndarray] = []
 
     @property
@@ -487,30 +541,65 @@ class WalkBuffers:
         return sum(plane.nbytes for plane in self.stack)
 
     def views(
-        self, dtype: np.dtype, length: int, n: int, plan: WalkPlan
-    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-        """``(arena, stack planes, maxima rows)`` for one ``(L, N)``
-        chunk walked by *plan*, growing the buffers as needed."""
+        self, dtype: np.dtype, length: int, n: int, plan: WalkPlan,
+        symbols: int,
+    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray, np.ndarray]:
+        """``(arena, stack planes, maxima rows, symbol bins)`` for one
+        ``(L, N)`` chunk over *symbols* ``= m + 1`` symbols walked by
+        *plan*, growing the buffers as needed."""
         cells = length * n
         if dtype != self.dtype or cells > self.cells:
             self.dtype, self.cells = dtype, cells
             self.arena = _aligned_empty(cells, dtype)
-            self.maxima = _aligned_empty(0, dtype)
+            self.maxima = self.bins = self.products = _aligned_empty(
+                0, dtype
+            )
             self.stack = []
         while len(self.stack) < plan.depth:
             self.stack.append(_aligned_empty(self.cells, dtype))
         if self.maxima.size < plan.siblings * n:
             self.maxima = _aligned_empty(plan.siblings * n, dtype)
+        if self.bins.size < symbols * n:
+            self.bins = _aligned_empty(symbols * n, dtype)
         shape = (length, n)
         return (
             self.arena[:cells].reshape(shape),
             [plane[:cells].reshape(shape) for plane in self.stack],
             self.maxima[: plan.siblings * n].reshape(plan.siblings, n),
+            self.bins[: symbols * n],
         )
+
+    def product_view(self, symbols: int, siblings: int, n: int) -> np.ndarray:
+        """The ``(symbols, siblings, N)`` product buffer, grown on the
+        first group that needs it (a walk that loops every group never
+        allocates it)."""
+        size = symbols * siblings * n
+        if self.products.size < size:
+            self.products = _aligned_empty(size, self.dtype)
+        return self.products[:size].reshape(symbols, siblings, n)
+
+
+def grouped_pays(siblings: int, windows: int, symbols: int) -> bool:
+    """Whether counting a sibling group in symbol space does less work
+    than looping over its siblings.
+
+    Costs per 256 columns, in quarter microseconds measured on one
+    numpy chunk: the scatter-max costs ~4 per window and the
+    ``(symbols, siblings)`` products with their reduce ~2 per cell;
+    each looped sibling is one multiply and one reduce over the
+    windows, ~1 per window plus ~12 of call overhead.  An alphabet-wide
+    group of a 20-symbol alphabet over ~120 windows is ~2x cheaper
+    grouped; a lone sibling is ~7x cheaper looped.
+    """
+    return (
+        4 * windows + 2 * symbols * siblings < siblings * (windows + 12)
+    )
 
 
 def walk_totals(
     gathered: np.ndarray,
+    keys: np.ndarray,
+    c_ext: np.ndarray,
     plan: WalkPlan,
     out: np.ndarray,
     buffers: WalkBuffers,
@@ -518,19 +607,30 @@ def walk_totals(
     """Add every pattern's sum of per-sequence maxima over one chunk
     to *out* at its batch index, walking *plan*'s prefix trie.
 
-    *gathered* is the chunk's ``(m + 1, L, N)`` factor array.  The
-    stack's planes are derived with :func:`extend_plane` into
-    *buffers*; each sibling is one multiply of its factor row by the
-    parent plane into the arena and one maximum-reduce over the
-    windows, and each group's maxima rows are summed (in float64,
-    whatever the factor dtype) into *out*.  Sequences shorter than a
-    span contribute ``0.0``, through the pad convention or, when no
-    sequence of the chunk fits, by adding nothing.
+    *gathered* is the chunk's ``(m + 1, L, N)`` factor array, *keys*
+    its ``(L, N)`` symbol keys (:func:`chunk_keys`) and *c_ext* the
+    extended matrix it was gathered from, in its dtype.  The stack's
+    planes are derived with :func:`extend_plane` into *buffers*.  A
+    sibling group with a parent is counted in symbol space when
+    :func:`grouped_pays`: the parent plane's windows are scatter-maxed
+    into bins by the symbol at the siblings' last position, each
+    sibling's maxima are the bins times its column of *c_ext*,
+    max-reduced over the symbols.  Otherwise, and for single symbols,
+    each sibling is one multiply of its factor row by the parent plane
+    into the arena and one maximum-reduce over the windows.  Each
+    group's maxima rows are summed (in float64, whatever the factor
+    dtype) into *out*.  Sequences shorter than a span contribute
+    ``0.0``, through the pad convention or, when no sequence of the
+    chunk fits, by adding nothing.
     """
-    length, n = gathered.shape[1], gathered.shape[2]
-    arena, stack, maxima = buffers.views(gathered.dtype, length, n, plan)
+    symbols, length, n = gathered.shape
+    arena, stack, maxima, bins = buffers.views(
+        gathered.dtype, length, n, plan, symbols
+    )
+    grid = bins.reshape(symbols, 1, n)
+    columns = c_ext.T
     chain: List[np.ndarray] = []
-    for keep, pushes, offset, symbols, indices in plan.steps:
+    for keep, pushes, offset, siblings, indices in plan.steps:
         del chain[keep:]
         for symbol, link_offset in pushes:
             if chain:
@@ -550,15 +650,26 @@ def walk_totals(
         # the arithmetic.  np.maximum.reduce is np.max(axis=0, out=)
         # without the fromnumeric wrapper, which costs more than the
         # reduction itself on sample-sized planes.
-        base = gathered[:, offset : offset + windows, :]
-        rows = maxima[: len(symbols)]
+        k = len(siblings)
+        rows = maxima[:k]
         if offset == 0:
-            for i, symbol in enumerate(symbols):
-                np.maximum.reduce(base[symbol], axis=0, out=rows[i])
+            for i, symbol in enumerate(siblings):
+                np.maximum.reduce(gathered[symbol], axis=0, out=rows[i])
+        elif grouped_pays(k, windows, symbols):
+            # Empty bins stay 0.0, which no maximum of products >= 0
+            # can fall below.
+            bins.fill(0)
+            np.maximum.at(
+                bins, keys[offset:].ravel(), chain[-1][:windows].ravel()
+            )
+            products = buffers.product_view(symbols, k, n)
+            np.multiply(grid, columns[:, siblings, None], out=products)
+            np.maximum.reduce(products, axis=0, out=rows)
         else:
+            base = gathered[:, offset:, :]
             parent = chain[-1][:windows]
             work = arena[:windows]
-            for i, symbol in enumerate(symbols):
+            for i, symbol in enumerate(siblings):
                 np.multiply(base[symbol], parent, out=work)
                 np.maximum.reduce(work, axis=0, out=rows[i])
         out[indices] += np.add.reduce(rows, axis=1, dtype=np.float64)
@@ -616,6 +727,8 @@ def resolve_score_dtype(spec: Optional[str] = None) -> str:
 
 def block_totals(
     gathered: np.ndarray,
+    keys: np.ndarray,
+    c_ext: np.ndarray,
     kind: str,
     plan: Optional[WalkPlan],
     out: np.ndarray,
@@ -623,15 +736,16 @@ def block_totals(
 ) -> None:
     """Add one block's match sums to *out*; the one block kernel.
 
-    *gathered* is the block's factor array (:func:`gather_chunk`, or
-    served by a :class:`FactorPin`).  *kind* :data:`DATABASE_TOTALS`
-    adds each pattern of *plan* its sum of per-sequence maxima at its
-    batch index, by :func:`walk_totals` into the calling thread's
-    *buffers*; :data:`SYMBOL_TOTALS` adds the Phase-1 per-symbol sums
-    (*plan* and *buffers* unused).
+    *gathered* and *keys* are the block's factor array and symbol keys
+    (a :class:`PinSlot`'s), gathered from the extended matrix *c_ext*.
+    *kind* :data:`DATABASE_TOTALS` adds each pattern of *plan* its sum
+    of per-sequence maxima at its batch index, by :func:`walk_totals`
+    into the calling thread's *buffers*; :data:`SYMBOL_TOTALS` adds the
+    Phase-1 per-symbol sums (*keys*, *c_ext*, *plan* and *buffers*
+    unused).
     """
     if kind == SYMBOL_TOTALS:
         # The pad column is all zeros: padding never wins a max.
         out += chunk_symbol_maxima(gathered).sum(axis=1)
         return
-    walk_totals(gathered, plan, out, buffers)
+    walk_totals(gathered, keys, c_ext, plan, out, buffers)

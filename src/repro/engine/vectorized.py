@@ -9,7 +9,8 @@ per-pattern sums of per-sequence maxima: the extended compatibility
 matrix is gathered through the chunk **once**, producing the
 ``(m + 1, L, N)`` *factor array*, and the batch's prefix trie is
 walked over it (:func:`repro.engine.kernels.walk_totals`), each
-pattern's window products derived from its parent's by one multiply.
+pattern's window maxima derived from its parent's window products,
+sibling groups at once in symbol space.
 The walk is planned once per batch
 (:class:`~repro.engine.kernels.WalkPlan`) and each counting thread
 keeps its own buffers.  Full-database passes score in float64.
@@ -75,8 +76,9 @@ from .kernels import (
 WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
 
 #: Factor-pin budget of the daemon's per-store engines.  A database
-#: whose factor arrays (``8 (m + 1)`` bytes per symbol, plus padding)
-#: exceed it is not kept: the pin holds all of a database or none of it.
+#: whose factor arrays and symbol keys (``8 (m + 1) + 4`` bytes per
+#: symbol, plus padding) exceed it is not kept: the pin holds all of a
+#: database or none of it.
 PIN_BYTES = 128 * 1024 * 1024
 
 
@@ -106,11 +108,11 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
 
 
 def _chunk_counter(
-    kind: str, plan: Optional[WalkPlan], width: int
+    kind: str, plan: Optional[WalkPlan], width: int, c_ext: np.ndarray
 ) -> Tuple[Callable[[PinSlot], np.ndarray], List[WalkBuffers]]:
     """The per-chunk task of one batch — a slot's gather plus
-    :func:`block_totals`, into a fresh zeroed row — and the list of
-    walk buffers its threads create.
+    :func:`block_totals` over the extended matrix *c_ext*, into a fresh
+    zeroed row — and the list of walk buffers its threads create.
 
     Thread-safe: each thread keeps its own walk buffers, and holds its
     previous chunk's factor array until its next gather, as a streaming
@@ -128,7 +130,9 @@ def _chunk_counter(
             buffers = local.buffers = WalkBuffers()
             made.append(buffers)
         row = np.zeros(width, dtype=np.float64)
-        block_totals(gathered, kind, plan, row, buffers)
+        block_totals(
+            gathered, slot.keys(), c_ext, kind, plan, row, buffers
+        )
         return row
 
     return count_chunk, made
@@ -150,8 +154,8 @@ class VectorizedBatchEngine(MatchEngine):
     ----------
     chunk_rows:
         Sequences per padded chunk.  Larger chunks amortise Python
-        overhead further but cost ``8 (m+1) N L`` bytes of factor array
-        each.
+        overhead further but cost ``(8 (m+1) + 4) N L`` bytes of
+        factor array and symbol keys each.
     workers:
         Counting threads; ``None`` resolves through
         :func:`resolve_worker_count` (the ``NOISYMINE_WORKERS``
@@ -160,8 +164,8 @@ class VectorizedBatchEngine(MatchEngine):
     pin_bytes:
         Byte budget of :attr:`cache`, the scan's :class:`FactorPin`:
         ``0`` (default) keeps nothing, so every pass streams;
-        :data:`PIN_BYTES` keeps a database whose factor arrays fit it,
-        all or nothing; ``None`` keeps every chunk.
+        :data:`PIN_BYTES` keeps a database whose factor arrays and
+        symbol keys fit it, all or nothing; ``None`` keeps every chunk.
     score_dtype:
         dtype of the factor arrays and walk planes, ``"float64"``
         (default) or ``"float32"``; totals accumulate in float64
@@ -247,14 +251,14 @@ class VectorizedBatchEngine(MatchEngine):
             # Lifetime counters are snapshotted once per call; the
             # per-chunk hot path stays untouched.
             cache0 = (self.cache.hits, self.cache.misses)
-        count_chunk, made = _chunk_counter(kind, plan, width)
+        c_ext = extended_matrix(matrix.array).astype(
+            self.score_dtype, copy=False
+        )
+        count_chunk, made = _chunk_counter(kind, plan, width, c_ext)
         pool = self._pool() if self.workers > 1 else None
         totals = np.zeros(width, dtype=np.float64)
         count = 0
         pending: deque = deque()
-        c_ext = extended_matrix(matrix.array).astype(
-            self.score_dtype, copy=False
-        )
         try:
             for chunk, slot in self.cache.scan(
                 database, self.chunk_rows, c_ext,

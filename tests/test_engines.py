@@ -330,7 +330,9 @@ class TestFactorPin:
         self, fig4_database, fig2_matrix
     ):
         batch = [Pattern([0, 1]), Pattern([1, 1])]
-        unpadded = 8 * (fig2_matrix.size + 1) * fig4_database.total_symbols()
+        unpadded = (
+            (8 * (fig2_matrix.size + 1) + 4) * fig4_database.total_symbols()
+        )
         engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=unpadded - 1)
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
         second = engine.database_matches(batch, fig4_database, fig2_matrix)
@@ -348,8 +350,10 @@ class TestFactorPin:
         )
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
         expected = REF.database_matches(batch, database, fig2_matrix)
-        unpadded = 8 * (fig2_matrix.size + 1) * database.total_symbols()
-        padded = 8 * (fig2_matrix.size + 1) * 2 * (8 + 5)
+        # Per cell: m + 1 float64 factors and one int32 symbol key.
+        cell = 8 * (fig2_matrix.size + 1) + 4
+        unpadded = cell * database.total_symbols()
+        padded = cell * 2 * (8 + 5)
         kept = []
         for budget in range(0, padded + 97, 48):
             engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
@@ -365,6 +369,31 @@ class TestFactorPin:
         assert unpadded < padded
         assert kept and min(kept) >= padded
 
+    def test_budget_counts_the_symbol_keys(self, fig2_matrix):
+        # A budget that holds the factor arrays but not their keys
+        # streams: the keys are part of what the pin holds.
+        database = SequenceDatabase([[0, 1, 2, 3], [4, 0, 1, 2]])
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
+        expected = REF.database_matches(batch, database, fig2_matrix)
+        factors = 8 * (fig2_matrix.size + 1) * database.total_symbols()
+        keys = 4 * database.total_symbols()
+        for budget in (factors, factors + keys // 2, factors + keys - 1):
+            engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
+            for _ in range(2):
+                got = engine.database_matches(batch, database, fig2_matrix)
+                assert got == expected
+                assert engine.cache.nbytes <= budget
+            assert len(engine.cache) == 0 and engine.cache.hits == 0
+        engine = VectorizedBatchEngine(
+            chunk_rows=2, pin_bytes=factors + keys
+        )
+        for _ in range(2):
+            assert engine.database_matches(
+                batch, database, fig2_matrix
+            ) == expected
+        assert engine.cache.nbytes == factors + keys
+        assert engine.cache.hits == 1
+
     def test_pin_keeps_every_chunk_without_a_budget(self, fig2_matrix):
         database = SequenceDatabase([[0, 1, 2], [3, 4], [1, 0, 2, 4]])
         pin = FactorPin()
@@ -374,7 +403,8 @@ class TestFactorPin:
             assert [len(chunk) for chunk, _slot in blocks] == [2, 1]
         assert (pin.hits, pin.misses, len(pin)) == (2, 2, 2)
         assert pin.nbytes == sum(
-            slot.factors().nbytes for _chunk, slot in blocks
+            slot.factors().nbytes + slot.keys().nbytes
+            for _chunk, slot in blocks
         )
 
     def test_slot_gathers_once_on_first_use(self):
@@ -383,9 +413,15 @@ class TestFactorPin:
         c_ext = np.arange(36, dtype=np.float64).reshape(6, 6)
         [(_chunk, slot)] = list(pin.scan(database, 2, c_ext, ("c",)))
         assert slot.factors() is slot.factors()
-        assert slot.nbytes == slot.factors().nbytes
+        assert slot.keys() is slot.keys()
+        assert slot.nbytes == slot.factors().nbytes + slot.keys().nbytes
+        padded = np.array([[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(slot.factors(), c_ext[:, padded.T])
+        # keys[t, i] = symbol * N + i, C-contiguous, int32.
+        assert slot.keys().dtype == np.int32
+        assert slot.keys().flags.c_contiguous
         np.testing.assert_array_equal(
-            slot.factors(), c_ext[:, np.array([[0, 1, 2], [3, 4, 5]]).T]
+            slot.keys(), padded.T * 2 + np.arange(2)
         )
 
     def test_two_workers_serve_a_repeat_scan_from_the_pin(
