@@ -10,16 +10,18 @@ point the miners use — per leg:
 
 * ``batched``          — the baseline: the batched prefix-plan kernel
   of ``tests/oracles.py`` (``PrefixPlanEngine``), which evaluates each
-  span group flat in a ``(B, W, N)`` score buffer, with a warm factor
-  pin;
+  span group flat in a ``(B, W, N)`` score buffer over whole factor
+  arrays it keeps between calls;
 * ``resident``         — the evaluator: the counting engine with an
-  unbudgeted pin, so the sample is pinned once, counting each batch
+  unbudgeted pin, so the sample is keyed once and each factor row
+  gathered once, on the first read, counting each batch
   through the engine's one counted scan and prefix-trie walk, each
   child's maxima derived from its parent's score plane in O(W·N), or
   a sibling group's at once in O(W·N + k·(m+1)·N);
 * ``resident_float32`` — the same evaluator with float32 factor and
   plane storage and float64 accumulation (error-bounded, halved
-  pinned and plane bytes).
+  pinned row and plane bytes; ``pinned_bytes`` is the keys and rows
+  the pin holds).
 
 The resident legs keep only the sample pin between calls (each call's
 walk buffers are its own), so every round derives its planes the way

@@ -161,7 +161,7 @@ def phase1_task(database, matrix, sample_size):
 
 
 def probe_task(database, matrix, probes):
-    # A fresh engine per task holds no factor arrays: every round pays
+    # A fresh engine per task holds no factor rows: every round pays
     # the storage cost, exactly as a Phase-3 round over a cold store.
     engine = VectorizedBatchEngine()
     return count_matches_batched(probes, database, matrix, engine=engine)

@@ -147,8 +147,8 @@ def validate_levels(payload: dict) -> None:
 
 
 def validate_streaming(payload: dict) -> None:
-    """A one-shot run's engine keeps no factor arrays: every chunk of
-    every pass is gathered afresh, none served from the pin."""
+    """A one-shot run's engine keeps no factor rows: every chunk of
+    every pass is keyed afresh, none served from the pin."""
     counters = payload["counters"]
     hits = counters.get("factor_cache_hits", 0)
     misses = counters.get("factor_cache_misses", 0)

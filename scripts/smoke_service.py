@@ -217,7 +217,7 @@ def main(argv=None) -> int:
         engine = entry.engine()
         assert engine.pin_bytes == PIN_BYTES, engine
         assert engine.cache.hits > 0 and len(engine.cache) > 0, (
-            "the store engine kept no factor arrays across jobs"
+            "the store engine kept no factor rows across jobs"
         )
         print("warm-state: store cache, result memo, store pin and "
               "resident pin ok")

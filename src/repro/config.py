@@ -15,9 +15,9 @@ because result memoization keys on "the same configuration".
 
 Execution is not configured here: the counting engine is a
 :class:`repro.engine.VectorizedBatchEngine` (its worker count set by
-``--workers``; a one-shot run's engine keeps no factor arrays) and
-Phase 2 always runs the resident sample evaluator, the same engine with
-the sample pinned, at the same worker count.
+``--workers``; a one-shot run's engine keeps no factor rows) and
+Phase 2 always runs the resident sample evaluator, the same engine over
+the sample, at the same worker count.
 
 The input is not configured either: :func:`open_database` sniffs the
 path (segment manifest, then packed magic bytes, else text), and every

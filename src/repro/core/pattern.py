@@ -300,16 +300,19 @@ class Pattern:
     def __hash__(self) -> int:
         return self._hash
 
+    def sort_key(self) -> Tuple[int, int, Tuple[int, ...]]:
+        """``(weight, span, elements)``: the key of the patterns' total
+        order.  ``sorted(patterns, key=Pattern.sort_key)`` gives the
+        order ``sorted(patterns)`` gives, with one key per pattern
+        instead of a ``__lt__`` call per comparison."""
+        return (self._weight, len(self._elements), self._elements)
+
     def __lt__(self, other: "Pattern") -> bool:
         # A stable total order (weight, then span, then elements) so that
         # pattern collections sort deterministically in reports and tests.
         if not isinstance(other, Pattern):
             return NotImplemented
-        return (self.weight, self.span, self._elements) < (
-            other.weight,
-            other.span,
-            other._elements,
-        )
+        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
         return f"Pattern({self.to_string()!r})"

@@ -175,6 +175,47 @@ class SequentialSampler:
             self.rows.append(np.array(row, copy=True))
         self._seen += 1
 
+    def offer_chunk(
+        self, ids: Sequence[int], rows: Sequence[np.ndarray]
+    ) -> None:
+        """Consider a chunk of rows in scan order: the same draws, the
+        same picks and the same generator state as one :meth:`offer`
+        per row.
+
+        Draws come in batches of ``min(rows left, needed)``: the sample
+        cannot fill before the last row of such a batch, so the per-row
+        selector would draw for every one of them.  A row is kept when
+        its draw is under ``needed / (total - seen)``.  A pick lowers
+        *needed* and so every later limit, so a row under the batch's
+        first limits is re-checked against the limit at its turn, and
+        a row above them stays rejected.
+        """
+        start, stop = 0, len(rows)
+        while start < stop:
+            needed = self._n - len(self.rows)
+            if not needed:
+                self._seen += stop - start
+                return
+            if self._n == self._total:
+                picks = range(start, min(stop, start + needed))
+                take = len(picks)
+            else:
+                take = min(stop - start, needed)
+                draws = self._rng.random(take)
+                limits = needed / (
+                    self._total - self._seen - np.arange(take)
+                )
+                picks = []
+                for j in np.flatnonzero(draws < limits).tolist():
+                    if draws[j] < needed / (self._total - self._seen - j):
+                        picks.append(start + j)
+                        needed -= 1
+            for i in picks:
+                self.ids.append(ids[i])
+                self.rows.append(np.array(rows[i], copy=True))
+            self._seen += take
+            start += take
+
     def database(self) -> "SequenceDatabase":
         """The kept rows as an in-memory database, in scan order."""
         return SequenceDatabase(self.rows, ids=self.ids)

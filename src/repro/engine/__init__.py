@@ -8,8 +8,8 @@ Every ``M(P, D)`` evaluation runs through a
   numpy block kernel over one scan, its chunks counted on the scanning
   thread or, with ``workers > 1``, on a thread pool;
 * :class:`~repro.engine.resident.ResidentSampleEvaluator` counts
-  Phase 2 of the sampling miners: it is the same engine with the
-  sample pinned, optionally scoring in float32.
+  Phase 2 of the sampling miners: it is the same engine over the
+  sample, optionally scoring in float32.
 
 Every count is one scan through the engine's
 :class:`~repro.engine.kernels.FactorPin`, and every batch is walked by
@@ -17,9 +17,10 @@ one kernel: the prefix-trie walk of
 :func:`~repro.engine.kernels.walk_totals`, which derives each
 candidate's score plane from its parent's.  The caller picks how much
 of a database the pin keeps across scans (``pin_bytes``): nothing for
-a one-shot run (the default), all of a store that fits
-:data:`~repro.engine.vectorized.PIN_BYTES` for the daemon, and the
-whole sample for Phase 2.
+a one-shot run (the default), its Phase 2 included, all of a store
+that fits :data:`~repro.engine.vectorized.PIN_BYTES` for the daemon,
+and the whole sample for the daemon's warm Phase-2 evaluator.  A chunk
+is kept as its symbol keys plus the factor rows walks have read.
 
 Results are bit-identical across worker counts at equal
 ``chunk_rows`` in float64.  See ``docs/API.md`` ("Execution

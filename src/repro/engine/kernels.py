@@ -8,6 +8,18 @@ pair.  :func:`block_totals` adds one chunk's match sums; every scan of
 the counting engine calls it, on the scanning thread or on a pool
 thread, the Phase-2 sample evaluator's included.
 
+A chunk is its symbols
+----------------------
+A chunk's state is its ``(L, N)`` symbol keys (:func:`chunk_keys`,
+``4`` bytes per padded symbol).  The factor row of a symbol *d*,
+``C(d, s)`` at every position, is scratch: :meth:`PinSlot.row` gathers
+it from the keys (:func:`gather_row`) the first time a walk reads *d*,
+into the counting thread's buffers when the chunk is streamed, into
+the slot when a :class:`FactorPin` keeps it.  Phase 1 reads no row at
+all (:func:`symbol_totals`): it is Algorithm 4.1's pass over each
+sequence's distinct symbols, a presence plane scattered from the keys
+times the matrix.
+
 The prefix-trie walk
 --------------------
 A batch is planned once (:class:`WalkPlan`): its patterns are grouped
@@ -29,17 +41,18 @@ buffers (:class:`WalkBuffers`) belong to the calling thread.
 
 Memory layout
 -------------
-The factor array is stored *position-major*: ``(m + 1, L, N)`` with
-the sequence axis innermost.  The walk then multiplies and maximises
-over contiguous ``(windows, N)`` planes, which keeps the accumulator
-streaming through cache and makes the ``max`` reduction an
+Factor rows, keys and planes are stored *position-major*: ``(L, N)``
+with the sequence axis innermost.  The walk then multiplies and
+maximises over contiguous ``(windows, N)`` planes, which keeps the
+accumulator streaming through cache and makes the ``max`` reduction an
 inner-axis-contiguous operation — several times faster than reducing
 over a strided last axis.  Every multiply reads two ``(windows, N)``
-views (a parent plane and a factor-array plane) and writes one plane,
-so no right-hand-side gather is ever materialised.  A chunk's symbol
-keys (:func:`chunk_keys`) are stored ``(L, N)`` in C order, so the
-window slice the scatter-max reads is contiguous and ravels without a
-copy.
+views (a parent plane and a shifted factor row) and writes one plane,
+so no right-hand-side gather is ever materialised.  The keys are C
+ordered, so the window slice the scatter-max reads is contiguous and
+ravels without a copy.  A streamed chunk's rows land in cache-line
+aligned per-thread planes reused from chunk to chunk, so gathering a
+row faults in no fresh pages.
 
 Padding convention
 ------------------
@@ -141,23 +154,6 @@ def pad_chunk(rows: Sequence[np.ndarray], m: int) -> np.ndarray:
     return padded
 
 
-def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:
-    """Factor-row gather: ``result[d, t, i] = c_ext[d, padded[i, t]]``.
-
-    One gather per chunk replaces the per-sequence ``c_ext[:, seq]``
-    gathers of the reference path; the result is the cacheable *factor
-    array* of shape ``(m + 1, L, N)`` — position major, sequences
-    innermost (see the module docstring).
-
-    ``np.take`` writes that layout directly.  Fancy indexing through
-    the transposed index array would yield a buffer in the *index's*
-    memory order (symbol axis innermost), making every downstream
-    window slice strided, and its contiguous copy would allocate and
-    free a second factor-sized array per chunk.
-    """
-    return np.take(c_ext, padded.T, axis=1)
-
-
 def key_dtype(bins: int) -> np.dtype:
     """The narrowest index dtype of :func:`chunk_keys` for *bins*
     ``= (m + 1) · N`` symbol bins: int32 when they fit, else intp."""
@@ -181,24 +177,51 @@ def chunk_keys(padded: np.ndarray, symbols: int) -> np.ndarray:
 
 
 def cell_bytes(c_ext: np.ndarray, n: int) -> int:
-    """Bytes a :class:`PinSlot` holds per padded cell of an *n*-row
-    chunk: its ``m + 1`` factors and its symbol key."""
+    """Bytes a :class:`PinSlot` holds at most per padded cell of an
+    *n*-row chunk: its symbol key and all ``m + 1`` of its factors."""
     symbols = c_ext.shape[0]
     return symbols * c_ext.itemsize + key_dtype(symbols * n).itemsize
 
 
+def gather_row(
+    c_ext: np.ndarray, keys: np.ndarray, symbol: int, out: np.ndarray
+) -> np.ndarray:
+    """One factor row: ``out[t, i] = c_ext[symbol, padded[i, t]]``.
+
+    The ``(L, N)`` row is taken through the chunk's symbol keys
+    (:func:`chunk_keys`) from *symbol*'s matrix row repeated once per
+    sequence, so key ``s · N + i`` reads ``c_ext[symbol, s]``: the
+    same matrix entry the per-sequence evaluation reads, written into
+    *out* with no temporary the size of the row.  ``mode="clip"``
+    skips the bounds check, which with ``out=`` would gather into a
+    copy first; every key is in range by construction.
+    """
+    table = np.repeat(c_ext[symbol], keys.shape[1])
+    return np.take(table, keys, out=out, mode="clip")
+
+
 class PinSlot:
     """One chunk position of a :class:`FactorPin`: the padded chunk's
-    shape and content digest, and its factor array and symbol keys,
-    built on the first :meth:`factors` call.
+    shape, content digest and symbol keys, and the factor rows the
+    walks over it have read.
 
-    The scanning thread builds slots (padding, digesting and budget
-    bookkeeping are serial); the gather itself can then run wherever
-    the slot is counted.
+    The keys are the chunk: :meth:`row` gathers factor row ``d`` from
+    them the first time a walk reads symbol ``d``.  A slot with a
+    *digest* belongs to the pin and keeps every row it gathers, in
+    arrays of its own; a slot without one is streamed, counted once
+    and dropped, so its rows go into the counting thread's
+    :class:`WalkBuffers` and are overwritten by that thread's next
+    chunk.  The scanning thread builds slots (padding, keys, digesting
+    and budget bookkeeping are serial); rows are gathered wherever the
+    slot is counted.
+
+    :attr:`nbytes` is what the slot holds now, the keys and the rows
+    it kept; :attr:`max_nbytes` what it would hold with every row
+    gathered, the bound the pin's budget is checked against.
     """
 
-    __slots__ = ("shape", "digest", "nbytes", "_c_ext", "_padded",
-                 "_factors", "_keys")
+    __slots__ = ("shape", "digest", "max_nbytes", "keys", "_c_ext",
+                 "_rows")
 
     def __init__(
         self,
@@ -208,48 +231,63 @@ class PinSlot:
     ):
         self.shape = padded.shape
         self.digest = digest
-        # The gathered (m + 1, L, N) array in c_ext's dtype, plus keys.
-        self.nbytes = padded.size * cell_bytes(c_ext, padded.shape[0])
+        self.max_nbytes = padded.size * cell_bytes(c_ext, padded.shape[0])
+        #: The ``(L, N)`` symbol keys (:func:`chunk_keys`).
+        self.keys = chunk_keys(padded, c_ext.shape[0])
         self._c_ext = c_ext
-        self._padded: Optional[np.ndarray] = padded
-        self._factors: Optional[np.ndarray] = None
-        self._keys: Optional[np.ndarray] = None
+        self._rows: List[Optional[np.ndarray]] = [None] * c_ext.shape[0]
 
-    def factors(self) -> np.ndarray:
-        """The chunk's ``(m + 1, L, N)`` factor array."""
-        if self._factors is None:
-            # Keys first: a slot whose factors are set has its keys.
-            self._keys = chunk_keys(self._padded, self._c_ext.shape[0])
-            self._factors = gather_chunk(self._c_ext, self._padded)
-            self._padded = None
-        return self._factors
+    @property
+    def nbytes(self) -> int:
+        """Bytes of symbol keys and kept factor rows held."""
+        if self.digest is None:
+            return self.keys.nbytes
+        return self.keys.nbytes + sum(
+            row.nbytes for row in self._rows if row is not None
+        )
 
-    def keys(self) -> np.ndarray:
-        """The chunk's ``(L, N)`` symbol keys (:func:`chunk_keys`)."""
-        self.factors()
-        return self._keys
+    def row(self, symbol: int, buffers: "WalkBuffers") -> np.ndarray:
+        """The chunk's ``(L, N)`` factor row of *symbol*, ``c_ext[symbol,
+        padded.T]``, gathered on the first read — into an array the slot
+        keeps when it is pinned, else into *buffers*, the counting
+        thread's — and counted in ``buffers.gathered``."""
+        found = self._rows[symbol]
+        if found is None:
+            length, n = self.keys.shape
+            if self.digest is None:
+                out = buffers.row_plane(symbol, length, n)
+            else:
+                out = _aligned_empty(length * n, self._c_ext.dtype).reshape(
+                    length, n
+                )
+            found = self._rows[symbol] = gather_row(
+                self._c_ext, self.keys, symbol, out
+            )
+            buffers.gathered += 1
+        return found
 
 
 class FactorPin:
-    """One database's factor arrays, kept across scans of it.
+    """One database's symbol keys and factor rows, kept across scans.
 
-    The factor array depends only on ``(compatibility matrix, chunk)``,
-    so repeat scans of one database — Phase 3's probe rounds, the
-    daemon's jobs on one store, Phase 2's levels over one sample — can
-    skip the gather.  Per chunk position *i* the pin keeps a
-    :class:`PinSlot`: the padded chunk's shape, a ``blake2b`` digest of
-    its bytes and its gathered array and keys, all under one ``(matrix
-    fingerprint, dtype)`` key; chunk *i* of a scan is served from slot
-    *i* only on a key, shape and digest match.  Neither a different
-    matrix nor a chunk with one symbol changed can therefore be served
-    stale factors: the 128-bit digest makes a collision impossible in
-    practice (Python's salted 64-bit ``hash`` does not), and real
-    symbols are below the pad symbol, so equal padded bytes mean equal
-    rows.  Digesting the ``(N, L)`` chunk costs ``O(N L)``, small next
-    to the ``O(m N L)`` gather it saves.
+    A factor row depends only on ``(compatibility matrix, chunk,
+    symbol)``, so repeat scans of one database — Phase 3's probe
+    rounds, the daemon's jobs on one store, Phase 2's levels over a
+    warm sample — can skip padding, keying and gathering.  Per chunk
+    position *i* the pin keeps a :class:`PinSlot`: the padded chunk's
+    shape, a ``blake2b`` digest of its bytes, its keys and the rows
+    walks have read so far, all under one ``(matrix fingerprint,
+    dtype)`` key; chunk *i* of a scan is served from slot *i* only on a
+    key, shape and digest match.  Neither a different matrix nor a
+    chunk with one symbol changed can therefore be served stale rows:
+    the 128-bit digest makes a collision impossible in practice
+    (Python's salted 64-bit ``hash`` does not), and real symbols are
+    below the pad symbol, so equal padded bytes mean equal rows.
+    Digesting the ``(N, L)`` chunk costs ``O(N L)``, about what keying
+    it does; a hit saves the keys and every row gathered before.
 
     ``hits`` and ``misses`` count chunks served from the pin and chunks
-    gathered, over the pin's lifetime.
+    keyed afresh, over the pin's lifetime.
     """
 
     def __init__(self) -> None:
@@ -260,7 +298,7 @@ class FactorPin:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of factor arrays and symbol keys held."""
+        """Bytes of symbol keys and factor rows held."""
         return sum(slot.nbytes for slot in self._slots)
 
     def __len__(self) -> int:
@@ -280,14 +318,17 @@ class FactorPin:
     ) -> Iterator[Tuple[SequenceChunk, PinSlot]]:
         """Consume one ``database.scan_chunks(chunk_rows)`` pass and
         yield ``(chunk, slot)`` per chunk, in scan order; a slot's
-        :meth:`~PinSlot.factors` is the chunk's factor array.
+        :meth:`~PinSlot.row` is the chunk's factor row of a symbol.
 
-        Without a *budget* every chunk is kept.  With one, nothing is
-        kept when the unpadded factor arrays and keys,
-        :func:`cell_bytes` × total symbols, already exceed it, and the
-        pin is dropped as soon as padding would push it past the budget
-        — so it never holds more than *budget* bytes.  Once nothing is kept, chunks are
-        neither digested nor held: a budget of ``0`` streams.
+        Without a *budget* every chunk is kept.  With one, the pin is
+        checked against the worst case, every row of every slot
+        gathered (:attr:`PinSlot.max_nbytes`): nothing is kept when the
+        unpadded keys and rows, :func:`cell_bytes` × total symbols,
+        already exceed it, and the pin is dropped as soon as padding
+        would push it past the budget — so however many rows later
+        walks gather, it never holds more than *budget* bytes.  Once
+        nothing is kept, chunks are neither digested nor held: a
+        budget of ``0`` streams.
         """
         m = c_ext.shape[0] - 1
         key = (fingerprint, c_ext.dtype)
@@ -299,7 +340,7 @@ class FactorPin:
             <= budget
         )
         slots = self._slots
-        held = self.nbytes
+        held = sum(slot.max_nbytes for slot in slots)
         count = 0
         for i, chunk in enumerate(database.scan_chunks(chunk_rows)):
             count = i + 1
@@ -319,7 +360,7 @@ class FactorPin:
                 continue
             self.misses += 1
             slot = PinSlot(c_ext, padded, digest)
-            held += slot.nbytes - (0 if old is None else old.nbytes)
+            held += slot.max_nbytes - (0 if old is None else old.max_nbytes)
             if budget is not None and held > budget:
                 # Padding outgrew the budget: keep nothing of this scan.
                 slots.clear()
@@ -380,8 +421,7 @@ def _visit_order(item) -> Tuple[_Key, int]:
 
 def extend_plane(
     parent_plane: np.ndarray,
-    gathered: np.ndarray,
-    symbol: int,
+    factor_row: np.ndarray,
     offset: int,
     out: np.ndarray,
 ) -> np.ndarray:
@@ -389,27 +429,26 @@ def extend_plane(
 
     *parent_plane* holds the left-associated window products of a
     prefix pattern over one chunk — ``(parent windows, N)`` — and the
-    child appends *symbol* at *offset* (its last fixed position, i.e.
-    ``span - 1``), possibly across skipped wildcard positions.  The
-    child's plane is
+    child appends a symbol at *offset* (its last fixed position, i.e.
+    ``span - 1``), possibly across skipped wildcard positions;
+    *factor_row* is that symbol's ``(L, N)`` factor row
+    (:meth:`PinSlot.row`).  The child's plane is
 
-    ``child[w] = parent[w] * gathered[symbol, w + offset]``
+    ``child[w] = parent[w] * factor_row[w + offset]``
 
-    for the ``length - offset`` windows the child still fits in,
-    written into the leading rows of *out*; the trimmed view is
-    returned.  The multiply order is the offset order of the reference
-    evaluation, and skipping the wildcard positions is exact: their
-    factor is ``1.0`` for in-bounds windows (an exact identity) and the
-    windows that overlap the padding are zeroed by the (always fixed)
-    last position either way — so every product stays bit-identical to
-    the reference evaluation.
+    for the ``L - offset`` windows the child still fits in, written
+    into the leading rows of *out*; the trimmed view is returned.  The
+    multiply order is the offset order of the reference evaluation,
+    and skipping the wildcard positions is exact: their factor is
+    ``1.0`` for in-bounds windows (an exact identity) and the windows
+    that overlap the padding are zeroed by the (always fixed) last
+    position either way — so every product stays bit-identical to the
+    reference evaluation.
     """
-    length = gathered.shape[1]
-    windows = max(length - offset, 0)
+    windows = max(factor_row.shape[0] - offset, 0)
     target = out[:windows]
     np.multiply(
-        parent_plane[:windows],
-        gathered[symbol, offset : offset + windows, :],
+        parent_plane[:windows], factor_row[offset : offset + windows],
         out=target,
     )
     return target
@@ -514,31 +553,45 @@ def _aligned_empty(size: int, dtype: np.dtype) -> np.ndarray:
 
 
 class WalkBuffers:
-    """One thread's work buffers for :func:`walk_totals`.
+    """One thread's work buffers for :func:`walk_totals` and
+    :func:`symbol_totals`.
 
-    Flat, cache-line aligned arrays in the factor array's dtype,
-    reshaped per chunk: an ``(L, N)`` arena every looped sibling is
-    multiplied into, one ``(L, N)`` plane per prefix-stack depth, the
-    ``(k, N)`` maxima rows of the largest sibling group, the
-    ``(m + 1, N)`` symbol bins of the scatter-max and the
-    ``(m + 1, k, N)`` products of the largest group counted in symbol
-    space.  They are reused across chunks; a chunk with more cells than
-    any before it, or another dtype, reallocates them.
+    Flat, cache-line aligned arrays in the score dtype, reshaped per
+    chunk: an ``(L, N)`` arena every looped sibling is multiplied into,
+    one ``(L, N)`` plane per prefix-stack depth, one ``(L, N)`` factor
+    row per symbol a streamed chunk's walk reads (:meth:`PinSlot.row`),
+    the ``(k, N)`` maxima rows of the largest sibling group, the
+    ``(m + 1, N)`` symbol bins of the scatter-max and the ``(m + 1, k,
+    N)`` products of the largest group counted in symbol space.  They
+    are allocated on first use and reused across chunks; a chunk with
+    more cells than any before it, or another dtype, reallocates them.
+    :attr:`gathered` counts the factor rows the thread gathered.
     """
 
-    __slots__ = ("dtype", "cells", "arena", "stack", "maxima", "bins",
-                 "products")
+    __slots__ = ("dtype", "cells", "arena", "stack", "rows", "maxima",
+                 "bins", "products", "gathered")
 
     def __init__(self) -> None:
         self.dtype: Optional[np.dtype] = None
-        self.cells = 0
+        self.cells = self.gathered = 0
         self.arena = self.maxima = self.bins = self.products = np.empty(0)
         self.stack: List[np.ndarray] = []
+        self.rows: Dict[int, np.ndarray] = {}
 
     @property
     def stack_nbytes(self) -> int:
         """Bytes of prefix-stack planes held."""
         return sum(plane.nbytes for plane in self.stack)
+
+    def fit(self, dtype: np.dtype, cells: int) -> None:
+        """Make room for an *L·N* = *cells* chunk scored in *dtype*."""
+        if dtype != self.dtype or cells > self.cells:
+            self.dtype, self.cells = dtype, cells
+            self.arena = self.maxima = self.bins = self.products = (
+                _aligned_empty(0, dtype)
+            )
+            self.stack = []
+            self.rows = {}
 
     def views(
         self, dtype: np.dtype, length: int, n: int, plan: WalkPlan,
@@ -548,26 +601,38 @@ class WalkBuffers:
         ``(L, N)`` chunk over *symbols* ``= m + 1`` symbols walked by
         *plan*, growing the buffers as needed."""
         cells = length * n
-        if dtype != self.dtype or cells > self.cells:
-            self.dtype, self.cells = dtype, cells
-            self.arena = _aligned_empty(cells, dtype)
-            self.maxima = self.bins = self.products = _aligned_empty(
-                0, dtype
-            )
-            self.stack = []
+        self.fit(dtype, cells)
+        if self.arena.size < cells:
+            self.arena = _aligned_empty(self.cells, dtype)
         while len(self.stack) < plan.depth:
             self.stack.append(_aligned_empty(self.cells, dtype))
-        if self.maxima.size < plan.siblings * n:
-            self.maxima = _aligned_empty(plan.siblings * n, dtype)
-        if self.bins.size < symbols * n:
-            self.bins = _aligned_empty(symbols * n, dtype)
         shape = (length, n)
         return (
             self.arena[:cells].reshape(shape),
             [plane[:cells].reshape(shape) for plane in self.stack],
-            self.maxima[: plan.siblings * n].reshape(plan.siblings, n),
-            self.bins[: symbols * n],
+            self.maxima_view(plan.siblings, n),
+            self.bins_view(symbols, n),
         )
+
+    def row_plane(self, symbol: int, length: int, n: int) -> np.ndarray:
+        """The ``(L, N)`` plane a streamed chunk's factor row of
+        *symbol* is gathered into."""
+        plane = self.rows.get(symbol)
+        if plane is None:
+            plane = self.rows[symbol] = _aligned_empty(self.cells, self.dtype)
+        return plane[: length * n].reshape(length, n)
+
+    def maxima_view(self, rows: int, n: int) -> np.ndarray:
+        """``(rows, N)`` maxima rows."""
+        if self.maxima.size < rows * n:
+            self.maxima = _aligned_empty(rows * n, self.dtype)
+        return self.maxima[: rows * n].reshape(rows, n)
+
+    def bins_view(self, symbols: int, n: int) -> np.ndarray:
+        """The flat ``(symbols · N)`` symbol bins."""
+        if self.bins.size < symbols * n:
+            self.bins = _aligned_empty(symbols * n, self.dtype)
+        return self.bins[: symbols * n]
 
     def product_view(self, symbols: int, siblings: int, n: int) -> np.ndarray:
         """The ``(symbols, siblings, N)`` product buffer, grown on the
@@ -597,8 +662,7 @@ def grouped_pays(siblings: int, windows: int, symbols: int) -> bool:
 
 
 def walk_totals(
-    gathered: np.ndarray,
-    keys: np.ndarray,
+    slot: PinSlot,
     c_ext: np.ndarray,
     plan: WalkPlan,
     out: np.ndarray,
@@ -607,26 +671,31 @@ def walk_totals(
     """Add every pattern's sum of per-sequence maxima over one chunk
     to *out* at its batch index, walking *plan*'s prefix trie.
 
-    *gathered* is the chunk's ``(m + 1, L, N)`` factor array, *keys*
-    its ``(L, N)`` symbol keys (:func:`chunk_keys`) and *c_ext* the
-    extended matrix it was gathered from, in its dtype.  The stack's
-    planes are derived with :func:`extend_plane` into *buffers*.  A
-    sibling group with a parent is counted in symbol space when
-    :func:`grouped_pays`: the parent plane's windows are scatter-maxed
-    into bins by the symbol at the siblings' last position, each
-    sibling's maxima are the bins times its column of *c_ext*,
-    max-reduced over the symbols.  Otherwise, and for single symbols,
-    each sibling is one multiply of its factor row by the parent plane
-    into the arena and one maximum-reduce over the windows.  Each
-    group's maxima rows are summed (in float64, whatever the factor
-    dtype) into *out*.  Sequences shorter than a span contribute
-    ``0.0``, through the pad convention or, when no sequence of the
-    chunk fits, by adding nothing.
+    *slot* is the chunk: its ``(L, N)`` symbol keys and its factor
+    rows, gathered from the extended matrix *c_ext* (in the score
+    dtype) on first read.  The walk reads a row for each span-1 root,
+    each link pushed onto the stack (:func:`extend_plane`, into
+    *buffers*), each single symbol and each looped sibling; a group
+    counted in symbol space reads only the keys.  A sibling group with
+    a parent is counted in symbol space when :func:`grouped_pays`: the
+    parent plane's windows are scatter-maxed into bins by the symbol at
+    the siblings' last position, each sibling's maxima are the bins
+    times its column of *c_ext*, max-reduced over the symbols.
+    Otherwise, and for single symbols, each sibling is one multiply of
+    its factor row by the parent plane into the arena and one
+    maximum-reduce over the windows.  Each group's maxima rows are
+    summed (in float64, whatever the score dtype) into *out*.
+    Sequences shorter than a span contribute ``0.0``, through the pad
+    convention or, when no sequence of the chunk fits, by adding
+    nothing.
     """
-    symbols, length, n = gathered.shape
+    symbols = c_ext.shape[0]
+    keys = slot.keys
+    length, n = keys.shape
     arena, stack, maxima, bins = buffers.views(
-        gathered.dtype, length, n, plan, symbols
+        c_ext.dtype, length, n, plan, symbols
     )
+    row = slot.row
     grid = bins.reshape(symbols, 1, n)
     columns = c_ext.T
     chain: List[np.ndarray] = []
@@ -635,26 +704,26 @@ def walk_totals(
         for symbol, link_offset in pushes:
             if chain:
                 chain.append(extend_plane(
-                    chain[-1], gathered, symbol, link_offset,
+                    chain[-1], row(symbol, buffers), link_offset,
                     stack[len(chain) - 1],
                 ))
             else:
-                # Span-1 planes are views straight into the factors.
-                chain.append(gathered[symbol])
+                # Span-1 planes are the factor rows themselves.
+                chain.append(row(symbol, buffers))
         windows = length - offset
         if windows <= 0:
             continue
-        # The factor rows and work buffers are sliced to the window
-        # span once per sibling group, not once per sibling: with
-        # alphabet-sized fan-out the view bookkeeping otherwise rivals
-        # the arithmetic.  np.maximum.reduce is np.max(axis=0, out=)
-        # without the fromnumeric wrapper, which costs more than the
-        # reduction itself on sample-sized planes.
+        # The work buffers are sliced to the window span once per
+        # sibling group, not once per sibling: with alphabet-sized
+        # fan-out the view bookkeeping otherwise rivals the arithmetic.
+        # np.maximum.reduce is np.max(axis=0, out=) without the
+        # fromnumeric wrapper, which costs more than the reduction
+        # itself on sample-sized planes.
         k = len(siblings)
         rows = maxima[:k]
         if offset == 0:
             for i, symbol in enumerate(siblings):
-                np.maximum.reduce(gathered[symbol], axis=0, out=rows[i])
+                np.maximum.reduce(row(symbol, buffers), axis=0, out=rows[i])
         elif grouped_pays(k, windows, symbols):
             # Empty bins stay 0.0, which no maximum of products >= 0
             # can fall below.
@@ -666,27 +735,46 @@ def walk_totals(
             np.multiply(grid, columns[:, siblings, None], out=products)
             np.maximum.reduce(products, axis=0, out=rows)
         else:
-            base = gathered[:, offset:, :]
             parent = chain[-1][:windows]
             work = arena[:windows]
             for i, symbol in enumerate(siblings):
-                np.multiply(base[symbol], parent, out=work)
+                np.multiply(row(symbol, buffers)[offset:], parent, out=work)
                 np.maximum.reduce(work, axis=0, out=rows[i])
         out[indices] += np.add.reduce(rows, axis=1, dtype=np.float64)
 
 
-def chunk_symbol_maxima(gathered: np.ndarray) -> np.ndarray:
-    """Per-symbol, per-sequence maxima over one chunk (Phase-1 kernel).
+def symbol_totals(
+    keys: np.ndarray, c_ext: np.ndarray, out: np.ndarray,
+    buffers: WalkBuffers,
+) -> None:
+    """Add one chunk's Phase-1 sums ``Σ_i max_t C(d, s_it)`` to *out*,
+    one per real symbol *d*, from the chunk's symbol keys alone.
 
-    ``result[d, i] = max_t C(d, observed_t)`` for sequence ``i`` of the
-    chunk — bit-identical to
-    :func:`repro.core.match.symbol_sequence_matches` row by row: the
-    padded gather adds only duplicate columns and zero-valued pad
-    columns, neither of which changes an exact maximum over the
-    non-negative matrix entries.
+    Algorithm 4.1's distinct-symbol pass: the keys are scattered into
+    an ``(m + 1, N)`` presence plane (``1`` where symbol *s* occurs in
+    sequence *i*), and ``max_s C(d, s) · present[s, i]`` is the symbol
+    space product of :func:`walk_totals` with the presence plane as
+    its bins, ``O(L·N + m²·N)`` per chunk.  It equals the maximum over
+    the sequence's positions bit for bit: ``C · 1`` and ``C · 0`` are
+    exact, every entry is ``>= 0``, and the pad symbol's column is all
+    zeros, so neither absent symbols nor padding win a maximum.  The
+    ``(m, N)`` maxima are summed per symbol in the score dtype, as a
+    sum over the positions' maxima would be.
     """
-    m = gathered.shape[0] - 1
-    return gathered[:m].max(axis=1)
+    symbols = c_ext.shape[0]
+    m = symbols - 1
+    length, n = keys.shape
+    buffers.fit(c_ext.dtype, length * n)
+    present = buffers.bins_view(symbols, n)
+    present.fill(0)
+    present[keys.ravel()] = 1
+    products = buffers.product_view(symbols, m, n)
+    np.multiply(
+        present.reshape(symbols, 1, n), c_ext.T[:, :m, None], out=products
+    )
+    maxima = buffers.maxima_view(m, n)
+    np.maximum.reduce(products, axis=0, out=maxima)
+    out += maxima.sum(axis=1)
 
 
 # -- score dtypes and the block kernel ----------------------------------------
@@ -726,26 +814,24 @@ def resolve_score_dtype(spec: Optional[str] = None) -> str:
 
 
 def block_totals(
-    gathered: np.ndarray,
-    keys: np.ndarray,
+    slot: PinSlot,
     c_ext: np.ndarray,
     kind: str,
     plan: Optional[WalkPlan],
     out: np.ndarray,
-    buffers: Optional[WalkBuffers],
+    buffers: WalkBuffers,
 ) -> None:
     """Add one block's match sums to *out*; the one block kernel.
 
-    *gathered* and *keys* are the block's factor array and symbol keys
-    (a :class:`PinSlot`'s), gathered from the extended matrix *c_ext*.
-    *kind* :data:`DATABASE_TOTALS` adds each pattern of *plan* its sum
-    of per-sequence maxima at its batch index, by :func:`walk_totals`
-    into the calling thread's *buffers*; :data:`SYMBOL_TOTALS` adds the
-    Phase-1 per-symbol sums (*keys*, *c_ext*, *plan* and *buffers*
-    unused).
+    *slot* is the block (a :class:`PinSlot`: its symbol keys and the
+    factor rows it gathers from the extended matrix *c_ext*), *buffers*
+    the calling thread's.  *kind* :data:`DATABASE_TOTALS` adds each
+    pattern of *plan* its sum of per-sequence maxima at its batch
+    index, by :func:`walk_totals`; :data:`SYMBOL_TOTALS` adds the
+    Phase-1 per-symbol sums by :func:`symbol_totals`, which gathers no
+    row (*plan* unused).
     """
     if kind == SYMBOL_TOTALS:
-        # The pad column is all zeros: padding never wins a max.
-        out += chunk_symbol_maxima(gathered).sum(axis=1)
+        symbol_totals(slot.keys, c_ext, out, buffers)
         return
-    walk_totals(gathered, keys, c_ext, plan, out, buffers)
+    walk_totals(slot, c_ext, plan, out, buffers)

@@ -1,22 +1,27 @@
-"""The Phase-2 sample evaluator: the counting engine, sample pinned.
+"""The Phase-2 sample evaluator: the counting engine on the sample.
 
 Phase 2 of the paper's algorithm runs its whole breadth-first search
 against one fixed in-memory sample.  :class:`ResidentSampleEvaluator`
-is :class:`~repro.engine.vectorized.VectorizedBatchEngine` with no pin
-budget: the first level's scan gathers every chunk of the sample and
-each later level's mandatory scan reuses a chunk whose padded content
-digest still matches, so a different sample (or matrix, or dtype)
-transparently re-pins.  Every level is one counted scan of the engine,
-on its thread pool when ``workers > 1``, bit-identical to the engine
-at equal ``chunk_rows`` in float64.  ``score_dtype="float32"`` halves
-the pinned factor arrays and stack planes while every cross-sequence
-accumulation stays float64 (``benchmarks/bench_phase2_sample.py``
-gates the deviation).
+is :class:`~repro.engine.vectorized.VectorizedBatchEngine` with Phase
+2's observability.  A long-lived evaluator (the daemon's) keeps no pin
+budget: the first level's scan keys every chunk of the sample, each
+later level's mandatory scan reuses a chunk whose padded content
+digest still matches, with the factor rows earlier levels gathered,
+and a different sample (or matrix, or dtype) transparently re-pins.
+The evaluator a miner builds for one run streams the sample instead
+(``pin_bytes=0``), as one-shot runs stream the store: each level
+keys and gathers one chunk at a time into its thread's buffers.
+Every level is one counted scan of the engine, on its thread pool when
+``workers > 1``, bit-identical to the engine at equal ``chunk_rows``
+in float64, pinned or streamed.  ``score_dtype="float32"`` halves the
+factor rows and stack planes while every cross-sequence accumulation
+stays float64 (``benchmarks/bench_phase2_sample.py`` gates the
+deviation).
 
 The evaluator adds Phase 2's observability: :attr:`planes`
-(prefix-stack traffic) and :attr:`repins` (scans that gathered).  Its
-pin traffic stays out of the ``factor_cache_*`` counters, which count
-full-database passes.
+(prefix-stack traffic) and :attr:`repins` (scans that keyed a chunk
+afresh).  Its pin traffic stays out of the ``factor_cache_*``
+counters, which count full-database passes.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class PlaneStats:
 
 
 class ResidentSampleEvaluator(VectorizedBatchEngine):
-    """The counting engine with an unbudgeted pin, for Phase 2.
+    """The counting engine for Phase 2, by default with an unbudgeted
+    pin.
 
     Parameters
     ----------
@@ -75,10 +81,15 @@ class ResidentSampleEvaluator(VectorizedBatchEngine):
         ``NOISYMINE_SCORE_DTYPE``.
     workers:
         Counting threads, as for the counting engine.
+    pin_bytes:
+        Budget of the sample's pin, as for the counting engine:
+        ``None`` (default) keeps the whole sample, the rows it gathered
+        included, for a caller that counts many samples or runs;
+        ``0`` streams it, for an evaluator that lives one Phase 2.
 
     ``planes`` (:class:`PlaneStats`) counts the prefix stack's traffic,
-    ``cache`` holds the pinned factor arrays and ``repins`` counts the
-    scans that gathered any chunk.
+    ``cache`` holds the pinned keys and factor rows and ``repins``
+    counts the scans that keyed any chunk afresh.
     """
 
     name = "resident"
@@ -88,9 +99,10 @@ class ResidentSampleEvaluator(VectorizedBatchEngine):
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         score_dtype: Optional[str] = None,
         workers: Optional[int] = None,
+        pin_bytes: Optional[int] = None,
     ):
         super().__init__(
-            chunk_rows, workers, pin_bytes=None,
+            chunk_rows, workers, pin_bytes=pin_bytes,
             score_dtype=resolve_score_dtype(score_dtype),
         )
         self.planes = PlaneStats()

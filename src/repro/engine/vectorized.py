@@ -3,43 +3,49 @@
 :class:`VectorizedBatchEngine` evaluates ``M(P, D)`` for a whole
 memory-capacity batch of patterns in one database scan, a *chunk* of
 ``chunk_rows`` sequences at a time.  Each chunk is right-padded into
-one ``(N, L)`` symbol matrix and handed to
+one ``(N, L)`` symbol matrix, keyed into its ``(L, N)`` symbol keys
+(a :class:`~repro.engine.kernels.PinSlot`) and handed to
 :func:`repro.engine.kernels.block_totals`, which adds the chunk's
-per-pattern sums of per-sequence maxima: the extended compatibility
-matrix is gathered through the chunk **once**, producing the
-``(m + 1, L, N)`` *factor array*, and the batch's prefix trie is
-walked over it (:func:`repro.engine.kernels.walk_totals`), each
+per-pattern sums of per-sequence maxima: the batch's prefix trie is
+walked over the chunk (:func:`repro.engine.kernels.walk_totals`), each
 pattern's window maxima derived from its parent's window products,
-sibling groups at once in symbol space.
-The walk is planned once per batch
-(:class:`~repro.engine.kernels.WalkPlan`) and each counting thread
-keeps its own buffers.  Full-database passes score in float64.
+sibling groups at once in symbol space, and each *factor row* — one
+symbol's row of the extended compatibility matrix gathered through
+the chunk — gathered the first time the walk reads it.  The walk is
+planned once per batch (:class:`~repro.engine.kernels.WalkPlan`) and
+each counting thread keeps its own buffers.  Full-database passes
+score in float64.
 
-The factor array depends only on ``(compatibility matrix, sequences)``
-— not on the patterns — so every scan streams its chunks through the
-engine's :class:`~repro.engine.kernels.FactorPin` (:attr:`cache`),
-which keeps what its caller's byte budget (``pin_bytes``) allows.  The
-default, ``0``, keeps nothing: a one-shot run gathers, counts and drops
-each chunk, as the paper's disk-resident passes do.  The daemon's
-per-store engine passes :data:`PIN_BYTES`, so repeat scans of a store
-that fits skip the gather; the Phase-2 sample evaluator
+Keys and factor rows depend only on ``(compatibility matrix,
+sequences)`` — not on the patterns — so every scan streams its chunks
+through the engine's :class:`~repro.engine.kernels.FactorPin`
+(:attr:`cache`), which keeps what its caller's byte budget
+(``pin_bytes``) allows.  The default, ``0``, keeps nothing: a one-shot
+run keys, counts and drops each chunk, its rows gathered into the
+counting thread's buffers, as the paper's disk-resident passes do.
+The daemon's per-store engine passes :data:`PIN_BYTES`, so repeat
+scans of a store that fits reuse the keys and every row gathered
+before; the daemon's warm Phase-2 evaluator
 (:class:`~repro.engine.resident.ResidentSampleEvaluator`) passes
-``None`` and keeps the whole sample.
+``None`` and keeps the whole sample, while a miner's own streams it.
 
 With ``workers > 1`` the same scan counts its chunks on a thread pool:
-the scanning thread pads (and, when pinning, digests) each chunk and
-offers its rows to a sampler, and each chunk's gather plus block
-kernel — numpy releases the GIL in both — is one task, adding into its
-own zeroed row.  At most ``2 × workers`` chunks are in flight, and the
+the scanning thread pads, keys (and, when pinning, digests) each chunk
+and offers its rows to a sampler, and each chunk's block kernel, row
+gathers included — numpy releases the GIL in them — is one task,
+adding into its own zeroed row.  At most ``2 × workers`` chunks are in flight, and the
 rows are added to the totals in scan order: the same float additions
 as one worker's running sum, so results are bit-identical at every
 worker count.  Either way the engine consumes exactly one ``database.scan()``
 per batch — the paper's cost model.
 
 :meth:`VectorizedBatchEngine.symbol_matches` is every miner's Phase-1
-scan.  Given a :class:`~repro.core.sequence.SequentialSampler` it
-offers the sampler every ``(id, row)`` in scan order, so Algorithm
-4.1's sample is drawn in the same pass.
+scan, Algorithm 4.1's pass over each sequence's distinct symbols
+(:func:`~repro.engine.kernels.symbol_totals`), which reads the keys
+and gathers no factor row.  Given a
+:class:`~repro.core.sequence.SequentialSampler` it offers the sampler
+every chunk in scan order, so Algorithm 4.1's sample is drawn in the
+same pass.
 """
 
 from __future__ import annotations
@@ -56,7 +62,12 @@ from ..core.compatibility import CompatibilityMatrix
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase, SequentialSampler
 from ..errors import MiningError
-from ..obs import FACTOR_CACHE_HITS, FACTOR_CACHE_MISSES, Tracer
+from ..obs import (
+    FACTOR_CACHE_HITS,
+    FACTOR_CACHE_MISSES,
+    FACTOR_ROWS_GATHERED,
+    Tracer,
+)
 from .base import MatchEngine, matrix_fingerprint
 from .kernels import (
     DATABASE_TOTALS,
@@ -76,9 +87,9 @@ from .kernels import (
 WORKERS_ENV_VAR = "NOISYMINE_WORKERS"
 
 #: Factor-pin budget of the daemon's per-store engines.  A database
-#: whose factor arrays and symbol keys (``8 (m + 1) + 4`` bytes per
-#: symbol, plus padding) exceed it is not kept: the pin holds all of a
-#: database or none of it.
+#: whose symbol keys and factor rows, all of them gathered
+#: (``8 (m + 1) + 4`` bytes per symbol, plus padding), would exceed it
+#: is not kept: the pin holds all of a database or none of it.
 PIN_BYTES = 128 * 1024 * 1024
 
 
@@ -110,29 +121,23 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
 def _chunk_counter(
     kind: str, plan: Optional[WalkPlan], width: int, c_ext: np.ndarray
 ) -> Tuple[Callable[[PinSlot], np.ndarray], List[WalkBuffers]]:
-    """The per-chunk task of one batch — a slot's gather plus
-    :func:`block_totals` over the extended matrix *c_ext*, into a fresh
-    zeroed row — and the list of walk buffers its threads create.
+    """The per-chunk task of one batch — :func:`block_totals` of a slot
+    over the extended matrix *c_ext*, into a fresh zeroed row — and the
+    list of walk buffers its threads create.
 
-    Thread-safe: each thread keeps its own walk buffers, and holds its
-    previous chunk's factor array until its next gather, as a streaming
-    loop does: freed before it, the multi-megabyte arrays make glibc
-    return heap pages and fault them in again on every chunk.
+    Thread-safe: each thread keeps its own walk buffers, which hold a
+    streamed chunk's factor rows and count the rows gathered.
     """
     local = threading.local()
     made: List[WalkBuffers] = []
 
     def count_chunk(slot: PinSlot) -> np.ndarray:
-        gathered = slot.factors()
-        local.previous = gathered
         buffers = getattr(local, "buffers", None)
-        if buffers is None and plan is not None:
+        if buffers is None:
             buffers = local.buffers = WalkBuffers()
             made.append(buffers)
         row = np.zeros(width, dtype=np.float64)
-        block_totals(
-            gathered, slot.keys(), c_ext, kind, plan, row, buffers
-        )
+        block_totals(slot, c_ext, kind, plan, row, buffers)
         return row
 
     return count_chunk, made
@@ -154,8 +159,8 @@ class VectorizedBatchEngine(MatchEngine):
     ----------
     chunk_rows:
         Sequences per padded chunk.  Larger chunks amortise Python
-        overhead further but cost ``(8 (m+1) + 4) N L`` bytes of
-        factor array and symbol keys each.
+        overhead further but cost up to ``(8 (m+1) + 4) N L`` bytes of
+        symbol keys and factor rows each.
     workers:
         Counting threads; ``None`` resolves through
         :func:`resolve_worker_count` (the ``NOISYMINE_WORKERS``
@@ -164,10 +169,12 @@ class VectorizedBatchEngine(MatchEngine):
     pin_bytes:
         Byte budget of :attr:`cache`, the scan's :class:`FactorPin`:
         ``0`` (default) keeps nothing, so every pass streams;
-        :data:`PIN_BYTES` keeps a database whose factor arrays and
-        symbol keys fit it, all or nothing; ``None`` keeps every chunk.
+        :data:`PIN_BYTES` keeps a database whose symbol keys and
+        factor rows would fit it with every row gathered, all or
+        nothing; ``None`` keeps every chunk.  A kept chunk holds its
+        keys and the rows walks have read.
     score_dtype:
-        dtype of the factor arrays and walk planes, ``"float64"``
+        dtype of the factor rows and walk planes, ``"float64"``
         (default) or ``"float32"``; totals accumulate in float64
         either way.  Only the Phase-2 sample evaluator scores in
         float32.
@@ -243,7 +250,7 @@ class VectorizedBatchEngine(MatchEngine):
         sampler: Optional[SequentialSampler] = None,
     ) -> Tuple[np.ndarray, int, int]:
         """``(totals, sequence count, stack bytes)`` of one scan through
-        the pin, offering every ``(id, row)`` to *sampler* in scan
+        the pin, offering every chunk's rows to *sampler* in scan
         order; *stack bytes* are the largest prefix stack one counting
         thread held."""
         traced = tracer is not None and tracer.enabled
@@ -266,8 +273,7 @@ class VectorizedBatchEngine(MatchEngine):
             ):
                 count += len(chunk)
                 if sampler is not None:
-                    for sid, row in zip(chunk.ids, chunk.rows):
-                        sampler.offer(sid, row)
+                    sampler.offer_chunk(chunk.ids, chunk.rows)
                 if pool is None:
                     totals += count_chunk(slot)
                     continue
@@ -291,6 +297,10 @@ class VectorizedBatchEngine(MatchEngine):
             self.note_settings(tracer)
             tracer.count(FACTOR_CACHE_HITS, self.cache.hits - cache0[0])
             tracer.count(FACTOR_CACHE_MISSES, self.cache.misses - cache0[1])
+            tracer.count(
+                FACTOR_ROWS_GATHERED,
+                sum(buffers.gathered for buffers in made),
+            )
         return totals, count, max(
             (buffers.stack_nbytes for buffers in made), default=0
         )

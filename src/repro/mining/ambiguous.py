@@ -18,7 +18,7 @@ together with per-pattern labels, sample matches and band widths.
 Sample scans are free in the paper's cost model (the sample lives in
 memory), so this phase contributes no database passes.  The levels are
 counted by :class:`~repro.engine.resident.ResidentSampleEvaluator`, the
-counting engine with the sample pinned, on the run's worker count.
+counting engine over the sample, on the run's worker count.
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ def classify_on_sample(
     engine:
         Engine counting the BFS levels on the sample.  ``None`` runs a
         fresh :class:`~repro.engine.resident.ResidentSampleEvaluator`
-        that pins the sample on the first level's scan; the pin dies
-        with the phase.  A long-lived caller
-        (the mining daemon) passes a warm evaluator instead: its pin
-        survives across runs, and the content-digest pin check makes
-        reuse safe — a different sample transparently re-pins.
+        that streams the sample (``pin_bytes=0``): every level keys and
+        gathers one chunk at a time.  A long-lived caller (the mining
+        daemon) passes a warm evaluator instead: its pin survives
+        across runs, and the content-digest pin check makes reuse safe
+        — a different sample transparently re-pins.
     tracer:
         Optional :class:`repro.obs.Tracer`; records candidate counts
         and in-memory sample scans (under the ``sample_scans`` counter,
@@ -113,7 +113,7 @@ def classify_on_sample(
     constraints = constraints or PatternConstraints()
     tracer = ensure_tracer(tracer)
     if engine is None:
-        engine = ResidentSampleEvaluator()
+        engine = ResidentSampleEvaluator(pin_bytes=0)
     if not 0.0 < min_match <= 1.0:
         raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
     n = len(sample)
@@ -190,7 +190,7 @@ def classify_on_sample(
             break
         level += 1
         tracer.count(CANDIDATES_GENERATED, len(candidates))
-        ordered = sorted(candidates)
+        ordered = sorted(candidates, key=Pattern.sort_key)
         # The restricted spread of the whole level in one batched
         # gather; each pattern's spread is consumed twice below (zero
         # shortcut + Chernoff band).

@@ -132,7 +132,9 @@ def select_probe_batch(
     batch: List[Pattern] = []
     budget = memory_capacity if memory_capacity is not None else len(undecided)
     for level in layer_schedule(low, high):
-        for pattern in sorted(by_weight.get(level, [])):
+        for pattern in sorted(
+            by_weight.get(level, []), key=Pattern.sort_key
+        ):
             batch.append(pattern)
             if len(batch) >= budget:
                 return batch

@@ -144,7 +144,10 @@ class MiningCheckpoint:
             "symbol_sums": list(self.symbol_sums),
             "border_sums": {
                 pattern.to_string(): value
-                for pattern, value in sorted(self.border_sums.items())
+                for pattern, value in sorted(
+                    self.border_sums.items(),
+                    key=lambda item: item[0].sort_key(),
+                )
             },
             "config_key": self.config_key,
             "sample_planes_key": self.sample_planes_key,
@@ -410,7 +413,7 @@ def delta_remine(
             visited |= frontier
             expand: Set[Pattern] = set()
             to_count: List[Pattern] = []
-            for pattern in sorted(frontier):
+            for pattern in sorted(frontier, key=Pattern.sort_key):
                 if new_border.covers(pattern):
                     continue  # provably frequent under a survivor
                 if not constraints.admits(pattern):
@@ -434,7 +437,7 @@ def delta_remine(
                     engine=engine, tracer=tracer,
                 )
                 exact_new.update(counted)
-                for pattern in sorted(to_count):
+                for pattern in sorted(to_count, key=Pattern.sort_key):
                     if counted[pattern] >= min_match:
                         new_border.add(pattern)
                     else:
@@ -466,7 +469,7 @@ def delta_remine(
                 p for p in crosser_run.frequent
                 if p.weight > 1 and not old_border.covers(p)
             ),
-            key=lambda p: (-p.weight, p),
+            key=lambda p: (-p.weight, p.sort_key()),
         )
     tracer.note("crosser_candidates", len(suspects))
 
@@ -478,7 +481,9 @@ def delta_remine(
                 engine=engine, tracer=tracer,
             )
             exact_new.update(counted)
-            for pattern in sorted(to_verify, key=lambda p: (-p.weight, p)):
+            for pattern in sorted(
+                to_verify, key=lambda p: (-p.weight, p.sort_key())
+            ):
                 if counted[pattern] >= min_match:
                     new_border.add(pattern)
 

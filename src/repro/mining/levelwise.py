@@ -128,7 +128,7 @@ class LevelwiseMiner:
             with tracer.phase(f"level-{level}"):
                 tracer.count(CANDIDATES_GENERATED, len(candidates))
                 matches = count_matches_batched(
-                    sorted(candidates),
+                    sorted(candidates, key=Pattern.sort_key),
                     database,
                     self.matrix,
                     self.memory_capacity,

@@ -136,7 +136,7 @@ class MaxMiner:
                 # Look-ahead savings: candidates already covered by a
                 # frequent probe need no counter this round.
                 covered = {c for c in candidates if maximal.covers(c)}
-                to_count = sorted(candidates - covered)
+                to_count = sorted(candidates - covered, key=Pattern.sort_key)
                 probes = self._lookahead_probes(current, frequent, maximal)
                 matches = count_matches_batched(
                     to_count + probes,
@@ -271,6 +271,6 @@ class MaxMiner:
         if not missing:
             return {}
         return count_matches_batched(
-            sorted(missing), database, self.matrix, self.memory_capacity,
+            sorted(missing, key=Pattern.sort_key), database, self.matrix, self.memory_capacity,
             engine=self.engine, tracer=tracer,
         )

@@ -78,9 +78,10 @@ class BorderCollapsingMiner:
     sample_engine:
         Engine counting Phase 2 on the sample; ``None`` builds a
         :class:`~repro.engine.resident.ResidentSampleEvaluator` at
-        *engine*'s worker count, which pins the sample once and is
-        closed after each Phase 2.  A long-lived caller passes a warm
-        evaluator, which stays open so its pin survives across runs.
+        *engine*'s worker count, which streams the sample
+        (``pin_bytes=0``) and is closed after each Phase 2.  A
+        long-lived caller passes a warm evaluator, which stays open so
+        its pin survives across runs.
     score_dtype:
         Scoring dtype of that built evaluator (``None`` resolves
         ``NOISYMINE_SCORE_DTYPE``); a caller's *sample_engine* keeps
@@ -126,7 +127,7 @@ class BorderCollapsingMiner:
         self._owns_sample_engine = sample_engine is None
         self.sample_engine = sample_engine or ResidentSampleEvaluator(
             score_dtype=score_dtype,
-            workers=getattr(self.engine, "workers", None),
+            workers=getattr(self.engine, "workers", None), pin_bytes=0,
         )
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:

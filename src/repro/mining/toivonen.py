@@ -80,11 +80,12 @@ class ToivonenMiner:
         )
         self.tracer = ensure_tracer(tracer)
         # Phase 2's engine: a caller's warm evaluator, else one of our
-        # own at the run's worker count, closed after each Phase 2.
+        # own at the run's worker count that streams the sample, closed
+        # after each Phase 2.
         self._owns_sample_engine = sample_engine is None
         self.sample_engine = sample_engine or ResidentSampleEvaluator(
             score_dtype=score_dtype,
-            workers=getattr(self.engine, "workers", None),
+            workers=getattr(self.engine, "workers", None), pin_bytes=0,
         )
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
@@ -166,7 +167,7 @@ class ToivonenMiner:
             with tracer.phase(f"verify-level-{level}"):
                 tracer.count(CANDIDATES_GENERATED, len(candidates))
                 matches = count_matches_batched(
-                    sorted(candidates),
+                    sorted(candidates, key=Pattern.sort_key),
                     database,
                     self.matrix,
                     self.memory_capacity,

@@ -30,6 +30,7 @@ from .tracer import (
     DELTA_SCANS,
     FACTOR_CACHE_HITS,
     FACTOR_CACHE_MISSES,
+    FACTOR_ROWS_GATHERED,
     IO_BYTES_READ,
     IO_CHUNK_SECONDS,
     IO_CHUNKS,
@@ -67,6 +68,7 @@ __all__ = [
     "DELTA_SCANS",
     "FACTOR_CACHE_HITS",
     "FACTOR_CACHE_MISSES",
+    "FACTOR_ROWS_GATHERED",
     "IO_BYTES_READ",
     "IO_CHUNKS",
     "IO_CHUNK_SECONDS",

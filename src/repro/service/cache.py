@@ -13,7 +13,8 @@ expensive state survives across jobs:
   signature is purely observability.  Each entry also owns per-store
   execution state: a private counting engine built with a
   :data:`~repro.engine.vectorized.PIN_BYTES` pin budget, which keeps
-  the store's factor arrays for the next job when they fit (concurrent
+  the store's symbol keys and the factor rows jobs gathered for the
+  next job when the store fits (concurrent
   jobs on different stores never share a pin or worker pool; a
   one-shot CLI run's engine keeps none), and one warm
   :class:`~repro.engine.resident.ResidentSampleEvaluator` whose pinned
@@ -124,8 +125,9 @@ class StoreEntry:
         """The entry's warm Phase-2 evaluator (created on first use).
 
         Its pin is keyed by sample content, so a second job with the
-        same (seed, sample_size, matrix) skips the factor-array build
-        entirely; a different sample transparently re-pins.
+        same (seed, sample_size, matrix) skips keying the sample and
+        every row gathered before; a different sample transparently
+        re-pins.
         """
         if self._resident is None:
             self._resident = ResidentSampleEvaluator()

@@ -8,8 +8,12 @@ those layers live here, as oracles:
 * :class:`ReferenceEngine` scores every sequence with the sliding-window
   code of :mod:`repro.core.match`;
 * :class:`PrefixPlanEngine` is the batched prefix-plan kernel the
-  counting engine ran before its prefix-trie walk, kept as the walk's
-  bit-for-bit and timing baseline;
+  counting engine ran before its prefix-trie walk, over whole gathered
+  factor arrays (:func:`gather_chunk`), kept as the walk's bit-for-bit
+  and timing baseline;
+* :func:`gathered_symbol_matches` is the Phase-1 kernel the engine ran
+  before its distinct-symbol pass: per-position maxima over the
+  gathered factor array (:func:`chunk_symbol_maxima`);
 * :func:`reference_generate_candidates`, :func:`reference_covers`,
   :func:`reference_add`, :func:`reference_filter_undecided` and
   :func:`reference_restricted_spreads` are the pairwise lattice scans
@@ -34,9 +38,8 @@ from repro.core.lattice import PatternConstraints, extend_right
 from repro.core.match import symbol_sequence_matches
 from repro.core.pattern import Pattern, WILDCARD
 from repro.core.sequence import AnySequenceDatabase, SequentialSampler
-from repro.engine import FactorPin, MatchEngine
-from repro.engine.base import matrix_fingerprint
-from repro.engine.kernels import DEFAULT_CHUNK_ROWS, extended_matrix
+from repro.engine import MatchEngine
+from repro.engine.kernels import DEFAULT_CHUNK_ROWS, extended_matrix, pad_chunk
 from repro.errors import MiningError
 from repro.mining import ambiguous, collapsing
 from repro.mining.chernoff import restricted_spread
@@ -135,6 +138,46 @@ class ReferenceEngine(MatchEngine):
                 "cannot compute symbol matches over an empty database"
             )
         return totals / count
+
+
+def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """The whole factor array of a padded ``(N, L)`` chunk:
+    ``result[d, t, i] = c_ext[d, padded[i, t]]``, ``(m + 1, L, N)``,
+    position major with the sequences innermost.
+
+    ``np.take`` writes that layout directly; fancy indexing through the
+    transposed index array would yield the *index's* memory order.
+    """
+    return np.take(c_ext, padded.T, axis=1)
+
+
+def chunk_symbol_maxima(gathered: np.ndarray) -> np.ndarray:
+    """Per-symbol, per-sequence maxima over one chunk's factor array:
+    ``result[d, i] = max_t C(d, padded[i, t])``, the maximum over every
+    position (padding included, whose factors are ``0.0``)."""
+    m = gathered.shape[0] - 1
+    return gathered[:m].max(axis=1)
+
+
+def gathered_symbol_matches(
+    database: AnySequenceDatabase,
+    matrix: CompatibilityMatrix,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    score_dtype: str = "float64",
+) -> np.ndarray:
+    """Phase 1 by the per-position kernel: each chunk's whole factor
+    array, gathered in *score_dtype*, max-reduced over the positions
+    and summed per symbol in that dtype, chunk sums added in float64.
+    At equal ``chunk_rows`` and dtype the counting engine's
+    distinct-symbol pass must equal it bit for bit."""
+    c_ext = extended_matrix(matrix.array).astype(score_dtype)
+    totals = np.zeros(matrix.size, dtype=np.float64)
+    count = 0
+    for chunk in database.scan_chunks(chunk_rows):
+        count += len(chunk)
+        gathered = gather_chunk(c_ext, pad_chunk(chunk.rows, matrix.size))
+        totals += chunk_symbol_maxima(gathered).sum(axis=1)
+    return totals / count
 
 
 def group_patterns_by_span(patterns: Sequence[Pattern], m: int):
@@ -241,15 +284,35 @@ class PrefixPlanEngine(MatchEngine):
     chunks add in scan order, so in float64 every value is
     bit-identical to the prefix-trie walk of
     :func:`repro.engine.kernels.walk_totals` at equal ``chunk_rows``.
-    Factor arrays stay in an unbudgeted :class:`FactorPin`, so timing
-    it against a warm engine compares the kernels alone.
+    It gathers each chunk's whole factor array (:func:`gather_chunk`)
+    and keeps them per chunk position while the padded chunk is
+    unchanged, so timing it against a warm engine compares the
+    kernels alone.
     """
 
     name = "prefix-plan"
 
     def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS):
         self.chunk_rows = chunk_rows
-        self.cache = FactorPin()
+        # Per chunk position: (padded chunk, matrix, factor array).
+        self._factors: List[tuple] = []
+
+    def _gathered(self, i: int, padded: np.ndarray, c: np.ndarray):
+        """Chunk *i*'s factor array, gathered again only when its padded
+        rows or the matrix changed."""
+        kept = self._factors[i] if i < len(self._factors) else None
+        if (
+            kept is not None and np.array_equal(kept[0], padded)
+            and np.array_equal(kept[1], c)
+        ):
+            return kept[2]
+        gathered = gather_chunk(extended_matrix(c), padded)
+        entry = (padded, c.copy(), gathered)
+        if kept is None:
+            self._factors.append(entry)
+        else:
+            self._factors[i] = entry
+        return gathered
 
     def database_matches(
         self,
@@ -266,12 +329,11 @@ class PrefixPlanEngine(MatchEngine):
         scratch: Dict[tuple, np.ndarray] = {}
         totals = np.zeros(len(patterns), dtype=np.float64)
         count = 0
-        for chunk, slot in self.cache.scan(
-            database, self.chunk_rows, extended_matrix(matrix.array),
-            matrix_fingerprint(matrix),
-        ):
+        for i, chunk in enumerate(database.scan_chunks(self.chunk_rows)):
             count += len(chunk)
-            gathered = slot.factors()
+            gathered = self._gathered(
+                i, pad_chunk(chunk.rows, matrix.size), matrix.array
+            )
             row = np.zeros(len(patterns), dtype=np.float64)
             for span, indices in groups.items():
                 maxima = chunk_group_maxima(

@@ -39,9 +39,10 @@ from repro.engine import (
     resolve_worker_count,
     vectorized,
 )
+from repro.engine.kernels import PinSlot, WalkBuffers, extended_matrix
 from repro.io import PackedSequenceStore
 from repro.mining import LevelwiseMiner
-from repro.obs import Tracer
+from repro.obs import FACTOR_ROWS_GATHERED, Tracer
 
 from .oracles import ReferenceEngine
 from .test_differential import make_store
@@ -350,10 +351,13 @@ class TestFactorPin:
         )
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
         expected = REF.database_matches(batch, database, fig2_matrix)
-        # Per cell: m + 1 float64 factors and one int32 symbol key.
+        # Per cell at most: m + 1 float64 factors and one int32 symbol
+        # key.  The pin is checked against that worst case; it holds
+        # the keys and the rows the walk read, of symbols 0, 1 and 2.
         cell = 8 * (fig2_matrix.size + 1) + 4
         unpadded = cell * database.total_symbols()
         padded = cell * 2 * (8 + 5)
+        held = (4 + 3 * 8) * 2 * (8 + 5)
         kept = []
         for budget in range(0, padded + 97, 48):
             engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
@@ -362,15 +366,16 @@ class TestFactorPin:
                 assert engine.cache.nbytes <= budget
                 assert got == pytest.approx(expected, abs=1e-12)
             # All of the database or none of it, never a part.
-            assert engine.cache.nbytes in (0, padded)
-            if engine.cache.nbytes:
+            assert len(engine.cache) in (0, 2)
+            assert engine.cache.nbytes == (held if len(engine.cache) else 0)
+            if len(engine.cache):
                 kept.append(budget)
                 assert engine.cache.hits == 2
         assert unpadded < padded
         assert kept and min(kept) >= padded
 
     def test_budget_counts_the_symbol_keys(self, fig2_matrix):
-        # A budget that holds the factor arrays but not their keys
+        # A budget that holds every factor row but not the keys
         # streams: the keys are part of what the pin holds.
         database = SequenceDatabase([[0, 1, 2, 3], [4, 0, 1, 2]])
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
@@ -391,38 +396,152 @@ class TestFactorPin:
             assert engine.database_matches(
                 batch, database, fig2_matrix
             ) == expected
-        assert engine.cache.nbytes == factors + keys
+        # It holds the keys and the rows of symbols 0, 1 and 2, the
+        # half of the factors the batch reads.
+        assert engine.cache.nbytes == keys + factors // 2
         assert engine.cache.hits == 1
 
     def test_pin_keeps_every_chunk_without_a_budget(self, fig2_matrix):
         database = SequenceDatabase([[0, 1, 2], [3, 4], [1, 0, 2, 4]])
         pin = FactorPin()
         c_ext = np.eye(6)
+        buffers = WalkBuffers()
         for _ in range(2):
             blocks = list(pin.scan(database, 2, c_ext, ("eye",)))
             assert [len(chunk) for chunk, _slot in blocks] == [2, 1]
         assert (pin.hits, pin.misses, len(pin)) == (2, 2, 2)
-        assert pin.nbytes == sum(
-            slot.factors().nbytes + slot.keys().nbytes
-            for _chunk, slot in blocks
-        )
+        # Scanning keys every chunk and gathers no row.
+        keys = sum(slot.keys.nbytes for _chunk, slot in blocks)
+        assert pin.nbytes == keys
+        rows = [slot.row(3, buffers) for _chunk, slot in blocks]
+        assert pin.nbytes == keys + sum(row.nbytes for row in rows)
+        # A repeat scan serves the same slots, the rows they gathered
+        # included.
+        again = list(pin.scan(database, 2, c_ext, ("eye",)))
+        assert [slot for _chunk, slot in again] == [
+            slot for _chunk, slot in blocks
+        ]
+        for (_chunk, slot), row in zip(again, rows):
+            assert slot.row(3, buffers) is row
+        assert buffers.gathered == 2
 
     def test_slot_gathers_once_on_first_use(self):
         database = SequenceDatabase([[0, 1, 2], [3, 4]])
         pin = FactorPin()
         c_ext = np.arange(36, dtype=np.float64).reshape(6, 6)
+        buffers = WalkBuffers()
         [(_chunk, slot)] = list(pin.scan(database, 2, c_ext, ("c",)))
-        assert slot.factors() is slot.factors()
-        assert slot.keys() is slot.keys()
-        assert slot.nbytes == slot.factors().nbytes + slot.keys().nbytes
+        assert slot.nbytes == slot.keys.nbytes
         padded = np.array([[0, 1, 2], [3, 4, 5]])
-        np.testing.assert_array_equal(slot.factors(), c_ext[:, padded.T])
+        first = slot.row(4, buffers)
+        assert slot.row(4, buffers) is first and buffers.gathered == 1
+        assert slot.nbytes == slot.keys.nbytes + first.nbytes
+        # A pinned slot's row is its own cache-line aligned array.
+        assert first.ctypes.data % 64 == 0 and not buffers.rows
+        for d in range(6):
+            np.testing.assert_array_equal(
+                slot.row(d, buffers), c_ext[d, padded.T]
+            )
+        assert buffers.gathered == 6
+        assert slot.nbytes == slot.max_nbytes
         # keys[t, i] = symbol * N + i, C-contiguous, int32.
-        assert slot.keys().dtype == np.int32
-        assert slot.keys().flags.c_contiguous
+        assert slot.keys.dtype == np.int32
+        assert slot.keys.flags.c_contiguous
         np.testing.assert_array_equal(
-            slot.keys(), padded.T * 2 + np.arange(2)
+            slot.keys, padded.T * 2 + np.arange(2)
         )
+
+    def test_streamed_slot_gathers_into_the_thread_buffers(self):
+        # A slot without a digest is counted once and dropped: its rows
+        # are the counting thread's planes, reused by the next chunk.
+        c_ext = np.arange(36, dtype=np.float64).reshape(6, 6)
+        buffers = WalkBuffers()
+        buffers.fit(c_ext.dtype, 6)
+        padded = np.array([[0, 1, 2], [3, 4, 5]])
+        slot = PinSlot(c_ext, padded)
+        row = slot.row(2, buffers)
+        np.testing.assert_array_equal(row, c_ext[2, padded.T])
+        assert np.shares_memory(row, buffers.rows[2])
+        assert slot.nbytes == slot.keys.nbytes
+        other = PinSlot(c_ext, padded[::-1].copy())
+        np.testing.assert_array_equal(
+            other.row(2, buffers), c_ext[2, padded[::-1].T]
+        )
+        assert np.shares_memory(other.row(2, buffers), row)
+
+    def test_a_batch_gathers_only_the_rows_its_walk_reads(
+        self, fig2_matrix
+    ):
+        # [0 1] and [2 * 1] read the rows of 0, 1 and 2 on each of the
+        # three chunks; Phase 1 reads none.  A pinned second scan
+        # gathers nothing, a batch reading one more symbol one row per
+        # chunk.
+        database = SequenceDatabase(
+            [[i % 5, (i + 1) % 5, (i * 3) % 5, i % 2] for i in range(9)]
+        )
+        batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
+        for pin_bytes, repeat in ((0, 3 * 3), (PIN_BYTES, 0)):
+            engine = VectorizedBatchEngine(chunk_rows=3, pin_bytes=pin_bytes)
+            counted = []
+            for batch_ in (batch, batch, [Pattern([0, 3])]):
+                tracer = Tracer()
+                engine.database_matches(
+                    batch_, database, fig2_matrix, tracer
+                )
+                counted.append(tracer.total(FACTOR_ROWS_GATHERED))
+            assert counted == [3 * 3, repeat, 3 * (2 if repeat else 1)]
+            tracer = Tracer()
+            engine.symbol_matches(database, fig2_matrix, tracer)
+            assert tracer.total(FACTOR_ROWS_GATHERED) == 0
+
+    def test_lazy_rows_on_two_threads_stay_within_the_budget(
+        self, fig2_matrix, monkeypatch
+    ):
+        # The pin is checked against every row gathered; two counting
+        # threads then gather rows batch by batch, and the pin must
+        # never hold more than the budget, during a scan or after it.
+        rng = np.random.default_rng(5)
+        database = SequenceDatabase([
+            rng.integers(0, fig2_matrix.size, size=int(rng.integers(3, 9)))
+            for _ in range(40)
+        ])
+        slots = [slot for _chunk, slot in FactorPin().scan(
+            database, 4, extended_matrix(fig2_matrix.array), ("w",),
+        )]
+        worst = sum(slot.max_nbytes for slot in slots)
+        # No pattern reads the wildcard's row m.
+        read_all = worst - 8 * sum(slot.keys.size for slot in slots)
+        kernel = vectorized.block_totals
+        seen = []
+
+        def sampling(slot, *args):
+            kernel(slot, *args)
+            seen.append(engine.cache.nbytes)
+
+        monkeypatch.setattr(vectorized, "block_totals", sampling)
+        batches = [[Pattern([d, e]) for e in range(d + 1)]
+                   for d in range(fig2_matrix.size)]
+        # One byte short of the worst case streams, though every row
+        # the batches read would fit.
+        with VectorizedBatchEngine(
+            chunk_rows=4, workers=2, pin_bytes=worst - 1
+        ) as engine:
+            for batch in batches:
+                engine.database_matches(batch, database, fig2_matrix)
+            assert len(engine.cache) == 0 and engine.cache.hits == 0
+        seen.clear()
+        with VectorizedBatchEngine(
+            chunk_rows=4, workers=2, pin_bytes=worst
+        ) as engine:
+            held = []
+            for batch in batches:
+                expected = REF.database_matches(batch, database, fig2_matrix)
+                got = engine.database_matches(batch, database, fig2_matrix)
+                assert got == pytest.approx(expected, abs=1e-12)
+                held.append(engine.cache.nbytes)
+            assert len(engine.cache) == 10
+        assert max(seen) <= held[-1] == read_all < worst
+        assert held == sorted(held) and held[0] < read_all
 
     def test_two_workers_serve_a_repeat_scan_from_the_pin(
         self, fig2_matrix

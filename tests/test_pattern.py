@@ -1,8 +1,12 @@
 """Unit tests for repro.core.pattern (Definitions 3.2 and 3.3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Alphabet, Pattern, PatternError, WILDCARD
+
+from .strategies import patterns
 
 
 class TestConstruction:
@@ -216,6 +220,13 @@ class TestValueSemantics:
         ordered = sorted(patterns)
         weights = [p.weight for p in ordered]
         assert weights == sorted(weights)
+
+    @given(st.lists(patterns(), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_sort_key_orders_as_lt_does(self, batch):
+        assert sorted(batch, key=Pattern.sort_key) == sorted(batch)
+        for a, b in zip(batch, batch[1:]):
+            assert (a < b) == (a.sort_key() < b.sort_key())
 
     def test_repr_round_trip_info(self):
         assert "1 * 2" in repr(Pattern([1, WILDCARD, 2]))

@@ -16,6 +16,8 @@ pinned.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -547,6 +549,36 @@ class TestClassifyIntegration:
             assert epsilon == chernoff_epsilon(spread, 1e-3, n)
             checked += 1
         assert checked > 0
+
+    def test_one_shot_phase2_holds_one_chunk_of_rows(self):
+        """The evaluator classify_on_sample builds streams the sample:
+        its peak is about one chunk's factor rows and buffers, where a
+        pinned evaluator keeps every chunk's."""
+        m, rows, length = 12, 2048, 64
+        rng = np.random.default_rng(3)
+        database = SequenceDatabase([
+            rng.integers(0, m, size=length) for _ in range(rows)
+        ])
+        matrix = CompatibilityMatrix.uniform_noise(m, 0.2)
+        sym = VectorizedBatchEngine().symbol_matches(database, matrix)
+        constraints = PatternConstraints(max_weight=3, max_span=3,
+                                         max_gap=0)
+        chunk = (m + 1) * length * 256 * 8
+        peaks, results = [], []
+        for engine in (None, ResidentSampleEvaluator()):
+            tracemalloc.start()
+            try:
+                results.append(classify_on_sample(
+                    database, matrix, 0.3, 1e-3, sym, constraints,
+                    engine=engine,
+                ))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0].sample_matches == results[1].sample_matches
+        streamed, pinned = peaks
+        assert streamed < 2 * chunk, (streamed, chunk)
+        assert pinned > (rows // 256) * chunk * 0.9, (pinned, chunk)
 
     def test_sample_pin_hits_from_the_second_level_on(self):
         database, matrix, sym, constraints = self._workload()

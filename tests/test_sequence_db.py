@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CompatibilityMatrix,
@@ -12,7 +14,7 @@ from repro import (
     SequenceDatabaseError,
 )
 from repro.core.match import symbol_matches_and_sample
-from repro.core.sequence import as_sequence_array
+from repro.core.sequence import SequentialSampler, as_sequence_array
 from repro.io import SegmentedSequenceStore
 from repro.engine import VectorizedBatchEngine
 
@@ -125,6 +127,37 @@ class TestScanAccounting:
 
 
 class TestSampling:
+    @given(
+        st.integers(1, 60), st.integers(1, 50), st.integers(1, 17),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offer_chunk_draws_what_offer_draws(
+        self, n, total, chunk_rows, seed
+    ):
+        # Chunk by chunk or row by row, the selector keeps the same
+        # ids, in order, and leaves the generator in the same state,
+        # for n below, at and above total.
+        ids = list(range(100, 100 + total))
+        rows = [np.array([i, i + 1]) for i in range(total)]
+        by_row = SequentialSampler(n, total, np.random.default_rng(seed))
+        for sid, row in zip(ids, rows):
+            by_row.offer(sid, row)
+        by_chunk = SequentialSampler(n, total, np.random.default_rng(seed))
+        for start in range(0, total, chunk_rows):
+            by_chunk.offer_chunk(
+                ids[start:start + chunk_rows],
+                rows[start:start + chunk_rows],
+            )
+        assert by_chunk.ids == by_row.ids
+        assert len(by_chunk.ids) == min(n, total)
+        for kept, row in zip(by_chunk.rows, by_row.rows):
+            np.testing.assert_array_equal(kept, row)
+        assert (
+            by_chunk._rng.bit_generator.state
+            == by_row._rng.bit_generator.state
+        )
+
     def test_sample_size_exact(self, rng):
         db = SequenceDatabase([[i] for i in range(100)])
         sample = db.sample(17, rng)

@@ -12,6 +12,8 @@ or one scatter-max of the parent plane into symbol bins — because a
 rounded product with a factor ``>= 0`` is monotone in the other.  The
 walk's working set is a few ``(L, N)`` planes, so its peak memory stays
 a small multiple of the chunk's factor array, whatever the batch size.
+Phase 1's distinct-symbol pass is checked the same way, against the
+per-position maxima of :func:`tests.oracles.gathered_symbol_matches`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from hypothesis import strategies as st
 from repro import CompatibilityMatrix, Pattern, SequenceDatabase, WILDCARD
 from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.engine import kernels
+from repro.obs import FACTOR_CACHE_MISSES, FACTOR_ROWS_GATHERED, Tracer
 
-from .oracles import PrefixPlanEngine
+from .oracles import PrefixPlanEngine, gathered_symbol_matches
 from .strategies import matrices, patterns, sequences
 
 #: Longer than every row ``sequences()`` draws (at most 12 symbols).
@@ -219,3 +222,44 @@ def test_peak_memory_stays_near_the_factor_array():
     finally:
         tracemalloc.stop()
     assert peak < 4 * factor_bytes, (peak, factor_bytes)
+
+
+@st.composite
+def phase1_inputs(draw):
+    """A 2-16 symbol matrix with zero entries, rows of 1-12 symbols
+    (most shorter than their chunk's longest) and a chunk size."""
+    m = draw(st.integers(2, 16))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    array = np.asarray(
+        draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                      min_size=m, max_size=m)),
+        dtype=np.float64,
+    )
+    rows = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=12),
+        min_size=1, max_size=9,
+    ))
+    return (
+        CompatibilityMatrix(array, validate=False), SequenceDatabase(rows),
+        draw(st.integers(1, 4)),
+    )
+
+
+@given(phase1_inputs(), st.sampled_from(["float64", "float32"]))
+@settings(max_examples=80, deadline=None)
+def test_phase1_presence_equals_the_position_maxima(inputs, score_dtype):
+    """Phase 1 over each sequence's distinct symbols gives the maxima
+    over its positions bit for bit, and gathers no factor row."""
+    matrix, database, chunk_rows = inputs
+    expected = gathered_symbol_matches(
+        database, matrix, chunk_rows, score_dtype
+    )
+    for workers in (1, 2):
+        tracer = Tracer()
+        with VectorizedBatchEngine(
+            chunk_rows, workers=workers, score_dtype=score_dtype
+        ) as engine:
+            got = engine.symbol_matches(database, matrix, tracer)
+        assert np.array_equal(got, expected)  # float ==, not closeness
+        assert tracer.total(FACTOR_ROWS_GATHERED) == 0
+        assert tracer.total(FACTOR_CACHE_MISSES) > 0
