@@ -22,12 +22,6 @@ cleared factor pin every round (``cold``) to separate kernel speed
 from factor-row reuse: a one-shot run, whose engine keeps no factor
 rows, pays the cold cost on every pass.
 
-The 400-sequence input is two chunks of 256, too few to keep two
-workers busy, so its ``workers-2`` leg mostly measures pool dispatch.
-The ``scaling`` legs therefore count the same batch on the input
-repeated until it spans at least eight chunks per worker, with one
-and with two workers, in the same interleaved rounds.
-
 Run as a script to write ``BENCH_engine.json`` next to the repo root
 (or to ``--out PATH``)::
 
@@ -50,10 +44,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro import CompatibilityMatrix, Pattern, SequenceDatabase
+from repro import CompatibilityMatrix, Pattern
 from repro.datagen.noise import corrupt_uniform
 from repro.engine import PIN_BYTES, VectorizedBatchEngine
-from repro.engine.kernels import DEFAULT_CHUNK_ROWS
 from repro.mining.counting import count_matches_batched
 
 from _workloads import (
@@ -72,8 +65,6 @@ MAX_WEIGHT = 8
 PARENTS_PER_LEVEL = 6
 FREQUENT_SYMBOLS = 12
 PATTERN_SEED = 99
-#: Chunks per worker of the two-worker scaling leg's input.
-SCALING_CHUNKS_PER_WORKER = 8
 
 
 def candidate_patterns(m: int) -> List[Pattern]:
@@ -130,33 +121,20 @@ def build_workload(scale):
     return test, matrix, candidate_patterns(m)
 
 
-def scaling_database(test: SequenceDatabase) -> SequenceDatabase:
-    """*test* repeated until it spans at least
-    :data:`SCALING_CHUNKS_PER_WORKER` chunks per worker of two."""
-    rows = [row for _sid, row in test.scan()]
-    need = 2 * SCALING_CHUNKS_PER_WORKER * DEFAULT_CHUNK_ROWS
-    return SequenceDatabase(rows * -(-need // len(rows)))
-
-
 def measure(scale, rounds: int = ROUNDS) -> Dict:
     from tests.oracles import ReferenceEngine
 
     test, matrix, patterns = build_workload(scale)
-    large = scaling_database(test)
     engines = {
         "reference": ReferenceEngine(),
         "vectorized": VectorizedBatchEngine(workers=1, pin_bytes=PIN_BYTES),
         "workers-2": VectorizedBatchEngine(workers=2, pin_bytes=PIN_BYTES),
     }
-    scaling = {
-        "workers-1": VectorizedBatchEngine(workers=1, pin_bytes=PIN_BYTES),
-        "workers-2": VectorizedBatchEngine(workers=2, pin_bytes=PIN_BYTES),
-    }
 
-    def count(engine, database=test):
-        database.reset_scan_count()
+    def count(engine):
+        test.reset_scan_count()
         return count_matches_batched(
-            patterns, database, matrix, MEMORY_CAPACITY, engine=engine
+            patterns, test, matrix, MEMORY_CAPACITY, engine=engine
         )
 
     # Correctness gate before timing: all engines must agree.
@@ -170,23 +148,14 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             raise AssertionError(
                 f"engine {name!r} deviates from reference by {worst}"
             )
-    if count(scaling["workers-1"], large) != count(
-        scaling["workers-2"], large
-    ):
-        raise AssertionError("the scaling legs disagree")
 
     timings: Dict[str, List[float]] = {name: [] for name in engines}
     timings["vectorized-cold"] = []
-    scaled: Dict[str, List[float]] = {name: [] for name in scaling}
     for _ in range(rounds):
         for name, engine in engines.items():
             started = time.perf_counter()
             count(engine)
             timings[name].append(time.perf_counter() - started)
-        for name, engine in scaling.items():
-            started = time.perf_counter()
-            count(engine, large)
-            scaled[name].append(time.perf_counter() - started)
         cache = getattr(engines["vectorized"], "cache", None)
         if cache is not None:
             cache.clear()
@@ -196,7 +165,6 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
                 time.perf_counter() - started
             )
     engines["workers-2"].close()
-    scaling["workers-2"].close()
 
     best_reference = min(timings["reference"])
     report = {
@@ -221,19 +189,6 @@ def measure(scale, rounds: int = ROUNDS) -> Dict:
             "patterns_per_sec": len(patterns) / best,
             "speedup_vs_reference": best_reference / best,
         }
-    report["scaling"] = {
-        "n_sequences": len(large),
-        "chunks": -(-len(large) // DEFAULT_CHUNK_ROWS),
-        "legs": {
-            name: {
-                "best_seconds": min(rows),
-                "median_seconds": sorted(rows)[len(rows) // 2],
-            }
-            for name, rows in scaled.items()
-        },
-        "workers_2_speedup": min(scaled["workers-1"])
-        / min(scaled["workers-2"]),
-    }
     return report
 
 
@@ -255,14 +210,6 @@ def main(argv=None) -> int:
             f"{row['patterns_per_sec']:8.0f} patterns/s   "
             f"{row['speedup_vs_reference']:.2f}x vs reference"
         )
-    scaling = report["scaling"]
-    for name, row in scaling["legs"].items():
-        print(
-            f"scaling {name:8s} best {row['best_seconds'] * 1000:7.1f} ms"
-            f"   ({scaling['n_sequences']} sequences, "
-            f"{scaling['chunks']} chunks)"
-        )
-    print(f"scaling workers-2 speedup {scaling['workers_2_speedup']:.2f}x")
     speedup = report["engines"]["vectorized"]["speedup_vs_reference"]
     if args.smoke:
         # The correctness gate inside measure() already ran; timing

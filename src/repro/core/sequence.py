@@ -137,7 +137,7 @@ def require_integers(values: Iterable[object], what: str) -> None:
 
 class SequentialSampler:
     """Sequential uniform sampling of *n* of *total* rows (Algorithm 4.1,
-    lines 12-16), fed one row at a time in scan order.
+    lines 12-16), fed a chunk of rows at a time in scan order.
 
     While the sample is short, each offered row costs exactly one draw
     and is kept with probability ``(n - chosen) / (total - seen)``; once
@@ -164,23 +164,12 @@ class SequentialSampler:
         """True once *n* rows are kept: later offers draw nothing."""
         return len(self.rows) == self._n
 
-    def offer(self, sid: int, row: np.ndarray) -> None:
-        """Consider the next row in scan order."""
-        needed = self._n - len(self.rows)
-        if needed and (
-            self._n == self._total
-            or self._rng.random() < needed / (self._total - self._seen)
-        ):
-            self.ids.append(sid)
-            self.rows.append(np.array(row, copy=True))
-        self._seen += 1
-
     def offer_chunk(
         self, ids: Sequence[int], rows: Sequence[np.ndarray]
     ) -> None:
         """Consider a chunk of rows in scan order: the same draws, the
-        same picks and the same generator state as one :meth:`offer`
-        per row.
+        same picks and the same generator state as offering the rows
+        one at a time.
 
         Draws come in batches of ``min(rows left, needed)``: the sample
         cannot fill before the last row of such a batch, so the per-row
@@ -362,10 +351,10 @@ class CountedScanDatabase(ABC):
         *seed* are mutually exclusive.
         """
         sampler = SequentialSampler(n, len(self), _sampling_rng(rng, seed))
-        for sid, row in self.scan():
+        for chunk in self.scan_chunks():
+            sampler.offer_chunk(chunk.ids, chunk.rows)
             if sampler.full:
                 break
-            sampler.offer(sid, row)
         return sampler.database()
 
     def to_database(self) -> "SequenceDatabase":

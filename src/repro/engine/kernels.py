@@ -562,7 +562,8 @@ class WalkBuffers:
     row per symbol a streamed chunk's walk reads (:meth:`PinSlot.row`),
     the ``(k, N)`` maxima rows of the largest sibling group, the
     ``(m + 1, N)`` symbol bins of the scatter-max and the ``(m + 1, k,
-    N)`` products of the largest group counted in symbol space.  They
+    N)`` products of the largest group counted in symbol space (or of
+    Phase 1's largest block of target symbols).  They
     are allocated on first use and reused across chunks; a chunk with
     more cells than any before it, or another dtype, reallocates them.
     :attr:`gathered` counts the factor rows the thread gathered.
@@ -758,6 +759,10 @@ def symbol_totals(
     the sequence's positions bit for bit: ``C · 1`` and ``C · 0`` are
     exact, every entry is ``>= 0``, and the pad symbol's column is all
     zeros, so neither absent symbols nor padding win a maximum.  The
+    target symbols *d* are taken in blocks of at most ``L``, so the
+    ``(m + 1, block, N)`` products never outgrow the chunk's whole
+    ``(m + 1, L, N)`` factor array, however wide the alphabet; each
+    *d*'s maximum is its own, so the blocks change no bit.  The
     ``(m, N)`` maxima are summed per symbol in the score dtype, as a
     sum over the positions' maxima would be.
     """
@@ -768,12 +773,15 @@ def symbol_totals(
     present = buffers.bins_view(symbols, n)
     present.fill(0)
     present[keys.ravel()] = 1
-    products = buffers.product_view(symbols, m, n)
-    np.multiply(
-        present.reshape(symbols, 1, n), c_ext.T[:, :m, None], out=products
-    )
+    grid = present.reshape(symbols, 1, n)
+    columns = c_ext.T
     maxima = buffers.maxima_view(m, n)
-    np.maximum.reduce(products, axis=0, out=maxima)
+    block = min(m, length)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        products = buffers.product_view(symbols, stop - start, n)
+        np.multiply(grid, columns[:, start:stop, None], out=products)
+        np.maximum.reduce(products, axis=0, out=maxima[start:stop])
     out += maxima.sum(axis=1)
 
 

@@ -59,7 +59,8 @@ PROBES = "probes"
 #: Chunks the counting engine's factor pin served / gathered.
 FACTOR_CACHE_HITS = "factor_cache_hits"
 FACTOR_CACHE_MISSES = "factor_cache_misses"
-#: Factor rows the counting engine's walks gathered.
+#: Factor rows the counting engine's walks gathered: a test hook that
+#: checks a walk gathers only its read set, not a benchmark metric.
 FACTOR_ROWS_GATHERED = "factor_rows_gathered"
 RESIDENT_PLANE_HITS = "resident_plane_hits"
 RESIDENT_PLANE_MISSES = "resident_plane_misses"

@@ -14,6 +14,8 @@ those layers live here, as oracles:
 * :func:`gathered_symbol_matches` is the Phase-1 kernel the engine ran
   before its distinct-symbol pass: per-position maxima over the
   gathered factor array (:func:`chunk_symbol_maxima`);
+* :func:`offer_row` is the sequential sampler one row at a time, the
+  reference for :meth:`SequentialSampler.offer_chunk`;
 * :func:`reference_generate_candidates`, :func:`reference_covers`,
   :func:`reference_add`, :func:`reference_filter_undecided` and
   :func:`reference_restricted_spreads` are the pairwise lattice scans
@@ -132,12 +134,27 @@ class ReferenceEngine(MatchEngine):
             totals += self._symbol_totals(chunk.rows, matrix)
             if sampler is not None:
                 for sid, row in zip(chunk.ids, chunk.rows):
-                    sampler.offer(sid, row)
+                    offer_row(sampler, sid, row)
         if count == 0:
             raise MiningError(
                 "cannot compute symbol matches over an empty database"
             )
         return totals / count
+
+
+def offer_row(sampler: SequentialSampler, sid: int, row: np.ndarray) -> None:
+    """Offer *sampler* the next row in scan order, alone: while the
+    sample is short, one draw, kept when under ``(n - chosen) / (total
+    - seen)``; once it is full, no draw.  ``n == total`` keeps every
+    row without drawing."""
+    needed = sampler._n - len(sampler.rows)
+    if needed and (
+        sampler._n == sampler._total
+        or sampler._rng.random() < needed / (sampler._total - sampler._seen)
+    ):
+        sampler.ids.append(sid)
+        sampler.rows.append(np.array(row, copy=True))
+    sampler._seen += 1
 
 
 def gather_chunk(c_ext: np.ndarray, padded: np.ndarray) -> np.ndarray:

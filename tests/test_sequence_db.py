@@ -18,6 +18,8 @@ from repro.core.sequence import SequentialSampler, as_sequence_array
 from repro.io import SegmentedSequenceStore
 from repro.engine import VectorizedBatchEngine
 
+from .oracles import offer_row
+
 
 class TestAsSequenceArray:
     def test_coerces_lists(self):
@@ -132,17 +134,17 @@ class TestSampling:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_offer_chunk_draws_what_offer_draws(
+    def test_offer_chunk_draws_what_offer_row_draws(
         self, n, total, chunk_rows, seed
     ):
-        # Chunk by chunk or row by row, the selector keeps the same
-        # ids, in order, and leaves the generator in the same state,
-        # for n below, at and above total.
+        # Chunk by chunk or row by row (the oracle's offer_row), the
+        # selector keeps the same ids, in order, and leaves the
+        # generator in the same state, for n below, at and above total.
         ids = list(range(100, 100 + total))
         rows = [np.array([i, i + 1]) for i in range(total)]
         by_row = SequentialSampler(n, total, np.random.default_rng(seed))
         for sid, row in zip(ids, rows):
-            by_row.offer(sid, row)
+            offer_row(by_row, sid, row)
         by_chunk = SequentialSampler(n, total, np.random.default_rng(seed))
         for start in range(0, total, chunk_rows):
             by_chunk.offer_chunk(

@@ -31,7 +31,12 @@ from repro.engine import ResidentSampleEvaluator, VectorizedBatchEngine
 from repro.engine import kernels
 from repro.obs import FACTOR_CACHE_MISSES, FACTOR_ROWS_GATHERED, Tracer
 
-from .oracles import PrefixPlanEngine, gathered_symbol_matches
+from .oracles import (
+    PrefixPlanEngine,
+    chunk_symbol_maxima,
+    gather_chunk,
+    gathered_symbol_matches,
+)
 from .strategies import matrices, patterns, sequences
 
 #: Longer than every row ``sequences()`` draws (at most 12 symbols).
@@ -263,3 +268,51 @@ def test_phase1_presence_equals_the_position_maxima(inputs, score_dtype):
         assert np.array_equal(got, expected)  # float ==, not closeness
         assert tracer.total(FACTOR_ROWS_GATHERED) == 0
         assert tracer.total(FACTOR_CACHE_MISSES) > 0
+
+
+@st.composite
+def wide_alphabet_inputs(draw):
+    """A 20-80 symbol matrix with zero entries over chunks of rows of
+    1-6 symbols: every chunk is shorter than the alphabet is wide."""
+    m = draw(st.integers(20, 80))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    array = rng.random((m, m))
+    array[rng.random((m, m)) < 0.3] = 0.0
+    rows = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=6),
+        min_size=1, max_size=9,
+    ))
+    return (
+        CompatibilityMatrix(array, validate=False), SequenceDatabase(rows),
+        draw(st.integers(1, 4)),
+    )
+
+
+@given(wide_alphabet_inputs(), st.sampled_from(["float64", "float32"]))
+@settings(max_examples=60, deadline=None)
+def test_phase1_products_never_outgrow_the_factor_array(inputs, score_dtype):
+    """An alphabet wider than the chunk is long: Phase 1's product
+    buffer stays within the chunk's whole factor array, and its sums
+    still equal the per-position maxima bit for bit."""
+    matrix, database, chunk_rows = inputs
+    m = matrix.size
+    c_ext = kernels.extended_matrix(matrix.array).astype(score_dtype)
+    for chunk in database.scan_chunks(chunk_rows):
+        padded = kernels.pad_chunk(chunk.rows, m)
+        gathered = gather_chunk(c_ext, padded)
+        assert padded.shape[1] < m
+        buffers = kernels.WalkBuffers()
+        got = np.zeros(m, dtype=np.float64)
+        kernels.symbol_totals(
+            kernels.chunk_keys(padded, m + 1), c_ext, got, buffers
+        )
+        assert buffers.products.nbytes <= gathered.nbytes
+        want = np.zeros(m, dtype=np.float64)
+        want += chunk_symbol_maxima(gathered).sum(axis=1)
+        assert np.array_equal(got, want)  # float ==, not closeness
+    with VectorizedBatchEngine(chunk_rows, score_dtype=score_dtype) as engine:
+        got = engine.symbol_matches(database, matrix)
+    assert np.array_equal(
+        got, gathered_symbol_matches(database, matrix, chunk_rows, score_dtype)
+    )
