@@ -11,7 +11,7 @@ thread, the Phase-2 sample evaluator's included.
 A chunk is its symbols
 ----------------------
 A chunk's state is its ``(L, N)`` symbol keys (:func:`chunk_keys`,
-``4`` bytes per padded symbol).  The factor row of a symbol *d*,
+``8`` bytes per padded symbol).  The factor row of a symbol *d*,
 ``C(d, s)`` at every position, is scratch: :meth:`PinSlot.row` gathers
 it from the keys (:func:`gather_row`) the first time a walk reads *d*,
 into the counting thread's buffers when the chunk is streamed, into
@@ -32,12 +32,19 @@ and each distinct parent prefix is derived once by
 by the factor ``C(d, s)`` of the symbol ``s`` at its last position, so
 a group of *k* siblings over *W* windows is counted in *symbol space*:
 one scatter-max of the parent plane into ``(m + 1, N)`` bins keyed by
-that symbol (:func:`chunk_keys`), then one ``(m + 1, k, N)`` multiply
-by the siblings' matrix columns and one max-reduce over the symbols —
-``O(W·N + k·(m + 1)·N)`` for the group instead of a multiply and a
-max-reduce over the windows per sibling, ``O(k·W·N)``.  The group takes
-whichever of the two does less work (:func:`grouped_pays`).  The
-buffers (:class:`WalkBuffers`) belong to the calling thread.
+that symbol (:func:`chunk_keys`), then each sibling's maximum over
+the bins times its matrix row (:func:`symbol_maxima`).  A row is read
+above its floor only: the floor times the largest real bin, the
+diagonal times its own bin, and a ``(|U|, k, N)`` product over *U*,
+the columns where some sibling's row rises above its floor
+(:class:`SymbolTerms`, split at most once per counting call by
+:class:`WalkTerms`) — ``O(W·N + (m + (|U| + 2)·k)·N)`` for the group
+instead of a multiply and a max-reduce over the windows per sibling,
+``O(k·W·N)``.  Section 5.1's uniform noise has no residual, so *U* is
+empty; a sparse matrix has floor ``0``, so its floor term drops out.
+The group takes whichever of the two does less work
+(:func:`grouped_pays`).  The buffers (:class:`WalkBuffers`) belong to
+the calling thread.
 
 Memory layout
 -------------
@@ -76,7 +83,12 @@ per-sequence maxima — are bit-identical to it.  The symbol-space step
 keeps this: for ``c >= 0`` the rounded product ``fl(c·x)`` is monotone
 in ``x``, so ``max_w fl(c·p_w) = fl(c · max_w p_w)`` over the windows
 of one bin, and an empty bin adds only ``0.0`` to a maximum over
-products that are all ``>= 0``.
+products that are all ``>= 0``.  Splitting a row at its floor keeps it
+too: ``fl(c·x)`` is monotone in ``c`` as well, so the floor times the
+largest bin, ``top``, never exceeds the true term at that bin's symbol
+and equals every term at the floor, and a zero residual entry adds
+only ``0.0``.  ``top`` is taken over the real bins only: the pad
+column is no real column, and its bin can hold the largest window.
 Per-sequence maxima are summed pairwise within each chunk, which
 differs from a sequential sum by at most a few ulps of ``M(P, D)``.
 """
@@ -86,7 +98,7 @@ from __future__ import annotations
 import hashlib
 import os
 from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -154,33 +166,27 @@ def pad_chunk(rows: Sequence[np.ndarray], m: int) -> np.ndarray:
     return padded
 
 
-def key_dtype(bins: int) -> np.dtype:
-    """The narrowest index dtype of :func:`chunk_keys` for *bins*
-    ``= (m + 1) · N`` symbol bins: int32 when they fit, else intp."""
-    return np.dtype(np.int32 if bins <= np.iinfo(np.int32).max else np.intp)
-
-
-def chunk_keys(padded: np.ndarray, symbols: int) -> np.ndarray:
+def chunk_keys(padded: np.ndarray) -> np.ndarray:
     """Symbol-bin keys: ``keys[t, i] = padded[i, t] · N + i``.
 
-    The ``(L, N)`` array, C-contiguous in :func:`key_dtype`, names the
-    ``(symbol, sequence)`` bin of every position of the chunk, over
-    *symbols* ``= m + 1`` symbols (the pad symbol included): the index
-    array of :func:`walk_totals`' scatter-max.
+    The ``(L, N)`` array, C-contiguous in ``intp``, names the ``(symbol,
+    sequence)`` bin of every position of the chunk, over ``m + 1``
+    symbols (the pad symbol included): the index array of
+    :func:`walk_totals`' scatter-max and of :func:`gather_row`.  Keys
+    are ``intp`` because that is the index type ``np.maximum.at`` and
+    ``np.take`` work in; narrower keys are cast on every call.
     """
     n = padded.shape[0]
-    dtype = key_dtype(symbols * n)
-    keys = padded.T.astype(dtype, order="C")
+    keys = padded.T.astype(np.intp, order="C")
     keys *= n
-    keys += np.arange(n, dtype=dtype)
+    keys += np.arange(n)
     return keys
 
 
-def cell_bytes(c_ext: np.ndarray, n: int) -> int:
-    """Bytes a :class:`PinSlot` holds at most per padded cell of an
-    *n*-row chunk: its symbol key and all ``m + 1`` of its factors."""
-    symbols = c_ext.shape[0]
-    return symbols * c_ext.itemsize + key_dtype(symbols * n).itemsize
+def cell_bytes(c_ext: np.ndarray) -> int:
+    """Bytes a :class:`PinSlot` holds at most per padded cell: its
+    symbol key and all ``m + 1`` of its factors."""
+    return c_ext.shape[0] * c_ext.itemsize + np.dtype(np.intp).itemsize
 
 
 def gather_row(
@@ -231,9 +237,9 @@ class PinSlot:
     ):
         self.shape = padded.shape
         self.digest = digest
-        self.max_nbytes = padded.size * cell_bytes(c_ext, padded.shape[0])
+        self.max_nbytes = padded.size * cell_bytes(c_ext)
         #: The ``(L, N)`` symbol keys (:func:`chunk_keys`).
-        self.keys = chunk_keys(padded, c_ext.shape[0])
+        self.keys = chunk_keys(padded)
         self._c_ext = c_ext
         self._rows: List[Optional[np.ndarray]] = [None] * c_ext.shape[0]
 
@@ -336,8 +342,7 @@ class FactorPin:
             self.clear()
             self._key = key
         keep = budget is None or (
-            cell_bytes(c_ext, chunk_rows) * database.total_symbols()
-            <= budget
+            cell_bytes(c_ext) * database.total_symbols() <= budget
         )
         slots = self._slots
         held = sum(slot.max_nbytes for slot in slots)
@@ -561,11 +566,12 @@ class WalkBuffers:
     one ``(L, N)`` plane per prefix-stack depth, one ``(L, N)`` factor
     row per symbol a streamed chunk's walk reads (:meth:`PinSlot.row`),
     the ``(k, N)`` maxima rows of the largest sibling group, the
-    ``(m + 1, N)`` symbol bins of the scatter-max and the ``(m + 1, k,
-    N)`` products of the largest group counted in symbol space (or of
-    Phase 1's largest block of target symbols).  They
-    are allocated on first use and reused across chunks; a chunk with
-    more cells than any before it, or another dtype, reallocates them.
+    ``(m + 1, N)`` symbol bins of the scatter-max and the ``(|U| + 1,
+    k, N)`` products of :func:`symbol_maxima` for the largest group
+    counted in symbol space (or Phase 1's largest block of target
+    symbols).  They are allocated on first use and reused across
+    chunks; a chunk with more cells than any before it, or another
+    dtype, reallocates them.
     :attr:`gathered` counts the factor rows the thread gathered.
     """
 
@@ -635,30 +641,159 @@ class WalkBuffers:
             self.bins = _aligned_empty(symbols * n, self.dtype)
         return self.bins[: symbols * n]
 
-    def product_view(self, symbols: int, siblings: int, n: int) -> np.ndarray:
-        """The ``(symbols, siblings, N)`` product buffer, grown on the
-        first group that needs it (a walk that loops every group never
-        allocates it)."""
-        size = symbols * siblings * n
+    def product_view(self, rows: int, siblings: int, n: int) -> np.ndarray:
+        """The ``(rows, siblings, N)`` product buffer of
+        :func:`symbol_maxima`, grown on the first group that needs it (a
+        walk that loops every group never allocates it)."""
+        size = rows * siblings * n
         if self.products.size < size:
             self.products = _aligned_empty(size, self.dtype)
-        return self.products[:size].reshape(symbols, siblings, n)
+        return self.products[:size].reshape(rows, siblings, n)
 
 
-def grouped_pays(siblings: int, windows: int, symbols: int) -> bool:
+class SymbolTerms(NamedTuple):
+    """Target symbols' rows of the extended matrix, each split at its
+    floor, for :func:`symbol_maxima`.
+
+    Over the real columns ``s < m`` (the pad column excluded), row *d*
+    is its floor ``o_d = min_s C(d, s)``, its diagonal ``C(d, d)`` and
+    its residual ``R(d, s)``: ``C(d, s)`` where ``s != d`` rises above
+    the floor, else ``0``.  :attr:`raised` is *U*, the union of the
+    targets' residual columns.  Section 5.1's uniform noise has no
+    residual (``U`` is empty); a sparse matrix has floor ``0`` and a
+    residual of its few compatible symbols; a dense one keeps all.
+    """
+
+    #: The target symbols *d* (``intp``, ``(k,)``).
+    symbols: np.ndarray
+    #: ``o_d`` as a ``(k, 1)`` column.
+    floor: np.ndarray
+    #: ``C(d, d)`` as a ``(k, 1)`` column.
+    diagonal: np.ndarray
+    #: *U* (``intp``, ``(|U|,)``).
+    raised: np.ndarray
+    #: ``R(d, s)`` for ``s`` in *U*, ``(|U|, k, 1)``.
+    residual: np.ndarray
+    #: Whether some target's floor is above ``0``.
+    floored: bool
+
+    def block(self, start: int, stop: int) -> "SymbolTerms":
+        """The terms of targets ``start:stop``, over the same *U*."""
+        floor = self.floor[start:stop]
+        return SymbolTerms(
+            self.symbols[start:stop], floor, self.diagonal[start:stop],
+            self.raised, self.residual[:, start:stop], bool(floor.any()),
+        )
+
+
+def symbol_terms(c_ext: np.ndarray, symbols: np.ndarray) -> SymbolTerms:
+    """Split the rows *symbols* (real, ``intp``) of the extended matrix
+    *c_ext* at their floors (:class:`SymbolTerms`), in its dtype."""
+    m = c_ext.shape[0] - 1
+    real = c_ext[symbols, :m]
+    floor = real.min(axis=1, keepdims=True)
+    residual = np.where(real > floor, real, 0)
+    residual[np.arange(len(symbols)), symbols] = 0
+    raised = np.flatnonzero(residual.any(axis=0))
+    return SymbolTerms(
+        symbols, floor, c_ext[symbols, symbols][:, None], raised,
+        residual.T[raised, :, None], bool(floor.any()),
+    )
+
+
+class WalkTerms:
+    """The :class:`SymbolTerms` of a walk's sibling groups over one
+    extended matrix *c_ext*: the table :func:`walk_totals` counts
+    groups in symbol space from, one per counting call.
+
+    Calling it with a group's siblings (``intp``) returns their terms,
+    split on first use and kept for every later chunk and counting
+    thread of the call (two threads racing on one group split it twice
+    and keep equal terms).  Groups with the same siblings share them;
+    a group the walk always loops is never split, so a small database
+    (a remine's appended rows) pays for no table it does not read.
+    """
+
+    __slots__ = ("c_ext", "_split")
+
+    def __init__(self, c_ext: np.ndarray):
+        self.c_ext = c_ext
+        self._split: Dict[bytes, SymbolTerms] = {}
+
+    def __call__(self, symbols: np.ndarray) -> SymbolTerms:
+        key = symbols.tobytes()
+        terms = self._split.get(key)
+        if terms is None:
+            terms = self._split[key] = symbol_terms(self.c_ext, symbols)
+        return terms
+
+
+def symbol_maxima(
+    bins: np.ndarray,
+    terms: SymbolTerms,
+    out: np.ndarray,
+    buffers: WalkBuffers,
+) -> np.ndarray:
+    """``out[j, i] = max_{s < m} fl(C(d_j, s) · bins[s, i])`` for the
+    target symbols ``d_j`` of *terms*, from ``(m + 1, N)`` bins ``>= 0``.
+
+    The maximum of three parts: the floor ``fl(o_d · top_i)``, where
+    ``top_i`` is the largest real bin; the diagonal ``fl(C(d, d) ·
+    bins[d, i])``; and ``max_{s ∈ U} fl(R(d, s) · bins[s, i])``, one
+    ``(|U|, k, N)`` product.  That is ``O((m + (|U| + 2)·k)·N)``
+    instead of the ``O((m + 1)·k·N)`` of every entry.  It is the same
+    maximum bit for bit: ``fl(c·x)`` is monotone in ``c`` as well as in
+    ``x`` when both are ``>= 0``, so the floor term never exceeds the
+    true term at the largest bin and equals every term at the floor;
+    every other term is the diagonal or a residual one, and a zero
+    residual entry adds only ``0.0``.  The pad bin is no real column
+    (its entry is ``0``), so it stays out of ``top``.  Targets whose
+    floors are all ``0`` (a sparse matrix) skip the floor term, which
+    is then ``0.0``.
+    """
+    m = bins.shape[0] - 1
+    raised = terms.raised
+    floored = terms.floored
+    k, n = out.shape
+    products = buffers.product_view(len(raised) + 1, k, n)
+    if floored:
+        top = np.maximum.reduce(bins[:m], axis=0, out=products[0, 0])
+        np.multiply(terms.floor, top, out=out)
+    diagonal = np.take(
+        bins, terms.symbols, axis=0, out=products[0], mode="clip"
+    )
+    np.multiply(diagonal, terms.diagonal, out=diagonal)
+    if len(raised):
+        if floored:
+            np.maximum(diagonal, out, out=diagonal)
+        np.multiply(
+            bins[raised][:, None], terms.residual, out=products[1:]
+        )
+        np.maximum.reduce(products, axis=0, out=out)
+    elif floored:
+        np.maximum(out, diagonal, out=out)
+    else:
+        np.copyto(out, diagonal)
+    return out
+
+
+def grouped_pays(siblings: int, windows: int, rows: int) -> bool:
     """Whether counting a sibling group in symbol space does less work
     than looping over its siblings.
 
-    Costs per 256 columns, in quarter microseconds measured on one
-    numpy chunk: the scatter-max costs ~4 per window and the
-    ``(symbols, siblings)`` products with their reduce ~2 per cell;
-    each looped sibling is one multiply and one reduce over the
-    windows, ~1 per window plus ~12 of call overhead.  An alphabet-wide
-    group of a 20-symbol alphabet over ~120 windows is ~2x cheaper
-    grouped; a lone sibling is ~7x cheaper looped.
+    *rows* is the product rows per sibling of :func:`symbol_maxima`,
+    ``|U| + 2``.  Costs per 256 columns, in sixteenths of a
+    microsecond measured on one numpy chunk with its rows gathered:
+    the scatter-max costs ~8 per window, the products ~6 per cell and
+    the group's dozen numpy calls ~360; each looped sibling is one
+    multiply and one reduce over the windows, ~3 per window plus ~30
+    of call overhead.  An alphabet-wide group under uniform noise is
+    ~5x cheaper grouped at ~120 windows; a lone sibling is ~3x cheaper
+    looped.
     """
     return (
-        4 * windows + 2 * symbols * siblings < siblings * (windows + 12)
+        8 * windows + 6 * rows * siblings + 360
+        < siblings * (3 * windows + 30)
     )
 
 
@@ -666,6 +801,7 @@ def walk_totals(
     slot: PinSlot,
     c_ext: np.ndarray,
     plan: WalkPlan,
+    terms: WalkTerms,
     out: np.ndarray,
     buffers: WalkBuffers,
 ) -> None:
@@ -680,8 +816,11 @@ def walk_totals(
     counted in symbol space reads only the keys.  A sibling group with
     a parent is counted in symbol space when :func:`grouped_pays`: the
     parent plane's windows are scatter-maxed into bins by the symbol at
-    the siblings' last position, each sibling's maxima are the bins
-    times its column of *c_ext*, max-reduced over the symbols.
+    the siblings' last position, and each sibling's maxima are the bins
+    times its row of *c_ext*, maximised over the symbols
+    (:func:`symbol_maxima`, from the siblings' *terms*).  The rule is
+    first asked with the fewest product rows, ``2``: more rows only
+    cost more, so a group it loops even then needs no terms.
     Otherwise, and for single symbols, each sibling is one multiply of
     its factor row by the parent plane into the arena and one
     maximum-reduce over the windows.  Each group's maxima rows are
@@ -697,8 +836,7 @@ def walk_totals(
         c_ext.dtype, length, n, plan, symbols
     )
     row = slot.row
-    grid = bins.reshape(symbols, 1, n)
-    columns = c_ext.T
+    grid = bins.reshape(symbols, n)
     chain: List[np.ndarray] = []
     for keep, pushes, offset, siblings, indices in plan.steps:
         del chain[keep:]
@@ -725,16 +863,16 @@ def walk_totals(
         if offset == 0:
             for i, symbol in enumerate(siblings):
                 np.maximum.reduce(row(symbol, buffers), axis=0, out=rows[i])
-        elif grouped_pays(k, windows, symbols):
+        elif grouped_pays(k, windows, 2) and grouped_pays(
+            k, windows, len(terms(siblings).raised) + 2
+        ):
             # Empty bins stay 0.0, which no maximum of products >= 0
             # can fall below.
             bins.fill(0)
             np.maximum.at(
                 bins, keys[offset:].ravel(), chain[-1][:windows].ravel()
             )
-            products = buffers.product_view(symbols, k, n)
-            np.multiply(grid, columns[:, siblings, None], out=products)
-            np.maximum.reduce(products, axis=0, out=rows)
+            symbol_maxima(grid, terms(siblings), rows, buffers)
         else:
             parent = chain[-1][:windows]
             work = arena[:windows]
@@ -745,43 +883,43 @@ def walk_totals(
 
 
 def symbol_totals(
-    keys: np.ndarray, c_ext: np.ndarray, out: np.ndarray,
+    keys: np.ndarray, terms: SymbolTerms, out: np.ndarray,
     buffers: WalkBuffers,
 ) -> None:
     """Add one chunk's Phase-1 sums ``Σ_i max_t C(d, s_it)`` to *out*,
     one per real symbol *d*, from the chunk's symbol keys alone.
 
-    Algorithm 4.1's distinct-symbol pass: the keys are scattered into
-    an ``(m + 1, N)`` presence plane (``1`` where symbol *s* occurs in
-    sequence *i*), and ``max_s C(d, s) · present[s, i]`` is the symbol
-    space product of :func:`walk_totals` with the presence plane as
-    its bins, ``O(L·N + m²·N)`` per chunk.  It equals the maximum over
-    the sequence's positions bit for bit: ``C · 1`` and ``C · 0`` are
-    exact, every entry is ``>= 0``, and the pad symbol's column is all
-    zeros, so neither absent symbols nor padding win a maximum.  The
-    target symbols *d* are taken in blocks of at most ``L``, so the
-    ``(m + 1, block, N)`` products never outgrow the chunk's whole
-    ``(m + 1, L, N)`` factor array, however wide the alphabet; each
-    *d*'s maximum is its own, so the blocks change no bit.  The
-    ``(m, N)`` maxima are summed per symbol in the score dtype, as a
-    sum over the positions' maxima would be.
+    *terms* splits every real row of the matrix (:func:`symbol_terms`
+    of all ``m`` symbols, built once per counting call).  Algorithm
+    4.1's distinct-symbol pass: the keys are scattered into an ``(m +
+    1, N)`` presence plane (``1`` where symbol *s* occurs in sequence
+    *i*), and ``max_s C(d, s) · present[s, i]`` is the walk's symbol
+    space product (:func:`symbol_maxima`) with the presence plane as
+    its bins, ``O(L·N + (m + (|U| + 2)·m)·N)`` per chunk.  It equals
+    the maximum over the sequence's positions bit for bit: ``C · 1``
+    and ``C · 0`` are exact, every entry is ``>= 0``, and the pad
+    symbol is no real column, so neither absent symbols nor padding win
+    a maximum.  The target symbols *d* are taken in blocks of at most
+    ``L``, so the ``(|U| + 1, block, N)`` products never outgrow the
+    chunk's whole ``(m + 1, L, N)`` factor array, however wide the
+    alphabet; each *d*'s maximum is its own, so the blocks change no
+    bit.  The ``(m, N)`` maxima are summed per symbol in the score
+    dtype, as a sum over the positions' maxima would be.
     """
-    symbols = c_ext.shape[0]
-    m = symbols - 1
+    m = len(terms.symbols)
     length, n = keys.shape
-    buffers.fit(c_ext.dtype, length * n)
-    present = buffers.bins_view(symbols, n)
+    buffers.fit(terms.floor.dtype, length * n)
+    present = buffers.bins_view(m + 1, n)
     present.fill(0)
     present[keys.ravel()] = 1
-    grid = present.reshape(symbols, 1, n)
-    columns = c_ext.T
+    grid = present.reshape(m + 1, n)
     maxima = buffers.maxima_view(m, n)
     block = min(m, length)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        products = buffers.product_view(symbols, stop - start, n)
-        np.multiply(grid, columns[:, start:stop, None], out=products)
-        np.maximum.reduce(products, axis=0, out=maxima[start:stop])
+        symbol_maxima(
+            grid, terms.block(start, stop), maxima[start:stop], buffers
+        )
     out += maxima.sum(axis=1)
 
 
@@ -826,6 +964,7 @@ def block_totals(
     c_ext: np.ndarray,
     kind: str,
     plan: Optional[WalkPlan],
+    terms: Union[SymbolTerms, WalkTerms],
     out: np.ndarray,
     buffers: WalkBuffers,
 ) -> None:
@@ -835,11 +974,12 @@ def block_totals(
     factor rows it gathers from the extended matrix *c_ext*), *buffers*
     the calling thread's.  *kind* :data:`DATABASE_TOTALS` adds each
     pattern of *plan* its sum of per-sequence maxima at its batch
-    index, by :func:`walk_totals`; :data:`SYMBOL_TOTALS` adds the
-    Phase-1 per-symbol sums by :func:`symbol_totals`, which gathers no
-    row (*plan* unused).
+    index, by :func:`walk_totals` with its groups' *terms* (a
+    :class:`WalkTerms`); :data:`SYMBOL_TOTALS` adds the Phase-1
+    per-symbol sums by :func:`symbol_totals` with *terms* of every real
+    symbol, which gathers no row (*plan* unused).
     """
     if kind == SYMBOL_TOTALS:
-        symbol_totals(slot.keys, c_ext, out, buffers)
+        symbol_totals(slot.keys, terms, out, buffers)
         return
-    walk_totals(slot, c_ext, plan, out, buffers)
+    walk_totals(slot, c_ext, plan, terms, out, buffers)

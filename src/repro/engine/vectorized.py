@@ -78,9 +78,11 @@ from .kernels import (
     PinSlot,
     WalkBuffers,
     WalkPlan,
+    WalkTerms,
     block_totals,
     extended_matrix,
     resolve_score_dtype,
+    symbol_terms,
 )
 
 #: Environment variable setting the worker count of a run.
@@ -125,9 +127,18 @@ def _chunk_counter(
     over the extended matrix *c_ext*, into a fresh zeroed row — and the
     list of walk buffers its threads create.
 
-    Thread-safe: each thread keeps its own walk buffers, which hold a
-    streamed chunk's factor rows and count the rows gathered.
+    The matrix rows the kernel reads, split at their floors
+    (:func:`~repro.engine.kernels.symbol_terms`), are tabled here once
+    per call: every real symbol for Phase 1, or a
+    :class:`~repro.engine.kernels.WalkTerms` that splits each sibling
+    group of *plan* on first use.  Thread-safe: each thread keeps its
+    own walk buffers, which hold a streamed chunk's factor rows and
+    count the rows gathered.
     """
+    if kind == SYMBOL_TOTALS:
+        terms = symbol_terms(c_ext, np.arange(c_ext.shape[0] - 1))
+    else:
+        terms = WalkTerms(c_ext)
     local = threading.local()
     made: List[WalkBuffers] = []
 
@@ -137,7 +148,7 @@ def _chunk_counter(
             buffers = local.buffers = WalkBuffers()
             made.append(buffers)
         row = np.zeros(width, dtype=np.float64)
-        block_totals(slot, c_ext, kind, plan, row, buffers)
+        block_totals(slot, c_ext, kind, plan, terms, row, buffers)
         return row
 
     return count_chunk, made
@@ -159,7 +170,7 @@ class VectorizedBatchEngine(MatchEngine):
     ----------
     chunk_rows:
         Sequences per padded chunk.  Larger chunks amortise Python
-        overhead further but cost up to ``(8 (m+1) + 4) N L`` bytes of
+        overhead further but cost up to ``(8 (m+1) + 8) N L`` bytes of
         symbol keys and factor rows each.
     workers:
         Counting threads; ``None`` resolves through

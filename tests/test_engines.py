@@ -332,7 +332,7 @@ class TestFactorPin:
     ):
         batch = [Pattern([0, 1]), Pattern([1, 1])]
         unpadded = (
-            (8 * (fig2_matrix.size + 1) + 4) * fig4_database.total_symbols()
+            (8 * (fig2_matrix.size + 1) + 8) * fig4_database.total_symbols()
         )
         engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=unpadded - 1)
         first = engine.database_matches(batch, fig4_database, fig2_matrix)
@@ -351,13 +351,13 @@ class TestFactorPin:
         )
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
         expected = REF.database_matches(batch, database, fig2_matrix)
-        # Per cell at most: m + 1 float64 factors and one int32 symbol
+        # Per cell at most: m + 1 float64 factors and one intp symbol
         # key.  The pin is checked against that worst case; it holds
         # the keys and the rows the walk read, of symbols 0, 1 and 2.
-        cell = 8 * (fig2_matrix.size + 1) + 4
+        cell = 8 * (fig2_matrix.size + 1) + 8
         unpadded = cell * database.total_symbols()
         padded = cell * 2 * (8 + 5)
-        held = (4 + 3 * 8) * 2 * (8 + 5)
+        held = (8 + 3 * 8) * 2 * (8 + 5)
         kept = []
         for budget in range(0, padded + 97, 48):
             engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
@@ -381,7 +381,7 @@ class TestFactorPin:
         batch = [Pattern([0, 1]), Pattern([2, WILDCARD, 1])]
         expected = REF.database_matches(batch, database, fig2_matrix)
         factors = 8 * (fig2_matrix.size + 1) * database.total_symbols()
-        keys = 4 * database.total_symbols()
+        keys = 8 * database.total_symbols()
         for budget in (factors, factors + keys // 2, factors + keys - 1):
             engine = VectorizedBatchEngine(chunk_rows=2, pin_bytes=budget)
             for _ in range(2):
@@ -444,8 +444,8 @@ class TestFactorPin:
             )
         assert buffers.gathered == 6
         assert slot.nbytes == slot.max_nbytes
-        # keys[t, i] = symbol * N + i, C-contiguous, int32.
-        assert slot.keys.dtype == np.int32
+        # keys[t, i] = symbol * N + i, C-contiguous, intp.
+        assert slot.keys.dtype == np.intp
         assert slot.keys.flags.c_contiguous
         np.testing.assert_array_equal(
             slot.keys, padded.T * 2 + np.arange(2)

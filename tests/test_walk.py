@@ -86,10 +86,64 @@ def test_walk_is_bit_identical_to_the_batched_kernel(inputs, matrix):
     assert resident.database_matches(batch, database, matrix) == expected
 
 
+#: The matrix classes of :func:`structured_matrices`.
+MATRIX_KINDS = (
+    "random", "uniform_noise", "identity", "pure_noise", "random_sparse",
+    "floor_ties",
+)
+
+
+@st.composite
+def structured_matrices(draw, m: int):
+    """An *m*-symbol matrix of one class the symbol-space product splits
+    differently into floor, diagonal and residual.
+
+    ``random`` entries include zeros (floor mostly ``0``, a dense
+    residual); ``uniform_noise`` has no residual, and with ``alpha >=
+    (m - 1) / m`` its off-diagonal entry is not below the diagonal;
+    ``identity`` has floor ``0`` and no residual; ``pure_noise`` has its
+    diagonal at the floor; ``random_sparse`` has floor ``0`` and a few
+    residual columns per row; ``floor_ties`` is dense with several
+    entries of each row tied at its floor.  No normalisation: the
+    kernels need only entries ``>= 0``.
+    """
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform_noise":
+        alpha = draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats((m - 1) / m, 1.0),
+        ))
+        return CompatibilityMatrix.uniform_noise(m, alpha)
+    if kind == "identity":
+        return CompatibilityMatrix.identity(m)
+    if kind == "pure_noise":
+        return CompatibilityMatrix.pure_noise(m)
+    if kind == "random_sparse":
+        return CompatibilityMatrix.random_sparse(
+            m, draw(st.floats(0.0, 1.0)), rng=rng
+        )
+    if kind == "floor_ties":
+        array = 0.2 + 0.8 * rng.random((m, m))
+        floor = array.min(axis=1, keepdims=True)
+        array = np.where(rng.random((m, m)) < 0.5, floor, array)
+        return CompatibilityMatrix(array, validate=False)
+    # Entries drawn from a pool holding 0.0, so whole bins of a chunk
+    # can score zero.
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    array = np.asarray(
+        draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                      min_size=m, max_size=m)),
+        dtype=np.float64,
+    )
+    return CompatibilityMatrix(array, validate=False)
+
+
 @st.composite
 def symbol_space_inputs(draw):
     """A batch of sibling groups over a 2-16 symbol alphabet, a matrix
-    with zero entries, a database and a chunk size.
+    of every class of :func:`structured_matrices`, a database and a
+    chunk size.
 
     Rows of at most 12 symbols against up to 17 bins put alphabets
     larger than the window count in reach; lone siblings (k = 1),
@@ -97,15 +151,7 @@ def symbol_space_inputs(draw):
     """
     m = draw(st.integers(2, 16))
     symbol = st.integers(0, m - 1)
-    # Entries drawn from a pool holding 0.0, so whole bins of a chunk
-    # can score zero; no normalisation, the walk needs only >= 0.
-    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    array = np.asarray(
-        draw(st.lists(st.lists(entry, min_size=m, max_size=m),
-                      min_size=m, max_size=m)),
-        dtype=np.float64,
-    )
-    matrix = CompatibilityMatrix(array, validate=False)
+    matrix = draw(structured_matrices(m))
     batch = []
     for _ in range(draw(st.integers(1, 5))):
         parent = [draw(symbol)]
@@ -194,13 +240,49 @@ def test_symbol_space_threads_keep_their_own_bins():
 
 
 def test_cost_rule_groups_wide_fan_out_and_loops_lone_siblings():
+    # Product rows per sibling are |U| + 2: 2 under uniform noise (no
+    # residual), m + 2 for a dense matrix.
+    uniform, dense20, dense60 = 2, 22, 62
     # A 20-symbol alphabet over ~100 windows: Phase 2's alphabet-wide
-    # groups and Phase 3's groups of 8-12 probes count in symbol space.
-    assert kernels.grouped_pays(19, 100, 21)
-    assert kernels.grouped_pays(8, 110, 21)
-    assert not kernels.grouped_pays(1, 100, 21)
-    # Few windows against a wide alphabet: the bins cost more.
-    assert not kernels.grouped_pays(60, 20, 61)
+    # groups and Phase 3's groups of 8-12 probes count in symbol space,
+    # a lone sibling is looped, whatever the matrix.
+    for rows in (uniform, dense20):
+        assert kernels.grouped_pays(19, 100, rows)
+        assert kernels.grouped_pays(8, 110, rows)
+        assert not kernels.grouped_pays(1, 100, rows)
+    # Few windows: a dense group's residual product costs more than
+    # the loop; without a residual the group still pays.
+    assert not kernels.grouped_pays(20, 19, dense20)
+    assert not kernels.grouped_pays(60, 20, dense60)
+    assert kernels.grouped_pays(60, 20, uniform)
+
+
+def test_walk_prices_a_group_by_its_residual_columns():
+    """The walk asks the cost rule with 2 product rows, then with
+    ``|U| + 2``: 2 under uniform noise, ``m + 2`` when the siblings'
+    rows rise above their floors at every column.  A group the rule
+    loops at 2 rows is never split."""
+    m = 6
+    database = SequenceDatabase([[0, 1, 2, 3, 4, 5, 0, 1]] * 3)
+    batch = [Pattern([0, d]) for d in range(m)]
+    # Row d rises from its floor at column d + 1 (mod m).
+    dense = 1.0 + (np.arange(m) - np.arange(m)[:, None] - 1) % m
+    for matrix, rows in (
+        (CompatibilityMatrix.uniform_noise(m, 0.2), 2),
+        (CompatibilityMatrix(dense, validate=False), m + 2),
+    ):
+        with _forced(True) as rule:
+            VectorizedBatchEngine().database_matches(batch, database, matrix)
+        assert rule.call_args_list == [
+            mock.call(m, 7, 2), mock.call(m, 7, rows),
+        ]
+        with _forced(False) as rule, mock.patch.object(
+            kernels, "symbol_terms", wraps=kernels.symbol_terms
+        ) as split:
+            VectorizedBatchEngine().database_matches(batch, database, matrix)
+        assert rule.call_args_list == [mock.call(m, 7, 2)]
+        # database_matches runs no Phase 1: a split would be the group's.
+        assert not split.called
 
 
 def test_peak_memory_stays_near_the_factor_array():
@@ -231,21 +313,16 @@ def test_peak_memory_stays_near_the_factor_array():
 
 @st.composite
 def phase1_inputs(draw):
-    """A 2-16 symbol matrix with zero entries, rows of 1-12 symbols
-    (most shorter than their chunk's longest) and a chunk size."""
+    """A 2-16 symbol matrix of every class of
+    :func:`structured_matrices`, rows of 1-12 symbols (most shorter
+    than their chunk's longest) and a chunk size."""
     m = draw(st.integers(2, 16))
-    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    array = np.asarray(
-        draw(st.lists(st.lists(entry, min_size=m, max_size=m),
-                      min_size=m, max_size=m)),
-        dtype=np.float64,
-    )
     rows = draw(st.lists(
         st.lists(st.integers(0, m - 1), min_size=1, max_size=12),
         min_size=1, max_size=9,
     ))
     return (
-        CompatibilityMatrix(array, validate=False), SequenceDatabase(rows),
+        draw(structured_matrices(m)), SequenceDatabase(rows),
         draw(st.integers(1, 4)),
     )
 
@@ -272,19 +349,16 @@ def test_phase1_presence_equals_the_position_maxima(inputs, score_dtype):
 
 @st.composite
 def wide_alphabet_inputs(draw):
-    """A 20-80 symbol matrix with zero entries over chunks of rows of
-    1-6 symbols: every chunk is shorter than the alphabet is wide."""
+    """A 20-80 symbol matrix of every class of
+    :func:`structured_matrices` over chunks of rows of 1-6 symbols:
+    every chunk is shorter than the alphabet is wide."""
     m = draw(st.integers(20, 80))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    array = rng.random((m, m))
-    array[rng.random((m, m)) < 0.3] = 0.0
     rows = draw(st.lists(
         st.lists(st.integers(0, m - 1), min_size=1, max_size=6),
         min_size=1, max_size=9,
     ))
     return (
-        CompatibilityMatrix(array, validate=False), SequenceDatabase(rows),
+        draw(structured_matrices(m)), SequenceDatabase(rows),
         draw(st.integers(1, 4)),
     )
 
@@ -305,7 +379,8 @@ def test_phase1_products_never_outgrow_the_factor_array(inputs, score_dtype):
         buffers = kernels.WalkBuffers()
         got = np.zeros(m, dtype=np.float64)
         kernels.symbol_totals(
-            kernels.chunk_keys(padded, m + 1), c_ext, got, buffers
+            kernels.chunk_keys(padded),
+            kernels.symbol_terms(c_ext, np.arange(m)), got, buffers,
         )
         assert buffers.products.nbytes <= gathered.nbytes
         want = np.zeros(m, dtype=np.float64)
