@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -469,6 +470,11 @@ def _cmd_remine(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import MiningServer, MiningService
 
+    # Ctrl-C and SIGTERM both stop the daemon cleanly.  SIGINT's handler
+    # is set, not assumed: a background job of a non-interactive shell
+    # starts with SIGINT ignored and would otherwise never stop on it.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     service = MiningService(
         workers=args.workers,
         store_capacity=args.store_capacity,

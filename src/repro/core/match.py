@@ -138,14 +138,9 @@ def database_match(
     database: AnySequenceDatabase,
     matrix: CompatibilityMatrix,
 ) -> float:
-    """``M(P, D)``: average sequence match over the database (one scan)."""
-    c = matrix.array
-    total = 0.0
-    count = 0
-    for _sid, seq in database.scan():
-        total += _sequence_match_array(pattern, seq, c)
-        count += 1
-    return total / count
+    """``M(P, D)``: average sequence match over the database (one scan
+    of :func:`database_matches`)."""
+    return database_matches([pattern], database, matrix)[pattern]
 
 
 def database_matches(

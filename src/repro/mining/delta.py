@@ -113,11 +113,9 @@ class MiningCheckpoint:
         (``None`` for checkpoints built outside the config layer);
         refresh rejects a checkpoint taken under a different semantic
         config.
-    sample_planes_key:
-        Content key of the Phase-2 resident sample planes of the
-        producing run, when it ran with the resident evaluator — lets
-        a warm daemon re-pin the same planes after a refresh.  Purely
-        advisory; ``None`` otherwise.
+
+    A payload may carry keys this build does not read (older builds
+    wrote ``sample_planes_key``); :meth:`from_dict` ignores them.
     """
 
     store_digest: str
@@ -127,7 +125,6 @@ class MiningCheckpoint:
     symbol_sums: Tuple[float, ...]
     border_sums: Dict[Pattern, float] = field(default_factory=dict)
     config_key: Optional[str] = None
-    sample_planes_key: Optional[str] = None
 
     def border(self) -> Border:
         """The checkpointed border as an antichain."""
@@ -150,7 +147,6 @@ class MiningCheckpoint:
                 )
             },
             "config_key": self.config_key,
-            "sample_planes_key": self.sample_planes_key,
         }
 
     @classmethod
@@ -175,7 +171,6 @@ class MiningCheckpoint:
                 for text, value in payload["border_sums"].items()
             },
             config_key=payload.get("config_key"),
-            sample_planes_key=payload.get("sample_planes_key"),
         )
 
     def save(self, path) -> None:
@@ -258,7 +253,6 @@ def create_checkpoint(
         symbol_sums=symbol_sums,
         border_sums=border_sums,
         config_key=config_key,
-        sample_planes_key=result.extras.get("sample_planes_key"),
     )
 
 
@@ -526,7 +520,6 @@ def delta_remine(
             config_key if config_key is not None
             else checkpoint.config_key
         ),
-        sample_planes_key=checkpoint.sample_planes_key,
     )
     return DeltaOutcome(
         result=result,

@@ -13,8 +13,7 @@ produces the per-level candidate counts of Figure 9.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set
-
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
@@ -86,7 +85,7 @@ class LevelwiseMiner:
         self.tracer = ensure_tracer(tracer)
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
-        """Run the full breadth-first search over *database*."""
+        """Run Phase 1, then :meth:`_search`, over *database*."""
         started = time.perf_counter()
         scans_before = database.scan_count
         tracer = self.tracer
@@ -98,55 +97,7 @@ class LevelwiseMiner:
             )  # one scan
             tracer.count(SCANS, 1)
             record_io(tracer, database, io_before)
-        frequent_symbols = [
-            d
-            for d in range(self.matrix.size)
-            if symbol_match[d] >= self.min_match
-        ]
-        frequent: Dict[Pattern, float] = {
-            Pattern.single(d): float(symbol_match[d])
-            for d in frequent_symbols
-        }
-        level_stats = [
-            LevelStats(
-                level=1,
-                candidates=self.matrix.size,
-                frequent=len(frequent_symbols),
-            )
-        ]
-
-        current: Set[Pattern] = set(frequent)
-        level = 1
-        while current and level < self.constraints.max_weight:
-            candidates = generate_candidates(
-                current, frequent_symbols, self.constraints,
-                tracer=tracer,
-            )
-            if not candidates:
-                break
-            level += 1
-            with tracer.phase(f"level-{level}"):
-                tracer.count(CANDIDATES_GENERATED, len(candidates))
-                matches = count_matches_batched(
-                    sorted(candidates, key=Pattern.sort_key),
-                    database,
-                    self.matrix,
-                    self.memory_capacity,
-                    engine=self.engine,
-                    tracer=tracer,
-                )
-                survivors = {
-                    p: v for p, v in matches.items() if v >= self.min_match
-                }
-            frequent.update(survivors)
-            level_stats.append(
-                LevelStats(
-                    level=level,
-                    candidates=len(candidates),
-                    frequent=len(survivors),
-                )
-            )
-            current = set(survivors)
+        frequent, level_stats, extras = self._search(database, symbol_match)
 
         scans = database.scan_count - scans_before
         elapsed = time.perf_counter() - started
@@ -156,7 +107,7 @@ class LevelwiseMiner:
             scans=scans,
             elapsed_seconds=elapsed,
             level_stats=level_stats,
-            extras={"symbol_match": symbol_match},
+            extras={"symbol_match": symbol_match, **extras},
             report=tracer.report(
                 algorithm=self.algorithm,
                 engine=self.engine.name,
@@ -164,6 +115,83 @@ class LevelwiseMiner:
                 elapsed_seconds=elapsed,
             ),
         )
+
+    def _search(
+        self, database: AnySequenceDatabase, symbol_match: Sequence[float]
+    ) -> Tuple[Dict[Pattern, float], List[LevelStats], Dict[str, object]]:
+        """The search after Phase 1: here the Apriori level loop, one
+        ``level-k`` span per level."""
+        return (*level_search(self, database, symbol_match), {})
+
+
+def level_one(
+    symbol_match: Sequence[float], min_match: float
+) -> Tuple[List[int], Dict[Pattern, float], LevelStats]:
+    """Level 1 from Phase 1's symbol matches: the frequent symbols,
+    their 1-patterns with matches, and the level's stats."""
+    symbols = [
+        d for d in range(len(symbol_match)) if symbol_match[d] >= min_match
+    ]
+    frequent = {Pattern.single(d): float(symbol_match[d]) for d in symbols}
+    return symbols, frequent, LevelStats(1, len(symbol_match), len(symbols))
+
+
+def level_search(
+    miner,
+    database: AnySequenceDatabase,
+    symbol_match: Sequence[float],
+    span: str = "level",
+    seeds: Optional[Mapping[int, List[Pattern]]] = None,
+) -> Tuple[Dict[Pattern, float], List[LevelStats]]:
+    """The Apriori level loop after Phase 1, under *miner*'s ``matrix``,
+    ``min_match``, ``constraints``, ``memory_capacity``, ``engine`` and
+    ``tracer``: generate the next level from the last one's survivors,
+    count it in one batched pass over *database* (a ``{span}-k`` span)
+    and keep what reaches ``min_match``, until a level is empty.
+
+    *seeds* maps a level to extra candidates counted with it (Toivonen's
+    sample-labelled patterns); a seed is kept only when every admissible
+    immediate subpattern is already frequent.  Returns ``(frequent,
+    level_stats)``.
+    """
+    constraints, tracer = miner.constraints, miner.tracer
+    symbols, frequent, first = level_one(symbol_match, miner.min_match)
+    level_stats = [first]
+    current: Set[Pattern] = set(frequent)
+    level = 1
+    while current and level < constraints.max_weight:
+        level += 1
+        candidates = generate_candidates(
+            current, symbols, constraints, tracer=tracer
+        )
+        candidates.update(
+            seed
+            for seed in (seeds or {}).get(level, ())
+            if all(
+                sub in frequent
+                for sub in seed.immediate_subpatterns()
+                if constraints.admits(sub)
+            )
+        )
+        if not candidates:
+            break
+        with tracer.phase(f"{span}-{level}"):
+            tracer.count(CANDIDATES_GENERATED, len(candidates))
+            matches = count_matches_batched(
+                sorted(candidates, key=Pattern.sort_key),
+                database,
+                miner.matrix,
+                miner.memory_capacity,
+                engine=miner.engine,
+                tracer=tracer,
+            )
+            survivors = {
+                p: v for p, v in matches.items() if v >= miner.min_match
+            }
+        frequent.update(survivors)
+        level_stats.append(LevelStats(level, len(candidates), len(survivors)))
+        current = set(survivors)
+    return frequent, level_stats
 
 
 def mine_support(

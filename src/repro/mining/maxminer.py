@@ -28,36 +28,26 @@ miner in tests).
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Set
-
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.border import Border
 from ..core.compatibility import CompatibilityMatrix
-from ..core.lattice import (
-    PatternConstraints,
-    generate_candidates,
-)
+from ..core.lattice import PatternConstraints, generate_candidates
 from ..core.pattern import Pattern
 from ..core.sequence import AnySequenceDatabase
-from ..engine import MatchEngine, VectorizedBatchEngine
+from ..engine import MatchEngine
 from ..errors import MiningError
-from ..obs import (
-    CANDIDATES_GENERATED,
-    SCANS,
-    Tracer,
-    ensure_tracer,
-    io_snapshot,
-    record_io,
-)
-from .counting import count_matches_batched, validate_memory_capacity
-from .result import LevelStats, MiningResult
+from ..obs import CANDIDATES_GENERATED, Tracer
+from .counting import count_matches_batched
+from .levelwise import LevelwiseMiner, level_one
+from .result import LevelStats
 
 
-class MaxMiner:
-    """Look-ahead mining of frequent patterns under the match metric.
+class MaxMiner(LevelwiseMiner):
+    """Look-ahead mining of frequent patterns under the match metric: a
+    :class:`~repro.mining.levelwise.LevelwiseMiner` whose search also
+    counts look-ahead probes.
 
-    Parameters mirror :class:`~repro.mining.levelwise.LevelwiseMiner`;
     ``lookahead_per_level`` bounds how many greedy probes are counted
     per level (each probe is one extra counter in the scan batch).
     """
@@ -75,57 +65,31 @@ class MaxMiner:
         engine: Optional[MatchEngine] = None,
         tracer: Optional[Tracer] = None,
     ):
-        if not 0.0 < min_match <= 1.0:
-            raise MiningError(f"min_match must lie in (0, 1], got {min_match}")
+        super().__init__(
+            matrix, min_match, constraints, memory_capacity, engine, tracer
+        )
         if lookahead_per_level < 0:
             raise MiningError(
                 f"lookahead_per_level must be >= 0, got {lookahead_per_level}"
             )
-        validate_memory_capacity(memory_capacity)
-        self.matrix = matrix
-        self.min_match = min_match
-        self.constraints = constraints or PatternConstraints()
-        self.memory_capacity = memory_capacity
         self.lookahead_per_level = lookahead_per_level
         self.collect_exact_matches = collect_exact_matches
-        self.engine = (
-            engine if engine is not None else VectorizedBatchEngine()
-        )
-        self.tracer = ensure_tracer(tracer)
 
-    def mine(self, database: AnySequenceDatabase) -> MiningResult:
-        started = time.perf_counter()
-        scans_before = database.scan_count
+    def _search(
+        self, database: AnySequenceDatabase, symbol_match: Sequence[float]
+    ) -> Tuple[Dict[Pattern, float], List[LevelStats], Dict[str, object]]:
         tracer = self.tracer
-
-        with tracer.phase("phase1-scan"):
-            io_before = io_snapshot(database)
-            symbol_match = self.engine.symbol_matches(
-                database, self.matrix, tracer=tracer
-            )  # one scan
-            tracer.count(SCANS, 1)
-            record_io(tracer, database, io_before)
-        frequent_symbols = [
-            d
-            for d in range(self.matrix.size)
-            if symbol_match[d] >= self.min_match
-        ]
-        frequent: Dict[Pattern, float] = {
-            Pattern.single(d): float(symbol_match[d])
-            for d in frequent_symbols
-        }
+        symbols, frequent, first = level_one(symbol_match, self.min_match)
+        level_stats = [first]
         maximal = Border(frequent, tracer=tracer)
         skipped: Set[Pattern] = set()  # frequent via look-ahead, not counted
-        level_stats = [
-            LevelStats(1, self.matrix.size, len(frequent_symbols))
-        ]
 
         current: Set[Pattern] = set(frequent)
         level = 1
         probes_hit = 0
         while current and level < self.constraints.max_weight:
             candidates = generate_candidates(
-                current | skipped, frequent_symbols, self.constraints,
+                current | skipped, symbols, self.constraints,
                 tracer=tracer,
             )
             if not candidates:
@@ -172,26 +136,7 @@ class MaxMiner:
                         database, maximal, frequent, tracer
                     )
                 )
-
-        scans = database.scan_count - scans_before
-        elapsed = time.perf_counter() - started
-        return MiningResult(
-            frequent=frequent,
-            border=Border(frequent, tracer=tracer),
-            scans=scans,
-            elapsed_seconds=elapsed,
-            level_stats=level_stats,
-            extras={
-                "symbol_match": symbol_match,
-                "lookahead_hits": probes_hit,
-            },
-            report=tracer.report(
-                algorithm=self.algorithm,
-                engine=self.engine.name,
-                scans=scans,
-                elapsed_seconds=elapsed,
-            ),
-        )
+        return frequent, level_stats, {"lookahead_hits": probes_hit}
 
     # -- internals --------------------------------------------------------------
 

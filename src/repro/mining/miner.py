@@ -20,7 +20,7 @@ verification needs 5-10+.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..obs import SCANS, Tracer, ensure_tracer, io_snapshot, record_io
 from .ambiguous import classify_on_sample, sample_evaluator
 from .collapsing import collapse_borders
 from .counting import validate_memory_capacity
-from .result import MiningResult, SampleClassification
+from .result import LevelStats, MiningResult, SampleClassification
 
 
 class BorderCollapsingMiner:
@@ -131,7 +131,8 @@ class BorderCollapsingMiner:
         )
 
     def mine(self, database: AnySequenceDatabase) -> MiningResult:
-        """Run all three phases and return the discovered patterns.
+        """Run Phases 1-2, then :meth:`_finalize`, and return the
+        discovered patterns.
 
         Match values in the result are exact (full-database) for every
         pattern probed during border collapsing and sample estimates for
@@ -174,35 +175,21 @@ class BorderCollapsingMiner:
                 tracer=tracer,
             )
 
-        # Phase 3 — border collapsing over the ambiguous band.
-        with tracer.phase("phase3-collapse"):
-            outcome = collapse_borders(
-                database,
-                self.matrix,
-                self.min_match,
-                classification,
-                self.memory_capacity,
-                engine=self.engine,
-                tracer=tracer,
-            )
-
-        frequent = self._assemble_frequent(classification, outcome.verified,
-                                           outcome.border)
+        frequent, border, level_stats, extras = self._finalize(
+            database, symbol_match, classification
+        )
         scans = database.scan_count - scans_before
         elapsed = time.perf_counter() - started
         return MiningResult(
             frequent=frequent,
-            border=outcome.border,
+            border=border,
             scans=scans,
             elapsed_seconds=elapsed,
+            level_stats=level_stats,
             extras={
                 "symbol_match": symbol_match,
-                "classification": classification,
                 "ambiguous_patterns": classification.ambiguous_count(),
-                "verified": dict(outcome.verified),
-                "probe_rounds": outcome.probe_rounds,
-                "phase3_scans": outcome.scans,
-                "sample_size": sample_size,
+                **extras,
             },
             report=tracer.report(
                 algorithm=self.algorithm,
@@ -211,6 +198,34 @@ class BorderCollapsingMiner:
                 elapsed_seconds=elapsed,
             ),
         )
+
+    def _finalize(
+        self, database: AnySequenceDatabase, symbol_match: np.ndarray,
+        classification: SampleClassification,
+    ) -> Tuple[Dict[Pattern, float], Border, List[LevelStats],
+               Dict[str, object]]:
+        """Decide what Phase 2 left open against the full database:
+        ``(frequent, border, level_stats, extras)``.  Here it is
+        Phase 3, border collapsing over the ambiguous band."""
+        with self.tracer.phase("phase3-collapse"):
+            outcome = collapse_borders(
+                database,
+                self.matrix,
+                self.min_match,
+                classification,
+                self.memory_capacity,
+                engine=self.engine,
+                tracer=self.tracer,
+            )
+        frequent = self._assemble_frequent(classification, outcome.verified,
+                                           outcome.border)
+        return frequent, outcome.border, [], {
+            "classification": classification,
+            "verified": dict(outcome.verified),
+            "probe_rounds": outcome.probe_rounds,
+            "phase3_scans": outcome.scans,
+            "sample_size": min(self.sample_size, len(database)),
+        }
 
     def _assemble_frequent(
         self,

@@ -38,7 +38,6 @@ from .server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     MiningServer,
-    serve_forever,
     start_server,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "ServiceClient",
     "StoreCache",
     "StoreEntry",
-    "serve_forever",
     "start_server",
 ]

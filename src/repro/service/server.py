@@ -284,29 +284,10 @@ def start_server(
     return server, thread
 
 
-def serve_forever(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    workers: int = DEFAULT_WORKERS,
-    verbose: bool = True,
-) -> None:
-    """Blocking entry point for ``noisymine serve``."""
-    with MiningServer(
-        host=host, port=port, workers=workers, verbose=verbose
-    ) as server:
-        host, bound = server.address
-        print(f"noisymine daemon listening on http://{host}:{bound}")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down")
-
-
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
     "MiningServer",
-    "serve_forever",
     "start_server",
 ]

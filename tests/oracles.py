@@ -5,6 +5,10 @@ Production runs one implementation per layer: the counting engines of
 :mod:`repro.core.latticekernels`.  The plain pure-Python versions of
 those layers live here, as oracles:
 
+* :func:`naive_segment_match`, :func:`naive_sequence_match`,
+  :func:`naive_database_match` and :func:`naive_symbol_matches` are the
+  paper's pseudocode (Definitions 3.5-3.7, Algorithms 4.1-4.2), one
+  symbol at a time, with no numpy;
 * :class:`ReferenceEngine` scores every sequence with the sliding-window
   code of :mod:`repro.core.match`;
 * :class:`PrefixPlanEngine` is the batched prefix-plan kernel the
@@ -46,6 +50,74 @@ from repro.errors import MiningError
 from repro.mining import ambiguous, collapsing
 from repro.mining.chernoff import restricted_spread
 from repro.obs import Tracer
+
+
+# -- the paper's pseudocode -------------------------------------------------
+
+
+def naive_segment_match(
+    pattern: Pattern,
+    segment: Sequence[int],
+    matrix: CompatibilityMatrix,
+) -> float:
+    """Definition 3.5, evaluated position by position."""
+    assert len(segment) == pattern.span
+    value = 1.0
+    for element, observed in zip(pattern.elements, segment):
+        if element == WILDCARD:
+            continue  # C(*, d') = 1 by definition
+        value *= matrix.prob(element, int(observed))
+    return value
+
+
+def naive_sequence_match(
+    pattern: Pattern,
+    sequence: Sequence[int],
+    matrix: CompatibilityMatrix,
+) -> float:
+    """Definition 3.6 via an explicit sliding window (Algorithm 4.2)."""
+    span = pattern.span
+    best = 0.0
+    for start in range(len(sequence) - span + 1):
+        current = naive_segment_match(
+            pattern, sequence[start : start + span], matrix
+        )
+        if current > best:
+            best = current
+    return best
+
+
+def naive_database_match(
+    pattern: Pattern,
+    database: AnySequenceDatabase,
+    matrix: CompatibilityMatrix,
+) -> float:
+    """Definition 3.7: plain average over the database's sequences."""
+    total = 0.0
+    count = 0
+    for _sid, seq in database.scan():
+        total += naive_sequence_match(pattern, list(int(v) for v in seq), matrix)
+        count += 1
+    return total / count
+
+
+def naive_symbol_matches(
+    database: AnySequenceDatabase, matrix: CompatibilityMatrix
+) -> list:
+    """Algorithm 4.1 lines 1-11, literally (no distinct-symbol shortcut)."""
+    m = matrix.size
+    match = [0.0] * m
+    n = len(database)
+    for _sid, seq in database.scan():
+        max_match = [0.0] * m
+        for observed in seq:
+            for d in range(m):
+                c = matrix.prob(d, int(observed))
+                if c > max_match[d]:
+                    max_match[d] = c
+        for d in range(m):
+            match[d] += max_match[d] / n
+    return match
 
 
 # -- counting ----------------------------------------------------------------

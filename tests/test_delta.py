@@ -15,6 +15,8 @@ checkpoints.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,17 @@ class TestCheckpointPersistence:
         checkpoint.save(path)
         loaded = MiningCheckpoint.load(path)
         assert loaded == checkpoint
+
+    def test_loads_payload_with_retired_sample_planes_key(self, tmp_path):
+        """Checkpoints written before ``sample_planes_key`` was dropped
+        carry it (always ``null``); they still load, to the same
+        checkpoint, and a re-save no longer writes it."""
+        checkpoint = self._checkpoint(tmp_path)
+        payload = dict(checkpoint.to_dict(), sample_planes_key=None)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        assert MiningCheckpoint.load(path) == checkpoint
+        assert "sample_planes_key" not in checkpoint.to_dict()
 
     def test_corrupt_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -27,13 +27,14 @@ from repro import (
     sequence_match,
 )
 from repro.core.match import database_match
-from repro.core.naive import (
+from repro.engine import VectorizedBatchEngine
+
+from .oracles import (
     naive_database_match,
     naive_segment_match,
     naive_sequence_match,
     naive_symbol_matches,
 )
-from repro.engine import VectorizedBatchEngine
 
 M = 5  # alphabet size used throughout
 

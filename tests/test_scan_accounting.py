@@ -39,7 +39,6 @@ from repro.mining import (
     counting as counting_module,
     levelwise as levelwise_module,
     maxminer as maxminer_module,
-    toivonen as toivonen_module,
 )
 
 from .oracles import ReferenceEngine
@@ -198,7 +197,7 @@ class TestMinerEntryPoints:
 
         for module in (
             ambiguous_module, collapsing_module, levelwise_module,
-            maxminer_module, toivonen_module,
+            maxminer_module,
         ):
             monkeypatch.setattr(module, "count_matches_batched", checked)
         return calls

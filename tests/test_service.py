@@ -12,9 +12,15 @@ under concurrent readers, and deterministic service shutdown.
 import http.client
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.core.sequence import SequenceDatabase
@@ -755,6 +761,40 @@ class TestServiceShutdown:
         workers = list(service._workers)
         service.close()
         assert not any(thread.is_alive() for thread in workers)
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_serve_stops_on_signal_when_started_with_sigint_ignored(
+        self, signum
+    ):
+        """A background job of a non-interactive shell starts with
+        SIGINT ignored; ``noisymine serve`` must still stop on it, and
+        on SIGTERM, with exit status 0."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--quiet"],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "daemon printed no listening line"
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            port = int(line.rsplit(":", 1)[1])
+            # Once /healthz answers, the accept loop is running.
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+            conn.close()
+            proc.send_signal(signum)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestSegmentedStores:

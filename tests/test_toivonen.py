@@ -1,5 +1,7 @@
 """Focused tests for the sampling-based level-wise baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,14 +76,16 @@ class TestCorrectness:
 class TestDiagnostics:
     def test_border_distance_zero_when_sample_is_database(self, chain_db):
         matrix = CompatibilityMatrix.identity(6)
-        result = ToivonenMiner(
-            matrix, 0.5, sample_size=10, constraints=CONSTRAINTS,
-            rng=np.random.default_rng(0),
-        ).mine(chain_db)
-        # Estimated border from a full-database "sample" can still carry
-        # the Chernoff band, so distance may be positive; it must be a
-        # finite non-negative diagnostic either way.
-        assert result.extras["border_distance"] >= 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = ToivonenMiner(
+                matrix, 0.5, sample_size=10, constraints=CONSTRAINTS,
+                rng=np.random.default_rng(0),
+            ).mine(chain_db)
+        # The sample is the database: Phase 2 is exact, no band applies,
+        # and the sampled border is the true one.
+        assert result.extras["border_distance"] == 0.0
+        assert result.extras["ambiguous_patterns"] == 0
         assert isinstance(result.extras["estimated_border"], Border)
 
     def test_level_stats_recorded(self, chain_db):
